@@ -342,6 +342,10 @@ fn serve_connection(
                 let token = handle.token();
                 let credits = Arc::new(Credits::default());
                 let finished = Arc::new(AtomicBool::new(false));
+                // The ack goes out before the pager exists: an empty
+                // result's DONE needs no credit, so a pager already running
+                // could put it on the wire ahead of the ack.
+                let _ = send(&writer, &ServerMsg::SubmitAck { query });
                 let pager = {
                     let (shared, writer, credits, finished, stats) = (
                         Arc::clone(&shared),
@@ -359,7 +363,6 @@ fn serve_connection(
                         .expect("spawn pager thread")
                 };
                 live.insert(query, LiveQuery { token, credits, finished, pager });
-                let _ = send(&writer, &ServerMsg::SubmitAck { query });
             }
             ClientMsg::Fetch { query, credits } => {
                 if let Some(q) = live.get(&query) {

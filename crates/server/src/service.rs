@@ -333,6 +333,7 @@ impl QueryService {
         m.gauge("server.subs.count").set(inner.subs.count() as f64);
         m.gauge("server.subs.deltas").set(inner.subs.total_deltas() as f64);
         m.gauge("server.subs.max_lag").set(inner.subs.max_lag(inner.changelog.len()) as f64);
+        m.gauge("server.subs.state_bytes").set(inner.subs.total_state_bytes() as f64);
     }
 
     /// The service's epoch-sequenced mutation feed.
@@ -368,6 +369,7 @@ impl QueryService {
         }
         let epoch = inner.changelog.len();
         drop(guard);
+        self.trim_changelog();
         inner.metrics.counter("server.appends.rows").add(count as u64);
         inner.live.publish(0, "table.append", &format!("{table} +{count} epoch {epoch}"));
         Ok(epoch)
@@ -398,13 +400,15 @@ impl QueryService {
         let want = opts.reservation.unwrap_or(inner.config.default_reservation);
         let gov = inner.broker.admit(id, want);
         let clock = CostClock::default_clock();
+        // The read lock excludes appends from the initial load until the
+        // subscription is in the registry: the cursor is exactly the epoch
+        // of the state the circuit absorbed, and no changelog trim can run
+        // past a cursor the registry does not list yet.
+        let guard = inner.snapshot.read().expect("snapshot lock");
         let loaded = (|| {
-            let guard = inner.snapshot.read().expect("snapshot lock");
             let catalog = guard.to_catalog();
             let mut circuit = ViewCircuit::compile(spec, &catalog)?;
             circuit.load_initial(&catalog, &clock)?;
-            // The read lock excludes appends, so the cursor is exactly the
-            // epoch of the state the circuit just absorbed.
             circuit.set_cursor(inner.changelog.len());
             Ok(circuit)
         })();
@@ -416,26 +420,31 @@ impl QueryService {
                 return Err(e);
             }
         };
-        gov.grant(circuit.view_rows() as f64);
-        let cursor = circuit.cursor();
-        let view_rows = circuit.view_rows();
-        inner.subs.insert(Arc::new(Subscription {
+        // Fund what the circuit actually keeps resident.
+        gov.grant(circuit.state_rows() as f64);
+        let detail = format!(
+            "s{session} prio {priority} cursor {} view {} state {}",
+            circuit.cursor(),
+            circuit.view_rows(),
+            circuit.state_bytes()
+        );
+        let sub = Subscription {
             id,
             session,
             priority,
-            circuit: Mutex::new(circuit),
             clock,
             gov,
             cancel,
             deltas: AtomicU64::new(0),
             packets: AtomicU64::new(0),
-        }));
+            cursor: AtomicU64::new(circuit.cursor()),
+            state_bytes: AtomicU64::new(circuit.state_bytes() as u64),
+            circuit: Mutex::new(circuit),
+        };
+        inner.subs.insert(Arc::new(sub));
+        drop(guard);
         inner.metrics.counter("server.subs.registered").inc();
-        inner.live.publish(
-            id,
-            "sub.register",
-            &format!("s{session} prio {priority} cursor {cursor} view {view_rows}"),
-        );
+        inner.live.publish(id, "sub.register", &detail);
         Ok(id)
     }
 
@@ -455,6 +464,7 @@ impl QueryService {
         let Some(sub) = inner.subs.remove(id) else { return false };
         inner.broker.complete(id);
         sub.cancel.cancel();
+        self.trim_changelog();
         inner.metrics.counter("server.subs.unregistered").inc();
         inner.live.publish(
             id,
@@ -462,6 +472,18 @@ impl QueryService {
             &format!("deltas {} cost {:.0}", sub.delta_rows(), sub.cost()),
         );
         true
+    }
+
+    /// Drop the changelog records no live subscription can still ask for:
+    /// everything below the smallest live cursor, or everything published
+    /// so far when nobody subscribes. The log's length is read *before* the
+    /// registry, and a registering subscription holds the snapshot read
+    /// lock from capturing its cursor until it is listed, so a trim never
+    /// passes a cursor it could not see.
+    fn trim_changelog(&self) {
+        let published = self.inner.changelog.len();
+        let floor = self.inner.subs.min_cursor().unwrap_or(published);
+        self.inner.changelog.trim_below(floor);
     }
 
     /// Tear down every subscription owned by `session` (wire disconnect).
@@ -504,13 +526,13 @@ impl QueryService {
             Err(e) => return teardown(e),
         };
         let mut circuit = sub.circuit.lock().expect("circuit lock");
-        let (recs, _) = inner.changelog.since(circuit.cursor());
-        let take = if max_records == 0 { recs.len() } else { recs.len().min(max_records) };
+        let limit = if max_records == 0 { usize::MAX } else { max_records };
+        let (recs, _) = inner.changelog.since_up_to(circuit.cursor(), limit);
         let chaos = ChaosPolicy::from_env();
         if chaos.is_enabled() {
             // Chaos never drops a delta; transient faults surface as retry
             // charges that inflate this subscription's propagation latency.
-            for rec in &recs[..take] {
+            for rec in &recs {
                 let mut attempt = 0;
                 while attempt < chaos.scan_max_retries()
                     && chaos.scan_fault(&rec.table, rec.epoch, attempt)
@@ -520,10 +542,11 @@ impl QueryService {
                 }
             }
         }
-        let packet = circuit.apply(&recs[..take], &sub.clock);
+        let packet = circuit.apply(&recs, &sub.clock);
+        sub.mirror(&circuit);
         // Renegotiate the broker grant to the maintained state's new size.
         let held = sub.gov.outstanding();
-        let want = circuit.view_rows() as f64;
+        let want = circuit.state_rows() as f64;
         if want > held {
             sub.gov.grant(want - held);
         } else {
@@ -532,6 +555,7 @@ impl QueryService {
         let lag = inner.changelog.len().saturating_sub(circuit.cursor());
         drop(circuit);
         drop(permit);
+        self.trim_changelog();
         if !packet.is_empty() {
             sub.deltas.fetch_add(packet.delta_rows() as u64, Ordering::Relaxed);
             sub.packets.fetch_add(1, Ordering::Relaxed);

@@ -14,10 +14,16 @@
 //!   space and `rqp-top` can attribute both.
 //! * **Brokering** — each subscription holds a
 //!   [`MemoryGovernor`](rqp_exec::MemoryGovernor) granted by the
-//!   [`MemoryBroker`](crate::MemoryBroker), sized to the circuit's
-//!   maintained state; registering a subscription shrinks running queries'
+//!   [`MemoryBroker`](crate::MemoryBroker), funded from the circuit's
+//!   counted resident entries ([`ViewCircuit::state_rows`]: join-index
+//!   rows, groups, MIN/MAX multiset values — not the handful of rows the
+//!   view *shows*); registering a subscription shrinks running queries'
 //!   shares exactly like admitting a query, and unsubscribing returns the
 //!   grant (the teardown suites assert `reserved() == 0`).
+//! * **Changelog retention** — the registry knows every live cursor, so
+//!   the service trims the changelog below the smallest one after each
+//!   poll, append and unsubscribe: the log holds the slowest subscriber's
+//!   lag, and nothing when nobody subscribes.
 //! * **Admission** — delta propagation competes for the MPL gate: every
 //!   poll takes an admission permit at the subscription's priority, so a
 //!   storm of deltas cannot starve ad-hoc queries (or vice versa — a
@@ -79,6 +85,11 @@ pub struct Subscription {
     pub(crate) deltas: AtomicU64,
     /// Non-empty packets emitted so far.
     pub(crate) packets: AtomicU64,
+    /// The circuit's changelog cursor and resident bytes, mirrored after
+    /// every poll so gauges and changelog trimming read them without
+    /// waiting on a poll in progress.
+    pub(crate) cursor: AtomicU64,
+    pub(crate) state_bytes: AtomicU64,
 }
 
 impl Subscription {
@@ -112,9 +123,23 @@ impl Subscription {
         self.packets.load(Ordering::Relaxed)
     }
 
-    /// Changelog epochs this subscription has folded in (its cursor).
+    /// Changelog epochs this subscription has folded in (its cursor), as
+    /// of its last completed poll.
     pub fn cursor(&self) -> u64 {
-        self.circuit.lock().expect("circuit lock").cursor()
+        self.cursor.load(Ordering::SeqCst)
+    }
+
+    /// Payload bytes of the circuit's maintained state
+    /// ([`ViewCircuit::state_bytes`]), as of its last completed poll.
+    pub fn state_bytes(&self) -> u64 {
+        self.state_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Mirror the circuit's cursor and footprint (called with the circuit
+    /// lock held, so mirrors never run ahead of the circuit).
+    pub(crate) fn mirror(&self, circuit: &ViewCircuit) {
+        self.cursor.store(circuit.cursor(), Ordering::SeqCst);
+        self.state_bytes.store(circuit.state_bytes() as u64, Ordering::Relaxed);
     }
 
     /// Propagation cost charged so far (initial load + all polls).
@@ -181,6 +206,17 @@ impl SubscriptionRegistry {
     /// Total delta rows emitted across all live subscriptions.
     pub fn total_deltas(&self) -> u64 {
         self.table().values().map(|s| s.delta_rows()).sum()
+    }
+
+    /// Payload bytes of maintained state across all live subscriptions.
+    pub fn total_state_bytes(&self) -> u64 {
+        self.table().values().map(|s| s.state_bytes()).sum()
+    }
+
+    /// The smallest cursor among live subscriptions — records below it can
+    /// never be asked for again; `None` when nobody subscribes.
+    pub fn min_cursor(&self) -> Option<u64> {
+        self.table().values().map(|s| s.cursor()).min()
     }
 
     /// The worst lag (changelog epochs published but not yet folded) across
@@ -327,5 +363,47 @@ mod tests {
         assert_eq!(m.gauge("server.subs.deltas").get(), 10.0);
         assert_eq!(m.gauge("server.subs.max_lag").get(), 0.0);
         svc.unsubscribe(id);
+    }
+
+    /// The service trims the changelog to what a live subscription can
+    /// still ask for: with one polling subscriber it never holds more than
+    /// that subscriber's lag, with none it holds nothing — and epochs keep
+    /// counting (`len()` is the next epoch) whatever was dropped.
+    #[test]
+    fn changelog_retains_only_live_subscribers_lag() {
+        let svc = service();
+        let log = svc.changelog();
+        let batch = |k: i64| (0..16).map(|i| vec![Value::Int(k * 16 + i), Value::Int(0)]).collect();
+        // Nobody subscribes: published, counted, dropped.
+        assert_eq!(svc.append_rows("t", batch(0)).unwrap(), 16);
+        assert_eq!((log.len(), log.retained()), (16, 0));
+
+        let id = svc.subscribe(&spec(), SubscribeOptions::default()).unwrap();
+        let sub = svc.subscriptions().get(id).unwrap();
+        let mut seen = 0;
+        for k in 1..=625 {
+            let epoch = svc.append_rows("t", batch(k)).unwrap();
+            assert_eq!(epoch, 16 * (k as u64 + 1), "epochs stay dense and monotone");
+            // Drain 12 of every 16: the subscriber falls steadily behind.
+            let (packet, lag) = svc.poll_subscription(id, 12).unwrap();
+            seen += packet.inserted.len();
+            assert_eq!(lag, log.len() - sub.cursor());
+            assert_eq!(log.retained() as u64, lag, "the log holds exactly the lag");
+        }
+        assert_eq!(log.len(), 16 + 10_000);
+        // Everything retained is still readable, in order, exactly once.
+        let (packet, lag) = svc.poll_subscription(id, 0).unwrap();
+        assert_eq!((seen + packet.inserted.len(), lag, log.retained()), (10_000, 0, 0));
+        // A second, idle subscriber pins the tail; its teardown releases it.
+        let idle = svc.subscribe(&spec(), SubscribeOptions::default()).unwrap();
+        svc.append_rows("t", batch(626)).unwrap();
+        svc.poll_subscription(id, 0).unwrap();
+        assert_eq!(log.retained(), 16, "held for the subscriber that has not polled");
+        assert!(svc.unsubscribe(idle));
+        assert_eq!(log.retained(), 0);
+        assert!(svc.unsubscribe(id));
+        svc.append_rows("t", batch(627)).unwrap();
+        assert_eq!((log.len(), log.retained()), (16 * 628, 0));
+        assert_eq!(svc.reserved(), 0.0);
     }
 }

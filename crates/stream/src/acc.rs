@@ -2,9 +2,13 @@
 //!
 //! `HashAggOp`'s `AggState` only ever moves forward; incremental
 //! maintenance must also *undo* a row's contribution when it is retracted.
-//! COUNT/SUM/AVG invert algebraically; MIN/MAX cannot (removing the
-//! minimum needs the runner-up), so the accumulator keeps an ordered
-//! multiset of the values it has seen and reads the extremes off its ends.
+//! COUNT/SUM/AVG invert algebraically, so they keep a weighted count and
+//! sum and nothing else; MIN/MAX cannot (removing the minimum needs the
+//! runner-up), so only they keep an ordered multiset of the values seen and
+//! read the extremes off its ends. Which state an accumulator carries is
+//! fixed when it is created ([`RetractableAcc::for_func`]): a standing
+//! COUNT/SUM/AVG over a million rows holds 16 bytes, not a million-entry
+//! tree.
 //!
 //! `finish` mirrors `AggState::finish` exactly — same output types, same
 //! empty-input behavior — because the view-consistency contract compares
@@ -14,27 +18,44 @@ use rqp_common::Value;
 use rqp_exec::AggFunc;
 use std::collections::BTreeMap;
 
-/// One aggregate's retractable state: weighted count and sum plus an
-/// ordered value multiset for MIN/MAX retraction.
-#[derive(Debug, Clone, Default)]
+/// One aggregate's retractable state: weighted count and sum, plus — for
+/// MIN/MAX only — an ordered value multiset for retraction.
+#[derive(Debug, Clone)]
 pub struct RetractableAcc {
     /// Weighted non-null count (f64 to match `AggState`'s arithmetic).
     count: f64,
     /// Weighted sum over `as_float` values.
     sum: f64,
-    /// Ordered multiset of non-null values with net weights.
-    values: BTreeMap<Value, i64>,
+    /// Ordered multiset of non-null values with net weights; `None` when
+    /// the accumulator will never be asked for an extreme.
+    values: Option<BTreeMap<Value, i64>>,
+}
+
+impl Default for RetractableAcc {
+    fn default() -> Self {
+        RetractableAcc::new()
+    }
 }
 
 impl RetractableAcc {
-    /// A fresh accumulator (all aggregates at their empty state).
+    /// A fresh accumulator that can finish as *any* function (it carries
+    /// the multiset) — what a from-scratch reference evaluation uses.
     pub fn new() -> Self {
-        RetractableAcc::default()
+        RetractableAcc { count: 0.0, sum: 0.0, values: Some(BTreeMap::new()) }
     }
 
-    /// Fold one row's value in with `weight` (+1 insert, −1 retract).
-    /// `None` is the COUNT(*) case (no input column: every row counts);
-    /// an SQL NULL contributes nothing — both exactly as `AggState::update`.
+    /// A fresh accumulator holding only what `func` reads: `(count, sum)`
+    /// for COUNT/SUM/AVG, plus the multiset for MIN/MAX. Finishing it as a
+    /// function from the other family reports the empty state.
+    pub fn for_func(func: AggFunc) -> Self {
+        let values = matches!(func, AggFunc::Min | AggFunc::Max).then(BTreeMap::new);
+        RetractableAcc { count: 0.0, sum: 0.0, values }
+    }
+
+    /// Fold one row's value in with `weight` (positive inserts, negative
+    /// retracts). `None` is the COUNT(*) case (no input column: every row
+    /// counts); an SQL NULL contributes nothing — both exactly as
+    /// `AggState::update`.
     pub fn apply(&mut self, v: Option<&Value>, weight: i64) {
         match v {
             None => self.count += weight as f64,
@@ -43,33 +64,46 @@ impl RetractableAcc {
                 if let Some(x) = v.as_float() {
                     self.sum += x * weight as f64;
                 }
-                let w = self.values.entry(v.clone()).or_insert(0);
-                *w += weight;
-                if *w == 0 {
-                    self.values.remove(v);
+                if let Some(values) = &mut self.values {
+                    let w = values.entry(v.clone()).or_insert(0);
+                    *w += weight;
+                    if *w == 0 {
+                        values.remove(v);
+                    }
                 }
             }
             Some(_) => {}
         }
     }
 
+    /// Distinct values held in the MIN/MAX multiset (0 without one).
+    pub(crate) fn multiset_len(&self) -> usize {
+        self.values.as_ref().map_or(0, BTreeMap::len)
+    }
+
+    /// Payload bytes of one multiset entry holding `v`: the value and its
+    /// weight at their in-memory size, string contents included.
+    pub(crate) fn multiset_entry_bytes(v: &Value) -> usize {
+        let text = if let Value::Str(s) = v { s.len() } else { 0 };
+        std::mem::size_of::<(Value, i64)>() + text
+    }
+
+    /// Payload bytes of the whole multiset (0 without one).
+    #[cfg(test)]
+    pub(crate) fn multiset_bytes(&self) -> usize {
+        self.values.as_ref().map_or(0, |m| m.keys().map(Self::multiset_entry_bytes).sum())
+    }
+
     /// The aggregate's current value, mirroring `AggState::finish`.
     pub fn finish(&self, func: AggFunc) -> Value {
+        let values = self.values.as_ref();
         match func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Min => self
-                .values
-                .keys()
-                .next()
-                .cloned()
-                .unwrap_or(Value::Null),
-            AggFunc::Max => self
-                .values
-                .keys()
-                .next_back()
-                .cloned()
-                .unwrap_or(Value::Null),
+            AggFunc::Min => values.and_then(|m| m.keys().next()).cloned().unwrap_or(Value::Null),
+            AggFunc::Max => {
+                values.and_then(|m| m.keys().next_back()).cloned().unwrap_or(Value::Null)
+            }
             AggFunc::Avg => {
                 if self.count > 0.0 {
                     Value::Float(self.sum / self.count)
@@ -139,5 +173,41 @@ mod tests {
         // Sum/extremes never saw a value.
         assert_eq!(a.finish(AggFunc::Sum), Value::Float(0.0));
         assert!(a.finish(AggFunc::Min).is_null());
+    }
+
+    #[test]
+    fn algebraic_accumulators_hold_no_multiset() {
+        for f in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg] {
+            let mut a = RetractableAcc::for_func(f);
+            assert!(a.values.is_none(), "{f:?} allocates no multiset");
+            for v in 0..1_000i64 {
+                a.apply(Some(&Value::Int(v)), 1);
+            }
+            assert_eq!(a.multiset_len(), 0);
+            // Same (count, sum) arithmetic as the all-function accumulator.
+            let mut all = RetractableAcc::new();
+            for v in 0..1_000i64 {
+                all.apply(Some(&Value::Int(v)), 1);
+            }
+            assert_eq!(a.finish(f), all.finish(f));
+            assert_eq!(all.multiset_len(), 1_000);
+        }
+    }
+
+    #[test]
+    fn min_max_accumulators_behave_as_before() {
+        for f in [AggFunc::Min, AggFunc::Max] {
+            let mut a = RetractableAcc::for_func(f);
+            let mut all = RetractableAcc::new();
+            let steps: [(i64, i64); 8] =
+                [(5, 1), (1, 1), (9, 1), (1, 1), (1, -1), (9, -1), (1, -1), (5, -1)];
+            for (v, w) in steps {
+                a.apply(Some(&Value::Int(v)), w);
+                all.apply(Some(&Value::Int(v)), w);
+                assert_eq!(a.finish(f), all.finish(f), "after ({v}, {w})");
+            }
+            assert!(a.finish(f).is_null(), "fully retracted");
+            assert_eq!(a.multiset_len(), 0, "no zero-weight entries linger");
+        }
     }
 }

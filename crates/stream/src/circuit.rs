@@ -1,4 +1,23 @@
 //! The delta circuit: a compiled `QuerySpec` maintained incrementally.
+//!
+//! ## What the circuit holds
+//!
+//! Only what a delta rule will read again. At compile time a
+//! required-column analysis walks the plan backwards — the terminal stage
+//! needs the group-by columns and aggregate inputs (or the projected
+//! columns of a non-aggregate view), each join stage additionally needs the
+//! key columns of the stages *after* it — and every row is narrowed to
+//! those columns before it is stored in a join index or handed to the next
+//! stage. Filter inputs and a stage's own key columns are read once, on the
+//! way in, and not kept (the key lives in the index's map key). A join
+//! index is one flat map from key to a small bucket of `(narrowed row,
+//! weight)` pairs: rows that differ only in columns nobody reads share an
+//! entry, and a bucket (and its key) disappears when its last row is
+//! retracted.
+//!
+//! Cost-clock charges count *logical* rows (an entry of weight 3 charges
+//! three times), so what the clock reads does not depend on how many rows
+//! happened to collapse into one entry.
 
 use crate::acc::RetractableAcc;
 use rqp_common::expr::BoundExpr;
@@ -7,7 +26,8 @@ use rqp_exec::AggFunc;
 use rqp_opt::QuerySpec;
 use rqp_storage::changelog::{ChangeOp, ChangeRecord};
 use rqp_storage::Catalog;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet, HashMap};
+use std::mem::size_of;
 
 /// What one batch of changelog records did to the view: the rows a
 /// subscriber inserts into and retracts from its copy. Both lists are
@@ -43,34 +63,49 @@ pub fn canonicalize(mut rows: Vec<Row>) -> Vec<Row> {
     rows
 }
 
-/// One base-table input: bound local filter over the qualified schema.
+/// One base-table input. Rows enter the circuit in the table's *read
+/// layout*: the columns at `cols`, in that order.
 #[derive(Debug)]
 struct TableInput {
     name: String,
-    schema: Schema,
-    /// `None` when the predicate is trivially TRUE.
+    /// Column count of the base table (changelog rows arrive full-width).
+    arity: usize,
+    /// Base-table columns the circuit reads at all — filter inputs, this
+    /// table's own join key, and whatever is kept downstream — ascending.
+    cols: Vec<usize>,
+    /// Local filter bound over the read layout; `None` when the predicate
+    /// is trivially TRUE.
     filter: Option<BoundExpr>,
+    /// Read-layout positions that survive the filter: the columns a later
+    /// stage reads (plus, for the first table, stage 0's key).
+    keep: Vec<usize>,
 }
 
-/// A weighted row multiset keyed by join key.
-type DeltaIndex = HashMap<Vec<Value>, HashMap<Row, i64>>;
+/// One side of a join stage: key → bucket of narrowed rows with net
+/// weights. Buckets are short vectors (distinct narrowed rows under one
+/// key), scanned linearly; an emptied bucket is removed with its key.
+type JoinIndex = HashMap<Vec<Value>, Vec<(Row, i64)>>;
 
 /// One left-deep join stage: the accumulated intermediate (left) against
-/// the next base table (right), with a delta index per side.
+/// the next base table (right), with an index per side. The stage's output
+/// layout is the stored left row followed by the stored right row.
 #[derive(Debug)]
 struct JoinStage {
-    /// Key column positions in the accumulated intermediate schema.
+    /// Key positions in the arriving left row.
     left_key: Vec<usize>,
-    /// Key column positions in the right table's qualified schema.
+    /// Positions of the arriving left row that are stored and passed on.
+    left_keep: Vec<usize>,
+    /// Key positions in the right table's read layout (its stored columns
+    /// are the input's `keep`).
     right_key: Vec<usize>,
-    left_index: DeltaIndex,
-    right_index: DeltaIndex,
+    left_index: JoinIndex,
+    right_index: JoinIndex,
 }
 
 /// The aggregation stage: per-group retractable accumulators.
 #[derive(Debug)]
 struct AggStage {
-    /// Group column positions in the joined schema.
+    /// Group column positions in the last stage's output layout.
     group_cols: Vec<usize>,
     /// `(function, input column position)` per aggregate.
     aggs: Vec<(AggFunc, Option<usize>)>,
@@ -79,13 +114,28 @@ struct AggStage {
     groups: BTreeMap<Vec<Value>, (i64, Vec<RetractableAcc>)>,
 }
 
+/// One empty accumulator per aggregate, each holding only what its
+/// function reads.
+fn fresh_accs(aggs: &[(AggFunc, Option<usize>)]) -> Vec<RetractableAcc> {
+    aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f)).collect()
+}
+
+/// Bytes of one group slot over `n_aggs` aggregates: the map entry, the
+/// key's values and the fixed part of each accumulator (multiset values are
+/// counted apart).
+fn group_bytes(key: &[Value], n_aggs: usize) -> usize {
+    size_of::<(Vec<Value>, (i64, Vec<RetractableAcc>))>()
+        + row_bytes(key)
+        + n_aggs * size_of::<RetractableAcc>()
+}
+
 impl AggStage {
     /// The group's current output row (group key ++ aggregate values),
     /// pre-projection; `None` when the group has no rows (a global
     /// aggregate — empty `group_cols` — always has an output row, matching
     /// `HashAggOp` over empty input).
     fn output(&self, key: &[Value]) -> Option<Row> {
-        let empty = (0, vec![RetractableAcc::new(); self.aggs.len()]);
+        let empty = (0, fresh_accs(&self.aggs));
         let (rows, accs) = match self.groups.get(key) {
             Some(g) => g,
             None if self.group_cols.is_empty() => &empty,
@@ -121,8 +171,8 @@ pub struct ViewCircuit {
     inputs: Vec<TableInput>,
     stages: Vec<JoinStage>,
     agg: Option<AggStage>,
-    /// Output column positions (into the joined or aggregate schema);
-    /// `None` keeps everything.
+    /// Output column positions (into the last stage's output layout, or the
+    /// aggregate's output row); `None` keeps everything.
     projection: Option<Vec<usize>>,
     /// The final output schema (post-projection).
     out_schema: Schema,
@@ -132,6 +182,8 @@ pub struct ViewCircuit {
     view: BTreeMap<Row, i64>,
     /// One past the epoch of the last record folded in.
     cursor: u64,
+    /// What the structures above hold right now.
+    footprint: Footprint,
 }
 
 /// Resolve `name` in `schema`: exact match (specs use qualified names, agg
@@ -139,6 +191,72 @@ pub struct ViewCircuit {
 /// batch operators use.
 fn resolve(schema: &Schema, name: &str) -> Result<usize> {
     schema.index_of(name)
+}
+
+/// The values of `row` at `positions`, in that order.
+fn narrow(row: &[Value], positions: &[usize]) -> Row {
+    positions.iter().map(|&i| row[i].clone()).collect()
+}
+
+/// Where each of `wanted` sits in `layout` (every wanted column is in the
+/// layout by construction of the required-column sets).
+fn positions_in(layout: &[usize], wanted: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    wanted
+        .into_iter()
+        .map(|c| layout.iter().position(|&l| l == c).expect("required column is in the layout"))
+        .collect()
+}
+
+/// Payload bytes of a row: its values plus their string contents.
+fn row_bytes(row: &[Value]) -> usize {
+    let strings: usize =
+        row.iter().map(|v| if let Value::Str(s) = v { s.len() } else { 0 }).sum();
+    std::mem::size_of_val(row) + strings
+}
+
+/// Bytes of one `(row, weight)` entry — a join-index bucket slot or a
+/// non-aggregate view row.
+fn entry_bytes(row: &[Value]) -> usize {
+    size_of::<(Row, i64)>() + row_bytes(row)
+}
+
+/// Bytes of one join-index key slot (the map entry and the key's values).
+fn key_bytes(key: &[Value]) -> usize {
+    size_of::<(Vec<Value>, Vec<(Row, i64)>)>() + row_bytes(key)
+}
+
+/// Running count of what the circuit keeps resident, adjusted at every
+/// insertion into and removal from a maintained structure (so reading it
+/// is O(1) — a poll renegotiates its grant without walking the state).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Footprint {
+    /// Resident entries (see [`ViewCircuit::state_rows`]).
+    rows: usize,
+    /// Their payload bytes (see [`ViewCircuit::state_bytes`]).
+    bytes: usize,
+}
+
+impl Footprint {
+    /// One entry of `bytes` became resident.
+    fn add(&mut self, bytes: usize) {
+        self.rows += 1;
+        self.bytes += bytes;
+    }
+
+    /// One entry of `bytes` was dropped.
+    fn remove(&mut self, bytes: usize) {
+        self.rows -= 1;
+        self.bytes -= bytes;
+    }
+}
+
+/// Charge one hash-table touch per logical row of an entry of weight `w` —
+/// as `|w|` unit charges, not one charge of `|w|`: the clock adds floats,
+/// and its reading must not depend on how rows were grouped into entries.
+fn charge_builds(clock: &SharedClock, w: i64) {
+    for _ in 0..w.unsigned_abs() {
+        clock.charge_hash_build(1.0);
+    }
 }
 
 impl ViewCircuit {
@@ -171,48 +289,42 @@ impl ViewCircuit {
                 .expect("validated join graph is connected");
             order.push(remaining.remove(pos));
         }
-        let mut inputs = Vec::with_capacity(order.len());
-        for name in &order {
-            let table = catalog.table(name)?;
-            let schema = table.qualified_schema();
-            let pred = spec.local_pred(name);
-            let filter = if pred == rqp_common::Expr::true_() {
-                None
-            } else {
-                Some(pred.bind(&schema)?)
-            };
-            inputs.push(TableInput { name: name.clone(), schema, filter });
-        }
-        // Join stages with key positions; the intermediate schema grows by
-        // one table per stage.
-        let mut joined_fields: Vec<Field> = inputs[0].schema.fields().to_vec();
-        let mut stages = Vec::with_capacity(order.len().saturating_sub(1));
-        for (s, input) in inputs.iter().enumerate().skip(1) {
+        let schemas: Vec<Schema> = order
+            .iter()
+            .map(|name| Ok(catalog.table(name)?.qualified_schema()))
+            .collect::<Result<_>>()?;
+        // Join keys, resolved over the *unpruned* schemas: left keys as
+        // positions in the concatenation of the tables joined so far
+        // ("global" positions: table i's column c is `offsets[i] + c`),
+        // right keys as positions in the joining table.
+        let mut offsets = vec![0usize];
+        let mut joined_fields: Vec<Field> = schemas[0].fields().to_vec();
+        let mut left_keys: Vec<Vec<usize>> = Vec::new();
+        let mut right_keys: Vec<Vec<usize>> = Vec::new();
+        for (s, schema) in schemas.iter().enumerate().skip(1) {
             let acc_schema = Schema::new(joined_fields.clone());
             let mut left_key = Vec::new();
             let mut right_key = Vec::new();
             for e in &spec.joins {
-                if let Some(o) = e.oriented_from(&input.name) {
+                if let Some(o) = e.oriented_from(&order[s]) {
                     if order[..s].contains(&o.right_table) {
-                        right_key.push(resolve(&input.schema, &o.left_qualified())?);
+                        right_key.push(resolve(schema, &o.left_qualified())?);
                         left_key.push(resolve(&acc_schema, &o.right_qualified())?);
                     }
                 }
             }
             debug_assert!(!left_key.is_empty(), "greedy order guarantees an edge");
-            stages.push(JoinStage {
-                left_key,
-                right_key,
-                left_index: HashMap::new(),
-                right_index: HashMap::new(),
-            });
-            joined_fields.extend(input.schema.fields().iter().cloned());
+            left_keys.push(left_key);
+            right_keys.push(right_key);
+            offsets.push(joined_fields.len());
+            joined_fields.extend(schema.fields().iter().cloned());
         }
+        offsets.push(joined_fields.len());
         let joined_schema = Schema::new(joined_fields);
         // Aggregation binding mirrors HashAggOp::new (including output
         // field types), then projection resolves over the aggregate's
         // output schema — the same stacking order as the batch planner.
-        let (agg, pre_proj_schema) = if !spec.aggs.is_empty() || !spec.group_by.is_empty() {
+        let (agg_cols, pre_proj_schema) = if !spec.aggs.is_empty() || !spec.group_by.is_empty() {
             let mut group_cols = Vec::with_capacity(spec.group_by.len());
             let mut fields: Vec<Field> = Vec::new();
             for g in &spec.group_by {
@@ -237,14 +349,7 @@ impl ViewCircuit {
                 fields.push(Field::new(a.alias.clone(), dtype));
                 aggs.push((a.func, col));
             }
-            let mut groups = BTreeMap::new();
-            if spec.group_by.is_empty() {
-                // A global aggregate always has exactly one (possibly
-                // empty) group — materialize it so the initial snapshot
-                // over empty input already carries the COUNT=0 row.
-                groups.insert(Vec::new(), (0, vec![RetractableAcc::new(); aggs.len()]));
-            }
-            (Some(AggStage { group_cols, aggs, groups }), Schema::new(fields))
+            (Some((group_cols, aggs)), Schema::new(fields))
         } else {
             (None, joined_schema)
         };
@@ -262,6 +367,103 @@ impl ViewCircuit {
             }
             None => (None, pre_proj_schema),
         };
+        // Required columns, as sets of global positions. The terminal stage
+        // reads the group-by columns and aggregate inputs, or — without
+        // aggregation — the projected columns (everything when nothing is
+        // projected). `after[s]` is what is still read once stage `s` has
+        // matched: the terminal's columns plus the keys of later stages.
+        let total = *offsets.last().expect("at least one table");
+        let terminal: BTreeSet<usize> = match (&agg_cols, &projection) {
+            (Some((group_cols, aggs)), _) => {
+                group_cols.iter().copied().chain(aggs.iter().filter_map(|(_, c)| *c)).collect()
+            }
+            (None, Some(idx)) => idx.iter().copied().collect(),
+            (None, None) => (0..total).collect(),
+        };
+        let n_stages = left_keys.len();
+        let mut after: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n_stages];
+        let mut need = terminal.clone();
+        for s in (0..n_stages).rev() {
+            after[s] = need.clone();
+            need.extend(left_keys[s].iter().copied());
+        }
+        // `need` is now what the first table's rows must carry into stage 0
+        // (or into the terminal stage when there is no join).
+        // The layout of the rows arriving on the left of stage `s`: the
+        // required columns of tables 0..=s, ascending.
+        let arriving = |s: usize| -> Vec<usize> {
+            let mut cols: BTreeSet<usize> = after[s].clone();
+            cols.extend(left_keys[s].iter().copied());
+            cols.into_iter().filter(|&g| g < offsets[s + 1]).collect()
+        };
+        let mut inputs = Vec::with_capacity(order.len());
+        for (i, (name, schema)) in order.iter().zip(&schemas).enumerate() {
+            let (lo, hi) = (offsets[i], offsets[i + 1]);
+            let downstream = if i == 0 { &need } else { &after[i - 1] };
+            let kept: Vec<usize> = downstream.range(lo..hi).map(|g| g - lo).collect();
+            let pred = spec.local_pred(name);
+            let mut cols: BTreeSet<usize> = kept.iter().copied().collect();
+            if i > 0 {
+                cols.extend(right_keys[i - 1].iter().copied());
+            }
+            for c in pred.columns() {
+                cols.insert(resolve(schema, &c)?);
+            }
+            let cols: Vec<usize> = cols.into_iter().collect();
+            let filter = if pred == rqp_common::Expr::true_() {
+                None
+            } else {
+                Some(pred.bind(&schema.project(&cols))?)
+            };
+            let keep = positions_in(&cols, kept);
+            if i > 0 {
+                right_keys[i - 1] = positions_in(&cols, right_keys[i - 1].iter().copied());
+            }
+            inputs.push(TableInput { name: name.clone(), arity: schema.len(), cols, filter, keep });
+        }
+        let mut stages = Vec::with_capacity(n_stages);
+        for (s, right_key) in right_keys.into_iter().enumerate() {
+            let layout = arriving(s);
+            stages.push(JoinStage {
+                left_key: positions_in(&layout, left_keys[s].iter().copied()),
+                left_keep: positions_in(
+                    &layout,
+                    after[s].iter().copied().filter(|&g| g < offsets[s + 1]),
+                ),
+                right_key,
+                left_index: HashMap::new(),
+                right_index: HashMap::new(),
+            });
+        }
+        // The terminal stage reads the last stage's output layout — exactly
+        // the terminal's own required columns, ascending.
+        let final_layout: Vec<usize> = terminal.into_iter().collect();
+        let mut footprint = Footprint::default();
+        let agg = agg_cols.map(|(group_cols, aggs)| {
+            let mut agg = AggStage {
+                group_cols: positions_in(&final_layout, group_cols),
+                aggs: aggs
+                    .into_iter()
+                    .map(|(f, c)| (f, c.map(|c| positions_in(&final_layout, [c])[0])))
+                    .collect(),
+                groups: BTreeMap::new(),
+            };
+            if agg.group_cols.is_empty() {
+                // A global aggregate always has exactly one (possibly
+                // empty) group — materialize it so the initial snapshot
+                // over empty input already carries the COUNT=0 row.
+                let accs = fresh_accs(&agg.aggs);
+                agg.groups.insert(Vec::new(), (0, accs));
+                footprint.add(group_bytes(&[], agg.aggs.len()));
+            }
+            agg
+        });
+        // A non-aggregate projection indexes the joined row; an aggregate's
+        // indexes its own output row, which pruning does not touch.
+        let projection = match (&agg, projection) {
+            (None, Some(idx)) => Some(positions_in(&final_layout, idx)),
+            (_, p) => p,
+        };
         Ok(ViewCircuit {
             spec: spec.clone(),
             inputs,
@@ -271,6 +473,7 @@ impl ViewCircuit {
             out_schema,
             view: BTreeMap::new(),
             cursor: 0,
+            footprint,
         })
     }
 
@@ -299,14 +502,18 @@ impl ViewCircuit {
     /// Fold the tables' *current* contents in as the initial state,
     /// charging `clock` for the build. Call once, right after `compile`,
     /// with the same catalog (or a snapshot taken at the changelog cursor
-    /// stored with [`set_cursor`](Self::set_cursor)).
+    /// stored with [`set_cursor`](Self::set_cursor)). Only the columns the
+    /// circuit reads are materialized.
     pub fn load_initial(&mut self, catalog: &Catalog, clock: &SharedClock) -> Result<()> {
         for i in 0..self.inputs.len() {
             let table = catalog.table(&self.inputs[i].name)?;
-            for row in table.iter_rows() {
+            let cols = self.inputs[i].cols.clone();
+            for row in table.iter_rows_of(&cols) {
                 self.ingest(i, row, 1, clock, None);
             }
         }
+        #[cfg(test)]
+        assert_eq!(self.footprint, self.recount(), "running footprint drifted from a recount");
         Ok(())
     }
 
@@ -320,14 +527,16 @@ impl ViewCircuit {
         for rec in recs {
             epoch = epoch.max(rec.epoch);
             self.cursor = self.cursor.max(rec.epoch + 1);
-            let Some(i) = self.inputs.iter().position(|t| t.name == rec.table) else {
+            let Some(i) = self.inputs.iter().position(|t| *t.name == *rec.table) else {
                 continue;
             };
             let w = match rec.op {
                 ChangeOp::Insert => 1,
                 ChangeOp::Delete => -1,
             };
-            self.ingest(i, rec.row.clone(), w, clock, Some(&mut acc));
+            debug_assert_eq!(rec.row.len(), self.inputs[i].arity, "changelog row arity");
+            let row = narrow(&rec.row, &self.inputs[i].cols);
+            self.ingest(i, row, w, clock, Some(&mut acc));
         }
         // Aggregate finalization: one retract/insert pair per changed
         // group, comparing pre-batch and post-batch output rows.
@@ -335,16 +544,22 @@ impl ViewCircuit {
             // Drop fully-retracted groups (a from-scratch run would not
             // see them); the global group stays, COUNT=0 and all.
             if !agg.group_cols.is_empty() {
-                agg.groups.retain(|_, (rows, _)| *rows > 0);
+                let n_aggs = agg.aggs.len();
+                let footprint = &mut self.footprint;
+                agg.groups.retain(|key, (rows, _)| {
+                    // A group without rows has had every value retracted:
+                    // its multisets are already empty and uncounted.
+                    let live = *rows > 0;
+                    if !live {
+                        footprint.remove(group_bytes(key, n_aggs));
+                    }
+                    live
+                });
             }
         }
-        if self.agg.is_some() {
-            let touched = std::mem::take(&mut acc.touched);
-            for (key, old) in touched {
-                let new = {
-                    let agg = self.agg.as_ref().expect("agg mode");
-                    agg.output(&key).map(|r| self.project(r))
-                };
+        if let Some(agg) = &self.agg {
+            for (key, old) in std::mem::take(&mut acc.touched) {
+                let new = agg.output(&key).map(|r| self.project(r));
                 if old == new {
                     continue;
                 }
@@ -356,6 +571,8 @@ impl ViewCircuit {
                 }
             }
         }
+        #[cfg(test)]
+        assert_eq!(self.footprint, self.recount(), "running footprint drifted from a recount");
         DeltaPacket {
             epoch,
             inserted: canonicalize(acc.inserted),
@@ -389,7 +606,7 @@ impl ViewCircuit {
 
     /// Rows currently materialized in the view (post-projection
     /// multiset size for non-aggregate views, live group count for
-    /// aggregate ones) — the subscription's resident footprint.
+    /// aggregate ones) — what a subscriber's copy holds.
     pub fn view_rows(&self) -> usize {
         match &self.agg {
             Some(agg) => agg.groups.len().max(usize::from(agg.group_cols.is_empty())),
@@ -397,16 +614,58 @@ impl ViewCircuit {
         }
     }
 
+    /// Entries the circuit keeps resident: join-index rows on both sides of
+    /// every stage, aggregate groups, MIN/MAX multiset values, and the
+    /// distinct rows of a non-aggregate view. Counted as the structures
+    /// change, not estimated — this is what the memory broker funds.
+    pub fn state_rows(&self) -> usize {
+        self.footprint.rows
+    }
+
+    /// Payload bytes behind [`state_rows`](Self::state_rows): every key,
+    /// stored row, weight, accumulator and multiset value at its in-memory
+    /// size, string contents included. Allocator overhead and spare
+    /// capacity are not included (they are the allocator's, not the
+    /// layout's), so two circuits in the same state report the same number
+    /// and a fully retracted circuit reports what an empty one does.
+    pub fn state_bytes(&self) -> usize {
+        self.footprint.bytes
+    }
+
+    /// The footprint recounted by walking every structure — what the
+    /// running count must equal at all times.
+    #[cfg(test)]
+    fn recount(&self) -> Footprint {
+        let mut fp = Footprint::default();
+        for index in self.stages.iter().flat_map(|s| [&s.left_index, &s.right_index]) {
+            for (key, bucket) in index {
+                fp.bytes += key_bytes(key);
+                fp.rows += bucket.len();
+                fp.bytes += bucket.iter().map(|(row, _)| entry_bytes(row)).sum::<usize>();
+            }
+        }
+        if let Some(agg) = &self.agg {
+            for (key, (_, accs)) in &agg.groups {
+                fp.rows += 1 + accs.iter().map(RetractableAcc::multiset_len).sum::<usize>();
+                fp.bytes += group_bytes(key, agg.aggs.len())
+                    + accs.iter().map(RetractableAcc::multiset_bytes).sum::<usize>();
+            }
+        }
+        fp.rows += self.view.len();
+        fp.bytes += self.view.keys().map(|row| entry_bytes(row)).sum::<usize>();
+        fp
+    }
+
     fn project(&self, row: Row) -> Row {
         match &self.projection {
-            Some(idx) => idx.iter().map(|&i| row[i].clone()).collect(),
+            Some(idx) => narrow(&row, idx),
             None => row,
         }
     }
 
-    /// Push one weighted base-table row through filter → joins → the
-    /// terminal stage. `out` is `None` during the initial load (state is
-    /// built, nothing is emitted).
+    /// Push one weighted base-table row (in its table's read layout)
+    /// through filter → joins → the terminal stage. `out` is `None` during
+    /// the initial load (state is built, nothing is emitted).
     fn ingest(
         &mut self,
         input_idx: usize,
@@ -417,7 +676,7 @@ impl ViewCircuit {
     ) {
         clock.charge_cpu_tuples(1.0);
         let input = &self.inputs[input_idx];
-        debug_assert_eq!(row.len(), input.schema.len(), "changelog row arity");
+        debug_assert_eq!(row.len(), input.cols.len(), "read-layout arity");
         if let Some(f) = &input.filter {
             if !f.eval_bool(&row) {
                 return;
@@ -427,97 +686,93 @@ impl ViewCircuit {
         // enters stage 0 on the left; a delta on table i>0 enters stage
         // i-1 on the right (joining everything already accumulated), then
         // flows left through the remaining stages.
-        let mut cur: Vec<(Row, i64)> = vec![(row, weight)];
-        let next_stage = input_idx;
-        if input_idx > 0 {
+        let kept = narrow(&row, &input.keep);
+        let mut cur: Vec<(Row, i64)> = if input_idx > 0 {
             let stage = &mut self.stages[input_idx - 1];
-            let (r, w) = &cur[0];
-            let key: Vec<Value> = stage.right_key.iter().map(|&i| r[i].clone()).collect();
+            let key = narrow(&row, &stage.right_key);
             clock.charge_hash_build(1.0);
-            update_index(&mut stage.right_index, key.clone(), r.clone(), *w);
-            let mut joined = Vec::new();
-            if let Some(matches) = stage.left_index.get(&key) {
-                for (lrow, lw) in matches {
-                    if *lw == 0 {
-                        continue;
-                    }
-                    let mut out_row = lrow.clone();
-                    out_row.extend(r.iter().cloned());
-                    joined.push((out_row, lw * w));
-                }
-            }
-            clock.charge_cpu_tuples(joined.len() as f64);
-            cur = joined;
-        }
-        for stage in &mut self.stages[next_stage..] {
+            let joined = probe(&stage.left_index, &key, weight, |lrow| {
+                lrow.iter().chain(&kept).cloned().collect()
+            });
+            update_index(&mut stage.right_index, key, kept, weight, &mut self.footprint);
+            clock.charge_cpu_tuples(logical_rows(&joined));
+            joined
+        } else {
+            vec![(kept, weight)]
+        };
+        for stage in &mut self.stages[input_idx..] {
             if cur.is_empty() {
                 return;
             }
             let mut next = Vec::new();
             for (lrow, lw) in cur {
-                let key: Vec<Value> =
-                    stage.left_key.iter().map(|&i| lrow[i].clone()).collect();
-                clock.charge_hash_build(1.0);
-                update_index(&mut stage.left_index, key.clone(), lrow.clone(), lw);
-                if let Some(matches) = stage.right_index.get(&key) {
-                    for (rrow, rw) in matches {
-                        if *rw == 0 {
-                            continue;
-                        }
-                        let mut out_row = lrow.clone();
-                        out_row.extend(rrow.iter().cloned());
-                        next.push((out_row, lw * rw));
-                    }
-                }
+                let key = narrow(&lrow, &stage.left_key);
+                let stored = narrow(&lrow, &stage.left_keep);
+                charge_builds(clock, lw);
+                next.extend(probe(&stage.right_index, &key, lw, |rrow| {
+                    stored.iter().chain(rrow).cloned().collect()
+                }));
+                update_index(&mut stage.left_index, key, stored, lw, &mut self.footprint);
             }
-            clock.charge_cpu_tuples(next.len() as f64);
+            clock.charge_cpu_tuples(logical_rows(&next));
             cur = next;
         }
         // Terminal stage: fold into the aggregate groups or the multiset
         // view, emitting into the packet when one is being built.
         if let Some(agg) = &mut self.agg {
             for (row, w) in cur {
-                let key: Vec<Value> =
-                    agg.group_cols.iter().map(|&i| row[i].clone()).collect();
+                let key = narrow(&row, &agg.group_cols);
                 if let Some(acc) = out.as_deref_mut() {
                     if !acc.touched.contains_key(&key) {
-                        let old = agg.output(&key).map(|r| {
-                            match &self.projection {
-                                Some(idx) => idx.iter().map(|&i| r[i].clone()).collect(),
-                                None => r,
-                            }
+                        let old = agg.output(&key).map(|r| match &self.projection {
+                            Some(idx) => narrow(&r, idx),
+                            None => r,
                         });
                         acc.touched.insert(key.clone(), old);
                     }
                 }
-                clock.charge_hash_build(1.0);
-                let n_aggs = agg.aggs.len();
-                let (rows, accs) = agg
-                    .groups
-                    .entry(key)
-                    .or_insert_with(|| (0, vec![RetractableAcc::new(); n_aggs]));
+                charge_builds(clock, w);
+                let (rows, accs) = match agg.groups.entry(key) {
+                    btree_map::Entry::Occupied(slot) => slot.into_mut(),
+                    btree_map::Entry::Vacant(slot) => {
+                        self.footprint.add(group_bytes(slot.key(), agg.aggs.len()));
+                        slot.insert((0, fresh_accs(&agg.aggs)))
+                    }
+                };
                 *rows += w;
                 for (a, (_, col)) in accs.iter_mut().zip(&agg.aggs) {
-                    a.apply(col.map(|i| &row[i]), w);
+                    let v = col.map(|i| &row[i]);
+                    let held = a.multiset_len();
+                    a.apply(v, w);
+                    // The multiset gained or lost at most this one value.
+                    if let Some(v) = v {
+                        if a.multiset_len() > held {
+                            self.footprint.add(RetractableAcc::multiset_entry_bytes(v));
+                        } else if a.multiset_len() < held {
+                            self.footprint.remove(RetractableAcc::multiset_entry_bytes(v));
+                        }
+                    }
                 }
             }
         } else {
             for (row, w) in cur {
                 let row = self.project(row);
-                clock.charge_hash_build(1.0);
+                charge_builds(clock, w);
+                let held = self.view.len();
                 let net = self.view.entry(row.clone()).or_insert(0);
                 *net += w;
                 debug_assert!(*net >= 0, "retraction of a row the view never held");
                 if *net == 0 {
                     self.view.remove(&row);
                 }
+                if self.view.len() > held {
+                    self.footprint.add(entry_bytes(&row));
+                } else if self.view.len() < held {
+                    self.footprint.remove(entry_bytes(&row));
+                }
                 if let Some(acc) = out.as_deref_mut() {
-                    let (list, n) = if w > 0 {
-                        (&mut acc.inserted, w as usize)
-                    } else {
-                        (&mut acc.retracted, (-w) as usize)
-                    };
-                    for _ in 0..n {
+                    let list = if w > 0 { &mut acc.inserted } else { &mut acc.retracted };
+                    for _ in 0..w.unsigned_abs() {
                         list.push(row.clone());
                     }
                 }
@@ -526,14 +781,54 @@ impl ViewCircuit {
     }
 }
 
-/// Merge `(row, weight)` into one side's delta index, dropping zeroed
-/// entries so fully-retracted rows don't linger.
-fn update_index(index: &mut DeltaIndex, key: Vec<Value>, row: Row, weight: i64) {
-    let bucket = index.entry(key).or_default();
-    let w = bucket.entry(row.clone()).or_insert(0);
-    *w += weight;
-    if *w == 0 {
-        bucket.remove(&row);
+/// Logical (weight-expanded) row count of a delta batch, as a clock charge.
+fn logical_rows(rows: &[(Row, i64)]) -> f64 {
+    rows.iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>() as f64
+}
+
+/// Join a delta of weight `w` against the opposite side's bucket for `key`:
+/// one output per stored row, built by `combine`, at the product weight.
+fn probe(
+    index: &JoinIndex,
+    key: &[Value],
+    w: i64,
+    combine: impl Fn(&Row) -> Row,
+) -> Vec<(Row, i64)> {
+    index
+        .get(key)
+        .map(|bucket| bucket.iter().map(|(row, bw)| (combine(row), bw * w)).collect())
+        .unwrap_or_default()
+}
+
+/// Merge `(row, weight)` into one side's join index, keeping `fp` in step.
+/// Entries whose weight returns to zero are dropped, and so is a bucket
+/// (with its key) once empty, so fully-retracted rows leave nothing behind.
+fn update_index(index: &mut JoinIndex, key: Vec<Value>, row: Row, weight: i64, fp: &mut Footprint) {
+    match index.entry(key) {
+        hash_map::Entry::Vacant(slot) => {
+            fp.add(key_bytes(slot.key()) + entry_bytes(&row));
+            slot.insert(vec![(row, weight)]);
+        }
+        hash_map::Entry::Occupied(mut slot) => {
+            let bucket = slot.get_mut();
+            match bucket.iter().position(|(r, _)| *r == row) {
+                Some(i) => {
+                    bucket[i].1 += weight;
+                    if bucket[i].1 == 0 {
+                        bucket.swap_remove(i);
+                        fp.remove(entry_bytes(&row));
+                    }
+                }
+                None => {
+                    fp.add(entry_bytes(&row));
+                    bucket.push((row, weight));
+                }
+            }
+            if bucket.is_empty() {
+                fp.bytes -= key_bytes(slot.key());
+                slot.remove();
+            }
+        }
     }
 }
 
@@ -949,5 +1244,75 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.epoch, 0, "epoch still advances past skipped records");
         assert_eq!(rig.circuit.cursor(), 1);
+    }
+
+    /// The required-column rule on the q3 shape (customer ⋈ orders ⋈
+    /// lineitem, filtered on all three, SUM(extendedprice) by orderkey):
+    /// what each table's rows are read as, what each join index stores,
+    /// and that a column no rule reads never enters the circuit.
+    #[test]
+    fn q3_shape_stores_only_the_columns_a_rule_reads() {
+        let int = |n: &'static str| (n, DataType::Int);
+        let mut c = Catalog::new();
+        let customer = [int("custkey"), int("nationkey"), int("mktsegment"), int("acctbal")];
+        let orders = [int("orderkey"), int("custkey"), int("orderdate"), int("totalprice")];
+        let lineitem = [
+            int("orderkey"),
+            int("partkey"),
+            int("suppkey"),
+            int("quantity"),
+            int("extendedprice"),
+            int("discount"),
+            int("shipdate"),
+            int("returnflag"),
+        ];
+        c.add_table(Table::new("customer", Schema::from_pairs(&customer)));
+        c.add_table(Table::new("orders", Schema::from_pairs(&orders)));
+        c.add_table(Table::new("lineitem", Schema::from_pairs(&lineitem)));
+        let ints = |xs: &[i64]| xs.iter().map(|&x| Value::Int(x)).collect::<Row>();
+        c.table_mut("customer").unwrap().append(ints(&[7, 3, 1, 50]));
+        c.table_mut("orders").unwrap().append(ints(&[100, 7, 10, 999]));
+        // Two lineitems that differ only in columns nobody reads.
+        c.table_mut("lineitem").unwrap().append(ints(&[100, 1, 1, 5, 250, 0, 900, 0]));
+        c.table_mut("lineitem").unwrap().append(ints(&[100, 2, 3, 9, 250, 1, 901, 2]));
+        let spec = QuerySpec::new()
+            .join("customer", "custkey", "orders", "custkey")
+            .join("orders", "orderkey", "lineitem", "orderkey")
+            .filter("customer", col("customer.mktsegment").eq(lit(1i64)))
+            .filter("orders", col("orders.orderdate").lt(lit(400i64)))
+            .filter("lineitem", col("lineitem.shipdate").gt(lit(400i64)))
+            .aggregate(
+                &["orders.orderkey"],
+                vec![AggSpec::on(AggFunc::Sum, "lineitem.extendedprice", "revenue")],
+            );
+        let clock = CostClock::default_clock();
+        let mut circuit = ViewCircuit::compile(&spec, &c).unwrap();
+        circuit.load_initial(&c, &clock).unwrap();
+        assert_eq!(circuit.snapshot(), vec![vec![Value::Int(100), Value::Float(500.0)]]);
+
+        // Read layouts: join key + filter input + what flows on; never
+        // nationkey/acctbal, totalprice, partkey/suppkey/quantity/discount/
+        // returnflag.
+        let read: Vec<(&str, &[usize])> =
+            circuit.inputs.iter().map(|t| (t.name.as_str(), t.cols.as_slice())).collect();
+        assert_eq!(
+            read,
+            vec![("customer", &[0, 2][..]), ("orders", &[0, 1, 2][..]), ("lineitem", &[0, 4, 6][..])]
+        );
+        // Stored rows, per stage and side. A stage's own key lives in the
+        // map key, so customer rows are stored empty, orders rows as
+        // (orderkey), the customer ⋈ orders intermediate as (orderkey) —
+        // the group column — and lineitem rows as (extendedprice).
+        let arities = |ix: &JoinIndex| -> Vec<usize> {
+            ix.values().flatten().map(|(row, _)| row.len()).collect()
+        };
+        assert_eq!(arities(&circuit.stages[0].left_index), vec![0]);
+        assert_eq!(arities(&circuit.stages[0].right_index), vec![1]);
+        assert_eq!(arities(&circuit.stages[1].left_index), vec![1]);
+        // The two lineitems collapse into one entry of weight 2.
+        let lineitems: Vec<&(Row, i64)> =
+            circuit.stages[1].right_index.values().flatten().collect();
+        assert_eq!(lineitems, vec![&(vec![Value::Int(250)], 2)]);
+        assert_eq!(circuit.state_rows(), 4 + 1, "four index entries and one group");
     }
 }

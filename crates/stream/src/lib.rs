@@ -6,19 +6,21 @@
 //! [`ViewCircuit`] — a dataflow of delta-aware operators mirroring the
 //! batch engine's semantics exactly:
 //!
-//! * **filter** — each base table's local predicate, bound once against the
-//!   qualified schema and applied to every incoming delta row;
+//! * **filter** — each base table's local predicate, bound once over the
+//!   columns the circuit reads of that table and applied to every incoming
+//!   delta row;
 //! * **hash join** — one stage per joined table (left-deep, in a
-//!   connectivity-greedy order), each holding *per-side delta indexes*
-//!   (key → weighted row multiset). A delta entering on one side joins the
+//!   connectivity-greedy order), each holding a *join index per side*
+//!   (key → short bucket of weighted rows, narrowed to the columns a later
+//!   rule reads). A delta entering on one side joins the
 //!   opposite side's index and flows on; the classic bilinear rule
 //!   `Δ(A ⋈ B) = ΔA ⋈ B + A ⋈ ΔB` degenerates to one term per changelog
 //!   record because records are applied one at a time;
 //! * **grouped aggregation** — retractable accumulators
 //!   ([`RetractableAcc`]) that mirror `HashAggOp`'s `AggState` finish
-//!   semantics (COUNT → `Int`, SUM → `Float`, AVG of nothing → `Null`,
-//!   MIN/MAX via an ordered value multiset so retraction can fall back to
-//!   the runner-up);
+//!   semantics (COUNT → `Int`, SUM → `Float`, AVG of nothing → `Null`;
+//!   only MIN/MAX keep an ordered value multiset, so retraction can fall
+//!   back to the runner-up);
 //! * **projection** — applied last, over the aggregate's output schema,
 //!   exactly where the batch planner puts it.
 //!

@@ -184,6 +184,34 @@ fn stray_grants_for_a_finished_query_do_not_corrupt_the_stream() {
     drop(server);
 }
 
+/// An empty result's DONE needs no credit, so a pager that is already
+/// running when the connection thread writes SUBMIT_ACK can overtake it and
+/// `submit` reads "expected SUBMIT_ACK, got Done". The ack is written before
+/// the pager is spawned; 500 empty point lookups (order keys past the end
+/// of the table, distinct so none is a plan-cache hit) all complete.
+#[test]
+fn empty_results_never_overtake_their_submit_ack() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (server, addr) = start(&svc);
+
+    let mut client = WireClient::connect(&addr, 0).expect("connect");
+    for i in 0..500i64 {
+        let spec = QuerySpec::new()
+            .join("orders", "orderkey", "lineitem", "orderkey")
+            .filter("orders", col("orders.orderkey").eq(lit(1_000_000 + i)))
+            .project(&["orders.orderkey", "lineitem.extendedprice"]);
+        let out = client
+            .run(&spec, WireQueryOptions::default())
+            .unwrap_or_else(|e| panic!("lookup {i}: wire transport failed: {e}"))
+            .unwrap_or_else(|f| panic!("lookup {i}: remote query failed: {f}"));
+        assert!(out.rows.is_empty(), "lookup {i}: a key past the table's end matches nothing");
+    }
+    client.goodbye().expect("clean goodbye");
+    assert_eq!(svc.reserved(), 0.0, "empty results leaked grants");
+    drop(server);
+}
+
 #[test]
 fn deadline_abort_crosses_the_wire_with_its_stable_code() {
     let db = small_db();

@@ -202,3 +202,292 @@ fn shutdown_tears_down_every_subscription() {
         assert!(matches!(err, rqp::common::RqpError::Invalid(_)), "got {err:?}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Churn with retractions, below the service (which only appends): circuits
+// driven straight off a catalog's changelog.
+// ---------------------------------------------------------------------------
+
+use rqp::common::CostClock;
+use rqp::expr::{col, lit};
+use rqp::storage::{ChangeOp, ChangeRecord, Changelog};
+use rqp::stream::{DeltaPacket, ViewCircuit};
+use rqp::{AggFunc, AggSpec, Catalog, DataType, Database, Schema, Table};
+use std::sync::Arc;
+
+/// The churned tables: the four TPC-H ones the q1/q3/q5 specs read (schemas
+/// taken from a generated database, rows from [`churn_row`]) plus a pair
+/// joined on an `Int` key against a `Float` key.
+const CHURN_TABLES: [&str; 6] = ["customer", "orders", "lineitem", "supplier", "ticks", "marks"];
+
+/// A tiny generated database: the source of the TPC-H schemas and specs.
+fn tpch_shapes() -> TpchDb {
+    TpchDb::build(TpchParams { lineitem_rows: 40, with_indexes: false, ..Default::default() }, 1)
+}
+
+fn churn_schema(shapes: &TpchDb, table: &str) -> Schema {
+    match table {
+        "ticks" => Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]),
+        "marks" => Schema::from_pairs(&[("k", DataType::Float), ("w", DataType::Float)]),
+        tpch => shapes.catalog.table(tpch).expect("generated table").schema().clone(),
+    }
+}
+
+/// A random row for `table`: small key domains, so joins fan out, groups
+/// collide and exact duplicates of live rows turn up on their own. Every
+/// float is dyadic, so SUM/AVG stay exact under retraction whatever order
+/// rows come and go in.
+fn churn_row(table: &str, rng: &mut StdRng) -> Row {
+    let mut int = |hi: i64| Value::Int(rng.gen_range(0..hi));
+    match table {
+        "customer" => vec![int(6), int(6), int(3), Value::Float(0.5)],
+        "orders" => vec![int(12), int(6), int(2_400), Value::Float(100.25)],
+        "lineitem" => {
+            let (o, p, s, q) = (int(12), int(5), int(4), int(8));
+            let price = Value::Float(1_000.0 + rng.gen_range(0..6) as f64 * 0.25);
+            let disc = Value::Float(rng.gen_range(0..4) as f64 * 0.015_625);
+            vec![
+                o,
+                p,
+                s,
+                q,
+                price,
+                disc,
+                Value::Int(rng.gen_range(0..2_400)),
+                Value::Int(rng.gen_range(0..3)),
+            ]
+        }
+        "supplier" => vec![int(4), int(6)],
+        "ticks" => vec![int(6), int(5)],
+        // Halves: 2.0 meets the Int key 2, 2.5 meets nothing.
+        "marks" => vec![
+            Value::Float(rng.gen_range(0..12) as f64 * 0.5),
+            Value::Float(rng.gen_range(0..5) as f64 * 0.25),
+        ],
+        other => unreachable!("no generator for {other}"),
+    }
+}
+
+/// The q1, q3 and q5 shapes (ORDER BY/LIMIT stripped), a MIN/MAX shape
+/// whose extrema get retracted, and the mixed `Int`/`Float`-key join.
+fn churn_menu(shapes: &TpchDb) -> Vec<QuerySpec> {
+    let mut specs = vec![shapes.q1(30), shapes.q3(1, 1_200), shapes.q5(0, 5, 600)];
+    for s in &mut specs {
+        s.order_by.clear();
+        s.limit = None;
+    }
+    specs.push(
+        QuerySpec::new()
+            .table("lineitem")
+            .filter("lineitem", col("lineitem.shipdate").lt(lit(2_000i64)))
+            .aggregate(
+                &["lineitem.returnflag"],
+                vec![
+                    AggSpec::on(AggFunc::Min, "lineitem.extendedprice", "lo"),
+                    AggSpec::on(AggFunc::Max, "lineitem.quantity", "hi"),
+                    AggSpec::count_star("n"),
+                ],
+            ),
+    );
+    specs.push(QuerySpec::new().join("ticks", "k", "marks", "k").aggregate(
+        &["ticks.k"],
+        vec![
+            AggSpec::count_star("n"),
+            AggSpec::on(AggFunc::Min, "marks.w", "lo"),
+            AggSpec::on(AggFunc::Sum, "ticks.v", "s"),
+        ],
+    ));
+    specs.push(QuerySpec::new().join("ticks", "k", "marks", "k").project(&["ticks.v", "marks.w"]));
+    specs
+}
+
+/// Apply a packet to a subscriber's copy of the view — inserts first: a
+/// non-aggregate packet is not coalesced, so one that folds "insert a row,
+/// then delete its join partner" retracts a row it also inserts. After the
+/// inserts, a retraction of a row the copy does not hold is a failure.
+fn replay_packet(view: &mut Vec<Row>, p: &DeltaPacket, what: &str) {
+    view.extend(p.inserted.iter().cloned());
+    for r in &p.retracted {
+        let i = view
+            .iter()
+            .position(|x| x == r)
+            .unwrap_or_else(|| panic!("{what}: retracted a row the copy never held: {r:?}"));
+        view.swap_remove(i);
+    }
+    view.sort();
+}
+
+/// Seeded inserts *and* retractions over every menu shape: after each poll
+/// the packets replayed onto a copy, the maintained view and a cold engine
+/// re-run (under whatever `RQP_THREADS`/`RQP_BATCH`/`RQP_CHAOS_SEED` the CI
+/// leg sets) are the same rows — and once every base row is deleted, each
+/// circuit's counted state is byte-for-byte an empty circuit's: no key,
+/// bucket, group or multiset value lingers.
+#[test]
+fn churn_with_retractions_matches_cold_reruns_and_leaves_no_state() {
+    let shapes = tpch_shapes();
+    let specs = churn_menu(&shapes);
+    // Largest view each shape reached: a shape that never matched a row
+    // would pass everything below vacuously.
+    let mut widest = vec![0usize; specs.len()];
+    for case in 0..4u64 {
+        let mut rng = seeded(child_seed(0xc4u64 + case, "retract"));
+        let mut catalog = Catalog::new();
+        for name in CHURN_TABLES {
+            let mut t = Table::new(name, churn_schema(&shapes, name));
+            for _ in 0..rng.gen_range(5..40) {
+                t.append(churn_row(name, &mut rng));
+            }
+            catalog.add_table(t);
+        }
+        let log = Arc::new(Changelog::new());
+        catalog.attach_changelog(&log);
+        let clock = CostClock::default_clock();
+        let mut circuits: Vec<(ViewCircuit, Vec<Row>, usize)> = specs
+            .iter()
+            .map(|spec| {
+                let empty = ViewCircuit::compile(spec, &catalog).expect("compile");
+                let mut c = ViewCircuit::compile(spec, &catalog).expect("compile");
+                c.load_initial(&catalog, &clock).expect("initial load");
+                let copy = c.snapshot();
+                (c, copy, empty.state_bytes())
+            })
+            .collect();
+        let mut cursor = 0u64;
+        let mut check =
+            |catalog: &Catalog, circuits: &mut Vec<(ViewCircuit, Vec<Row>, usize)>, step: &str| {
+                let (recs, next) = log.since(cursor);
+                cursor = next;
+                let mut cold = Database::from_catalog(catalog.clone());
+                cold.analyze();
+                for (si, (circuit, copy, _)) in circuits.iter_mut().enumerate() {
+                    let what = format!("case {case} {step} spec {si}");
+                    let packet = circuit.apply(&recs, &clock);
+                    replay_packet(copy, &packet, &what);
+                    assert_eq!(*copy, circuit.snapshot(), "{what}: packets diverged from the view");
+                    let rerun = canonicalize(cold.execute(&specs[si]).expect("cold re-run").rows);
+                    assert_eq!(*copy, rerun, "{what}: view diverged from a cold re-run");
+                    widest[si] = widest[si].max(copy.len());
+                }
+            };
+        check(&catalog, &mut circuits, "load");
+        for round in 0..30 {
+            for _ in 0..rng.gen_range(1..8) {
+                let name = CHURN_TABLES[rng.gen_range(0..CHURN_TABLES.len())];
+                let t = catalog.table_mut(name).expect("table");
+                match rng.gen_range(0..10) {
+                    // Retract a random live row (often a group's extremum).
+                    0..=3 if t.nrows() > 0 => {
+                        t.delete_row(rng.gen_range(0..t.nrows()));
+                    }
+                    // Insert an exact duplicate of a live row.
+                    4 if t.nrows() > 0 => {
+                        let dup = t.row(rng.gen_range(0..t.nrows()));
+                        t.append(dup);
+                    }
+                    _ => t.append(churn_row(name, &mut rng)),
+                }
+            }
+            check(&catalog, &mut circuits, &format!("round {round}"));
+        }
+        // Retract everything, last row first (no shifting), table by table.
+        for name in CHURN_TABLES {
+            let t = catalog.table_mut(name).expect("table");
+            while t.nrows() > 0 {
+                t.delete_row(t.nrows() - 1);
+            }
+        }
+        check(&catalog, &mut circuits, "drain");
+        for (si, (circuit, _, empty_bytes)) in circuits.iter().enumerate() {
+            assert_eq!(
+                circuit.state_bytes(),
+                *empty_bytes,
+                "case {case} spec {si}: state lingers after retracting every row"
+            );
+            // Only a global aggregate keeps its one, empty group.
+            assert_eq!(
+                circuit.state_rows(),
+                usize::from(*empty_bytes > 0),
+                "case {case} spec {si}"
+            );
+        }
+    }
+    assert!(widest.iter().all(|&n| n >= 2), "every shape held rows at some point: {widest:?}");
+}
+
+/// The engine's typed columns cannot hold a NULL, but a changelog row can:
+/// NULL aggregate inputs count for COUNT(*) only, a NULL group key is a
+/// group of its own, and both must retract cleanly. The cold side here is a
+/// fresh circuit fed only the surviving rows.
+#[test]
+fn null_inputs_and_group_keys_retract_like_a_cold_circuit() {
+    let mut catalog = Catalog::new();
+    catalog.add_table(Table::new(
+        "t",
+        Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float), ("pad", DataType::Int)]),
+    ));
+    let spec = QuerySpec::new().table("t").aggregate(
+        &["t.g"],
+        vec![
+            AggSpec::count_star("n"),
+            AggSpec::on(AggFunc::Count, "t.x", "nx"),
+            AggSpec::on(AggFunc::Sum, "t.x", "s"),
+            AggSpec::on(AggFunc::Min, "t.x", "lo"),
+            AggSpec::on(AggFunc::Max, "t.x", "hi"),
+        ],
+    );
+    let clock = CostClock::default_clock();
+    let table: Arc<str> = Arc::from("t");
+    let record = |epoch: u64, op: ChangeOp, row: &Row| ChangeRecord {
+        epoch,
+        table: Arc::clone(&table),
+        op,
+        row: row.clone(),
+    };
+    let mut rng = seeded(0x0011);
+    let mut maintained = ViewCircuit::compile(&spec, &catalog).expect("compile");
+    let empty_bytes = maintained.state_bytes();
+    let mut copy: Vec<Row> = Vec::new();
+    let mut live: Vec<Row> = Vec::new();
+    let mut epoch = 0u64;
+    for step in 0..200 {
+        let retract = !live.is_empty() && (step >= 150 || rng.gen_range(0..3) == 0);
+        let rec = if retract {
+            let row = live.swap_remove(rng.gen_range(0..live.len()));
+            record(epoch, ChangeOp::Delete, &row)
+        } else {
+            let g = if rng.gen_range(0..4) == 0 {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(0..3))
+            };
+            let x = if rng.gen_range(0..3) == 0 {
+                Value::Null
+            } else {
+                Value::Float(rng.gen_range(0..8) as f64 * 0.5)
+            };
+            let row = vec![g, x, Value::Int(step)];
+            live.push(row.clone());
+            record(epoch, ChangeOp::Insert, &row)
+        };
+        epoch += 1;
+        let packet = maintained.apply(&[rec], &clock);
+        replay_packet(&mut copy, &packet, &format!("step {step}"));
+        let mut cold = ViewCircuit::compile(&spec, &catalog).expect("compile");
+        let survivors: Vec<ChangeRecord> =
+            live.iter().enumerate().map(|(i, r)| record(i as u64, ChangeOp::Insert, r)).collect();
+        cold.apply(&survivors, &clock);
+        assert_eq!(copy, cold.snapshot(), "step {step}: packets diverged from a cold circuit");
+        assert_eq!(
+            maintained.state_bytes(),
+            cold.state_bytes(),
+            "step {step}: footprint depends on history"
+        );
+    }
+    for (i, row) in std::mem::take(&mut live).iter().enumerate() {
+        let packet = maintained.apply(&[record(epoch + i as u64, ChangeOp::Delete, row)], &clock);
+        replay_packet(&mut copy, &packet, "drain");
+    }
+    assert!(copy.is_empty(), "every group retracted");
+    assert_eq!(maintained.state_bytes(), empty_bytes, "no group or multiset value lingers");
+}
