@@ -17,6 +17,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod stopwatch;
 
 pub use experiments::*;

@@ -5,8 +5,8 @@
 //! the engine charges abstract **cost units** to a [`CostClock`] instead:
 //! sequential page reads, random page reads, per-tuple CPU work, and spill
 //! traffic each have a configurable weight ([`CostModelParams`]). The clock is
-//! the experiment-level notion of "response time"; criterion benches measure
-//! real time separately for the micro-level claims.
+//! the experiment-level notion of "response time"; the `rqp-perf` benchmark
+//! measures real time separately.
 //!
 //! The clock uses atomic interior mutability so every operator in a plan can
 //! hold a [`SharedClock`] (an `Arc`) and charge as it runs — including from

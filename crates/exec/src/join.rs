@@ -411,7 +411,8 @@ impl Operator for IndexNlJoinOp {
                 } else {
                     self.ctx.clock.charge_random_pages(rids.len() as f64);
                 }
-                self.pending = rids.iter().map(|&rid| self.inner_table.row(rid)).collect();
+                // `pending` is empty here (drained above): reuse its buffer.
+                self.pending.extend(rids.map(|rid| self.inner_table.row(rid)));
                 self.current_outer = Some(o);
             }
         }

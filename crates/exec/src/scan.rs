@@ -11,7 +11,8 @@ use crate::context::ExecContext;
 use crate::Operator;
 use rqp_common::{Row, RqpError, Schema, Value};
 use rqp_storage::{
-    AdaptiveMergeIndex, BTreeIndex, BufferPool, CrackerColumn, MultiIndex, PagePin, RowId, Table,
+    AdaptiveMergeIndex, BTreeIndex, BufferPool, CrackerColumn, MultiIndex, PagePin, RidCursor,
+    RowId, Table,
 };
 use rqp_telemetry::SpanHandle;
 use std::cell::RefCell;
@@ -250,7 +251,9 @@ pub struct IndexScanOp {
     ctx: ExecContext,
     lo: Option<Value>,
     hi: Option<Value>,
-    rowids: Option<Vec<RowId>>,
+    /// Position in the index's run once opened; rows are fetched as the
+    /// cursor walks, the rid list is never materialized.
+    cursor: Option<RidCursor>,
     pos: usize,
     rows_per_page: f64,
     span: SpanHandle,
@@ -276,19 +279,11 @@ impl IndexScanOp {
             ctx,
             lo,
             hi,
-            rowids: None,
+            cursor: None,
             pos: 0,
             rows_per_page,
             span,
         }
-    }
-
-    fn open(&mut self) {
-        // B-tree descent: log2(entries) comparisons.
-        let n = self.index.entries().max(2) as f64;
-        self.ctx.clock.charge_compares(n.log2());
-        let ids = self.index.lookup_range(self.lo.as_ref(), self.hi.as_ref());
-        self.rowids = Some(ids);
     }
 }
 
@@ -298,15 +293,17 @@ impl Operator for IndexScanOp {
     }
 
     fn next(&mut self) -> Option<Row> {
-        if self.rowids.is_none() {
-            self.open();
-        }
-        let ids = self.rowids.as_ref().expect("opened above");
-        if self.pos >= ids.len() {
+        let index = &self.index;
+        let cursor = self.cursor.get_or_insert_with(|| {
+            // B-tree descent: log2(entries) comparisons.
+            let n = index.entries().max(2) as f64;
+            self.ctx.clock.charge_compares(n.log2());
+            index.lookup_range(self.lo.as_ref(), self.hi.as_ref()).into_cursor()
+        });
+        let Some(rid) = index.next_rid(cursor) else {
             self.span.close(&self.ctx.clock);
             return None;
-        }
-        let rid = ids[self.pos];
+        };
         if self.index.clustered() {
             if self.pos as f64 % self.rows_per_page == 0.0 {
                 self.ctx.clock.charge_seq_pages(1.0);
@@ -336,8 +333,7 @@ pub struct MultiIndexScanOp {
     prefix: Vec<Value>,
     lo: Option<Value>,
     hi: Option<Value>,
-    rowids: Option<Vec<RowId>>,
-    pos: usize,
+    cursor: Option<RidCursor>,
     span: SpanHandle,
 }
 
@@ -363,8 +359,7 @@ impl MultiIndexScanOp {
             prefix,
             lo,
             hi,
-            rowids: None,
-            pos: 0,
+            cursor: None,
             span,
         }
     }
@@ -376,24 +371,23 @@ impl Operator for MultiIndexScanOp {
     }
 
     fn next(&mut self) -> Option<Row> {
-        if self.rowids.is_none() {
-            let n = self.index.entries().max(2) as f64;
+        let index = &self.index;
+        let cursor = self.cursor.get_or_insert_with(|| {
+            let n = index.entries().max(2) as f64;
             self.ctx.clock.charge_compares(n.log2());
-            let ids = self
-                .index
+            // A lookup the index rejects (over-long prefix) matches nothing.
+            index
                 .lookup(&self.prefix, self.lo.as_ref(), self.hi.as_ref())
-                .unwrap_or_default();
-            self.rowids = Some(ids);
-        }
-        let ids = self.rowids.as_ref().expect("opened above");
-        if self.pos >= ids.len() {
+                .map(|ids| ids.into_cursor())
+                .unwrap_or_default()
+        });
+        let Some(rid) = index.next_rid(cursor) else {
             self.span.close(&self.ctx.clock);
             return None;
-        }
+        };
         self.ctx.clock.charge_random_pages(1.0);
         self.ctx.clock.charge_cpu_tuples(1.0);
-        let row = self.table.row(ids[self.pos]);
-        self.pos += 1;
+        let row = self.table.row(rid);
         self.span.produced(&self.ctx.clock);
         Some(row)
     }

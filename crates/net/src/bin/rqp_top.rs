@@ -10,8 +10,9 @@
 //! never competes with it) and redraws a refreshing dashboard: admission
 //! and broker gauges, the buffer-pool pager gauges (when the server runs
 //! with a page budget), the standing-subscription gauges (`server.subs.*`,
-//! when subscriptions are registered), the wire counters, every in-flight
-//! query with its
+//! when subscriptions are registered), the storage footprint
+//! (`server.storage.{table,index}_bytes`), the wire counters, every
+//! in-flight query with its
 //! phase / cost-clock ticks / grants / deadline headroom, and the newest
 //! flight-recorder events. `--once` prints a single snapshot and exits —
 //! the CI wire-smoke job greps that output for non-empty gauges.
@@ -113,26 +114,17 @@ fn render(
             out.push_str(&metric_line(name, value));
         }
     }
-    let pager: Vec<&(String, MetricValue)> = snap
-        .metrics
-        .iter()
-        .filter(|(n, _)| n.starts_with("server.pager."))
-        .collect();
-    if !pager.is_empty() {
-        out.push_str("pager:\n");
-        for (name, value) in pager {
-            out.push_str(&metric_line(name, value));
-        }
-    }
-    let subs: Vec<&(String, MetricValue)> = snap
-        .metrics
-        .iter()
-        .filter(|(n, _)| n.starts_with("server.subs."))
-        .collect();
-    if !subs.is_empty() {
-        out.push_str("subs:\n");
-        for (name, value) in subs {
-            out.push_str(&metric_line(name, value));
+    // Sections that appear only once the server publishes their gauges.
+    for (title, prefix) in
+        [("pager:", "server.pager."), ("subs:", "server.subs."), ("storage:", "server.storage.")]
+    {
+        let mut lines = snap.metrics.iter().filter(|(n, _)| n.starts_with(prefix)).peekable();
+        if lines.peek().is_some() {
+            out.push_str(title);
+            out.push('\n');
+            for (name, value) in lines {
+                out.push_str(&metric_line(name, value));
+            }
         }
     }
     let rest: Vec<&(String, MetricValue)> = snap
@@ -143,6 +135,7 @@ fn render(
                 && !n.starts_with("server.recorder.")
                 && !n.starts_with("server.pager.")
                 && !n.starts_with("server.subs.")
+                && !n.starts_with("server.storage.")
                 && !n.starts_with("wire.")
         })
         .collect();

@@ -334,6 +334,10 @@ impl QueryService {
         m.gauge("server.subs.deltas").set(inner.subs.total_deltas() as f64);
         m.gauge("server.subs.max_lag").set(inner.subs.max_lag(inner.changelog.len()) as f64);
         m.gauge("server.subs.state_bytes").set(inner.subs.total_state_bytes() as f64);
+        let (table_bytes, index_bytes) =
+            inner.snapshot.read().expect("snapshot lock").heap_bytes();
+        m.gauge("server.storage.table_bytes").set(table_bytes as f64);
+        m.gauge("server.storage.index_bytes").set(index_bytes as f64);
     }
 
     /// The service's epoch-sequenced mutation feed.
@@ -346,8 +350,8 @@ impl QueryService {
         &self.inner.subs
     }
 
-    /// Append `rows` to `table` under the catalog write lock, publishing
-    /// each row to the changelog. Returns the changelog length after the
+    /// Append `rows` to `table` and to every index on it under the catalog
+    /// write lock, publishing each row to the changelog. Returns the changelog length after the
     /// append (the epoch one past the last published record). Running
     /// queries keep their frozen table handles (snapshot isolation);
     /// queries planned after this call see the new rows, and standing
@@ -355,18 +359,10 @@ impl QueryService {
     pub fn append_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
         let inner = &self.inner;
         let count = rows.len();
+        // Table and indexes move together under the write lock, so every
+        // catalog a query rebuilds from the snapshot is of one epoch.
         let mut guard = inner.snapshot.write().expect("snapshot lock");
-        let t = guard.table_mut(table)?;
-        let arity = t.schema().fields().len();
-        if let Some(bad) = rows.iter().find(|r| r.len() != arity) {
-            return Err(RqpError::Invalid(format!(
-                "append to '{table}': row arity {} != table arity {arity}",
-                bad.len()
-            )));
-        }
-        for row in rows {
-            t.append(row);
-        }
+        guard.append_rows(table, rows)?;
         let epoch = inner.changelog.len();
         drop(guard);
         self.trim_changelog();

@@ -61,19 +61,17 @@ impl ColumnStats {
             DataType::Int | DataType::Float => {
                 let mut vals = Vec::new();
                 collect_numeric(&mut vals);
-                let ndv = {
-                    let mut bits: Vec<u64> = vals.iter().map(|f| f.to_bits()).collect();
-                    bits.sort_unstable();
-                    bits.dedup();
-                    bits.len()
-                };
+                // `f64::min`/`max` pick between -0.0 and 0.0 by argument
+                // order, so they fold over the column order, before the sort.
                 let min = vals.iter().copied().reduce(f64::min);
                 let max = vals.iter().copied().reduce(f64::max);
-                let histogram = if vals.is_empty() {
-                    None
-                } else {
-                    Some(EquiDepthHistogram::build(&vals, buckets))
-                };
+                // One sort serves both: `total_cmp` orders by bit pattern
+                // (every NaN payload and each zero its own value), so equal
+                // bit patterns are adjacent and `ndv` is the number of runs.
+                vals.sort_unstable_by(f64::total_cmp);
+                let ndv = vals.chunk_by(|a, b| a.to_bits() == b.to_bits()).count();
+                let histogram = (!vals.is_empty())
+                    .then(|| EquiDepthHistogram::from_sorted(&vals, buckets));
                 ColumnStats { count: vals.len(), ndv, min, max, histogram }
             }
             DataType::Str => {
@@ -627,5 +625,26 @@ mod tests {
             e.selectivity("nope", &col("x").eq(lit(1i64))),
             DEFAULT_SELECTIVITY
         );
+    }
+
+    #[test]
+    fn gather_counts_bit_patterns_with_one_sort() {
+        let vals = crate::histogram::tests::awkward_floats();
+        let stats = ColumnStats::gather(&ColumnData::Float(vals.clone()), None, 8);
+        // The definition the one-sort path must reproduce bit for bit.
+        let mut bits: Vec<u64> = vals.iter().map(|f| f.to_bits()).collect();
+        bits.sort_unstable();
+        bits.dedup();
+        assert_eq!(stats.ndv, bits.len());
+        assert!(bits.contains(&0.0f64.to_bits()) && bits.contains(&(-0.0f64).to_bits()));
+        let fold = |f: fn(f64, f64) -> f64| vals.iter().copied().reduce(f).map(f64::to_bits);
+        assert_eq!(stats.min.map(f64::to_bits), fold(f64::min));
+        assert_eq!(stats.max.map(f64::to_bits), fold(f64::max));
+        assert_eq!(stats.count, vals.len());
+        let want = EquiDepthHistogram::build(&vals, 8);
+        assert_eq!(format!("{:?}", stats.histogram.unwrap()), format!("{want:?}"));
+        // A sampled gather sees only its row subset.
+        let sub = ColumnStats::gather(&ColumnData::Float(vals), Some(&[0, 1, 7, 8]), 8);
+        assert_eq!((sub.count, sub.ndv), (4, 2));
     }
 }

@@ -126,8 +126,18 @@ pub struct EquiDepthHistogram {
 impl EquiDepthHistogram {
     /// Build from values with at most `buckets` quantile buckets.
     pub fn build(values: &[f64], buckets: usize) -> Self {
+        let mut sorted: Vec<f64> = values.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        Self::from_sorted(&sorted, buckets)
+    }
+
+    /// [`build`](Self::build) for values already ascending under
+    /// `f64::total_cmp` — a caller that sorted the column for its own
+    /// purposes (distinct counting) does not pay a second sort.
+    pub fn from_sorted(sorted: &[f64], buckets: usize) -> Self {
         assert!(buckets > 0, "need at least one bucket");
-        if values.is_empty() {
+        debug_assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        if sorted.is_empty() {
             return EquiDepthHistogram {
                 bounds: vec![0.0, 0.0],
                 counts: vec![0.0],
@@ -135,8 +145,6 @@ impl EquiDepthHistogram {
                 total: 0.0,
             };
         }
-        let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let per = (n as f64 / buckets as f64).ceil().max(1.0) as usize;
         let mut bounds = vec![sorted[0]];
@@ -209,7 +217,7 @@ impl Histogram for EquiDepthHistogram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn uniform() -> Vec<f64> {
@@ -286,5 +294,33 @@ mod tests {
             let s = h.range_selectivity(lo, hi);
             assert!((0.0..=1.0).contains(&s), "sel {s} out of [0,1]");
         }
+    }
+
+    /// Floats whose handling a sort change could move: both zeros, NaNs of
+    /// either sign and differing payloads, infinities, duplicates.
+    pub(crate) fn awkward_floats() -> Vec<f64> {
+        let nan_payload = f64::from_bits(f64::NAN.to_bits() | 0xbeef);
+        let mut v = vec![0.0, -0.0, f64::NAN, -f64::NAN, nan_payload, f64::INFINITY];
+        v.extend([f64::NEG_INFINITY, -0.0, 0.0, 1.5, 1.5, -7.25, f64::NAN]);
+        v.extend((0..40).map(|i| ((i * 7) % 11) as f64 - 3.0));
+        v
+    }
+
+    #[test]
+    fn from_sorted_is_bit_identical_to_build() {
+        let vals = awkward_floats();
+        let mut sorted = vals.clone();
+        sorted.sort_by(f64::total_cmp);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for buckets in [1, 3, 8, 64] {
+            let a = EquiDepthHistogram::build(&vals, buckets);
+            let b = EquiDepthHistogram::from_sorted(&sorted, buckets);
+            assert_eq!(bits(&a.bounds), bits(&b.bounds), "buckets={buckets}");
+            assert_eq!((a.counts, a.distinct, a.total), (b.counts, b.distinct, b.total));
+        }
+        // -0.0 sorts before 0.0 and negative NaNs before everything: the
+        // first bound keeps the sign and payload it had.
+        let h = EquiDepthHistogram::from_sorted(&sorted, 4);
+        assert_eq!(h.bounds[0].to_bits(), (-f64::NAN).to_bits());
     }
 }

@@ -1,8 +1,9 @@
 //! The catalog: named tables, indexes and adaptive-index stores.
 //!
-//! Tables and B-tree indexes are held behind `Arc` so running operators —
-//! including exchange workers on other threads — can keep cheap snapshot
-//! handles; mutation goes through [`Catalog::table_mut`], which copies on
+//! Tables and secondary indexes are held behind `Arc` so running operators
+//! — including exchange workers on other threads — can keep cheap snapshot
+//! handles; mutation goes through [`Catalog::append_rows`] (table and
+//! indexes together) or [`Catalog::table_mut`] (table only), which copy on
 //! write if a snapshot is still live (a poor man's snapshot isolation —
 //! readers never observe concurrent appends). The adaptive indexes
 //! (crackers, adaptive merge) stay `Rc<RefCell<…>>`: they mutate on every
@@ -13,7 +14,8 @@ use crate::crack::CrackerColumn;
 use crate::index::BTreeIndex;
 use crate::multi_index::MultiIndex;
 use crate::table::Table;
-use rqp_common::{Result, RqpError};
+use crate::run::PackedIndex;
+use rqp_common::{Result, Row, RqpError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -51,12 +53,30 @@ impl Catalog {
     }
 
     /// Mutable access to a table (copy-on-write if snapshots are live).
+    ///
+    /// Appending through this handle **bypasses index upkeep**: indexes on
+    /// the table keep describing the rows they were built over. Use
+    /// [`append_rows`](Self::append_rows) to keep them in step.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         let rc = self
             .tables
             .get_mut(name)
             .ok_or_else(|| RqpError::TableNotFound(name.to_owned()))?;
         Ok(Arc::make_mut(rc))
+    }
+
+    /// Append `rows` to `table` *and* to every [`BTreeIndex`] and
+    /// [`MultiIndex`] on it (through their append partitions), copying on
+    /// write whatever a live snapshot still holds. Nothing is changed when
+    /// it errors: unknown table, a row of the wrong arity or with a value
+    /// its column does not take, or a table grown past the indexes' `u32`
+    /// row-id limit.
+    pub fn append_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| RqpError::TableNotFound(table.to_owned()))?;
+        append_with_indexes(t, self.indexes.values_mut(), self.multi_indexes.values_mut(), rows)
     }
 
     /// All table names, sorted.
@@ -294,6 +314,16 @@ impl CatalogSnapshot {
         c
     }
 
+    /// Heap bytes held by the snapshot's `(tables, indexes)` — column data
+    /// on one side, every single- and multi-column index on the other
+    /// (capacity-based, counted).
+    pub fn heap_bytes(&self) -> (usize, usize) {
+        let tables = self.tables.iter().map(|t| t.heap_bytes()).sum();
+        let indexes = self.indexes.iter().map(|ix| ix.heap_bytes()).sum::<usize>()
+            + self.multi_indexes.iter().map(|ix| ix.heap_bytes()).sum::<usize>();
+        (tables, indexes)
+    }
+
     /// Number of tables in the snapshot.
     pub fn table_count(&self) -> usize {
         self.tables.len()
@@ -308,10 +338,26 @@ impl CatalogSnapshot {
             .ok_or_else(|| RqpError::TableNotFound(name.to_owned()))
     }
 
+    /// Append `rows` to `table` and to every index on it — the snapshot's
+    /// [`Catalog::append_rows`], with the same all-or-nothing errors — so a
+    /// catalog rebuilt by [`to_catalog`](Self::to_catalog) always gets a
+    /// table and indexes of the same epoch. An index a running query still
+    /// holds is copied on write; the copy shares the immutable base run and
+    /// duplicates only the append partition.
+    pub fn append_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
+        let t = self
+            .tables
+            .iter_mut()
+            .find(|t| t.name() == table)
+            .ok_or_else(|| RqpError::TableNotFound(table.to_owned()))?;
+        append_with_indexes(t, self.indexes.iter_mut(), self.multi_indexes.iter_mut(), rows)
+    }
+
     /// Mutable access to a table in the snapshot, copying on write when
     /// other handles are live — the same snapshot isolation as
-    /// [`Catalog::table_mut`]. Because the table's attached pool and
-    /// changelog are shared `Arc`s, the copy keeps publishing to the same
+    /// [`Catalog::table_mut`], and like it **bypassing index upkeep** (use
+    /// [`append_rows`](Self::append_rows)). Because the table's attached pool
+    /// and changelog are shared `Arc`s, the copy keeps publishing to the same
     /// feed; catalogs rebuilt from this snapshot *after* the write see the
     /// new rows, ones rebuilt before keep their frozen view.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
@@ -340,6 +386,65 @@ impl CatalogSnapshot {
             t.attach_changelog(log);
         }
     }
+}
+
+/// The shared body of [`Catalog::append_rows`] and
+/// [`CatalogSnapshot::append_rows`]: validate every row first, then append
+/// each to the table and key it, under its new row id, into those of
+/// `indexes` and `multi` that are on the table.
+fn append_with_indexes<'a>(
+    table: &mut Arc<Table>,
+    indexes: impl Iterator<Item = &'a mut Arc<BTreeIndex>>,
+    multi: impl Iterator<Item = &'a mut Arc<MultiIndex>>,
+    rows: Vec<Row>,
+) -> Result<()> {
+    let name = table.name();
+    let indexes = indexes.filter(|ix| ix.table() == name);
+    let multi = multi.filter(|ix| ix.table() == name);
+    let arity = table.schema().len();
+    for row in &rows {
+        if row.len() != arity {
+            return Err(RqpError::Invalid(format!(
+                "append to '{name}': row arity {} != table arity {arity}",
+                row.len()
+            )));
+        }
+        if let Some((i, v)) = row.iter().enumerate().find(|(i, v)| !table.column(*i).accepts(v)) {
+            let field = &table.schema().field(i).name;
+            return Err(RqpError::TypeMismatch {
+                expected: format!("{} for {name}.{field}", table.column(i).data_type()),
+                got: v.data_type().map_or("NULL".into(), |t| t.to_string()),
+            });
+        }
+    }
+    // Copy-on-write happens here, after the rows are known to be good.
+    let mut indexes: Vec<&mut PackedIndex> = indexes
+        .map(|ix| Arc::make_mut(ix).packed_mut())
+        .chain(multi.map(|ix| Arc::make_mut(ix).packed_mut()))
+        .collect();
+    if !indexes.is_empty() && table.nrows() + rows.len() > u32::MAX as usize {
+        return Err(RqpError::Invalid(format!(
+            "append to '{name}': {} rows exceed the index limit of {}",
+            table.nrows() + rows.len(),
+            u32::MAX
+        )));
+    }
+    let key_cols: Vec<Vec<usize>> = indexes
+        .iter()
+        .map(|ix| ix.columns().iter().map(|c| table.column_index(c)).collect())
+        .collect::<Result<_>>()?;
+    let table = Arc::make_mut(table);
+    let mut key = Vec::new();
+    for row in rows {
+        let rid = table.nrows();
+        for (ix, cols) in indexes.iter_mut().zip(&key_cols) {
+            key.clear();
+            key.extend(cols.iter().map(|&c| row[c].clone()));
+            ix.insert(&key, rid).expect("types and row-id range were checked above");
+        }
+        table.append(row);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -388,6 +493,46 @@ mod tests {
             .append(vec![Value::Int(99), Value::Float(9.9)]);
         assert_eq!(snap.nrows(), 50, "snapshot unaffected");
         assert_eq!(c.table("t").unwrap().nrows(), 51);
+    }
+
+    #[test]
+    fn append_rows_keeps_indexes_in_step() {
+        let mut c = catalog();
+        c.create_index("ix_t_k", "t", "k").unwrap();
+        c.create_multi_index("mx_t_kv", "t", &["k", "v"]).unwrap();
+        let frozen = c.snapshot().to_catalog();
+        let rows = |k: i64| vec![vec![Value::Int(k), Value::Float(0.5)]; 3];
+        c.append_rows("t", rows(7)).unwrap();
+        let mut snap = c.snapshot();
+        snap.append_rows("t", rows(7)).unwrap();
+        for (cat, want) in [(&frozen, vec![7]), (&c, vec![7, 50, 51, 52])] {
+            let got: Vec<_> = cat.index("ix_t_k").unwrap().lookup_eq(&Value::Int(7)).collect();
+            assert_eq!(got, want);
+            assert_eq!(cat.table("t").unwrap().nrows(), 50 + want.len() - 1);
+        }
+        let after = snap.to_catalog();
+        assert_eq!(after.table("t").unwrap().nrows(), 56);
+        assert_eq!(after.index("ix_t_k").unwrap().lookup_eq(&Value::Int(7)).len(), 7);
+        let mx = after.multi_index("mx_t_kv").unwrap();
+        assert_eq!(mx.lookup(&[Value::Int(7)], Some(&Value::Float(0.5)), None).unwrap().len(), 7);
+        assert_eq!(mx.lookup(&[Value::Int(7), Value::Float(0.5)], None, None).unwrap().len(), 6);
+    }
+
+    #[test]
+    fn append_rows_is_all_or_nothing() {
+        let mut c = catalog();
+        c.create_index("ix_t_k", "t", "k").unwrap();
+        let good = vec![Value::Int(1), Value::Int(2)]; // an Int coerces into the float column
+        assert!(c.append_rows("missing", vec![good.clone()]).is_err());
+        assert!(c.append_rows("t", vec![good.clone(), vec![Value::Int(1)]]).is_err());
+        let bad_type = vec![Value::Float(1.0), Value::Float(2.0)];
+        assert!(c.append_rows("t", vec![good.clone(), bad_type]).is_err());
+        assert!(c.append_rows("t", vec![vec![Value::Null, Value::Float(0.0)]]).is_err());
+        assert_eq!(c.table("t").unwrap().nrows(), 50);
+        assert_eq!(c.index("ix_t_k").unwrap().entries(), 50);
+        c.append_rows("t", vec![good]).unwrap();
+        assert_eq!(c.table("t").unwrap().row(50), vec![Value::Int(1), Value::Float(2.0)]);
+        assert_eq!(c.index("ix_t_k").unwrap().entries(), 51);
     }
 
     #[test]

@@ -68,17 +68,7 @@ impl ColumnData {
     /// Append a value; panics on type mismatch (loading is programmatic, so a
     /// mismatch is a bug in the generator, not a user error).
     pub fn push(&mut self, v: Value) {
-        match (self, v) {
-            (ColumnData::Int(col), Value::Int(x)) => col.push(x),
-            (ColumnData::Float(col), Value::Float(x)) => col.push(x),
-            (ColumnData::Float(col), Value::Int(x)) => col.push(x as f64),
-            (ColumnData::Str(col), Value::Str(x)) => col.push(x),
-            (col, v) => panic!(
-                "type mismatch pushing {:?} into {:?} column",
-                v.data_type(),
-                col.data_type()
-            ),
-        }
+        self.insert(self.len(), v)
     }
 
     /// Remove and return the value at row `i`, shifting later rows up
@@ -89,6 +79,56 @@ impl ColumnData {
             ColumnData::Int(v) => Value::Int(v.remove(i)),
             ColumnData::Float(v) => Value::Float(v.remove(i)),
             ColumnData::Str(v) => Value::Str(v.remove(i)),
+        }
+    }
+
+    /// True if [`push`](Self::push) and [`insert`](Self::insert) take `v`:
+    /// its own type, or an `Int` into a float column.
+    pub fn accepts(&self, v: &Value) -> bool {
+        matches!(
+            (self, v),
+            (ColumnData::Int(_), Value::Int(_))
+                | (ColumnData::Float(_), Value::Float(_) | Value::Int(_))
+                | (ColumnData::Str(_), Value::Str(_))
+        )
+    }
+
+    /// Insert a value at row `i`, shifting later rows down; panics like
+    /// [`push`](Self::push) on a value the column does not
+    /// [`accept`](Self::accepts).
+    pub fn insert(&mut self, i: usize, v: Value) {
+        match (self, v) {
+            (ColumnData::Int(col), Value::Int(x)) => col.insert(i, x),
+            (ColumnData::Float(col), Value::Float(x)) => col.insert(i, x),
+            (ColumnData::Float(col), Value::Int(x)) => col.insert(i, x as f64),
+            (ColumnData::Str(col), Value::Str(x)) => col.insert(i, x),
+            (col, v) => panic!(
+                "type mismatch inserting {:?} into {:?} column",
+                v.data_type(),
+                col.data_type()
+            ),
+        }
+    }
+
+    /// Release spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        match self {
+            ColumnData::Int(v) => v.shrink_to_fit(),
+            ColumnData::Float(v) => v.shrink_to_fit(),
+            ColumnData::Str(v) => v.shrink_to_fit(),
+        }
+    }
+
+    /// Heap bytes held, by capacity (string columns include every string's
+    /// own buffer).
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            ColumnData::Int(v) => v.capacity() * std::mem::size_of::<i64>(),
+            ColumnData::Float(v) => v.capacity() * std::mem::size_of::<f64>(),
+            ColumnData::Str(v) => {
+                v.capacity() * std::mem::size_of::<String>()
+                    + v.iter().map(String::capacity).sum::<usize>()
+            }
         }
     }
 

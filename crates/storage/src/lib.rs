@@ -6,9 +6,11 @@
 //! * [`mod@column`] — typed column vectors with min/max/distinct statistics
 //!   surface;
 //! * [`table`] — a [`table::Table`] of columns plus row-wise access;
-//! * [`index`] — clustered/unclustered B-tree secondary indexes
+//! * [`index`] — clustered/unclustered secondary indexes
 //!   ([`index::BTreeIndex`]) and multi-column composite indexes
-//!   ([`multi_index::MultiIndex`]) with prefix + range lookups;
+//!   ([`multi_index::MultiIndex`]) with prefix + range lookups, both thin
+//!   wrappers over [`run`]: one packed sorted run plus an append partition,
+//!   probed through borrowed [`RowIds`];
 //! * [`crack`] — **database cracking** (Idreos, Kersten, Manegold): a cracker
 //!   column physically reorganized as a side effect of range queries, the
 //!   seminar's flagship *adaptive indexing* technique;
@@ -38,6 +40,7 @@ pub mod crack;
 pub mod index;
 pub mod multi_index;
 pub mod pool;
+pub mod run;
 pub mod shared_scan;
 pub mod table;
 
@@ -49,8 +52,11 @@ pub use crack::CrackerColumn;
 pub use index::BTreeIndex;
 pub use multi_index::MultiIndex;
 pub use pool::{BufferPool, PagePin, PagerStats, PinOutcome};
+pub use run::{RidCursor, RowIds};
 pub use shared_scan::SharedScanCoordinator;
 pub use table::{StrEncoding, Table};
 
-/// Row identifier within a table (position in insertion order).
+/// Row identifier within a table (position in insertion order). Secondary
+/// indexes store row ids as `u32`: building one over, or inserting a row id
+/// of, more than `u32::MAX` rows is an error.
 pub type RowId = usize;

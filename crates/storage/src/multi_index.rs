@@ -4,81 +4,51 @@
 //! "With respect to selection from multi-column indexes, restrictions might
 //! apply to leading, intermediate, or trailing index fields; they may be
 //! equality or range predicates… an index on (A, B, C) should be used for
-//! `A = 4 AND B BETWEEN 7 AND 11`". A [`MultiIndex`] keys a B-tree on a
+//! `A = 4 AND B BETWEEN 7 AND 11`". A [`MultiIndex`] keys a sorted run on a
 //! column *tuple*; lookups take an equality prefix plus an optional range on
 //! the next column — trailing restrictions stay residual, exactly the
 //! access-path algebra the session wants exercised.
 
+use crate::run::{PackedIndex, RidCursor, RowIds};
 use crate::table::Table;
 use crate::RowId;
 use rqp_common::{Result, RqpError, Value};
-use std::collections::BTreeMap;
-use std::ops::Bound;
 
-/// A B-tree index over an ordered list of columns.
+/// A secondary index over an ordered list of columns: the same packed sorted
+/// run as [`BTreeIndex`](crate::BTreeIndex), keyed on the column tuple and
+/// searched lexicographically.
 #[derive(Debug, Clone)]
-pub struct MultiIndex {
-    name: String,
-    table: String,
-    columns: Vec<String>,
-    map: BTreeMap<Vec<Value>, Vec<RowId>>,
-    entries: usize,
-}
+pub struct MultiIndex(PackedIndex);
 
 impl MultiIndex {
     /// Build over `table.(columns…)` in the given order.
     pub fn build(name: impl Into<String>, table: &Table, columns: &[&str]) -> Result<Self> {
-        if columns.is_empty() {
-            return Err(RqpError::Invalid("multi-index needs at least one column".into()));
-        }
-        let idxs: Vec<usize> = columns
-            .iter()
-            .map(|c| table.column_index(c))
-            .collect::<Result<_>>()?;
-        let mut map: BTreeMap<Vec<Value>, Vec<RowId>> = BTreeMap::new();
-        for rid in 0..table.nrows() {
-            let row = table.row(rid);
-            let key: Vec<Value> = idxs.iter().map(|&i| row[i].clone()).collect();
-            map.entry(key).or_default().push(rid);
-        }
-        Ok(MultiIndex {
-            name: name.into(),
-            table: table.name().to_owned(),
-            columns: columns
-                .iter()
-                .map(|c| {
-                    c.rsplit_once('.')
-                        .map(|(_, u)| u.to_owned())
-                        .unwrap_or_else(|| (*c).to_owned())
-                })
-                .collect(),
-            entries: table.nrows(),
-            map,
-        })
+        PackedIndex::build(name.into(), table, columns).map(MultiIndex)
     }
 
     /// Index name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.0.name()
     }
 
     /// Indexed table.
     pub fn table(&self) -> &str {
-        &self.table
+        self.0.table()
     }
 
     /// Indexed columns, leading first (unqualified).
     pub fn columns(&self) -> &[String] {
-        &self.columns
+        self.0.columns()
     }
 
     /// Total entries.
     pub fn entries(&self) -> usize {
-        self.entries
+        self.0.entries()
     }
 
     /// Row ids whose leading columns equal `prefix`, with an optional
-    /// inclusive `[lo, hi]` range on the column *after* the prefix.
+    /// inclusive `[lo, hi]` range on the column *after* the prefix, in key
+    /// order then insertion order.
     ///
     /// `prefix` may be empty (pure range on the first column) and at most
     /// `columns().len()` long; when it covers every column the range must be
@@ -88,38 +58,31 @@ impl MultiIndex {
         prefix: &[Value],
         lo: Option<&Value>,
         hi: Option<&Value>,
-    ) -> Result<Vec<RowId>> {
-        if prefix.len() > self.columns.len() {
+    ) -> Result<RowIds<'_>> {
+        let ncols = self.columns().len();
+        if prefix.len() > ncols {
             return Err(RqpError::Invalid(format!(
-                "prefix of {} values exceeds {} indexed columns",
-                prefix.len(),
-                self.columns.len()
+                "prefix of {} values exceeds {ncols} indexed columns",
+                prefix.len()
             )));
         }
-        if prefix.len() == self.columns.len() && (lo.is_some() || hi.is_some()) {
-            return Err(RqpError::Invalid(
-                "range column exceeds the indexed columns".into(),
-            ));
+        if prefix.len() == ncols && (lo.is_some() || hi.is_some()) {
+            return Err(RqpError::Invalid("range column exceeds the indexed columns".into()));
         }
-        // Lower bound: prefix ++ [lo] (or just prefix). Lexicographic order
-        // makes every key extending `prefix` sort at or after this bound.
-        let mut lower = prefix.to_vec();
-        if let Some(l) = lo {
-            lower.push(l.clone());
-        }
-        let mut out = Vec::new();
-        for (key, rids) in self.map.range((Bound::Included(lower), Bound::Unbounded)) {
-            if key.len() < prefix.len() || key[..prefix.len()] != *prefix {
-                break; // left the prefix region
-            }
-            if let Some(h) = hi {
-                if key.len() > prefix.len() && key[prefix.len()] > *h {
-                    break;
-                }
-            }
-            out.extend_from_slice(rids);
-        }
-        Ok(out)
+        Ok(self.0.lookup(prefix, lo, hi))
+    }
+
+    /// Advance a cursor detached from one of this index's lookups
+    /// ([`RowIds::into_cursor`]).
+    pub fn next_rid(&self, cur: &mut RidCursor) -> Option<RowId> {
+        self.0.next_rid(cur)
+    }
+
+    /// Insert a new entry (one value per indexed column) into the append
+    /// partition; errors as [`BTreeIndex::insert`](crate::BTreeIndex::insert)
+    /// does, and on a key of the wrong arity.
+    pub fn insert(&mut self, key: &[Value], rid: RowId) -> Result<()> {
+        self.0.insert(key, rid)
     }
 
     /// Exact fraction of entries matched by a lookup (statistics surface).
@@ -129,10 +92,24 @@ impl MultiIndex {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<f64> {
-        if self.entries == 0 {
-            return Ok(0.0);
-        }
-        Ok(self.lookup(prefix, lo, hi)?.len() as f64 / self.entries as f64)
+        Ok(match self.entries() {
+            0 => 0.0,
+            n => self.lookup(prefix, lo, hi)?.len() as f64 / n as f64,
+        })
+    }
+
+    /// Heap bytes the index holds (capacity-based, counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
+    }
+
+    /// Validate internal consistency (the run layout's invariants).
+    pub fn validate(&self) -> Result<()> {
+        self.0.validate()
+    }
+
+    pub(crate) fn packed_mut(&mut self) -> &mut PackedIndex {
+        &mut self.0
     }
 }
 
@@ -162,7 +139,8 @@ mod tests {
             .collect()
     }
 
-    fn sorted(mut v: Vec<RowId>) -> Vec<RowId> {
+    fn sorted(ids: RowIds<'_>) -> Vec<RowId> {
+        let mut v: Vec<RowId> = ids.collect();
         v.sort_unstable();
         v
     }

@@ -181,6 +181,12 @@ impl Table {
         self.nrows
     }
 
+    /// Heap bytes the column data holds (capacity-based, counted; memoized
+    /// string encodings are not included).
+    pub fn heap_bytes(&self) -> usize {
+        self.columns.iter().map(ColumnData::heap_bytes).sum()
+    }
+
     /// Column by position.
     pub fn column(&self, i: usize) -> &ColumnData {
         &self.columns[i]

@@ -2,7 +2,8 @@
 //! bit-identical to solo execution, credit-based backpressure that bounds
 //! what a stalled client can hold, abrupt-disconnect teardown that releases
 //! the MPL slot and every memory grant, stable error codes across the wire,
-//! and cooperative cancellation of a queued query from a remote client.
+//! cooperative cancellation of a queued query from a remote client, and
+//! APPENDed rows reaching index-served plans.
 
 use rqp_common::expr::{col, lit};
 use rqp_common::{Row, RqpError, Value};
@@ -494,6 +495,64 @@ fn wire_disconnect_tears_down_standing_subscriptions() {
     assert_eq!(lag, 0);
     other.unsubscribe(s2).expect("wire").expect("unsubscribe");
     other.goodbye().expect("goodbye");
+    drop(server);
+}
+
+/// APPEND then SUBMIT: plans that probe `lineitem`'s indexes see the appended
+/// rows exactly as a filtered scan does, and a query submitted before the
+/// APPEND but drained after it returns the rows of its own epoch.
+#[test]
+fn appended_rows_reach_index_plans_over_the_wire() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (server, addr) = start(&svc);
+    let point_join = QuerySpec::new()
+        .join("orders", "orderkey", "lineitem", "orderkey")
+        .filter("orders", col("orders.orderkey").eq(lit(7i64)))
+        .project(&["orders.orderkey", "orders.totalprice", "lineitem.extendedprice"]);
+    let scan = |pred| {
+        QuerySpec::new()
+            .table("lineitem")
+            .filter("lineitem", pred)
+            .project(&["lineitem.orderkey", "lineitem.partkey", "lineitem.extendedprice"])
+    };
+    let indexed = scan(col("lineitem.orderkey").eq(lit(7i64)));
+    let unindexed = scan(col("lineitem.orderkey").add(lit(0i64)).eq(lit(7i64)));
+    for (spec, probes_index) in [(&point_join, true), (&indexed, true), (&unindexed, false)] {
+        let plan = svc.run_solo(spec).expect("solo run").fingerprint;
+        assert_eq!(plan.contains("ix"), probes_index, "unexpected plan {plan}");
+    }
+
+    let mut client = WireClient::connect(&addr, 0).expect("connect");
+    let rows_of = |client: &mut WireClient, spec: &QuerySpec| {
+        let out = client.run(spec, WireQueryOptions::default()).expect("wire").expect("query");
+        let mut rows = out.rows;
+        rows.sort();
+        rows
+    };
+    let before = rows_of(&mut client, &indexed).len();
+    assert!(before > 0, "order 7 has lineitems in the generated data");
+    assert_eq!(rows_of(&mut client, &point_join).len(), before);
+
+    let early = client.submit(&point_join, WireQueryOptions::default()).expect("submit");
+    await_until(|| svc.completions().iter().any(|c| c.query == early), "the early query to run");
+    let fresh: Vec<Row> = (0..16)
+        .map(|k| {
+            let mut row = fresh_lineitem(k);
+            row[0] = Value::Int(7);
+            row
+        })
+        .collect();
+    client.append("lineitem", fresh).expect("wire").expect("append");
+    let drained = client.fetch(early).expect("wire").expect("early query");
+    assert_eq!(drained.rows.len(), before, "a query keeps the epoch it was admitted in");
+
+    let via_scan = rows_of(&mut client, &unindexed);
+    assert_eq!(via_scan.len(), before + 16);
+    assert_eq!(rows_of(&mut client, &indexed), via_scan, "index scan is stale after APPEND");
+    let joined = rows_of(&mut client, &point_join);
+    assert_eq!(joined.len(), before + 16, "index join is stale after APPEND");
+    client.goodbye().expect("goodbye");
     drop(server);
 }
 

@@ -2,6 +2,8 @@
 //!
 //! * all join algorithms compute the same multiset;
 //! * cracking / adaptive merging / index / scan agree on every range;
+//! * the packed secondary indexes answer exactly as the `BTreeMap`s they
+//!   replaced, through inserts and append-partition merges;
 //! * expression rewrites preserve semantics on arbitrary rows;
 //! * the cracker invariant survives arbitrary query/update interleavings;
 //! * sort output is ordered and a permutation of its input;
@@ -16,10 +18,12 @@ use rqp::common::rng::{child_seed, seeded};
 use rqp::exec::{collect, ExecContext, GJoinOp, HashJoinOp, MergeJoinOp, Operator, SortOp};
 use rqp::expr::{col, lit, rewrites};
 use rqp::stats::MaxEntSolver;
-use rqp::storage::{AdaptiveMergeIndex, CrackerColumn, MultiIndex, Table};
+use rqp::storage::{AdaptiveMergeIndex, BTreeIndex, CrackerColumn, MultiIndex, RowId, Table};
 use rqp::{DataType, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Cases per property — matches the proptest budget this file replaced.
 const CASES: u64 = 48;
@@ -239,9 +243,10 @@ fn multi_index_agrees_with_filter() {
             t.append(vec![Value::Int(a), Value::Int(b)]);
         }
         let ix = MultiIndex::build("ix", &t, &["a", "b"]).unwrap();
-        let mut got = ix
+        let mut got: Vec<usize> = ix
             .lookup(&[Value::Int(a_eq)], Some(&Value::Int(b_lo)), Some(&Value::Int(b_hi)))
-            .unwrap();
+            .unwrap()
+            .collect();
         got.sort_unstable();
         let want: Vec<usize> = rows
             .iter()
@@ -251,7 +256,7 @@ fn multi_index_agrees_with_filter() {
             .collect();
         assert_eq!(got, want, "case {case}: range lookup");
         // Pure-prefix lookup is the union over all b.
-        let mut all = ix.lookup(&[Value::Int(a_eq)], None, None).unwrap();
+        let mut all: Vec<usize> = ix.lookup(&[Value::Int(a_eq)], None, None).unwrap().collect();
         all.sort_unstable();
         let want_all: Vec<usize> = rows
             .iter()
@@ -260,6 +265,245 @@ fn multi_index_agrees_with_filter() {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(all, want_all, "case {case}: prefix lookup");
+    }
+}
+
+/// Values of one type with everything an ordering bug trips on: duplicates,
+/// `i64` extremes, both zeros, infinities, NaNs of either sign and payload.
+fn awkward_pool(dtype: DataType) -> Vec<Value> {
+    match dtype {
+        DataType::Int => [i64::MIN, -7, -1, 0, 1, 2, 3, 5, 8, 1 << 53, i64::MAX]
+            .into_iter()
+            .map(Value::Int)
+            .collect(),
+        DataType::Float => {
+            let nan_payload = f64::from_bits(f64::NAN.to_bits() | 0xbeef);
+            [f64::NEG_INFINITY, -7.0, -0.0, 0.0, 0.5, 2.0, 2.5, 3.0, 1e300, f64::INFINITY]
+                .into_iter()
+                .chain([f64::NAN, -f64::NAN, nan_payload])
+                .map(Value::Float)
+                .collect()
+        }
+        DataType::Str => {
+            ["", "a", "ab", "abc", "b", "ba", "z", "é"].into_iter().map(Value::from).collect()
+        }
+    }
+}
+
+/// Probes for a column of `dtype`: its own pool, values absent from it, the
+/// other numeric type (`Int(2)` against floats and back), NULL and a
+/// wrong-type value.
+fn probe_pool(dtype: DataType) -> Vec<Value> {
+    let mut probes = awkward_pool(dtype);
+    probes.extend([Value::Null, Value::Int(2), Value::Int(4), Value::Int(-1), Value::Int(0)]);
+    probes.extend([2.0, 2.25, -0.0, 4.0, 9.2e18, f64::NAN].map(Value::Float));
+    probes.extend(["", "aa", "zz"].map(Value::from));
+    probes
+}
+
+fn pick<T: Clone>(rng: &mut StdRng, pool: &[T]) -> T {
+    pool[rng.gen_range(0..pool.len())].clone()
+}
+
+fn pick_bound(rng: &mut StdRng, pool: &[Value]) -> Option<Value> {
+    (rng.gen_range(0..4) > 0).then(|| pick(rng, pool))
+}
+
+/// The `BTreeMap<Value, Vec<RowId>>` index the packed run replaced, kept
+/// here as the reference it must keep agreeing with.
+struct RefIndex {
+    map: BTreeMap<Value, Vec<RowId>>,
+    clustered: bool,
+    entries: usize,
+}
+
+impl RefIndex {
+    fn build(values: &[Value]) -> Self {
+        let mut map: BTreeMap<Value, Vec<RowId>> = BTreeMap::new();
+        for (rid, v) in values.iter().enumerate() {
+            map.entry(v.clone()).or_default().push(rid);
+        }
+        let in_key_order: Vec<RowId> = map.values().flatten().copied().collect();
+        let clustered = in_key_order.windows(2).all(|w| w[0] <= w[1]);
+        RefIndex { map, clustered, entries: values.len() }
+    }
+
+    fn insert(&mut self, key: Value, rid: RowId) {
+        if let Some((max_key, rids)) = self.map.iter().next_back() {
+            if key < *max_key || rid < *rids.last().unwrap() {
+                self.clustered = false;
+            }
+        }
+        self.map.entry(key).or_default().push(rid);
+        self.entries += 1;
+    }
+
+    fn lookup_eq(&self, v: &Value) -> Vec<RowId> {
+        self.map.get(v).cloned().unwrap_or_default()
+    }
+
+    fn lookup_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<RowId> {
+        if matches!((lo, hi), (Some(a), Some(b)) if a > b) {
+            return Vec::new();
+        }
+        let bound = |v: Option<&Value>| v.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
+        self.map.range((bound(lo), bound(hi))).flat_map(|(_, r)| r.iter().copied()).collect()
+    }
+}
+
+#[test]
+fn packed_index_matches_btreemap_reference() {
+    let mut merges = 0;
+    for case in 0..CASES {
+        let mut rng = case_rng("packed-index", case);
+        let dtype = [DataType::Int, DataType::Float, DataType::Str][(case % 3) as usize];
+        let pool = awkward_pool(dtype);
+        let probes = probe_pool(dtype);
+        let n_rows = rng.gen_range(0usize..200);
+        let n_inserts = rng.gen_range(150usize..320);
+        let mut values: Vec<Value> =
+            (0..n_rows + n_inserts).map(|_| pick(&mut rng, &pool)).collect();
+        // A quarter of the cases stay in key order throughout (a clustered
+        // index that appends keep clustered); the rest are shuffled.
+        if case % 4 == 0 {
+            values.sort();
+        }
+        let inserts = values.split_off(n_rows);
+        let mut t = Table::new("t", Schema::from_pairs(&[("k", dtype)]));
+        for v in &values {
+            t.append(vec![v.clone()]);
+        }
+        let mut ix = BTreeIndex::build("ix", &t, "k").unwrap();
+        let mut reference = RefIndex::build(&values);
+
+        let check = |ix: &BTreeIndex, reference: &RefIndex, rng: &mut StdRng, what: &str| {
+            ix.validate().unwrap();
+            assert_eq!(ix.entries(), reference.entries, "case {case} {what}: entries");
+            assert_eq!(ix.distinct_keys(), reference.map.len(), "case {case} {what}: distinct");
+            assert_eq!(ix.clustered(), reference.clustered, "case {case} {what}: clustered");
+            for _ in 0..6 {
+                let v = pick(rng, &probes);
+                let got: Vec<RowId> = ix.lookup_eq(&v).collect();
+                assert_eq!(got, reference.lookup_eq(&v), "case {case} {what}: eq {v:?}");
+                let (lo, hi) = (pick_bound(rng, &probes), pick_bound(rng, &probes));
+                let ids = ix.lookup_range(lo.as_ref(), hi.as_ref());
+                let want = reference.lookup_range(lo.as_ref(), hi.as_ref());
+                assert_eq!(ids.len(), want.len(), "case {case} {what}: len [{lo:?}, {hi:?}]");
+                assert_eq!(ids.collect::<Vec<_>>(), want, "case {case} {what}: [{lo:?}, {hi:?}]");
+                let sel = ix.selectivity(lo.as_ref(), hi.as_ref());
+                let want_sel = want.len() as f64 / reference.entries.max(1) as f64;
+                assert_eq!(sel, want_sel, "case {case} {what}: selectivity");
+            }
+        };
+        check(&ix, &reference, &mut rng, "built");
+        for (i, key) in inserts.into_iter().enumerate() {
+            // Mostly the next row id, as an append makes them; now and then
+            // an earlier one, which declusters.
+            let rid =
+                if rng.gen_range(0..40) == 0 { rng.gen_range(0..=n_rows) } else { n_rows + i };
+            // An `Int` key coerces into a float column, as a table append does.
+            let key = match key {
+                Value::Float(f) if f == f.trunc() && f.abs() < 1e9 && rng.gen() => {
+                    Value::Int(f as i64)
+                }
+                other => other,
+            };
+            let tail_before = ix.tail_entries();
+            ix.insert(key.clone(), rid).unwrap();
+            reference.insert(key, rid);
+            merges += usize::from(ix.tail_entries() < tail_before);
+            if i % 7 == 0 {
+                check(&ix, &reference, &mut rng, "after insert");
+            }
+        }
+        check(&ix, &reference, &mut rng, "at the end");
+    }
+    assert!(merges >= 2 * CASES as usize, "every case crosses two tail merges, saw {merges}");
+}
+
+/// The old `MultiIndex::lookup` over a `BTreeMap<Vec<Value>, Vec<RowId>>`.
+fn ref_multi_lookup(
+    map: &BTreeMap<Vec<Value>, Vec<RowId>>,
+    prefix: &[Value],
+    lo: Option<&Value>,
+    hi: Option<&Value>,
+) -> Vec<RowId> {
+    let mut lower = prefix.to_vec();
+    lower.extend(lo.cloned());
+    let mut out = Vec::new();
+    for (key, rids) in map.range((Bound::Included(lower), Bound::Unbounded)) {
+        if key[..prefix.len()] != *prefix {
+            break;
+        }
+        if hi.is_some_and(|h| key[prefix.len()] > *h) {
+            break;
+        }
+        out.extend_from_slice(rids);
+    }
+    out
+}
+
+#[test]
+fn packed_multi_index_matches_btreemap_reference() {
+    for case in 0..CASES {
+        let mut rng = case_rng("packed-multi-index", case);
+        let middle = [DataType::Float, DataType::Str][(case % 2) as usize];
+        let types = [DataType::Int, middle, DataType::Int];
+        let pools: Vec<Vec<Value>> = types
+            .iter()
+            .map(|&t| {
+                // Narrow domains, so prefixes repeat and ranges have content.
+                let mut pool = awkward_pool(t);
+                pool.truncate(rng.gen_range(2..=pool.len()));
+                pool
+            })
+            .collect();
+        let probes: Vec<Vec<Value>> = types.iter().map(|&t| probe_pool(t)).collect();
+        let n_rows = rng.gen_range(0usize..160);
+        let schema = Schema::from_pairs(&[("a", types[0]), ("b", types[1]), ("c", types[2])]);
+        let mut t = Table::new("t", schema);
+        let mut map: BTreeMap<Vec<Value>, Vec<RowId>> = BTreeMap::new();
+        let draw = |rng: &mut StdRng| -> Vec<Value> { pools.iter().map(|p| pick(rng, p)).collect() };
+        for rid in 0..n_rows {
+            let row = draw(&mut rng);
+            map.entry(row.clone()).or_default().push(rid);
+            t.append(row);
+        }
+        let mut ix = MultiIndex::build("ix", &t, &["a", "b", "c"]).unwrap();
+        for step in 0..200 {
+            if step > 0 {
+                let key = draw(&mut rng);
+                ix.insert(&key, n_rows + step).unwrap();
+                map.entry(key).or_default().push(n_rows + step);
+            }
+            if step % 5 != 0 {
+                continue;
+            }
+            ix.validate().unwrap();
+            for _ in 0..8 {
+                let plen = rng.gen_range(0..=3);
+                // Mostly keys that exist, else the lookup is nearly always empty.
+                let prefix: Vec<Value> = (0..plen)
+                    .map(|c| {
+                        let from = if rng.gen_range(0..4) > 0 { &pools[c] } else { &probes[c] };
+                        pick(&mut rng, from)
+                    })
+                    .collect();
+                let (lo, hi) = match probes.get(plen) {
+                    Some(p) => (pick_bound(&mut rng, p), pick_bound(&mut rng, p)),
+                    None => (None, None),
+                };
+                let got = ix.lookup(&prefix, lo.as_ref(), hi.as_ref()).unwrap();
+                let want = ref_multi_lookup(&map, &prefix, lo.as_ref(), hi.as_ref());
+                let what = format!("case {case} step {step}: {prefix:?} [{lo:?}, {hi:?}]");
+                assert_eq!(got.len(), want.len(), "{what}: len");
+                assert_eq!(got.collect::<Vec<_>>(), want, "{what}");
+                let sel = ix.selectivity(&prefix, lo.as_ref(), hi.as_ref()).unwrap();
+                let want_sel = want.len() as f64 / ix.entries().max(1) as f64;
+                assert_eq!(sel, want_sel, "{what}: selectivity");
+            }
+        }
+        assert_eq!(ix.entries(), map.values().map(Vec::len).sum::<usize>(), "case {case}");
     }
 }
 

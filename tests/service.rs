@@ -2,12 +2,15 @@
 //! the MPL gate, result identity under concurrency, typed deadline aborts
 //! that release every workspace grant, cancellation while queued, agreement
 //! between the real service and the virtual-time [`WorkloadManager`] on a
-//! deterministic trace, and the A06 scoreboard gate.
+//! deterministic trace, the A06 scoreboard gate, and secondary indexes
+//! following service appends.
 //!
 //! Compiled under `rqp-bench` so it can drive both the service API and the
 //! `a06_concurrent_service` experiment end to end.
 
-use rqp::common::RqpError;
+use rqp::common::expr::{col, lit};
+use rqp::common::{Row, RqpError, Value};
+use rqp::opt::QuerySpec;
 use rqp::server::{QueryOptions, QueryService, ServiceConfig};
 use rqp::telemetry::scoreboard::{DiffThresholds, Scoreboard};
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
@@ -147,6 +150,71 @@ fn service_and_simulator_agree_on_a_deterministic_three_job_trace() {
         simulated,
         "real service and virtual-time simulator disagree on completion order"
     );
+}
+
+/// `APPEND` must reach the indexes, not just the table: after 16 new
+/// `lineitem` rows the index-served point join and index scans agree with a
+/// filter no index can serve. Before indexes followed appends they kept
+/// answering from the rows they were built over (3 / 3 / 73 here) — silently.
+#[test]
+fn indexes_follow_service_appends() {
+    // The benchmark's set-up, so the numbers are the ones `oltp_point` sees.
+    let db = TpchDb::build(TpchParams { lineitem_rows: 200_000, ..Default::default() }, 42);
+    let svc = QueryService::new(&db.catalog, ServiceConfig::default());
+    let point_join = QuerySpec::new()
+        .join("orders", "orderkey", "lineitem", "orderkey")
+        .filter("orders", col("orders.orderkey").eq(lit(777i64)))
+        .project(&["orders.orderkey", "orders.totalprice", "lineitem.extendedprice"]);
+    let scan = |pred| {
+        QuerySpec::new()
+            .table("lineitem")
+            .filter("lineitem", pred)
+            .project(&["lineitem.orderkey", "lineitem.shipdate", "lineitem.extendedprice"])
+    };
+    let indexed = |column: &str, v: i64| scan(col(column).eq(lit(v)));
+    // `column + 0 = v` is not a simple predicate: it runs as a filtered scan.
+    let unindexed = |column: &str, v: i64| scan(col(column).add(lit(0i64)).eq(lit(v)));
+    let run = |spec: &QuerySpec| svc.run_solo(spec).expect("solo run");
+    let count = |spec: &QuerySpec| run(spec).rows.len();
+
+    for spec in [&point_join, &indexed("lineitem.orderkey", 777), &indexed("lineitem.shipdate", 5)]
+    {
+        assert!(run(spec).fingerprint.contains("ix"), "the plan must probe an index");
+    }
+    assert!(!run(&unindexed("lineitem.orderkey", 777)).fingerprint.contains("ix"));
+    assert_eq!(count(&point_join), 3);
+    assert_eq!(count(&indexed("lineitem.orderkey", 777)), 3);
+    assert_eq!(count(&indexed("lineitem.shipdate", 5)), 73);
+
+    // A query admitted before the append and drained after it keeps the
+    // rows of its own epoch.
+    let early = svc.session(0).submit(point_join.clone(), QueryOptions::default());
+    let early_id = early.query();
+    while !svc.completions().iter().any(|c| c.query == early_id) {
+        std::thread::yield_now();
+    }
+
+    let fresh: Vec<Row> = (0..16)
+        .map(|i| {
+            let price = Value::Float(1_000.0 + i as f64);
+            let (k, date) = (Value::Int(777), Value::Int(5));
+            vec![k, Value::Int(i), Value::Int(i % 7), Value::Int(1), price, Value::Float(0.0), date, Value::Int(0)]
+        })
+        .collect();
+    svc.append_rows("lineitem", fresh).expect("append");
+
+    assert_eq!(early.join().expect("early query").rows.len(), 3, "frozen epoch");
+    assert_eq!(count(&unindexed("lineitem.orderkey", 777)), 19);
+    assert_eq!(count(&unindexed("lineitem.shipdate", 5)), 89);
+    assert_eq!(count(&point_join), 19, "index join misses appended rows");
+    assert_eq!(count(&indexed("lineitem.orderkey", 777)), 19, "orderkey index scan is stale");
+    assert_eq!(count(&indexed("lineitem.shipdate", 5)), 89, "shipdate index scan is stale");
+    let mut via_index = run(&indexed("lineitem.orderkey", 777)).rows;
+    let mut via_scan = run(&unindexed("lineitem.orderkey", 777)).rows;
+    via_index.sort();
+    via_scan.sort();
+    assert_eq!(via_index, via_scan, "same rows, not just the same count");
+    assert_eq!(svc.reserved(), 0.0);
 }
 
 #[test]
