@@ -10,10 +10,10 @@
 //! adaptive-decision events in cost-clock order, and summarizes metrics.
 //! `scoreboard` folds every `*.json` run report in a directory into the
 //! cross-run scoreboard of paper metrics. `diff` compares two scoreboards
-//! with per-metric thresholds and exits non-zero when the current board
+//! under each metric's gate and exits non-zero when the current board
 //! regresses against the baseline — the CI gate.
 
-use rqp::telemetry::{DiffThresholds, EventTail, Json, MetricValue, RunReport, Scoreboard};
+use rqp::telemetry::{EventTail, Json, MetricValue, RunReport, Scoreboard};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -175,7 +175,7 @@ fn diff(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-    let regressions = baseline.diff(&current, &DiffThresholds::default());
+    let regressions = baseline.diff(&current);
     if regressions.is_empty() {
         println!(
             "no regressions: {} experiments within thresholds of {}",

@@ -137,20 +137,34 @@ pub fn run(
     format!("{text}{sep}{footer}\n")
 }
 
-/// Shared main for the experiment binaries: parse `--fast`, run the
-/// experiment, print its report, and write it as `<name>.txt` next to the
-/// JSON run report.
-pub fn cli_main(name: &str, experiment: fn(bool) -> String) {
-    let fast = std::env::args().any(|a| a == "--fast");
+/// Locate the `rqp-loadgen` binary A07/A08 spawn as real client processes:
+/// `RQP_LOADGEN_BIN` when set (the gate tests pass Cargo's own path),
+/// otherwise a sibling of the running binary (stepping out of
+/// `target/<profile>/deps/` when invoked from a test).
+pub(super) fn loadgen_bin() -> PathBuf {
+    if let Some(path) = std::env::var_os("RQP_LOADGEN_BIN") {
+        return PathBuf::from(path);
+    }
+    let mut dir = std::env::current_exe()
+        .expect("current exe")
+        .parent()
+        .expect("exe dir")
+        .to_path_buf();
+    if dir.file_name().is_some_and(|n| n == "deps") {
+        dir.pop();
+    }
+    dir.join("rqp-loadgen")
+}
+
+/// What `rqp-exp` does per experiment: run it, print its report, and write
+/// it as `<name>.txt` next to the JSON run report.
+pub fn run_to_artifact((name, experiment): super::Experiment, fast: bool) -> Result<(), String> {
     let out = experiment(fast);
     println!("{out}");
     let path = output_dir().join(format!("{name}.txt"));
-    if let Err(e) = std::fs::create_dir_all(output_dir())
+    std::fs::create_dir_all(output_dir())
         .and_then(|()| std::fs::write(&path, &out))
-    {
-        eprintln!("artifact write failed for {}: {e}", path.display());
-        std::process::exit(1);
-    }
+        .map_err(|e| format!("artifact write failed for {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -230,10 +244,10 @@ mod tests {
         let board =
             rqp::telemetry::Scoreboard::from_dir(&dir).expect("fold");
         let e = &board.entries["e00_sample_probe"];
-        assert!(e.smoothness > 0.0);
-        assert!(e.intrinsic > 0.0);
-        assert!(e.extrinsic > 0.0);
-        assert!((e.m3 - 0.25).abs() < 1e-9);
+        assert!(e.get("smoothness") > 0.0);
+        assert!(e.get("intrinsic") > 0.0);
+        assert!(e.get("extrinsic") > 0.0);
+        assert!((e.get("m3") - 0.25).abs() < 1e-9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

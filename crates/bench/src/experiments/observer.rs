@@ -8,7 +8,6 @@ use rqp::telemetry::MetricValue;
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp_net::loadgen::menu;
 use rqp_net::{WireClient, WireQueryOptions, WireServer};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A08 — live observer: the same multi-process workload run bare and with
@@ -19,22 +18,6 @@ use std::sync::Arc;
 /// silent.
 pub fn a08_live_observer(fast: bool) -> String {
     harness::run("a08_live_observer", fast, a08_body)
-}
-
-/// Locate `rqp-loadgen` exactly as A07 does: env override, else a sibling.
-fn loadgen_bin() -> PathBuf {
-    if let Some(path) = std::env::var_os("RQP_LOADGEN_BIN") {
-        return PathBuf::from(path);
-    }
-    let mut dir = std::env::current_exe()
-        .expect("current exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
-    if dir.file_name().is_some_and(|n| n == "deps") {
-        dir.pop();
-    }
-    dir.join("rqp-loadgen")
 }
 
 struct RunOutcome {
@@ -67,7 +50,7 @@ fn run_leg(
 ) -> RunOutcome {
     let server = WireServer::start(Arc::clone(svc), "127.0.0.1:0").expect("bind wire server");
     let addr = format!("127.0.0.1:{}", server.port());
-    let bin = loadgen_bin();
+    let bin = harness::loadgen_bin();
     let mut cmd = std::process::Command::new(&bin);
     cmd.args(["--addr", &addr])
         .args(["--clients", &clients.to_string()])
@@ -129,6 +112,10 @@ fn a08_body(h: &mut Harness) -> String {
         mpl: 4,
         memory_rows: if fast { 20_000.0 } else { 60_000.0 },
         drift_threshold: 1e9,
+        // The overhead ratio compares two runs cost for cost, and below a
+        // page budget the shared pool's refaults land on whichever query
+        // interleaves there: keep an inherited `RQP_PAGE_BUDGET` out.
+        page_budget: None,
         ..Default::default()
     };
     h.config("lineitem_rows", li);

@@ -9,7 +9,6 @@ use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 use rqp::QuerySpec;
 use rqp_net::loadgen::{menu, menu_index};
 use rqp_net::{rows_checksum, WireClient, WireQueryOptions, WireServer};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,24 +18,6 @@ use std::time::{Duration, Instant};
 /// replayed in virtual time for the tail-latency gauges.
 pub fn a07_wire_service(fast: bool) -> String {
     harness::run("a07_wire_service", fast, a07_body)
-}
-
-/// Locate the `rqp-loadgen` binary: `RQP_LOADGEN_BIN` when set (the gate
-/// test passes Cargo's own path), otherwise a sibling of the running binary
-/// (stepping out of `target/<profile>/deps/` when invoked from a test).
-fn loadgen_bin() -> PathBuf {
-    if let Some(path) = std::env::var_os("RQP_LOADGEN_BIN") {
-        return PathBuf::from(path);
-    }
-    let mut dir = std::env::current_exe()
-        .expect("current exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
-    if dir.file_name().is_some_and(|n| n == "deps") {
-        dir.pop();
-    }
-    dir.join("rqp-loadgen")
 }
 
 /// Spin until `cond` holds or a generous deadline passes.
@@ -95,7 +76,7 @@ fn a07_body(h: &mut Harness) -> String {
 
     let server = WireServer::start(Arc::clone(&svc), "127.0.0.1:0").expect("bind wire server");
     let addr = format!("127.0.0.1:{}", server.port());
-    let bin = loadgen_bin();
+    let bin = harness::loadgen_bin();
     let output = std::process::Command::new(&bin)
         .args(["--addr", &addr])
         .args(["--clients", &clients.to_string()])

@@ -2,13 +2,15 @@
 //!
 //! The experiment harness: one function per table/figure the Dagstuhl 10381
 //! report presents or specifies (see `DESIGN.md`'s per-experiment index).
-//! Each experiment returns its printed report as a `String`; the `e*` binary
-//! targets print it, and `EXPERIMENTS.md` records representative output.
+//! Each experiment returns its printed report as a `String`; the `rqp-exp`
+//! binary runs rows of the [`EXPERIMENTS`] registry and prints them, and
+//! `EXPERIMENTS.md` records representative output.
 //!
-//! Run a single experiment:
+//! Run one experiment, or all of them:
 //!
 //! ```sh
-//! cargo run --release -p rqp-bench --bin e01_pop_aggregate
+//! cargo run --release -p rqp-bench --bin rqp-exp -- e01_pop_aggregate
+//! cargo run --release -p rqp-bench --bin rqp-exp -- --all --fast
 //! ```
 //!
 //! All experiments accept a `fast` flag (used by the test suite and CI) that

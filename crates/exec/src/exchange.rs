@@ -45,18 +45,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Number of exchange workers to use when the caller doesn't say: the
-/// `RQP_THREADS` environment variable, else 4. The CI matrix runs the suite
-/// at `RQP_THREADS=1` and `RQP_THREADS=8`; determinism means both legs must
-/// produce identical results and cost totals.
-pub fn default_workers() -> usize {
-    std::env::var("RQP_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
-
 /// How a repartition exchange routes rows to workers.
 #[derive(Debug, Clone)]
 pub enum Partitioning {
@@ -1117,31 +1105,6 @@ mod tests {
         };
         assert!(even > 3.0, "even hash split should scale, got {even}");
         assert!(skewed < 2.0, "90% skew should collapse speedup, got {skewed}");
-    }
-
-    #[test]
-    fn default_workers_reads_env() {
-        // Can't mutate the environment safely in a parallel test binary;
-        // just pin the unset/garbage fallback contract.
-        let n = default_workers();
-        assert!(n >= 1);
-    }
-
-    #[test]
-    fn env_worker_count_matches_single_worker_plan() {
-        // The CI matrix runs this suite at RQP_THREADS=1 and RQP_THREADS=8:
-        // whatever worker count the environment picks, the parallel plan
-        // must match the single-worker run bit for bit.
-        let t = table(1_000);
-        let run = |workers: usize| {
-            let ctx = ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY);
-            let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), workers, ctx.clone());
-            (collect(&mut ex), ctx.clock.breakdown())
-        };
-        let (rows1, bd1) = run(1);
-        let (rows_env, bd_env) = run(default_workers());
-        assert_eq!(rows1, rows_env);
-        assert_eq!(bd1.total().to_bits(), bd_env.total().to_bits());
     }
 
     use rqp_common::{ChaosConfig, ChaosPolicy};

@@ -48,6 +48,6 @@ pub use metrics::{
 };
 pub use recorder::{EventTail, FlightRecorder, RecordedEvent};
 pub use report::RunReport;
-pub use scoreboard::{DiffThresholds, Regression, Scoreboard, ScoreboardEntry};
+pub use scoreboard::{Regression, Scoreboard, ScoreboardEntry};
 pub use span::{SpanEvent, SpanHandle, SpanSnapshot, Tracer};
 pub use trace::{TraceNode, TraceTree};

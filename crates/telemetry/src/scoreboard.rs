@@ -16,26 +16,22 @@
 //! Folding is exactly order-independent: every sample pool is sorted before
 //! reduction, so any permutation of the same reports produces a
 //! byte-identical scoreboard. [`Scoreboard::diff`] compares two scoreboards
-//! under per-metric thresholds — the CI regression gate.
+//! under each metric's gate — the CI regression gate.
+//!
+//! Every metric is one row of `METRICS`: where its number comes from and
+//! how far it may move. Folding, the JSON document and the gate all iterate
+//! that table, so a new gated gauge is one [`samples`] const plus one row.
 
 use crate::json::Json;
+use crate::metrics::MetricValue;
 use crate::report::RunReport;
 use rqp_metrics::{cardinality_error_geomean, metric1, metric3, smoothness, VariabilityReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Version stamped into `scoreboard.json`; bump on breaking changes.
-/// Version 2 added the parallel-execution metrics (`parallel_speedup`,
-/// `parallel_skew`). Version 3 added the chaos metrics
-/// (`degradation_cliff`, `recovery_rate`). Version 4 added the concurrent-
-/// service metrics (`tail_amplification`, `admission_wait`). Version 5
-/// added the wire-service metrics (`wire_tail_p99`, `wire_tail_p999`,
-/// `wire_churn_recovery`, `wire_backpressure_pages`). Version 6 added the
-/// live-observability metrics (`observer_overhead_p99`,
-/// `observer_event_loss`). Version 7 added the batch-execution metric
-/// (`batch_speedup`). Version 8 added the paged-storage metrics
-/// (`paged_cliff`, `paged_completion`). Version 9 added the streaming
-/// metrics (`stream_delta_p99`, `stream_view_divergence`).
+/// Version stamped into `scoreboard.json`. Bump it with every change to
+/// `METRICS`: `from_json` requires exactly this build's keys, so a board
+/// written before a row was added must be refused, not half-read.
 pub const SCOREBOARD_VERSION: u32 = 9;
 
 /// Reserved metric names through which experiments publish the raw samples
@@ -55,76 +51,190 @@ pub mod samples {
     pub const ENV_CHOSEN: &str = ".chosen";
     /// Suffix of the ideal-plan cost gauge in an environment pair.
     pub const ENV_IDEAL: &str = ".ideal";
+    // The gauges below are one `METRICS` row each; the row says which way
+    // they fold across runs and how far they may move.
     /// Gauge: headline parallel speedup (total work / critical path at the
-    /// experiment's reference worker count, zero skew). Folded as the
-    /// *minimum* across runs — the worst scaling observed.
+    /// experiment's reference worker count, zero skew).
     pub const PARALLEL_SPEEDUP: &str = "paper.parallel.speedup";
     /// Gauge: worst partition-imbalance factor (critical path relative to a
-    /// perfectly balanced split). Folded as the *maximum* across runs.
+    /// perfectly balanced split).
     pub const PARALLEL_SKEW: &str = "paper.parallel.skew";
     /// Gauge: worst cost ratio between adjacent memory fractions of a chaos
-    /// sweep — the steepest degradation "cliff". Folded as the *maximum*
-    /// across runs; a robust system degrades smoothly (stays near 1).
+    /// sweep — the steepest "cliff"; smooth degradation stays near 1.
     pub const DEGRADATION_CLIFF: &str = "paper.chaos.degradation_cliff";
     /// Gauge: fraction of chaos-injected queries that completed (after
-    /// retries and renegotiation). Folded as the *minimum* across runs —
-    /// the worst recovery observed.
+    /// retries and renegotiation).
     pub const RECOVERY_RATE: &str = "paper.chaos.recovery_rate";
-    /// Gauge: worst p99-latency amplification of concurrent execution over
-    /// solo execution across a service sweep (`p99 / solo p99`). Folded as
-    /// the *maximum* across runs — a managed service keeps the tail bounded.
+    /// Gauge: worst p99-latency amplification of concurrent over solo
+    /// execution across a service sweep (`p99 / solo p99`).
     pub const TAIL_AMPLIFICATION: &str = "paper.service.tail_amplification";
-    /// Gauge: worst p99 admission-queue wait (cost units) across a service
-    /// sweep. Folded as the *maximum* across runs.
+    /// Gauge: worst p99 admission-queue wait (cost units) across a service sweep.
     pub const ADMISSION_WAIT: &str = "paper.service.admission_wait";
     /// Gauge: worst p99 end-to-end latency amplification over solo execution
-    /// across the wire-service sweep. Folded as the *maximum* across runs.
+    /// across the wire-service sweep.
     pub const WIRE_TAIL_P99: &str = "paper.wire.tail_p99";
-    /// Gauge: worst p99.9 end-to-end latency amplification over solo
-    /// execution across the wire-service sweep. Folded as the *maximum*.
+    /// Gauge: the same at p99.9.
     pub const WIRE_TAIL_P999: &str = "paper.wire.tail_p999";
     /// Gauge: fraction of mid-query client disconnects whose queries were
-    /// fully reaped (slot surrendered, grants returned). Folded as the
-    /// *minimum* across runs — the worst churn recovery observed.
+    /// fully reaped (slot surrendered, grants returned).
     pub const WIRE_CHURN_RECOVERY: &str = "paper.wire.churn_recovery";
     /// Gauge: peak encoded-but-unsent result pages held for any single query
-    /// under a stalled consumer. Folded as the *maximum* across runs —
-    /// credit-based paging keeps this at 1.
+    /// under a stalled consumer — credit-based paging keeps this at 1.
     pub const WIRE_BACKPRESSURE_PAGES: &str = "paper.wire.backpressure_pages";
-    /// Gauge: p99 wire-tail amplification with a live observer attached,
-    /// relative to the same workload unobserved (`observed p99 / bare
-    /// p99`). Folded as the *maximum* across runs — introspection frames
-    /// bypass admission and must not perturb the workload's tail.
+    /// Gauge: p99 wire-tail amplification with a live observer attached over
+    /// the same workload unobserved — introspection frames bypass admission
+    /// and must not perturb the workload's tail.
     pub const OBSERVER_OVERHEAD_P99: &str = "paper.observer.overhead_p99";
-    /// Gauge: flight-recorder events the observer requested but lost to
-    /// ring overwrite (summed `gap`). Folded as the *maximum* across runs
-    /// — a correctly provisioned recorder loses nothing.
+    /// Gauge: flight-recorder events the observer requested but lost to ring
+    /// overwrite (summed `gap`) — a provisioned recorder loses nothing.
     pub const OBSERVER_EVENT_LOSS: &str = "paper.observer.event_loss";
     /// Gauge: worst wall-clock speedup of the batch execution path over its
-    /// row-at-a-time twin on the `a09` microbench sweep (batch plans are
-    /// charge-identical, so only elapsed time can show the win). Folded as
-    /// the *minimum* across runs — the weakest vectorization observed.
+    /// row-at-a-time twin on the `a09` sweep (batch plans are charge-
+    /// identical, so only elapsed time can show the win).
     pub const BATCH_SPEEDUP: &str = "paper.batch.speedup";
-    /// Gauge: worst mean-cost ratio between adjacent page-budget fractions
-    /// of the paged-degradation sweep (`a10`) — the steepest cliff the
-    /// buffer pool shows when data stops fitting in memory. Folded as the
-    /// *maximum* across runs; bounded refaulting keeps this small.
+    /// Gauge: worst mean-cost ratio between adjacent page-budget fractions of
+    /// the paged-degradation sweep (`a10`) — the buffer pool's steepest cliff.
     pub const PAGED_CLIFF: &str = "paper.paged.degradation_cliff";
     /// Gauge: fraction of queries that completed across the paged sweep's
-    /// constrained-budget × fault-rate cells (budget exhaustion and
-    /// retry-exhausted page I/O both count as losses). Folded as the
-    /// *minimum* across runs — graceful degradation means losing none.
+    /// constrained cells (budget exhaustion and retry-exhausted page I/O
+    /// both count as losses).
     pub const PAGED_COMPLETION: &str = "paper.paged.completion_rate";
-    /// Gauge: worst p99 per-delta maintenance cost (cost units charged per
-    /// applied delta packet) across the continuous-query sweep (`a11`).
-    /// Folded as the *maximum* across runs — incremental maintenance keeps
-    /// delta latency bounded as subscriptions and churn scale.
+    /// Gauge: worst p99 per-delta maintenance cost (cost units per applied
+    /// delta packet) across the continuous-query sweep (`a11`).
     pub const STREAM_DELTA_P99: &str = "paper.stream.delta_p99";
-    /// Gauge: maintained views that diverged from a from-scratch
-    /// re-execution anywhere in the continuous-query sweep. Folded as the
-    /// *maximum* across runs — the view-consistency contract allows
-    /// exactly zero.
+    /// Gauge: maintained views that diverged from a from-scratch re-execution
+    /// anywhere in that sweep — the consistency contract allows exactly zero.
     pub const STREAM_VIEW_DIVERGENCE: &str = "paper.stream.view_divergence";
+}
+
+/// Which way a gauge's samples fold across an experiment's runs — always to
+/// the worst one observed, whichever direction "worse" is.
+#[derive(Clone, Copy)]
+enum Fold {
+    Min,
+    Max,
+}
+
+/// Where a metric's number comes from.
+enum Source {
+    /// The named gauge (a [`samples`] const), folded across runs.
+    Gauge(&'static str, Fold),
+    /// Computed from the sorted span and paired-gauge [`Pools`].
+    Derived(fn(&Pools) -> f64),
+}
+
+/// How far a metric may move against a baseline before [`Scoreboard::diff`]
+/// reports it. A metric the baseline lacks (NaN) gates nothing; one the
+/// baseline has and the current board lacks always trips.
+enum Gate {
+    /// Reported, never gated.
+    Ungated,
+    /// `Ceiling(ratio, slack)`: trips above `baseline * ratio + slack`. The
+    /// ratio bounds multiplicative growth, the slack absolute growth (for
+    /// baselines that are legitimately near zero).
+    Ceiling(f64, f64),
+    /// `Floor(slack)`: trips below `baseline - slack`.
+    Floor(f64),
+}
+
+/// One scoreboard metric: its JSON key, its source and its gate.
+struct MetricSpec {
+    key: &'static str,
+    source: Source,
+    gate: Gate,
+}
+
+const fn row(key: &'static str, source: Source, gate: Gate) -> MetricSpec {
+    MetricSpec { key, source, gate }
+}
+
+use {Fold::*, Gate::*, Source::*};
+
+/// Every scoreboard metric, in `scoreboard.json` key order.
+#[rustfmt::skip]
+const METRICS: &[MetricSpec] = &[
+    row("m1", Derived(m1), Ceiling(1.25, 0.5)),
+    row("m3", Derived(m3), Ceiling(1.0, 0.25)),
+    row("smoothness", Derived(smoothness_sq), Ceiling(1.0, 0.25)),
+    row("intrinsic", Derived(|p| variability(p, VariabilityReport::intrinsic)), Ungated),
+    row("extrinsic", Derived(|p| variability(p, VariabilityReport::extrinsic)), Ceiling(1.0, 0.25)),
+    row("max_q_error", Derived(max_q_error), Ceiling(1.5, 0.0)),
+    row("card_error_geomean", Derived(card_error_geomean), Ungated),
+    // Cost-clock totals summed across runs; spilled rows summed across spans.
+    row("total_cost", Derived(|p| p.costs.iter().sum()), Ceiling(1.10, 0.0)),
+    row("spilled_rows", Derived(|p| p.spilled.iter().sum()), Ungated),
+    row("parallel_speedup", Gauge(samples::PARALLEL_SPEEDUP, Min), Floor(0.25)),
+    row("parallel_skew", Gauge(samples::PARALLEL_SKEW, Max), Ceiling(1.0, 0.5)),
+    row("degradation_cliff", Gauge(samples::DEGRADATION_CLIFF, Max), Ceiling(1.0, 0.25)),
+    row("recovery_rate", Gauge(samples::RECOVERY_RATE, Min), Floor(0.02)),
+    row("tail_amplification", Gauge(samples::TAIL_AMPLIFICATION, Max), Ceiling(1.0, 0.5)),
+    row("admission_wait", Gauge(samples::ADMISSION_WAIT, Max), Ceiling(1.5, 1.0)),
+    row("wire_tail_p99", Gauge(samples::WIRE_TAIL_P99, Max), Ceiling(1.25, 0.5)),
+    row("wire_tail_p999", Gauge(samples::WIRE_TAIL_P999, Max), Ceiling(1.25, 0.5)),
+    row("wire_churn_recovery", Gauge(samples::WIRE_CHURN_RECOVERY, Min), Floor(0.02)),
+    row("wire_backpressure_pages", Gauge(samples::WIRE_BACKPRESSURE_PAGES, Max), Ceiling(1.0, 0.5)),
+    row("observer_overhead_p99", Gauge(samples::OBSERVER_OVERHEAD_P99, Max), Ceiling(1.25, 0.5)),
+    row("observer_event_loss", Gauge(samples::OBSERVER_EVENT_LOSS, Max), Ceiling(1.0, 0.5)),
+    // Wall-clock measurements jitter more than charged costs.
+    row("batch_speedup", Gauge(samples::BATCH_SPEEDUP, Min), Floor(0.5)),
+    row("paged_cliff", Gauge(samples::PAGED_CLIFF, Max), Ceiling(1.0, 0.25)),
+    row("paged_completion", Gauge(samples::PAGED_COMPLETION, Min), Floor(0.02)),
+    row("stream_delta_p99", Gauge(samples::STREAM_DELTA_P99, Max), Ceiling(1.25, 1.0)),
+    // View consistency is a contract, not a budget: zero slack, so ANY
+    // diverged maintained view is a regression.
+    row("stream_view_divergence", Gauge(samples::STREAM_VIEW_DIVERGENCE, Max), Ceiling(1.0, 0.0)),
+];
+
+fn metric_index(key: &str) -> usize {
+    METRICS
+        .iter()
+        .position(|m| m.key == key)
+        .unwrap_or_else(|| panic!("no scoreboard metric named {key:?}"))
+}
+
+/// `f` over a pool, or NaN when the experiment published nothing into it.
+fn nonempty<T>(pool: &[T], f: impl FnOnce(&[T]) -> f64) -> f64 {
+    if pool.is_empty() { f64::NAN } else { f(pool) }
+}
+
+/// Nica et al. Metric1: Σ |est − act| / act over estimated spans.
+fn m1(p: &Pools) -> f64 {
+    nonempty(&p.est_act, metric1)
+}
+
+/// Nica et al. Metric3 from the `paper.m3.*` gauge pairs, mean across runs.
+fn m3(p: &Pools) -> f64 {
+    nonempty(&p.m3_pairs, |ps| {
+        ps.iter().map(|&(o, b)| metric3(o, b)).sum::<f64>() / ps.len() as f64
+    })
+}
+
+/// Sattler et al. smoothness S(Q), from the `paper.perf_gap.*` gauges.
+fn smoothness_sq(p: &Pools) -> f64 {
+    nonempty(&p.perf_gaps, |gaps| smoothness(&gaps.iter().map(|(_, g)| *g).collect::<Vec<_>>()))
+}
+
+/// Intrinsic or extrinsic variability (`pick`) over the `paper.env.*` gauge
+/// pairs, paired by environment key; a chosen without an ideal (or vice
+/// versa) is dropped.
+fn variability(p: &Pools, pick: fn(&VariabilityReport) -> f64) -> f64 {
+    let ideals: BTreeMap<&str, f64> = p.env_ideal.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    let pairs: Vec<(f64, f64)> = p
+        .env_chosen
+        .iter()
+        .filter_map(|(k, chosen)| ideals.get(k.as_str()).map(|ideal| (*chosen, *ideal)))
+        .collect();
+    nonempty(&pairs, |pairs| pick(&VariabilityReport::from_costs(pairs)))
+}
+
+/// Worst per-span q-error.
+fn max_q_error(p: &Pools) -> f64 {
+    nonempty(&p.q_errors, |qs| qs.iter().copied().fold(1.0, f64::max))
+}
+
+/// Sattler et al. C(Q): geometric mean of relative cardinality errors.
+fn card_error_geomean(p: &Pools) -> f64 {
+    nonempty(&p.est_act, cardinality_error_geomean)
 }
 
 /// One experiment's folded robustness numbers. Metrics whose samples the
@@ -133,77 +243,33 @@ pub mod samples {
 pub struct ScoreboardEntry {
     /// Number of run reports folded in.
     pub runs: u64,
-    /// Nica et al. Metric1: Σ |est − act| / act over estimated spans.
-    pub m1: f64,
-    /// Nica et al. Metric3, from the `paper.m3.*` gauges.
-    pub m3: f64,
-    /// Sattler et al. smoothness S(Q), from the `paper.perf_gap.*` gauges.
-    pub smoothness: f64,
-    /// Intrinsic variability, from the `paper.env.*` gauge pairs.
-    pub intrinsic: f64,
-    /// Extrinsic variability, from the `paper.env.*` gauge pairs.
-    pub extrinsic: f64,
-    /// Worst per-span q-error.
-    pub max_q_error: f64,
-    /// Sattler et al. C(Q): geometric mean of relative cardinality errors.
-    pub card_error_geomean: f64,
-    /// Summed cost-clock totals across runs.
-    pub total_cost: f64,
-    /// Summed spilled rows across all spans.
-    pub spilled_rows: f64,
-    /// Worst (minimum) parallel speedup, from `paper.parallel.speedup`.
-    pub parallel_speedup: f64,
-    /// Worst (maximum) partition imbalance, from `paper.parallel.skew`.
-    pub parallel_skew: f64,
-    /// Worst (maximum) degradation cliff, from `paper.chaos.degradation_cliff`.
-    pub degradation_cliff: f64,
-    /// Worst (minimum) chaos recovery rate, from `paper.chaos.recovery_rate`.
-    pub recovery_rate: f64,
-    /// Worst (maximum) tail-latency amplification, from
-    /// `paper.service.tail_amplification`.
-    pub tail_amplification: f64,
-    /// Worst (maximum) p99 admission wait, from `paper.service.admission_wait`.
-    pub admission_wait: f64,
-    /// Worst (maximum) wire p99 latency amplification, from
-    /// `paper.wire.tail_p99`.
-    pub wire_tail_p99: f64,
-    /// Worst (maximum) wire p99.9 latency amplification, from
-    /// `paper.wire.tail_p999`.
-    pub wire_tail_p999: f64,
-    /// Worst (minimum) churn recovery fraction, from
-    /// `paper.wire.churn_recovery`.
-    pub wire_churn_recovery: f64,
-    /// Worst (maximum) stalled-consumer page buffering, from
-    /// `paper.wire.backpressure_pages`.
-    pub wire_backpressure_pages: f64,
-    /// Worst (maximum) observed-over-bare wire-tail ratio, from
-    /// `paper.observer.overhead_p99`.
-    pub observer_overhead_p99: f64,
-    /// Worst (maximum) flight-recorder event loss seen by an observer,
-    /// from `paper.observer.event_loss`.
-    pub observer_event_loss: f64,
-    /// Worst (minimum) batch-over-scalar wall-clock speedup, from
-    /// `paper.batch.speedup`.
-    pub batch_speedup: f64,
-    /// Worst (maximum) paged-degradation cliff, from
-    /// `paper.paged.degradation_cliff`.
-    pub paged_cliff: f64,
-    /// Worst (minimum) paged-sweep completion rate, from
-    /// `paper.paged.completion_rate`.
-    pub paged_completion: f64,
-    /// Worst (maximum) p99 per-delta maintenance cost, from
-    /// `paper.stream.delta_p99`.
-    pub stream_delta_p99: f64,
-    /// Worst (maximum) count of diverged maintained views, from
-    /// `paper.stream.view_divergence`.
-    pub stream_view_divergence: f64,
+    /// One value per `METRICS` row, in table order.
+    values: Vec<f64>,
     /// Adaptive-decision events by kind, summed across all spans.
     pub events: BTreeMap<String, u64>,
 }
 
+impl ScoreboardEntry {
+    /// The metric stored under the JSON key `key`; panics on a key the
+    /// scoreboard does not have.
+    pub fn get(&self, key: &str) -> f64 {
+        self.values[metric_index(key)]
+    }
+
+    /// Overwrite the metric stored under the JSON key `key`.
+    pub fn set(&mut self, key: &str, value: f64) {
+        self.values[metric_index(key)] = value;
+    }
+
+    /// Every `(key, value)` in `scoreboard.json` order.
+    pub fn metrics(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        METRICS.iter().zip(&self.values).map(|(m, v)| (m.key, *v))
+    }
+}
+
 /// Per-experiment sample pools, accumulated before any float reduction.
-#[derive(Debug, Default)]
-struct SamplePool {
+#[derive(Default)]
+struct Pools {
     runs: u64,
     est_act: Vec<(f64, f64)>,
     q_errors: Vec<f64>,
@@ -213,27 +279,12 @@ struct SamplePool {
     m3_pairs: Vec<(f64, f64)>,
     costs: Vec<f64>,
     spilled: Vec<f64>,
-    speedups: Vec<f64>,
-    skews: Vec<f64>,
-    cliffs: Vec<f64>,
-    recoveries: Vec<f64>,
-    amplifications: Vec<f64>,
-    admission_waits: Vec<f64>,
-    wire_p99s: Vec<f64>,
-    wire_p999s: Vec<f64>,
-    churn_recoveries: Vec<f64>,
-    backpressure_pages: Vec<f64>,
-    observer_overheads: Vec<f64>,
-    observer_losses: Vec<f64>,
-    batch_speedups: Vec<f64>,
-    paged_cliffs: Vec<f64>,
-    paged_completions: Vec<f64>,
-    stream_delta_p99s: Vec<f64>,
-    stream_divergences: Vec<f64>,
+    /// Samples of every `Gauge` row of `METRICS`, by gauge name.
+    gauges: BTreeMap<&'static str, Vec<f64>>,
     events: BTreeMap<String, u64>,
 }
 
-impl SamplePool {
+impl Pools {
     fn absorb(&mut self, report: &RunReport) {
         self.runs += 1;
         self.costs.push(report.cost.total());
@@ -249,45 +300,11 @@ impl SamplePool {
         }
         let mut m3 = (f64::NAN, f64::NAN);
         for (name, value) in &report.metrics {
-            let crate::metrics::MetricValue::Gauge(x) = value else { continue };
+            let MetricValue::Gauge(x) = value else { continue };
             if name == samples::M3_OPT {
                 m3.0 = *x;
             } else if name == samples::M3_BEST {
                 m3.1 = *x;
-            } else if name == samples::PARALLEL_SPEEDUP {
-                self.speedups.push(*x);
-            } else if name == samples::PARALLEL_SKEW {
-                self.skews.push(*x);
-            } else if name == samples::DEGRADATION_CLIFF {
-                self.cliffs.push(*x);
-            } else if name == samples::RECOVERY_RATE {
-                self.recoveries.push(*x);
-            } else if name == samples::TAIL_AMPLIFICATION {
-                self.amplifications.push(*x);
-            } else if name == samples::ADMISSION_WAIT {
-                self.admission_waits.push(*x);
-            } else if name == samples::WIRE_TAIL_P99 {
-                self.wire_p99s.push(*x);
-            } else if name == samples::WIRE_TAIL_P999 {
-                self.wire_p999s.push(*x);
-            } else if name == samples::WIRE_CHURN_RECOVERY {
-                self.churn_recoveries.push(*x);
-            } else if name == samples::WIRE_BACKPRESSURE_PAGES {
-                self.backpressure_pages.push(*x);
-            } else if name == samples::OBSERVER_OVERHEAD_P99 {
-                self.observer_overheads.push(*x);
-            } else if name == samples::OBSERVER_EVENT_LOSS {
-                self.observer_losses.push(*x);
-            } else if name == samples::BATCH_SPEEDUP {
-                self.batch_speedups.push(*x);
-            } else if name == samples::PAGED_CLIFF {
-                self.paged_cliffs.push(*x);
-            } else if name == samples::PAGED_COMPLETION {
-                self.paged_completions.push(*x);
-            } else if name == samples::STREAM_DELTA_P99 {
-                self.stream_delta_p99s.push(*x);
-            } else if name == samples::STREAM_VIEW_DIVERGENCE {
-                self.stream_divergences.push(*x);
             } else if let Some(key) = name.strip_prefix(samples::PERF_GAP_PREFIX) {
                 self.perf_gaps.push((key.to_string(), *x));
             } else if let Some(rest) = name.strip_prefix(samples::ENV_PREFIX) {
@@ -296,6 +313,11 @@ impl SamplePool {
                 } else if let Some(key) = rest.strip_suffix(samples::ENV_IDEAL) {
                     self.env_ideal.push((key.to_string(), *x));
                 }
+            } else if let Some(gauge) = METRICS.iter().find_map(|m| match m.source {
+                Gauge(g, _) if g == name => Some(g),
+                _ => Option::None,
+            }) {
+                self.gauges.entry(gauge).or_default().push(*x);
             }
         }
         if !m3.0.is_nan() && !m3.1.is_nan() {
@@ -303,107 +325,37 @@ impl SamplePool {
         }
     }
 
-    /// Reduce the pools to an entry. Every pool is sorted first, so the
-    /// entry is identical for any absorption order.
+    /// Reduce the pools to an entry. Every pool is sorted first (and a
+    /// gauge's worst sample is its `total_cmp` extreme), so the entry is
+    /// identical for any absorption order.
     fn entry(mut self) -> ScoreboardEntry {
         let by_key =
             |a: &(String, f64), b: &(String, f64)| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1));
-        self.est_act
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        self.q_errors.sort_by(f64::total_cmp);
+        let by_pair =
+            |a: &(f64, f64), b: &(f64, f64)| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1));
+        self.est_act.sort_by(by_pair);
+        self.m3_pairs.sort_by(by_pair);
         self.perf_gaps.sort_by(by_key);
         self.env_chosen.sort_by(by_key);
         self.env_ideal.sort_by(by_key);
-        self.m3_pairs
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        self.q_errors.sort_by(f64::total_cmp);
         self.costs.sort_by(f64::total_cmp);
         self.spilled.sort_by(f64::total_cmp);
-        self.speedups.sort_by(f64::total_cmp);
-        self.skews.sort_by(f64::total_cmp);
-        self.cliffs.sort_by(f64::total_cmp);
-        self.recoveries.sort_by(f64::total_cmp);
-        self.amplifications.sort_by(f64::total_cmp);
-        self.admission_waits.sort_by(f64::total_cmp);
-        self.wire_p99s.sort_by(f64::total_cmp);
-        self.wire_p999s.sort_by(f64::total_cmp);
-        self.churn_recoveries.sort_by(f64::total_cmp);
-        self.backpressure_pages.sort_by(f64::total_cmp);
-        self.observer_overheads.sort_by(f64::total_cmp);
-        self.observer_losses.sort_by(f64::total_cmp);
-        self.batch_speedups.sort_by(f64::total_cmp);
-        self.paged_cliffs.sort_by(f64::total_cmp);
-        self.paged_completions.sort_by(f64::total_cmp);
-        self.stream_delta_p99s.sort_by(f64::total_cmp);
-        self.stream_divergences.sort_by(f64::total_cmp);
-
-        let m1 = if self.est_act.is_empty() { f64::NAN } else { metric1(&self.est_act) };
-        let card = if self.est_act.is_empty() {
-            f64::NAN
-        } else {
-            cardinality_error_geomean(&self.est_act)
-        };
-        let max_q = if self.q_errors.is_empty() {
-            f64::NAN
-        } else {
-            self.q_errors.iter().copied().fold(1.0, f64::max)
-        };
-        let m3 = if self.m3_pairs.is_empty() {
-            f64::NAN
-        } else {
-            // Mean Metric3 across runs.
-            self.m3_pairs.iter().map(|&(o, b)| metric3(o, b)).sum::<f64>()
-                / self.m3_pairs.len() as f64
-        };
-        let smooth = if self.perf_gaps.is_empty() {
-            f64::NAN
-        } else {
-            smoothness(&self.perf_gaps.iter().map(|(_, g)| *g).collect::<Vec<_>>())
-        };
-        // Pair up environments by key; a chosen without an ideal (or vice
-        // versa) is dropped.
-        let ideals: BTreeMap<&str, f64> =
-            self.env_ideal.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let env_pairs: Vec<(f64, f64)> = self
-            .env_chosen
+        let values = METRICS
             .iter()
-            .filter_map(|(k, chosen)| ideals.get(k.as_str()).map(|ideal| (*chosen, *ideal)))
+            .map(|m| match m.source {
+                Derived(f) => f(&self),
+                Gauge(g, fold) => {
+                    let pool = self.gauges.get(g).into_iter().flatten().copied();
+                    let worst = match fold {
+                        Min => pool.min_by(f64::total_cmp),
+                        Max => pool.max_by(f64::total_cmp),
+                    };
+                    worst.unwrap_or(f64::NAN)
+                }
+            })
             .collect();
-        let (intrinsic, extrinsic) = if env_pairs.is_empty() {
-            (f64::NAN, f64::NAN)
-        } else {
-            let v = VariabilityReport::from_costs(&env_pairs);
-            (v.intrinsic(), v.extrinsic())
-        };
-        ScoreboardEntry {
-            runs: self.runs,
-            m1,
-            m3,
-            smoothness: smooth,
-            intrinsic,
-            extrinsic,
-            max_q_error: max_q,
-            card_error_geomean: card,
-            total_cost: self.costs.iter().sum(),
-            spilled_rows: self.spilled.iter().sum(),
-            parallel_speedup: self.speedups.first().copied().unwrap_or(f64::NAN),
-            parallel_skew: self.skews.last().copied().unwrap_or(f64::NAN),
-            degradation_cliff: self.cliffs.last().copied().unwrap_or(f64::NAN),
-            recovery_rate: self.recoveries.first().copied().unwrap_or(f64::NAN),
-            tail_amplification: self.amplifications.last().copied().unwrap_or(f64::NAN),
-            admission_wait: self.admission_waits.last().copied().unwrap_or(f64::NAN),
-            wire_tail_p99: self.wire_p99s.last().copied().unwrap_or(f64::NAN),
-            wire_tail_p999: self.wire_p999s.last().copied().unwrap_or(f64::NAN),
-            wire_churn_recovery: self.churn_recoveries.first().copied().unwrap_or(f64::NAN),
-            wire_backpressure_pages: self.backpressure_pages.last().copied().unwrap_or(f64::NAN),
-            observer_overhead_p99: self.observer_overheads.last().copied().unwrap_or(f64::NAN),
-            observer_event_loss: self.observer_losses.last().copied().unwrap_or(f64::NAN),
-            batch_speedup: self.batch_speedups.first().copied().unwrap_or(f64::NAN),
-            paged_cliff: self.paged_cliffs.last().copied().unwrap_or(f64::NAN),
-            paged_completion: self.paged_completions.first().copied().unwrap_or(f64::NAN),
-            stream_delta_p99: self.stream_delta_p99s.last().copied().unwrap_or(f64::NAN),
-            stream_view_divergence: self.stream_divergences.last().copied().unwrap_or(f64::NAN),
-            events: self.events,
-        }
+        ScoreboardEntry { runs: self.runs, values, events: self.events }
     }
 }
 
@@ -418,7 +370,7 @@ impl Scoreboard {
     /// Fold reports into a scoreboard. Any permutation of the same reports
     /// produces an identical scoreboard.
     pub fn fold(reports: &[RunReport]) -> Scoreboard {
-        let mut pools: BTreeMap<String, SamplePool> = BTreeMap::new();
+        let mut pools: BTreeMap<String, Pools> = BTreeMap::new();
         for r in reports {
             pools.entry(r.experiment.clone()).or_default().absorb(r);
         }
@@ -453,17 +405,10 @@ impl Scoreboard {
 
     /// Serialize to a [`Json`] document.
     pub fn to_json(&self) -> Json {
+        let entries = self.entries.iter().map(|(name, e)| (name.clone(), entry_to_json(e)));
         Json::obj(vec![
             ("scoreboard_version", Json::num(SCOREBOARD_VERSION as f64)),
-            (
-                "entries",
-                Json::Obj(
-                    self.entries
-                        .iter()
-                        .map(|(name, e)| (name.clone(), entry_to_json(e)))
-                        .collect(),
-                ),
-            ),
+            ("entries", Json::Obj(entries.collect())),
         ])
     }
 
@@ -497,9 +442,9 @@ impl Scoreboard {
         std::fs::write(path, self.to_json().pretty())
     }
 
-    /// Compare `current` against this baseline under `thresholds`. Returns
-    /// every regression found; empty means the gate passes.
-    pub fn diff(&self, current: &Scoreboard, thresholds: &DiffThresholds) -> Vec<Regression> {
+    /// Compare `current` against this baseline under each metric's gate.
+    /// Returns every regression found; empty means the gate passes.
+    pub fn diff(&self, current: &Scoreboard) -> Vec<Regression> {
         let mut out = Vec::new();
         for (name, base) in &self.entries {
             let Some(cur) = current.entries.get(name) else {
@@ -512,255 +457,27 @@ impl Scoreboard {
                 });
                 continue;
             };
-            let mut check = |metric: &str, baseline: f64, current_v: f64, limit: f64| {
-                if baseline.is_nan() {
-                    return;
-                }
+            for (spec, (&baseline, &current)) in
+                METRICS.iter().zip(base.values.iter().zip(&cur.values))
+            {
+                let (limit, beyond): (f64, fn(&f64, &f64) -> bool) = match spec.gate {
+                    Ungated => continue,
+                    Ceiling(ratio, slack) => (baseline * ratio + slack, f64::gt),
+                    Floor(slack) => (baseline - slack, f64::lt),
+                };
                 // A metric that vanished is an observability regression.
-                if current_v.is_nan() || current_v > limit {
+                if !baseline.is_nan() && (current.is_nan() || beyond(&current, &limit)) {
                     out.push(Regression {
                         experiment: name.clone(),
-                        metric: metric.to_string(),
+                        metric: spec.key.to_string(),
                         baseline,
-                        current: current_v,
+                        current,
                         limit,
                     });
                 }
-            };
-            check("total_cost", base.total_cost, cur.total_cost, base.total_cost * thresholds.cost_ratio);
-            check("m1", base.m1, cur.m1, base.m1 * thresholds.m1_ratio + thresholds.m1_slack);
-            check(
-                "max_q_error",
-                base.max_q_error,
-                cur.max_q_error,
-                base.max_q_error * thresholds.q_error_ratio,
-            );
-            check("smoothness", base.smoothness, cur.smoothness, base.smoothness + thresholds.smoothness_slack);
-            check("extrinsic", base.extrinsic, cur.extrinsic, base.extrinsic + thresholds.extrinsic_slack);
-            check("m3", base.m3, cur.m3, base.m3 + thresholds.m3_slack);
-            check(
-                "parallel_skew",
-                base.parallel_skew,
-                cur.parallel_skew,
-                base.parallel_skew + thresholds.parallel_skew_slack,
-            );
-            check(
-                "degradation_cliff",
-                base.degradation_cliff,
-                cur.degradation_cliff,
-                base.degradation_cliff + thresholds.degradation_cliff_slack,
-            );
-            check(
-                "tail_amplification",
-                base.tail_amplification,
-                cur.tail_amplification,
-                base.tail_amplification + thresholds.tail_amplification_slack,
-            );
-            check(
-                "admission_wait",
-                base.admission_wait,
-                cur.admission_wait,
-                base.admission_wait * thresholds.admission_wait_ratio
-                    + thresholds.admission_wait_slack,
-            );
-            check(
-                "wire_tail_p99",
-                base.wire_tail_p99,
-                cur.wire_tail_p99,
-                base.wire_tail_p99 * thresholds.wire_tail_ratio + thresholds.wire_tail_slack,
-            );
-            check(
-                "wire_tail_p999",
-                base.wire_tail_p999,
-                cur.wire_tail_p999,
-                base.wire_tail_p999 * thresholds.wire_tail_ratio + thresholds.wire_tail_slack,
-            );
-            check(
-                "wire_backpressure_pages",
-                base.wire_backpressure_pages,
-                cur.wire_backpressure_pages,
-                base.wire_backpressure_pages + thresholds.wire_backpressure_slack,
-            );
-            check(
-                "observer_overhead_p99",
-                base.observer_overhead_p99,
-                cur.observer_overhead_p99,
-                base.observer_overhead_p99 * thresholds.observer_overhead_ratio
-                    + thresholds.observer_overhead_slack,
-            );
-            check(
-                "observer_event_loss",
-                base.observer_event_loss,
-                cur.observer_event_loss,
-                base.observer_event_loss + thresholds.observer_event_loss_slack,
-            );
-            check(
-                "paged_cliff",
-                base.paged_cliff,
-                cur.paged_cliff,
-                base.paged_cliff + thresholds.paged_cliff_slack,
-            );
-            check(
-                "stream_delta_p99",
-                base.stream_delta_p99,
-                cur.stream_delta_p99,
-                base.stream_delta_p99 * thresholds.stream_delta_ratio
-                    + thresholds.stream_delta_slack,
-            );
-            // View consistency is a contract, not a budget: the divergence
-            // slack is exactly zero, so ANY diverged view is a regression.
-            check(
-                "stream_view_divergence",
-                base.stream_view_divergence,
-                cur.stream_view_divergence,
-                base.stream_view_divergence + thresholds.stream_divergence_slack,
-            );
-            // Floor metrics regress *downward*: flag a drop below the floor,
-            // and (like the ceiling checks) a metric that vanished entirely.
-            let mut check_floor = |metric: &str, baseline: f64, current_v: f64, floor: f64| {
-                if baseline.is_nan() {
-                    return;
-                }
-                if current_v.is_nan() || current_v < floor {
-                    out.push(Regression {
-                        experiment: name.clone(),
-                        metric: metric.to_string(),
-                        baseline,
-                        current: current_v,
-                        limit: floor,
-                    });
-                }
-            };
-            check_floor(
-                "parallel_speedup",
-                base.parallel_speedup,
-                cur.parallel_speedup,
-                base.parallel_speedup - thresholds.speedup_slack,
-            );
-            check_floor(
-                "recovery_rate",
-                base.recovery_rate,
-                cur.recovery_rate,
-                base.recovery_rate - thresholds.recovery_rate_slack,
-            );
-            check_floor(
-                "wire_churn_recovery",
-                base.wire_churn_recovery,
-                cur.wire_churn_recovery,
-                base.wire_churn_recovery - thresholds.wire_churn_recovery_slack,
-            );
-            check_floor(
-                "batch_speedup",
-                base.batch_speedup,
-                cur.batch_speedup,
-                base.batch_speedup - thresholds.batch_speedup_slack,
-            );
-            check_floor(
-                "paged_completion",
-                base.paged_completion,
-                cur.paged_completion,
-                base.paged_completion - thresholds.paged_completion_slack,
-            );
+            }
         }
         out
-    }
-}
-
-/// Per-metric regression thresholds for [`Scoreboard::diff`].
-///
-/// Ratio thresholds bound multiplicative growth; slack thresholds bound
-/// absolute growth (for metrics whose baseline is legitimately near zero).
-#[derive(Debug, Clone)]
-pub struct DiffThresholds {
-    /// `total_cost` may grow by this factor.
-    pub cost_ratio: f64,
-    /// `m1` may grow by this factor…
-    pub m1_ratio: f64,
-    /// …plus this absolute slack.
-    pub m1_slack: f64,
-    /// `max_q_error` may grow by this factor.
-    pub q_error_ratio: f64,
-    /// `smoothness` may grow by this absolute amount.
-    pub smoothness_slack: f64,
-    /// `extrinsic` may grow by this absolute amount.
-    pub extrinsic_slack: f64,
-    /// `m3` may grow by this absolute amount.
-    pub m3_slack: f64,
-    /// `parallel_speedup` may *shrink* by this absolute amount.
-    pub speedup_slack: f64,
-    /// `parallel_skew` may grow by this absolute amount.
-    pub parallel_skew_slack: f64,
-    /// `degradation_cliff` may grow by this absolute amount.
-    pub degradation_cliff_slack: f64,
-    /// `recovery_rate` may *shrink* by this absolute amount.
-    pub recovery_rate_slack: f64,
-    /// `tail_amplification` may grow by this absolute amount.
-    pub tail_amplification_slack: f64,
-    /// `admission_wait` may grow by this factor…
-    pub admission_wait_ratio: f64,
-    /// …plus this absolute slack (baselines can legitimately be near zero).
-    pub admission_wait_slack: f64,
-    /// `wire_tail_p99` / `wire_tail_p999` may grow by this factor…
-    pub wire_tail_ratio: f64,
-    /// …plus this absolute slack.
-    pub wire_tail_slack: f64,
-    /// `wire_churn_recovery` may *shrink* by this absolute amount.
-    pub wire_churn_recovery_slack: f64,
-    /// `wire_backpressure_pages` may grow by this absolute amount.
-    pub wire_backpressure_slack: f64,
-    /// `observer_overhead_p99` may grow by this factor…
-    pub observer_overhead_ratio: f64,
-    /// …plus this absolute slack.
-    pub observer_overhead_slack: f64,
-    /// `observer_event_loss` may grow by this absolute amount.
-    pub observer_event_loss_slack: f64,
-    /// `batch_speedup` may *shrink* by this absolute amount (wall-clock
-    /// measurements jitter more than charged costs).
-    pub batch_speedup_slack: f64,
-    /// `paged_cliff` may grow by this absolute amount.
-    pub paged_cliff_slack: f64,
-    /// `paged_completion` may *shrink* by this absolute amount.
-    pub paged_completion_slack: f64,
-    /// `stream_delta_p99` may grow by this factor…
-    pub stream_delta_ratio: f64,
-    /// …plus this absolute slack.
-    pub stream_delta_slack: f64,
-    /// `stream_view_divergence` may grow by this absolute amount. Zero by
-    /// default: a single diverged maintained view is a correctness bug.
-    pub stream_divergence_slack: f64,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            cost_ratio: 1.10,
-            m1_ratio: 1.25,
-            m1_slack: 0.5,
-            q_error_ratio: 1.50,
-            smoothness_slack: 0.25,
-            extrinsic_slack: 0.25,
-            m3_slack: 0.25,
-            speedup_slack: 0.25,
-            parallel_skew_slack: 0.5,
-            degradation_cliff_slack: 0.25,
-            recovery_rate_slack: 0.02,
-            tail_amplification_slack: 0.5,
-            admission_wait_ratio: 1.5,
-            admission_wait_slack: 1.0,
-            wire_tail_ratio: 1.25,
-            wire_tail_slack: 0.5,
-            wire_churn_recovery_slack: 0.02,
-            wire_backpressure_slack: 0.5,
-            observer_overhead_ratio: 1.25,
-            observer_overhead_slack: 0.5,
-            observer_event_loss_slack: 0.5,
-            batch_speedup_slack: 0.5,
-            paged_cliff_slack: 0.25,
-            paged_completion_slack: 0.02,
-            stream_delta_ratio: 1.25,
-            stream_delta_slack: 1.0,
-            stream_divergence_slack: 0.0,
-        }
     }
 }
 
@@ -790,44 +507,12 @@ impl std::fmt::Display for Regression {
 }
 
 fn entry_to_json(e: &ScoreboardEntry) -> Json {
-    Json::obj(vec![
-        ("runs", Json::num(e.runs as f64)),
-        ("m1", Json::num(e.m1)),
-        ("m3", Json::num(e.m3)),
-        ("smoothness", Json::num(e.smoothness)),
-        ("intrinsic", Json::num(e.intrinsic)),
-        ("extrinsic", Json::num(e.extrinsic)),
-        ("max_q_error", Json::num(e.max_q_error)),
-        ("card_error_geomean", Json::num(e.card_error_geomean)),
-        ("total_cost", Json::num(e.total_cost)),
-        ("spilled_rows", Json::num(e.spilled_rows)),
-        ("parallel_speedup", Json::num(e.parallel_speedup)),
-        ("parallel_skew", Json::num(e.parallel_skew)),
-        ("degradation_cliff", Json::num(e.degradation_cliff)),
-        ("recovery_rate", Json::num(e.recovery_rate)),
-        ("tail_amplification", Json::num(e.tail_amplification)),
-        ("admission_wait", Json::num(e.admission_wait)),
-        ("wire_tail_p99", Json::num(e.wire_tail_p99)),
-        ("wire_tail_p999", Json::num(e.wire_tail_p999)),
-        ("wire_churn_recovery", Json::num(e.wire_churn_recovery)),
-        ("wire_backpressure_pages", Json::num(e.wire_backpressure_pages)),
-        ("observer_overhead_p99", Json::num(e.observer_overhead_p99)),
-        ("observer_event_loss", Json::num(e.observer_event_loss)),
-        ("batch_speedup", Json::num(e.batch_speedup)),
-        ("paged_cliff", Json::num(e.paged_cliff)),
-        ("paged_completion", Json::num(e.paged_completion)),
-        ("stream_delta_p99", Json::num(e.stream_delta_p99)),
-        ("stream_view_divergence", Json::num(e.stream_view_divergence)),
-        (
-            "events",
-            Json::Obj(
-                e.events
-                    .iter()
-                    .map(|(kind, n)| (kind.clone(), Json::num(*n as f64)))
-                    .collect(),
-            ),
-        ),
-    ])
+    let events =
+        Json::Obj(e.events.iter().map(|(kind, n)| (kind.clone(), Json::num(*n as f64))).collect());
+    let mut pairs = vec![("runs", Json::num(e.runs as f64))];
+    pairs.extend(e.metrics().map(|(key, v)| (key, Json::num(v))));
+    pairs.push(("events", events));
+    Json::obj(pairs)
 }
 
 fn entry_from_json(doc: &Json) -> Result<ScoreboardEntry, String> {
@@ -836,46 +521,16 @@ fn entry_from_json(doc: &Json) -> Result<ScoreboardEntry, String> {
             .and_then(Json::as_num)
             .ok_or(format!("entry missing {key}"))
     };
-    let events = match doc.get("events") {
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(kind, v)| {
-                Ok((
-                    kind.clone(),
-                    v.as_num().ok_or("non-numeric event count")? as u64,
-                ))
-            })
-            .collect::<Result<BTreeMap<_, _>, String>>()?,
-        _ => return Err("entry missing events".to_string()),
+    let Some(Json::Obj(pairs)) = doc.get("events") else {
+        return Err("entry missing events".to_string());
     };
+    let events = pairs
+        .iter()
+        .map(|(kind, v)| Ok((kind.clone(), v.as_num().ok_or("non-numeric event count")? as u64)))
+        .collect::<Result<_, String>>()?;
     Ok(ScoreboardEntry {
         runs: num("runs")? as u64,
-        m1: num("m1")?,
-        m3: num("m3")?,
-        smoothness: num("smoothness")?,
-        intrinsic: num("intrinsic")?,
-        extrinsic: num("extrinsic")?,
-        max_q_error: num("max_q_error")?,
-        card_error_geomean: num("card_error_geomean")?,
-        total_cost: num("total_cost")?,
-        spilled_rows: num("spilled_rows")?,
-        parallel_speedup: num("parallel_speedup")?,
-        parallel_skew: num("parallel_skew")?,
-        degradation_cliff: num("degradation_cliff")?,
-        recovery_rate: num("recovery_rate")?,
-        tail_amplification: num("tail_amplification")?,
-        admission_wait: num("admission_wait")?,
-        wire_tail_p99: num("wire_tail_p99")?,
-        wire_tail_p999: num("wire_tail_p999")?,
-        wire_churn_recovery: num("wire_churn_recovery")?,
-        wire_backpressure_pages: num("wire_backpressure_pages")?,
-        observer_overhead_p99: num("observer_overhead_p99")?,
-        observer_event_loss: num("observer_event_loss")?,
-        batch_speedup: num("batch_speedup")?,
-        paged_cliff: num("paged_cliff")?,
-        paged_completion: num("paged_completion")?,
-        stream_delta_p99: num("stream_delta_p99")?,
-        stream_view_divergence: num("stream_view_divergence")?,
+        values: METRICS.iter().map(|m| num(m.key)).collect::<Result<_, _>>()?,
         events,
     })
 }
@@ -886,6 +541,36 @@ mod tests {
     use crate::metrics::MetricsRegistry;
     use crate::span::Tracer;
     use rqp_common::CostClock;
+
+    /// One row per gauge metric: its key, its gauge, what the fixture report
+    /// publishes for it, and the current values that must trip / must pass
+    /// against that baseline (the numbers the per-family tests used to pin).
+    type GaugeCase = (&'static str, &'static str, f64, &'static [f64], &'static [f64]);
+    #[rustfmt::skip]
+    const GAUGES: &[GaugeCase] = &[
+        ("parallel_speedup", samples::PARALLEL_SPEEDUP, 3.5, &[1.1, f64::NAN], &[7.9]),
+        ("parallel_skew", samples::PARALLEL_SKEW, 1.2, &[2.5], &[1.0]),
+        ("degradation_cliff", samples::DEGRADATION_CLIFF, 1.4, &[2.5], &[1.0]),
+        ("recovery_rate", samples::RECOVERY_RATE, 1.0, &[0.8, f64::NAN], &[]),
+        ("tail_amplification", samples::TAIL_AMPLIFICATION, 2.0, &[2.6, f64::NAN], &[1.0]),
+        // limit 40 * 1.5 + 1.0 = 61
+        ("admission_wait", samples::ADMISSION_WAIT, 40.0, &[62.0], &[0.0]),
+        // limits 3.0 * 1.25 + 0.5 = 4.25 and 4.0 * 1.25 + 0.5 = 5.5
+        ("wire_tail_p99", samples::WIRE_TAIL_P99, 3.0, &[4.5], &[1.0]),
+        ("wire_tail_p999", samples::WIRE_TAIL_P999, 4.0, &[6.0], &[1.0]),
+        ("wire_churn_recovery", samples::WIRE_CHURN_RECOVERY, 1.0, &[0.9, f64::NAN], &[]),
+        ("wire_backpressure_pages", samples::WIRE_BACKPRESSURE_PAGES, 1.0, &[8.0], &[]),
+        // limit 1.0 * 1.25 + 0.5 = 1.75
+        ("observer_overhead_p99", samples::OBSERVER_OVERHEAD_P99, 1.0, &[2.0, f64::NAN], &[0.9]),
+        ("observer_event_loss", samples::OBSERVER_EVENT_LOSS, 0.0, &[1.0], &[]),
+        ("batch_speedup", samples::BATCH_SPEEDUP, 2.5, &[1.4, f64::NAN], &[4.0]),
+        ("paged_cliff", samples::PAGED_CLIFF, 1.3, &[1.6], &[1.0]),
+        ("paged_completion", samples::PAGED_COMPLETION, 1.0, &[0.9, f64::NAN], &[]),
+        // limit 4.0 * 1.25 + 1.0 = 6.0
+        ("stream_delta_p99", samples::STREAM_DELTA_P99, 4.0, &[6.5, f64::NAN], &[2.0]),
+        // zero slack: one diverged view trips
+        ("stream_view_divergence", samples::STREAM_VIEW_DIVERGENCE, 0.0, &[1.0], &[]),
+    ];
 
     fn report(experiment: &str, est: f64, act: u64, cost_rows: f64) -> RunReport {
         let clock = CostClock::default_clock();
@@ -908,23 +593,9 @@ mod tests {
         reg.gauge("paper.env.000.ideal").set(10.0);
         reg.gauge("paper.env.001.chosen").set(20.0);
         reg.gauge("paper.env.001.ideal").set(20.0);
-        reg.gauge(samples::PARALLEL_SPEEDUP).set(3.5);
-        reg.gauge(samples::PARALLEL_SKEW).set(1.2);
-        reg.gauge(samples::DEGRADATION_CLIFF).set(1.4);
-        reg.gauge(samples::RECOVERY_RATE).set(1.0);
-        reg.gauge(samples::TAIL_AMPLIFICATION).set(2.0);
-        reg.gauge(samples::ADMISSION_WAIT).set(40.0);
-        reg.gauge(samples::WIRE_TAIL_P99).set(3.0);
-        reg.gauge(samples::WIRE_TAIL_P999).set(4.0);
-        reg.gauge(samples::WIRE_CHURN_RECOVERY).set(1.0);
-        reg.gauge(samples::WIRE_BACKPRESSURE_PAGES).set(1.0);
-        reg.gauge(samples::OBSERVER_OVERHEAD_P99).set(1.0);
-        reg.gauge(samples::OBSERVER_EVENT_LOSS).set(0.0);
-        reg.gauge(samples::BATCH_SPEEDUP).set(2.5);
-        reg.gauge(samples::PAGED_CLIFF).set(1.3);
-        reg.gauge(samples::PAGED_COMPLETION).set(1.0);
-        reg.gauge(samples::STREAM_DELTA_P99).set(4.0);
-        reg.gauge(samples::STREAM_VIEW_DIVERGENCE).set(0.0);
+        for (_, gauge, value, ..) in GAUGES {
+            reg.gauge(gauge).set(*value);
+        }
         let mut r = RunReport::new(experiment).with_seed("workload", 7);
         r.cost = clock.breakdown();
         r.spans = tracer.snapshot();
@@ -937,239 +608,65 @@ mod tests {
         let board = Scoreboard::fold(&[report("e01", 50.0, 100, 1000.0)]);
         let e = &board.entries["e01"];
         assert_eq!(e.runs, 1);
-        assert!((e.m1 - 0.5).abs() < 1e-9, "|50-100|/100");
-        assert!((e.m3 - 0.25).abs() < 1e-9, "|100-80|/80");
-        assert!(e.smoothness > 0.5, "gap cliff at 50");
-        assert!(e.intrinsic > 0.0);
-        assert!(e.extrinsic > 0.0, "env 000 diverges 3x");
-        assert_eq!(e.max_q_error, 2.0);
+        assert!((e.get("m1") - 0.5).abs() < 1e-9, "|50-100|/100");
+        assert!((e.get("m3") - 0.25).abs() < 1e-9, "|100-80|/80");
+        assert!(e.get("smoothness") > 0.5, "gap cliff at 50");
+        assert!(e.get("intrinsic") > 0.0);
+        assert!(e.get("extrinsic") > 0.0, "env 000 diverges 3x");
+        assert_eq!(e.get("max_q_error"), 2.0);
         assert_eq!(e.events["pop.violation"], 1);
-        assert!(e.total_cost > 0.0);
-        assert_eq!(e.parallel_speedup, 3.5);
-        assert_eq!(e.parallel_skew, 1.2);
-        assert_eq!(e.degradation_cliff, 1.4);
-        assert_eq!(e.recovery_rate, 1.0);
-        assert_eq!(e.tail_amplification, 2.0);
-        assert_eq!(e.admission_wait, 40.0);
-        assert_eq!(e.wire_tail_p99, 3.0);
-        assert_eq!(e.wire_tail_p999, 4.0);
-        assert_eq!(e.wire_churn_recovery, 1.0);
-        assert_eq!(e.wire_backpressure_pages, 1.0);
-        assert_eq!(e.observer_overhead_p99, 1.0);
-        assert_eq!(e.observer_event_loss, 0.0);
-        assert_eq!(e.batch_speedup, 2.5);
-        assert_eq!(e.paged_cliff, 1.3);
-        assert_eq!(e.paged_completion, 1.0);
-        assert_eq!(e.stream_delta_p99, 4.0);
-        assert_eq!(e.stream_view_divergence, 0.0);
+        assert!(e.get("total_cost") > 0.0);
+        for (key, _, value, ..) in GAUGES {
+            assert_eq!(e.get(key), *value, "{key}");
+        }
+        // Across runs a gauge folds to its worst sample, whichever way that is.
+        let mut low = report("e01", 50.0, 100, 1000.0);
+        low.metrics.retain(|(name, _)| name != samples::RECOVERY_RATE);
+        low.metrics.push((samples::RECOVERY_RATE.to_string(), MetricValue::Gauge(0.5)));
+        low.metrics.push(("paper.parallel.skew.x".to_string(), MetricValue::Gauge(9.0)));
+        let board = Scoreboard::fold(&[report("e01", 50.0, 100, 1000.0), low]);
+        assert_eq!(board.entries["e01"].get("recovery_rate"), 0.5);
+        assert_eq!(board.entries["e01"].get("parallel_skew"), 1.2, "exact names only");
     }
 
     #[test]
-    fn diff_trips_on_stream_delta_growth_and_any_view_divergence() {
-        let baseline = Scoreboard::fold(&[report("a11", 50.0, 100, 1000.0)]);
-        // Delta latency stretching past ratio + slack trips the ceiling
-        // check (baseline 4.0 * 1.25 + 1.0 = 6.0)…
-        let mut slow = baseline.clone();
-        slow.entries.get_mut("a11").unwrap().stream_delta_p99 = 6.5;
-        let regs = baseline.diff(&slow, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "stream_delta_p99"), "{regs:?}");
-        // …and view consistency is a contract with zero slack: a single
-        // diverged view is a regression.
-        let mut diverged = baseline.clone();
-        diverged.entries.get_mut("a11").unwrap().stream_view_divergence = 1.0;
-        let regs = baseline.diff(&diverged, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "stream_view_divergence"), "{regs:?}");
-        // Either gauge vanishing is an observability regression.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a11").unwrap().stream_delta_p99 = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "stream_delta_p99"), "{regs:?}");
-        // Faster deltas with the view still consistent are an improvement.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a11").unwrap().stream_delta_p99 = 2.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_paged_cliff_and_completion_collapse() {
-        let baseline = Scoreboard::fold(&[report("a10", 50.0, 100, 1000.0)]);
-        // A paging cliff appearing between adjacent page-budget fractions
-        // trips the ceiling check (baseline 1.3 + slack 0.25 = 1.55)…
-        let mut cliffy = baseline.clone();
-        cliffy.entries.get_mut("a10").unwrap().paged_cliff = 1.6;
-        let regs = baseline.diff(&cliffy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "paged_cliff"), "{regs:?}");
-        // …queries dying when the budget is constrained trips the
-        // completion floor (baseline 1.0 - slack 0.02)…
-        let mut dying = baseline.clone();
-        dying.entries.get_mut("a10").unwrap().paged_completion = 0.9;
-        let regs = baseline.diff(&dying, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "paged_completion"), "{regs:?}");
-        // …and either gauge vanishing is an observability regression.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a10").unwrap().paged_completion = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "paged_completion"), "{regs:?}");
-        // A flatter degradation curve is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a10").unwrap().paged_cliff = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_observer_overhead_and_event_loss() {
-        let baseline = Scoreboard::fold(&[report("a08", 50.0, 100, 1000.0)]);
-        // An observer that perturbs the workload's tail trips the overhead
-        // ceiling (baseline 1.0 * ratio 1.25 + slack 0.5 = 1.75)…
-        let mut heavy = baseline.clone();
-        heavy.entries.get_mut("a08").unwrap().observer_overhead_p99 = 2.0;
-        let regs = baseline.diff(&heavy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "observer_overhead_p99"), "{regs:?}");
-        // …a recorder overwriting events before the observer drains them
-        // trips the loss ceiling (baseline 0 + slack 0.5)…
-        let mut lossy = baseline.clone();
-        lossy.entries.get_mut("a08").unwrap().observer_event_loss = 1.0;
-        let regs = baseline.diff(&lossy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "observer_event_loss"), "{regs:?}");
-        // …and an observer gauge vanishing entirely trips as well.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a08").unwrap().observer_overhead_p99 = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "observer_overhead_p99"), "{regs:?}");
-        // A cheaper observer is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a08").unwrap().observer_overhead_p99 = 0.9;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_wire_tail_growth_churn_collapse_and_page_buildup() {
-        let baseline = Scoreboard::fold(&[report("a07", 50.0, 100, 1000.0)]);
-        // Either tail percentile stretching past ratio + slack trips its
-        // ceiling check…
-        let mut stretched = baseline.clone();
-        stretched.entries.get_mut("a07").unwrap().wire_tail_p99 = 4.5;
-        let regs = baseline.diff(&stretched, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_tail_p99"), "{regs:?}");
-        let mut stretched = baseline.clone();
-        stretched.entries.get_mut("a07").unwrap().wire_tail_p999 = 6.0;
-        let regs = baseline.diff(&stretched, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_tail_p999"), "{regs:?}");
-        // …disconnected queries going unreaped trips the recovery floor…
-        let mut leaky = baseline.clone();
-        leaky.entries.get_mut("a07").unwrap().wire_churn_recovery = 0.9;
-        let regs = baseline.diff(&leaky, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_churn_recovery"), "{regs:?}");
-        // …and a stalled consumer accumulating encoded pages trips the
-        // backpressure ceiling, as does any wire gauge vanishing.
-        let mut hoarding = baseline.clone();
-        hoarding.entries.get_mut("a07").unwrap().wire_backpressure_pages = 8.0;
-        let regs = baseline.diff(&hoarding, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_backpressure_pages"), "{regs:?}");
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a07").unwrap().wire_churn_recovery = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_churn_recovery"), "{regs:?}");
-        // A tighter tail with full recovery is an improvement.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a07").unwrap().wire_tail_p99 = 1.0;
-        better.entries.get_mut("a07").unwrap().wire_tail_p999 = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_batch_speedup_collapse() {
-        let baseline = Scoreboard::fold(&[report("a09", 50.0, 100, 1000.0)]);
-        // Vectorization eroding past the floor (baseline 2.5 - slack 0.5 = 2.0)
-        // trips the check…
-        let mut eroded = baseline.clone();
-        eroded.entries.get_mut("a09").unwrap().batch_speedup = 1.4;
-        let regs = baseline.diff(&eroded, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "batch_speedup"), "{regs:?}");
-        // …as does the gauge vanishing entirely.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a09").unwrap().batch_speedup = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "batch_speedup"), "{regs:?}");
-        // A faster batch path is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a09").unwrap().batch_speedup = 4.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_tail_amplification_and_admission_wait_growth() {
-        let baseline = Scoreboard::fold(&[report("a06", 50.0, 100, 1000.0)]);
-        // The tail stretching past its slack trips the ceiling check…
-        let mut stretched = baseline.clone();
-        stretched.entries.get_mut("a06").unwrap().tail_amplification = 2.6;
-        let regs = baseline.diff(&stretched, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "tail_amplification"), "{regs:?}");
-        // …as does the admission queue backing up past ratio + slack.
-        let mut queued = baseline.clone();
-        queued.entries.get_mut("a06").unwrap().admission_wait = 62.0;
-        let regs = baseline.diff(&queued, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "admission_wait"), "{regs:?}");
-        // Either gauge vanishing is an observability regression.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a06").unwrap().tail_amplification = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "tail_amplification"), "{regs:?}");
-        // A tighter tail and shorter queue are improvements.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a06").unwrap().tail_amplification = 1.0;
-        better.entries.get_mut("a06").unwrap().admission_wait = 0.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_degradation_cliff_and_recovery_collapse() {
-        let baseline = Scoreboard::fold(&[report("a05", 50.0, 100, 1000.0)]);
-        // A cost cliff appearing between adjacent memory fractions trips
-        // the ceiling check…
-        let mut cliffy = baseline.clone();
-        cliffy.entries.get_mut("a05").unwrap().degradation_cliff = 2.5;
-        let regs = baseline.diff(&cliffy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "degradation_cliff"), "{regs:?}");
-        // …and queries starting to die under injected faults trips the
-        // recovery floor, as does the gauge vanishing entirely.
-        let mut dying = baseline.clone();
-        dying.entries.get_mut("a05").unwrap().recovery_rate = 0.8;
-        let regs = baseline.diff(&dying, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "recovery_rate"), "{regs:?}");
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a05").unwrap().recovery_rate = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "recovery_rate"), "{regs:?}");
-        // Smoother degradation and full recovery are improvements.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a05").unwrap().degradation_cliff = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_speedup_collapse_and_skew_growth() {
-        let baseline = Scoreboard::fold(&[report("a04", 50.0, 100, 1000.0)]);
-        // A collapse to near-serial scaling must trip the floor check…
-        let mut collapsed = baseline.clone();
-        collapsed.entries.get_mut("a04").unwrap().parallel_speedup = 1.1;
-        let regs = baseline.diff(&collapsed, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "parallel_speedup"), "{regs:?}");
-        // …as must the metric vanishing entirely.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a04").unwrap().parallel_speedup = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "parallel_speedup"), "{regs:?}");
-        // Skew growing past its slack trips the ceiling check.
-        let mut skewed = baseline.clone();
-        skewed.entries.get_mut("a04").unwrap().parallel_skew = 2.5;
-        let regs = baseline.diff(&skewed, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "parallel_skew"), "{regs:?}");
-        // A faster, better-balanced board is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a04").unwrap().parallel_speedup = 7.9;
-        better.entries.get_mut("a04").unwrap().parallel_skew = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
+    fn diff_gates_every_metric_at_its_limit() {
+        let baseline = Scoreboard::fold(&[report("e01", 50.0, 100, 1000.0)]);
+        let tripped = |key: &str, value: f64| -> Vec<String> {
+            let mut current = baseline.clone();
+            current.entries.get_mut("e01").unwrap().set(key, value);
+            baseline.diff(&current).into_iter().map(|r| r.metric).collect()
+        };
+        for &(key, _, _, trips, passes) in GAUGES {
+            for &value in trips {
+                assert_eq!(tripped(key, value), [key], "{key} -> {value}");
+            }
+            for &value in passes {
+                assert!(tripped(key, value).is_empty(), "{key} -> {value}");
+            }
+        }
+        // Every row: at the limit passes, a hair past it trips exactly that
+        // metric, a vanished gauge trips, an improvement passes; ungated
+        // rows never trip.
+        for spec in METRICS {
+            let base = baseline.entries["e01"].get(spec.key);
+            assert!(base.is_finite(), "fixture publishes {}", spec.key);
+            let (limit, past, better) = match spec.gate {
+                Ungated => {
+                    for v in [f64::NAN, 1e18, -1e18] {
+                        assert!(tripped(spec.key, v).is_empty(), "{} is ungated", spec.key);
+                    }
+                    continue;
+                }
+                Ceiling(ratio, slack) => (base * ratio + slack, 1e-9, base - 1.0),
+                Floor(slack) => (base - slack, -1e-9, base + 1.0),
+            };
+            assert!(tripped(spec.key, limit).is_empty(), "{} at its limit", spec.key);
+            assert_eq!(tripped(spec.key, limit + past), [spec.key]);
+            assert_eq!(tripped(spec.key, f64::NAN), [spec.key]);
+            assert!(tripped(spec.key, better).is_empty(), "{} improved", spec.key);
+        }
+        assert_eq!(METRICS.iter().filter(|m| matches!(m.gate, Ungated)).count(), 3);
     }
 
     #[test]
@@ -1202,17 +699,17 @@ mod tests {
         let mut bare = RunReport::new("e09");
         bare.spans = Vec::new();
         let board = Scoreboard::fold(&[bare]);
-        assert!(board.entries["e09"].m1.is_nan());
+        assert!(board.entries["e09"].get("m1").is_nan());
         let text = board.to_json().pretty();
         let back = Scoreboard::from_json(&text).expect("parse");
-        assert!(back.entries["e09"].m1.is_nan());
+        assert!(back.entries["e09"].get("m1").is_nan());
         assert_eq!(back.to_json().pretty(), text);
     }
 
     #[test]
     fn diff_passes_on_identical_boards() {
         let board = Scoreboard::fold(&[report("e01", 50.0, 100, 1000.0)]);
-        assert!(board.diff(&board, &DiffThresholds::default()).is_empty());
+        assert!(board.diff(&board).is_empty());
     }
 
     #[test]
@@ -1221,13 +718,13 @@ mod tests {
         // The regression fixture: same experiment, but the span's actual
         // cardinality came out 50x higher — the estimate is now badly wrong.
         let bad = Scoreboard::fold(&[report("e01", 50.0, 5000, 1000.0)]);
-        let regressions = baseline.diff(&bad, &DiffThresholds::default());
+        let regressions = baseline.diff(&bad);
         assert!(
             regressions.iter().any(|r| r.metric == "max_q_error"),
             "q-error blow-up must trip: {regressions:?}"
         );
         // And the reverse direction is fine (improvement, not regression).
-        assert!(bad.diff(&baseline, &DiffThresholds::default()).is_empty());
+        assert!(bad.diff(&baseline).is_empty());
     }
 
     #[test]
@@ -1237,9 +734,20 @@ mod tests {
             report("e02", 50.0, 100, 1000.0),
         ]);
         let current = Scoreboard::fold(&[report("e01", 50.0, 100, 2000.0)]);
-        let regressions = baseline.diff(&current, &DiffThresholds::default());
+        let regressions = baseline.diff(&current);
         assert!(regressions.iter().any(|r| r.experiment == "e02" && r.metric == "missing"));
         assert!(regressions.iter().any(|r| r.experiment == "e01" && r.metric == "total_cost"));
+    }
+
+    /// The refactor oracle: the committed scoreboard is exactly what this
+    /// build folds from the 33 committed run reports next to it.
+    #[test]
+    fn committed_scoreboard_refolds_byte_identical() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../exp_output");
+        let committed = std::fs::read_to_string(dir.join("scoreboard.json")).expect("read");
+        let board = Scoreboard::from_dir(&dir).expect("fold exp_output");
+        assert_eq!(board.entries.len(), 33);
+        assert_eq!(board.to_json().pretty(), committed);
     }
 
     #[test]

@@ -1,0 +1,45 @@
+//! Every row of the `rqp-exp` registry, run `--fast`-sized in one process.
+//!
+//! Each experiment must still publish exactly the scoreboard metrics its
+//! committed full-size entry has: a gauge that vanishes (or a new one that
+//! nobody committed a baseline for) is caught here, under tier-1, rather
+//! than first by CI's full-size regression gate.
+
+use rqp_bench::experiments::EXPERIMENTS;
+use rqp_telemetry::Scoreboard;
+use std::path::Path;
+
+/// The metrics `name`'s entry actually carries (everything not `null`).
+fn published(board: &Scoreboard, name: &str) -> Vec<&'static str> {
+    board.entries[name].metrics().filter(|(_, v)| !v.is_nan()).map(|(key, _)| key).collect()
+}
+
+#[test]
+fn every_experiment_publishes_its_committed_metric_set() {
+    // This is the only test in this binary, so it owns the process
+    // environment. Cargo built our own bins for this integration test, so
+    // the loadgen path a07/a08 spawn is authoritative.
+    let dir = std::env::temp_dir().join(format!("rqp_experiments_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::env::set_var("RQP_EXP_OUTPUT", &dir);
+    std::env::set_var("RQP_LOADGEN_BIN", env!("CARGO_BIN_EXE_rqp-loadgen"));
+    for (name, experiment) in EXPERIMENTS {
+        let out = experiment(true);
+        assert!(out.contains("run report:"), "{name} did not go through the harness");
+    }
+    std::env::remove_var("RQP_EXP_OUTPUT");
+    std::env::remove_var("RQP_LOADGEN_BIN");
+
+    let fresh = Scoreboard::from_dir(&dir).expect("fold the fresh run reports");
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../exp_output/scoreboard.json");
+    let committed = Scoreboard::from_json(&std::fs::read_to_string(committed).expect("read"))
+        .expect("parse the committed scoreboard");
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(fresh.entries.keys().collect::<Vec<_>>(), names);
+    assert_eq!(committed.entries.keys().collect::<Vec<_>>(), names);
+    for name in names {
+        assert_eq!(published(&fresh, name), published(&committed, name), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

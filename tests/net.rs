@@ -7,7 +7,7 @@
 
 use rqp_common::expr::{col, lit};
 use rqp_common::{Row, RqpError, Value};
-use rqp_telemetry::scoreboard::{DiffThresholds, Scoreboard};
+use rqp_telemetry::scoreboard::Scoreboard;
 use rqp_net::proto::WireSubscribeOptions;
 use rqp_net::{rows_checksum, RemoteDelta, WireClient, WireQueryOptions, WireServer, PAGE_ROWS};
 use rqp_opt::QuerySpec;
@@ -566,29 +566,29 @@ fn a07_runs_real_client_processes_and_scoreboard_v5_gates_the_wire_metrics() {
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("RQP_EXP_OUTPUT", &dir);
     std::env::set_var("RQP_LOADGEN_BIN", env!("CARGO_BIN_EXE_rqp-loadgen"));
-    let summary = rqp_bench::a07_wire_service(true);
+    let summary = rqp_bench::experiments::wire::a07_wire_service(true);
     std::env::remove_var("RQP_EXP_OUTPUT");
     std::env::remove_var("RQP_LOADGEN_BIN");
     assert!(summary.contains("A07"), "experiment produced no summary");
 
     let board = Scoreboard::from_dir(&dir).expect("fold the a07 run report");
     let entry = board.entries.get("a07_wire_service").expect("a07 entry");
-    assert!(entry.wire_tail_p99.is_finite() && entry.wire_tail_p99 >= 1.0);
-    assert!(entry.wire_tail_p999.is_finite() && entry.wire_tail_p999 >= 1.0);
-    assert_eq!(entry.wire_churn_recovery, 1.0, "every disconnect must be reaped");
-    assert_eq!(entry.wire_backpressure_pages, 1.0, "credits must bound buffering");
+    assert!(entry.get("wire_tail_p99").is_finite() && entry.get("wire_tail_p99") >= 1.0);
+    assert!(entry.get("wire_tail_p999").is_finite() && entry.get("wire_tail_p999") >= 1.0);
+    assert_eq!(entry.get("wire_churn_recovery"), 1.0, "every disconnect must be reaped");
+    assert_eq!(entry.get("wire_backpressure_pages"), 1.0, "credits must bound buffering");
 
     // The diff gate must trip when any wire metric degrades past its
     // threshold relative to this run as baseline.
     let mut worse = board.clone();
     {
         let e = worse.entries.get_mut("a07_wire_service").unwrap();
-        e.wire_tail_p99 = e.wire_tail_p99 * 2.0 + 1.0;
-        e.wire_tail_p999 = e.wire_tail_p999 * 2.0 + 1.0;
-        e.wire_churn_recovery = 0.5;
-        e.wire_backpressure_pages += 5.0;
+        e.set("wire_tail_p99", e.get("wire_tail_p99") * 2.0 + 1.0);
+        e.set("wire_tail_p999", e.get("wire_tail_p999") * 2.0 + 1.0);
+        e.set("wire_churn_recovery", 0.5);
+        e.set("wire_backpressure_pages", e.get("wire_backpressure_pages") + 5.0);
     }
-    let regressions = board.diff(&worse, &DiffThresholds::default());
+    let regressions = board.diff(&worse);
     let metrics: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
     for gate in
         ["wire_tail_p99", "wire_tail_p999", "wire_churn_recovery", "wire_backpressure_pages"]
@@ -597,7 +597,7 @@ fn a07_runs_real_client_processes_and_scoreboard_v5_gates_the_wire_metrics() {
     }
 
     // And the clean self-diff must pass.
-    assert!(board.diff(&board, &DiffThresholds::default()).is_empty());
+    assert!(board.diff(&board).is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

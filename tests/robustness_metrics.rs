@@ -165,7 +165,7 @@ fn inflated_span_actuals_trip_the_scoreboard_diff_gate() {
     // report, inflate the observed actuals on its spans (a plant whose
     // estimates went stale), and the q-error threshold must fire.
     use rqp::common::CostClock;
-    use rqp::telemetry::{DiffThresholds, MetricsRegistry, RunReport, Scoreboard, Tracer};
+    use rqp::telemetry::{MetricsRegistry, RunReport, Scoreboard, Tracer};
 
     let make_report = |actual_rows: u64| -> RunReport {
         let clock = CostClock::default_clock();
@@ -187,12 +187,12 @@ fn inflated_span_actuals_trip_the_scoreboard_diff_gate() {
     let baseline = Scoreboard::fold(&[make_report(120)]);
     let healthy = Scoreboard::fold(&[make_report(120)]);
     assert!(
-        baseline.diff(&healthy, &DiffThresholds::default()).is_empty(),
+        baseline.diff(&healthy).is_empty(),
         "identical runs must pass the gate"
     );
 
     let inflated = Scoreboard::fold(&[make_report(50_000)]);
-    let regressions = baseline.diff(&inflated, &DiffThresholds::default());
+    let regressions = baseline.diff(&inflated);
     assert!(
         regressions.iter().any(|r| r.metric == "max_q_error"),
         "100x-inflated actuals must trip the q-error threshold, got {regressions:?}"

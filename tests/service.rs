@@ -12,7 +12,7 @@ use rqp::common::expr::{col, lit};
 use rqp::common::{Row, RqpError, Value};
 use rqp::opt::QuerySpec;
 use rqp::server::{QueryOptions, QueryService, ServiceConfig};
-use rqp::telemetry::scoreboard::{DiffThresholds, Scoreboard};
+use rqp::telemetry::scoreboard::Scoreboard;
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 
 fn small_db() -> TpchDb {
@@ -225,30 +225,31 @@ fn a06_runs_and_scoreboard_v4_gates_the_service_metrics() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("RQP_EXP_OUTPUT", &dir);
-    let summary = rqp_bench::a06_concurrent_service(true);
+    let summary = rqp_bench::experiments::service::a06_concurrent_service(true);
     std::env::remove_var("RQP_EXP_OUTPUT");
     assert!(summary.contains("A06"), "experiment produced no summary");
 
     let board = Scoreboard::from_dir(&dir).expect("fold the a06 run report");
     let entry = board.entries.get("a06_concurrent_service").expect("a06 entry");
-    assert!(entry.tail_amplification.is_finite() && entry.tail_amplification >= 1.0);
-    assert!(entry.admission_wait.is_finite() && entry.admission_wait >= 0.0);
+    let (amplification, wait) = (entry.get("tail_amplification"), entry.get("admission_wait"));
+    assert!(amplification.is_finite() && amplification >= 1.0);
+    assert!(wait.is_finite() && wait >= 0.0);
 
     // The diff gate must trip when either service metric degrades past its
     // threshold relative to this run as baseline.
     let mut worse = board.clone();
     {
         let e = worse.entries.get_mut("a06_concurrent_service").unwrap();
-        e.tail_amplification += 1.0;
-        e.admission_wait = e.admission_wait * 2.0 + 5.0;
+        e.set("tail_amplification", e.get("tail_amplification") + 1.0);
+        e.set("admission_wait", e.get("admission_wait") * 2.0 + 5.0);
     }
-    let regressions = board.diff(&worse, &DiffThresholds::default());
+    let regressions = board.diff(&worse);
     let metrics: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
     assert!(metrics.contains(&"tail_amplification"), "tail amplification gate missing");
     assert!(metrics.contains(&"admission_wait"), "admission wait gate missing");
 
     // And the clean self-diff must pass.
-    assert!(board.diff(&board, &DiffThresholds::default()).is_empty());
+    assert!(board.diff(&board).is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

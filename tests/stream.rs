@@ -1,7 +1,7 @@
 //! Acceptance tests for standing subscriptions: the maintained view must be
 //! **bit-identical** to re-running the spec from scratch after every drained
-//! churn interleaving — under whatever `RQP_THREADS`, `RQP_BATCH` and
-//! `RQP_CHAOS_SEED` the CI matrix sets (chaos inflates propagation cost with
+//! churn interleaving — under whatever `RQP_BATCH` and `RQP_CHAOS_SEED` the
+//! CI matrix sets (chaos inflates propagation cost with
 //! retry charges; it must never change the maintained rows) — and every
 //! teardown path (explicit unsubscribe, deadline abort, token cancel,
 //! service shutdown) must leave the registry empty, the broker at zero
@@ -319,8 +319,7 @@ fn replay_packet(view: &mut Vec<Row>, p: &DeltaPacket, what: &str) {
 
 /// Seeded inserts *and* retractions over every menu shape: after each poll
 /// the packets replayed onto a copy, the maintained view and a cold engine
-/// re-run (under whatever `RQP_THREADS`/`RQP_BATCH`/`RQP_CHAOS_SEED` the CI
-/// leg sets) are the same rows — and once every base row is deleted, each
+/// re-run (under whatever `RQP_BATCH`/`RQP_CHAOS_SEED` the CI leg sets) are the same rows — and once every base row is deleted, each
 /// circuit's counted state is byte-for-byte an empty circuit's: no key,
 /// bucket, group or multiset value lingers.
 #[test]
