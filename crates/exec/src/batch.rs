@@ -235,7 +235,7 @@ impl BatchOperator for BatchScanOp {
             .map(|c| {
                 let col = self.table.column(c);
                 if let Some(xs) = col.as_int_slice() {
-                    ColVec::Int(xs[start..end].to_vec())
+                    ColVec::Int(xs.slice(start..end).to_vec())
                 } else if let Some(xs) = col.as_float_slice() {
                     ColVec::Float(xs[start..end].to_vec())
                 } else {

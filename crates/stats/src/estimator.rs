@@ -48,9 +48,9 @@ impl ColumnStats {
     pub fn gather(col: &ColumnData, rows: Option<&[usize]>, buckets: usize) -> Self {
         let collect_numeric = |vals: &mut Vec<f64>| {
             match (col, rows) {
-                (ColumnData::Int(v), None) => vals.extend(v.iter().map(|&x| x as f64)),
+                (ColumnData::Int(v), None) => vals.extend(v.as_slice().iter().map(|x| x as f64)),
                 (ColumnData::Int(v), Some(ids)) => {
-                    vals.extend(ids.iter().map(|&i| v[i] as f64))
+                    vals.extend(ids.iter().map(|&i| v.get(i) as f64))
                 }
                 (ColumnData::Float(v), None) => vals.extend(v.iter().copied()),
                 (ColumnData::Float(v), Some(ids)) => vals.extend(ids.iter().map(|&i| v[i])),

@@ -184,7 +184,7 @@ impl Catalog {
         let unq = column.rsplit_once('.').map(|(_, c)| c).unwrap_or(column);
         self.crackers.insert(
             (table.to_owned(), unq.to_owned()),
-            Rc::new(RefCell::new(CrackerColumn::new(keys))),
+            Rc::new(RefCell::new(CrackerColumn::new(&keys.to_vec()))),
         );
         Ok(())
     }
@@ -206,7 +206,7 @@ impl Catalog {
         let unq = column.rsplit_once('.').map(|(_, c)| c).unwrap_or(column);
         self.amerges.insert(
             (table.to_owned(), unq.to_owned()),
-            Rc::new(RefCell::new(AdaptiveMergeIndex::new(keys, run_size))),
+            Rc::new(RefCell::new(AdaptiveMergeIndex::new(&keys.to_vec(), run_size))),
         );
         Ok(())
     }

@@ -47,7 +47,7 @@ pub mod table;
 pub use amerge::AdaptiveMergeIndex;
 pub use catalog::{Catalog, CatalogSnapshot};
 pub use changelog::{ChangeOp, ChangeRecord, Changelog};
-pub use column::ColumnData;
+pub use column::{ColumnData, IntSlice, IntVec};
 pub use crack::CrackerColumn;
 pub use index::BTreeIndex;
 pub use multi_index::MultiIndex;

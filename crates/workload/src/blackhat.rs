@@ -145,16 +145,17 @@ impl BlackHatDb {
                 let person = self.catalog.table("person").expect("person");
                 let sales = self.catalog.table("sales").expect("sales");
                 let mut counts = std::collections::HashMap::new();
-                for v in person.column_by_name("zipf").unwrap().as_int_slice().unwrap() {
-                    counts.entry(*v).or_insert((0usize, 0usize)).0 += 1;
+                for v in person.column_by_name("zipf").unwrap().as_int_slice().unwrap().iter() {
+                    counts.entry(v).or_insert((0usize, 0usize)).0 += 1;
                 }
                 for v in sales
                     .column_by_name("person_zipf")
                     .unwrap()
                     .as_int_slice()
                     .unwrap()
+                    .iter()
                 {
-                    counts.entry(*v).or_insert((0, 0)).1 += 1;
+                    counts.entry(v).or_insert((0, 0)).1 += 1;
                 }
                 counts.values().map(|&(a, b)| a * b).sum()
             }

@@ -111,7 +111,7 @@ impl TableBuilder {
                     let src = data[*source]
                         .as_int_slice()
                         .expect("Derived source must be an integer column");
-                    ColumnData::Int(src.iter().map(|&v| f(v)).collect())
+                    ColumnData::Int(src.iter().map(f).collect())
                 }
                 ColumnGen::Categorical { prefix, n } => ColumnData::Str(
                     (0..rows)
@@ -194,7 +194,7 @@ mod tests {
             .column("z", ColumnGen::ZipfInt { n: 1000, theta: 1.0 })
             .build(10_000, &mut rng);
         let z = t.column_by_name("z").unwrap().as_int_slice().unwrap();
-        let ones = z.iter().filter(|&&v| v == 1).count();
+        let ones = z.iter().filter(|&v| v == 1).count();
         assert!(ones > 800, "rank-1 should dominate, got {ones}");
     }
 

@@ -161,8 +161,8 @@ mod tests {
         let fact = db.catalog.table("fact").unwrap();
         let fk1 = fact.column_by_name("fk1").unwrap().as_int_slice().unwrap();
         let fk2 = fact.column_by_name("fk2").unwrap().as_int_slice().unwrap();
-        for (a, b) in fk1.iter().zip(fk2) {
-            assert_eq!(*b, a % 50);
+        for (a, b) in fk1.iter().zip(fk2.iter()) {
+            assert_eq!(b, a % 50);
         }
     }
 
@@ -174,7 +174,7 @@ mod tests {
         );
         let fact = db.catalog.table("fact").unwrap();
         let fk1 = fact.column_by_name("fk1").unwrap().as_int_slice().unwrap();
-        let ones = fk1.iter().filter(|&&v| v == 1).count();
+        let ones = fk1.iter().filter(|&v| v == 1).count();
         assert!(ones > 500, "skewed fk, got {ones}");
     }
 

@@ -327,7 +327,7 @@ mod tests {
         );
         let li = db.catalog.table("lineitem").unwrap();
         let keys = li.column_by_name("orderkey").unwrap().as_int_slice().unwrap();
-        let top = keys.iter().filter(|&&k| k == 1).count();
+        let top = keys.iter().filter(|&k| k == 1).count();
         assert!(top > 200, "skew should concentrate on rank 1, got {top}");
     }
 

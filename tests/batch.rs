@@ -17,7 +17,7 @@ use rqp::exec::{
     ExchangeOp, ExecContext, FilterOp, HashAggOp, HashJoinOp, Operator, Partitioning, ProjectOp,
     TableScanOp,
 };
-use rqp::{DataType, Row, Schema, Table, Value};
+use rqp::{DataType, Expr, Row, Schema, Table, Value};
 use std::sync::Arc;
 
 /// Cost weights that are all dyadic rationals, so per-row charges sum
@@ -284,11 +284,25 @@ fn degenerate_inputs_match_scalar() {
 // Parallel twins: 1/2/8 workers, scan-side pipelines and repartitioning
 // ---------------------------------------------------------------------------
 
+/// `orders(3_000)` after appends its two-byte `id` column could not hold:
+/// the column was re-encoded in place, once past `i16` and once past `i32`.
+fn widened_orders() -> Arc<Table> {
+    let mut t = Arc::try_unwrap(orders(3_000)).expect("sole handle");
+    assert_eq!(t.column(0).as_int_slice().unwrap().width(), 2);
+    for id in [40_000, -40_000, i64::MAX] {
+        t.append(vec![Value::Int(id), Value::Float(0.5), Value::Str("cat0".into())]);
+    }
+    assert_eq!(t.column(0).as_int_slice().unwrap().width(), 8);
+    Arc::new(t)
+}
+
 #[test]
 fn parallel_batch_scan_matches_scalar_at_1_2_and_8_workers() {
-    let t = orders(3_000);
-    let pred = col("o.id").lt(lit(2_500i64));
+    scan_twins_agree(orders(3_000), col("o.id").lt(lit(2_500i64)), 2_500);
+    scan_twins_agree(widened_orders(), col("o.id").ge(lit(2_000i64)), 1_002);
+}
 
+fn scan_twins_agree(t: Arc<Table>, pred: Expr, matching: usize) {
     let scalar_run = |workers: usize| {
         let c = ctx();
         let p = pred.clone();
@@ -311,6 +325,7 @@ fn parallel_batch_scan_matches_scalar_at_1_2_and_8_workers() {
     };
 
     let baseline = scalar_run(1);
+    assert_eq!(baseline.0.len(), matching);
     for workers in [1usize, 2, 8] {
         assert_rows_and_bits(
             &format!("scalar vs batch at {workers} workers"),

@@ -556,6 +556,40 @@ fn appended_rows_reach_index_plans_over_the_wire() {
     drop(server);
 }
 
+/// An APPEND frame carries `i64`s whatever width the columns are stored at:
+/// one row past `i8` (`quantity`), `i16` (`shipdate`) and `i32` (`orderkey`)
+/// re-encodes all three, and both index plans and a filtered scan read it
+/// back whole.
+#[test]
+fn widening_append_over_the_wire_reads_back_on_index_and_scan_plans() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (server, addr) = start(&svc);
+    let mut client = WireClient::connect(&addr, 0).expect("connect");
+    let mut wide = fresh_lineitem(1);
+    (wide[0], wide[3], wide[6]) = (Value::Int(i64::MAX), Value::Int(300), Value::Int(40_000));
+    client.append("lineitem", vec![wide]).expect("wire").expect("append");
+
+    let want = vec![vec![Value::Int(i64::MAX), Value::Int(40_000), Value::Int(300)]];
+    for (pred, probes_index) in [
+        (col("lineitem.orderkey").eq(lit(i64::MAX)), true),
+        (col("lineitem.shipdate").eq(lit(40_000i64)), true),
+        (col("lineitem.quantity").add(lit(0i64)).eq(lit(300i64)), false),
+    ] {
+        let spec = QuerySpec::new().table("lineitem").filter("lineitem", pred).project(&[
+            "lineitem.orderkey",
+            "lineitem.shipdate",
+            "lineitem.quantity",
+        ]);
+        let plan = svc.run_solo(&spec).expect("solo run").fingerprint;
+        assert_eq!(plan.contains("ix"), probes_index, "unexpected plan {plan}");
+        let out = client.run(&spec, WireQueryOptions::default()).expect("wire").expect("query");
+        assert_eq!(out.rows, want, "plan {plan}");
+    }
+    client.goodbye().expect("goodbye");
+    drop(server);
+}
+
 #[test]
 fn a07_runs_real_client_processes_and_scoreboard_v5_gates_the_wire_metrics() {
     // Redirect the harness output to a scratch dir; this test is the only

@@ -18,7 +18,9 @@ use rqp::common::rng::{child_seed, seeded};
 use rqp::exec::{collect, ExecContext, GJoinOp, HashJoinOp, MergeJoinOp, Operator, SortOp};
 use rqp::expr::{col, lit, rewrites};
 use rqp::stats::MaxEntSolver;
-use rqp::storage::{AdaptiveMergeIndex, BTreeIndex, CrackerColumn, MultiIndex, RowId, Table};
+use rqp::storage::{
+    AdaptiveMergeIndex, BTreeIndex, CrackerColumn, IntVec, MultiIndex, RowId, Table,
+};
 use rqp::{DataType, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -268,6 +270,85 @@ fn multi_index_agrees_with_filter() {
     }
 }
 
+/// The width-adaptive integer vector against the `Vec<i64>` it replaced,
+/// under random edits drawn from the values that sit on a width boundary.
+#[test]
+fn int_vec_matches_vec_i64_model() {
+    let boundary: [i64; 14] = [
+        0,
+        -1,
+        i8::MAX as i64,
+        i8::MAX as i64 + 1,
+        i8::MIN as i64,
+        i8::MIN as i64 - 1,
+        i16::MAX as i64,
+        i16::MAX as i64 + 1,
+        i16::MIN as i64 - 1,
+        i32::MAX as i64,
+        i32::MAX as i64 + 1,
+        i32::MIN as i64 - 1,
+        i64::MIN,
+        i64::MAX,
+    ];
+    let width_of = |x: i64| match x {
+        -0x80..=0x7f => 1,
+        -0x8000..=0x7fff => 2,
+        -0x8000_0000..=0x7fff_ffff => 4,
+        _ => 8,
+    };
+    let mut loaded_at = std::collections::BTreeSet::new();
+    for case in 0..CASES {
+        let mut rng = case_rng("int-vec", case);
+        // Values up to a per-case ceiling, so some cases stay narrow for a
+        // while and every width is a bulk-load result somewhere.
+        let reach = boundary.len().min(2 + (case as usize % 4) * 4);
+        let draw = |rng: &mut StdRng| boundary[rng.gen_range(0..reach)];
+        let mut model: Vec<i64> = (0..rng.gen_range(0..40)).map(|_| draw(&mut rng)).collect();
+        let mut ints = IntVec::from(model.clone());
+        // The widest value the vector has ever held: what its width must be.
+        let mut widest = model.iter().map(|&x| width_of(x)).max().unwrap_or(1);
+        assert_eq!(ints.width(), widest, "case {case}: a bulk load is minimal");
+        loaded_at.insert(widest);
+        for step in 0..120 {
+            // The last third of each case draws from every boundary value.
+            let x = if step < 80 { draw(&mut rng) } else { pick(&mut rng, &boundary) };
+            match rng.gen_range(0..5) {
+                0 | 1 => {
+                    model.push(x);
+                    ints.push(x);
+                    widest = widest.max(width_of(x));
+                }
+                2 => {
+                    let at = rng.gen_range(0..=model.len());
+                    model.insert(at, x);
+                    ints.insert(at, x);
+                    widest = widest.max(width_of(x));
+                }
+                3 if !model.is_empty() => {
+                    let at = rng.gen_range(0..model.len());
+                    assert_eq!(ints.remove(at), model.remove(at), "case {case} step {step}");
+                }
+                _ => ints.shrink_to_fit(),
+            }
+            assert_eq!(ints.len(), model.len());
+            assert_eq!(ints.width(), widest, "case {case} step {step}: widens, never narrows");
+            assert_eq!(ints.heap_bytes(), ints.capacity() * ints.width());
+            let view = ints.as_slice();
+            assert_eq!(view.to_vec(), model, "case {case} step {step}");
+            assert!(view.iter().eq(model.iter().copied()));
+            if !model.is_empty() {
+                let at = rng.gen_range(0..model.len());
+                assert_eq!((ints.get(at), view.get(at)), (model[at], model[at]));
+                let end = rng.gen_range(at..=model.len());
+                let part = view.slice(at..end);
+                assert_eq!((part.len(), part.width()), (end - at, view.width()));
+                assert_eq!(part.to_vec(), model[at..end]);
+            }
+        }
+    }
+    assert_eq!(Vec::from_iter(loaded_at), [1, 2, 4, 8], "every width is some case's bulk load");
+}
+
 /// Values of one type with everything an ordering bug trips on: duplicates,
 /// `i64` extremes, both zeros, infinities, NaNs of either sign and payload.
 fn awkward_pool(dtype: DataType) -> Vec<Value> {
@@ -361,8 +442,14 @@ fn packed_index_matches_btreemap_reference() {
         let probes = probe_pool(dtype);
         let n_rows = rng.gen_range(0usize..200);
         let n_inserts = rng.gen_range(150usize..320);
-        let mut values: Vec<Value> =
-            (0..n_rows + n_inserts).map(|_| pick(&mut rng, &pool)).collect();
+        // Every other integer case builds over one-byte keys only, so the
+        // inserts widen the key column between build and probe.
+        let narrow_build = dtype == DataType::Int && case % 2 == 1;
+        let one_byte = |v: &Value| matches!(v, Value::Int(x) if i8::try_from(*x).is_ok());
+        let build_pool: Vec<Value> =
+            pool.iter().filter(|v| !narrow_build || one_byte(v)).cloned().collect();
+        let mut values: Vec<Value> = (0..n_rows).map(|_| pick(&mut rng, &build_pool)).collect();
+        values.extend((0..n_inserts).map(|_| pick(&mut rng, &pool)));
         // A quarter of the cases stay in key order throughout (a clustered
         // index that appends keep clustered); the rest are shuffled.
         if case % 4 == 0 {
@@ -372,6 +459,10 @@ fn packed_index_matches_btreemap_reference() {
         let mut t = Table::new("t", Schema::from_pairs(&[("k", dtype)]));
         for v in &values {
             t.append(vec![v.clone()]);
+        }
+        if narrow_build {
+            assert_eq!(t.column(0).as_int_slice().unwrap().width(), 1, "case {case}");
+            assert!(!inserts.iter().all(one_byte), "case {case}: no insert widens the keys");
         }
         let mut ix = BTreeIndex::build("ix", &t, "k").unwrap();
         let mut reference = RefIndex::build(&values);

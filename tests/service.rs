@@ -2,8 +2,9 @@
 //! the MPL gate, result identity under concurrency, typed deadline aborts
 //! that release every workspace grant, cancellation while queued, agreement
 //! between the real service and the virtual-time [`WorkloadManager`] on a
-//! deterministic trace, the A06 scoreboard gate, and secondary indexes
-//! following service appends.
+//! deterministic trace, the A06 scoreboard gate, secondary indexes
+//! following service appends, and width-adaptive integer columns (widening
+//! appends against an `i64` reference, the bytes-per-row gate).
 //!
 //! Compiled under `rqp-bench` so it can drive both the service API and the
 //! `a06_concurrent_service` experiment end to end.
@@ -11,7 +12,9 @@
 use rqp::common::expr::{col, lit};
 use rqp::common::{Row, RqpError, Value};
 use rqp::opt::QuerySpec;
-use rqp::server::{QueryOptions, QueryService, ServiceConfig};
+use rqp::server::{QueryOptions, QueryService, ServiceConfig, SubscribeOptions};
+use rqp::storage::Table;
+use rqp::stream::canonicalize;
 use rqp::telemetry::scoreboard::Scoreboard;
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 
@@ -215,6 +218,111 @@ fn indexes_follow_service_appends() {
     via_scan.sort();
     assert_eq!(via_index, via_scan, "same rows, not just the same count");
     assert_eq!(svc.reserved(), 0.0);
+}
+
+/// Integer columns are stored at the narrowest width that holds them and
+/// re-encoded in place by the first append that does not fit. With the
+/// widening values on the rows that matter, every read path — filtered scan,
+/// both `lineitem` index plans, a standing view — returns what plain `i64`
+/// rows kept beside the service return, and a snapshot taken before the
+/// append keeps its narrow columns (copy on write).
+#[test]
+fn widening_appends_match_an_i64_reference_on_every_read_path() {
+    let db = small_db();
+    let svc = QueryService::new(&db.catalog, ServiceConfig::default());
+    let widths = |t: &Table| {
+        ["orderkey", "shipdate", "quantity"]
+            .map(|c| t.column_by_name(c).unwrap().as_int_slice().unwrap().width())
+    };
+    let before = db.catalog.snapshot();
+    // The reference: the rows as `Value::Int(i64)`s, filtered in the test.
+    let mut reference: Vec<Row> = before.table("lineitem").unwrap().iter_rows().collect();
+    assert_eq!(widths(&before.table("lineitem").unwrap()), [2, 2, 1], "loaded narrow");
+
+    let scan = |pred| {
+        QuerySpec::new()
+            .table("lineitem")
+            .filter("lineitem", pred)
+            .project(&["lineitem.orderkey", "lineitem.shipdate", "lineitem.quantity"])
+    };
+    let expect = |reference: &[Row], keep: &dyn Fn(i64, i64, i64) -> bool| {
+        let int = |r: &Row, c: usize| r[c].as_int().unwrap();
+        let mut rows: Vec<Row> = reference
+            .iter()
+            .filter(|r| keep(int(r, 0), int(r, 6), int(r, 3)))
+            .map(|r| vec![r[0].clone(), r[6].clone(), r[3].clone()])
+            .collect();
+        rows.sort();
+        rows
+    };
+    let standing = scan(col("lineitem.shipdate").ge(lit(2_500i64)));
+    let sub = svc.subscribe(&standing, SubscribeOptions::default()).expect("subscribe");
+
+    // Past `i16`, past `i8` and past `i32`, beside keys the indexes hold.
+    let wide = [(i64::MAX, 40_000, 300), (777, 40_000, 1), (i64::MAX, 5, 50), (777, 5, 300)];
+    let fresh: Vec<Row> = wide
+        .into_iter()
+        .map(|(orderkey, shipdate, quantity)| {
+            let ints = [orderkey, 1, 1, quantity].map(Value::Int);
+            let floats = [1_000.0, 0.0].map(Value::Float);
+            ints.into_iter().chain(floats).chain([shipdate, 0].map(Value::Int)).collect()
+        })
+        .collect();
+    reference.extend(fresh.iter().cloned());
+    svc.append_rows("lineitem", fresh).expect("append");
+
+    type Keep = fn(i64, i64, i64) -> bool;
+    let cases: [(QuerySpec, bool, Keep); 6] = [
+        (scan(col("lineitem.orderkey").eq(lit(i64::MAX))), true, |k, _, _| k == i64::MAX),
+        (scan(col("lineitem.orderkey").eq(lit(777i64))), true, |k, _, _| k == 777),
+        (scan(col("lineitem.shipdate").eq(lit(40_000i64))), true, |_, d, _| d == 40_000),
+        (scan(col("lineitem.shipdate").eq(lit(5i64))), true, |_, d, _| d == 5),
+        (scan(col("lineitem.quantity").add(lit(0i64)).eq(lit(300i64))), false, |_, _, q| q == 300),
+        (scan(col("lineitem.quantity").ge(lit(1i64))), false, |_, _, _| true),
+    ];
+    for (spec, probes_index, keep) in &cases {
+        let out = svc.run_solo(spec).expect("solo run");
+        assert_eq!(out.fingerprint.contains("ix"), *probes_index, "plan {}", out.fingerprint);
+        let mut rows = out.rows;
+        rows.sort();
+        assert!(!rows.is_empty());
+        assert_eq!(rows, expect(&reference, keep), "plan {}", out.fingerprint);
+    }
+
+    let (_, lag) = svc.poll_subscription(sub, 0).expect("poll");
+    assert_eq!(lag, 0);
+    let view = svc.subscriptions().get(sub).expect("live").view();
+    assert_eq!(view, canonicalize(expect(&reference, &|_, d, _| d >= 2_500)));
+    assert!(view.iter().any(|r| r[1] == Value::Int(40_000)), "the view took the wide rows");
+
+    // The snapshot of the epoch before the append still reads its own rows
+    // at its own widths; the service's table is a widened copy.
+    let old = before.table("lineitem").unwrap();
+    assert_eq!(widths(&old), [2, 2, 1]);
+    assert!(old.iter_rows().eq(reference[..4_000].iter().cloned()));
+    assert!(svc.unsubscribe(sub));
+    assert_eq!(svc.reserved(), 0.0);
+}
+
+/// The footprint gate, in counted bytes so it holds on any machine: at
+/// 40 000 `lineitem` rows six integer columns take 9 bytes a row beside the
+/// two floats' 16 (48 + 16 at eight bytes each), and the gauge STATS
+/// publishes is that count, not `len × 8`.
+#[test]
+fn narrow_columns_bound_the_resident_bytes_per_row() {
+    let db = TpchDb::build(TpchParams { lineitem_rows: 40_000, ..Default::default() }, 42);
+    let bytes_per_row = |name: &str| {
+        let t = db.catalog.table(name).unwrap();
+        t.heap_bytes() as f64 / t.nrows() as f64
+    };
+    assert!(bytes_per_row("lineitem") <= 28.0, "lineitem {} B/row", bytes_per_row("lineitem"));
+    assert!(bytes_per_row("orders") <= 16.0, "orders {} B/row", bytes_per_row("orders"));
+
+    let svc = QueryService::new(&db.catalog, ServiceConfig::default());
+    svc.refresh_live_gauges();
+    let counted: usize =
+        db.catalog.table_names().iter().map(|t| db.catalog.table(t).unwrap().heap_bytes()).sum();
+    assert_eq!(svc.metrics().gauge("server.storage.table_bytes").get(), counted as f64);
 }
 
 #[test]
