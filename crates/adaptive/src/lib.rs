@@ -1,9 +1,9 @@
 //! # rqp-adaptive
 //!
-//! The adaptivity loop — *measure → analyze → plan → actuate* (Deshpande,
-//! Ives & Raman's survey frames every adaptive technique this way) — and the
-//! two flagship instantiations the seminar's optimization/execution session
-//! calls complementary:
+//! The two flagship instantiations of the adaptivity loop — *measure →
+//! analyze → plan → actuate* (Deshpande, Ives & Raman's survey frames every
+//! adaptive technique this way) — that the seminar's optimization/execution
+//! session calls complementary:
 //!
 //! * [`pop`] — **POP / progressive optimization** (Markl et al., SIGMOD
 //!   2004): CHECK operators with validity ranges halt a mis-planned query
@@ -14,15 +14,11 @@
 //!   that compares per-operator actuals with estimates after each query and
 //!   feeds adjustment factors back into future optimizations. "LEO can then
 //!   figure out the causes of problems."
-//! * [`aloop`] — the generic adaptivity-loop trait for building further
-//!   adaptive components.
 
 #![warn(missing_docs)]
 
-pub mod aloop;
 pub mod leo;
 pub mod pop;
 
-pub use aloop::{AdaptiveComponent, LoopOutcome};
 pub use leo::{run_with_feedback, LeoReport};
 pub use pop::{run_standard, run_with_pop, PopConfig, PopReport, PopRound};

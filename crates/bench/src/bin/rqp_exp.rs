@@ -12,7 +12,8 @@
 //! the `rqp-loadgen` binary (`cargo build -p rqp-net`) next to this one, or
 //! named via `RQP_LOADGEN_BIN`.
 
-use rqp_bench::experiments::{harness, Experiment, EXPERIMENTS};
+use rqp_bench::experiments::{harness, Experiment, RunEnv, EXPERIMENTS};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -72,8 +73,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // The process environment enters here and nowhere else in the harness.
+    let mut env = RunEnv::new(
+        fast,
+        std::env::var_os("RQP_EXP_OUTPUT").map_or_else(RunEnv::committed_dir, PathBuf::from),
+    );
+    if let Some(bin) = std::env::var_os("RQP_LOADGEN_BIN") {
+        env.loadgen_bin = PathBuf::from(bin);
+    }
     for experiment in experiments {
-        if let Err(e) = harness::run_to_artifact(experiment, fast) {
+        if let Err(e) = harness::run_to_artifact(experiment, &env) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }

@@ -1,6 +1,6 @@
 //! A01–A04 and A09: ablations over the design choices `DESIGN.md` calls out.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rand::Rng;
 use rqp::adaptive::pop::{run_standard, run_with_pop, EstimatorWrapper, PopConfig};
 use rqp::common::{CostClock, CostModelParams, StringDict};
@@ -21,8 +21,8 @@ use rqp::{DataType, Row, Schema, Table, Value};
 use std::sync::Arc;
 
 /// A01 — POP θ sensitivity: validity-range tightness vs overhead/recovery.
-pub fn a01_pop_theta(fast: bool) -> String {
-    harness::run("a01_pop_theta", fast, |h| {
+pub fn a01_pop_theta(env: &RunEnv) -> String {
+    harness::run("a01_pop_theta", env, |h| {
         let li = if h.fast() { 3000 } else { 10_000 };
         let db = TpchDb::build(
             TpchParams { lineitem_rows: li, ..Default::default() },
@@ -86,8 +86,8 @@ pub fn a01_pop_theta(fast: bool) -> String {
 }
 
 /// A02 — adaptive-merge run-size ablation: build cost vs convergence.
-pub fn a02_amerge_runsize(fast: bool) -> String {
-    harness::run("a02_amerge_runsize", fast, a02_body)
+pub fn a02_amerge_runsize(env: &RunEnv) -> String {
+    harness::run("a02_amerge_runsize", env, a02_body)
 }
 
 fn a02_body(h: &mut Harness) -> String {
@@ -151,8 +151,8 @@ fn a02_body(h: &mut Harness) -> String {
 }
 
 /// A04 — parallel scaling: exchange worker count × injected partition skew.
-pub fn a04_parallel_scaling(fast: bool) -> String {
-    harness::run("a04_parallel_scaling", fast, a04_body)
+pub fn a04_parallel_scaling(env: &RunEnv) -> String {
+    harness::run("a04_parallel_scaling", env, a04_body)
 }
 
 fn a04_body(h: &mut Harness) -> String {
@@ -250,8 +250,8 @@ fn a04_body(h: &mut Harness) -> String {
 }
 
 /// A09 — batch-vs-scalar wall-clock speedup on the filter/join/agg sweep.
-pub fn a09_batch_speedup(fast: bool) -> String {
-    harness::run("a09_batch_speedup", fast, a09_body)
+pub fn a09_batch_speedup(env: &RunEnv) -> String {
+    harness::run("a09_batch_speedup", env, a09_body)
 }
 
 /// Ceiling on the reported [`samples::BATCH_SPEEDUP`] gauge. The scoreboard
@@ -480,8 +480,8 @@ fn a09_body(h: &mut Harness) -> String {
 }
 
 /// A03 — eddy lottery decay: adaptation speed vs stability.
-pub fn a03_eddy_decay(fast: bool) -> String {
-    harness::run("a03_eddy_decay", fast, a03_body)
+pub fn a03_eddy_decay(env: &RunEnv) -> String {
+    harness::run("a03_eddy_decay", env, a03_body)
 }
 
 fn a03_body(h: &mut Harness) -> String {

@@ -1,6 +1,6 @@
 //! E04–E06: the seminar's proposed robustness benchmarks.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rqp::exec::ExecContext;
 use rqp::expr::{col, lit, rewrites};
 use rqp::metrics::{ReportTable, VariabilityReport};
@@ -12,8 +12,8 @@ use rqp::QuerySpec;
 use std::rc::Rc;
 
 /// E04 — the tractor-pull benchmark: escalate load until the stall.
-pub fn e04_tractor_pull(fast: bool) -> String {
-    harness::run("e04_tractor_pull", fast, e04_body)
+pub fn e04_tractor_pull(env: &RunEnv) -> String {
+    harness::run("e04_tractor_pull", env, e04_body)
 }
 
 fn e04_body(h: &mut Harness) -> String {
@@ -73,8 +73,8 @@ fn e04_body(h: &mut Harness) -> String {
 /// Environments: shrinking memory budgets. The *rigid* system carries its
 /// big-memory plan everywhere; the *adaptive* system re-plans per
 /// environment (the ideal-plan approximation the break-out proposes).
-pub fn e05_extrinsic(fast: bool) -> String {
-    harness::run("e05_extrinsic", fast, e05_body)
+pub fn e05_extrinsic(env: &RunEnv) -> String {
+    harness::run("e05_extrinsic", env, e05_body)
 }
 
 fn e05_body(h: &mut Harness) -> String {
@@ -143,8 +143,8 @@ fn e05_body(h: &mut Harness) -> String {
 
 /// E06 — equivalent-query consistency: semantically equal formulations must
 /// cost (and estimate) the same.
-pub fn e06_equivalence(fast: bool) -> String {
-    harness::run("e06_equivalence", fast, e06_body)
+pub fn e06_equivalence(env: &RunEnv) -> String {
+    harness::run("e06_equivalence", env, e06_body)
 }
 
 fn e06_body(h: &mut Harness) -> String {

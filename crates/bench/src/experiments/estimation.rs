@@ -1,6 +1,6 @@
 //! E08, E19, E22: cardinality-estimation robustness.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rqp::adaptive::run_with_feedback;
 use rqp::exec::ExecContext;
 use rqp::expr::col;
@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 /// E08 — Metric1/Metric3 and C(Q) across estimation regimes on a correlated
 /// star schema.
-pub fn e08_card_metrics(fast: bool) -> String {
-    harness::run("e08_card_metrics", fast, e08_body)
+pub fn e08_card_metrics(env: &RunEnv) -> String {
+    harness::run("e08_card_metrics", env, e08_body)
 }
 
 fn e08_body(h: &mut Harness) -> String {
@@ -140,8 +140,8 @@ fn lit_i(v: i64) -> rqp::Expr {
 }
 
 /// E19 — LEO feedback: q-error decay over repeated workload epochs.
-pub fn e19_leo(fast: bool) -> String {
-    harness::run("e19_leo", fast, e19_body)
+pub fn e19_leo(env: &RunEnv) -> String {
+    harness::run("e19_leo", env, e19_body)
 }
 
 fn e19_body(h: &mut Harness) -> String {
@@ -227,8 +227,8 @@ fn e19_body(h: &mut Harness) -> String {
 
 /// E22 — black-hat cardinality stress: estimation error per trap, in orders
 /// of magnitude.
-pub fn e22_blackhat(fast: bool) -> String {
-    harness::run("e22_blackhat", fast, e22_body)
+pub fn e22_blackhat(env: &RunEnv) -> String {
+    harness::run("e22_blackhat", env, e22_body)
 }
 
 fn e22_body(h: &mut Harness) -> String {

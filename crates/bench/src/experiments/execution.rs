@@ -1,6 +1,6 @@
 //! E11, E16, E17, E18: robust execution mechanisms.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rand::Rng;
 use rqp::exec::{
     collect, AGreedyFilterOp, AMergeScanOp, CrackerScanOp, EddyFilterOp, ExecContext,
@@ -13,8 +13,8 @@ use rqp::{Catalog, DataType, Row, Schema, Table, Value};
 
 /// E11 — adaptive indexing: cracking vs adaptive merging vs scan vs eager
 /// index over a query sequence (the convergence curve).
-pub fn e11_cracking(fast: bool) -> String {
-    harness::run("e11_cracking", fast, e11_body)
+pub fn e11_cracking(env: &RunEnv) -> String {
+    harness::run("e11_cracking", env, e11_body)
 }
 
 fn e11_body(h: &mut Harness) -> String {
@@ -157,8 +157,8 @@ fn vec_op(schema: Schema, rows: Vec<Row>) -> Box<dyn Operator> {
 }
 
 /// E16 — A-Greedy adaptive selection ordering under mid-stream drift.
-pub fn e16_agreedy(fast: bool) -> String {
-    harness::run("e16_agreedy", fast, e16_body)
+pub fn e16_agreedy(env: &RunEnv) -> String {
+    harness::run("e16_agreedy", env, e16_body)
 }
 
 fn e16_body(h: &mut Harness) -> String {
@@ -228,8 +228,8 @@ fn e16_body(h: &mut Harness) -> String {
 }
 
 /// E17 — eddies vs a fixed plan under selectivity drift.
-pub fn e17_eddy(fast: bool) -> String {
-    harness::run("e17_eddy", fast, e17_body)
+pub fn e17_eddy(env: &RunEnv) -> String {
+    harness::run("e17_eddy", env, e17_body)
 }
 
 fn e17_body(h: &mut Harness) -> String {
@@ -281,8 +281,8 @@ fn e17_body(h: &mut Harness) -> String {
 }
 
 /// E18 — the generalized join vs the traditional repertoire across regimes.
-pub fn e18_gjoin(fast: bool) -> String {
-    harness::run("e18_gjoin", fast, e18_body)
+pub fn e18_gjoin(env: &RunEnv) -> String {
+    harness::run("e18_gjoin", env, e18_body)
 }
 
 fn e18_body(h: &mut Harness) -> String {

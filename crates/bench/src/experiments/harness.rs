@@ -12,25 +12,59 @@
 //! folds into `exp_output/scoreboard.json`.
 
 use rand::rngs::StdRng;
+use rqp::common::EngineConfig;
 use rqp::exec::ExecContext;
 use rqp::telemetry::scoreboard::samples;
 use std::path::{Path, PathBuf};
 
-/// Where run reports and `.txt` artifacts land: `$RQP_EXP_OUTPUT` when set
-/// (CI writes fresh runs to a scratch directory), otherwise the repository's
-/// committed `exp_output/` — anchored at the workspace root so the answer
-/// does not depend on the invoking directory.
-pub fn output_dir() -> PathBuf {
-    match std::env::var_os("RQP_EXP_OUTPUT") {
-        Some(dir) => PathBuf::from(dir),
-        None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../exp_output"),
+/// Everything a run takes from outside the experiment itself. `rqp-exp`
+/// builds one from its arguments and environment; tests build one over a
+/// temp directory.
+#[derive(Debug, Clone)]
+pub struct RunEnv {
+    /// The reduced-size (`--fast`) variant.
+    pub fast: bool,
+    /// Where run reports and `.txt` artifacts land.
+    pub out_dir: PathBuf,
+    /// The `rqp-loadgen` binary A07/A08 spawn as real client processes.
+    pub loadgen_bin: PathBuf,
+    /// The engine switches the process runs under; A07/A08 seed their
+    /// workload from `chaos_seed`.
+    pub engine: EngineConfig,
+}
+
+impl RunEnv {
+    /// A run into `out_dir` under the ambient engine switches, with the
+    /// loadgen expected beside the running binary.
+    pub fn new(fast: bool, out_dir: PathBuf) -> Self {
+        RunEnv { fast, out_dir, loadgen_bin: sibling_loadgen(), engine: EngineConfig::ambient() }
     }
+
+    /// The repository's committed `exp_output/`, anchored at the workspace
+    /// root so the answer does not depend on the invoking directory.
+    pub fn committed_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../exp_output")
+    }
+}
+
+/// `rqp-loadgen` as a sibling of the running binary (stepping out of
+/// `target/<profile>/deps/` when invoked from a test).
+fn sibling_loadgen() -> PathBuf {
+    let mut dir = std::env::current_exe()
+        .expect("current exe")
+        .parent()
+        .expect("exe dir")
+        .to_path_buf();
+    if dir.file_name().is_some_and(|n| n == "deps") {
+        dir.pop();
+    }
+    dir.join("rqp-loadgen")
 }
 
 /// Per-run state the harness threads through an experiment body.
 pub struct Harness {
     ctx: ExecContext,
-    fast: bool,
+    env: RunEnv,
     config: Vec<(String, String)>,
     seeds: Vec<(String, u64)>,
 }
@@ -42,9 +76,14 @@ impl Harness {
         &self.ctx
     }
 
+    /// The run's inputs from outside.
+    pub fn env(&self) -> &RunEnv {
+        &self.env
+    }
+
     /// Whether this is a reduced-size (`--fast`) run.
     pub fn fast(&self) -> bool {
-        self.fast
+        self.env.fast
     }
 
     /// Record a configuration label for the report.
@@ -97,16 +136,12 @@ impl Harness {
 
 /// Run one experiment through the harness: execute `body`, assemble the
 /// context's run report (config, seeds, spans, events, metrics), write it to
-/// [`output_dir`]`/<name>.json`, and append a footer line naming the report
-/// to the experiment's printed output.
-pub fn run(
-    name: &str,
-    fast: bool,
-    body: impl FnOnce(&mut Harness) -> String,
-) -> String {
+/// `env.out_dir/<name>.json`, and append a footer line naming the report to
+/// the experiment's printed output.
+pub fn run(name: &str, env: &RunEnv, body: impl FnOnce(&mut Harness) -> String) -> String {
     let mut h = Harness {
         ctx: ExecContext::unbounded(),
-        fast,
+        env: env.clone(),
         config: Vec::new(),
         seeds: Vec::new(),
     };
@@ -114,7 +149,7 @@ pub fn run(
     let mut report = h
         .ctx
         .run_report(name)
-        .with_config("fast", if fast { "true" } else { "false" });
+        .with_config("fast", if env.fast { "true" } else { "false" });
     for (k, v) in &h.config {
         report = report.with_config(k, v);
     }
@@ -123,76 +158,27 @@ pub fn run(
     }
     // The footer names the report portably: committed `.txt` artifacts must
     // not embed the absolute checkout path.
-    let footer = match report.write_to(&output_dir()) {
-        Ok(path) => match std::env::var_os("RQP_EXP_OUTPUT") {
-            Some(_) => format!("run report: {}", path.display()),
-            None => format!(
-                "run report: exp_output/{}",
-                path.file_name().unwrap_or_default().to_string_lossy()
-            ),
-        },
+    let footer = match report.write_to(&env.out_dir) {
+        Ok(path) if env.out_dir == RunEnv::committed_dir() => format!(
+            "run report: exp_output/{}",
+            path.file_name().unwrap_or_default().to_string_lossy()
+        ),
+        Ok(path) => format!("run report: {}", path.display()),
         Err(e) => format!("run report: write failed ({e})"),
     };
     let sep = if text.ends_with('\n') { "" } else { "\n" };
     format!("{text}{sep}{footer}\n")
 }
 
-/// Locate the `rqp-loadgen` binary A07/A08 spawn as real client processes:
-/// `RQP_LOADGEN_BIN` when set (the gate tests pass Cargo's own path),
-/// otherwise a sibling of the running binary (stepping out of
-/// `target/<profile>/deps/` when invoked from a test).
-pub(super) fn loadgen_bin() -> PathBuf {
-    if let Some(path) = std::env::var_os("RQP_LOADGEN_BIN") {
-        return PathBuf::from(path);
-    }
-    let mut dir = std::env::current_exe()
-        .expect("current exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
-    if dir.file_name().is_some_and(|n| n == "deps") {
-        dir.pop();
-    }
-    dir.join("rqp-loadgen")
-}
-
 /// What `rqp-exp` does per experiment: run it, print its report, and write
 /// it as `<name>.txt` next to the JSON run report.
-pub fn run_to_artifact((name, experiment): super::Experiment, fast: bool) -> Result<(), String> {
-    let out = experiment(fast);
+pub fn run_to_artifact((name, experiment): super::Experiment, env: &RunEnv) -> Result<(), String> {
+    let out = experiment(env);
     println!("{out}");
-    let path = output_dir().join(format!("{name}.txt"));
-    std::fs::create_dir_all(output_dir())
+    let path = env.out_dir.join(format!("{name}.txt"));
+    std::fs::create_dir_all(&env.out_dir)
         .and_then(|()| std::fs::write(&path, &out))
         .map_err(|e| format!("artifact write failed for {}: {e}", path.display()))
-}
-
-#[cfg(test)]
-pub(crate) mod test_env {
-    //! Test-only redirection of `RQP_EXP_OUTPUT`. The variable is
-    //! process-global and the test harness is multi-threaded, so redirecting
-    //! tests serialize on one lock held for the guard's lifetime.
-
-    use std::path::Path;
-    use std::sync::{Mutex, MutexGuard};
-
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Holds the redirection; dropping it restores the default output dir.
-    pub struct Redirect(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-    /// Point [`super::output_dir`] at `dir` until the guard drops.
-    pub fn redirect(dir: &Path) -> Redirect {
-        let guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("RQP_EXP_OUTPUT", dir);
-        Redirect(guard)
-    }
-
-    impl Drop for Redirect {
-        fn drop(&mut self) {
-            std::env::remove_var("RQP_EXP_OUTPUT");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,8 +190,7 @@ mod tests {
     fn run_writes_a_report_with_seeds_and_config() {
         let dir = std::env::temp_dir().join("rqp_harness_run_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let guard = test_env::redirect(&dir);
-        let out = run("e00_harness_probe", true, |h| {
+        let out = run("e00_harness_probe", &RunEnv::new(true, dir.clone()), |h| {
             let _rng = h.seeded("workload", 77);
             h.note_seed("db", 1001);
             h.config("queries", 12);
@@ -213,7 +198,6 @@ mod tests {
             h.ctx().tracer.open("probe", &h.ctx().clock);
             "probe output".to_string()
         });
-        drop(guard);
         assert!(out.contains("probe output"));
         assert!(out.contains("run report:"), "{out}");
         let text = std::fs::read_to_string(dir.join("e00_harness_probe.json")).unwrap();
@@ -233,14 +217,12 @@ mod tests {
     fn paper_sample_helpers_use_reserved_names() {
         let dir = std::env::temp_dir().join("rqp_harness_samples_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let guard = test_env::redirect(&dir);
-        run("e00_sample_probe", true, |h| {
+        run("e00_sample_probe", &RunEnv::new(true, dir.clone()), |h| {
             h.perf_gaps(&[1.0, 2.0, 30.0]);
             h.env_costs(&[(12.0, 10.0), (80.0, 20.0)]);
             h.m3(100.0, 80.0);
             String::new()
         });
-        drop(guard);
         let board =
             rqp::telemetry::Scoreboard::from_dir(&dir).expect("fold");
         let e = &board.entries["e00_sample_probe"];

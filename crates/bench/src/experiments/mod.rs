@@ -14,9 +14,11 @@ pub mod service;
 pub mod streaming;
 pub mod wire;
 
+pub use harness::RunEnv;
+
 /// One registry row: the experiment's name (its artifact stem in
-/// `exp_output/`) and its entry point, which takes the `fast` flag.
-pub type Experiment = (&'static str, fn(bool) -> String);
+/// `exp_output/`) and its entry point.
+pub type Experiment = (&'static str, fn(&RunEnv) -> String);
 
 /// Every experiment, in name order: what `rqp-exp --all` runs and
 /// `rqp-exp --list` prints.

@@ -1,6 +1,6 @@
 //! A08: live observation of the wire service — overhead and event loss.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryService, ServiceConfig, ServiceReport};
 use rqp::telemetry::scoreboard::samples;
@@ -8,6 +8,7 @@ use rqp::telemetry::MetricValue;
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp_net::loadgen::menu;
 use rqp_net::{WireClient, WireQueryOptions, WireServer};
+use std::path::Path;
 use std::sync::Arc;
 
 /// A08 — live observer: the same multi-process workload run bare and with
@@ -16,8 +17,8 @@ use std::sync::Arc;
 /// must see every flight-recorder event (zero loss at the provisioned ring
 /// size), and when the ring *is* undersized the loss must be counted, not
 /// silent.
-pub fn a08_live_observer(fast: bool) -> String {
-    harness::run("a08_live_observer", fast, a08_body)
+pub fn a08_live_observer(env: &RunEnv) -> String {
+    harness::run("a08_live_observer", env, a08_body)
 }
 
 struct RunOutcome {
@@ -42,6 +43,7 @@ fn gauge_of(metrics: &[(String, MetricValue)], name: &str) -> f64 {
 /// `observe`. Returns the deterministic virtual-time schedule report plus
 /// the observer counters parsed from the loadgen total line.
 fn run_leg(
+    bin: &Path,
     svc: &Arc<QueryService>,
     seed: u64,
     clients: usize,
@@ -50,8 +52,7 @@ fn run_leg(
 ) -> RunOutcome {
     let server = WireServer::start(Arc::clone(svc), "127.0.0.1:0").expect("bind wire server");
     let addr = format!("127.0.0.1:{}", server.port());
-    let bin = harness::loadgen_bin();
-    let mut cmd = std::process::Command::new(&bin);
+    let mut cmd = std::process::Command::new(bin);
     cmd.args(["--addr", &addr])
         .args(["--clients", &clients.to_string()])
         .args(["--queries", &queries.to_string()])
@@ -95,11 +96,8 @@ fn run_leg(
 
 fn a08_body(h: &mut Harness) -> String {
     let fast = h.fast();
-    let seed: u64 = std::env::var("RQP_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
-    h.note_seed("chaos", seed);
+    let seed = h.note_seed("chaos", h.env().engine.chaos_seed.unwrap_or(7));
+    let bin = h.env().loadgen_bin.clone();
 
     let li = if fast { 4_000 } else { 12_000 };
     let db = TpchDb::build(
@@ -114,7 +112,7 @@ fn a08_body(h: &mut Harness) -> String {
         drift_threshold: 1e9,
         // The overhead ratio compares two runs cost for cost, and below a
         // page budget the shared pool's refaults land on whichever query
-        // interleaves there: keep an inherited `RQP_PAGE_BUDGET` out.
+        // interleaves there: keep an inherited page budget out.
         page_budget: None,
         ..Default::default()
     };
@@ -128,9 +126,9 @@ fn a08_body(h: &mut Harness) -> String {
     // no cost units, so the completion logs — and therefore the replayed
     // virtual-time tails — must be bit-identical. ---
     let bare_svc = Arc::new(QueryService::new(&db.catalog, config.clone()));
-    let bare = run_leg(&bare_svc, seed, clients, queries, false);
+    let bare = run_leg(&bin, &bare_svc, seed, clients, queries, false);
     let observed_svc = Arc::new(QueryService::new(&db.catalog, config.clone()));
-    let observed = run_leg(&observed_svc, seed, clients, queries, true);
+    let observed = run_leg(&bin, &observed_svc, seed, clients, queries, true);
 
     assert_eq!(bare.report.completed, clients * queries, "bare queries went missing");
     assert_eq!(observed.report.completed, clients * queries, "observed queries went missing");

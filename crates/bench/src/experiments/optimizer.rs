@@ -1,6 +1,6 @@
 //! E07, E09, E10, E20, E21: optimizer-level robustness.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rqp::exec::ExecContext;
 use rqp::expr::col;
 use rqp::metrics::{smoothness, CostContour, ReportTable};
@@ -17,8 +17,8 @@ use std::rc::Rc;
 
 /// E07 — the selectivity sweep: P(q) per plan family and the smoothness
 /// metric S(Q).
-pub fn e07_smoothness(fast: bool) -> String {
-    harness::run("e07_smoothness", fast, e07_body)
+pub fn e07_smoothness(env: &RunEnv) -> String {
+    harness::run("e07_smoothness", env, e07_body)
 }
 
 fn e07_body(h: &mut Harness) -> String {
@@ -143,8 +143,8 @@ fn e07_body(h: &mut Harness) -> String {
 
 /// E09 — Babcock–Chaudhuri robust plan selection: expected vs percentile
 /// costing under selectivity uncertainty.
-pub fn e09_robust_opt(fast: bool) -> String {
-    harness::run("e09_robust_opt", fast, e09_body)
+pub fn e09_robust_opt(env: &RunEnv) -> String {
+    harness::run("e09_robust_opt", env, e09_body)
 }
 
 fn e09_body(h: &mut Harness) -> String {
@@ -205,8 +205,8 @@ fn e09_body(h: &mut Harness) -> String {
 }
 
 /// E10 — plan diagrams and anorexic reduction.
-pub fn e10_plan_diagram(fast: bool) -> String {
-    harness::run("e10_plan_diagram", fast, e10_body)
+pub fn e10_plan_diagram(env: &RunEnv) -> String {
+    harness::run("e10_plan_diagram", env, e10_body)
 }
 
 fn e10_body(h: &mut Harness) -> String {
@@ -272,8 +272,8 @@ fn e10_body(h: &mut Harness) -> String {
 }
 
 /// E20 — Rio: uncertainty buckets → bounding boxes → robust or switchable.
-pub fn e20_rio(fast: bool) -> String {
-    harness::run("e20_rio", fast, e20_body)
+pub fn e20_rio(env: &RunEnv) -> String {
+    harness::run("e20_rio", env, e20_body)
 }
 
 fn e20_body(h: &mut Harness) -> String {
@@ -329,8 +329,8 @@ fn e20_body(h: &mut Harness) -> String {
 
 /// E21 — the statistics-refresh "automatic disaster", with and without plan
 /// pinning.
-pub fn e21_stats_refresh(fast: bool) -> String {
-    harness::run("e21_stats_refresh", fast, e21_body)
+pub fn e21_stats_refresh(env: &RunEnv) -> String {
+    harness::run("e21_stats_refresh", env, e21_body)
 }
 
 fn e21_body(h: &mut Harness) -> String {

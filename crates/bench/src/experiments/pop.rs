@@ -15,7 +15,7 @@
 //! mild, a tail severe) — the estimation-error distribution every production
 //! DBA recognizes.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rand::Rng;
 use rqp::adaptive::pop::{run_standard, run_with_pop, EstimatorWrapper, PopConfig};
 use rqp::common::rng::child_seed;
@@ -120,8 +120,8 @@ fn instrument_e01(h: &mut Harness, points: &[PopPoint]) {
 }
 
 /// E01 — Figure 1: aggregated improvement (box plots).
-pub fn e01_pop_aggregate(fast: bool) -> String {
-    harness::run("e01_pop_aggregate", fast, |h| {
+pub fn e01_pop_aggregate(env: &RunEnv) -> String {
+    harness::run("e01_pop_aggregate", env, |h| {
         let points = run_pop_workload(h);
         instrument_e01(h, &points);
         let std_costs: Vec<f64> = points.iter().map(|p| p.standard).collect();
@@ -157,8 +157,8 @@ pub fn e01_pop_aggregate(fast: bool) -> String {
 }
 
 /// E02 — Figure 2: per-query speed-up ratios in decreasing order.
-pub fn e02_pop_ratio(fast: bool) -> String {
-    harness::run("e02_pop_ratio", fast, |h| {
+pub fn e02_pop_ratio(env: &RunEnv) -> String {
+    harness::run("e02_pop_ratio", env, |h| {
         let points = run_pop_workload(h);
         e02_body(&points)
     })
@@ -189,8 +189,8 @@ fn e02_body(points: &[PopPoint]) -> String {
 }
 
 /// E03 — Figure 3: scatter of standard (x) vs POP (y) response time.
-pub fn e03_pop_scatter(fast: bool) -> String {
-    harness::run("e03_pop_scatter", fast, |h| {
+pub fn e03_pop_scatter(env: &RunEnv) -> String {
+    harness::run("e03_pop_scatter", env, |h| {
         let points = run_pop_workload(h);
         e03_body(&points)
     })
@@ -228,9 +228,7 @@ mod tests {
     fn e01_report_carries_trace_seeds_and_paper_samples() {
         let dir = std::env::temp_dir().join("rqp_e01_report_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let guard = harness::test_env::redirect(&dir);
-        let out = e01_pop_aggregate(true);
-        drop(guard);
+        let out = e01_pop_aggregate(&RunEnv::new(true, dir.clone()));
         assert!(out.contains("run report:"), "{out}");
         let text = std::fs::read_to_string(dir.join("e01_pop_aggregate.json")).unwrap();
         let report = rqp::telemetry::RunReport::from_json(&text).expect("parse");

@@ -1,6 +1,6 @@
 //! E12–E15: physical design and resource/workload management.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rqp::exec::ExecContext;
 use rqp::expr::col;
 use rqp::metrics::{ReportTable, Summary};
@@ -15,8 +15,8 @@ use std::rc::Rc;
 
 /// E12 — index-advisor robustness under workload drift: plain vs
 /// robustness-aware advisor.
-pub fn e12_advisor(fast: bool) -> String {
-    harness::run("e12_advisor", fast, e12_body)
+pub fn e12_advisor(env: &RunEnv) -> String {
+    harness::run("e12_advisor", env, e12_body)
 }
 
 fn e12_body(h: &mut Harness) -> String {
@@ -102,8 +102,8 @@ fn e12_body(h: &mut Harness) -> String {
 }
 
 /// E13 — FMT: fluctuating memory between the memUBL/memLBL baselines.
-pub fn e13_fmt(fast: bool) -> String {
-    harness::run("e13_fmt", fast, e13_body)
+pub fn e13_fmt(env: &RunEnv) -> String {
+    harness::run("e13_fmt", env, e13_body)
 }
 
 fn e13_body(h: &mut Harness) -> String {
@@ -188,8 +188,8 @@ fn e13_body(h: &mut Harness) -> String {
 }
 
 /// E14 — FPT: a competing query steals processing share from Qi.
-pub fn e14_fpt(fast: bool) -> String {
-    harness::run("e14_fpt", fast, e14_body)
+pub fn e14_fpt(env: &RunEnv) -> String {
+    harness::run("e14_fpt", env, e14_body)
 }
 
 fn e14_body(h: &mut Harness) -> String {
@@ -250,8 +250,8 @@ fn e14_body(h: &mut Harness) -> String {
 }
 
 /// E15 — mixed OLTP/OLAP (TPC-CH-like) with and without workload management.
-pub fn e15_mixed(fast: bool) -> String {
-    harness::run("e15_mixed", fast, e15_body)
+pub fn e15_mixed(env: &RunEnv) -> String {
+    harness::run("e15_mixed", env, e15_body)
 }
 
 fn e15_body(h: &mut Harness) -> String {
@@ -354,8 +354,8 @@ fn e15_body(h: &mut Harness) -> String {
 
 /// A10 — paged degradation: page-budget fraction × page-fault-rate sweep
 /// over the buffer pool.
-pub fn a10_paged_degradation(fast: bool) -> String {
-    harness::run("a10_paged_degradation", fast, a10_body)
+pub fn a10_paged_degradation(env: &RunEnv) -> String {
+    harness::run("a10_paged_degradation", env, a10_body)
 }
 
 fn a10_body(h: &mut Harness) -> String {
@@ -550,8 +550,8 @@ fn a10_body(h: &mut Harness) -> String {
 }
 
 /// A05 — resource robustness: memory-fraction × fault-rate chaos sweep.
-pub fn a05_resource_robustness(fast: bool) -> String {
-    harness::run("a05_resource_robustness", fast, a05_body)
+pub fn a05_resource_robustness(env: &RunEnv) -> String {
+    harness::run("a05_resource_robustness", env, a05_body)
 }
 
 fn a05_body(h: &mut Harness) -> String {

@@ -1,6 +1,7 @@
 //! A06: the concurrent query service under a mixed OLTP/analytic workload.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
+use rqp::common::percentile;
 use rqp::expr::col;
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryOptions, QueryService, ServiceConfig};
@@ -12,8 +13,8 @@ use std::collections::HashMap;
 /// A06 — concurrent service: MPL × arrival-rate sweep over a mixed
 /// workload, plus the behavioral leg (result identity, MPL gate, deadline
 /// abort, cancellation) on real threads.
-pub fn a06_concurrent_service(fast: bool) -> String {
-    harness::run("a06_concurrent_service", fast, a06_body)
+pub fn a06_concurrent_service(env: &RunEnv) -> String {
+    harness::run("a06_concurrent_service", env, a06_body)
 }
 
 fn a06_body(h: &mut Harness) -> String {
@@ -199,13 +200,4 @@ fn a06_body(h: &mut Harness) -> String {
          what the admission gate pins the service to.\n",
         olap_units.len()
     )
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }

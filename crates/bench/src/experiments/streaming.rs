@@ -1,19 +1,20 @@
 //! A11: continuous queries — standing subscriptions under insert storms
 //! and chaos.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryService, ServiceConfig, SubscribeOptions};
 use rqp::stream::canonicalize;
 use rqp::telemetry::scoreboard::samples;
 use rqp::workload::{tpch::TpchParams, TpchDb};
+use rqp::common::percentile;
 use rqp::{QuerySpec, Row, Value};
 
 /// A11 — continuous queries: subscription-count × insert-rate × chaos
 /// sweep over the standing-subscription registry, gating per-delta
 /// propagation latency and view consistency.
-pub fn a11_continuous_queries(fast: bool) -> String {
-    harness::run("a11_continuous_queries", fast, a11_body)
+pub fn a11_continuous_queries(env: &RunEnv) -> String {
+    harness::run("a11_continuous_queries", env, a11_body)
 }
 
 /// The standing-query menu: the loadgen menu shapes with ORDER BY/LIMIT
@@ -47,15 +48,6 @@ fn fresh_row(b: usize, r: usize) -> Row {
     ]
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 fn a11_body(h: &mut Harness) -> String {
     let fast = h.fast();
     let li = if fast { 1_500 } else { 4_000 };
@@ -74,18 +66,6 @@ fn a11_body(h: &mut Harness) -> String {
     h.config("insert_rates", rates.len());
     h.config("batches_per_cell", batches);
 
-    // Chaos is toggled per cell through the same environment knob the CI
-    // chaos leg uses (`poll_subscription` reads it per poll); the caller's
-    // setting is restored on the way out.
-    let saved_chaos = std::env::var("RQP_CHAOS_SEED").ok();
-    let set_chaos = |on: bool| {
-        if on {
-            std::env::set_var("RQP_CHAOS_SEED", chaos_seed.to_string());
-        } else {
-            std::env::remove_var("RQP_CHAOS_SEED");
-        }
-    };
-
     let mut t_out = ReportTable::new(&[
         "subs", "rows/batch", "chaos", "delta p50", "delta p99", "max lag", "delta rows",
         "diverged",
@@ -100,12 +80,16 @@ fn a11_body(h: &mut Harness) -> String {
             // Fault-free first: its p99 is the chaos cell's ideal.
             let mut cell_p99 = [f64::NAN; 2];
             for (ci, &chaos) in [false, true].iter().enumerate() {
-                set_chaos(chaos);
                 // A fresh service per cell: the snapshot is copy-on-write,
                 // so appends never leak into the next cell's baseline.
                 let svc = QueryService::new(
                     &db.catalog,
-                    ServiceConfig { mpl: 4, drift_threshold: 1e9, ..ServiceConfig::default() },
+                    ServiceConfig {
+                        mpl: 4,
+                        drift_threshold: 1e9,
+                        chaos_seed: chaos.then_some(chaos_seed),
+                        ..ServiceConfig::default()
+                    },
                 );
                 let ids: Vec<(u64, usize)> = (0..n_subs)
                     .map(|i| {
@@ -138,10 +122,9 @@ fn a11_body(h: &mut Harness) -> String {
                 }
 
                 // View consistency: every maintained view must equal a cold
-                // re-run of its spec on the post-storm snapshot. Chaos is
-                // lifted for the re-runs (it inflates poll cost; it must
-                // never change the maintained rows).
-                set_chaos(false);
+                // re-run of its spec on the post-storm snapshot (the chaos
+                // cell re-runs under chaos: it inflates cost, never changes
+                // rows).
                 let mut cold: Vec<Option<Vec<Row>>> = vec![None; menu.len()];
                 let mut diverged = 0usize;
                 for &(id, mi) in &ids {
@@ -185,11 +168,6 @@ fn a11_body(h: &mut Harness) -> String {
             gaps.push((cell_p99[1] - cell_p99[0]).max(0.0));
         }
     }
-    match &saved_chaos {
-        Some(v) => std::env::set_var("RQP_CHAOS_SEED", v),
-        None => std::env::remove_var("RQP_CHAOS_SEED"),
-    }
-
     assert_eq!(
         diverged_total, 0,
         "maintained views must be bit-identical to cold re-runs"

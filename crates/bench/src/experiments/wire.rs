@@ -1,6 +1,7 @@
 //! A07: the TCP wire service under multi-process client load.
 
-use super::harness::{self, Harness};
+use super::harness::{self, Harness, RunEnv};
+use rqp::common::percentile;
 use rqp::expr::col;
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryService, ServiceConfig};
@@ -16,8 +17,8 @@ use std::time::{Duration, Instant};
 /// (result-checksum identity, mid-query disconnect churn, credit-based
 /// backpressure), plus a deterministic clients × arrival-rate × churn sweep
 /// replayed in virtual time for the tail-latency gauges.
-pub fn a07_wire_service(fast: bool) -> String {
-    harness::run("a07_wire_service", fast, a07_body)
+pub fn a07_wire_service(env: &RunEnv) -> String {
+    harness::run("a07_wire_service", env, a07_body)
 }
 
 /// Spin until `cond` holds or a generous deadline passes.
@@ -31,13 +32,9 @@ fn await_until(mut cond: impl FnMut() -> bool, what: &str) {
 
 fn a07_body(h: &mut Harness) -> String {
     let fast = h.fast();
-    // The workload seed is the chaos-seed convention: `RQP_CHAOS_SEED`
-    // pins the whole run (menu draws in every worker process included).
-    let seed: u64 = std::env::var("RQP_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
-    h.note_seed("chaos", seed);
+    // The workload seed is the chaos-seed convention: the process's chaos
+    // seed pins the whole run (menu draws in every worker process included).
+    let seed = h.note_seed("chaos", h.env().engine.chaos_seed.unwrap_or(7));
 
     let li = if fast { 4_000 } else { 12_000 };
     let db = TpchDb::build(
@@ -76,8 +73,8 @@ fn a07_body(h: &mut Harness) -> String {
 
     let server = WireServer::start(Arc::clone(&svc), "127.0.0.1:0").expect("bind wire server");
     let addr = format!("127.0.0.1:{}", server.port());
-    let bin = harness::loadgen_bin();
-    let output = std::process::Command::new(&bin)
+    let bin = &h.env().loadgen_bin;
+    let output = std::process::Command::new(bin)
         .args(["--addr", &addr])
         .args(["--clients", &clients.to_string()])
         .args(["--queries", &queries.to_string()])
@@ -249,13 +246,4 @@ fn a07_body(h: &mut Harness) -> String {
          backpressure gauge at 1 page regardless of consumer speed.\n",
         stats.disconnected_queries
     )
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }

@@ -13,8 +13,11 @@
 //! cargo run --release -p rqp-bench --bin rqp-exp -- --all --fast
 //! ```
 //!
-//! All experiments accept a `fast` flag (used by the test suite and CI) that
-//! shrinks data sizes while preserving each experiment's qualitative shape.
+//! Every experiment takes a [`RunEnv`]: the output directory, the loadgen
+//! binary A07/A08 spawn, the engine switches, and the `fast` flag (used by
+//! the test suite and CI) that shrinks data sizes while preserving each
+//! experiment's qualitative shape. `rqp-exp` builds it from its arguments
+//! and environment; tests build one over a temp directory.
 
 #![warn(missing_docs)]
 

@@ -13,28 +13,18 @@
 //! Rows materialize only at the batch→row boundary (the adapter that feeds
 //! surviving rows to a scalar consumer).
 //!
-//! Batch mode is an opt-in twin of the scalar path, switched by the
-//! `RQP_BATCH` environment variable ([`batch_enabled`], default *off*). By
+//! Batch mode is an opt-in twin of the scalar path, chosen per execution
+//! context ([`crate::EngineConfig::batch`], default *off*). By
 //! contract a batch plan produces row-identical output and a comparable
 //! cost-clock breakdown to its scalar twin; the property tests in
 //! `tests/batch.rs` hold both paths to that.
 
 use crate::dict::StringDict;
-use crate::value::Value;
 use std::sync::Arc;
 
 /// Default number of rows a scan packs per batch: large enough to amortize
 /// per-batch overhead, small enough to keep a few columns L1/L2-resident.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
-/// True if batch execution is switched on for this process (`RQP_BATCH=1`;
-/// default off, keeping committed artifacts and traces on the scalar path).
-pub fn batch_enabled() -> bool {
-    matches!(
-        std::env::var("RQP_BATCH").ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
-}
 
 /// One column's values for a batch of rows, in row order.
 #[derive(Debug, Clone)]
@@ -118,12 +108,6 @@ impl SelMask {
         self.len == 0
     }
 
-    /// True if row `i` is selected.
-    pub fn is_set(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
     /// Deselect row `i`.
     pub fn clear(&mut self, i: usize) {
         debug_assert!(i < self.len);
@@ -133,12 +117,6 @@ impl SelMask {
     /// Number of selected rows (popcount).
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True if every covered row is selected — the fast-path predicate that
-    /// lets hot loops skip per-row bit tests.
-    pub fn is_full(&self) -> bool {
-        self.count() == self.len
     }
 
     /// Iterate the indices of selected rows in ascending order.
@@ -202,27 +180,9 @@ impl ColumnBatch {
         self.sel.len()
     }
 
-    /// Rows still selected.
-    pub fn selected(&self) -> usize {
-        self.sel.count()
-    }
-
     /// True if the batch holds no rows at all.
     pub fn is_empty(&self) -> bool {
         self.rows() == 0
-    }
-
-    /// Materialize row `i` as scalar [`Value`]s, resolving dictionary codes
-    /// back to strings. Only the batch→row adapter should call this.
-    pub fn materialize_row(&self, i: usize) -> Vec<Value> {
-        self.columns
-            .iter()
-            .map(|c| match c {
-                ColVec::Int(v) => Value::Int(v[i]),
-                ColVec::Float(v) => Value::Float(v[i]),
-                ColVec::Str(v) => Value::Str(self.dict.resolve(v[i])),
-            })
-            .collect()
     }
 }
 
@@ -235,7 +195,6 @@ mod tests {
         for len in [0usize, 1, 63, 64, 65, 130] {
             let m = SelMask::all(len);
             assert_eq!(m.count(), len, "len {len}");
-            assert!(m.is_full());
             assert_eq!(m.iter_set().count(), len);
         }
         let mut m = SelMask::all(130);
@@ -243,29 +202,13 @@ mod tests {
         m.clear(64);
         m.clear(129);
         assert_eq!(m.count(), 127);
-        assert!(!m.is_set(64) && m.is_set(63) && m.is_set(65));
-        assert!(!m.is_full());
+        let around_64: Vec<usize> = m.iter_set().filter(|i| (63..=65).contains(i)).collect();
+        assert_eq!(around_64, vec![63, 65]);
         let idx: Vec<usize> = m.iter_set().take(3).collect();
         assert_eq!(idx, vec![1, 2, 3]);
         // retain only even rows among the live ones.
         m.retain(|i| i % 2 == 0);
         assert!(m.iter_set().all(|i| i % 2 == 0));
-        assert!(!m.is_set(0), "retain never resurrects cleared rows");
-    }
-
-    #[test]
-    fn batch_materializes_rows_through_the_dictionary() {
-        let dict = Arc::new(StringDict::new());
-        let codes = vec![dict.intern("x"), dict.intern("y"), dict.intern("x")];
-        let batch = ColumnBatch::new(
-            vec![ColVec::Int(vec![1, 2, 3]), ColVec::Str(codes)],
-            Arc::clone(&dict),
-        );
-        assert_eq!(batch.rows(), 3);
-        assert_eq!(batch.selected(), 3);
-        assert_eq!(
-            batch.materialize_row(2),
-            vec![Value::Int(3), Value::Str("x".into())]
-        );
+        assert_eq!(m.iter_set().next(), Some(2), "retain never resurrects cleared rows");
     }
 }

@@ -145,17 +145,10 @@ impl ChaosPolicy {
         ChaosPolicy::new(ChaosConfig::standard(seed))
     }
 
-    /// Policy from the `RQP_CHAOS_SEED` environment variable: the standard
-    /// mix when set to a number, disabled when unset (or unparsable). This
-    /// is how the CI chaos leg turns the whole test suite hostile.
-    pub fn from_env() -> Self {
-        match std::env::var("RQP_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-        {
-            Some(seed) => ChaosPolicy::seeded(seed),
-            None => ChaosPolicy::off(),
-        }
+    /// The standard mix under `seed`, or the disabled policy for `None` —
+    /// the shape [`crate::EngineConfig::chaos_seed`] carries.
+    pub fn from_seed(seed: Option<u64>) -> Self {
+        seed.map_or_else(ChaosPolicy::off, ChaosPolicy::seeded)
     }
 
     /// Whether any fault class has a non-zero rate. Operators check this
@@ -391,11 +384,12 @@ mod tests {
 
     #[test]
     fn env_policy_defaults_off() {
-        // The variable is not set in unit-test runs unless the chaos CI leg
-        // sets it; both states must construct a valid policy.
-        let p = ChaosPolicy::from_env();
-        if std::env::var("RQP_CHAOS_SEED").is_err() {
-            assert!(!p.is_enabled());
-        }
+        // What the process environment selects: off, unless the CI chaos
+        // leg seeded it.
+        let ambient = crate::EngineConfig::ambient().chaos_seed;
+        assert_eq!(ChaosPolicy::from_seed(ambient).is_enabled(), ambient.is_some());
+        assert_eq!(ChaosPolicy::from_seed(None), ChaosPolicy::off());
+        assert_eq!(ChaosPolicy::from_seed(Some(7)), ChaosPolicy::seeded(7));
+        assert!(ChaosPolicy::from_seed(Some(0)).is_enabled(), "seed 0 is a seed");
     }
 }

@@ -184,14 +184,6 @@ impl CostClock {
         self.spill.add(shard.spill);
     }
 
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.seq_io.set(0.0);
-        self.rand_io.set(0.0);
-        self.cpu.set(0.0);
-        self.spill.set(0.0);
-    }
-
     /// Measure the cost of running `f`: returns (result, cost charged by `f`).
     pub fn lap<T>(&self, f: impl FnOnce() -> T) -> (T, f64) {
         let start = self.now();
@@ -249,15 +241,5 @@ mod tests {
     fn clock_is_send_and_sync() {
         fn check<T: Send + Sync>() {}
         check::<CostClock>();
-    }
-
-    #[test]
-    fn reset_clears() {
-        let c = CostClock::default_clock();
-        c.charge_spill_rows(1000.0);
-        assert!(c.now() > 0.0);
-        c.reset();
-        assert_eq!(c.now(), 0.0);
-        assert_eq!(c.breakdown().total(), 0.0);
     }
 }

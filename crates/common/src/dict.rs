@@ -23,8 +23,7 @@ use std::sync::RwLock;
 /// A grow-only string interner handing out dense `u32` codes.
 ///
 /// Thread-safe: readers (`resolve`, hot-loop lookups) take a shared lock,
-/// interning takes the exclusive lock. Batch builders amortize the lock with
-/// [`StringDict::intern_all`], one exclusive acquisition per column chunk.
+/// interning takes the exclusive lock.
 #[derive(Debug, Default)]
 pub struct StringDict {
     inner: RwLock<DictInner>,
@@ -48,22 +47,19 @@ impl StringDict {
             return code;
         }
         let mut inner = self.inner.write().expect("dict lock");
-        intern_locked(&mut inner, s)
+        // Another thread may have interned it between the two locks.
+        if let Some(code) = inner.codes.get(s) {
+            return *code;
+        }
+        let code = u32::try_from(inner.strings.len()).expect("dictionary overflow");
+        inner.strings.push(s.to_owned());
+        inner.codes.insert(s.to_owned(), code);
+        code
     }
 
     /// Look up a string's code without interning it.
     pub fn lookup(&self, s: &str) -> Option<u32> {
         self.inner.read().expect("dict lock").codes.get(s).copied()
-    }
-
-    /// Intern a chunk of strings under one exclusive lock acquisition,
-    /// appending each code to `out`.
-    pub fn intern_all<'a>(&self, strings: impl Iterator<Item = &'a str>, out: &mut Vec<u32>) {
-        let mut inner = self.inner.write().expect("dict lock");
-        for s in strings {
-            let code = intern_locked(&mut inner, s);
-            out.push(code);
-        }
     }
 
     /// Resolve a code back to its string. Panics on a foreign code — codes
@@ -100,16 +96,6 @@ impl StringDict {
     }
 }
 
-fn intern_locked(inner: &mut DictInner, s: &str) -> u32 {
-    if let Some(code) = inner.codes.get(s) {
-        return *code;
-    }
-    let code = u32::try_from(inner.strings.len()).expect("dictionary overflow");
-    inner.strings.push(s.to_owned());
-    inner.codes.insert(s.to_owned(), code);
-    code
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,8 +121,7 @@ mod tests {
     fn codes_stable_across_batches_and_threads() {
         let d = Arc::new(StringDict::new());
         let words: Vec<String> = (0..200).map(|i| format!("w{}", i % 50)).collect();
-        let mut first = Vec::new();
-        d.intern_all(words.iter().map(|s| s.as_str()), &mut first);
+        let first: Vec<u32> = words.iter().map(|w| d.intern(w)).collect();
         // A second "batch" from other threads must reproduce the same codes.
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -144,8 +129,7 @@ mod tests {
                 let words = &words;
                 let first = &first;
                 scope.spawn(move || {
-                    let mut again = Vec::new();
-                    d.intern_all(words.iter().map(|s| s.as_str()), &mut again);
+                    let again: Vec<u32> = words.iter().map(|w| d.intern(w)).collect();
                     assert_eq!(&again, first);
                 });
             }

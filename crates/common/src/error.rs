@@ -157,11 +157,6 @@ impl RqpError {
         matches!(self, RqpError::TransientIo { .. } | RqpError::PageIo { .. })
     }
 
-    /// Convenience inverse of [`is_retryable`](Self::is_retryable).
-    pub fn is_fatal(&self) -> bool {
-        !self.is_retryable()
-    }
-
     /// Whether this error is a cooperative-cancellation outcome
     /// ([`Cancelled`](Self::Cancelled) or
     /// [`DeadlineExceeded`](Self::DeadlineExceeded)). Retry and fault-recovery
@@ -249,8 +244,7 @@ mod tests {
             RqpError::DeadlineExceeded,
             RqpError::Protocol("bad magic".into()),
         ] {
-            assert!(fatal.is_fatal(), "{fatal} must be fatal");
-            assert!(!fatal.is_retryable());
+            assert!(!fatal.is_retryable(), "{fatal} must be fatal");
         }
     }
 
@@ -319,7 +313,6 @@ mod tests {
         for cancel in [RqpError::Cancelled, RqpError::DeadlineExceeded] {
             assert!(cancel.is_cancellation(), "{cancel} is a cancellation");
             assert!(!cancel.is_retryable(), "{cancel} must never be retried");
-            assert!(cancel.is_fatal());
         }
         // Nothing else is a cancellation — notably not the retryable
         // transient fault or the exhausted-retry worker failure.

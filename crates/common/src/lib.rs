@@ -28,8 +28,12 @@
 //! * [`dict`] — the shared [`dict::StringDict`] interner mapping strings to
 //!   dense `u32` codes so batch joins and group-bys compare integers;
 //! * [`batch`] — the columnar [`batch::ColumnBatch`] (typed vectors + a
-//!   selection bitmap) that batch-mode operators exchange instead of rows,
-//!   and the [`batch::batch_enabled`] `RQP_BATCH` switch.
+//!   selection bitmap) that batch-mode operators exchange instead of rows;
+//! * [`engine`] — [`engine::EngineConfig`], the three engine switches
+//!   (batch, chaos seed, page budget) as one value, and the only reader of
+//!   their environment variables;
+//! * [`percentile`] — the nearest-rank [`percentile::percentile`] every
+//!   latency report uses.
 //!
 //! Everything else in the workspace (`rqp-storage`, `rqp-stats`, `rqp-exec`,
 //! `rqp-opt`, …) builds on these types.
@@ -41,20 +45,24 @@ pub mod cancel;
 pub mod chaos;
 pub mod clock;
 pub mod dict;
+pub mod engine;
 pub mod error;
 pub mod expr;
+pub mod percentile;
 pub mod rng;
 pub mod schema;
 pub mod sync;
 pub mod value;
 
-pub use batch::{batch_enabled, ColumnBatch, ColVec, SelMask, DEFAULT_BATCH_ROWS};
+pub use batch::{ColumnBatch, ColVec, SelMask, DEFAULT_BATCH_ROWS};
 pub use cancel::CancelToken;
 pub use chaos::{ChaosConfig, ChaosPolicy, WorkerFault};
 pub use clock::{CostBreakdown, CostClock, CostModelParams, SharedClock};
 pub use dict::StringDict;
+pub use engine::EngineConfig;
 pub use error::{Result, RqpError};
 pub use expr::{CmpOp, Expr, SimplePred};
+pub use percentile::percentile;
 pub use schema::{Field, Row, Schema};
 pub use sync::AtomicF64;
 pub use value::{key_atom_f64, key_atom_i64, DataType, KeyAtom, Value};

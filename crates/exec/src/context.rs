@@ -2,7 +2,7 @@
 
 use crate::{BoxOp, Operator};
 use rqp_common::sync::AtomicF64;
-use rqp_common::{CancelToken, ChaosPolicy, CostClock, Row, Schema, SharedClock};
+use rqp_common::{CancelToken, ChaosPolicy, CostClock, EngineConfig, Row, Schema, SharedClock};
 use rqp_telemetry::{MetricsRegistry, SpanHandle, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -256,6 +256,10 @@ pub struct ExecContext {
     /// every worker forked from this context, so one seed governs a whole
     /// parallel query.
     pub chaos: Arc<ChaosPolicy>,
+    /// Whether plans built under this context take the batch-at-a-time scan
+    /// pipeline. [`new`](Self::new) copies the process's
+    /// [`EngineConfig::ambient`]; [`with_batch`](Self::with_batch) pins it.
+    pub batch: bool,
     /// Cooperative-cancellation token polled at cost-charging boundaries via
     /// [`checkpoint`](Self::checkpoint). Fresh (never cancelled, no deadline)
     /// unless installed with [`with_cancel`](Self::with_cancel); forked
@@ -273,8 +277,15 @@ impl ExecContext {
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
             chaos: Arc::new(ChaosPolicy::off()),
+            batch: EngineConfig::ambient().batch,
             cancel: CancelToken::new(),
         }
+    }
+
+    /// This context with the batch scan pipeline switched on or off.
+    pub fn with_batch(mut self, batch: bool) -> Self {
+        self.batch = batch;
+        self
     }
 
     /// This context with the given fault-injection policy.
@@ -319,6 +330,7 @@ impl ExecContext {
             tracer: Tracer::new(),
             metrics: self.metrics.clone(),
             chaos: Arc::clone(&self.chaos),
+            batch: self.batch,
             // Same token, offset by the coordinator's elapsed cost: the
             // worker's shard clock restarts at zero but its deadline polls
             // must still compare against root-clock cost units.

@@ -1179,7 +1179,7 @@ mod tests {
             .map(|_| ())
             .expect_err("every attempt panics, so recovery must fail");
         assert!(matches!(err, RqpError::WorkerFailed { attempts: 3, .. }), "got {err}");
-        assert!(err.is_fatal());
+        assert!(!err.is_retryable());
     }
 
     #[test]

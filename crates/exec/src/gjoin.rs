@@ -16,7 +16,7 @@
 
 use crate::context::{ExecContext, WorkspaceLease};
 use crate::{BoxOp, Operator};
-use rqp_common::{Result, Row, RqpError, Schema, Value};
+use rqp_common::{Result, Row, RqpError, Schema};
 use rqp_storage::{BTreeIndex, Table};
 use rqp_telemetry::SpanHandle;
 use std::cmp::Ordering;
@@ -256,17 +256,6 @@ fn cmp_keys(l: &Row, r: &Row, lk: &[usize], rk: &[usize]) -> Ordering {
     Ordering::Equal
 }
 
-/// Convenience for tests and benches: does a row list look sorted on keys?
-pub fn is_sorted_on(rows: &[Row], keys: &[usize]) -> bool {
-    rows.windows(2)
-        .all(|w| cmp_keys(&w[0], &w[1], keys, keys) != Ordering::Greater)
-}
-
-/// Key-of helper shared with benches.
-pub fn key_values(row: &Row, keys: &[usize]) -> Vec<Value> {
-    keys.iter().map(|&i| row[i].clone()).collect()
-}
-
 impl Operator for GJoinOp {
     fn schema(&self) -> &Schema {
         &self.schema
@@ -301,6 +290,7 @@ impl Operator for GJoinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rqp_common::Value;
     use crate::context::collect;
     use crate::filter::test_support::RowsOp;
     use crate::join::HashJoinOp;
@@ -521,13 +511,5 @@ mod tests {
         )
         .unwrap();
         assert!(collect(&mut g).is_empty());
-    }
-
-    #[test]
-    fn sorted_helper() {
-        let rows: Vec<Row> = vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Int(2)]];
-        assert!(is_sorted_on(&rows, &[0]));
-        let rows2: Vec<Row> = vec![vec![Value::Int(3)], vec![Value::Int(2)]];
-        assert!(!is_sorted_on(&rows2, &[0]));
     }
 }

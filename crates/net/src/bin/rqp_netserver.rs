@@ -11,7 +11,11 @@
 //! sockets; in-flight queries die with their process — crash-consistency at
 //! the *service* level is the admission/broker teardown exercised by the
 //! in-process tests, not a wire concern.
+//!
+//! The engine switches (`RQP_BATCH`, `RQP_CHAOS_SEED`, `RQP_PAGE_BUDGET`;
+//! README.md § *Configuration*) are read from the environment once, here.
 
+use rqp_common::EngineConfig;
 use rqp_net::WireServer;
 use rqp_server::{QueryService, ServiceConfig};
 use rqp_workload::{tpch::TpchParams, TpchDb};
@@ -71,7 +75,7 @@ fn main() {
             mpl: args.mpl,
             memory_rows: args.memory,
             drift_threshold: 1e9,
-            ..Default::default()
+            ..ServiceConfig::with_engine(EngineConfig::from_env())
         },
     ));
     let server = WireServer::start(Arc::clone(&svc), &args.addr).expect("bind wire server");

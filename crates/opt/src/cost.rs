@@ -11,15 +11,14 @@
 use rqp_common::{CostModelParams, DEFAULT_BATCH_ROWS};
 
 /// How a plan fragment executes: row-at-a-time Volcano iterators, or the
-/// batch-at-a-time columnar twins behind `RQP_BATCH`.
+/// batch-at-a-time columnar twins a context's `batch` switch selects.
 ///
 /// The two modes charge **identical** clock units (the batch operators'
 /// charge-parity contract), so `ExecMode` never changes a charged-cost
 /// estimate. What differs is *interpretation overhead* — virtual `next()`
 /// dispatch and per-row `Vec<Value>` materialization — which the batch path
 /// pays once per [`DEFAULT_BATCH_ROWS`]-row batch instead of once per row.
-/// [`CostModel::pipeline_time`] models that difference for plan selection
-/// and for predicting the `a09_batch_speedup` measurement.
+/// [`CostModel::pipeline_time`] models that difference for plan selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Row-at-a-time `Operator::next()` pipeline.
@@ -204,20 +203,6 @@ impl CostModel {
     pub fn pipeline_time(&self, charged: f64, rows: f64, operators: f64, mode: ExecMode) -> f64 {
         charged + self.interpretation_overhead(rows, operators, mode)
     }
-
-    /// Predicted scalar/batch elapsed-time ratio for a pipeline whose charged
-    /// work is `charged` — the modeled analogue of the `a09_batch_speedup`
-    /// measurement. Greater than 1.0 whenever interpretation overhead is a
-    /// visible fraction of the work, approaching 1.0 as charged work
-    /// dominates (I/O-bound pipelines gain little from batching).
-    pub fn predicted_batch_speedup(&self, charged: f64, rows: f64, operators: f64) -> f64 {
-        let scalar = self.pipeline_time(charged, rows, operators, ExecMode::Scalar);
-        let batch = self.pipeline_time(charged, rows, operators, ExecMode::Batch);
-        if batch <= 0.0 {
-            return 1.0;
-        }
-        scalar / batch
-    }
 }
 
 #[cfg(test)]
@@ -313,27 +298,5 @@ mod tests {
                 < m.interpretation_overhead(100_000.0, 2.0, ExecMode::Scalar),
             "batch amortizes boundary crossings"
         );
-    }
-
-    #[test]
-    fn predicted_speedup_exceeds_one_and_grows_with_stages() {
-        let m = CostModel::default();
-        let charged = m.scan(1_000_000.0);
-        let two = m.predicted_batch_speedup(charged, 1_000_000.0, 2.0);
-        let four = m.predicted_batch_speedup(charged, 1_000_000.0, 4.0);
-        assert!(two > 1.0, "batching must predict a win, got {two}");
-        assert!(four >= two, "deeper pipelines amortize more dispatch");
-        // Cap: the win can't exceed the modeled dispatch ratio.
-        assert!(four < m.dispatch_overhead, "got {four}");
-    }
-
-    #[test]
-    fn io_bound_pipelines_gain_little() {
-        let m = CostModel::default();
-        // Charged work dwarfing CPU: the predicted speedup approaches 1.
-        let s = m.predicted_batch_speedup(1e12, 1_000.0, 2.0);
-        assert!((s - 1.0).abs() < 1e-6, "got {s}");
-        // Degenerate: empty pipeline predicts no change.
-        assert_eq!(m.predicted_batch_speedup(0.0, 0.0, 0.0), 1.0);
     }
 }

@@ -41,7 +41,7 @@ pub use cost::{CostModel, ExecMode};
 pub use parametric::{ParametricPlanCache, PqoOutcome};
 pub use physical::{BuiltPlan, NodeMeter, PhysicalPlan};
 pub use plandiagram::{AnorexicReduction, PlanDiagram};
-pub use planner::{plan, AccessPath, Planner, PlannerConfig};
+pub use planner::{plan, Planner, PlannerConfig};
 pub use query::{JoinEdge, QuerySpec};
 pub use rio::{RioAnalysis, RioRobustness, UncertaintyLevel};
 pub use robust::{robust_plan, RobustChoice, RobustMode};

@@ -17,7 +17,7 @@
 
 use crate::cost::CostModel;
 use crate::query::JoinEdge;
-use rqp_common::{batch_enabled, Expr, Result, RqpError, Value};
+use rqp_common::{Expr, Result, RqpError, Value};
 use rqp_exec::{
     AggSpec, BatchFilterOp, BatchRowsOp, BatchScanOp, BoxBatchOp, BoxOp, CheckOp, ExecContext,
     FilterOp, GJoinOp, HashAggOp, HashJoinOp, IndexNlJoinOp, IndexScanOp, MergeJoinOp, PopSignal,
@@ -741,13 +741,13 @@ fn fmt_edges(edges: &[JoinEdge]) -> String {
         .join(" AND ")
 }
 
-/// Batch-gated scan pipeline: when `RQP_BATCH` is on, build the
-/// scan(+filter) batch twins behind a [`BatchRowsOp`] row adapter. Returns
-/// `None` — falling back to the scalar construction — when batching is off
+/// Batch-gated scan pipeline: when the context's `batch` switch is on,
+/// build the scan(+filter) batch twins behind a [`BatchRowsOp`] row adapter.
+/// Returns `None` — falling back to the scalar construction — when batching is off
 /// or the predicate does not compile to a batch filter, so binding errors
 /// and unsupported expressions surface identically with the switch on.
 fn batch_scan_pipeline(t: &Arc<Table>, filter: &Option<Expr>, ctx: &ExecContext) -> Option<BoxOp> {
-    if !batch_enabled() {
+    if !ctx.batch {
         return None;
     }
     // Check compilability before opening any spans, so the common fallback

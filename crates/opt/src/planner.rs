@@ -35,13 +35,6 @@ impl Default for JoinAlgos {
     }
 }
 
-impl JoinAlgos {
-    /// Only the generalized join (the "one join algorithm" engine of E18).
-    pub fn gjoin_only() -> Self {
-        JoinAlgos { hash: false, merge: false, inl: false, gjoin: true }
-    }
-}
-
 /// Planner configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
@@ -75,15 +68,6 @@ impl Default for PlannerConfig {
     }
 }
 
-/// The access path chosen for a base table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessPath {
-    /// Full scan.
-    Scan,
-    /// Index range scan.
-    Index,
-}
-
 /// The DP planner.
 pub struct Planner<'a> {
     catalog: &'a Catalog,
@@ -113,11 +97,6 @@ impl<'a> Planner<'a> {
     pub fn new(catalog: &'a Catalog, est: &'a dyn CardEstimator, cfg: PlannerConfig) -> Self {
         let cm = CostModel { memory_rows: cfg.memory_rows, ..CostModel::default() };
         Planner { catalog, est, cm, cfg }
-    }
-
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cm
     }
 
     /// Produce the cheapest plan for `spec`.
@@ -863,7 +842,8 @@ mod tests {
     fn gjoin_only_repertoire() {
         let c = catalog();
         let est = stats_est(&c);
-        let cfg = PlannerConfig { join_algos: JoinAlgos::gjoin_only(), ..Default::default() };
+        let gjoin_only = JoinAlgos { hash: false, merge: false, inl: false, gjoin: true };
+        let cfg = PlannerConfig { join_algos: gjoin_only, ..Default::default() };
         let p = plan(&star_spec(), &c, &est, cfg).unwrap();
         assert!(p.fingerprint().contains("gj("), "{}", p.fingerprint());
         let ctx = ExecContext::unbounded();

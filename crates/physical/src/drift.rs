@@ -34,14 +34,6 @@ impl DriftReport {
             .map(|t| (t - self.t0).abs() / self.t0)
             .fold(0.0, f64::max)
     }
-
-    /// Mean drifted cost relative to `T0`.
-    pub fn mean_relative(&self) -> f64 {
-        if self.drifted.is_empty() || self.t0 <= 0.0 {
-            return 1.0;
-        }
-        self.drifted.iter().sum::<f64>() / self.drifted.len() as f64 / self.t0
-    }
 }
 
 /// Execute a workload against a catalog, returning total cost.
@@ -129,7 +121,6 @@ mod tests {
     fn empty_drift_report() {
         let r = DriftReport { t0: 100.0, drifted: vec![] };
         assert_eq!(r.max_relative_difference(), 0.0);
-        assert_eq!(r.mean_relative(), 1.0);
         let r = DriftReport { t0: 0.0, drifted: vec![5.0] };
         assert_eq!(r.max_relative_difference(), 0.0);
     }

@@ -7,13 +7,16 @@
 //! [`WorkloadManager`](rqp_workload::WorkloadManager) simulates that policy;
 //! this controller enforces it for real threads.
 //!
-//! The policy mirrors the simulator exactly — at most `mpl` queries run at
-//! once, and when a slot frees the waiter with the smallest
-//! `(priority, submission sequence)` wins (priority 0 is highest; ties are
-//! FIFO). That correspondence is load-bearing: `tests/service.rs` replays a
-//! trace through both and asserts the completion orders agree.
+//! At most `mpl` queries run at once, and when a slot frees the waiter
+//! [`rqp_workload::admission_head`] names wins — the smallest
+//! `(priority, submission sequence)`, priority 0 highest, ties FIFO. The
+//! simulator calls the same function, so the policy exists once;
+//! `tests/service.rs` replays a trace through both and asserts the
+//! completion orders agree, which checks the mechanics around it (queueing,
+//! wakeups, slot hand-over).
 
 use rqp_common::{CancelToken, Result};
+use rqp_workload::admission_head;
 use std::sync::{Arc, Condvar, Mutex};
 
 #[derive(Debug, Clone, Copy)]
@@ -100,13 +103,11 @@ impl AdmissionController {
                 cancel.check(0.0)?;
                 unreachable!("is_cancelled implies a latched cause");
             }
-            let head = st
-                .waiting
-                .iter()
-                .min_by_key(|t| (t.priority, t.seq))
-                .map(|t| t.seq);
-            if !st.paused && st.running < self.mpl && head == Some(seq) {
-                st.waiting.retain(|t| t.seq != seq);
+            // This waiter's queue position, if the policy admits it next.
+            let head = admission_head(st.waiting.iter().map(|t| (t.priority, t.seq)))
+                .filter(|&at| st.waiting[at].seq == seq);
+            if let Some(at) = head.filter(|_| !st.paused && st.running < self.mpl) {
+                st.waiting.remove(at);
                 st.running += 1;
                 st.peak_running = st.peak_running.max(st.running);
                 st.admitted += 1;

@@ -7,8 +7,9 @@
 //!
 //! * [`AdmissionController`] — the MPL gate with priority queueing. At most
 //!   `mpl` queries run at once; excess submissions wait, highest priority
-//!   (then FIFO) first. Its policy deliberately mirrors the
-//!   [`WorkloadManager`](rqp_workload::WorkloadManager) simulator so traces
+//!   (then FIFO) first. It picks the next waiter with the same function
+//!   ([`rqp_workload::admission_head`]) as the
+//!   [`WorkloadManager`](rqp_workload::WorkloadManager) simulator, so traces
 //!   replay identically through both.
 //! * [`MemoryBroker`] — cross-query workspace brokering. Each admitted
 //!   query gets a private [`MemoryGovernor`](rqp_exec::MemoryGovernor)

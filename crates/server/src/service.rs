@@ -8,7 +8,7 @@ use crate::session::{QueryOptions, QueryOutcome, Session};
 use crate::stats::ServiceStats;
 use crate::subs::{SubscribeOptions, Subscription, SubscriptionRegistry};
 use rqp_common::chaos::{install_quiet_panic_hook, ChaosPolicy};
-use rqp_common::{CancelToken, CostClock, Result, Row, RqpError};
+use rqp_common::{percentile, CancelToken, CostClock, EngineConfig, Result, Row, RqpError};
 use rqp_exec::{ExecContext, MemoryGovernor};
 use rqp_opt::{plan, PlannerConfig, QuerySpec};
 use rqp_stats::{FeedbackEstimator, FeedbackRepo, StatsEstimator, TableStatsRegistry};
@@ -42,19 +42,18 @@ pub struct ServiceConfig {
     pub recorder_capacity: usize,
     /// Page budget (frames) of the brokered buffer pool. `Some(n)` creates a
     /// [`BufferPool`] attached to every snapshot table and funded by the
-    /// broker; `None` keeps the legacy always-resident storage path. The
-    /// default reads `RQP_PAGE_BUDGET` so a whole service (including the
-    /// wire server) can be squeezed below its data size from the
-    /// environment.
+    /// broker; `None` keeps the legacy always-resident storage path.
     pub page_budget: Option<usize>,
+    /// Seed of the standard chaos mix injected into every query and every
+    /// subscription poll; `None` injects nothing.
+    pub chaos_seed: Option<u64>,
+    /// Whether queries plan the batch-at-a-time scan pipeline.
+    pub batch: bool,
 }
 
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        let page_budget = std::env::var("RQP_PAGE_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
+impl ServiceConfig {
+    /// The default budgets under the given engine switches.
+    pub fn with_engine(engine: EngineConfig) -> Self {
         ServiceConfig {
             mpl: 4,
             memory_rows: 40_000.0,
@@ -63,8 +62,18 @@ impl Default for ServiceConfig {
             capacity: 1.0,
             feedback_smoothing: 0.5,
             recorder_capacity: 4096,
-            page_budget,
+            page_budget: engine.page_budget,
+            chaos_seed: engine.chaos_seed,
+            batch: engine.batch,
         }
+    }
+}
+
+impl Default for ServiceConfig {
+    /// Under [`EngineConfig::ambient`], so a whole service (including the
+    /// wire server) can be turned hostile from the process environment.
+    fn default() -> Self {
+        ServiceConfig::with_engine(EngineConfig::ambient())
     }
 }
 
@@ -524,7 +533,7 @@ impl QueryService {
         let mut circuit = sub.circuit.lock().expect("circuit lock");
         let limit = if max_records == 0 { usize::MAX } else { max_records };
         let (recs, _) = inner.changelog.since_up_to(circuit.cursor(), limit);
-        let chaos = ChaosPolicy::from_env();
+        let chaos = ChaosPolicy::from_seed(inner.config.chaos_seed);
         if chaos.is_enabled() {
             // Chaos never drops a delta; transient faults surface as retry
             // charges that inflate this subscription's propagation latency.
@@ -623,11 +632,6 @@ impl QueryService {
         self.inner.completions.lock().expect("completions lock").clone()
     }
 
-    /// Query ids in the order they completed.
-    pub fn completion_order(&self) -> Vec<u64> {
-        self.completions().iter().map(|c| c.query).collect()
-    }
-
     /// Derive the latency/robustness report from the completion log.
     ///
     /// Real threads prove the *behavioral* properties (MPL gate, result
@@ -635,7 +639,7 @@ impl QueryService {
     /// nondeterministic. So the gauges replay the recorded `(arrival,
     /// demand, priority, weight)` tuples through the
     /// [`WorkloadManager`](rqp_workload::WorkloadManager) — the simulator
-    /// whose policy the admission gate mirrors — in virtual time. Same
+    /// whose admission policy the gate shares — in virtual time. Same
     /// completion log → bit-identical report, which is what lets the
     /// scoreboard diff-gate these numbers.
     pub fn schedule_report(&self) -> ServiceReport {
@@ -710,15 +714,6 @@ impl QueryService {
             .set(report.plan_cache_invalidations as f64);
         report
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn status_of(e: &RqpError) -> QueryStatus {
@@ -818,7 +813,8 @@ fn execute(
     cancel: &CancelToken,
 ) -> (Result<QueryOutcome>, f64, Option<f64>) {
     let mut ctx = ExecContext::new(CostClock::default_clock(), 0.0)
-        .with_chaos(ChaosPolicy::from_env())
+        .with_chaos(ChaosPolicy::from_seed(svc.config.chaos_seed))
+        .with_batch(svc.config.batch)
         .with_cancel(cancel.clone());
     ctx.memory = gov;
     // Flip the live registry to Running with handles to this query's own

@@ -22,6 +22,7 @@ use rqp_common::{CmpOp, DataType, Expr, SimplePred, Value};
 use rqp_storage::{Catalog, ColumnData, Table};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Default selectivity for predicates the estimator cannot analyze —
 /// the classic System-R "magic number".
@@ -192,10 +193,12 @@ impl TableStats {
     }
 }
 
-/// Statistics for a set of tables.
+/// Statistics for a set of tables. Each table's statistics sit behind an
+/// `Arc`, so cloning a registry (the service hands every cold plan its own)
+/// copies one pointer per table, not the histograms.
 #[derive(Debug, Clone, Default)]
 pub struct TableStatsRegistry {
-    per_table: HashMap<String, TableStats>,
+    per_table: HashMap<String, Arc<TableStats>>,
 }
 
 impl TableStatsRegistry {
@@ -209,19 +212,19 @@ impl TableStatsRegistry {
         let mut reg = Self::new();
         for name in catalog.table_names() {
             let t = catalog.table(&name).expect("listed table exists");
-            reg.per_table.insert(name, TableStats::analyze(&t, buckets));
+            reg.insert(name, TableStats::analyze(&t, buckets));
         }
         reg
     }
 
     /// Insert or replace stats for one table.
     pub fn insert(&mut self, table: impl Into<String>, stats: TableStats) {
-        self.per_table.insert(table.into(), stats);
+        self.per_table.insert(table.into(), Arc::new(stats));
     }
 
     /// Stats for a table.
     pub fn get(&self, table: &str) -> Option<&TableStats> {
-        self.per_table.get(table)
+        self.per_table.get(table).map(Arc::as_ref)
     }
 }
 
@@ -405,47 +408,23 @@ impl CardEstimator for OracleEstimator {
 }
 
 /// Error-injecting estimator: wraps another estimator and multiplies chosen
-/// estimates by fixed factors. This is how experiments create the "7 orders
+/// tables' selectivity estimates by fixed factors. This is how experiments create the "7 orders
 /// of magnitude" cardinality-estimate war stories on demand.
 pub struct LyingEstimator {
     inner: Box<dyn CardEstimator>,
     /// Per-table selectivity factor.
     table_factors: HashMap<String, f64>,
-    /// Per-column selectivity factor (applied when the predicate mentions the
-    /// column), keyed by unqualified name.
-    column_factors: HashMap<String, f64>,
-    /// Global join-selectivity factor.
-    join_factor: f64,
 }
 
 impl LyingEstimator {
     /// Wrap `inner` with no lies (yet).
     pub fn new(inner: Box<dyn CardEstimator>) -> Self {
-        LyingEstimator {
-            inner,
-            table_factors: HashMap::new(),
-            column_factors: HashMap::new(),
-            join_factor: 1.0,
-        }
+        LyingEstimator { inner, table_factors: HashMap::new() }
     }
 
     /// Multiply every selectivity estimate for `table` by `factor`.
     pub fn with_table_factor(mut self, table: impl Into<String>, factor: f64) -> Self {
         self.table_factors.insert(table.into(), factor);
-        self
-    }
-
-    /// Multiply selectivity estimates of predicates touching `column` by
-    /// `factor`.
-    pub fn with_column_factor(mut self, column: impl Into<String>, factor: f64) -> Self {
-        let c: String = column.into();
-        self.column_factors.insert(unqualify(&c).to_owned(), factor);
-        self
-    }
-
-    /// Multiply all join selectivities by `factor`.
-    pub fn with_join_factor(mut self, factor: f64) -> Self {
-        self.join_factor = factor;
         self
     }
 }
@@ -460,11 +439,6 @@ impl CardEstimator for LyingEstimator {
         if let Some(f) = self.table_factors.get(table) {
             s *= f;
         }
-        for c in pred.columns() {
-            if let Some(f) = self.column_factors.get(unqualify(&c)) {
-                s *= f;
-            }
-        }
         s.clamp(0.0, 1.0)
     }
 
@@ -475,9 +449,7 @@ impl CardEstimator for LyingEstimator {
         right_table: &str,
         right_col: &str,
     ) -> f64 {
-        (self.inner.join_selectivity(left_table, left_col, right_table, right_col)
-            * self.join_factor)
-            .clamp(0.0, 1.0)
+        self.inner.join_selectivity(left_table, left_col, right_table, right_col)
     }
 }
 
@@ -577,20 +549,29 @@ mod tests {
     }
 
     #[test]
+    fn cloned_registry_shares_each_tables_statistics() {
+        let reg = TableStatsRegistry::analyze_catalog(&catalog(), 16);
+        let copy = reg.clone();
+        for table in ["t", "u"] {
+            let (a, b) = (reg.get(table).unwrap(), copy.get(table).unwrap());
+            assert!(std::ptr::eq(a, b), "{table}: a clone must not copy histograms");
+        }
+        assert!(copy.get("missing").is_none());
+    }
+
+    #[test]
     fn lying_estimator_injects_error() {
         let c = catalog();
         let base = stats_estimator(&c);
         let truth = base.selectivity("t", &col("grp").eq(lit(3i64)));
-        let liar = LyingEstimator::new(Box::new(base))
-            .with_column_factor("grp", 0.001)
-            .with_join_factor(10.0);
+        let truth_u = base.selectivity("u", &col("grp").eq(lit(3i64)));
+        let truth_join = base.join_selectivity("t", "grp", "u", "grp");
+        let liar = LyingEstimator::new(Box::new(base)).with_table_factor("t", 0.001);
         let lied = liar.selectivity("t", &col("grp").eq(lit(3i64)));
         assert!(lied < truth / 100.0, "injected 1000x underestimate");
-        let js = liar.join_selectivity("t", "grp", "u", "grp");
-        assert!(js > 0.5, "join factor applied, got {js}");
-        // Unrelated column unaffected.
-        let sel_k = liar.selectivity("t", &col("k").lt(lit(500i64)));
-        assert!((sel_k - 0.5).abs() < 0.05);
+        // Another table's predicates and the join estimate pass through.
+        assert_eq!(liar.selectivity("u", &col("grp").eq(lit(3i64))), truth_u);
+        assert_eq!(liar.join_selectivity("t", "grp", "u", "grp"), truth_join);
     }
 
     #[test]

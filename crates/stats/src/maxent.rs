@@ -131,17 +131,6 @@ impl MaxEntDistribution {
             .map(|(_, &p)| p)
             .sum()
     }
-
-    /// P(∨ of predicates in `mask`) via inclusion of the all-fail atom set.
-    pub fn any_selectivity(&self, mask: u32) -> f64 {
-        1.0 - self
-            .atoms
-            .iter()
-            .enumerate()
-            .filter(|(b, _)| (*b as u32) & mask == 0)
-            .map(|(_, &p)| p)
-            .sum::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -161,6 +150,7 @@ mod tests {
             "ME without correlation info = independence, got {}",
             d.selectivity(0b11)
         );
+        assert!((d.selectivity(0) - 1.0).abs() < 1e-9, "the empty conjunction is certain");
     }
 
     #[test]
@@ -195,17 +185,6 @@ mod tests {
             "expected ≈0.08 (correlated pair × independent third), got {triple}"
         );
         assert!((d.selectivity(0b011) - 0.4).abs() < 1e-4);
-    }
-
-    #[test]
-    fn disjunction_selectivity() {
-        let mut s = MaxEntSolver::new(2).unwrap();
-        s.add_constraint(0b01, 0.3).unwrap();
-        s.add_constraint(0b10, 0.4).unwrap();
-        let d = s.solve(200, 1e-9);
-        // P(a or b) = 0.3 + 0.4 - 0.12 under independence.
-        assert!((d.any_selectivity(0b11) - 0.58).abs() < 1e-3);
-        assert!((d.selectivity(0) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -45,14 +45,6 @@ impl SelectivityPosterior {
         let z = normal_quantile(p);
         (self.mean() + z * self.std_dev()).clamp(0.0, 1.0)
     }
-
-    /// Draw `k` deterministic "samples" of selectivity at evenly spaced
-    /// quantiles (for expected-cost integration over the posterior).
-    pub fn quadrature(&self, k: usize) -> Vec<f64> {
-        (0..k)
-            .map(|i| self.quantile((i as f64 + 0.5) / k as f64))
-            .collect()
-    }
 }
 
 /// Acklam-style rational approximation of the standard normal quantile.
@@ -205,16 +197,6 @@ mod tests {
         let all = SelectivityPosterior { matches: 200, sample_size: 200 };
         assert!(all.mean() > 0.99);
         assert!(all.quantile(0.01) > 0.95);
-    }
-
-    #[test]
-    fn quadrature_spans_distribution() {
-        let post = SelectivityPosterior { matches: 50, sample_size: 100 };
-        let qs = post.quadrature(9);
-        assert_eq!(qs.len(), 9);
-        assert!(qs.windows(2).all(|w| w[0] <= w[1]));
-        let mid = qs[4];
-        assert!((mid - 0.5).abs() < 0.02);
     }
 
     #[test]

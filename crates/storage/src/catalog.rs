@@ -108,14 +108,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drop an index by name (no-op if absent).
-    pub fn drop_index(&mut self, index_name: &str) {
-        if let Some(idx) = self.indexes.remove(index_name) {
-            self.index_by_col
-                .remove(&(idx.table().to_owned(), idx.column().to_owned()));
-        }
-    }
-
     /// Index handle by name.
     pub fn index(&self, name: &str) -> Result<Arc<BTreeIndex>> {
         self.indexes
@@ -130,13 +122,6 @@ impl Catalog {
         self.index_by_col
             .get(&(table.to_owned(), unq.to_owned()))
             .and_then(|n| self.indexes.get(n).cloned())
-    }
-
-    /// All index names, sorted.
-    pub fn index_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.indexes.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Build and register a composite index over `table.(columns…)`.
@@ -324,11 +309,6 @@ impl CatalogSnapshot {
         (tables, indexes)
     }
 
-    /// Number of tables in the snapshot.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Shared handle to a table in the snapshot.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
         self.tables
@@ -480,8 +460,6 @@ mod tests {
         assert!(c.index_on("t", "t.k").is_some(), "qualified names accepted");
         assert!(c.index_on("t", "v").is_none());
         assert_eq!(c.index("ix_t_k").unwrap().entries(), 50);
-        c.drop_index("ix_t_k");
-        assert!(c.index_on("t", "k").is_none());
     }
 
     #[test]
@@ -562,7 +540,6 @@ mod tests {
         c.create_index("ix_t_k", "t", "k").unwrap();
         c.create_multi_index("mx_t_kv", "t", &["k", "v"]).unwrap();
         let snap = c.snapshot();
-        assert_eq!(snap.table_count(), 1);
         // The snapshot crosses a thread boundary; the rebuilt catalog sees
         // the same tables and indexes (including the column-lookup wiring).
         let rebuilt = std::thread::spawn(move || {

@@ -429,7 +429,7 @@ mod tests {
         let off = ChaosPolicy::off();
         let err = pool.pin("t", 9, &clock, &off).unwrap_err();
         assert_eq!(err, RqpError::PageBudgetExhausted { pinned: 2, budget: 2 });
-        assert!(err.is_fatal());
+        assert!(!err.is_retryable());
         drop(held);
         assert_eq!(pool.pins(), 0);
         // With the pins released the same pin now succeeds by evicting.

@@ -11,7 +11,6 @@
 //! numeric fields as NaN; this matches how spans use NaN for "never
 //! happened" timestamps.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value.
@@ -154,14 +153,6 @@ impl Json {
             return Err(format!("trailing content at byte {}", p.pos));
         }
         Ok(value)
-    }
-
-    /// Collect an object's pairs into a map (for order-insensitive checks).
-    pub fn to_map(&self) -> Option<BTreeMap<&str, &Json>> {
-        match self {
-            Json::Obj(pairs) => Some(pairs.iter().map(|(k, v)| (k.as_str(), v)).collect()),
-            _ => None,
-        }
     }
 }
 

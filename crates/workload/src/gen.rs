@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use rqp_common::rng::Zipf;
-use rqp_common::{DataType, Field, Schema, Value};
+use rqp_common::{DataType, Field, Schema};
 use rqp_storage::{ColumnData, Table};
 
 /// A column generator: how one column's values are produced.
@@ -125,19 +125,10 @@ impl TableBuilder {
     }
 }
 
-/// Convenience: a single-column integer table.
-pub fn int_table(name: &str, column: &str, values: Vec<i64>) -> Table {
-    let schema = Schema::from_pairs(&[(column, DataType::Int)]);
-    let mut t = Table::new(name, schema);
-    for v in values {
-        t.append(vec![Value::Int(v)]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rqp_common::Value;
     use rqp_common::rng::seeded;
 
     #[test]
@@ -205,12 +196,5 @@ mod tests {
         TableBuilder::new("t")
             .column("b", ColumnGen::Derived { source: 0, f: Box::new(|v| v) })
             .build(10, &mut rng);
-    }
-
-    #[test]
-    fn int_table_helper() {
-        let t = int_table("x", "v", vec![3, 1, 2]);
-        assert_eq!(t.nrows(), 3);
-        assert_eq!(t.value(1, "v").unwrap(), Value::Int(1));
     }
 }

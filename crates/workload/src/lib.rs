@@ -37,7 +37,7 @@ pub mod tractor;
 
 pub use blackhat::BlackHatDb;
 pub use gen::{ColumnGen, TableBuilder};
-pub use manager::{FmtReport, FptReport, Job, SimOutcome, WorkloadManager};
+pub use manager::{admission_head, FmtReport, FptReport, Job, SimOutcome, WorkloadManager};
 pub use oltp::OltpSimulator;
 pub use shift::{ShiftDetector, ShiftEvent};
 pub use star::StarDb;

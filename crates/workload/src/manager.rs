@@ -75,6 +75,18 @@ impl SimOutcome {
     }
 }
 
+/// The admission policy, stated once: of the waiters at the gate — each a
+/// `(priority, seq)` pair, priority 0 highest, `seq` the order they joined
+/// the queue in — the smallest pair takes the next free slot, so admission
+/// is by priority and first-come-first-served within one. Returns that
+/// waiter's position in `waiting`, `None` when nobody waits. Both
+/// [`WorkloadManager::simulate`] and the query service's admission gate call
+/// this, so the simulator replays exactly the policy real threads queue
+/// under.
+pub fn admission_head(waiting: impl IntoIterator<Item = (u8, u64)>) -> Option<usize> {
+    waiting.into_iter().enumerate().min_by_key(|&(_, key)| key).map(|(at, _)| at)
+}
+
 /// The manager: MPL gate + priority queue + weighted processor sharing.
 ///
 /// ```
@@ -114,38 +126,35 @@ impl WorkloadManager {
         let mut pending: Vec<Job> = jobs.to_vec();
         pending.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         pending.reverse(); // pop() = earliest
-        let mut waiting: Vec<Job> = Vec::new();
+        // Waiters carry the sequence number they joined the queue with.
+        let mut waiting: Vec<(u64, Job)> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut enqueue = |waiting: &mut Vec<(u64, Job)>, j: Job| {
+            waiting.push((next_seq, j));
+            next_seq += 1;
+        };
         let mut running: Vec<Running> = Vec::new();
         let mut done: Vec<JobOutcome> = Vec::new();
         let mut t: f64 = 0.0;
-
-        let admit = |waiting: &mut Vec<Job>, running: &mut Vec<Running>, mpl: usize, t: f64| {
-            // Highest priority (lowest number), FIFO within priority.
-            waiting.sort_by(|a, b| {
-                a.priority
-                    .cmp(&b.priority)
-                    .then(a.arrival.total_cmp(&b.arrival))
-            });
-            while running.len() < mpl && !waiting.is_empty() {
-                let j = waiting.remove(0);
-                running.push(Running { job: j, start: t, left: j.demand });
-            }
-        };
 
         while !pending.is_empty() || !waiting.is_empty() || !running.is_empty() {
             // Every arrival due by now joins the wait queue *before* anyone
             // is admitted, so a batch arriving together is admitted in
             // priority order rather than list order.
             while pending.last().is_some_and(|j| j.arrival <= t) {
-                let j = pending.pop().expect("checked");
-                waiting.push(j);
+                enqueue(&mut waiting, pending.pop().expect("checked"));
             }
-            admit(&mut waiting, &mut running, self.mpl, t);
+            while running.len() < self.mpl {
+                let head = admission_head(waiting.iter().map(|(seq, j)| (j.priority, *seq)));
+                let Some(head) = head else { break };
+                let (_, j) = waiting.remove(head);
+                running.push(Running { job: j, start: t, left: j.demand });
+            }
             if running.is_empty() {
                 // Idle until the next arrival.
                 let j = pending.pop().expect("loop invariant: work exists");
                 t = t.max(j.arrival);
-                waiting.push(j);
+                enqueue(&mut waiting, j);
                 continue;
             }
             let total_weight: f64 = running.iter().map(|r| r.job.weight.max(1e-9)).sum();
@@ -376,6 +385,25 @@ mod tests {
         let out = mgr.simulate(&jobs);
         // Job 2 (high priority) must start before job 1 despite arriving later.
         assert!(out.job(2).unwrap().start < out.job(1).unwrap().start);
+    }
+
+    #[test]
+    fn admission_head_is_priority_then_arrival_order() {
+        assert_eq!(admission_head([]), None);
+        assert_eq!(admission_head([(1, 7)]), Some(0));
+        // Priority 0 beats priority 1 whatever the sequence numbers…
+        assert_eq!(admission_head([(1, 0), (0, 9), (2, 1)]), Some(1));
+        // …and within a priority the earliest arrival wins, wherever it sits.
+        assert_eq!(admission_head([(1, 5), (1, 3), (1, 4)]), Some(1));
+    }
+
+    #[test]
+    fn equal_arrivals_are_admitted_by_priority_then_list_order() {
+        let mgr = WorkloadManager::new(1, 1.0);
+        let job = |id, priority| Job { id, arrival: 0.0, demand: 1.0, priority, weight: 1.0 };
+        let out = mgr.simulate(&[job(0, 1), job(1, 1), job(2, 0), job(3, 1)]);
+        let starts: Vec<f64> = (0..4).map(|id| out.job(id).unwrap().start).collect();
+        assert_eq!(starts, vec![1.0, 2.0, 0.0, 3.0]);
     }
 
     #[test]

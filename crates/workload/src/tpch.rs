@@ -267,7 +267,17 @@ mod tests {
         assert_eq!(li, 4000);
         assert_eq!(ord, 1000);
         assert_eq!(cust, 100);
-        assert!(db.catalog.index_names().len() >= 6);
+        for (table, key) in [
+            ("customer", "custkey"),
+            ("orders", "orderkey"),
+            ("orders", "custkey"),
+            ("lineitem", "orderkey"),
+            ("lineitem", "shipdate"),
+            ("part", "partkey"),
+            ("supplier", "suppkey"),
+        ] {
+            assert!(db.catalog.index_on(table, key).is_some(), "index on {table}.{key}");
+        }
     }
 
     #[test]

@@ -597,7 +597,7 @@ fn batch_workers_recover_from_injected_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Planner gating: RQP_BATCH switches the physical TableScan pipeline
+// Planner gating: the context's batch switch selects the TableScan pipeline
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -627,8 +627,8 @@ fn rqp_batch_env_gates_the_physical_scan_pipeline() {
         est_rows: 0.0,
         est_cost: 0.0,
     };
-    let run = |filter: Option<rqp::Expr>| {
-        let c = ctx();
+    let run = |filter: Option<rqp::Expr>, batch: bool| {
+        let c = ctx().with_batch(batch);
         let rows = plan(filter).build(&catalog, &c, None).unwrap().run();
         let kinds: Vec<String> =
             c.tracer.snapshot().iter().map(|s| s.kind.clone()).collect();
@@ -638,23 +638,13 @@ fn rqp_batch_env_gates_the_physical_scan_pipeline() {
     let simple = Some(col("o.id").lt(lit(600i64)));
     let complex = Some(col("o.id").lt(col("o.amt"))); // no batch form
 
-    // The suite itself runs under RQP_BATCH=1 on the CI batch legs, so pin
-    // the gate explicitly for each leg and restore the ambient value after
-    // ("0" is not an enabling value, matching the documented default-off).
-    let ambient = std::env::var("RQP_BATCH").ok();
-    std::env::set_var("RQP_BATCH", "0");
-    let scalar = run(simple.clone());
+    // The suite itself runs with the switch on in the CI batch legs, so
+    // every leg pins it on its own context.
+    let scalar = run(simple.clone(), false);
     assert!(scalar.1.iter().all(|k| !k.starts_with("batch")), "gate off must stay scalar");
-
-    std::env::set_var("RQP_BATCH", "1");
-    let batch = run(simple);
-    let fallback = run(complex.clone());
-    std::env::set_var("RQP_BATCH", "0");
-    let complex_scalar = run(complex);
-    match ambient {
-        Some(v) => std::env::set_var("RQP_BATCH", v),
-        None => std::env::remove_var("RQP_BATCH"),
-    }
+    let batch = run(simple, true);
+    let fallback = run(complex.clone(), true);
+    let complex_scalar = run(complex, false);
 
     assert_eq!(scalar.0, batch.0, "gated plan must be row-identical");
     assert_eq!(
@@ -664,7 +654,7 @@ fn rqp_batch_env_gates_the_physical_scan_pipeline() {
     );
     assert!(
         batch.1.iter().any(|k| k == "batch_scan"),
-        "RQP_BATCH=1 must engage the batch pipeline, got spans {:?}",
+        "the switch must engage the batch pipeline, got spans {:?}",
         batch.1
     );
     assert_eq!(fallback.0, complex_scalar.0, "non-simple predicates fall back");

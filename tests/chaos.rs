@@ -10,7 +10,7 @@
 //!   context that has never heard of chaos (the pre-chaos baseline).
 
 use rqp::common::chaos::{ChaosConfig, ChaosPolicy};
-use rqp::common::{CostClock, CostModelParams};
+use rqp::common::{CostClock, CostModelParams, EngineConfig};
 use rqp::exec::exchange::{pipeline, ExchangeOp, Partitioning};
 use rqp::exec::sort::SortOrder;
 use rqp::exec::{collect, ExecContext, SortOp, TableScanOp};
@@ -135,18 +135,10 @@ fn chaos_off_matches_a_context_that_never_heard_of_chaos() {
 
 #[test]
 fn env_seeded_chaos_still_computes_the_right_answer() {
-    // The CI chaos leg sets RQP_CHAOS_SEED, running this test under an
-    // env-chosen fault pattern instead of the seeds hard-coded above; with
-    // the variable unset it falls back to a fixed standard mix, so the test
-    // never silently degrades to a no-op.
-    let policy = {
-        let env = ChaosPolicy::from_env();
-        if env.is_enabled() {
-            env
-        } else {
-            ChaosPolicy::new(ChaosConfig::standard(0xE27))
-        }
-    };
+    // The CI chaos leg runs this test under its own seed instead of the
+    // seeds hard-coded above; without one it falls back to a fixed standard
+    // mix, so the test never silently degrades to a no-op.
+    let policy = ChaosPolicy::seeded(EngineConfig::ambient().chaos_seed.unwrap_or(0xE27));
     let expected = {
         let (rows, _) = run(ChaosPolicy::off(), 4, 1_000.0);
         rows

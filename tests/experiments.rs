@@ -5,7 +5,7 @@
 //! nobody committed a baseline for) is caught here, under tier-1, rather
 //! than first by CI's full-size regression gate.
 
-use rqp_bench::experiments::EXPERIMENTS;
+use rqp_bench::experiments::{RunEnv, EXPERIMENTS};
 use rqp_telemetry::Scoreboard;
 use std::path::Path;
 
@@ -16,20 +16,18 @@ fn published(board: &Scoreboard, name: &str) -> Vec<&'static str> {
 
 #[test]
 fn every_experiment_publishes_its_committed_metric_set() {
-    // This is the only test in this binary, so it owns the process
-    // environment. Cargo built our own bins for this integration test, so
-    // the loadgen path a07/a08 spawn is authoritative.
+    // Cargo built our own bins for this integration test, so the loadgen
+    // path a07/a08 spawn is authoritative.
     let dir = std::env::temp_dir().join(format!("rqp_experiments_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("RQP_EXP_OUTPUT", &dir);
-    std::env::set_var("RQP_LOADGEN_BIN", env!("CARGO_BIN_EXE_rqp-loadgen"));
+    let env = RunEnv {
+        loadgen_bin: env!("CARGO_BIN_EXE_rqp-loadgen").into(),
+        ..RunEnv::new(true, dir.clone())
+    };
     for (name, experiment) in EXPERIMENTS {
-        let out = experiment(true);
+        let out = experiment(&env);
         assert!(out.contains("run report:"), "{name} did not go through the harness");
     }
-    std::env::remove_var("RQP_EXP_OUTPUT");
-    std::env::remove_var("RQP_LOADGEN_BIN");
 
     let fresh = Scoreboard::from_dir(&dir).expect("fold the fresh run reports");
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../exp_output/scoreboard.json");

@@ -592,17 +592,15 @@ fn widening_append_over_the_wire_reads_back_on_index_and_scan_plans() {
 
 #[test]
 fn a07_runs_real_client_processes_and_scoreboard_v5_gates_the_wire_metrics() {
-    // Redirect the harness output to a scratch dir; this test is the only
-    // one in this binary that touches RQP_EXP_OUTPUT. Cargo built our own
-    // bins for this integration test, so the loadgen path is authoritative.
+    // Cargo built our own bins for this integration test, so the loadgen
+    // path is authoritative.
     let dir = std::env::temp_dir().join(format!("rqp_a07_gate_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("RQP_EXP_OUTPUT", &dir);
-    std::env::set_var("RQP_LOADGEN_BIN", env!("CARGO_BIN_EXE_rqp-loadgen"));
-    let summary = rqp_bench::experiments::wire::a07_wire_service(true);
-    std::env::remove_var("RQP_EXP_OUTPUT");
-    std::env::remove_var("RQP_LOADGEN_BIN");
+    let env = rqp_bench::experiments::RunEnv {
+        loadgen_bin: env!("CARGO_BIN_EXE_rqp-loadgen").into(),
+        ..rqp_bench::experiments::RunEnv::new(true, dir.clone())
+    };
+    let summary = rqp_bench::experiments::wire::a07_wire_service(&env);
     assert!(summary.contains("A07"), "experiment produced no summary");
 
     let board = Scoreboard::from_dir(&dir).expect("fold the a07 run report");

@@ -2,7 +2,8 @@
 //! the MPL gate, result identity under concurrency, typed deadline aborts
 //! that release every workspace grant, cancellation while queued, agreement
 //! between the real service and the virtual-time [`WorkloadManager`] on a
-//! deterministic trace, the A06 scoreboard gate, secondary indexes
+//! deterministic trace, the ambient engine switches reaching default
+//! contexts and services, the A06 scoreboard gate, secondary indexes
 //! following service appends, and width-adaptive integer columns (widening
 //! appends against an `i64` reference, the bytes-per-row gate).
 //!
@@ -10,8 +11,9 @@
 //! `a06_concurrent_service` experiment end to end.
 
 use rqp::common::expr::{col, lit};
-use rqp::common::{Row, RqpError, Value};
-use rqp::opt::QuerySpec;
+use rqp::common::{EngineConfig, Row, RqpError, Value};
+use rqp::exec::ExecContext;
+use rqp::opt::{PhysicalPlan, QuerySpec};
 use rqp::server::{QueryOptions, QueryService, ServiceConfig, SubscribeOptions};
 use rqp::storage::Table;
 use rqp::stream::canonicalize;
@@ -148,11 +150,50 @@ fn service_and_simulator_agree_on_a_deterministic_three_job_trace() {
     by_finish.sort_by(|a, b| a.finish.total_cmp(&b.finish));
     let simulated: Vec<u64> = by_finish.iter().map(|j| j.id as u64).collect();
 
+    let completed: Vec<u64> = svc.completions().iter().map(|c| c.query).collect();
     assert_eq!(
-        svc.completion_order(),
-        simulated,
+        completed, simulated,
         "real service and virtual-time simulator disagree on completion order"
     );
+}
+
+/// The CI matrix legs reach the suite through one hook: whatever the process
+/// was started under ([`EngineConfig::ambient`]) is what a default context
+/// and a default-config service run with. In a plain environment this pins
+/// the defaults (everything off); under a CI leg it proves the leg bites.
+#[test]
+fn ambient_engine_switches_reach_default_contexts_and_services() {
+    let ambient = EngineConfig::ambient();
+    let db = small_db();
+
+    let ctx = ExecContext::unbounded();
+    assert_eq!(ctx.batch, ambient.batch);
+    let scan = PhysicalPlan::TableScan {
+        table: "lineitem".into(),
+        filter: None,
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    assert_eq!(scan.build(&db.catalog, &ctx, None).expect("build").run().len(), 4_000);
+    let batch_scanned = ctx.tracer.snapshot().iter().any(|s| s.kind == "batch_scan");
+    assert_eq!(batch_scanned, ambient.batch, "a default-context scan follows the batch switch");
+
+    let config = ServiceConfig::default();
+    assert_eq!(
+        (config.batch, config.chaos_seed, config.page_budget),
+        (ambient.batch, ambient.chaos_seed, ambient.page_budget)
+    );
+    let svc = QueryService::new(&db.catalog, config.clone());
+    assert_eq!(svc.pager().map(|pool| pool.budget()), ambient.page_budget);
+
+    // The same service without its chaos seed charges the fault-free cost;
+    // a seeded one charges retries on top. (Its own database: a buffer pool
+    // attaches to the catalog's shared tables, one service per catalog.)
+    let calm_db = small_db();
+    let calm = QueryService::new(&calm_db.catalog, ServiceConfig { chaos_seed: None, ..config });
+    let q = db.q1(30);
+    let cost = |svc: &QueryService| svc.run_solo(&q).expect("solo run").cost;
+    assert_eq!(cost(&svc) > cost(&calm), ambient.chaos_seed.is_some());
 }
 
 /// `APPEND` must reach the indexes, not just the table: after 16 new
@@ -327,14 +368,10 @@ fn narrow_columns_bound_the_resident_bytes_per_row() {
 
 #[test]
 fn a06_runs_and_scoreboard_v4_gates_the_service_metrics() {
-    // Redirect the harness output to a scratch dir; this test is the only
-    // one in this binary that touches RQP_EXP_OUTPUT.
     let dir = std::env::temp_dir().join(format!("rqp_a06_gate_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("RQP_EXP_OUTPUT", &dir);
-    let summary = rqp_bench::experiments::service::a06_concurrent_service(true);
-    std::env::remove_var("RQP_EXP_OUTPUT");
+    let env = rqp_bench::experiments::RunEnv::new(true, dir.clone());
+    let summary = rqp_bench::experiments::service::a06_concurrent_service(&env);
     assert!(summary.contains("A06"), "experiment produced no summary");
 
     let board = Scoreboard::from_dir(&dir).expect("fold the a06 run report");

@@ -1,7 +1,7 @@
 //! Acceptance tests for standing subscriptions: the maintained view must be
 //! **bit-identical** to re-running the spec from scratch after every drained
-//! churn interleaving — under whatever `RQP_BATCH` and `RQP_CHAOS_SEED` the
-//! CI matrix sets (chaos inflates propagation cost with
+//! churn interleaving — under whatever batch switch and chaos seed the CI
+//! matrix sets (chaos inflates propagation cost with
 //! retry charges; it must never change the maintained rows) — and every
 //! teardown path (explicit unsubscribe, deadline abort, token cancel,
 //! service shutdown) must leave the registry empty, the broker at zero
@@ -140,6 +140,40 @@ fn partial_polls_account_lag_exactly() {
     assert_eq!(canonicalize(composed), view);
     assert!(svc.unsubscribe(id));
     assert!(!svc.unsubscribe(id), "double unsubscribe reports false");
+}
+
+/// Chaos belongs to a service, not to the process: of two services alive at
+/// once and fed the same appends, the seeded one charges retry cost on its
+/// polls and the unseeded one does not, while both deliver the same deltas.
+#[test]
+fn chaos_seed_is_per_service() {
+    let mut rng = seeded(0xc4a05);
+    let rows: Vec<Row> = (0..200).map(|_| fresh_row(&mut rng)).collect();
+    let poll_cost = |chaos_seed: Option<u64>| {
+        // One database per service: under the paging leg each service's
+        // buffer pool attaches to its catalog's tables.
+        let db = TpchDb::build(TpchParams { lineitem_rows: 400, ..Default::default() }, 4242);
+        let spec = &menu(&db)[3];
+        let svc = QueryService::new(
+            &db.catalog,
+            ServiceConfig { drift_threshold: 1e9, chaos_seed, ..ServiceConfig::default() },
+        );
+        let id = svc.subscribe(spec, SubscribeOptions::default()).expect("subscribe");
+        svc.append_rows("lineitem", rows.clone()).expect("append");
+        let sub = svc.subscriptions().get(id).expect("live");
+        let before = sub.cost();
+        let (packet, lag) = svc.poll_subscription(id, 0).expect("poll never drops deltas");
+        assert_eq!(lag, 0);
+        (svc, sub.cost() - before, packet)
+    };
+    // Both services stay alive until the comparison is done.
+    let (_calm_svc, calm, calm_packet) = poll_cost(None);
+    let (_hostile_svc, hostile, hostile_packet) = poll_cost(Some(1111));
+    let (_again_svc, again, _) = poll_cost(None);
+    assert_eq!(calm.to_bits(), again.to_bits(), "no seed, no retry charges");
+    assert!(hostile > calm, "a seeded service must charge retries: {hostile} vs {calm}");
+    assert_eq!(calm_packet.inserted, hostile_packet.inserted, "chaos never changes a delta");
+    assert!(hostile_packet.retracted.is_empty() && calm_packet.retracted.is_empty());
 }
 
 /// A subscription registered with a propagation-cost deadline is torn down
@@ -319,7 +353,7 @@ fn replay_packet(view: &mut Vec<Row>, p: &DeltaPacket, what: &str) {
 
 /// Seeded inserts *and* retractions over every menu shape: after each poll
 /// the packets replayed onto a copy, the maintained view and a cold engine
-/// re-run (under whatever `RQP_BATCH`/`RQP_CHAOS_SEED` the CI leg sets) are the same rows — and once every base row is deleted, each
+/// re-run (under whatever batch switch and chaos seed the CI leg sets) are the same rows — and once every base row is deleted, each
 /// circuit's counted state is byte-for-byte an empty circuit's: no key,
 /// bucket, group or multiset value lingers.
 #[test]
