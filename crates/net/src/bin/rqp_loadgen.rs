@@ -19,8 +19,11 @@
 //! not a thread sharing the server's address space. Workers run a
 //! deterministic query menu (chosen by `(seed, client, index)`), with:
 //!
-//! * **closed-loop** arrival: submit → drain → next (one query in flight);
-//! * **open-loop** arrival: all queries submitted up front, then drained —
+//! * **closed-loop** arrival: submit → drain → next (one query in flight,
+//!   one round trip each while the result fits the first credit window:
+//!   `WireClient::run` grants it with the SUBMIT);
+//! * **open-loop** arrival: all queries submitted up front with no credit
+//!   window (several are in flight, none may send pages yet), then drained —
 //!   arrival *timestamps* are virtual (`index / rate`), carried in the
 //!   submission options for the server's deterministic schedule replay,
 //!   while the submission burst itself is real;
@@ -163,7 +166,8 @@ fn run_worker(args: &Args, id: usize) {
     }
 
     if args.open_loop {
-        // Open loop: every query submitted before any is drained.
+        // Open loop: every query submitted before any is drained, so none
+        // carries a credit window — pages flow once its fetch asks.
         let mut pending = Vec::new();
         for q in 0..args.queries {
             let idx = menu_index(args.seed, id, q, menu.len());

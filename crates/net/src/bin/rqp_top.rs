@@ -114,6 +114,23 @@ fn render(
             out.push_str(&metric_line(name, value));
         }
     }
+    let counter = |name: &str| {
+        snap.metrics.iter().find_map(|(n, v)| match v {
+            MetricValue::Counter(c) if n == name => Some(*c as f64),
+            _ => None,
+        })
+    };
+    if let (Some(frames_in), Some(frames_out), Some(queries)) = (
+        counter("wire.frames.in"),
+        counter("wire.frames.out"),
+        counter("server.queries.completed").filter(|&q| q > 0.0),
+    ) {
+        out.push_str(&format!(
+            "  frames per completed query = {:.2} in, {:.2} out (every frame type counted)\n",
+            frames_in / queries,
+            frames_out / queries
+        ));
+    }
     // Sections that appear only once the server publishes their gauges.
     for (title, prefix) in
         [("pager:", "server.pager."), ("subs:", "server.subs."), ("storage:", "server.storage.")]

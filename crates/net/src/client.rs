@@ -1,14 +1,37 @@
 //! Blocking wire client.
 //!
 //! [`WireClient`] drives the client side of the protocol in lockstep:
-//! connect + HELLO, then per query SUBMIT → FETCH (granting credits and
-//! draining pages) → DONE/ERROR. Because the server only sends pages
-//! against credits this client granted, and this client grants credits for
-//! one query at a time, no demultiplexing is needed — every frame read
-//! belongs to the conversation in progress.
+//! connect + HELLO, then per query SUBMIT → pages against credits →
+//! DONE/ERROR. Because the server only sends pages against credits this
+//! client granted, and this client grants credits for one query at a time,
+//! no demultiplexing is needed — every frame read belongs to the
+//! conversation in progress.
+//!
+//! **One round trip per query.** [`run`](WireClient::run) puts the first
+//! credit window into the SUBMIT itself, so SUBMIT_ACK, up to
+//! `FETCH_CREDITS` pages and the DONE come back without a second request;
+//! only a result with more pages than that costs a FETCH, once per window.
+//! [`submit`](WireClient::submit) passes `opts.credits` through untouched
+//! (default 0): a caller that keeps several queries in flight, or reads
+//! anything else before draining, must not have pages arrive unsolicited
+//! and grants by [`fetch`](WireClient::fetch) /
+//! [`fetch_partial`](WireClient::fetch_partial) when it is ready.
+//!
+//! **Per-query cursor.** From SUBMIT_ACK until `fetch` returns, the client
+//! keeps for each query the credits still outstanding, the rows received so
+//! far and the DONE or ERROR once some call has read it. Every call that
+//! reads frames advances the same cursor, so the three ways of draining
+//! compose: `fetch` after `fetch_partial` returns the *remaining* rows,
+//! checks DONE's row total against everything received, returns at once if
+//! `fetch_partial` already read the terminal frame, and reports a failure
+//! with its wire code whoever read the ERROR. `fetch` retires the cursor; a
+//! query drained by `fetch_partial` alone keeps its few words until the
+//! connection closes.
 
 use crate::frame::{read_frame, write_frame};
-use crate::proto::{ClientMsg, RemoteFailure, ServerMsg, WireQueryOptions, WireSubscribeOptions};
+use crate::proto::{
+    self, ClientMsg, RemoteFailure, ServerMsg, WireQueryOptions, WireSubscribeOptions,
+};
 use rqp_common::{Row, RqpError};
 use rqp_opt::QuerySpec;
 use rqp_server::{LiveQueryStats, QueryPhase};
@@ -16,8 +39,29 @@ use rqp_telemetry::{EventTail, MetricsSnapshot};
 use std::collections::HashMap;
 use std::net::TcpStream;
 
-/// Credits granted per FETCH round trip.
+/// Credits granted per FETCH round trip, and with the SUBMIT of
+/// [`WireClient::run`].
 const FETCH_CREDITS: u32 = 4;
+
+/// What a query's DONE frame reported.
+#[derive(Debug)]
+struct Done {
+    total_rows: u64,
+    cost: f64,
+    plan_cached: bool,
+}
+
+/// Client-side state of one submitted query (module docs).
+#[derive(Debug, Default)]
+struct Cursor {
+    /// Credits granted, with the SUBMIT or by FETCH, that no PAGE has
+    /// consumed yet.
+    outstanding: u32,
+    /// Rows received so far, over every call that read pages of the query.
+    received: u64,
+    /// The DONE or ERROR, once read — by whichever call was reading.
+    terminal: Option<Result<Done, RemoteFailure>>,
+}
 
 /// The fully-drained result of one remote query.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,11 +118,9 @@ pub struct InspectOutcome {
 pub struct WireClient {
     stream: TcpStream,
     session: u64,
-    /// Failures the server reported eagerly for queries other than the one
-    /// currently being driven (failure frames need no credit, so with
-    /// several queries in flight — open-loop submission — they can arrive
-    /// early). Consumed by the matching [`fetch`](Self::fetch).
-    stashed_failures: HashMap<u64, RemoteFailure>,
+    /// One cursor per query submitted here and not yet returned by
+    /// [`fetch`](Self::fetch).
+    cursors: HashMap<u64, Cursor>,
 }
 
 impl WireClient {
@@ -87,7 +129,7 @@ impl WireClient {
     pub fn connect(addr: &str, priority: u8) -> Result<WireClient, RqpError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| RqpError::Protocol(format!("connect {addr}: {e}")))?;
-        let mut client = WireClient { stream, session: 0, stashed_failures: HashMap::new() };
+        let mut client = WireClient { stream, session: 0, cursors: HashMap::new() };
         client.send(&ClientMsg::Hello { priority })?;
         match client.recv()? {
             ServerMsg::HelloAck { session } => {
@@ -104,24 +146,28 @@ impl WireClient {
         self.session
     }
 
-    /// Submit a query; returns its service-wide query id.
+    /// Submit a query; returns its service-wide query id. `opts.credits`
+    /// pages may follow the ack unasked (module docs) — leave it 0 unless
+    /// the next call on this connection drains this query.
     pub fn submit(
         &mut self,
         spec: &QuerySpec,
         opts: WireQueryOptions,
     ) -> Result<u64, RqpError> {
-        self.send(&ClientMsg::Submit { spec: spec.clone(), opts })?;
+        self.write(proto::encode_submit(spec, &opts).map_err(RqpError::from)?)?;
         loop {
             match self.recv()? {
-                ServerMsg::SubmitAck { query } => return Ok(query),
+                ServerMsg::SubmitAck { query } => {
+                    let cursor = Cursor { outstanding: opts.credits, ..Cursor::default() };
+                    self.cursors.insert(query, cursor);
+                    return Ok(query);
+                }
                 ServerMsg::Error { query: 0, failure } => {
                     return Err(RqpError::Protocol(failure.to_string()))
                 }
                 // An earlier in-flight query failed while we were waiting
-                // for the ack; stash its failure for that query's fetch.
-                ServerMsg::Error { query, failure } => {
-                    self.stashed_failures.insert(query, failure);
-                }
+                // for the ack; its cursor keeps the failure for its fetch.
+                ServerMsg::Error { query, failure } => self.finish(query, Err(failure)),
                 other => {
                     return Err(RqpError::Protocol(format!(
                         "expected SUBMIT_ACK, got {other:?}"
@@ -131,74 +177,111 @@ impl WireClient {
         }
     }
 
-    /// Drain `query` to completion: grant credits, collect pages, and
-    /// return the assembled outcome — or the server-reported failure with
-    /// its stable wire code.
+    /// Drain `query` to completion: grant credits window by window, collect
+    /// the pages not yet read, and return the assembled outcome — or the
+    /// server-reported failure with its stable wire code. After
+    /// [`fetch_partial`](Self::fetch_partial) calls, `rows` holds the rows
+    /// those calls did not return.
     pub fn fetch(
         &mut self,
         query: u64,
     ) -> Result<Result<RemoteOutcome, RemoteFailure>, RqpError> {
-        if let Some(failure) = self.stashed_failures.remove(&query) {
-            return Ok(Err(failure));
-        }
         let mut rows: Vec<Row> = Vec::new();
-        let mut outstanding: u32 = 0;
         loop {
-            if outstanding == 0 {
-                self.send(&ClientMsg::Fetch { query, credits: FETCH_CREDITS })?;
-                outstanding = FETCH_CREDITS;
-            }
-            match self.recv()? {
-                ServerMsg::Page { query: q, rows: page } if q == query => {
-                    rows.extend(page);
-                    outstanding = outstanding.saturating_sub(1);
-                }
-                ServerMsg::Done { query: q, total_rows, cost, plan_cached } if q == query => {
-                    if rows.len() as u64 != total_rows {
-                        return Err(RqpError::Protocol(format!(
-                            "server reported {total_rows} rows, received {}",
-                            rows.len()
-                        )));
-                    }
-                    return Ok(Ok(RemoteOutcome { query, rows, cost, plan_cached }));
-                }
-                ServerMsg::Error { query: q, failure } if q == query || q == 0 => {
-                    return Ok(Err(failure));
-                }
-                ServerMsg::Error { query: q, failure } => {
-                    self.stashed_failures.insert(q, failure);
-                }
-                other => {
+            let Some(cursor) = self.cursors.get_mut(&query) else {
+                return Err(RqpError::Protocol(format!(
+                    "query {query} was not submitted on this connection or is already fetched"
+                )));
+            };
+            if let Some(terminal) = cursor.terminal.take() {
+                let received = cursor.received;
+                self.cursors.remove(&query);
+                let done = match terminal {
+                    Ok(done) => done,
+                    Err(failure) => return Ok(Err(failure)),
+                };
+                if received != done.total_rows {
                     return Err(RqpError::Protocol(format!(
-                        "unexpected frame while fetching query {query}: {other:?}"
+                        "server reported {} rows, received {received}",
+                        done.total_rows
                     )));
                 }
+                let (cost, plan_cached) = (done.cost, done.plan_cached);
+                return Ok(Ok(RemoteOutcome { query, rows, cost, plan_cached }));
             }
+            if cursor.outstanding == 0 {
+                self.grant(query, FETCH_CREDITS)?;
+            }
+            self.advance(query, &mut rows)?;
         }
     }
 
-    /// Grant exactly `credits` pages for `query` without waiting for
-    /// completion — the building block of slow-consumer tests.
+    /// Grant `credits` more pages for `query` and read every page now owed
+    /// (these and any granted earlier), stopping early at the DONE or ERROR
+    /// — the building block of slow-consumer tests. The terminal frame
+    /// stays in the query's cursor for [`fetch`](Self::fetch); a query
+    /// without a live cursor gets the grant (the server absorbs it) and no
+    /// read.
     pub fn fetch_partial(
         &mut self,
         query: u64,
         credits: u32,
     ) -> Result<Vec<Row>, RqpError> {
-        self.send(&ClientMsg::Fetch { query, credits })?;
+        self.grant(query, credits)?;
         let mut rows = Vec::new();
-        for _ in 0..credits {
-            match self.recv()? {
-                ServerMsg::Page { query: q, rows: page } if q == query => rows.extend(page),
-                ServerMsg::Done { .. } => break,
-                ServerMsg::Error { failure, .. } => {
-                    return Err(RqpError::Protocol(failure.to_string()))
-                }
-                other => {
-                    return Err(RqpError::Protocol(format!("unexpected frame: {other:?}")))
-                }
-            }
+        while self
+            .cursors
+            .get(&query)
+            .is_some_and(|c| c.outstanding > 0 && c.terminal.is_none())
+        {
+            self.advance(query, &mut rows)?;
         }
         Ok(rows)
+    }
+
+    /// Send a FETCH and book its credits on the query's cursor.
+    fn grant(&mut self, query: u64, credits: u32) -> Result<(), RqpError> {
+        self.send(&ClientMsg::Fetch { query, credits })?;
+        if let Some(cursor) = self.cursors.get_mut(&query) {
+            cursor.outstanding = cursor.outstanding.saturating_add(credits);
+        }
+        Ok(())
+    }
+
+    /// Read one frame while draining `query` and apply it to the cursors;
+    /// the rows of a PAGE go to `rows`.
+    fn advance(&mut self, query: u64, rows: &mut Vec<Row>) -> Result<(), RqpError> {
+        match self.recv()? {
+            ServerMsg::Page { query: q, rows: page } if q == query => {
+                if let Some(cursor) = self.cursors.get_mut(&query) {
+                    cursor.outstanding = cursor.outstanding.saturating_sub(1);
+                    cursor.received += page.len() as u64;
+                }
+                rows.extend(page);
+            }
+            ServerMsg::Done { query: q, total_rows, cost, plan_cached } if q == query => {
+                self.finish(query, Ok(Done { total_rows, cost, plan_cached }));
+            }
+            // A connection-level failure ends the query being drained.
+            ServerMsg::Error { query: 0, failure } => self.finish(query, Err(failure)),
+            // Failure frames need no credit, so with several queries in
+            // flight (open-loop submission) another query's can arrive
+            // here; it waits in that query's cursor.
+            ServerMsg::Error { query: q, failure } => self.finish(q, Err(failure)),
+            other => {
+                return Err(RqpError::Protocol(format!(
+                    "unexpected frame while fetching query {query}: {other:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Record how `query` ended.
+    fn finish(&mut self, query: u64, terminal: Result<Done, RemoteFailure>) {
+        if let Some(cursor) = self.cursors.get_mut(&query) {
+            cursor.terminal = Some(terminal);
+        }
     }
 
     /// Request cooperative cancellation of `query` (fire-and-forget).
@@ -267,7 +350,7 @@ impl WireClient {
         spec: &QuerySpec,
         opts: WireSubscribeOptions,
     ) -> Result<u64, RqpError> {
-        self.send(&ClientMsg::Subscribe { spec: spec.clone(), opts })?;
+        self.write(proto::encode_subscribe(spec, &opts).map_err(RqpError::from)?)?;
         match self.recv()? {
             ServerMsg::SubAck { sub } => Ok(sub),
             ServerMsg::Error { failure, .. } => Err(RqpError::Protocol(failure.to_string())),
@@ -341,18 +424,23 @@ impl WireClient {
         }
     }
 
-    /// Convenience: submit and fully drain in one call.
+    /// Submit and fully drain in one call. The SUBMIT carries the first
+    /// credit window (replacing `opts.credits`), so a result of up to
+    /// `FETCH_CREDITS` pages costs one round trip.
     pub fn run(
         &mut self,
         spec: &QuerySpec,
         opts: WireQueryOptions,
     ) -> Result<Result<RemoteOutcome, RemoteFailure>, RqpError> {
-        let query = self.submit(spec, opts)?;
+        let query = self.submit(spec, WireQueryOptions { credits: FETCH_CREDITS, ..opts })?;
         self.fetch(query)
     }
 
     fn send(&mut self, msg: &ClientMsg) -> Result<(), RqpError> {
-        let (tag, payload) = msg.encode().map_err(RqpError::from)?;
+        self.write(msg.encode().map_err(RqpError::from)?)
+    }
+
+    fn write(&mut self, (tag, payload): (u8, Vec<u8>)) -> Result<(), RqpError> {
         write_frame(&mut self.stream, tag, &payload).map_err(RqpError::from)
     }
 

@@ -2,12 +2,14 @@
 //!
 //! The conversation is strictly client-driven: the server only ever writes
 //! in response to client frames (HELLO → HELLO_ACK, SUBMIT → SUBMIT_ACK,
-//! FETCH credits → up to that many PAGE frames then DONE/ERROR, CANCEL is
-//! fire-and-forget, GOODBYE → GOODBYE_ACK). Because result pages flow only
-//! against explicitly granted credits, a client that stops fetching stops
-//! *receiving* — its query's remaining rows wait server-side in their
-//! already-accounted result buffer, and no unbounded queue of encoded
-//! frames builds up (see `server`).
+//! credits → up to that many PAGE frames then DONE/ERROR, CANCEL is
+//! fire-and-forget, GOODBYE → GOODBYE_ACK). Credits are granted by FETCH
+//! and, for the first window, by SUBMIT itself
+//! ([`WireQueryOptions::credits`]), so a small result costs one round trip.
+//! Because result pages flow only against explicitly granted credits, a
+//! client that stops granting stops *receiving* — its query's remaining
+//! rows wait server-side in their already-accounted result buffer, and no
+//! unbounded queue of encoded frames builds up (see `server`).
 //!
 //! Errors travel as a stable numeric code from
 //! [`RqpError::wire_code`](rqp_common::RqpError::wire_code) plus the display
@@ -52,8 +54,8 @@ const T_DELTA: u8 = 26;
 const T_SUB_DONE: u8 = 27;
 const T_APPEND_ACK: u8 = 28;
 
-/// Per-query submission options carried on the wire; mirrors
-/// [`rqp_server::QueryOptions`] field for field.
+/// Per-query submission options carried on the wire: the fields of
+/// [`rqp_server::QueryOptions`], plus the wire's own first credit window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireQueryOptions {
     /// Admission priority override (0 = highest); `None` uses the session's.
@@ -66,6 +68,12 @@ pub struct WireQueryOptions {
     pub arrival: f64,
     /// Processor-sharing weight in the schedule replay.
     pub weight: f64,
+    /// Result pages the client is ready to receive without a FETCH: the
+    /// server deposits them in the query's credit ledger once SUBMIT_ACK is
+    /// written, exactly as a FETCH arriving right behind the SUBMIT would.
+    /// Only a client that drains this query before it reads anything else
+    /// may grant here — pages arrive unsolicited from then on.
+    pub credits: u32,
 }
 
 impl Default for WireQueryOptions {
@@ -76,6 +84,7 @@ impl Default for WireQueryOptions {
             reservation: None,
             arrival: 0.0,
             weight: 1.0,
+            credits: 0,
         }
     }
 }
@@ -342,6 +351,67 @@ pub enum ServerMsg {
     },
 }
 
+// The frames that carry a whole `QuerySpec` or a slice of result rows have
+// borrowing encoders, so a sender holding `&QuerySpec` or `&[Row]` builds
+// the frame without first cloning into an owned message. `encode` on the
+// owned messages calls the same functions: one codec per frame.
+
+fn put_opt_priority(w: &mut Writer, priority: Option<u8>) {
+    match priority {
+        Some(p) => {
+            w.u8(1);
+            w.u8(p);
+        }
+        None => w.u8(0),
+    }
+}
+
+/// Encode a SUBMIT frame body from borrowed parts.
+pub fn encode_submit(spec: &QuerySpec, opts: &WireQueryOptions) -> Result<(u8, Vec<u8>)> {
+    let mut w = Writer::new();
+    wire::put_query_spec(&mut w, spec)?;
+    put_opt_priority(&mut w, opts.priority);
+    w.opt_f64(opts.deadline);
+    w.opt_f64(opts.reservation);
+    w.f64(opts.arrival);
+    w.f64(opts.weight);
+    w.u32(opts.credits);
+    Ok((T_SUBMIT, w.into_bytes()))
+}
+
+/// Encode a SUBSCRIBE frame body from borrowed parts.
+pub fn encode_subscribe(spec: &QuerySpec, opts: &WireSubscribeOptions) -> Result<(u8, Vec<u8>)> {
+    let mut w = Writer::new();
+    wire::put_query_spec(&mut w, spec)?;
+    put_opt_priority(&mut w, opts.priority);
+    w.opt_f64(opts.reservation);
+    w.opt_f64(opts.deadline);
+    Ok((T_SUBSCRIBE, w.into_bytes()))
+}
+
+/// Encode a PAGE frame body from a borrowed slice of result rows.
+pub fn encode_page(query: u64, rows: &[Row]) -> Result<(u8, Vec<u8>)> {
+    let mut w = Writer::new();
+    w.u64(query);
+    wire::put_rows(&mut w, rows)?;
+    Ok((T_PAGE, w.into_bytes()))
+}
+
+/// Encode a DELTA frame body from borrowed slices of a delta packet.
+pub fn encode_delta(
+    sub: u64,
+    epoch: u64,
+    inserted: &[Row],
+    retracted: &[Row],
+) -> Result<(u8, Vec<u8>)> {
+    let mut w = Writer::new();
+    w.u64(sub);
+    w.u64(epoch);
+    wire::put_rows(&mut w, inserted)?;
+    wire::put_rows(&mut w, retracted)?;
+    Ok((T_DELTA, w.into_bytes()))
+}
+
 impl ClientMsg {
     /// Encode into a frame body (type tag + payload).
     pub fn encode(&self) -> Result<(u8, Vec<u8>)> {
@@ -351,21 +421,7 @@ impl ClientMsg {
                 w.u8(*priority);
                 T_HELLO
             }
-            ClientMsg::Submit { spec, opts } => {
-                wire::put_query_spec(&mut w, spec)?;
-                match opts.priority {
-                    Some(p) => {
-                        w.u8(1);
-                        w.u8(p);
-                    }
-                    None => w.u8(0),
-                }
-                w.opt_f64(opts.deadline);
-                w.opt_f64(opts.reservation);
-                w.f64(opts.arrival);
-                w.f64(opts.weight);
-                T_SUBMIT
-            }
+            ClientMsg::Submit { spec, opts } => return encode_submit(spec, opts),
             ClientMsg::Fetch { query, credits } => {
                 w.u64(*query);
                 w.u32(*credits);
@@ -386,19 +442,7 @@ impl ClientMsg {
                 w.u32(*max);
                 T_EVENTS
             }
-            ClientMsg::Subscribe { spec, opts } => {
-                wire::put_query_spec(&mut w, spec)?;
-                match opts.priority {
-                    Some(p) => {
-                        w.u8(1);
-                        w.u8(p);
-                    }
-                    None => w.u8(0),
-                }
-                w.opt_f64(opts.reservation);
-                w.opt_f64(opts.deadline);
-                T_SUBSCRIBE
-            }
+            ClientMsg::Subscribe { spec, opts } => return encode_subscribe(spec, opts),
             ClientMsg::Unsubscribe { sub } => {
                 w.u64(*sub);
                 T_UNSUBSCRIBE
@@ -429,9 +473,17 @@ impl ClientMsg {
                 let reservation = r.opt_f64()?;
                 let arrival = r.f64()?;
                 let weight = r.f64()?;
+                let credits = r.u32()?;
                 ClientMsg::Submit {
                     spec,
-                    opts: WireQueryOptions { priority, deadline, reservation, arrival, weight },
+                    opts: WireQueryOptions {
+                        priority,
+                        deadline,
+                        reservation,
+                        arrival,
+                        weight,
+                        credits,
+                    },
                 }
             }
             T_FETCH => ClientMsg::Fetch { query: r.u64()?, credits: r.u32()? },
@@ -473,11 +525,7 @@ impl ServerMsg {
                 w.u64(*query);
                 T_SUBMIT_ACK
             }
-            ServerMsg::Page { query, rows } => {
-                w.u64(*query);
-                wire::put_rows(&mut w, rows)?;
-                T_PAGE
-            }
+            ServerMsg::Page { query, rows } => return encode_page(*query, rows),
             ServerMsg::Done { query, total_rows, cost, plan_cached } => {
                 w.u64(*query);
                 w.u64(*total_rows);
@@ -515,11 +563,7 @@ impl ServerMsg {
                 T_SUB_ACK
             }
             ServerMsg::Delta { sub, epoch, inserted, retracted } => {
-                w.u64(*sub);
-                w.u64(*epoch);
-                wire::put_rows(&mut w, inserted)?;
-                wire::put_rows(&mut w, retracted)?;
-                T_DELTA
+                return encode_delta(*sub, *epoch, inserted, retracted)
             }
             ServerMsg::SubDone { sub, lag } => {
                 w.u64(*sub);
@@ -609,6 +653,7 @@ mod tests {
                     reservation: None,
                     arrival: 7.0,
                     weight: 2.0,
+                    credits: 4,
                 },
             },
             ClientMsg::Fetch { query: 9, credits: 4 },
@@ -763,6 +808,67 @@ mod tests {
         let (tag, mut payload) = ServerMsg::SubDone { sub: 1, lag: 0 }.encode().unwrap();
         payload.push(0);
         assert!(ServerMsg::decode(&frame(tag, payload)).is_err(), "trailing byte accepted");
+    }
+
+    /// SUBMIT is the one frame whose layout version 2 changed: the credit
+    /// window sits behind the options, so the borrowing encoder and the
+    /// owned message agree on it, a payload that stops where version 1's
+    /// stopped is a typed error, and so is every other way to damage it.
+    #[test]
+    fn submit_carries_its_credit_window_and_damaged_submits_are_typed() {
+        let spec = QuerySpec::new().table("t").filter("t", col("t.a").gt(lit(3i64))).limit(5);
+        let opts = WireQueryOptions { credits: 0x0102_0304, ..Default::default() };
+        let (tag, payload) = encode_submit(&spec, &opts).unwrap();
+        let owned = ClientMsg::Submit { spec: spec.clone(), opts: opts.clone() };
+        assert_eq!(owned.encode().unwrap(), (tag, payload.clone()), "one codec per frame");
+        assert_eq!(payload[payload.len() - 4..], [1, 2, 3, 4], "credits close the payload");
+        match ClientMsg::decode(&frame(tag, payload.clone())).unwrap() {
+            ClientMsg::Submit { spec: back, opts: got } => {
+                assert_eq!(back.cache_key(), spec.cache_key());
+                assert_eq!(got, opts);
+            }
+            other => panic!("SUBMIT decoded to {other:?}"),
+        }
+        let defaults = encode_submit(&spec, &WireQueryOptions::default()).unwrap().1;
+        assert_eq!(defaults[defaults.len() - 4..], [0; 4], "no window unless asked for");
+
+        // Version 1's SUBMIT ended at `weight`; every other cut is typed too.
+        let v1_shaped = payload[..payload.len() - 4].to_vec();
+        let err = ClientMsg::decode(&frame(tag, v1_shaped)).unwrap_err();
+        assert!(matches!(err, FrameError::Malformed(_)), "{err:?}");
+        for cut in 0..payload.len() {
+            assert!(
+                ClientMsg::decode(&frame(tag, payload[..cut].to_vec())).is_err(),
+                "truncation at {cut} must not decode"
+            );
+        }
+        // Bit flips decode to something or to a typed error, never a panic;
+        // flips inside the window change the window and nothing else.
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let decoded = ClientMsg::decode(&frame(tag, flipped));
+            if bit / 8 >= payload.len() - 4 {
+                let Ok(ClientMsg::Submit { opts: got, .. }) = decoded else {
+                    panic!("a flipped credit bit must still decode: {decoded:?}")
+                };
+                assert_ne!(got.credits, opts.credits);
+                assert_eq!(WireQueryOptions { credits: opts.credits, ..got }, opts);
+            }
+        }
+        // Random bytes behind a valid spec and behind nothing at all.
+        let mut spec_only = Writer::new();
+        wire::put_query_spec(&mut spec_only, &spec).unwrap();
+        let spec_only = spec_only.into_bytes();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for trial in 0..512 {
+            let mut bytes = if trial % 2 == 0 { spec_only.clone() } else { Vec::new() };
+            for _ in 0..(trial % 48) {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                bytes.push((state >> 56) as u8);
+            }
+            let _ = ClientMsg::decode(&frame(tag, bytes));
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Each accepted connection runs one reader thread speaking the `proto`
 //! message set. SUBMIT spawns a per-query *pager* thread that joins the
 //! query's [`QueryHandle`](rqp_server::QueryHandle) and then serves result
-//! pages strictly against client-granted credits: the pager encodes **one
+//! pages strictly against client-granted credits — the window SUBMIT
+//! itself carried, then whatever FETCH adds: the pager encodes **one
 //! page at a time, only while holding a credit**, so a client that stops
-//! fetching stalls only its own query — the already-materialized result
+//! granting stalls only its own query — the already-materialized result
 //! rows wait in their (already broker-released) buffer and at most one
 //! encoded page exists per query at any instant. The broker's shared
 //! memory ledger is never held hostage by a slow consumer: `run_query`
@@ -19,10 +20,10 @@
 //! A07 experiment's churn-recovery gauge is derived from.
 
 use crate::frame::{read_frame, write_frame, FrameError, MAX_PAYLOAD};
-use crate::proto::{ClientMsg, RemoteFailure, ServerMsg};
+use crate::proto::{self, ClientMsg, RemoteFailure, ServerMsg};
 use rqp_common::{CancelToken, CostClock, Row, RqpError};
 use rqp_server::{QueryPhase, QueryService, Session};
-use rqp_telemetry::{SpanSnapshot, TraceTree};
+use rqp_telemetry::{Counter, SpanSnapshot, TraceTree};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +33,8 @@ use std::sync::{Arc, Condvar, Mutex};
 pub const PAGE_ROWS: usize = 256;
 
 /// Credit ledger shared between a query's pager thread and the connection
-/// reader (which deposits FETCH grants and kills the ledger on teardown).
+/// reader (which deposits SUBMIT's window and every FETCH grant, and kills
+/// the ledger on teardown).
 #[derive(Debug, Default)]
 struct Credits {
     state: Mutex<(u32, bool)>, // (credits, dead)
@@ -227,11 +229,27 @@ impl Drop for WireServer {
     }
 }
 
+/// A connection's write half: the socket behind the lock the reader thread
+/// and every pager of the connection share, and the service's
+/// `wire.frames.out` counter, resolved once per connection.
+struct FrameSink {
+    stream: Mutex<TcpStream>,
+    frames_out: Counter,
+}
+
+impl FrameSink {
+    /// Write one encoded frame. The frame is counted as it is handed to the
+    /// socket, so a peer that has read it already sees it counted.
+    fn write(&self, (tag, payload): (u8, Vec<u8>)) -> Result<(), FrameError> {
+        let mut w = self.stream.lock().expect("writer lock");
+        self.frames_out.inc();
+        write_frame(&mut *w, tag, &payload)
+    }
+}
+
 /// Best-effort framed send under the shared writer lock.
-fn send(writer: &Mutex<TcpStream>, msg: &ServerMsg) -> Result<(), FrameError> {
-    let (tag, payload) = msg.encode()?;
-    let mut w = writer.lock().expect("writer lock");
-    write_frame(&mut *w, tag, &payload)
+fn send(writer: &FrameSink, msg: &ServerMsg) -> Result<(), FrameError> {
+    writer.write(msg.encode()?)
 }
 
 fn failure_of(e: &RqpError) -> RemoteFailure {
@@ -281,7 +299,11 @@ fn serve_connection(
         Ok(r) => r,
         Err(_) => return,
     };
-    let writer = Arc::new(Mutex::new(stream));
+    let frames_in = shared.svc.metrics().counter("wire.frames.in");
+    let writer = Arc::new(FrameSink {
+        stream: Mutex::new(stream),
+        frames_out: shared.svc.metrics().counter("wire.frames.out"),
+    });
 
     // The session opens on HELLO; everything before that is a protocol error.
     let mut session: Option<Session> = None;
@@ -290,7 +312,10 @@ fn serve_connection(
 
     loop {
         let frame = match read_frame(&mut reader) {
-            Ok(Some(f)) => f,
+            Ok(Some(f)) => {
+                frames_in.inc();
+                f
+            }
             Ok(None) => break, // peer hung up
             Err(e) => {
                 stats.lock().expect("stats lock").protocol_errors += 1;
@@ -337,6 +362,7 @@ fn serve_connection(
                     break;
                 };
                 let session_id = s.id();
+                let first_window = opts.credits;
                 let handle = s.submit(spec, opts.into());
                 let query = handle.query();
                 let token = handle.token();
@@ -346,6 +372,9 @@ fn serve_connection(
                 // result's DONE needs no credit, so a pager already running
                 // could put it on the wire ahead of the ack.
                 let _ = send(&writer, &ServerMsg::SubmitAck { query });
+                // SUBMIT's own credit window is deposited behind the ack for
+                // the same reason: no PAGE may precede it either.
+                credits.grant(first_window);
                 let pager = {
                     let (shared, writer, credits, finished, stats) = (
                         Arc::clone(&shared),
@@ -561,7 +590,7 @@ fn owned_subscription(
 /// because delivery is strictly poll-driven, at most one encoded delta
 /// page exists per subscription at any instant.
 fn stream_delta(
-    writer: &Mutex<TcpStream>,
+    writer: &FrameSink,
     sub: u64,
     epoch: u64,
     inserted: &[Row],
@@ -573,17 +602,15 @@ fn stream_delta(
     while ins < inserted.len() || ret < retracted.len() {
         let mut ni = page_rows.min(inserted.len() - ins);
         let mut nr = page_rows.saturating_sub(ni).min(retracted.len() - ret);
-        let (tag, payload) = loop {
-            let msg = ServerMsg::Delta {
+        let frame = loop {
+            let chunk = proto::encode_delta(
                 sub,
                 epoch,
-                inserted: inserted[ins..ins + ni].to_vec(),
-                retracted: retracted[ret..ret + nr].to_vec(),
-            };
-            match msg.encode() {
-                Ok((tag, payload)) if payload.len() <= MAX_PAYLOAD as usize => {
-                    break (tag, payload)
-                }
+                &inserted[ins..ins + ni],
+                &retracted[ret..ret + nr],
+            );
+            match chunk {
+                Ok(frame) if frame.1.len() <= MAX_PAYLOAD as usize => break frame,
                 Ok(_) if ni + nr > 1 => {
                     page_rows = ((ni + nr) / 2).max(1);
                     ni = page_rows.min(inserted.len() - ins);
@@ -603,11 +630,7 @@ fn stream_delta(
                 }
             }
         };
-        let res = {
-            let mut w = writer.lock().expect("writer lock");
-            write_frame(&mut *w, tag, &payload)
-        };
-        if res.is_err() {
+        if writer.write(frame).is_err() {
             let e = RqpError::Protocol(format!("failed to deliver a delta of subscription {sub}"));
             let _ = send(writer, &ServerMsg::Error { query: sub, failure: failure_of(&e) });
             return;
@@ -697,7 +720,7 @@ fn inspect_reply(shared: &ServerShared, query: u64) -> ServerMsg {
 /// execution thread, MPL slot and grants are already gone).
 fn page_results(
     shared: &ServerShared,
-    writer: &Mutex<TcpStream>,
+    writer: &FrameSink,
     query: u64,
     session: u64,
     handle: rqp_server::QueryHandle,
@@ -721,7 +744,7 @@ fn page_results(
 /// Stream one query's materialized rows against credits (module docs).
 fn stream_rows(
     shared: &ServerShared,
-    writer: &Mutex<TcpStream>,
+    writer: &FrameSink,
     query: u64,
     outcome: rqp_server::QueryOutcome,
     credits: &Credits,
@@ -754,12 +777,9 @@ fn stream_rows(
         // client is otherwise left waiting forever for a DONE that never
         // comes.
         let mut n = page_rows.min(total - sent);
-        let (tag, payload) = loop {
-            let msg = ServerMsg::Page { query, rows: rows[sent..sent + n].to_vec() };
-            match msg.encode() {
-                Ok((tag, payload)) if payload.len() <= MAX_PAYLOAD as usize => {
-                    break (tag, payload)
-                }
+        let frame = loop {
+            match proto::encode_page(query, &rows[sent..sent + n]) {
+                Ok(frame) if frame.1.len() <= MAX_PAYLOAD as usize => break frame,
                 Ok(_) if n > 1 => {
                     n /= 2;
                     page_rows = n;
@@ -788,11 +808,7 @@ fn stream_rows(
                 .gauge("wire.pages.peak_buffered")
                 .set(st.peak_buffered_pages as f64);
         }
-        let res = {
-            let mut w = writer.lock().expect("writer lock");
-            write_frame(&mut *w, tag, &payload)
-        };
-        if res.is_err() {
+        if writer.write(frame).is_err() {
             // Socket-level failure: the connection is almost certainly dead,
             // but attempt a terminal ERROR anyway so a peer with a one-way
             // fault is not left hanging, then abandon the stream.

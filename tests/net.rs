@@ -2,8 +2,11 @@
 //! bit-identical to solo execution, credit-based backpressure that bounds
 //! what a stalled client can hold, abrupt-disconnect teardown that releases
 //! the MPL slot and every memory grant, stable error codes across the wire,
-//! cooperative cancellation of a queued query from a remote client, and
-//! APPENDed rows reaching index-served plans.
+//! cooperative cancellation of a queued query from a remote client,
+//! APPENDed rows reaching index-served plans, and the one-round-trip path:
+//! SUBMIT's own credit window returns what SUBMIT + FETCH returns, under
+//! the same flow-control bounds, in the frame counts the server publishes,
+//! and `fetch` composes with `fetch_partial` through the query's cursor.
 
 use rqp_common::expr::{col, lit};
 use rqp_common::{Row, RqpError, Value};
@@ -40,6 +43,37 @@ fn wide_scan() -> QuerySpec {
         .table("lineitem")
         .filter("lineitem", col("lineitem.quantity").ge(lit(0)))
         .project(&["lineitem.orderkey", "lineitem.quantity", "lineitem.extendedprice"])
+}
+
+/// The first `n` rows of [`wide_scan`] in order-key order (the planner
+/// applies LIMIT only under ORDER BY); for 0, a conjunct no row passes.
+fn scan_of(n: usize) -> QuerySpec {
+    if n == 0 {
+        return wide_scan().filter("lineitem", col("lineitem.quantity").lt(lit(0)));
+    }
+    wide_scan().order(&["lineitem.orderkey", "lineitem.extendedprice"]).limit(n)
+}
+
+/// The one-page index join the `oltp_point` benchmark workload issues.
+fn point_join(orderkey: i64) -> QuerySpec {
+    QuerySpec::new()
+        .join("orders", "orderkey", "lineitem", "orderkey")
+        .filter("orders", col("orders.orderkey").eq(lit(orderkey)))
+        .project(&["orders.orderkey", "orders.totalprice", "lineitem.extendedprice"])
+}
+
+/// `(wire.frames.in, wire.frames.out)` as the service counts them.
+fn frames(svc: &QueryService) -> (u64, u64) {
+    let m = svc.metrics();
+    (m.counter("wire.frames.in").get(), m.counter("wire.frames.out").get())
+}
+
+/// Flight-recorder events of `kind` published for `query` so far
+/// (`pager.page`: one per PAGE frame sent; `pager.stall`: a wait for credit).
+fn events_of(svc: &QueryService, query: u64, kind: &str) -> usize {
+    let tail = svc.stats().recorder().tail(0, usize::MAX);
+    assert_eq!(tail.gap, 0, "the recorder ring overwrote events this test counts");
+    tail.events.iter().filter(|e| e.query == query && e.kind == kind).count()
 }
 
 /// Spin until `cond` holds or a generous deadline passes. The wire layer is
@@ -182,6 +216,230 @@ fn stray_grants_for_a_finished_query_do_not_corrupt_the_stream() {
         .expect("wire transport")
         .expect("follow-up query failed");
     client.goodbye().expect("clean goodbye after stray grants");
+    drop(server);
+}
+
+/// `run` grants its first window with the SUBMIT; `submit` + `fetch` grants
+/// it with a FETCH one round trip later. Whatever the result size relative
+/// to the window — empty, one row, one page, exactly the window, one row
+/// past it, several windows — both return the same rows, and on fresh
+/// services that each see the specs in the same order, the same cost and
+/// plan-cache verdict.
+#[test]
+fn run_with_an_initial_window_equals_submit_then_fetch() {
+    // One database per service: under a page budget a pool attaches to the
+    // catalog's shared tables, and two pools on one catalog would charge
+    // each other's faults.
+    let (db_run, db_split) = (small_db(), small_db());
+    let sizes = [0, 1, PAGE_ROWS, 4 * PAGE_ROWS, 4 * PAGE_ROWS + 1, 9 * PAGE_ROWS + 7];
+    for mpl in [1, 4] {
+        let (svc_run, svc_split) = (service(&db_run, mpl), service(&db_split, mpl));
+        let (server_run, addr_run) = start(&svc_run);
+        let (server_split, addr_split) = start(&svc_split);
+        let mut via_run = WireClient::connect(&addr_run, 0).expect("connect");
+        let mut via_split = WireClient::connect(&addr_split, 0).expect("connect");
+        // Twice over: the second pass is served from each plan cache.
+        for (pass, &n) in sizes.iter().chain(&sizes).enumerate() {
+            let spec = scan_of(n);
+            let a = via_run.run(&spec, WireQueryOptions::default()).expect("wire").expect("run");
+            let q = via_split.submit(&spec, WireQueryOptions::default()).expect("submit");
+            let b = via_split.fetch(q).expect("wire").expect("fetch");
+            assert_eq!(a.rows.len(), n, "mpl {mpl}: scan_of({n}) returned another size");
+            assert_eq!(a.rows, b.rows, "mpl {mpl}, {n} rows: the two paths disagree");
+            assert_eq!(rows_checksum(&a.rows), rows_checksum(&b.rows));
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "mpl {mpl}, {n} rows: cost");
+            assert_eq!(a.plan_cached, b.plan_cached, "mpl {mpl}, {n} rows: plan cache");
+            assert_eq!(a.plan_cached, pass >= sizes.len(), "mpl {mpl}, {n} rows, pass {pass}");
+        }
+        via_run.goodbye().expect("goodbye");
+        via_split.goodbye().expect("goodbye");
+        for (svc, server) in [(svc_run, server_run), (svc_split, server_split)] {
+            assert_eq!(svc.reserved(), 0.0);
+            assert!(server.stats().peak_buffered_pages <= 1);
+        }
+    }
+}
+
+/// The frame counts the one-round-trip claim rests on, read from the
+/// counters the server itself keeps (and STATS reports): a one-page result
+/// under `run` is SUBMIT in, SUBMIT_ACK + PAGE + DONE out; the explicit
+/// path pays one FETCH more; a five-page result under `run` needs exactly
+/// one FETCH, for the page past the first window.
+#[test]
+fn frames_per_query_are_counted_by_the_server() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (server, addr) = start(&svc);
+    let mut client = WireClient::connect(&addr, 0).expect("connect");
+    assert_eq!(frames(&svc), (1, 1), "HELLO in, HELLO_ACK out");
+    let moved = |before: (u64, u64)| {
+        let now = frames(&svc);
+        (now.0 - before.0, now.1 - before.1)
+    };
+
+    let before = frames(&svc);
+    let out = client.run(&point_join(7), WireQueryOptions::default()).expect("wire").expect("run");
+    assert!(!out.rows.is_empty() && out.rows.len() <= PAGE_ROWS, "a one-page result");
+    assert_eq!(moved(before), (1, 3), "run of a one-page result");
+
+    let before = frames(&svc);
+    let q = client.submit(&point_join(7), WireQueryOptions::default()).expect("submit");
+    let split = client.fetch(q).expect("wire").expect("fetch");
+    assert_eq!(split.rows, out.rows);
+    assert_eq!(moved(before), (2, 3), "submit + fetch of a one-page result");
+
+    let before = frames(&svc);
+    let five = client
+        .run(&scan_of(4 * PAGE_ROWS + 1), WireQueryOptions::default())
+        .expect("wire")
+        .expect("run");
+    assert_eq!(five.rows.len(), 4 * PAGE_ROWS + 1);
+    assert_eq!(moved(before), (2, 7), "run of a five-page result");
+
+    // An operator reads the same counters over the wire.
+    let snap = client.stats().expect("stats");
+    let counter = |name: &str| snap.metrics.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone());
+    let (frames_in, _) = frames(&svc);
+    assert_eq!(counter("wire.frames.in"), Some(rqp_telemetry::MetricValue::Counter(frames_in)));
+    assert!(counter("wire.frames.out").is_some());
+    client.goodbye().expect("goodbye");
+    drop(server);
+}
+
+/// `fetch_partial` and `fetch` advance one cursor per query: `fetch` returns
+/// the rows `fetch_partial` did not, checks DONE's total against all of
+/// them, returns at once when `fetch_partial` already read the DONE, and
+/// reports a failure `fetch_partial` read with its wire code.
+#[test]
+fn fetch_after_fetch_partial_continues_the_same_cursor() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (server, addr) = start(&svc);
+    let mut client = WireClient::connect(&addr, 0).expect("connect");
+    let solo = svc.run_solo(&wide_scan()).expect("solo").rows;
+
+    // DONE still pending: one page by hand, the other fifteen by `fetch`.
+    let q = client.submit(&wide_scan(), WireQueryOptions::default()).expect("submit");
+    let mut rows = client.fetch_partial(q, 1).expect("first page");
+    assert_eq!(rows.len(), PAGE_ROWS);
+    let rest = client.fetch(q).expect("wire").expect("fetch after fetch_partial");
+    assert_eq!(rest.rows.len(), solo.len() - PAGE_ROWS, "fetch returns the remaining rows");
+    rows.extend(rest.rows);
+    assert_eq!(rows, solo, "row loss or reordering across the two calls");
+
+    // DONE already consumed: two credits on a one-page result read the PAGE
+    // and the DONE. `fetch` must answer from the cursor — no FETCH, no read.
+    let q = client.submit(&point_join(7), WireQueryOptions::default()).expect("submit");
+    let page = client.fetch_partial(q, 2).expect("page and DONE");
+    assert_eq!(page, svc.run_solo(&point_join(7)).expect("solo").rows);
+    let before = frames(&svc);
+    let done = client.fetch(q).expect("wire").expect("fetch after the DONE was read");
+    assert!(done.rows.is_empty(), "every row was already returned");
+    assert!(done.cost > 0.0, "the stored DONE carries the query's cost");
+    assert_eq!(frames(&svc), before, "fetch of a finished cursor exchanged frames");
+    assert!(client.fetch(q).is_err(), "fetch retires the cursor");
+
+    // A failure read by `fetch_partial` keeps its code for `fetch`.
+    let doomed = WireQueryOptions {
+        deadline: Some(1.0),
+        reservation: Some(8_000.0),
+        ..Default::default()
+    };
+    let q = client.submit(&db.q5(0, 10, 100), doomed).expect("submit");
+    let none = client.fetch_partial(q, 1).expect("the ERROR is stored, not returned");
+    assert!(none.is_empty());
+    let failure = client.fetch(q).expect("wire").expect_err("past-deadline query must fail");
+    assert_eq!(failure.code, RqpError::DeadlineExceeded.wire_code());
+
+    client.goodbye().expect("goodbye");
+    assert_eq!(svc.reserved(), 0.0);
+    drop(server);
+}
+
+/// The flow-control invariants hold for credits granted with the SUBMIT
+/// exactly as for credits granted by FETCH: a window of two delivers two
+/// pages and then stalls holding no broker memory, at most one encoded page
+/// and nobody else's progress.
+#[test]
+fn an_initial_window_is_bounded_like_any_other_grant() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (server, addr) = start(&svc);
+
+    let mut slow = WireClient::connect(&addr, 0).expect("connect slow");
+    let query = slow
+        .submit(&wide_scan(), WireQueryOptions { credits: 2, ..Default::default() })
+        .expect("submit");
+    let first = slow.fetch_partial(query, 0).expect("the two pages SUBMIT paid for");
+    assert_eq!(first.len(), 2 * PAGE_ROWS);
+    await_until(
+        || events_of(&svc, query, "pager.stall") > 0,
+        "the pager to stall behind the spent window",
+    );
+    assert_eq!(events_of(&svc, query, "pager.page"), 2, "the window bounds what is sent");
+    assert_eq!(svc.reserved(), 0.0, "stalled consumer held broker memory");
+
+    let solo = svc.run_solo(&db.q1(30)).expect("solo");
+    let mut other = WireClient::connect(&addr, 0).expect("connect other");
+    let out = other
+        .run(&db.q1(30), WireQueryOptions::default())
+        .expect("wire transport")
+        .expect("neighbour failed behind a stalled consumer");
+    assert_eq!(out.rows, solo.rows);
+    other.goodbye().expect("goodbye other");
+    assert_eq!(events_of(&svc, query, "pager.page"), 2, "pages sent without a credit");
+
+    let rest = slow.fetch(query).expect("wire").expect("drain");
+    assert_eq!(first.len() + rest.rows.len(), 4_000, "row loss across the stall");
+    slow.goodbye().expect("goodbye slow");
+    assert!(server.stats().peak_buffered_pages <= 1, "credits must bound buffering at 1");
+    drop(server);
+}
+
+/// A peer that vanishes with its initial window unspent or half spent —
+/// wherever the query is: queued, running, paging or stalled — is reaped
+/// like any other: slot, grants and page pins all come back.
+#[test]
+fn abrupt_disconnect_inside_the_initial_window_releases_everything() {
+    let db = small_db();
+    let svc = Arc::new(QueryService::new(
+        &db.catalog,
+        ServiceConfig {
+            mpl: 1,
+            memory_rows: 20_000.0,
+            drift_threshold: 1e9,
+            page_budget: Some(64),
+            ..Default::default()
+        },
+    ));
+    let (server, addr) = start(&svc);
+
+    // Sixteen pages against a window of two: the pager cannot finish, so
+    // the query is live whenever the connection dies.
+    let windowed = || WireQueryOptions { credits: 2, ..Default::default() };
+    let mut unread = WireClient::connect(&addr, 0).expect("connect");
+    unread.submit(&wide_scan(), windowed()).expect("submit");
+    drop(unread);
+    let mut half_read = WireClient::connect(&addr, 0).expect("connect");
+    let query = half_read.submit(&wide_scan(), windowed()).expect("submit");
+    assert_eq!(half_read.fetch_partial(query, 0).expect("window").len(), 2 * PAGE_ROWS);
+    drop(half_read);
+
+    await_until(|| server.stats().closed == 2, "connection teardown");
+    let stats = server.stats();
+    assert_eq!(stats.disconnected_queries, 2, "mid-window disconnects not counted");
+    assert_eq!(stats.recovered_queries, stats.disconnected_queries, "queries not reaped");
+    await_until(|| svc.stats().live_count() == 0, "the live registry to empty");
+    assert_eq!(svc.reserved(), 0.0, "disconnected queries leaked memory grants");
+    assert_eq!(svc.pager().expect("paged service").pins(), 0, "teardown leaked page pins");
+
+    // With MPL 1 a leaked slot would hang this forever.
+    let mut fresh = WireClient::connect(&addr, 0).expect("reconnect");
+    fresh
+        .run(&db.q6(100, 0.05, 30), WireQueryOptions::default())
+        .expect("wire transport")
+        .expect("query after churn failed: leaked MPL slot?");
+    fresh.goodbye().expect("goodbye");
     drop(server);
 }
 
@@ -506,10 +764,7 @@ fn appended_rows_reach_index_plans_over_the_wire() {
     let db = small_db();
     let svc = service(&db, 2);
     let (server, addr) = start(&svc);
-    let point_join = QuerySpec::new()
-        .join("orders", "orderkey", "lineitem", "orderkey")
-        .filter("orders", col("orders.orderkey").eq(lit(7i64)))
-        .project(&["orders.orderkey", "orders.totalprice", "lineitem.extendedprice"]);
+    let point_join = point_join(7);
     let scan = |pred| {
         QuerySpec::new()
             .table("lineitem")
