@@ -10,7 +10,8 @@
 //! never competes with it) and redraws a refreshing dashboard: admission
 //! and broker gauges, the buffer-pool pager gauges (when the server runs
 //! with a page budget), the standing-subscription gauges (`server.subs.*`,
-//! when subscriptions are registered), the storage footprint
+//! when subscriptions are registered, plus the maintained state's bytes per
+//! state row), the storage footprint
 //! (`server.storage.{table,index}_bytes`), the wire counters, every
 //! in-flight query with its
 //! phase / cost-clock ticks / grants / deadline headroom, and the newest
@@ -120,6 +121,12 @@ fn render(
             _ => None,
         })
     };
+    let gauge = |name: &str| {
+        snap.metrics.iter().find_map(|(n, v)| match v {
+            MetricValue::Gauge(x) if n == name => Some(*x),
+            _ => None,
+        })
+    };
     if let (Some(frames_in), Some(frames_out), Some(queries)) = (
         counter("wire.frames.in"),
         counter("wire.frames.out"),
@@ -141,6 +148,12 @@ fn render(
             out.push('\n');
             for (name, value) in lines {
                 out.push_str(&metric_line(name, value));
+            }
+            let state = (gauge("server.subs.state_bytes"), gauge("server.subs.state_rows"));
+            if let ("subs:", (Some(bytes), Some(rows))) = (title, state) {
+                if rows > 0.0 {
+                    out.push_str(&format!("  bytes per state row = {:.1}\n", bytes / rows));
+                }
             }
         }
     }

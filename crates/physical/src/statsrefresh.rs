@@ -94,29 +94,8 @@ pub fn stats_refresh_experiment(
     let cm = CostModel::default();
 
     for _epoch in 0..cfg.epochs {
-        // 1. "a few new rows": append a small fraction, cloned from random
-        // existing rows (value distribution preserved).
-        {
-            let n = catalog.table(grow_table)?.nrows();
-            let to_add = ((n as f64) * cfg.insert_fraction).ceil() as usize;
-            let src: Vec<rqp_common::Row> = {
-                let t = catalog.table(grow_table)?;
-                (0..to_add)
-                    .map(|_| {
-                        let mut row = t.row(rng.gen_range(0..n));
-                        // jitter integer columns slightly so the sample sees
-                        // "new" values
-                        for v in &mut row {
-                            if let Value::Int(x) = v {
-                                *v = Value::Int(*x + rng.gen_range(-1i64..=1));
-                            }
-                        }
-                        row
-                    })
-                    .collect()
-            };
-            catalog.table_mut(grow_table)?.extend(src);
-        }
+        // 1. "a few new rows".
+        grow(&mut catalog, grow_table, cfg.insert_fraction, &mut rng)?;
 
         // 2. Auto-ANALYZE from a fresh sample.
         let mut registry = TableStatsRegistry::new();
@@ -161,6 +140,30 @@ pub fn stats_refresh_experiment(
         }
     }
     Ok(RefreshReport { per_query })
+}
+
+/// Append `fraction` of `table`'s row count, cloned from random existing
+/// rows (value distribution preserved) with integer columns jittered by ±1
+/// so the next sample sees "new" values — through
+/// [`Catalog::append_rows`], so the table's indexes follow.
+fn grow(catalog: &mut Catalog, table: &str, fraction: f64, rng: &mut impl Rng) -> Result<()> {
+    let t = catalog.table(table)?;
+    let n = t.nrows();
+    let to_add = ((n as f64) * fraction).ceil() as usize;
+    let rows: Vec<rqp_common::Row> = (0..to_add)
+        .map(|_| {
+            let mut row = t.row(rng.gen_range(0..n));
+            for v in &mut row {
+                if let Value::Int(x) = v {
+                    *v = Value::Int(*x + rng.gen_range(-1i64..=1));
+                }
+            }
+            row
+        })
+        .collect();
+    // A handle still held here would make the append copy the table.
+    drop(t);
+    catalog.append_rows(table, rows)
 }
 
 #[cfg(test)]
@@ -224,6 +227,29 @@ mod tests {
             pinned.total_flips(),
             unpinned.total_flips()
         );
+    }
+
+    /// One epoch's appended rows reach `lineitem`'s indexes: a `shipdate`
+    /// index lookup equals a filtered scan for every date the jitter can
+    /// produce.
+    #[test]
+    fn refresh_appends_reach_the_shipdate_index() {
+        let (mut catalog, _) = setup();
+        let before = catalog.table("lineitem").unwrap().nrows();
+        let mut rng = seeded(5);
+        grow(&mut catalog, "lineitem", 0.01, &mut rng).unwrap();
+        let t = catalog.table("lineitem").unwrap();
+        assert_eq!(t.nrows(), before + 30);
+        let ix = catalog.index_on("lineitem", "shipdate").expect("TPC-H shipdate index");
+        assert_eq!(ix.entries(), t.nrows(), "every row indexed");
+        let appended: std::collections::BTreeSet<Value> =
+            (before..t.nrows()).map(|i| t.value(i, "shipdate").unwrap()).collect();
+        for date in appended {
+            let scanned: Vec<usize> =
+                (0..t.nrows()).filter(|&i| t.value(i, "shipdate").unwrap() == date).collect();
+            let found: Vec<usize> = ix.lookup_eq(&date).collect();
+            assert_eq!(found, scanned, "shipdate = {date}");
+        }
     }
 
     #[test]

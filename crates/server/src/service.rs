@@ -342,6 +342,7 @@ impl QueryService {
         m.gauge("server.subs.count").set(inner.subs.count() as f64);
         m.gauge("server.subs.deltas").set(inner.subs.total_deltas() as f64);
         m.gauge("server.subs.max_lag").set(inner.subs.max_lag(inner.changelog.len()) as f64);
+        m.gauge("server.subs.state_rows").set(inner.subs.total_state_rows() as f64);
         m.gauge("server.subs.state_bytes").set(inner.subs.total_state_bytes() as f64);
         let (table_bytes, index_bytes) =
             inner.snapshot.read().expect("snapshot lock").heap_bytes();
@@ -443,6 +444,7 @@ impl QueryService {
             deltas: AtomicU64::new(0),
             packets: AtomicU64::new(0),
             cursor: AtomicU64::new(circuit.cursor()),
+            state_rows: AtomicU64::new(circuit.state_rows() as u64),
             state_bytes: AtomicU64::new(circuit.state_bytes() as u64),
             circuit: Mutex::new(circuit),
         };

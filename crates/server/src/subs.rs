@@ -85,10 +85,11 @@ pub struct Subscription {
     pub(crate) deltas: AtomicU64,
     /// Non-empty packets emitted so far.
     pub(crate) packets: AtomicU64,
-    /// The circuit's changelog cursor and resident bytes, mirrored after
-    /// every poll so gauges and changelog trimming read them without
-    /// waiting on a poll in progress.
+    /// The circuit's changelog cursor and resident entries and bytes,
+    /// mirrored after every poll so gauges and changelog trimming read them
+    /// without waiting on a poll in progress.
     pub(crate) cursor: AtomicU64,
+    pub(crate) state_rows: AtomicU64,
     pub(crate) state_bytes: AtomicU64,
 }
 
@@ -129,6 +130,12 @@ impl Subscription {
         self.cursor.load(Ordering::SeqCst)
     }
 
+    /// Entries of the circuit's maintained state
+    /// ([`ViewCircuit::state_rows`]), as of its last completed poll.
+    pub fn state_rows(&self) -> u64 {
+        self.state_rows.load(Ordering::Relaxed)
+    }
+
     /// Payload bytes of the circuit's maintained state
     /// ([`ViewCircuit::state_bytes`]), as of its last completed poll.
     pub fn state_bytes(&self) -> u64 {
@@ -139,6 +146,7 @@ impl Subscription {
     /// lock held, so mirrors never run ahead of the circuit).
     pub(crate) fn mirror(&self, circuit: &ViewCircuit) {
         self.cursor.store(circuit.cursor(), Ordering::SeqCst);
+        self.state_rows.store(circuit.state_rows() as u64, Ordering::Relaxed);
         self.state_bytes.store(circuit.state_bytes() as u64, Ordering::Relaxed);
     }
 
@@ -206,6 +214,11 @@ impl SubscriptionRegistry {
     /// Total delta rows emitted across all live subscriptions.
     pub fn total_deltas(&self) -> u64 {
         self.table().values().map(|s| s.delta_rows()).sum()
+    }
+
+    /// Maintained-state entries across all live subscriptions.
+    pub fn total_state_rows(&self) -> u64 {
+        self.table().values().map(|s| s.state_rows()).sum()
     }
 
     /// Payload bytes of maintained state across all live subscriptions.

@@ -9,11 +9,22 @@
 //! key columns of the stages *after* it — and every row is narrowed to
 //! those columns before it is stored in a join index or handed to the next
 //! stage. Filter inputs and a stage's own key columns are read once, on the
-//! way in, and not kept (the key lives in the index's map key). A join
-//! index is one flat map from key to a small bucket of `(narrowed row,
-//! weight)` pairs: rows that differ only in columns nobody reads share an
-//! entry, and a bucket (and its key) disappears when its last row is
-//! retracted.
+//! way in, and not kept (the key lives in the index's map key).
+//!
+//! ## How a join index stores it
+//!
+//! Each side of a join stage is one [`JoinIndex`]: a map from key to the
+//! `(first, last)` slots of its bucket, and one slot arena holding every
+//! bucket's `(narrowed row, weight)` entries — `arity` values per slot in
+//! one `Vec<Value>`, a weight and a next-slot link per slot beside it.
+//! A one-column key (every TPC-H join) is stored inline in the map, so a
+//! stored row costs no heap allocation of its own. Rows that differ only in
+//! columns nobody reads share an entry; an entry whose weight returns to
+//! zero is removed the way `Vec::swap_remove` removes it (the bucket's last
+//! entry takes its place), its slot goes on a free list the arena reuses
+//! before it grows, and a bucket's key disappears with its last entry. So
+//! a bucket iterates in the order a `Vec` bucket did, and everything
+//! computed from it — packets, snapshots, cost-clock charges — is too.
 //!
 //! Cost-clock charges count *logical* rows (an entry of weight 3 charges
 //! three times), so what the clock reads does not depend on how many rows
@@ -81,10 +92,224 @@ struct TableInput {
     keep: Vec<usize>,
 }
 
+/// The values of a join stage's key columns. Every TPC-H join is on one
+/// column, held inline; a wider key holds one boxed slice.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum IndexKey {
+    One(Value),
+    Many(Box<[Value]>),
+}
+
+impl IndexKey {
+    /// The key of `row` under a stage's key `positions`.
+    fn of(row: &[Value], positions: &[usize]) -> IndexKey {
+        match positions {
+            [p] => IndexKey::One(row[*p].clone()),
+            _ => IndexKey::Many(positions.iter().map(|&i| row[i].clone()).collect()),
+        }
+    }
+
+    fn values(&self) -> &[Value] {
+        match self {
+            IndexKey::One(v) => std::slice::from_ref(v),
+            IndexKey::Many(vs) => vs,
+        }
+    }
+
+    /// Bytes of the key's map entry: the entry itself plus a wide key's
+    /// boxed values and the key's string contents.
+    fn bytes(&self) -> usize {
+        let boxed = match self {
+            IndexKey::One(_) => 0,
+            IndexKey::Many(vs) => vs.len() * size_of::<Value>(),
+        };
+        size_of::<(IndexKey, (u32, u32))>() + boxed + string_bytes(self.values())
+    }
+}
+
+/// End of a slot chain.
+const NIL: u32 = u32::MAX;
+
+/// The slot arena behind a [`JoinIndex`]: slot `s` holds a stored row at
+/// `values[s * arity..][..arity]`, its net weight and the next slot of its
+/// chain — its bucket's, or the free list's.
+#[derive(Debug)]
+struct Slots {
+    /// Values per stored row (0 for a side that stores only weights).
+    arity: usize,
+    values: Vec<Value>,
+    weights: Vec<i64>,
+    next: Vec<u32>,
+    /// Head of the free list, threaded through `next`.
+    free: u32,
+}
+
+impl Slots {
+    fn row(&self, s: u32) -> &[Value] {
+        let start = s as usize * self.arity;
+        &self.values[start..start + self.arity]
+    }
+
+    /// The slots of the chain starting at `first`, in order.
+    fn chain(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
+        let live = |s: u32| (s != NIL).then_some(s);
+        std::iter::successors(live(first), move |&s| live(self.next[s as usize]))
+    }
+
+    /// Store `(row, weight)` as the end of a chain: in a freed slot when
+    /// there is one, at the end of the arena otherwise.
+    fn alloc(&mut self, row: Row, weight: i64) -> u32 {
+        debug_assert_eq!(row.len(), self.arity, "stored-row arity");
+        if self.free != NIL {
+            let s = self.free;
+            self.free = self.next[s as usize];
+            self.next[s as usize] = NIL;
+            self.weights[s as usize] = weight;
+            let start = s as usize * self.arity;
+            for (slot, v) in self.values[start..start + self.arity].iter_mut().zip(row) {
+                *slot = v;
+            }
+            return s;
+        }
+        let s = u32::try_from(self.weights.len())
+            .ok()
+            .filter(|&s| s != NIL)
+            .expect("a join index holds fewer than u32::MAX entries");
+        self.values.extend(row);
+        self.weights.push(weight);
+        self.next.push(NIL);
+        s
+    }
+
+    /// Move slot `from`'s row and weight into slot `to`; `from` is left
+    /// holding `to`'s old values, for [`release`](Self::release).
+    fn move_into(&mut self, from: u32, to: u32) {
+        let a = self.arity;
+        for i in 0..a {
+            self.values.swap(to as usize * a + i, from as usize * a + i);
+        }
+        self.weights[to as usize] = self.weights[from as usize];
+    }
+
+    /// Put slot `s` on the free list, dropping its values' string contents.
+    fn release(&mut self, s: u32) {
+        let start = s as usize * self.arity;
+        self.values[start..start + self.arity].fill(Value::Null);
+        self.next[s as usize] = self.free;
+        self.free = s;
+    }
+
+    fn clear(&mut self) {
+        self.values.clear();
+        self.weights.clear();
+        self.next.clear();
+        self.free = NIL;
+    }
+}
+
+/// Bytes of one stored entry: its values (string contents included), its
+/// weight and its chain link.
+fn slot_bytes(row: &[Value]) -> usize {
+    row_bytes(row) + size_of::<i64>() + size_of::<u32>()
+}
+
 /// One side of a join stage: key → bucket of narrowed rows with net
-/// weights. Buckets are short vectors (distinct narrowed rows under one
-/// key), scanned linearly; an emptied bucket is removed with its key.
-type JoinIndex = HashMap<Vec<Value>, Vec<(Row, i64)>>;
+/// weights, every bucket's entries in one [`Slots`] arena (see the module
+/// docs). Buckets are short chains, scanned linearly on update.
+#[derive(Debug)]
+struct JoinIndex {
+    /// Key → the first and last slot of its bucket.
+    keys: HashMap<IndexKey, (u32, u32)>,
+    slots: Slots,
+}
+
+impl JoinIndex {
+    /// An empty index storing rows of `arity` values.
+    fn new(arity: usize) -> JoinIndex {
+        let slots =
+            Slots { arity, values: Vec::new(), weights: Vec::new(), next: Vec::new(), free: NIL };
+        JoinIndex { keys: HashMap::new(), slots }
+    }
+
+    /// The `(row, weight)` entries under `key`, in the order a `Vec` bucket
+    /// kept them: appended at the tail, a removed entry replaced by the
+    /// last one.
+    fn bucket(&self, key: &IndexKey) -> impl Iterator<Item = (&[Value], i64)> + '_ {
+        let first = self.keys.get(key).map_or(NIL, |&(first, _)| first);
+        self.slots.chain(first).map(|s| (self.slots.row(s), self.slots.weights[s as usize]))
+    }
+
+    /// Join a delta of weight `w` against the bucket for `key`: one output
+    /// per stored row, built by `combine`, at the product weight.
+    fn probe(&self, key: &IndexKey, w: i64, combine: impl Fn(&[Value]) -> Row) -> Vec<(Row, i64)> {
+        self.bucket(key).map(|(row, bw)| (combine(row), bw * w)).collect()
+    }
+
+    /// Merge `(row, weight)` into the bucket for `key`, keeping `fp` in
+    /// step. An entry whose weight returns to zero is removed (the bucket's
+    /// last entry takes its place), a bucket's key goes with its last
+    /// entry, and the arena is emptied with the last key, so fully
+    /// retracted rows leave nothing behind.
+    fn update(&mut self, key: IndexKey, row: Row, weight: i64, fp: &mut Footprint) {
+        let slots = &mut self.slots;
+        let mut entry = match self.keys.entry(key) {
+            hash_map::Entry::Vacant(entry) => {
+                fp.add(entry.key().bytes() + slot_bytes(&row));
+                let s = slots.alloc(row, weight);
+                entry.insert((s, s));
+                return;
+            }
+            hash_map::Entry::Occupied(entry) => entry,
+        };
+        let (first, last) = *entry.get();
+        let Some(s) = slots.chain(first).find(|&s| slots.row(s) == row.as_slice()) else {
+            fp.add(slot_bytes(&row));
+            let s = slots.alloc(row, weight);
+            slots.next[last as usize] = s;
+            entry.get_mut().1 = s;
+            return;
+        };
+        slots.weights[s as usize] += weight;
+        if slots.weights[s as usize] != 0 {
+            return;
+        }
+        fp.remove(slot_bytes(slots.row(s)));
+        if first == last {
+            slots.release(s);
+            fp.bytes -= entry.key().bytes();
+            entry.remove();
+            if self.keys.is_empty() {
+                self.slots.clear();
+            }
+            return;
+        }
+        // Swap-removal: the last entry moves into `s`, and the slot before
+        // the last one becomes the bucket's end.
+        let before_last = slots
+            .chain(first)
+            .find(|&p| slots.next[p as usize] == last)
+            .expect("a bucket of two or more entries");
+        if s != last {
+            slots.move_into(last, s);
+        }
+        slots.release(last);
+        slots.next[before_last as usize] = NIL;
+        entry.get_mut().1 = before_last;
+    }
+
+    /// The footprint recounted by walking every bucket.
+    #[cfg(test)]
+    fn recount(&self) -> Footprint {
+        let mut fp = Footprint::default();
+        for (key, &(first, _)) in &self.keys {
+            fp.bytes += key.bytes();
+            for s in self.slots.chain(first) {
+                fp.add(slot_bytes(self.slots.row(s)));
+            }
+        }
+        fp
+    }
+}
 
 /// One left-deep join stage: the accumulated intermediate (left) against
 /// the next base table (right), with an index per side. The stage's output
@@ -207,22 +432,19 @@ fn positions_in(layout: &[usize], wanted: impl IntoIterator<Item = usize>) -> Ve
         .collect()
 }
 
+/// String contents held by `values`.
+fn string_bytes(values: &[Value]) -> usize {
+    values.iter().map(|v| if let Value::Str(s) = v { s.len() } else { 0 }).sum()
+}
+
 /// Payload bytes of a row: its values plus their string contents.
 fn row_bytes(row: &[Value]) -> usize {
-    let strings: usize =
-        row.iter().map(|v| if let Value::Str(s) = v { s.len() } else { 0 }).sum();
-    std::mem::size_of_val(row) + strings
+    std::mem::size_of_val(row) + string_bytes(row)
 }
 
-/// Bytes of one `(row, weight)` entry — a join-index bucket slot or a
-/// non-aggregate view row.
+/// Bytes of one non-aggregate view row with its weight.
 fn entry_bytes(row: &[Value]) -> usize {
     size_of::<(Row, i64)>() + row_bytes(row)
-}
-
-/// Bytes of one join-index key slot (the map entry and the key's values).
-fn key_bytes(key: &[Value]) -> usize {
-    size_of::<(Vec<Value>, Vec<(Row, i64)>)>() + row_bytes(key)
 }
 
 /// Running count of what the circuit keeps resident, adjusted at every
@@ -424,15 +646,14 @@ impl ViewCircuit {
         let mut stages = Vec::with_capacity(n_stages);
         for (s, right_key) in right_keys.into_iter().enumerate() {
             let layout = arriving(s);
+            let left_keep =
+                positions_in(&layout, after[s].iter().copied().filter(|&g| g < offsets[s + 1]));
             stages.push(JoinStage {
                 left_key: positions_in(&layout, left_keys[s].iter().copied()),
-                left_keep: positions_in(
-                    &layout,
-                    after[s].iter().copied().filter(|&g| g < offsets[s + 1]),
-                ),
+                left_index: JoinIndex::new(left_keep.len()),
+                right_index: JoinIndex::new(inputs[s + 1].keep.len()),
+                left_keep,
                 right_key,
-                left_index: HashMap::new(),
-                right_index: HashMap::new(),
             });
         }
         // The terminal stage reads the last stage's output layout — exactly
@@ -624,10 +845,12 @@ impl ViewCircuit {
 
     /// Payload bytes behind [`state_rows`](Self::state_rows): every key,
     /// stored row, weight, accumulator and multiset value at its in-memory
-    /// size, string contents included. Allocator overhead and spare
-    /// capacity are not included (they are the allocator's, not the
-    /// layout's), so two circuits in the same state report the same number
-    /// and a fully retracted circuit reports what an empty one does.
+    /// size, string contents included — a join-index entry as its arena
+    /// slot (values, weight, chain link), a join key as its map entry.
+    /// Allocator overhead, spare capacity and free arena slots are not
+    /// included (they are the allocator's and the arena's, not the state's),
+    /// so two circuits in the same state report the same number and a fully
+    /// retracted circuit reports what an empty one does.
     pub fn state_bytes(&self) -> usize {
         self.footprint.bytes
     }
@@ -638,11 +861,9 @@ impl ViewCircuit {
     fn recount(&self) -> Footprint {
         let mut fp = Footprint::default();
         for index in self.stages.iter().flat_map(|s| [&s.left_index, &s.right_index]) {
-            for (key, bucket) in index {
-                fp.bytes += key_bytes(key);
-                fp.rows += bucket.len();
-                fp.bytes += bucket.iter().map(|(row, _)| entry_bytes(row)).sum::<usize>();
-            }
+            let ix = index.recount();
+            fp.rows += ix.rows;
+            fp.bytes += ix.bytes;
         }
         if let Some(agg) = &self.agg {
             for (key, (_, accs)) in &agg.groups {
@@ -689,12 +910,12 @@ impl ViewCircuit {
         let kept = narrow(&row, &input.keep);
         let mut cur: Vec<(Row, i64)> = if input_idx > 0 {
             let stage = &mut self.stages[input_idx - 1];
-            let key = narrow(&row, &stage.right_key);
+            let key = IndexKey::of(&row, &stage.right_key);
             clock.charge_hash_build(1.0);
-            let joined = probe(&stage.left_index, &key, weight, |lrow| {
-                lrow.iter().chain(&kept).cloned().collect()
-            });
-            update_index(&mut stage.right_index, key, kept, weight, &mut self.footprint);
+            let joined = stage
+                .left_index
+                .probe(&key, weight, |lrow| lrow.iter().chain(&kept).cloned().collect());
+            stage.right_index.update(key, kept, weight, &mut self.footprint);
             clock.charge_cpu_tuples(logical_rows(&joined));
             joined
         } else {
@@ -706,13 +927,15 @@ impl ViewCircuit {
             }
             let mut next = Vec::new();
             for (lrow, lw) in cur {
-                let key = narrow(&lrow, &stage.left_key);
+                let key = IndexKey::of(&lrow, &stage.left_key);
                 let stored = narrow(&lrow, &stage.left_keep);
                 charge_builds(clock, lw);
-                next.extend(probe(&stage.right_index, &key, lw, |rrow| {
-                    stored.iter().chain(rrow).cloned().collect()
-                }));
-                update_index(&mut stage.left_index, key, stored, lw, &mut self.footprint);
+                next.extend(
+                    stage
+                        .right_index
+                        .probe(&key, lw, |rrow| stored.iter().chain(rrow).cloned().collect()),
+                );
+                stage.left_index.update(key, stored, lw, &mut self.footprint);
             }
             clock.charge_cpu_tuples(logical_rows(&next));
             cur = next;
@@ -784,52 +1007,6 @@ impl ViewCircuit {
 /// Logical (weight-expanded) row count of a delta batch, as a clock charge.
 fn logical_rows(rows: &[(Row, i64)]) -> f64 {
     rows.iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>() as f64
-}
-
-/// Join a delta of weight `w` against the opposite side's bucket for `key`:
-/// one output per stored row, built by `combine`, at the product weight.
-fn probe(
-    index: &JoinIndex,
-    key: &[Value],
-    w: i64,
-    combine: impl Fn(&Row) -> Row,
-) -> Vec<(Row, i64)> {
-    index
-        .get(key)
-        .map(|bucket| bucket.iter().map(|(row, bw)| (combine(row), bw * w)).collect())
-        .unwrap_or_default()
-}
-
-/// Merge `(row, weight)` into one side's join index, keeping `fp` in step.
-/// Entries whose weight returns to zero are dropped, and so is a bucket
-/// (with its key) once empty, so fully-retracted rows leave nothing behind.
-fn update_index(index: &mut JoinIndex, key: Vec<Value>, row: Row, weight: i64, fp: &mut Footprint) {
-    match index.entry(key) {
-        hash_map::Entry::Vacant(slot) => {
-            fp.add(key_bytes(slot.key()) + entry_bytes(&row));
-            slot.insert(vec![(row, weight)]);
-        }
-        hash_map::Entry::Occupied(mut slot) => {
-            let bucket = slot.get_mut();
-            match bucket.iter().position(|(r, _)| *r == row) {
-                Some(i) => {
-                    bucket[i].1 += weight;
-                    if bucket[i].1 == 0 {
-                        bucket.swap_remove(i);
-                        fp.remove(entry_bytes(&row));
-                    }
-                }
-                None => {
-                    fp.add(entry_bytes(&row));
-                    bucket.push((row, weight));
-                }
-            }
-            if bucket.is_empty() {
-                fp.bytes -= key_bytes(slot.key());
-                slot.remove();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1304,15 +1481,156 @@ mod tests {
         // (orderkey), the customer ⋈ orders intermediate as (orderkey) —
         // the group column — and lineitem rows as (extendedprice).
         let arities = |ix: &JoinIndex| -> Vec<usize> {
-            ix.values().flatten().map(|(row, _)| row.len()).collect()
+            entries(ix).iter().map(|(row, _)| row.len()).collect()
         };
         assert_eq!(arities(&circuit.stages[0].left_index), vec![0]);
         assert_eq!(arities(&circuit.stages[0].right_index), vec![1]);
         assert_eq!(arities(&circuit.stages[1].left_index), vec![1]);
         // The two lineitems collapse into one entry of weight 2.
-        let lineitems: Vec<&(Row, i64)> =
-            circuit.stages[1].right_index.values().flatten().collect();
-        assert_eq!(lineitems, vec![&(vec![Value::Int(250)], 2)]);
+        let lineitems = entries(&circuit.stages[1].right_index);
+        assert_eq!(lineitems, vec![(&[Value::Int(250)][..], 2)]);
         assert_eq!(circuit.state_rows(), 4 + 1, "four index entries and one group");
+    }
+
+    /// Every `(row, weight)` entry of an index, bucket by bucket.
+    fn entries(ix: &JoinIndex) -> Vec<(&[Value], i64)> {
+        ix.keys.keys().flat_map(|k| ix.bucket(k)).collect()
+    }
+
+    /// The layout the slot arena replaced, kept as the reference it must
+    /// agree with entry for entry.
+    type ModelIndex = HashMap<Vec<Value>, Vec<(Row, i64)>>;
+
+    fn model_update(index: &mut ModelIndex, key: Vec<Value>, row: Row, weight: i64) {
+        match index.entry(key) {
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(vec![(row, weight)]);
+            }
+            hash_map::Entry::Occupied(mut slot) => {
+                let bucket = slot.get_mut();
+                match bucket.iter().position(|(r, _)| *r == row) {
+                    Some(i) => {
+                        bucket[i].1 += weight;
+                        if bucket[i].1 == 0 {
+                            bucket.swap_remove(i);
+                        }
+                    }
+                    None => bucket.push((row, weight)),
+                }
+                if bucket.is_empty() {
+                    slot.remove();
+                }
+            }
+        }
+    }
+
+    /// Equal as stored: same variant and same bits, so `Int(2)` is not
+    /// `Float(2.0)`, `-0.0` is not `0.0` and NaN payloads are told apart.
+    fn same(a: &[Value], b: &[Value]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|pair| match pair {
+                (Value::Null, Value::Null) => true,
+                (Value::Int(x), Value::Int(y)) => x == y,
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                (Value::Str(x), Value::Str(y)) => x == y,
+                _ => false,
+            })
+    }
+
+    /// Seeded inserts, duplicates and retractions (partial and to zero)
+    /// over one- and three-column keys and stored rows of arity 0 and 3,
+    /// drawn from values that compare equal across representations: after
+    /// every step each key and its bucket, in order, equal the model's as
+    /// stored, and the running footprint equals a recount; after retracting
+    /// everything the index is an empty one, arena included.
+    #[test]
+    fn join_index_matches_the_vec_bucket_model() {
+        use rand::Rng;
+        let pool = [
+            Value::Null,
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::Float(f64::from_bits(0xfff8_0000_0000_0002)),
+            Value::Str("a".into()),
+            Value::Str("long enough".into()),
+            Value::Int(-7),
+        ];
+        let draw = |rng: &mut rand::rngs::StdRng, n: usize, domain: usize| -> Vec<Value> {
+            (0..n).map(|_| pool[rng.gen_range(0..domain)].clone()).collect()
+        };
+        for (key_width, arity) in [(1usize, 0usize), (1, 3), (3, 0), (3, 3)] {
+            // Narrow key domains so buckets hold several entries.
+            let key_domain = if key_width == 1 { pool.len() } else { 4 };
+            for seed in 0..4u64 {
+                let mut rng = rqp_common::rng::seeded(seed * 16 + (key_width * 4 + arity) as u64);
+                let mut index = JoinIndex::new(arity);
+                let mut model = ModelIndex::new();
+                let mut fp = Footprint::default();
+                let positions: Vec<usize> = (0..key_width).collect();
+                let mut apply = |index: &mut JoinIndex,
+                                 model: &mut ModelIndex,
+                                 key: Vec<Value>,
+                                 row: Row,
+                                 w: i64| {
+                    index.update(IndexKey::of(&key, &positions), row.clone(), w, &mut fp);
+                    model_update(model, key, row, w);
+                    assert_eq!(index.keys.len(), model.len(), "key count");
+                    for (key, bucket) in model.iter() {
+                        let ik = IndexKey::of(key, &positions);
+                        let (stored, _) = index.keys.get_key_value(&ik).expect("key present");
+                        assert!(same(stored.values(), key), "stored key {stored:?} vs {key:?}");
+                        let got: Vec<(&[Value], i64)> = index.bucket(&ik).collect();
+                        assert_eq!(got.len(), bucket.len(), "bucket length under {key:?}");
+                        for ((row, w), (mrow, mw)) in got.iter().zip(bucket) {
+                            assert!(same(row, mrow) && w == mw, "{got:?} vs {bucket:?}");
+                        }
+                    }
+                    assert_eq!(fp, index.recount(), "running footprint vs recount");
+                };
+                for _ in 0..600 {
+                    // Sorted: a seed picks the same entry whatever the map's order.
+                    let mut live: Vec<(&Vec<Value>, &(Row, i64))> =
+                        model.iter().flat_map(|(k, b)| b.iter().map(move |e| (k, e))).collect();
+                    live.sort();
+                    match rng.gen_range(0..10) {
+                        // Retract a live entry to zero, or by one.
+                        0..=2 if !live.is_empty() => {
+                            let (k, (r, w)) = live[rng.gen_range(0..live.len())];
+                            let by = if rng.gen_range(0..2) == 0 { -w } else { -w.signum() };
+                            let (k, r) = (k.clone(), r.clone());
+                            apply(&mut index, &mut model, k, r, by);
+                        }
+                        // A duplicate of a live entry.
+                        3 if !live.is_empty() => {
+                            let (k, (r, _)) = live[rng.gen_range(0..live.len())];
+                            let (k, r) = (k.clone(), r.clone());
+                            apply(&mut index, &mut model, k, r, 1);
+                        }
+                        _ => {
+                            let key = draw(&mut rng, key_width, key_domain);
+                            let row = draw(&mut rng, arity, pool.len());
+                            apply(&mut index, &mut model, key, row, rng.gen_range(1..3));
+                        }
+                    }
+                }
+                let live: Vec<(Vec<Value>, Row, i64)> = model
+                    .iter()
+                    .flat_map(|(k, b)| b.iter().map(move |(r, w)| (k.clone(), r.clone(), *w)))
+                    .collect();
+                for (k, r, w) in live {
+                    apply(&mut index, &mut model, k, r, -w);
+                }
+                assert!(index.keys.is_empty(), "no key lingers");
+                let arena = &index.slots;
+                assert!(
+                    arena.values.is_empty() && arena.weights.is_empty() && arena.next.is_empty()
+                );
+                assert_eq!(arena.free, NIL, "an empty arena has no free list");
+                assert_eq!(fp, JoinIndex::new(arity).recount(), "an empty index's footprint");
+            }
+        }
     }
 }

@@ -96,13 +96,13 @@ impl OltpSimulator {
         let orderdate = self.rng.gen_range(0..crate::tpch::DATE_DOMAIN);
         let total = self.rng.gen_range(100.0..10_000.0);
         let mut written = 0usize;
-        if let Ok(orders) = self.catalog.table_mut("orders") {
-            orders.append(vec![
-                Value::Int(orderkey),
-                Value::Int(custkey),
-                Value::Int(orderdate),
-                Value::Float(total),
-            ]);
+        let order = vec![
+            Value::Int(orderkey),
+            Value::Int(custkey),
+            Value::Int(orderdate),
+            Value::Float(total),
+        ];
+        if self.catalog.append_rows("orders", vec![order]).is_ok() {
             written += 1;
         }
         let items = self.rng.gen_range(1..=7);
@@ -123,8 +123,7 @@ impl OltpSimulator {
                     Value::Int(orderdate),
                     Value::Int(self.rng.gen_range(0..3)),
                 ];
-                if let Ok(li) = self.catalog.table_mut("lineitem") {
-                    li.append(row);
+                if self.catalog.append_rows("lineitem", vec![row]).is_ok() {
                     written += 1;
                 }
             }
@@ -189,6 +188,28 @@ mod tests {
         assert!(out.cost > 0.0);
         assert!(out.rows_written >= 2, "order + ≥1 lineitem");
         assert_eq!(s.catalog.table("orders").unwrap().nrows(), before + 1);
+    }
+
+    /// The order and its lineitems reach the `orderkey` indexes, so a later
+    /// point lookup (or index plan) finds what `new_order` wrote.
+    #[test]
+    fn new_order_rows_reach_the_orderkey_indexes() {
+        let mut s = sim();
+        let orderkey = s.catalog.table("orders").unwrap().nrows() as i64;
+        let out = s.new_order();
+        let mut indexed = 0;
+        for table in ["orders", "lineitem"] {
+            let t = s.catalog.table(table).unwrap();
+            let scanned: Vec<usize> = (0..t.nrows())
+                .filter(|&i| t.value(i, "orderkey").unwrap() == Value::Int(orderkey))
+                .collect();
+            let ix = s.catalog.index_on(table, "orderkey").expect("TPC-H orderkey index");
+            let found: Vec<usize> = ix.lookup_eq(&Value::Int(orderkey)).collect();
+            assert_eq!(found, scanned, "{table}.orderkey index vs a scan");
+            assert_eq!(ix.entries(), t.nrows(), "{table}: every row indexed");
+            indexed += found.len();
+        }
+        assert_eq!(indexed, out.rows_written, "the order and each of its lineitems");
     }
 
     #[test]

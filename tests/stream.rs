@@ -237,6 +237,32 @@ fn shutdown_tears_down_every_subscription() {
     }
 }
 
+/// The benchmark's q3 view (`customer ⋈ orders ⋈ lineitem` on one-column
+/// keys, at most one stored column per side) keeps its join state in slot
+/// arenas: the service's gauges read at most 60 counted bytes per state row
+/// — a `Vec` per key and per stored row cost ≈87 — and teardown returns
+/// every byte.
+#[test]
+fn q3_view_state_stays_under_60_bytes_per_state_row() {
+    let db = TpchDb::build(TpchParams { lineitem_rows: 40_000, ..Default::default() }, 101);
+    let svc = QueryService::new(
+        &db.catalog,
+        ServiceConfig { drift_threshold: 1e9, ..ServiceConfig::default() },
+    );
+    let mut q3 = db.q3(2, 1_250);
+    q3.order_by.clear();
+    q3.limit = None;
+    let id = svc.subscribe(&q3, SubscribeOptions::default()).expect("subscribe");
+    svc.refresh_live_gauges();
+    let gauge = |name: &str| svc.metrics().gauge(name).get();
+    let (rows, bytes) = (gauge("server.subs.state_rows"), gauge("server.subs.state_bytes"));
+    assert!(rows > 10_000.0, "the view holds real join state: {rows} rows");
+    assert!(bytes / rows <= 60.0, "{bytes} B over {rows} state rows = {:.1} B/row", bytes / rows);
+    assert!(svc.unsubscribe(id));
+    svc.refresh_live_gauges();
+    assert_eq!((gauge("server.subs.state_rows"), gauge("server.subs.state_bytes")), (0.0, 0.0));
+}
+
 // ---------------------------------------------------------------------------
 // Churn with retractions, below the service (which only appends): circuits
 // driven straight off a catalog's changelog.
