@@ -3,7 +3,7 @@
 use super::harness::{self, Harness, RunEnv};
 use rand::Rng;
 use rqp::adaptive::pop::{run_standard, run_with_pop, EstimatorWrapper, PopConfig};
-use rqp::common::{CostClock, CostModelParams, StringDict};
+use rqp::common::StringDict;
 use rqp::exec::exchange::{pipeline, ExchangeOp, Partitioning};
 use rqp::exec::{
     collect, AggFunc, AggSpec, BatchFilterOp, BatchHashAggOp, BatchHashJoinOp, BatchRowsOp,
@@ -265,22 +265,6 @@ const A09_SPEEDUP_CAP: f64 = 2.5;
 /// charged it, so twins can be checked for row and cost parity.
 type A09Run = Box<dyn Fn() -> (Vec<Row>, ExecContext)>;
 
-/// A private context with dyadic cost weights, so twin charges compare
-/// bit-for-bit (the same trick the batch acceptance tests use).
-fn a09_ctx() -> ExecContext {
-    let params = CostModelParams {
-        rows_per_page: 128.0,
-        seq_page: 1.0,
-        rand_page: 4.0,
-        cpu_tuple: 1.0 / 256.0,
-        cpu_compare: 1.0 / 512.0,
-        hash_build: 1.0 / 64.0,
-        hash_probe: 1.0 / 128.0,
-        spill_page: 2.5,
-    };
-    ExecContext::new(CostClock::new(params), f64::INFINITY)
-}
-
 /// One canonical run (kept for the parity check), then `reps` timed runs,
 /// reporting the best — wall clock, since charged costs are identical by
 /// construction.
@@ -336,7 +320,7 @@ fn a09_body(h: &mut Harness) -> String {
     let scalar_filter: A09Run = {
         let (t, p) = (Arc::clone(&sales), pred.clone());
         Box::new(move || {
-            let c = a09_ctx();
+            let c = ExecContext::unbounded();
             let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
             let mut f = FilterOp::new(scan, &p, c.clone()).expect("filter");
             (collect(&mut f), c)
@@ -345,7 +329,7 @@ fn a09_body(h: &mut Harness) -> String {
     let batch_filter: A09Run = {
         let (t, p) = (Arc::clone(&sales), pred.clone());
         Box::new(move || {
-            let c = a09_ctx();
+            let c = ExecContext::unbounded();
             let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(&t), c.clone()));
             let f: BoxBatchOp = Box::new(BatchFilterOp::new(scan, &p, c.clone()).expect("filter"));
             let mut rows = BatchRowsOp::boxed(f, c.clone());
@@ -355,7 +339,7 @@ fn a09_body(h: &mut Harness) -> String {
     let scalar_join: A09Run = {
         let (t, d) = (Arc::clone(&sales), Arc::clone(&dim));
         Box::new(move || {
-            let c = a09_ctx();
+            let c = ExecContext::unbounded();
             let left: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
             let right: BoxOp = Box::new(TableScanOp::new(Arc::clone(&d), c.clone()));
             let mut j = HashJoinOp::new(left, right, &["s.cat"], &["d.cat"], c.clone())
@@ -366,7 +350,7 @@ fn a09_body(h: &mut Harness) -> String {
     let batch_join: A09Run = {
         let (t, d) = (Arc::clone(&sales), Arc::clone(&dim));
         Box::new(move || {
-            let c = a09_ctx();
+            let c = ExecContext::unbounded();
             let dict = Arc::new(StringDict::new());
             let left: BoxBatchOp = Box::new(BatchScanOp::with_dict(
                 Arc::clone(&t),
@@ -387,7 +371,7 @@ fn a09_body(h: &mut Harness) -> String {
     let scalar_agg: A09Run = {
         let t = Arc::clone(&sales);
         Box::new(move || {
-            let c = a09_ctx();
+            let c = ExecContext::unbounded();
             let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
             let mut a = HashAggOp::new(scan, &["s.cat"], &aggs(), c.clone()).expect("agg");
             (collect(&mut a), c)
@@ -396,7 +380,7 @@ fn a09_body(h: &mut Harness) -> String {
     let batch_agg: A09Run = {
         let t = Arc::clone(&sales);
         Box::new(move || {
-            let c = a09_ctx();
+            let c = ExecContext::unbounded();
             let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(&t), c.clone()));
             let mut a = BatchHashAggOp::new(scan, &["s.cat"], &aggs(), c.clone()).expect("agg");
             (collect(&mut a), c)

@@ -13,11 +13,10 @@
 //! Rows materialize only at the batch→row boundary (the adapter that feeds
 //! surviving rows to a scalar consumer).
 //!
-//! Batch mode is an opt-in twin of the scalar path, chosen per execution
-//! context ([`crate::EngineConfig::batch`], default *off*). By
-//! contract a batch plan produces row-identical output and a comparable
-//! cost-clock breakdown to its scalar twin; the property tests in
-//! `tests/batch.rs` hold both paths to that.
+//! Every planner-built table scan runs batch-at-a-time. By contract a batch
+//! operator produces row-identical output and a bit-identical cost-clock
+//! breakdown to its scalar twin; the property tests in `tests/batch.rs`
+//! hold both paths to that.
 
 use crate::dict::StringDict;
 use std::sync::Arc;

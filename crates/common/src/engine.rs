@@ -1,22 +1,20 @@
 //! The engine switches as one plain value.
 //!
-//! Three switches turn a whole process hostile for a CI leg: batch
-//! execution, seeded chaos and a squeezed buffer pool. They arrive through
+//! Two switches turn a whole process hostile for a CI leg: seeded chaos and
+//! a squeezed buffer pool. (Execution mode is not a switch: the planner
+//! lowers every table scan to the one batch pipeline.) They arrive through
 //! the process environment, and this module is the only place that reads
 //! them: a binary's `main` calls [`EngineConfig::from_env`], everything that
 //! merely wants "whatever this process was started under" (the
-//! `ExecContext` and `ServiceConfig` defaults) copies
-//! [`EngineConfig::ambient`], and anything that wants a *specific* setting
-//! passes it as a value. README.md § *Configuration* has the table.
+//! `ServiceConfig` default) copies [`EngineConfig::ambient`], and anything
+//! that wants a *specific* setting passes it as a value. README.md
+//! § *Configuration* has the table.
 
 use std::sync::OnceLock;
 
-/// The engine switches a process (or one service, or one context) runs under.
+/// The engine switches a process (or one service) runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineConfig {
-    /// Plan scan(+filter) pipelines batch-at-a-time (`RQP_BATCH` = `1`,
-    /// `true` or `on`; anything else, or unset, is off).
-    pub batch: bool,
     /// Seed of the standard chaos mix a query service injects
     /// (`RQP_CHAOS_SEED` = a `u64`; unset or unparsable is no chaos).
     pub chaos_seed: Option<u64>,
@@ -26,11 +24,10 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Parse the three variables out of `lookup` (variable name → value), so
+    /// Parse the two variables out of `lookup` (variable name → value), so
     /// the parse rules are testable without touching the environment.
     fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         EngineConfig {
-            batch: matches!(lookup("RQP_BATCH").as_deref(), Some("1" | "true" | "on")),
             chaos_seed: lookup("RQP_CHAOS_SEED").and_then(|s| s.trim().parse().ok()),
             page_budget: lookup("RQP_PAGE_BUDGET")
                 .and_then(|s| s.trim().parse().ok())
@@ -44,8 +41,8 @@ impl EngineConfig {
     }
 
     /// The environment this process was started under, read once on first
-    /// use. What the `ExecContext` and `ServiceConfig` defaults copy, so a
-    /// CI leg's variables reach every test without any test naming them.
+    /// use. What the `ServiceConfig` default copies, so a CI leg's
+    /// variables reach every test without any test naming them.
     pub fn ambient() -> Self {
         static AMBIENT: OnceLock<EngineConfig> = OnceLock::new();
         *AMBIENT.get_or_init(Self::from_env)
@@ -62,18 +59,7 @@ mod tests {
 
     #[test]
     fn parse_table() {
-        assert_eq!(parsed("RQP_BATCH", None), EngineConfig::default(), "nothing set, nothing on");
-        for (value, want) in [
-            ("", false),
-            ("0", false),
-            ("1", true),
-            ("true", true),
-            ("on", true),
-            ("yes", false),
-            (" 1", false),
-        ] {
-            assert_eq!(parsed("RQP_BATCH", Some(value)).batch, want, "RQP_BATCH={value:?}");
-        }
+        assert_eq!(parsed("RQP_CHAOS_SEED", None), EngineConfig::default(), "nothing set, nothing on");
         for (value, want) in [
             ("1337", Some(1337)),
             (" 42\n", Some(42)),

@@ -19,19 +19,19 @@
 //!   memory shocks, worker panics/stalls and transient scan errors whose
 //!   decisions are pure hashes of `(seed, site, keys)`;
 //! * [`clock`] — the deterministic [`clock::CostClock`] "virtual time" that every
-//!   operator charges I/O and CPU cost units to, making robustness experiments
-//!   exactly reproducible;
+//!   operator charges I/O and CPU cost units to, in exact fixed-point amounts,
+//!   making robustness experiments reproducible to the bit;
 //! * [`rng`] — seeded random-number helpers (uniform, Zipf, correlated draws)
 //!   so all workloads are deterministic;
 //! * [`sync`] — the atomic primitives ([`sync::AtomicF64`]) behind the
-//!   thread-safe clock/governor/telemetry substrate;
+//!   thread-safe governor/telemetry substrate;
 //! * [`dict`] — the shared [`dict::StringDict`] interner mapping strings to
 //!   dense `u32` codes so batch joins and group-bys compare integers;
 //! * [`batch`] — the columnar [`batch::ColumnBatch`] (typed vectors + a
 //!   selection bitmap) that batch-mode operators exchange instead of rows;
-//! * [`engine`] — [`engine::EngineConfig`], the three engine switches
-//!   (batch, chaos seed, page budget) as one value, and the only reader of
-//!   their environment variables;
+//! * [`engine`] — [`engine::EngineConfig`], the two engine switches
+//!   (chaos seed, page budget) as one value, and the only reader of their
+//!   environment variables;
 //! * [`percentile`] — the nearest-rank [`percentile::percentile`] every
 //!   latency report uses.
 //!

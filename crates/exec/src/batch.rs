@@ -6,13 +6,19 @@
 //! hash join/aggregation key on packed `(tag, u64)` codes derived from
 //! [`rqp_common::KeyAtom`] instead of `Vec<Value>` keys.
 //!
+//! The planner lowers every table scan to [`BatchScanOp`] (plus
+//! [`BatchFilterOp`] for a predicate that compiles to a
+//! [`SimplePred`]) behind the [`BatchRowsOp`] row adapter. The scalar scan
+//! and the other scalar twins remain as the reference these operators are
+//! tested against.
+//!
 //! **Cost contract.** Every batch operator charges the [cost
-//! clock](rqp_common::clock) the *same totals* as its scalar twin, just in
+//! clock](rqp_common::clock) the *same amounts* as its scalar twin, just in
 //! bulk (one `charge_cpu_tuples(n)` instead of `n` charges of `1.0`). Page
-//! charges and chaos injection still happen per absolute page index, so fault
-//! schedules are identical in both modes. Under dyadic cost parameters the
-//! two breakdowns are bit-identical; under arbitrary parameters they agree to
-//! float-summation error (the property tests in `tests/batch.rs` pin both).
+//! charges, pins and chaos injection still happen per absolute page index,
+//! so fault schedules are identical in both modes. The clock counts amounts
+//! exactly, so the two breakdowns are bit-identical under any cost
+//! parameters (the property tests in `tests/batch.rs` pin it).
 //!
 //! **Row contract.** A batch plan yields exactly the rows of its scalar twin,
 //! in the same order — including the hash join's reversed per-probe match
@@ -76,12 +82,12 @@ fn empty_like(like: &ColVec) -> ColVec {
     }
 }
 
-/// An empty column vector for a schema field type.
-pub(crate) fn empty_for(dtype: DataType) -> ColVec {
+/// An empty column vector for a schema field type, with room for `rows`.
+pub(crate) fn empty_for(dtype: DataType, rows: usize) -> ColVec {
     match dtype {
-        DataType::Int => ColVec::Int(Vec::new()),
-        DataType::Float => ColVec::Float(Vec::new()),
-        DataType::Str => ColVec::Str(Vec::new()),
+        DataType::Int => ColVec::Int(Vec::with_capacity(rows)),
+        DataType::Float => ColVec::Float(Vec::with_capacity(rows)),
+        DataType::Str => ColVec::Str(Vec::with_capacity(rows)),
     }
 }
 
@@ -91,10 +97,12 @@ pub(crate) fn empty_for(dtype: DataType) -> ColVec {
 
 /// Sequential batch scan of a table (or contiguous row range).
 ///
-/// Page charges, cancellation checkpoints and chaos injection happen at the
-/// same absolute page boundaries as [`crate::scan::TableScanOp`]; per-tuple
-/// CPU is charged in bulk per batch. `Str` columns are dictionary-encoded
-/// through the pipeline's shared [`StringDict`] at batch-build time.
+/// Page charges, cancellation checkpoints, chaos injection and buffer-pool
+/// pins happen at the same absolute page boundaries as
+/// [`crate::scan::TableScanOp`]; per-tuple CPU is charged in bulk per page.
+/// `Str` columns are dictionary-encoded through the pipeline's shared
+/// [`StringDict`] at batch-build time. The planner lowers every table scan
+/// through this operator.
 pub struct BatchScanOp {
     table: Arc<Table>,
     schema: Schema,
@@ -112,9 +120,9 @@ pub struct BatchScanOp {
     chaos: bool,
     /// The table's buffer pool, if attached (see [`crate::scan::pin_page`]).
     pager: Option<Arc<rqp_storage::BufferPool>>,
-    /// Pins on the pages the current batch was built from, cleared (unpinned)
-    /// when the next batch starts or on drain/drop.
-    batch_pins: Vec<rqp_storage::PagePin>,
+    /// The pin on the page the cursor is reading, as in the scalar scan:
+    /// replaced at each page boundary, dropped on drain or operator drop.
+    pin: Option<rqp_storage::PagePin>,
     span: SpanHandle,
 }
 
@@ -175,7 +183,7 @@ impl BatchScanOp {
             batch_rows: rqp_common::DEFAULT_BATCH_ROWS,
             chaos,
             pager,
-            batch_pins: Vec::new(),
+            pin: None,
             span,
         }
     }
@@ -198,62 +206,79 @@ impl BatchOperator for BatchScanOp {
 
     fn next_batch(&mut self) -> Option<ColumnBatch> {
         if self.pos >= self.end {
-            self.batch_pins.clear();
+            self.pin = None;
             self.span.close(&self.ctx.clock);
             return None;
         }
         let start = self.pos;
         let end = (start + self.batch_rows).min(self.end);
-        // Identical page-boundary walk to the scalar scan: one sequential
-        // page (plus checkpoint and chaos keyed on the absolute page index)
-        // each time the cursor crosses a boundary or enters mid-page. Pages
-        // stay pinned while the batch is built from them; the previous
-        // batch's pins are released first.
-        self.batch_pins.clear();
-        for pos in start..end {
-            if pos as f64 % self.rows_per_page == 0.0 || pos == self.start {
+        let mut columns: Vec<ColVec> =
+            self.schema.fields().iter().map(|f| empty_for(f.dtype, end - start)).collect();
+        // The scalar scan's page walk, a page at a time: each time the cursor
+        // crosses a page boundary (or enters mid-page at the start of its
+        // range), one checkpoint, one sequential page, chaos keyed on the
+        // absolute page index, and the pin moves to the new page; then that
+        // page's rows in this batch are copied and charged. So every
+        // checkpoint reads the clock the scalar scan reads, and the scan
+        // holds at most one pin.
+        let mut from = start;
+        while from < end {
+            if from as f64 % self.rows_per_page == 0.0 || from == self.start {
                 self.ctx.checkpoint();
                 self.ctx.clock.charge_seq_pages(1.0);
-                let page = (pos as f64 / self.rows_per_page) as u64;
+                let page = (from as f64 / self.rows_per_page) as u64;
                 if self.chaos {
                     page_chaos(&self.ctx, &self.span, self.table.name(), page);
                 }
                 if let Some(pool) = &self.pager {
-                    self.batch_pins.push(pin_page(
-                        &self.ctx,
-                        &self.span,
-                        pool,
-                        self.table.name(),
-                        page,
-                    ));
+                    self.pin = None;
+                    self.pin = Some(pin_page(&self.ctx, &self.span, pool, self.table.name(), page));
                 }
             }
+            let to = self.next_page_start(from).min(end);
+            self.copy_rows(from..to, &mut columns);
+            self.ctx.clock.charge_cpu_tuples((to - from) as f64);
+            from = to;
         }
-        let n = end - start;
-        self.ctx.clock.charge_cpu_tuples(n as f64);
-        let columns: Vec<ColVec> = (0..self.schema.len())
-            .map(|c| {
-                let col = self.table.column(c);
-                if let Some(xs) = col.as_int_slice() {
-                    ColVec::Int(xs.slice(start..end).to_vec())
-                } else if let Some(xs) = col.as_float_slice() {
-                    ColVec::Float(xs[start..end].to_vec())
-                } else {
-                    let (enc, xlate) =
-                        self.str_cols[c].as_ref().expect("exhaustive column types");
-                    ColVec::Str(
-                        enc.codes[start..end].iter().map(|&lc| xlate[lc as usize]).collect(),
-                    )
-                }
-            })
-            .collect();
         self.pos = end;
-        self.span.produced_n(&self.ctx.clock, n as u64);
+        self.span.produced_n(&self.ctx.clock, (end - start) as u64);
         Some(ColumnBatch::new(columns, Arc::clone(&self.dict)))
     }
 
     fn span(&self) -> Option<&SpanHandle> {
         Some(&self.span)
+    }
+}
+
+impl BatchScanOp {
+    /// The first row after `pos` that starts a page (where the scalar scan's
+    /// `pos % rows_per_page == 0` holds), or `self.end`.
+    fn next_page_start(&self, pos: usize) -> usize {
+        let rpp = self.rows_per_page;
+        if rpp >= 1.0 && rpp.fract() == 0.0 {
+            let rpp = rpp as usize;
+            return (pos / rpp + 1) * rpp;
+        }
+        (pos + 1..self.end).find(|&p| p as f64 % rpp == 0.0).unwrap_or(self.end)
+    }
+
+    /// Append table rows `range` to the batch's columns.
+    fn copy_rows(&self, range: std::ops::Range<usize>, columns: &mut [ColVec]) {
+        for (c, out) in columns.iter_mut().enumerate() {
+            let col = self.table.column(c);
+            match out {
+                ColVec::Int(v) => {
+                    col.as_int_slice().expect("Int column").slice(range.clone()).extend_into(v)
+                }
+                ColVec::Float(v) => {
+                    v.extend_from_slice(&col.as_float_slice().expect("Float column")[range.clone()])
+                }
+                ColVec::Str(v) => {
+                    let (enc, xlate) = self.str_cols[c].as_ref().expect("Str column");
+                    v.extend(enc.codes[range.clone()].iter().map(|&lc| xlate[lc as usize]));
+                }
+            }
+        }
     }
 }
 
@@ -673,7 +698,7 @@ impl BatchHashJoinOp {
                 .schema()
                 .fields()
                 .iter()
-                .map(|f| empty_for(f.dtype))
+                .map(|f| empty_for(f.dtype, 0))
                 .collect(),
             rows: 0,
         };

@@ -2,7 +2,7 @@
 
 use crate::{BoxOp, Operator};
 use rqp_common::sync::AtomicF64;
-use rqp_common::{CancelToken, ChaosPolicy, CostClock, EngineConfig, Row, Schema, SharedClock};
+use rqp_common::{CancelToken, ChaosPolicy, CostClock, Row, Schema, SharedClock};
 use rqp_telemetry::{MetricsRegistry, SpanHandle, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -256,10 +256,6 @@ pub struct ExecContext {
     /// every worker forked from this context, so one seed governs a whole
     /// parallel query.
     pub chaos: Arc<ChaosPolicy>,
-    /// Whether plans built under this context take the batch-at-a-time scan
-    /// pipeline. [`new`](Self::new) copies the process's
-    /// [`EngineConfig::ambient`]; [`with_batch`](Self::with_batch) pins it.
-    pub batch: bool,
     /// Cooperative-cancellation token polled at cost-charging boundaries via
     /// [`checkpoint`](Self::checkpoint). Fresh (never cancelled, no deadline)
     /// unless installed with [`with_cancel`](Self::with_cancel); forked
@@ -277,15 +273,8 @@ impl ExecContext {
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
             chaos: Arc::new(ChaosPolicy::off()),
-            batch: EngineConfig::ambient().batch,
             cancel: CancelToken::new(),
         }
-    }
-
-    /// This context with the batch scan pipeline switched on or off.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// This context with the given fault-injection policy.
@@ -316,9 +305,9 @@ impl ExecContext {
     /// the *same* governor and metrics registry.
     ///
     /// The split is what makes parallel execution deterministic: workers
-    /// charge their private shard clocks, and the gather side
-    /// [`absorb`](CostClock::absorb)s the shards and
-    /// [`adopt`](Tracer::adopt)s the worker traces in worker-index order —
+    /// charge their private shard clocks, which the gather side
+    /// [`absorb`](CostClock::absorb)s (exact amounts, so in any order), and
+    /// it [`adopt`](Tracer::adopt)s the worker traces in worker-index order —
     /// so cost totals and trace contents never depend on thread scheduling.
     /// Memory, by contrast, is genuinely shared: one budget spans all
     /// workers, which is exactly the contention surface the governor exists
@@ -330,7 +319,6 @@ impl ExecContext {
             tracer: Tracer::new(),
             metrics: self.metrics.clone(),
             chaos: Arc::clone(&self.chaos),
-            batch: self.batch,
             // Same token, offset by the coordinator's elapsed cost: the
             // worker's shard clock restarts at zero but its deadline polls
             // must still compare against root-clock cost units.
@@ -707,7 +695,7 @@ mod tests {
         // Worker charges stay on the shard until absorbed.
         w.clock.charge_seq_pages(3.0);
         assert_eq!(ctx.clock.now(), 10.0);
-        ctx.clock.absorb(&w.clock.breakdown());
+        ctx.clock.absorb(&w.clock);
         assert_eq!(ctx.clock.now(), 13.0);
     }
 

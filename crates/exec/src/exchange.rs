@@ -19,10 +19,11 @@
 //! experiments' notion of response time. Each worker runs under
 //! [`ExecContext::fork_worker`]: a private shard clock and tracer, the shared
 //! memory governor and metrics. The gather side then
-//! [`absorb`](rqp_common::CostClock::absorb)s shard breakdowns and
-//! [`adopt`](rqp_telemetry::Tracer::adopt)s worker traces in worker order —
-//! floating-point accumulation order never depends on thread scheduling, so
-//! a plan's cost total is a pure function of the data and the plan shape.
+//! [`absorb`](rqp_common::CostClock::absorb)s the shard clocks and
+//! [`adopt`](rqp_telemetry::Tracer::adopt)s worker traces in worker order.
+//! The clock counts exact fixed-point amounts, so the absorbed totals would
+//! be the same in any order and for any worker count: a plan's cost is a pure
+//! function of the data and the plan shape, under any cost weights.
 //!
 //! Skew is **injectable**: both partitioners take a `skew` fraction in
 //! `[0, 1)` that deterministically reroutes that share of rows to partition
@@ -331,9 +332,8 @@ fn gather_attempt(
     attempt: u32,
     outcome: std::result::Result<usize, &str>,
 ) -> f64 {
-    let shard = wctx.clock.breakdown();
-    ctx.clock.absorb(&shard);
-    let cost = shard.total();
+    ctx.clock.absorb(&wctx.clock);
+    let cost = wctx.clock.now();
     let wspan = ctx.tracer.open("exchange_worker", &ctx.clock);
     wspan.set_parent(span.id());
     match outcome {
@@ -686,7 +686,7 @@ fn partition_batches(
 ) -> Result<Vec<Vec<ColVec>>> {
     let parts = parts.max(1);
     let mut out: Vec<Vec<ColVec>> = (0..parts)
-        .map(|_| schema.fields().iter().map(|f| crate::batch::empty_for(f.dtype)).collect())
+        .map(|_| schema.fields().iter().map(|f| crate::batch::empty_for(f.dtype, 0)).collect())
         .collect();
     let push_row = |out: &mut Vec<Vec<ColVec>>, batch: &ColumnBatch, p: usize, i: usize| {
         for (dst, src) in out[p].iter_mut().zip(&batch.columns) {
@@ -805,7 +805,7 @@ mod tests {
     use crate::filter::test_support::RowsOp;
     use crate::FilterOp;
     use rqp_common::expr::{col, lit};
-    use rqp_common::{CostClock, CostModelParams, DataType};
+    use rqp_common::DataType;
 
     fn table(n: i64) -> Arc<Table> {
         let schema = Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]);
@@ -822,22 +822,6 @@ mod tests {
 
     fn row_schema() -> Schema {
         Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)])
-    }
-
-    /// Cost params whose weights are all dyadic rationals (exact in binary
-    /// floating point), so per-row charges sum associatively and cost totals
-    /// are bit-identical no matter how rows are split across workers.
-    fn dyadic_params() -> CostModelParams {
-        CostModelParams {
-            rows_per_page: 128.0,
-            seq_page: 1.0,
-            rand_page: 4.0,
-            cpu_tuple: 1.0 / 256.0,
-            cpu_compare: 1.0 / 512.0,
-            hash_build: 1.0 / 64.0,
-            hash_probe: 1.0 / 128.0,
-            spill_page: 2.5,
-        }
     }
 
     #[test]
@@ -1031,12 +1015,12 @@ mod tests {
     fn parallel_plan_is_identical_for_1_2_and_8_workers() {
         // The satellite property test: cost is simulated, so parallelism
         // must not change *what* is charged — only how it is attributed to
-        // workers. With dyadic cost weights (exact in binary fp) and
-        // page-aligned partitions, rows AND cost breakdowns are
-        // bit-identical across worker counts.
+        // workers. The clock counts exact amounts and partitions are
+        // page-aligned, so rows AND cost breakdowns are bit-identical across
+        // worker counts, under the default (non-dyadic) weights.
         let t = table(1_000);
         let run = |workers: usize| {
-            let ctx = ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY);
+            let ctx = ExecContext::unbounded();
             let build = pipeline(|op, wctx| {
                 Box::new(FilterOp::new(op, &col("t.id").lt(lit(700_i64)), wctx.clone()).unwrap())
                     as BoxOp
@@ -1110,15 +1094,15 @@ mod tests {
     use rqp_common::{ChaosConfig, ChaosPolicy};
 
     fn chaos_ctx(cfg: ChaosConfig) -> ExecContext {
-        ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY)
+        ExecContext::unbounded()
             .with_chaos(ChaosPolicy::new(cfg))
     }
 
     #[test]
     fn chaos_off_exchange_is_byte_identical_to_plain() {
         let t = table(1_050);
-        let plain = ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY);
-        let off = ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY)
+        let plain = ExecContext::unbounded();
+        let off = ExecContext::unbounded()
             .with_chaos(ChaosPolicy::off());
         let mut a = ExchangeOp::parallel_scan(Arc::clone(&t), 4, plain.clone());
         let mut b = ExchangeOp::parallel_scan(Arc::clone(&t), 4, off.clone());
@@ -1157,7 +1141,7 @@ mod tests {
         );
         // Recovery is visible as extra cost: backoff random pages on top of
         // the plain scan's charges.
-        let plain = ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY);
+        let plain = ExecContext::unbounded();
         let mut p = ExchangeOp::parallel_scan(Arc::clone(&t), 4, plain.clone());
         collect(&mut p);
         assert!(ctx.clock.breakdown().total() > plain.clock.breakdown().total());
@@ -1197,7 +1181,7 @@ mod tests {
         let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), 4, ctx.clone());
         let out = collect(&mut ex);
         assert_eq!(out.len(), 1_050, "stalls slow workers down but lose nothing");
-        let plain = ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY);
+        let plain = ExecContext::unbounded();
         let mut p = ExchangeOp::parallel_scan(Arc::clone(&t), 4, plain.clone());
         collect(&mut p);
         let extra = ctx.clock.breakdown().seq_io - plain.clock.breakdown().seq_io;

@@ -12,7 +12,7 @@
 //! the *service* level is the admission/broker teardown exercised by the
 //! in-process tests, not a wire concern.
 //!
-//! The engine switches (`RQP_BATCH`, `RQP_CHAOS_SEED`, `RQP_PAGE_BUDGET`;
+//! The engine switches (`RQP_CHAOS_SEED`, `RQP_PAGE_BUDGET`;
 //! README.md § *Configuration*) are read from the environment once, here.
 
 use rqp_common::EngineConfig;

@@ -8,24 +8,7 @@
 //! the component everyone agrees dominates ("cardinality estimation has the
 //! biggest impact, which far eclipses any other decision", Lohman).
 
-use rqp_common::{CostModelParams, DEFAULT_BATCH_ROWS};
-
-/// How a plan fragment executes: row-at-a-time Volcano iterators, or the
-/// batch-at-a-time columnar twins a context's `batch` switch selects.
-///
-/// The two modes charge **identical** clock units (the batch operators'
-/// charge-parity contract), so `ExecMode` never changes a charged-cost
-/// estimate. What differs is *interpretation overhead* — virtual `next()`
-/// dispatch and per-row `Vec<Value>` materialization — which the batch path
-/// pays once per [`DEFAULT_BATCH_ROWS`]-row batch instead of once per row.
-/// [`CostModel::pipeline_time`] models that difference for plan selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Row-at-a-time `Operator::next()` pipeline.
-    Scalar,
-    /// Columnar `ColumnBatch` pipeline (dictionary-encoded strings).
-    Batch,
-}
+use rqp_common::CostModelParams;
 
 /// Cost model parameterized like the executor's clock, plus the memory
 /// budget used for spill prediction.
@@ -35,20 +18,11 @@ pub struct CostModel {
     pub params: CostModelParams,
     /// Workspace budget in rows (mirrors the memory governor).
     pub memory_rows: f64,
-    /// Modeled interpretation overhead of one operator boundary crossing
-    /// (virtual dispatch + row materialization), in `cpu_tuple` units. Not
-    /// charged by the clock — it prices real time, not modeled work — so it
-    /// never appears in the charged-cost formulas below.
-    pub dispatch_overhead: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel {
-            params: CostModelParams::default(),
-            memory_rows: f64::INFINITY,
-            dispatch_overhead: 4.0,
-        }
+        CostModel { params: CostModelParams::default(), memory_rows: f64::INFINITY }
     }
 }
 
@@ -177,32 +151,6 @@ impl CostModel {
     pub fn top_n(&self, n: f64, limit: f64) -> f64 {
         n * (limit.max(2.0).log2() + 1.0) * self.params.cpu_compare
     }
-
-    // ----- batch vs scalar time model -------------------------------------
-
-    /// Interpretation overhead (in `cpu_tuple` units) of pushing `rows` rows
-    /// through `operators` pipeline stages in the given mode. Scalar pays one
-    /// boundary crossing per row per stage; batch pays one per
-    /// [`DEFAULT_BATCH_ROWS`]-row batch per stage, plus one `cpu_tuple` of
-    /// residual per-row work (the typed inner loop body) so the batch path
-    /// never models as free.
-    pub fn interpretation_overhead(&self, rows: f64, operators: f64, mode: ExecMode) -> f64 {
-        let per_stage = match mode {
-            ExecMode::Scalar => rows * self.dispatch_overhead,
-            ExecMode::Batch => {
-                (rows / DEFAULT_BATCH_ROWS as f64).ceil() * self.dispatch_overhead + rows
-            }
-        };
-        per_stage * operators * self.params.cpu_tuple
-    }
-
-    /// Predicted elapsed time of a pipeline: the charged work (identical in
-    /// both modes by the batch operators' charge-parity contract) plus the
-    /// mode's interpretation overhead. Use for plan selection between a
-    /// scalar plan and its batch twin; never for charged-cost accounting.
-    pub fn pipeline_time(&self, charged: f64, rows: f64, operators: f64, mode: ExecMode) -> f64 {
-        charged + self.interpretation_overhead(rows, operators, mode)
-    }
 }
 
 #[cfg(test)]
@@ -282,21 +230,5 @@ mod tests {
         assert_eq!(m.sort(1.0), 0.0);
         assert!(m.scan(0.0) >= 0.0);
         assert!(m.hash_join(0.0, 0.0, 0.0) == 0.0);
-    }
-
-    #[test]
-    fn exec_mode_never_changes_charged_cost() {
-        // The charge-parity contract: batch twins charge identical clock
-        // units, so ExecMode only enters via the overhead term.
-        let m = CostModel::default();
-        let charged = m.scan(100_000.0) + m.filter(100_000.0);
-        let scalar = m.pipeline_time(charged, 100_000.0, 2.0, ExecMode::Scalar);
-        let batch = m.pipeline_time(charged, 100_000.0, 2.0, ExecMode::Batch);
-        assert!((scalar - charged) >= 0.0 && (batch - charged) >= 0.0);
-        assert!(
-            m.interpretation_overhead(100_000.0, 2.0, ExecMode::Batch)
-                < m.interpretation_overhead(100_000.0, 2.0, ExecMode::Scalar),
-            "batch amortizes boundary crossings"
-        );
     }
 }

@@ -37,7 +37,7 @@ pub mod rio;
 pub mod robust;
 pub mod validity;
 
-pub use cost::{CostModel, ExecMode};
+pub use cost::CostModel;
 pub use parametric::{ParametricPlanCache, PqoOutcome};
 pub use physical::{BuiltPlan, NodeMeter, PhysicalPlan};
 pub use plandiagram::{AnorexicReduction, PlanDiagram};

@@ -21,7 +21,7 @@ use rqp_common::{Expr, Result, RqpError, Value};
 use rqp_exec::{
     AggSpec, BatchFilterOp, BatchRowsOp, BatchScanOp, BoxBatchOp, BoxOp, CheckOp, ExecContext,
     FilterOp, GJoinOp, HashAggOp, HashJoinOp, IndexNlJoinOp, IndexScanOp, MergeJoinOp, PopSignal,
-    ProjectOp, SortOp, SpanHandle, TableScanOp, TopNOp,
+    ProjectOp, SortOp, SpanHandle, TopNOp,
 };
 use rqp_stats::CardEstimator;
 use rqp_storage::{Catalog, Table};
@@ -450,19 +450,7 @@ impl PhysicalPlan {
         use PhysicalPlan::*;
         let subtree_start = meters.len();
         let op: BoxOp = match self {
-            TableScan { table, filter, .. } => {
-                let t = catalog.table(table)?;
-                match batch_scan_pipeline(&t, filter, ctx) {
-                    Some(op) => op,
-                    None => {
-                        let scan: BoxOp = Box::new(TableScanOp::new(t, ctx.clone()));
-                        match filter {
-                            Some(f) => Box::new(FilterOp::new(scan, f, ctx.clone())?),
-                            None => scan,
-                        }
-                    }
-                }
-            }
+            TableScan { table, filter, .. } => scan_pipeline(catalog.table(table)?, filter, ctx)?,
             IndexScan { table, index, lo, hi, residual, .. } => {
                 let t = catalog.table(table)?;
                 let ix = catalog.index(index)?;
@@ -741,26 +729,24 @@ fn fmt_edges(edges: &[JoinEdge]) -> String {
         .join(" AND ")
 }
 
-/// Batch-gated scan pipeline: when the context's `batch` switch is on,
-/// build the scan(+filter) batch twins behind a [`BatchRowsOp`] row adapter.
-/// Returns `None` — falling back to the scalar construction — when batching is off
-/// or the predicate does not compile to a batch filter, so binding errors
-/// and unsupported expressions surface identically with the switch on.
-fn batch_scan_pipeline(t: &Arc<Table>, filter: &Option<Expr>, ctx: &ExecContext) -> Option<BoxOp> {
-    if !ctx.batch {
-        return None;
-    }
-    // Check compilability before opening any spans, so the common fallback
-    // (a predicate with no batch form) leaves no orphan operator in the trace.
-    if let Some(f) = filter {
-        rqp_common::SimplePred::from_expr(f)?;
-    }
-    let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(t), ctx.clone()));
-    let inner: BoxBatchOp = match filter {
-        Some(f) => Box::new(BatchFilterOp::new(scan, f, ctx.clone()).ok()?),
+/// The one table-scan lowering: a [`BatchScanOp`], then a [`BatchFilterOp`]
+/// when the predicate compiles to a [`SimplePred`](rqp_common::SimplePred),
+/// then the [`BatchRowsOp`] row adapter, with a row [`FilterOp`] above it for
+/// any other predicate. Both filters charge one compare per examined row, so
+/// one question phrased two ways (`x IN (1, 2)` compiles, `x = 1 OR x = 2`
+/// does not) charges the same.
+fn scan_pipeline(t: Arc<Table>, filter: &Option<Expr>, ctx: &ExecContext) -> Result<BoxOp> {
+    let simple = filter.as_ref().filter(|f| rqp_common::SimplePred::from_expr(f).is_some());
+    let scan: BoxBatchOp = Box::new(BatchScanOp::new(t, ctx.clone()));
+    let batch: BoxBatchOp = match simple {
+        Some(f) => Box::new(BatchFilterOp::new(scan, f, ctx.clone())?),
         None => scan,
     };
-    Some(BatchRowsOp::boxed(inner, ctx.clone()))
+    let rows = BatchRowsOp::boxed(batch, ctx.clone());
+    Ok(match filter {
+        Some(f) if simple.is_none() => Box::new(FilterOp::new(rows, f, ctx.clone())?),
+        _ => rows,
+    })
 }
 
 /// Qualified key column lists for join construction.

@@ -84,7 +84,7 @@ impl PlanDiagram {
         if grid.is_empty() {
             return Err(RqpError::Invalid("empty selectivity grid".into()));
         }
-        let cm = CostModel { memory_rows: cfg.memory_rows, ..CostModel::default() };
+        let cm = CostModel::with_memory(cfg.memory_rows);
         let mut plans: Vec<PhysicalPlan> = Vec::new();
         let mut finger_to_id: HashMap<String, usize> = HashMap::new();
         let mut assignment = vec![vec![0usize; grid.len()]; grid.len()];

@@ -95,7 +95,7 @@ struct Cand {
 impl<'a> Planner<'a> {
     /// New planner.
     pub fn new(catalog: &'a Catalog, est: &'a dyn CardEstimator, cfg: PlannerConfig) -> Self {
-        let cm = CostModel { memory_rows: cfg.memory_rows, ..CostModel::default() };
+        let cm = CostModel::with_memory(cfg.memory_rows);
         Planner { catalog, est, cm, cfg }
     }
 

@@ -102,7 +102,7 @@ impl RioAnalysis {
         E: CardEstimator + Clone + 'static,
     {
         let f = level.box_factor();
-        let cm = CostModel { memory_rows: cfg.memory_rows, ..CostModel::default() };
+        let cm = CostModel::with_memory(cfg.memory_rows);
         let corners = [1.0 / f, 1.0, f];
         let scenario = |factor: f64| -> Box<dyn CardEstimator> {
             Box::new(LyingEstimator::new(Box::new(base.clone())).with_table_factor(table, factor))

@@ -68,7 +68,7 @@ pub fn robust_plan(
             return Err(RqpError::Invalid(format!("percentile {p} out of (0,1]")));
         }
     }
-    let cm = CostModel { memory_rows: cfg.memory_rows, ..CostModel::default() };
+    let cm = CostModel::with_memory(cfg.memory_rows);
 
     // Candidate generation: optimal plan per scenario.
     let mut candidates: Vec<PhysicalPlan> = Vec::new();

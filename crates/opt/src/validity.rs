@@ -40,7 +40,7 @@ pub fn validity_range<E>(
 where
     E: CardEstimator + Clone + 'static,
 {
-    let cm = CostModel { memory_rows: cfg.memory_rows, ..CostModel::default() };
+    let cm = CostModel::with_memory(cfg.memory_rows);
     let est_rows_at = |factor: f64| -> f64 {
         let e = LyingEstimator::new(Box::new(base.clone())).with_table_factor(table, factor);
         let pred = spec.local_pred(table);

@@ -47,8 +47,6 @@ pub struct ServiceConfig {
     /// Seed of the standard chaos mix injected into every query and every
     /// subscription poll; `None` injects nothing.
     pub chaos_seed: Option<u64>,
-    /// Whether queries plan the batch-at-a-time scan pipeline.
-    pub batch: bool,
 }
 
 impl ServiceConfig {
@@ -64,7 +62,6 @@ impl ServiceConfig {
             recorder_capacity: 4096,
             page_budget: engine.page_budget,
             chaos_seed: engine.chaos_seed,
-            batch: engine.batch,
         }
     }
 }
@@ -816,7 +813,6 @@ fn execute(
 ) -> (Result<QueryOutcome>, f64, Option<f64>) {
     let mut ctx = ExecContext::new(CostClock::default_clock(), 0.0)
         .with_chaos(ChaosPolicy::from_seed(svc.config.chaos_seed))
-        .with_batch(svc.config.batch)
         .with_cancel(cancel.clone());
     ctx.memory = gov;
     // Flip the live registry to Running with handles to this query's own

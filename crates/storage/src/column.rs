@@ -235,6 +235,11 @@ impl<'a> IntSlice<'a> {
     pub fn to_vec(&self) -> Vec<i64> {
         each_width!(IntSlice, self, xs => xs.iter().map(|&x| wide(x)).collect())
     }
+
+    /// Every value widened onto the end of `out`.
+    pub fn extend_into(&self, out: &mut Vec<i64>) {
+        each_width!(IntSlice, self, xs => out.extend(xs.iter().map(|&x| wide(x))))
+    }
 }
 
 /// Equal when they hold the same values, whatever the widths.

@@ -1,7 +1,10 @@
 //! Acceptance tests for batch-at-a-time execution: every batch plan must be
-//! **row-identical** to its scalar twin and — under dyadic cost parameters —
-//! **bit-identical** in its charged cost breakdown, at 1/2/8 workers, under
-//! repartitioning and under chaos injection. Also the mixed-type key
+//! **row-identical** to its scalar twin and **bit-identical** in its charged
+//! cost breakdown under the default cost weights, at 1/2/8 workers, under
+//! repartitioning and under chaos injection. The planner lowers every table
+//! scan to the batch pipeline, so one question phrased two ways (a predicate
+//! with a batch form and one without) must charge the same bits. Also the
+//! mixed-type key
 //! regression: hash joins and hash repartitions over Int/Float keys must
 //! agree with a nested-loop oracle on both execution paths (the
 //! hash/equality divergence this PR fixed).
@@ -10,7 +13,7 @@
 //! `rqp` facade.
 
 use rqp::common::expr::{col, lit};
-use rqp::common::{ChaosConfig, ChaosPolicy, CostClock, CostModelParams, StringDict};
+use rqp::common::{ChaosConfig, ChaosPolicy, StringDict};
 use rqp::exec::{
     batch_pipeline, collect, pipeline, AggFunc, AggSpec, BatchFilterOp, BatchHashAggOp,
     BatchHashJoinOp, BatchProjectOp, BatchRowsOp, BatchScanOp, BnlJoinOp, BoxBatchOp, BoxOp,
@@ -20,24 +23,8 @@ use rqp::exec::{
 use rqp::{DataType, Expr, Row, Schema, Table, Value};
 use std::sync::Arc;
 
-/// Cost weights that are all dyadic rationals, so per-row charges sum
-/// associatively and totals compare bit-for-bit however the work is batched
-/// or sharded (the same trick `rqp-exec`'s exchange tests use).
-fn dyadic_params() -> CostModelParams {
-    CostModelParams {
-        rows_per_page: 128.0,
-        seq_page: 1.0,
-        rand_page: 4.0,
-        cpu_tuple: 1.0 / 256.0,
-        cpu_compare: 1.0 / 512.0,
-        hash_build: 1.0 / 64.0,
-        hash_probe: 1.0 / 128.0,
-        spill_page: 2.5,
-    }
-}
-
 fn ctx() -> ExecContext {
-    ExecContext::new(CostClock::new(dyadic_params()), f64::INFINITY)
+    ExecContext::unbounded()
 }
 
 /// Orders: id Int, amt Float (dyadic values), cat Str (7 distinct).
@@ -597,15 +584,12 @@ fn batch_workers_recover_from_injected_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Planner gating: the context's batch switch selects the TableScan pipeline
+// Planner lowering: every TableScan is a batch pipeline
 // ---------------------------------------------------------------------------
 
-#[test]
-fn rqp_batch_env_gates_the_physical_scan_pipeline() {
-    use rqp::opt::PhysicalPlan;
-    use rqp::Catalog;
-
-    let mut catalog = Catalog::new();
+/// `o(id Int, amt Float, cat Str)` with 1 000 rows, as a catalog.
+fn orders_catalog() -> rqp::Catalog {
+    let mut catalog = rqp::Catalog::new();
     let schema = Schema::from_pairs(&[
         ("id", DataType::Int),
         ("amt", DataType::Float),
@@ -620,47 +604,70 @@ fn rqp_batch_env_gates_the_physical_scan_pipeline() {
         ]);
     }
     catalog.add_table(t);
+    catalog
+}
 
-    let plan = |filter| PhysicalPlan::TableScan {
+/// A planner-built scan of `o` under a fresh default context: its rows,
+/// the kinds of the spans it opened, and the context.
+fn planned_scan(catalog: &rqp::Catalog, filter: Option<Expr>) -> (Vec<Row>, Vec<String>, ExecContext) {
+    let plan = rqp::opt::PhysicalPlan::TableScan {
         table: "o".into(),
         filter,
         est_rows: 0.0,
         est_cost: 0.0,
     };
-    let run = |filter: Option<rqp::Expr>, batch: bool| {
-        let c = ctx().with_batch(batch);
-        let rows = plan(filter).build(&catalog, &c, None).unwrap().run();
-        let kinds: Vec<String> =
-            c.tracer.snapshot().iter().map(|s| s.kind.clone()).collect();
-        (rows, kinds, c)
+    let c = ctx();
+    let rows = plan.build(catalog, &c, None).unwrap().run();
+    let kinds = c.tracer.snapshot().iter().map(|s| s.kind.clone()).collect();
+    (rows, kinds, c)
+}
+
+#[test]
+fn the_planner_lowers_every_table_scan_to_a_batch_pipeline() {
+    let catalog = orders_catalog();
+    let t = catalog.table("o").unwrap();
+    let reference = |pred: &Expr| {
+        let c = ctx();
+        let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
+        let mut f = FilterOp::new(scan, pred, c.clone()).unwrap();
+        (collect(&mut f), c)
     };
 
-    let simple = Some(col("o.id").lt(lit(600i64)));
-    let complex = Some(col("o.id").lt(col("o.amt"))); // no batch form
+    let simple = col("o.id").lt(lit(600i64));
+    let planned = planned_scan(&catalog, Some(simple.clone()));
+    assert_eq!(planned.1, ["batch_scan", "batch_filter", "batch_rows"]);
+    assert_rows_and_bits("simple predicate", &reference(&simple), &(planned.0, planned.2));
 
-    // The suite itself runs with the switch on in the CI batch legs, so
-    // every leg pins it on its own context.
-    let scalar = run(simple.clone(), false);
-    assert!(scalar.1.iter().all(|k| !k.starts_with("batch")), "gate off must stay scalar");
-    let batch = run(simple, true);
-    let fallback = run(complex.clone(), true);
-    let complex_scalar = run(complex, false);
+    // No batch form: the row filter sits above the batch scan's row adapter.
+    let complex = col("o.id").lt(col("o.amt"));
+    let planned = planned_scan(&catalog, Some(complex.clone()));
+    assert_eq!(planned.1, ["batch_scan", "batch_rows", "filter"]);
+    assert_rows_and_bits("complex predicate", &reference(&complex), &(planned.0, planned.2));
 
-    assert_eq!(scalar.0, batch.0, "gated plan must be row-identical");
-    assert_eq!(
-        scalar.2.clock.breakdown().total().to_bits(),
-        batch.2.clock.breakdown().total().to_bits(),
-        "gated plan must charge identically"
-    );
-    assert!(
-        batch.1.iter().any(|k| k == "batch_scan"),
-        "the switch must engage the batch pipeline, got spans {:?}",
-        batch.1
-    );
-    assert_eq!(fallback.0, complex_scalar.0, "non-simple predicates fall back");
-    assert!(
-        fallback.1.iter().all(|k| !k.starts_with("batch")),
-        "fallback must leave no batch spans, got {:?}",
-        fallback.1
-    );
+    let bare = planned_scan(&catalog, None);
+    assert_eq!(bare.1, ["batch_scan", "batch_rows"]);
+    assert_eq!(bare.0.len(), 1_000);
+}
+
+#[test]
+fn in_list_and_its_or_phrasing_charge_the_same_bits() {
+    // e06's equivalence family: `IN` compiles to the batch filter, its `OR`
+    // phrasing takes the row filter. Both charge one compare per examined
+    // row, so rows and every cost component must agree to the bit.
+    let catalog = orders_catalog();
+    let values = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
+    let in_list = col("o.id").in_list(values.clone());
+    let ors = values
+        .into_iter()
+        .map(|v| col("o.id").eq(lit(v)))
+        .reduce(Expr::or)
+        .unwrap();
+    assert!(rqp::common::SimplePred::from_expr(&in_list).is_some());
+    assert!(rqp::common::SimplePred::from_expr(&ors).is_none());
+    let (a, kinds_a, ctx_a) = planned_scan(&catalog, Some(in_list));
+    let (b, kinds_b, ctx_b) = planned_scan(&catalog, Some(ors));
+    assert!(kinds_a.iter().any(|k| k == "batch_filter"), "{kinds_a:?}");
+    assert!(kinds_b.iter().any(|k| k == "filter"), "{kinds_b:?}");
+    assert_eq!(a.len(), 3);
+    assert_rows_and_bits("IN vs OR", &(a, ctx_a), &(b, ctx_b));
 }

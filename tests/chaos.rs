@@ -10,27 +10,12 @@
 //!   context that has never heard of chaos (the pre-chaos baseline).
 
 use rqp::common::chaos::{ChaosConfig, ChaosPolicy};
-use rqp::common::{CostClock, CostModelParams, EngineConfig};
+use rqp::common::EngineConfig;
 use rqp::exec::exchange::{pipeline, ExchangeOp, Partitioning};
 use rqp::exec::sort::SortOrder;
 use rqp::exec::{collect, ExecContext, SortOp, TableScanOp};
 use rqp::{DataType, Row, Schema, Table, Value};
 use std::sync::Arc;
-
-/// Dyadic cost weights: exact in binary floating point, so shard costs sum
-/// associatively and totals are bit-comparable across worker counts.
-fn dyadic_params() -> CostModelParams {
-    CostModelParams {
-        rows_per_page: 128.0,
-        seq_page: 1.0,
-        rand_page: 4.0,
-        cpu_tuple: 1.0 / 256.0,
-        cpu_compare: 1.0 / 512.0,
-        hash_build: 1.0 / 64.0,
-        hash_probe: 1.0 / 128.0,
-        spill_page: 2.5,
-    }
-}
 
 fn table(n: i64) -> Arc<Table> {
     let schema = Schema::from_pairs(&[("id", DataType::Int), ("key", DataType::Int)]);
@@ -44,7 +29,7 @@ fn table(n: i64) -> Arc<Table> {
 /// Run the canonical chaos pipeline — coordinator scan (faults + shocks),
 /// hash repartition, per-worker sort — and return rows plus cost bits.
 fn run(policy: ChaosPolicy, workers: usize, budget: f64) -> (Vec<Row>, u64) {
-    let ctx = ExecContext::new(CostClock::new(dyadic_params()), budget).with_chaos(policy);
+    let ctx = ExecContext::with_memory(budget).with_chaos(policy);
     let scan = Box::new(TableScanOp::new(table(4_000), ctx.clone()));
     let build = pipeline(|op, wctx| {
         Box::new(SortOp::new(op, &[("t.key", SortOrder::Asc)], wctx.clone()).expect("sort"))
@@ -70,7 +55,7 @@ fn same_seed_same_rows_and_cost_across_worker_counts() {
         ..ChaosConfig::standard(0xC4A05)
     };
     let scan_run = |workers: usize| {
-        let ctx = ExecContext::new(CostClock::new(dyadic_params()), 1_000.0)
+        let ctx = ExecContext::with_memory(1_000.0)
             .with_chaos(ChaosPolicy::new(scan_only));
         let mut ex = ExchangeOp::parallel_scan(table(4_000), workers, ctx.clone());
         (collect(&mut ex), ctx.clock.breakdown().total().to_bits())
@@ -116,7 +101,7 @@ fn chaos_off_matches_a_context_that_never_heard_of_chaos() {
         let (rows_off, cost_off) = run(ChaosPolicy::off(), workers, 1_000.0);
         // A plain context (chaos defaulted, never touched): the pre-chaos
         // baseline this feature must not perturb.
-        let ctx = ExecContext::new(CostClock::new(dyadic_params()), 1_000.0);
+        let ctx = ExecContext::with_memory(1_000.0);
         let scan = Box::new(TableScanOp::new(table(4_000), ctx.clone()));
         let build = pipeline(|op, wctx| {
             Box::new(SortOp::new(op, &[("t.key", SortOrder::Asc)], wctx.clone()).expect("sort"))

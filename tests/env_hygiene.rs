@@ -11,7 +11,7 @@
 
 use std::path::{Path, PathBuf};
 
-const ENGINE_VARS: [&str; 3] = ["RQP_BATCH", "RQP_CHAOS_SEED", "RQP_PAGE_BUDGET"];
+const ENGINE_VARS: [&str; 2] = ["RQP_CHAOS_SEED", "RQP_PAGE_BUDGET"];
 const ENGINE_READER: &str = "crates/common/src/engine.rs";
 const RUN_VARS: [&str; 2] = ["RQP_EXP_OUTPUT", "RQP_LOADGEN_BIN"];
 const RUN_READER: &str = "crates/bench/src/bin/rqp_exp.rs";

@@ -2,7 +2,9 @@
 //! above the data size the engine must be **bit-identical** (rows and cost
 //! breakdown) to the pre-pool engine at 1, 2 and 8 workers on both the
 //! scalar and batch paths; below the data size it must stay row-identical
-//! and charge only the pager's fault surcharges; budget exhaustion must
+//! and charge only the pager's fault surcharges, and a planner-built scan
+//! must hold one pin at a time, even through a pool smaller than one batch;
+//! budget exhaustion must
 //! surface as the typed [`RqpError::PageBudgetExhausted`] — never a panic,
 //! never burned worker retries — and every termination path (full drain,
 //! partial drain, deadline abort, wire disconnect) must leave the pool with
@@ -24,24 +26,8 @@ use rqp_net::{WireClient, WireQueryOptions, WireServer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Dyadic cost weights (exact in binary floating point), so charges sum
-/// associatively and totals are bit-comparable across worker counts and
-/// batch shapes — the same trick the chaos and batch suites use.
-fn dyadic_params() -> CostModelParams {
-    CostModelParams {
-        rows_per_page: 128.0,
-        seq_page: 1.0,
-        rand_page: 4.0,
-        cpu_tuple: 1.0 / 256.0,
-        cpu_compare: 1.0 / 512.0,
-        hash_build: 1.0 / 64.0,
-        hash_probe: 1.0 / 128.0,
-        spill_page: 2.5,
-    }
-}
-
-/// 4,000 rows = 32 pages at 128 rows/page (the last one partial).
-const TABLE_PAGES: usize = 32;
+/// 4,000 rows = 40 pages at the default 100 rows/page.
+const TABLE_PAGES: usize = 40;
 
 fn table(n: i64) -> Arc<Table> {
     let schema = Schema::from_pairs(&[("id", DataType::Int), ("key", DataType::Int)]);
@@ -75,7 +61,7 @@ fn scan_run(
         t.attach_pool(&p);
         p
     });
-    let ctx = ExecContext::new(CostClock::new(dyadic_params()), 1_000.0).with_chaos(chaos);
+    let ctx = ExecContext::with_memory(1_000.0).with_chaos(chaos);
     let mut ex = if batch {
         ExchangeOp::try_parallel_batch_scan(t, workers, batch_pipeline(|op, _| op), ctx.clone())
             .expect("batch exchange")
@@ -159,7 +145,7 @@ fn chaos_page_faults_are_worker_count_invariant() {
 fn constrained_budget_stays_row_identical_and_charges_only_refaults() {
     // Bare-scan baseline (no exchange, no pool), charge bits per component.
     let plain = {
-        let ctx = ExecContext::new(CostClock::new(dyadic_params()), 1_000.0);
+        let ctx = ExecContext::with_memory(1_000.0);
         let rows = collect(&mut TableScanOp::new(table(4_000), ctx.clone()));
         let b = ctx.clock.breakdown();
         RunOutput {
@@ -179,7 +165,7 @@ fn constrained_budget_stays_row_identical_and_charges_only_refaults() {
     let pool = BufferPool::new(8);
     t.attach_pool(&pool);
     for pass in 0..2usize {
-        let ctx = ExecContext::new(CostClock::new(dyadic_params()), 1_000.0);
+        let ctx = ExecContext::with_memory(1_000.0);
         let rows = collect(&mut TableScanOp::new(Arc::clone(&t), ctx.clone()));
         assert_eq!(plain.rows, rows, "pass {pass}: constrained pool changed the rows");
         let b = ctx.clock.breakdown();
@@ -192,7 +178,7 @@ fn constrained_budget_stays_row_identical_and_charges_only_refaults() {
             assert_eq!(s.refaults, 0);
         } else {
             assert_eq!(s.refaults as usize, TABLE_PAGES, "second pass re-faults every page");
-            let expected = TABLE_PAGES as f64 * dyadic_params().rand_page;
+            let expected = TABLE_PAGES as f64 * CostModelParams::default().rand_page;
             assert_eq!(
                 b.rand_io.to_bits(),
                 expected.to_bits(),
@@ -211,12 +197,12 @@ fn page_budget_exhaustion_is_typed_and_propagates_through_the_exchange() {
     // An outside pin holds the only frame, so the scan's first fault cannot
     // evict: the pool must fail typed, and the exchange must propagate that
     // error as-is instead of burning lost-partition retries on it.
-    let clock = CostClock::new(dyadic_params());
+    let clock = CostClock::default_clock();
     let chaos = ChaosPolicy::off();
     let (_guard, _) = pool.pin("t", 0, &clock, &chaos).expect("guard pin");
     // The scan's first page is a hit on the guarded frame; page 1 needs a
     // second frame, finds the only one pinned, and must fail typed.
-    let ctx = ExecContext::new(CostClock::new(dyadic_params()), 1_000.0);
+    let ctx = ExecContext::with_memory(1_000.0);
     let err = match ExchangeOp::try_parallel_scan_with(
         Arc::clone(&t),
         1,
@@ -247,7 +233,7 @@ fn partial_drain_releases_every_pin() {
     let t = table(4_000);
     let pool = BufferPool::new(8);
     t.attach_pool(&pool);
-    let ctx = ExecContext::new(CostClock::new(dyadic_params()), 1_000.0);
+    let ctx = ExecContext::with_memory(1_000.0);
     let mut scan = TableScanOp::new(Arc::clone(&t), ctx.clone());
     for _ in 0..5 {
         scan.next().expect("row");
@@ -255,6 +241,35 @@ fn partial_drain_releases_every_pin() {
     assert_eq!(pool.pins(), 1, "a mid-page scan holds exactly its current page");
     drop(scan);
     assert_eq!(pool.pins(), 0, "dropping a part-way scan must release its pin");
+}
+
+#[test]
+fn planned_scan_holds_one_pin_through_a_pool_smaller_than_a_batch() {
+    // A batch is 1 024 rows, eleven pages; the pool has one or two frames.
+    // The planner's scan pins a page only while it reads it, like the
+    // scalar scan, so it completes and never holds more than one pin.
+    for frames in [1usize, 2] {
+        let mut catalog = rqp::Catalog::new();
+        catalog.add_table(Arc::try_unwrap(table(4_000)).expect("sole handle"));
+        let pool = BufferPool::new(frames);
+        catalog.table("t").expect("table").attach_pool(&pool);
+        let plan = rqp::opt::PhysicalPlan::TableScan {
+            table: "t".into(),
+            filter: Some(rqp::common::expr::col("t.id").ge(rqp::common::expr::lit(10i64))),
+            est_rows: 0.0,
+            est_cost: 0.0,
+        };
+        let ctx = ExecContext::with_memory(1_000.0);
+        let mut built = plan.build(&catalog, &ctx, None).expect("build");
+        let mut rows = 0;
+        while built.root.next().is_some() {
+            rows += 1;
+            assert!(pool.pins() <= 1, "{frames} frames: {} pins held mid-scan", pool.pins());
+        }
+        assert_eq!(rows, 3_990, "{frames} frames");
+        assert_eq!(pool.pins(), 0, "{frames} frames: drained scan leaked pins");
+        assert_eq!(pool.stats().cold_loads as usize, TABLE_PAGES, "{frames} frames");
+    }
 }
 
 fn paged_service(db: &TpchDb, mpl: usize, pages: usize) -> Arc<QueryService> {

@@ -12,8 +12,7 @@
 
 use rqp::common::expr::{col, lit};
 use rqp::common::{EngineConfig, Row, RqpError, Value};
-use rqp::exec::ExecContext;
-use rqp::opt::{PhysicalPlan, QuerySpec};
+use rqp::opt::QuerySpec;
 use rqp::server::{QueryOptions, QueryService, ServiceConfig, SubscribeOptions};
 use rqp::storage::Table;
 use rqp::stream::canonicalize;
@@ -166,23 +165,8 @@ fn ambient_engine_switches_reach_default_contexts_and_services() {
     let ambient = EngineConfig::ambient();
     let db = small_db();
 
-    let ctx = ExecContext::unbounded();
-    assert_eq!(ctx.batch, ambient.batch);
-    let scan = PhysicalPlan::TableScan {
-        table: "lineitem".into(),
-        filter: None,
-        est_rows: 0.0,
-        est_cost: 0.0,
-    };
-    assert_eq!(scan.build(&db.catalog, &ctx, None).expect("build").run().len(), 4_000);
-    let batch_scanned = ctx.tracer.snapshot().iter().any(|s| s.kind == "batch_scan");
-    assert_eq!(batch_scanned, ambient.batch, "a default-context scan follows the batch switch");
-
     let config = ServiceConfig::default();
-    assert_eq!(
-        (config.batch, config.chaos_seed, config.page_budget),
-        (ambient.batch, ambient.chaos_seed, ambient.page_budget)
-    );
+    assert_eq!((config.chaos_seed, config.page_budget), (ambient.chaos_seed, ambient.page_budget));
     let svc = QueryService::new(&db.catalog, config.clone());
     assert_eq!(svc.pager().map(|pool| pool.budget()), ambient.page_budget);
 

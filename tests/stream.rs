@@ -1,6 +1,6 @@
 //! Acceptance tests for standing subscriptions: the maintained view must be
 //! **bit-identical** to re-running the spec from scratch after every drained
-//! churn interleaving — under whatever batch switch and chaos seed the CI
+//! churn interleaving — under whatever chaos seed and page budget the CI
 //! matrix sets (chaos inflates propagation cost with
 //! retry charges; it must never change the maintained rows) — and every
 //! teardown path (explicit unsubscribe, deadline abort, token cancel,
@@ -379,7 +379,7 @@ fn replay_packet(view: &mut Vec<Row>, p: &DeltaPacket, what: &str) {
 
 /// Seeded inserts *and* retractions over every menu shape: after each poll
 /// the packets replayed onto a copy, the maintained view and a cold engine
-/// re-run (under whatever batch switch and chaos seed the CI leg sets) are the same rows — and once every base row is deleted, each
+/// re-run (under whatever chaos seed the CI leg sets) are the same rows — and once every base row is deleted, each
 /// circuit's counted state is byte-for-byte an empty circuit's: no key,
 /// bucket, group or multiset value lingers.
 #[test]
