@@ -2,7 +2,6 @@
 
 use super::harness::{self, Harness, RunEnv};
 use rand::Rng;
-use rqp::adaptive::pop::{run_standard, run_with_pop, EstimatorWrapper, PopConfig};
 use rqp::common::StringDict;
 use rqp::exec::exchange::{pipeline, ExchangeOp, Partitioning};
 use rqp::exec::{
@@ -12,7 +11,7 @@ use rqp::exec::{
 };
 use rqp::expr::{col, lit};
 use rqp::metrics::{smoothness, ReportTable};
-use rqp::opt::PlannerConfig;
+use rqp::opt::run::{execute, EstimatorWrapper, ExecutionMode, PlanInputs};
 use rqp::stats::{LyingEstimator, TableStatsRegistry};
 use rqp::storage::AdaptiveMergeIndex;
 use rqp::telemetry::scoreboard::samples;
@@ -35,10 +34,10 @@ pub fn a01_pop_theta(env: &RunEnv) -> String {
             Box::new(LyingEstimator::new(e).with_table_factor("lineitem", 1.0 / 12.0))
         });
         let spec = db.q3(1, 1200);
-        let cfg = PlannerConfig::default();
-        let ctx = ExecContext::unbounded();
-        let (_, std_cost) =
-            run_standard(&spec, &db.catalog, &registry, wrap.as_ref(), cfg, &ctx).expect("std");
+        let inputs = PlanInputs { lie: wrap.as_ref(), ..PlanInputs::new(&db.catalog, &registry) };
+        let std_cost = execute(&spec, &inputs, ExecutionMode::Static, &ExecContext::unbounded())
+            .expect("std")
+            .cost;
         let thetas = [1.5, 2.0, 5.0, 20.0, 100.0];
         h.config("thetas", thetas.len());
         let mut t = ReportTable::new(&["theta", "reopts", "POP cost", "vs standard"]);
@@ -50,16 +49,8 @@ pub fn a01_pop_theta(env: &RunEnv) -> String {
             // CHECK-instrumented trace lands in the report.
             let ctx = if i + 1 == thetas.len() { h.ctx().clone() } else { ExecContext::unbounded() };
             let start = ctx.clock.now();
-            let report = run_with_pop(
-                &spec,
-                &db.catalog,
-                &registry,
-                wrap.as_ref(),
-                cfg,
-                PopConfig { theta, max_reopts: 3 },
-                &ctx,
-            )
-            .expect("pop");
+            let report = execute(&spec, &inputs, ExecutionMode::Pop { theta, max_reopts: 3 }, &ctx)
+                .expect("pop");
             let cost = ctx.clock.now() - start;
             best = best.min(cost);
             gaps.push((cost - std_cost).abs());
@@ -67,8 +58,8 @@ pub fn a01_pop_theta(env: &RunEnv) -> String {
             t.row(&[
                 format!("{theta}"),
                 format!("{}", report.reoptimizations()),
-                format!("{:.0}", report.total_cost),
-                format!("{:.2}x", report.total_cost / std_cost),
+                format!("{:.0}", report.cost),
+                format!("{:.2}x", report.cost / std_cost),
             ]);
         }
         h.perf_gaps(&gaps);

@@ -1,14 +1,14 @@
 //! E08, E19, E22: cardinality-estimation robustness.
 
 use super::harness::{self, Harness, RunEnv};
-use rqp::adaptive::run_with_feedback;
 use rqp::exec::ExecContext;
 use rqp::expr::col;
 use rqp::metrics::{cardinality_error_geomean, metric1, metric3, ReportTable};
+use rqp::opt::run::{execute, EstimatorWrapper, ExecutionMode, PlanInputs};
 use rqp::opt::{plan, PlannerConfig};
 use rqp::stats::{
-    CardEstimator, FeedbackEstimator, FeedbackRepo, LyingEstimator, MaxEntSolver,
-    OracleEstimator, SamplingEstimator, StatsEstimator, TableStatsRegistry,
+    CardEstimator, FeedbackRepo, LyingEstimator, MaxEntSolver, OracleEstimator,
+    SamplingEstimator, StatsEstimator, TableStatsRegistry,
 };
 use rqp::workload::star::StarParams;
 use rqp::workload::{BlackHatDb, StarDb};
@@ -151,14 +151,13 @@ fn e19_body(h: &mut Harness) -> String {
         StarParams { fact_rows, correlated_fks: true, ..Default::default() },
         h.note_seed("db", 19),
     );
-    let reg = Rc::new(TableStatsRegistry::analyze_catalog(&db.catalog, 32));
+    let reg = TableStatsRegistry::analyze_catalog(&db.catalog, 32);
     let repo = Rc::new(RefCell::new(FeedbackRepo::new(0.8)));
     // Base estimator underestimates the fact table 40×.
-    let lying = LyingEstimator::new(Box::new(StatsEstimator::new(Rc::clone(&reg))))
-        .with_table_factor("fact", 1.0 / 40.0);
-    let with_feedback = FeedbackEstimator::new(Box::new(lying), Rc::clone(&repo));
-    let without = LyingEstimator::new(Box::new(StatsEstimator::new(Rc::clone(&reg))))
-        .with_table_factor("fact", 1.0 / 40.0);
+    let lie: &EstimatorWrapper<'_> =
+        &|e| Box::new(LyingEstimator::new(e).with_table_factor("fact", 1.0 / 40.0));
+    let plain = PlanInputs { lie, ..PlanInputs::new(&db.catalog, &reg) };
+    let with_feedback = PlanInputs { feedback: Some(&repo), ..plain };
 
     // Queries with *fact-side* filters, the locus of the injected error.
     let workload: Vec<QuerySpec> = vec![
@@ -179,28 +178,11 @@ fn e19_body(h: &mut Harness) -> String {
         for q in &workload {
             // LEO runs share the harness context: its leo.q_error histogram
             // and leo.correction events accumulate across the epochs.
-            let r = run_with_feedback(
-                q,
-                &db.catalog,
-                &with_feedback,
-                &repo,
-                PlannerConfig::default(),
-                h.ctx(),
-            )
-            .expect("leo run");
+            let r = execute(q, &with_feedback, ExecutionMode::Leo, h.ctx()).expect("leo run");
             worst_leo = worst_leo.max(r.max_q_error());
-            // Plain: same measurement, results discarded.
-            let scratch = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
-            let ctx = ExecContext::unbounded();
-            let r = run_with_feedback(
-                q,
-                &db.catalog,
-                &without,
-                &scratch,
-                PlannerConfig::default(),
-                &ctx,
-            )
-            .expect("plain run");
+            // Plain: same measurement, nothing learned.
+            let r = execute(q, &plain, ExecutionMode::Static, &ExecContext::unbounded())
+                .expect("plain run");
             worst_plain = worst_plain.max(r.max_q_error());
         }
         if epoch == 0 {

@@ -17,11 +17,10 @@
 
 use super::harness::{self, Harness, RunEnv};
 use rand::Rng;
-use rqp::adaptive::pop::{run_standard, run_with_pop, EstimatorWrapper, PopConfig};
 use rqp::common::rng::child_seed;
 use rqp::exec::ExecContext;
 use rqp::metrics::{BoxPlot, ReportTable, Summary};
-use rqp::opt::PlannerConfig;
+use rqp::opt::run::{execute, EstimatorWrapper, ExecutionMode, PlanInputs};
 use rqp::stats::{LyingEstimator, TableStatsRegistry};
 use rqp::workload::{tpch::TpchParams, TpchDb};
 
@@ -58,24 +57,13 @@ pub fn run_pop_workload(h: &mut Harness) -> Vec<PopPoint> {
         let wrap: Box<EstimatorWrapper<'_>> = Box::new(move |e| {
             Box::new(LyingEstimator::new(e).with_table_factor("lineitem", factor))
         });
-        let cfg = PlannerConfig::default();
-        let ctx = ExecContext::unbounded();
-        let (rows_std, standard) =
-            run_standard(&spec, &db.catalog, &registry, wrap.as_ref(), cfg, &ctx)
-                .expect("standard run");
-        let ctx = ExecContext::unbounded();
-        let report = run_with_pop(
-            &spec,
-            &db.catalog,
-            &registry,
-            wrap.as_ref(),
-            cfg,
-            PopConfig::default(),
-            &ctx,
-        )
-        .expect("pop run");
-        assert_eq!(rows_std.len(), report.rows.len(), "POP must not change answers");
-        out.push(PopPoint { standard, pop: report.total_cost, reopts: report.reoptimizations() });
+        let inputs = PlanInputs { lie: wrap.as_ref(), ..PlanInputs::new(&db.catalog, &registry) };
+        let run = |mode| execute(&spec, &inputs, mode, &ExecContext::unbounded());
+        let standard = run(ExecutionMode::Static).expect("standard run");
+        let pop = run(ExecutionMode::pop()).expect("pop run");
+        assert_eq!(standard.rows.len(), pop.rows.len(), "POP must not change answers");
+        let reopts = pop.reoptimizations();
+        out.push(PopPoint { standard: standard.cost, pop: pop.cost, reopts });
     }
     // The workload's paper-metric samples: per-query gap between the
     // regimes (smoothness of improvement), and the static regime's
@@ -107,16 +95,8 @@ fn instrument_e01(h: &mut Harness, points: &[PopPoint]) {
     let wrap: Box<EstimatorWrapper<'_>> = Box::new(|e| {
         Box::new(LyingEstimator::new(e).with_table_factor("lineitem", 0.01))
     });
-    run_with_pop(
-        &db.q3(1, 1200),
-        &db.catalog,
-        &registry,
-        wrap.as_ref(),
-        PlannerConfig::default(),
-        PopConfig::default(),
-        h.ctx(),
-    )
-    .expect("traced POP run");
+    let inputs = PlanInputs { lie: wrap.as_ref(), ..PlanInputs::new(&db.catalog, &registry) };
+    execute(&db.q3(1, 1200), &inputs, ExecutionMode::pop(), h.ctx()).expect("traced POP run");
 }
 
 /// E01 — Figure 1: aggregated improvement (box plots).

@@ -1,69 +1,13 @@
 //! The high-level `Database` facade.
 
-use rqp_adaptive::pop::{no_lies, run_with_pop, PopConfig};
-use rqp_adaptive::run_with_feedback;
-use rqp_common::{Result, Row, RqpError};
+use rqp_common::Result;
 use rqp_exec::ExecContext;
-use rqp_opt::robust::{robust_plan, RobustMode};
+use rqp_opt::run::{execute, Execution, ExecutionMode, PlanInputs};
 use rqp_opt::{plan as plan_query, PhysicalPlan, PlannerConfig, QuerySpec};
-use rqp_stats::{
-    CardEstimator, FeedbackEstimator, FeedbackRepo, LyingEstimator, StatsEstimator,
-    TableStatsRegistry,
-};
+use rqp_stats::{FeedbackRepo, StatsEstimator, TableStatsRegistry};
 use rqp_storage::{Catalog, Table};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// How a query should be optimized and executed.
-#[derive(Debug, Clone, Copy)]
-pub enum ExecutionMode {
-    /// Classic compile-time optimization, run to completion.
-    Static,
-    /// Babcock–Chaudhuri robust plan choice at the given cost percentile,
-    /// hedging against per-table estimation error of the given factor.
-    Robust {
-        /// Cost percentile to minimize (e.g. 0.9).
-        percentile: f64,
-        /// Assumed possible estimation-error factor.
-        error_factor: f64,
-    },
-    /// Progressive optimization: CHECK operators + mid-query re-optimization.
-    Pop {
-        /// Validity-range threshold θ.
-        theta: f64,
-        /// Re-optimization budget.
-        max_reopts: usize,
-    },
-    /// Execute with LEO feedback: estimates corrected by (and actuals
-    /// recorded into) the database's feedback repository.
-    Leo,
-}
-
-impl ExecutionMode {
-    /// POP with default parameters.
-    pub fn pop() -> Self {
-        let d = PopConfig::default();
-        ExecutionMode::Pop { theta: d.theta, max_reopts: d.max_reopts }
-    }
-
-    /// Robust with default parameters (90th percentile, 20× error box).
-    pub fn robust() -> Self {
-        ExecutionMode::Robust { percentile: 0.9, error_factor: 20.0 }
-    }
-}
-
-/// Result of executing a query.
-#[derive(Debug)]
-pub struct QueryResult {
-    /// The rows.
-    pub rows: Vec<Row>,
-    /// Cost-clock units charged.
-    pub cost: f64,
-    /// Fingerprint of the (final) plan executed.
-    pub plan: String,
-    /// Mid-query re-optimizations (POP only; 0 otherwise).
-    pub reoptimizations: usize,
-}
 
 /// A catalog plus statistics, feedback state and configuration — the
 /// top-level entry point.
@@ -153,103 +97,19 @@ impl Database {
     }
 
     /// Execute with classic static optimization.
-    pub fn execute(&self, spec: &QuerySpec) -> Result<QueryResult> {
+    pub fn execute(&self, spec: &QuerySpec) -> Result<Execution> {
         self.execute_mode(spec, ExecutionMode::Static)
     }
 
-    /// Execute under the given mode.
-    pub fn execute_mode(&self, spec: &QuerySpec, mode: ExecutionMode) -> Result<QueryResult> {
-        match mode {
-            ExecutionMode::Static => {
-                let plan = self.plan(spec)?;
-                let ctx = ExecContext::with_memory(self.planner_config.memory_rows);
-                let fingerprint = plan.fingerprint();
-                let rows = plan.build(&self.catalog, &ctx, None)?.run();
-                Ok(QueryResult {
-                    rows,
-                    cost: ctx.clock.now(),
-                    plan: fingerprint,
-                    reoptimizations: 0,
-                })
-            }
-            ExecutionMode::Robust { percentile, error_factor } => {
-                if error_factor < 1.0 {
-                    return Err(RqpError::Invalid("error_factor must be ≥ 1".into()));
-                }
-                // Scenarios: the point estimate plus over/under scenarios
-                // for every table in the query.
-                let base = self.estimator();
-                let mut scenarios: Vec<Box<dyn CardEstimator>> =
-                    vec![Box::new(base.clone())];
-                for t in &spec.tables {
-                    for f in [1.0 / error_factor, error_factor] {
-                        scenarios.push(Box::new(
-                            LyingEstimator::new(Box::new(base.clone()))
-                                .with_table_factor(t, f),
-                        ));
-                    }
-                }
-                let choice = robust_plan(
-                    spec,
-                    &self.catalog,
-                    &scenarios,
-                    self.planner_config,
-                    RobustMode::Percentile(percentile),
-                )?;
-                let ctx = ExecContext::with_memory(self.planner_config.memory_rows);
-                let fingerprint = choice.plan.fingerprint();
-                let rows = choice.plan.build(&self.catalog, &ctx, None)?.run();
-                Ok(QueryResult {
-                    rows,
-                    cost: ctx.clock.now(),
-                    plan: fingerprint,
-                    reoptimizations: 0,
-                })
-            }
-            ExecutionMode::Pop { theta, max_reopts } => {
-                let ctx = ExecContext::with_memory(self.planner_config.memory_rows);
-                let report = run_with_pop(
-                    spec,
-                    &self.catalog,
-                    &self.registry,
-                    &no_lies,
-                    self.planner_config,
-                    PopConfig { theta, max_reopts },
-                    &ctx,
-                )?;
-                Ok(QueryResult {
-                    plan: report
-                        .rounds
-                        .last()
-                        .map(|r| r.plan_fingerprint.clone())
-                        .unwrap_or_default(),
-                    reoptimizations: report.reoptimizations(),
-                    cost: report.total_cost,
-                    rows: report.rows,
-                })
-            }
-            ExecutionMode::Leo => {
-                let est = FeedbackEstimator::new(
-                    Box::new(self.estimator()),
-                    Rc::clone(&self.feedback),
-                );
-                let ctx = ExecContext::with_memory(self.planner_config.memory_rows);
-                let report = run_with_feedback(
-                    spec,
-                    &self.catalog,
-                    &est,
-                    &self.feedback,
-                    self.planner_config,
-                    &ctx,
-                )?;
-                Ok(QueryResult {
-                    plan: report.plan_fingerprint.clone(),
-                    cost: report.cost,
-                    rows: report.rows,
-                    reoptimizations: 0,
-                })
-            }
-        }
+    /// Execute under the given mode, on a fresh context with the planner's
+    /// memory budget. LEO reads and writes [`Database::feedback`].
+    pub fn execute_mode(&self, spec: &QuerySpec, mode: ExecutionMode) -> Result<Execution> {
+        let inputs = PlanInputs {
+            feedback: Some(&self.feedback),
+            config: self.planner_config,
+            ..PlanInputs::new(&self.catalog, &self.registry)
+        };
+        execute(spec, &inputs, mode, &ExecContext::with_memory(self.planner_config.memory_rows))
     }
 }
 
@@ -264,6 +124,7 @@ mod tests {
     use super::*;
     use rqp_common::expr::{col, lit};
     use rqp_common::{DataType, Schema, Value};
+    use rqp_stats::CardEstimator;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -295,8 +156,8 @@ mod tests {
         let r = db.execute(&join_spec()).unwrap();
         assert_eq!(r.rows.len(), 500, "100 t-rows × 5 matching u-rows");
         assert!(r.cost > 0.0);
-        assert!(!r.plan.is_empty());
-        assert_eq!(r.reoptimizations, 0);
+        assert!(!r.plan_fingerprint.is_empty());
+        assert_eq!(r.reoptimizations(), 0);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! | [`storage`] | `rqp-storage` | tables, B-trees, **database cracking**, **adaptive merging**, shared scans |
 //! | [`stats`] | `rqp-stats` | histograms, self-tuning histograms, sampling posteriors, **maximum-entropy selectivity**, q-error, **LEO feedback** |
 //! | [`exec`] | `rqp-exec` | Volcano operators: joins (hash/merge/INL/BNL/**g-join**/symmetric), sort, aggregation, **eddies**, **A-Greedy**, **POP CHECK** |
-//! | [`opt`] | `rqp-opt` | DP optimizer, **robust (percentile) plan choice**, **plan diagrams + anorexic reduction**, **validity ranges**, **Rio boxes**, parametric cache |
-//! | [`adaptive`] | `rqp-adaptive` | **POP** and **LEO** drivers, the adaptivity loop |
+//! | [`opt`] | `rqp-opt` | DP optimizer, **robust (percentile) plan choice**, **plan diagrams + anorexic reduction**, **validity ranges**, **Rio boxes**, parametric cache, the run loop with its **POP** and **LEO** modes |
 //! | [`physical`] | `rqp-physical` | index advisor (classic and **Risk/Generality**), drift evaluation, stats-refresh disasters |
 //! | [`workload`] | `rqp-workload` | TPC-H-like / star / OLTP generators, black-hat traps, tractor pull, FMT/FPT, workload manager |
 //! | [`server`] | `rqp-server` | concurrent query service: sessions, MPL admission, cross-query memory brokering, plan cache, cooperative cancellation, standing subscriptions |
@@ -47,7 +46,6 @@
 
 #![warn(missing_docs)]
 
-pub use rqp_adaptive as adaptive;
 pub use rqp_common as common;
 pub use rqp_exec as exec;
 pub use rqp_metrics as metrics;
@@ -62,10 +60,10 @@ pub use rqp_workload as workload;
 
 mod db;
 
-pub use db::{Database, ExecutionMode, QueryResult};
+pub use db::Database;
 
 // The most-used types, re-exported flat.
 pub use rqp_common::{expr, DataType, Expr, Row, Schema, Value};
 pub use rqp_exec::{AggFunc, AggSpec, ExecContext};
-pub use rqp_opt::{PhysicalPlan, PlannerConfig, QuerySpec};
+pub use rqp_opt::{Execution, ExecutionMode, PhysicalPlan, PlannerConfig, QuerySpec};
 pub use rqp_storage::{Catalog, Table};

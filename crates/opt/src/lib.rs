@@ -1,7 +1,7 @@
 //! # rqp-opt
 //!
 //! The cost-based query optimizer, plus every *plan-robustness* technique the
-//! Dagstuhl report catalogues:
+//! Dagstuhl report catalogues, and the one run loop that executes its plans:
 //!
 //! * [`query`] — the conjunctive-query descriptor ([`query::QuerySpec`]) the
 //!   planner consumes;
@@ -23,18 +23,24 @@
 //! * [`rio`] — **Rio** bounding boxes (Babu, Bizarro, DeWitt): uncertainty-
 //!   scaled corner checks that classify a plan as robust or switchable;
 //! * [`parametric`] — a parametric plan cache (PQO-lite): reuse plans across
-//!   parameter values that land in the same selectivity bucket.
+//!   parameter values that land in the same selectivity bucket;
+//! * [`run`] — the run loop every query goes through: static, robust,
+//!   **POP** (progressive optimization) and **LEO** (learning from
+//!   execution feedback) execution of a [`QuerySpec`].
 
 #![warn(missing_docs)]
 
 pub mod cost;
+mod leo;
 pub mod parametric;
 pub mod physical;
 pub mod plandiagram;
 pub mod planner;
+mod pop;
 pub mod query;
 pub mod rio;
 pub mod robust;
+pub mod run;
 pub mod validity;
 
 pub use cost::CostModel;
@@ -45,4 +51,5 @@ pub use planner::{plan, Planner, PlannerConfig};
 pub use query::{JoinEdge, QuerySpec};
 pub use rio::{RioAnalysis, RioRobustness, UncertaintyLevel};
 pub use robust::{robust_plan, RobustChoice, RobustMode};
+pub use run::{execute, Execution, ExecutionMode, PlanInputs};
 pub use validity::validity_range;

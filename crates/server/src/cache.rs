@@ -9,9 +9,13 @@
 //!   (the deterministic query-shape fingerprint) and hold the planned
 //!   [`PhysicalPlan`] — plain data, cheap to clone onto a query thread;
 //! * after every execution the service reports the plan's observed maximum
-//!   node q-error; when it exceeds the drift threshold the entry is
-//!   **invalidated**, so the next submission re-plans under the by-then
-//!   feedback-corrected estimator instead of riding the stale plan.
+//!   q-error over the nodes LEO learns from — filtered scans, index scans
+//!   and joins, the nodes with a feedback signature; when it exceeds the
+//!   drift threshold the entry is **invalidated**, so the next submission
+//!   re-plans under the by-then feedback-corrected estimator instead of
+//!   riding the stale plan. Aggregates, sorts, top-N and projections carry
+//!   no signature: no feedback moves their estimates, so a re-plan would
+//!   only rebuild the same plan, and their q-error never evicts one.
 //!
 //! That is the LEO loop at service granularity: plan → execute → observe →
 //! drift past θ → replan.
@@ -65,9 +69,9 @@ impl PlanCache {
         self.entries.lock().expect("plan cache lock").insert(key, plan);
     }
 
-    /// Report an execution of `key`'s plan with the observed maximum node
-    /// q-error. Past the drift threshold the entry is dropped; returns
-    /// whether an invalidation happened.
+    /// Report an execution of `key`'s plan with its observed maximum
+    /// q-error over learnable nodes. Past the drift threshold the entry is
+    /// dropped; returns whether an invalidation happened.
     pub fn note_execution(&self, key: &str, max_q_error: f64) -> bool {
         if max_q_error.is_finite() && max_q_error <= self.drift_threshold {
             return false;

@@ -10,6 +10,7 @@ use crate::subs::{SubscribeOptions, Subscription, SubscriptionRegistry};
 use rqp_common::chaos::{install_quiet_panic_hook, ChaosPolicy};
 use rqp_common::{percentile, CancelToken, CostClock, EngineConfig, Result, Row, RqpError};
 use rqp_exec::{ExecContext, MemoryGovernor};
+use rqp_opt::run::{learn, run_plan};
 use rqp_opt::{plan, PlannerConfig, QuerySpec};
 use rqp_stats::{FeedbackEstimator, FeedbackRepo, StatsEstimator, TableStatsRegistry};
 use rqp_storage::{Catalog, CatalogSnapshot, Changelog};
@@ -22,6 +23,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+/// Service capacity in cost units per virtual time unit, used by the
+/// deterministic schedule replay that derives the latency gauges.
+const CAPACITY: f64 = 1.0;
+
+/// Exponential-smoothing weight of new LEO feedback observations.
+const FEEDBACK_SMOOTHING: f64 = 0.5;
+
 /// Service-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -31,13 +39,9 @@ pub struct ServiceConfig {
     pub memory_rows: f64,
     /// Default per-query workspace ask when a submission does not set one.
     pub default_reservation: f64,
-    /// Plan-cache invalidation threshold on the executed max node q-error.
+    /// Plan-cache invalidation threshold on the executed plan's maximum
+    /// q-error over the nodes LEO learns from.
     pub drift_threshold: f64,
-    /// Service capacity in cost units per virtual time unit, used by the
-    /// deterministic schedule replay that derives the latency gauges.
-    pub capacity: f64,
-    /// Exponential-smoothing weight of new LEO feedback observations.
-    pub feedback_smoothing: f64,
     /// Flight-recorder ring capacity (events retained for EVENTS tailing).
     pub recorder_capacity: usize,
     /// Page budget (frames) of the brokered buffer pool. `Some(n)` creates a
@@ -57,8 +61,6 @@ impl ServiceConfig {
             memory_rows: 40_000.0,
             default_reservation: 10_000.0,
             drift_threshold: 4.0,
-            capacity: 1.0,
-            feedback_smoothing: 0.5,
             recorder_capacity: 4096,
             page_budget: engine.page_budget,
             chaos_seed: engine.chaos_seed,
@@ -254,7 +256,7 @@ impl QueryService {
             broker,
             live,
             plan_cache: PlanCache::new(config.drift_threshold),
-            feedback: Mutex::new(FeedbackRepo::new(config.feedback_smoothing)),
+            feedback: Mutex::new(FeedbackRepo::new(FEEDBACK_SMOOTHING)),
             metrics: MetricsRegistry::new(),
             tracer: Tracer::new(),
             trace_merge: Mutex::new(()),
@@ -678,13 +680,12 @@ impl QueryService {
             })
             .collect();
         if !jobs.is_empty() {
-            let capacity = inner.config.capacity.max(1e-9);
-            let sim = WorkloadManager::new(inner.admission.mpl(), capacity).simulate(&jobs);
+            let sim = WorkloadManager::new(inner.admission.mpl(), CAPACITY).simulate(&jobs);
             let arrivals: HashMap<usize, f64> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
             let mut responses: Vec<f64> = sim.jobs.iter().map(|j| j.response).collect();
             let mut waits: Vec<f64> =
                 sim.jobs.iter().map(|j| (j.start - arrivals[&j.id]).max(0.0)).collect();
-            let mut solos: Vec<f64> = jobs.iter().map(|j| j.demand / capacity).collect();
+            let mut solos: Vec<f64> = jobs.iter().map(|j| j.demand / CAPACITY).collect();
             responses.sort_by(|a, b| a.total_cmp(b));
             waits.sort_by(|a, b| a.total_cmp(b));
             solos.sort_by(|a, b| a.total_cmp(b));
@@ -851,23 +852,12 @@ fn execute(
         }
     };
     let fingerprint = phys.fingerprint();
-    type RunPayload = (Vec<rqp_common::Row>, f64, Vec<(String, f64, f64)>);
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<RunPayload> {
-        let mut built = phys.build(&catalog, &ctx, None)?;
-        let rows = built.run();
-        let mut max_q = 1.0_f64;
-        let mut observations = Vec::new();
-        for m in &built.meters {
-            let actual = m.actual_rows() as f64;
-            let q = (m.est_rows.max(1.0) / actual.max(1.0))
-                .max(actual.max(1.0) / m.est_rows.max(1.0));
-            max_q = max_q.max(q);
-            if let Some(sig) = &m.feedback_signature {
-                observations.push((sig.clone(), m.est_rows, actual));
-            }
-        }
-        Ok((rows, max_q, observations))
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_plan(&phys, &catalog, None, &ctx)
     }));
+    if let Ok(Ok(exec)) = &run {
+        learn(exec, &mut svc.feedback.lock().expect("feedback lock"), &ctx);
+    }
     let demand = ctx.clock.now();
     // Republish span-carried adaptive decisions (chaos injections, governor
     // pressure, POP/LEO corrections) to the flight recorder, keeping their
@@ -888,18 +878,13 @@ fn execute(
         qspan.close(&ctx.clock);
     }
     match run {
-        Ok(Ok((rows, max_q_error, observations))) => {
-            {
-                let mut repo = svc.feedback.lock().expect("feedback lock");
-                for (sig, est, actual) in &observations {
-                    repo.observe(sig, *est, *actual);
-                }
-            }
+        Ok(Ok(exec)) => {
+            let max_q_error = exec.max_q_error();
             svc.plan_cache.note_execution(&key, max_q_error);
             let outcome = QueryOutcome {
                 query,
                 session,
-                rows,
+                rows: exec.rows,
                 cost: demand,
                 fingerprint,
                 plan_cached,
@@ -917,5 +902,78 @@ fn execute(
             }
             Err(other) => std::panic::resume_unwind(other),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rqp_common::expr::{col, lit};
+    use rqp_common::{DataType, Schema, Value};
+    use rqp_opt::run::{execute, ExecutionMode, PlanInputs};
+    use rqp_storage::Table;
+    use rqp_workload::{tpch::TpchParams, TpchDb};
+
+    #[test]
+    fn aggregate_q_error_never_evicts_a_cached_plan() {
+        // q1's and q3's worst q-errors sit on aggregate and sort nodes, which
+        // no feedback corrects: re-planning would rebuild the same plan.
+        let db = TpchDb::build(TpchParams { lineitem_rows: 4000, ..Default::default() }, 7);
+        let svc = QueryService::new(&db.catalog, ServiceConfig::default());
+        for spec in [db.q1(90), db.q3(1, 1200)] {
+            assert!(!svc.run_solo(&spec).unwrap().plan_cached);
+            let again = svc.run_solo(&spec).unwrap();
+            assert!(again.plan_cached, "{} was evicted", again.fingerprint);
+        }
+        assert_eq!(svc.plan_cache().invalidations(), 0);
+    }
+
+    #[test]
+    fn the_service_learns_what_leo_learns() {
+        // `t.a` and `t.b` are equal, so the independence assumption
+        // underestimates their conjunction 10× and the join above inherits it.
+        let mut catalog = Catalog::new();
+        let schema =
+            Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int), ("g", DataType::Int)]);
+        let mut t = Table::new("t", schema);
+        for i in 0..4000i64 {
+            t.append(vec![Value::Int(i % 100), Value::Int(i % 100), Value::Int(i % 40)]);
+        }
+        catalog.add_table(t);
+        let mut u = Table::new("u", Schema::from_pairs(&[("g", DataType::Int)]));
+        for i in 0..400i64 {
+            u.append(vec![Value::Int(i % 40)]);
+        }
+        catalog.add_table(u);
+        let spec = QuerySpec::new()
+            .join("t", "g", "u", "g")
+            .filter("t", col("t.a").lt(lit(10i64)).and(col("t.b").lt(lit(10i64))));
+
+        let config = ServiceConfig::default();
+        let registry = TableStatsRegistry::analyze_catalog(&catalog, 32);
+        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
+        let inputs = PlanInputs {
+            feedback: Some(&repo),
+            config: PlannerConfig { memory_rows: config.default_reservation, ..Default::default() },
+            ..PlanInputs::new(&catalog, &registry)
+        };
+        let leo = execute(&spec, &inputs, ExecutionMode::Leo, &ExecContext::unbounded()).unwrap();
+        let join = leo
+            .observations
+            .iter()
+            .find(|o| o.signature.as_deref().is_some_and(|s| s.starts_with("join|")))
+            .expect("a metered join");
+        let sig = join.signature.as_deref().unwrap();
+        let learned = repo.borrow().adjustment(sig).unwrap();
+        let raw = (join.actual as f64).max(1.0) / join.estimated.max(1.0);
+        assert!(raw > 2.0 * learned, "the join inherits its input's error: {raw} vs {learned}");
+
+        let svc = QueryService::new(&catalog, config);
+        let outcome = svc.run_solo(&spec).unwrap();
+        assert_eq!(outcome.fingerprint, leo.plan_fingerprint);
+        let served = svc.inner.feedback.lock().unwrap().adjustment(sig);
+        assert_eq!(served, Some(learned), "the service stores LEO's normalised factor");
+        let events = svc.stats().recorder().tail(0, usize::MAX).events;
+        assert!(events.iter().any(|e| e.kind == "leo.correction"), "{events:?}");
     }
 }

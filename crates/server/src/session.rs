@@ -78,7 +78,10 @@ pub struct QueryOutcome {
     pub fingerprint: String,
     /// Whether the plan came from the plan cache.
     pub plan_cached: bool,
-    /// Maximum per-node q-error observed during execution (LEO drift).
+    /// Maximum q-error over the executed plan's nodes LEO learns from
+    /// (filtered scans, index scans and joins; see
+    /// [`Execution::max_q_error`](rqp_opt::Execution::max_q_error)): the
+    /// plan cache's drift signal.
     pub max_q_error: f64,
 }
 

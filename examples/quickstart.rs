@@ -83,7 +83,7 @@ fn main() {
         println!(
             "mode {name:<7} cost {:>9.1}  plan {}",
             r.cost,
-            &r.plan[..r.plan.len().min(60)]
+            &r.plan_fingerprint[..r.plan_fingerprint.len().min(60)]
         );
     }
 }

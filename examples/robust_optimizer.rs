@@ -13,13 +13,12 @@
 //! cargo run --release -p rqp --example robust_optimizer
 //! ```
 
-use rqp::adaptive::pop::{run_standard, run_with_pop, EstimatorWrapper, PopConfig};
 use rqp::exec::ExecContext;
 use rqp::expr::{col, lit};
 use rqp::metrics::ReportTable;
-use rqp::opt::robust::{robust_plan, RobustMode};
-use rqp::opt::{plan, PlannerConfig};
-use rqp::stats::{CardEstimator, LyingEstimator, OracleEstimator, StatsEstimator, TableStatsRegistry};
+use rqp::opt::plan;
+use rqp::opt::run::{execute, run_plan, EstimatorWrapper, Execution, ExecutionMode, PlanInputs};
+use rqp::stats::{LyingEstimator, OracleEstimator, TableStatsRegistry};
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp::QuerySpec;
 use std::rc::Rc;
@@ -27,7 +26,6 @@ use std::rc::Rc;
 fn main() {
     let db = TpchDb::build(TpchParams { lineitem_rows: 20_000, ..Default::default() }, 7);
     let registry = TableStatsRegistry::analyze_catalog(&db.catalog, 32);
-    let base = StatsEstimator::new(Rc::new(registry.clone()));
 
     // The query: join lineitem → orders with a lineitem filter whose
     // selectivity the optimizer believes to be 500× smaller than it is.
@@ -39,81 +37,45 @@ fn main() {
     let wrap: Box<EstimatorWrapper<'_>> = Box::new(move |e| {
         Box::new(LyingEstimator::new(e).with_table_factor("lineitem", lie))
     });
-    let cfg = PlannerConfig::default();
+    let inputs = PlanInputs { lie: wrap.as_ref(), ..PlanInputs::new(&db.catalog, &registry) };
+    let run = |mode| execute(&spec, &inputs, mode, &ExecContext::unbounded()).unwrap();
 
     let mut table = ReportTable::new(&["strategy", "cost", "reopts", "plan"]);
+    let mut row = |strategy: &str, r: &Execution| {
+        table.row(&[
+            strategy.into(),
+            format!("{:.0}", r.cost),
+            format!("{}", r.reoptimizations()),
+            short(&r.plan_fingerprint),
+        ]);
+    };
 
     // 1. Classic optimizer, lied to.
-    let ctx = ExecContext::unbounded();
-    let (rows_std, cost_std) =
-        run_standard(&spec, &db.catalog, &registry, wrap.as_ref(), cfg, &ctx).unwrap();
-    let lied = wrap(Box::new(base.clone()));
-    let std_plan = plan(&spec, &db.catalog, lied.as_ref(), cfg).unwrap();
-    table.row(&[
-        "classic (bad estimate)".into(),
-        format!("{cost_std:.0}"),
-        "0".into(),
-        short(&std_plan.fingerprint()),
-    ]);
+    let classic = run(ExecutionMode::Static);
+    row("classic (bad estimate)", &classic);
 
-    // 2. Robust percentile choice, hedging against exactly this error class.
-    let mut scenarios: Vec<Box<dyn CardEstimator>> = vec![wrap(Box::new(base.clone()))];
-    for f in [20.0, 500.0] {
-        scenarios.push(Box::new(
-            LyingEstimator::new(wrap(Box::new(base.clone())))
-                .with_table_factor("lineitem", f),
-        ));
-    }
-    let choice =
-        robust_plan(&spec, &db.catalog, &scenarios, cfg, RobustMode::Percentile(0.9)).unwrap();
-    let ctx = ExecContext::unbounded();
-    let rows_robust = choice.plan.build(&db.catalog, &ctx, None).unwrap().run();
-    table.row(&[
-        "robust p90".into(),
-        format!("{:.0}", ctx.clock.now()),
-        "0".into(),
-        short(&choice.plan.fingerprint()),
-    ]);
+    // 2. Robust percentile choice, hedging against errors as large as this one.
+    let robust = run(ExecutionMode::Robust { percentile: 0.9, error_factor: 500.0 });
+    row("robust p90", &robust);
 
     // 3. POP: start from the bad plan, CHECK catches the violation mid-query.
-    let ctx = ExecContext::unbounded();
-    let report = run_with_pop(
-        &spec,
-        &db.catalog,
-        &registry,
-        wrap.as_ref(),
-        cfg,
-        PopConfig::default(),
-        &ctx,
-    )
-    .unwrap();
-    table.row(&[
-        "POP".into(),
-        format!("{:.0}", report.total_cost),
-        format!("{}", report.reoptimizations()),
-        short(&report.rounds.last().unwrap().plan_fingerprint),
-    ]);
+    let pop = run(ExecutionMode::pop());
+    row("POP", &pop);
 
     // 4. The oracle: what a perfect estimator would have done.
     let oracle = OracleEstimator::new(Rc::new(db.catalog.clone()));
-    let ideal = plan(&spec, &db.catalog, &oracle, cfg).unwrap();
-    let ctx = ExecContext::unbounded();
-    let rows_ideal = ideal.build(&db.catalog, &ctx, None).unwrap().run();
-    table.row(&[
-        "oracle (true cards)".into(),
-        format!("{:.0}", ctx.clock.now()),
-        "0".into(),
-        short(&ideal.fingerprint()),
-    ]);
+    let ideal = plan(&spec, &db.catalog, &oracle, inputs.config).unwrap();
+    let ideal = run_plan(&ideal, &db.catalog, None, &ExecContext::unbounded()).unwrap();
+    row("oracle (true cards)", &ideal);
 
-    assert_eq!(rows_std.len(), rows_robust.len());
-    assert_eq!(rows_std.len(), report.rows.len());
-    assert_eq!(rows_std.len(), rows_ideal.len());
+    for r in [&robust, &pop, &ideal] {
+        assert_eq!(classic.rows.len(), r.rows.len());
+    }
 
     println!(
         "Query returns {} rows; optimizer believed the lineitem filter was \
          500× more selective than it is.\n\n{table}",
-        rows_std.len()
+        classic.rows.len()
     );
     println!(
         "Robust choice and POP should land near the oracle; the classic \

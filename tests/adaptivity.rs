@@ -2,17 +2,13 @@
 //! LEO convergence across epochs, eddies and A-Greedy under drift, adaptive
 //! indexing equivalence.
 
-use rqp::adaptive::pop::{run_standard, run_with_pop, EstimatorWrapper, PopConfig};
-use rqp::adaptive::run_with_feedback;
 use rqp::exec::{
     collect, AGreedyFilterOp, CrackerScanOp, EddyFilterOp, ExecContext, Operator, RoutingPolicy,
     TableScanOp,
 };
 use rqp::expr::{col, lit};
-use rqp::opt::PlannerConfig;
-use rqp::stats::{
-    FeedbackEstimator, FeedbackRepo, LyingEstimator, StatsEstimator, TableStatsRegistry,
-};
+use rqp::opt::run::{execute, EstimatorWrapper, ExecutionMode, PlanInputs};
+use rqp::stats::{FeedbackRepo, LyingEstimator, TableStatsRegistry};
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp::QuerySpec;
 use std::cell::RefCell;
@@ -30,24 +26,12 @@ fn pop_recovers_from_underestimates_across_queries() {
     let wrap: Box<EstimatorWrapper<'_>> = Box::new(|e| {
         Box::new(LyingEstimator::new(e).with_table_factor("lineitem", 0.002))
     });
+    let inputs = PlanInputs { lie: wrap.as_ref(), ..PlanInputs::new(&db.catalog, &reg) };
     let queries = vec![db.q3(0, 1000), db.q5(0, 24, 100)];
     for q in &queries {
-        let ctx_std = ExecContext::unbounded();
-        let (rows_std, _) =
-            run_standard(q, &db.catalog, &reg, wrap.as_ref(), PlannerConfig::default(), &ctx_std)
-                .unwrap();
-        let ctx_pop = ExecContext::unbounded();
-        let report = run_with_pop(
-            q,
-            &db.catalog,
-            &reg,
-            wrap.as_ref(),
-            PlannerConfig::default(),
-            PopConfig::default(),
-            &ctx_pop,
-        )
-        .unwrap();
-        assert_eq!(rows_std.len(), report.rows.len(), "POP must not change answers");
+        let std = execute(q, &inputs, ExecutionMode::Static, &ExecContext::unbounded()).unwrap();
+        let pop = execute(q, &inputs, ExecutionMode::pop(), &ExecContext::unbounded()).unwrap();
+        assert_eq!(std.rows.len(), pop.rows.len(), "POP must not change answers");
     }
 }
 
@@ -57,17 +41,14 @@ fn leo_qerror_decays() {
     // the correction/re-plan ping-pong LEO is known for under over-estimates.
     let (db, reg) = setup();
     let repo = Rc::new(RefCell::new(FeedbackRepo::new(0.7)));
-    let lying = LyingEstimator::new(Box::new(StatsEstimator::new(Rc::new(reg))))
-        .with_table_factor("lineitem", 1.0 / 30.0);
-    let est = FeedbackEstimator::new(Box::new(lying), Rc::clone(&repo));
+    let lie: &EstimatorWrapper<'_> =
+        &|e| Box::new(LyingEstimator::new(e).with_table_factor("lineitem", 1.0 / 30.0));
+    let inputs = PlanInputs { lie, feedback: Some(&repo), ..PlanInputs::new(&db.catalog, &reg) };
     let q = db.q3(1, 1400);
     let ctx = ExecContext::unbounded();
     let mut qerrs = Vec::new();
     for _ in 0..5 {
-        let r =
-            run_with_feedback(&q, &db.catalog, &est, &repo, PlannerConfig::default(), &ctx)
-                .unwrap();
-        qerrs.push(r.max_q_error());
+        qerrs.push(execute(&q, &inputs, ExecutionMode::Leo, &ctx).unwrap().max_q_error());
     }
     let best_later = qerrs[1..].iter().cloned().fold(f64::INFINITY, f64::min);
     assert!(
@@ -157,49 +138,28 @@ fn cracker_converges_and_matches_scan_results() {
 fn pop_with_accurate_stats_has_bounded_overhead() {
     let (db, reg) = setup();
     let q = db.q3(2, 1200);
-    let wrap: Box<EstimatorWrapper<'_>> = Box::new(|e| e);
-    let ctx_std = ExecContext::unbounded();
-    let (_, cost_std) =
-        run_standard(&q, &db.catalog, &reg, wrap.as_ref(), PlannerConfig::default(), &ctx_std)
-            .unwrap();
-    let ctx_pop = ExecContext::unbounded();
-    let report = run_with_pop(
-        &q,
-        &db.catalog,
-        &reg,
-        wrap.as_ref(),
-        PlannerConfig::default(),
-        PopConfig::default(),
-        &ctx_pop,
-    )
-    .unwrap();
-    assert_eq!(report.reoptimizations(), 0);
+    let inputs = PlanInputs::new(&db.catalog, &reg);
+    let std = execute(&q, &inputs, ExecutionMode::Static, &ExecContext::unbounded()).unwrap();
+    let pop = execute(&q, &inputs, ExecutionMode::pop(), &ExecContext::unbounded()).unwrap();
+    assert_eq!(pop.reoptimizations(), 0);
     // CHECK materialization overhead exists, but must be modest.
-    assert!(
-        report.total_cost < cost_std * 1.6,
-        "POP overhead too high: {} vs {}",
-        report.total_cost,
-        cost_std
-    );
+    assert!(pop.cost < std.cost * 1.6, "POP overhead too high: {} vs {}", pop.cost, std.cost);
 }
 
 #[test]
 fn feedback_survives_across_query_shapes() {
     let (db, reg) = setup();
     let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
-    let est = FeedbackEstimator::new(
-        Box::new(StatsEstimator::new(Rc::new(reg))),
-        Rc::clone(&repo),
-    );
+    let inputs = PlanInputs { feedback: Some(&repo), ..PlanInputs::new(&db.catalog, &reg) };
     let ctx = ExecContext::unbounded();
     let q1 = QuerySpec::new()
         .table("lineitem")
         .filter("lineitem", col("lineitem.quantity").lt(lit(10i64)));
-    run_with_feedback(&q1, &db.catalog, &est, &repo, PlannerConfig::default(), &ctx).unwrap();
+    execute(&q1, &inputs, ExecutionMode::Leo, &ctx).unwrap();
     let learned = repo.borrow().len();
     assert!(learned >= 1);
     // A different query adds different signatures, never clobbers.
     let q2 = db.q6(0, 0.05, 30);
-    run_with_feedback(&q2, &db.catalog, &est, &repo, PlannerConfig::default(), &ctx).unwrap();
+    execute(&q2, &inputs, ExecutionMode::Leo, &ctx).unwrap();
     assert!(repo.borrow().len() >= learned);
 }

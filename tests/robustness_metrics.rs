@@ -152,7 +152,7 @@ fn plan_stability_tracks_real_plans() {
     let mut track = PlanStability::new();
     for sel in [0.001, 0.002, 0.5, 0.6] {
         let r = database.execute(&db.range_query(sel)).unwrap();
-        track.record(r.plan, r.cost);
+        track.record(r.plan_fingerprint, r.cost);
     }
     // Narrow range → index; wide → scan: at least one flip expected.
     assert!(track.distinct_plans() >= 2, "crossover should flip the plan");
