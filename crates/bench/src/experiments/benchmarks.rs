@@ -157,7 +157,7 @@ fn e06_body(h: &mut Harness) -> String {
     // should serve "returnflag = 1 AND quantity BETWEEN 7 AND 11" in every
     // phrasing.
     db.catalog
-        .create_multi_index("ix_rf_qty", "lineitem", &["returnflag", "quantity"])
+        .create_index("ix_rf_qty", "lineitem", &["returnflag", "quantity"])
         .expect("composite index");
     let reg = Rc::new(TableStatsRegistry::analyze_catalog(&db.catalog, 32));
     let est = StatsEstimator::new(Rc::clone(&reg));

@@ -34,7 +34,7 @@ fn e11_body(h: &mut Harness) -> String {
     eager_ctx
         .clock
         .charge_compares(rows as f64 * (rows as f64).log2());
-    catalog.create_index("ix", "t", "k").expect("index");
+    catalog.create_index("ix", "t", &["k"]).expect("index");
 
     let scan_ctx = ExecContext::unbounded();
     let crack_ctx = ExecContext::unbounded();
@@ -69,6 +69,7 @@ fn e11_body(h: &mut Harness) -> String {
         let mut ix = IndexScanOp::new(
             catalog.index("ix").expect("ix"),
             catalog.table("t").expect("t"),
+            Vec::new(),
             Some(Value::Int(lo)),
             Some(Value::Int(hi)),
             eager_ctx.clone(),
@@ -387,7 +388,7 @@ fn e18_body(h: &mut Harness) -> String {
             inner.append(vec![Value::Int(i % (n / 4))]);
         }
         catalog.add_table(inner);
-        catalog.create_index("ix", "inner", "k").expect("ix");
+        catalog.create_index("ix", "inner", &["k"]).expect("ix");
         let outer_keys: Vec<i64> = (0..10).map(|i| i * 3).collect();
         let run_hash = cost(|ctx| {
             let mut scan = TableScanOp::new(catalog.table("inner").expect("t"), ctx.clone());

@@ -60,7 +60,7 @@ fn e07_body(h: &mut Harness) -> String {
             input: Box::new(rqp::PhysicalPlan::IndexScan {
                 table: "lineitem".into(),
                 index: "ix_lineitem_shipdate".into(),
-                column: "shipdate".into(),
+                prefix: Vec::new(),
                 lo: Some(rqp::Value::Int(0)),
                 hi: Some(rqp::Value::Int((width - 1).max(0))),
                 range_filter: col("lineitem.shipdate").between(0i64, (width - 1).max(0)),

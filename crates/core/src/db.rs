@@ -38,19 +38,20 @@ impl Database {
         }
     }
 
-    /// Register a table (replacing any previous table of the same name).
+    /// Register a table, replacing any previous table of the same name and
+    /// dropping the indexes built over it.
     pub fn add_table(&mut self, table: Table) {
         self.catalog.add_table(table);
     }
 
-    /// Create a B-tree index.
+    /// Create an index on one column.
     pub fn create_index(
         &mut self,
         name: impl Into<String>,
         table: &str,
         column: &str,
     ) -> Result<()> {
-        self.catalog.create_index(name, table, column)
+        self.catalog.create_index(name, table, &[column])
     }
 
     /// The underlying catalog.
@@ -199,14 +200,46 @@ mod tests {
     fn analyze_refreshes_statistics() {
         let mut db = db();
         let rows_before = db.estimator().table_rows("t");
-        for i in 0..500i64 {
-            db.catalog_mut()
-                .table_mut("t")
-                .unwrap()
-                .append(vec![Value::Int(1000 + i), Value::Int(i % 10)]);
-        }
+        let rows = (0..500i64).map(|i| vec![Value::Int(1000 + i), Value::Int(i % 10)]).collect();
+        db.catalog_mut().append_rows("t", rows).unwrap();
         assert_eq!(db.estimator().table_rows("t"), rows_before, "stale until ANALYZE");
         db.analyze();
         assert_eq!(db.estimator().table_rows("t"), 1500.0);
+    }
+
+    fn keyed(keys: std::ops::Range<i64>) -> Table {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("g", DataType::Int)]);
+        let mut t = Table::new("t", schema);
+        for i in keys {
+            t.append(vec![Value::Int(i), Value::Int(i % 10)]);
+        }
+        t
+    }
+
+    fn k_between(lo: i64, hi: i64) -> QuerySpec {
+        QuerySpec::new().table("t").filter("t", col("t.k").between(lo, hi))
+    }
+
+    /// An index re-created under its name on another column must stop
+    /// answering for the old one (it once planned `t.k` ranges over `g`).
+    #[test]
+    fn recreated_index_forgets_its_old_column() {
+        let mut db = Database::new();
+        db.add_table(keyed(0..1000));
+        db.create_index("ix", "t", "k").unwrap();
+        db.create_index("ix", "t", "g").unwrap();
+        db.analyze();
+        assert_eq!(db.execute(&k_between(0, 4)).unwrap().rows.len(), 5);
+    }
+
+    /// A replaced table must not keep the indexes built over its old rows.
+    #[test]
+    fn replacing_a_table_drops_its_indexes() {
+        let mut db = Database::new();
+        db.add_table(keyed(0..1000));
+        db.create_index("ix", "t", "k").unwrap();
+        db.add_table(keyed(5000..6000));
+        db.analyze();
+        assert_eq!(db.execute(&k_between(5000, 5004)).unwrap().rows.len(), 5);
     }
 }

@@ -17,7 +17,7 @@
 use crate::context::{ExecContext, WorkspaceLease};
 use crate::{BoxOp, Operator};
 use rqp_common::{Result, Row, RqpError, Schema};
-use rqp_storage::{BTreeIndex, Table};
+use rqp_storage::{Index, Table};
 use rqp_telemetry::SpanHandle;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// Optional index access path for the inner (right) input.
 pub struct InnerIndex {
     /// B-tree on the inner join key.
-    pub index: Arc<BTreeIndex>,
+    pub index: Arc<Index>,
     /// The inner base table.
     pub table: Arc<Table>,
 }
@@ -382,7 +382,7 @@ mod tests {
             t.append(vec![Value::Int(i % 100), Value::Int(i)]);
         }
         cat.add_table(t);
-        cat.create_index("ix", "inner", "k").unwrap();
+        cat.create_index("ix", "inner", &["k"]).unwrap();
         let ctx = ExecContext::unbounded();
         let ii = InnerIndex {
             index: cat.index("ix").unwrap(),

@@ -12,7 +12,7 @@ use crate::context::{ExecContext, WorkspaceLease};
 use crate::{BoxOp, Operator};
 use rqp_common::expr::BoundExpr;
 use rqp_common::{Expr, Result, Row, RqpError, Schema, Value};
-use rqp_storage::{BTreeIndex, Table};
+use rqp_storage::{Index, Table};
 use rqp_telemetry::SpanHandle;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -338,7 +338,7 @@ impl Operator for MergeJoinOp {
 /// outer row.
 pub struct IndexNlJoinOp {
     outer: BoxOp,
-    index: Arc<BTreeIndex>,
+    index: Arc<Index>,
     inner_table: Arc<Table>,
     outer_key: usize,
     schema: Schema,
@@ -354,7 +354,7 @@ impl IndexNlJoinOp {
     pub fn new(
         outer: BoxOp,
         outer_key: &str,
-        index: Arc<BTreeIndex>,
+        index: Arc<Index>,
         inner_table: Arc<Table>,
         ctx: ExecContext,
     ) -> Result<Self> {
@@ -726,7 +726,7 @@ mod tests {
             t.append(vec![Value::Int(i % 10), Value::Int(i)]);
         }
         cat.add_table(t);
-        cat.create_index("ix", "r", "k").unwrap();
+        cat.create_index("ix", "r", &["k"]).unwrap();
         let ctx = ExecContext::unbounded();
         let mut j = IndexNlJoinOp::new(
             left_src(),

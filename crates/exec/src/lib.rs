@@ -9,7 +9,8 @@
 //!
 //! Operator inventory:
 //!
-//! * [`scan`] — table scan, (un)clustered B-tree index scan, cracker scan,
+//! * [`scan`] — table scan, (un)clustered index scan over one- or
+//!   multi-column indexes (equality prefix + range), cracker scan,
 //!   adaptive-merge scan;
 //! * [`filter`] — filter and project;
 //! * [`join`] — hash join (with Grace-style spill), sort-merge join,
@@ -78,7 +79,7 @@ pub use filter::{FilterOp, ProjectOp};
 pub use gjoin::GJoinOp;
 pub use join::{BnlJoinOp, HashJoinOp, IndexNlJoinOp, MergeJoinOp};
 pub use mjoin::MJoinOp;
-pub use scan::{AMergeScanOp, CrackerScanOp, IndexScanOp, MultiIndexScanOp, TableScanOp};
+pub use scan::{AMergeScanOp, CrackerScanOp, IndexScanOp, TableScanOp};
 pub use sort::{SortOp, TopNOp};
 pub use symjoin::SymmetricHashJoinOp;
 

@@ -1,5 +1,5 @@
-//! Scan operators: full table scan, B-tree index scan, cracker scan,
-//! adaptive-merge scan.
+//! Scan operators: full table scan, index scan (one- or multi-column, an
+//! equality prefix plus a range), cracker scan, adaptive-merge scan.
 //!
 //! The cost asymmetry between these access paths — sequential pages for the
 //! full scan, random pages per row for an unclustered index — is the origin
@@ -11,8 +11,7 @@ use crate::context::ExecContext;
 use crate::Operator;
 use rqp_common::{Row, RqpError, Schema, Value};
 use rqp_storage::{
-    AdaptiveMergeIndex, BTreeIndex, BufferPool, CrackerColumn, MultiIndex, PagePin, RidCursor,
-    RowId, Table,
+    AdaptiveMergeIndex, BufferPool, CrackerColumn, Index, PagePin, RidCursor, RowId, Table,
 };
 use rqp_telemetry::SpanHandle;
 use std::cell::RefCell;
@@ -239,16 +238,20 @@ impl Operator for TableScanOp {
     }
 }
 
-/// B-tree index scan over an inclusive key range.
+/// Index scan: rows whose leading indexed columns equal `prefix` and whose
+/// next column lies in an inclusive `[lo, hi]`; residual predicates are
+/// applied upstream. A lookup the index rejects (a prefix longer than its
+/// columns) matches nothing.
 ///
 /// Clustered: matched rows are fetched with sequential pages. Unclustered:
 /// every row costs one random page — cheap at low selectivity, disastrous at
 /// high selectivity.
 pub struct IndexScanOp {
-    index: Arc<BTreeIndex>,
+    index: Arc<Index>,
     table: Arc<Table>,
     schema: Schema,
     ctx: ExecContext,
+    prefix: Vec<Value>,
     lo: Option<Value>,
     hi: Option<Value>,
     /// Position in the index's run once opened; rows are fetched as the
@@ -260,10 +263,12 @@ pub struct IndexScanOp {
 }
 
 impl IndexScanOp {
-    /// Scan `index` over `[lo, hi]` (inclusive; `None` = unbounded).
+    /// Scan `index` under the equality `prefix`, with the next column in
+    /// `[lo, hi]` (inclusive; `None` = unbounded).
     pub fn new(
-        index: Arc<BTreeIndex>,
+        index: Arc<Index>,
         table: Arc<Table>,
+        prefix: Vec<Value>,
         lo: Option<Value>,
         hi: Option<Value>,
         ctx: ExecContext,
@@ -277,6 +282,7 @@ impl IndexScanOp {
             table,
             schema,
             ctx,
+            prefix,
             lo,
             hi,
             cursor: None,
@@ -298,7 +304,10 @@ impl Operator for IndexScanOp {
             // B-tree descent: log2(entries) comparisons.
             let n = index.entries().max(2) as f64;
             self.ctx.clock.charge_compares(n.log2());
-            index.lookup_range(self.lo.as_ref(), self.hi.as_ref()).into_cursor()
+            index
+                .lookup(&self.prefix, self.lo.as_ref(), self.hi.as_ref())
+                .map(|ids| ids.into_cursor())
+                .unwrap_or_default()
         });
         let Some(rid) = index.next_rid(cursor) else {
             self.span.close(&self.ctx.clock);
@@ -315,81 +324,6 @@ impl Operator for IndexScanOp {
         self.pos += 1;
         self.span.produced(&self.ctx.clock);
         Some(self.table.row(rid))
-    }
-
-    fn span(&self) -> Option<&SpanHandle> {
-        Some(&self.span)
-    }
-}
-
-/// Composite-index scan: equality prefix + optional range on the next
-/// indexed column, residual predicates applied upstream. Fetches are charged
-/// as random pages (composite indexes are secondary/unclustered here).
-pub struct MultiIndexScanOp {
-    index: Arc<MultiIndex>,
-    table: Arc<Table>,
-    schema: Schema,
-    ctx: ExecContext,
-    prefix: Vec<Value>,
-    lo: Option<Value>,
-    hi: Option<Value>,
-    cursor: Option<RidCursor>,
-    span: SpanHandle,
-}
-
-impl MultiIndexScanOp {
-    /// Scan rows whose leading indexed columns equal `prefix`, with the next
-    /// column in `[lo, hi]`.
-    pub fn new(
-        index: Arc<MultiIndex>,
-        table: Arc<Table>,
-        prefix: Vec<Value>,
-        lo: Option<Value>,
-        hi: Option<Value>,
-        ctx: ExecContext,
-    ) -> Self {
-        let schema = table.qualified_schema();
-        let span = ctx.tracer.open("multi_index_scan", &ctx.clock);
-        span.set_detail(&format!("{}:{}", table.name(), index.name()));
-        MultiIndexScanOp {
-            index,
-            table,
-            schema,
-            ctx,
-            prefix,
-            lo,
-            hi,
-            cursor: None,
-            span,
-        }
-    }
-}
-
-impl Operator for MultiIndexScanOp {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Row> {
-        let index = &self.index;
-        let cursor = self.cursor.get_or_insert_with(|| {
-            let n = index.entries().max(2) as f64;
-            self.ctx.clock.charge_compares(n.log2());
-            // A lookup the index rejects (over-long prefix) matches nothing.
-            index
-                .lookup(&self.prefix, self.lo.as_ref(), self.hi.as_ref())
-                .map(|ids| ids.into_cursor())
-                .unwrap_or_default()
-        });
-        let Some(rid) = index.next_rid(cursor) else {
-            self.span.close(&self.ctx.clock);
-            return None;
-        };
-        self.ctx.clock.charge_random_pages(1.0);
-        self.ctx.clock.charge_cpu_tuples(1.0);
-        let row = self.table.row(rid);
-        self.span.produced(&self.ctx.clock);
-        Some(row)
     }
 
     fn span(&self) -> Option<&SpanHandle> {
@@ -533,7 +467,7 @@ mod tests {
             t.append(vec![Value::Int(i), Value::Float(i as f64)]);
         }
         c.add_table(t);
-        c.create_index("ix", "t", "k").unwrap();
+        c.create_index("ix", "t", &["k"]).unwrap();
         c.create_cracker("t", "k").unwrap();
         c.create_amerge("t", "k", 100).unwrap();
         c
@@ -596,6 +530,7 @@ mod tests {
         let mut s = IndexScanOp::new(
             idx,
             c.table("t").unwrap(),
+            Vec::new(),
             Some(Value::Int(100)),
             Some(Value::Int(199)),
             ctx.clone(),
@@ -617,13 +552,14 @@ mod tests {
             t.append(vec![Value::Int((i * 7919) % 1000)]);
         }
         c.add_table(t);
-        c.create_index("ix", "t", "k").unwrap();
+        c.create_index("ix", "t", &["k"]).unwrap();
         let idx = c.index("ix").unwrap();
         assert!(!idx.clustered());
         let ctx = ExecContext::unbounded();
         let mut s = IndexScanOp::new(
             idx,
             c.table("t").unwrap(),
+            Vec::new(),
             Some(Value::Int(0)),
             Some(Value::Int(99)),
             ctx.clone(),

@@ -22,12 +22,6 @@ impl Table {
         self
     }
 
-    /// Append a row of displayable values.
-    pub fn rowd(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -73,19 +67,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Format a float compactly for reports.
-pub fn fnum(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_owned()
-    } else if x.abs() >= 10_000.0 || x.abs() < 0.01 {
-        format!("{x:.3e}")
-    } else if x.fract() == 0.0 && x.abs() < 1e9 {
-        format!("{x:.0}")
-    } else {
-        format!("{x:.2}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,21 +88,5 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn rowd_accepts_display_values() {
-        let mut t = Table::new(&["x", "y"]);
-        t.rowd(&[&42, &1.5]);
-        assert!(t.to_string().contains("42"));
-    }
-
-    #[test]
-    fn fnum_ranges() {
-        assert_eq!(fnum(0.0), "0");
-        assert_eq!(fnum(42.0), "42");
-        assert_eq!(fnum(5.67891), "5.68");
-        assert!(fnum(123456.0).contains('e'));
-        assert!(fnum(0.0001).contains('e'));
     }
 }

@@ -43,40 +43,21 @@ pub enum PhysicalPlan {
         /// Estimated cumulative cost.
         est_cost: f64,
     },
-    /// Index range scan + residual filter.
+    /// Index scan: equality prefix + range on the next indexed column, then
+    /// a residual filter.
     IndexScan {
         /// Table name.
         table: String,
         /// Index name in the catalog.
         index: String,
-        /// Indexed column (unqualified).
-        column: String,
-        /// Inclusive lower bound.
-        lo: Option<Value>,
-        /// Inclusive upper bound.
-        hi: Option<Value>,
-        /// The predicate answered by the index range (for re-estimation).
-        range_filter: Expr,
-        /// Residual predicate applied after the index.
-        residual: Option<Expr>,
-        /// Estimated output rows (after residual).
-        est_rows: f64,
-        /// Estimated cumulative cost.
-        est_cost: f64,
-    },
-    /// Composite-index scan: equality prefix + range on the next column.
-    MultiIndexScan {
-        /// Table name.
-        table: String,
-        /// Composite index name.
-        index: String,
-        /// Equality values for the leading indexed columns.
+        /// Equality values for the leading indexed columns (empty on a
+        /// one-column index).
         prefix: Vec<Value>,
         /// Inclusive lower bound on the column after the prefix.
         lo: Option<Value>,
         /// Inclusive upper bound.
         hi: Option<Value>,
-        /// The predicate the index answers (for re-estimation).
+        /// The predicate answered by the index (for re-estimation).
         range_filter: Expr,
         /// Residual predicate applied after the index.
         residual: Option<Expr>,
@@ -219,7 +200,6 @@ impl PhysicalPlan {
         match self {
             TableScan { est_rows, .. }
             | IndexScan { est_rows, .. }
-            | MultiIndexScan { est_rows, .. }
             | HashJoin { est_rows, .. }
             | MergeJoin { est_rows, .. }
             | GJoin { est_rows, .. }
@@ -238,7 +218,6 @@ impl PhysicalPlan {
         match self {
             TableScan { est_cost, .. }
             | IndexScan { est_cost, .. }
-            | MultiIndexScan { est_cost, .. }
             | HashJoin { est_cost, .. }
             | MergeJoin { est_cost, .. }
             | GJoin { est_cost, .. }
@@ -259,7 +238,6 @@ impl PhysicalPlan {
         match self {
             TableScan { table, .. } => format!("scan({table})"),
             IndexScan { table, index, .. } => format!("ixscan({table}:{index})"),
-            MultiIndexScan { table, index, .. } => format!("mixscan({table}:{index})"),
             HashJoin { left, right, .. } => {
                 format!("hj({},{})", left.fingerprint(), right.fingerprint())
             }
@@ -284,9 +262,7 @@ impl PhysicalPlan {
     pub fn tables(&self) -> Vec<String> {
         use PhysicalPlan::*;
         let mut out = match self {
-            TableScan { table, .. }
-            | IndexScan { table, .. }
-            | MultiIndexScan { table, .. } => vec![table.clone()],
+            TableScan { table, .. } | IndexScan { table, .. } => vec![table.clone()],
             HashJoin { left, right, .. }
             | MergeJoin { left, right, .. }
             | GJoin { left, right, .. } => {
@@ -340,19 +316,6 @@ impl PhysicalPlan {
                 // distinction in est_cost; reestimate is used for *relative*
                 // comparisons across scenarios where the same assumption
                 // applies to every candidate.
-                let mut cost = cm.index_scan(base, matched, false);
-                if residual.is_some() {
-                    cost += cm.filter(matched);
-                }
-                (rows, cost)
-            }
-            MultiIndexScan { table, range_filter, residual, .. } => {
-                let base = est.table_rows(table);
-                let matched = base * est.selectivity(table, range_filter);
-                let rows = match residual {
-                    Some(r) => matched * est.selectivity(table, r),
-                    None => matched,
-                };
                 let mut cost = cm.index_scan(base, matched, false);
                 if residual.is_some() {
                     cost += cm.filter(matched);
@@ -451,25 +414,10 @@ impl PhysicalPlan {
         let subtree_start = meters.len();
         let op: BoxOp = match self {
             TableScan { table, filter, .. } => scan_pipeline(catalog.table(table)?, filter, ctx)?,
-            IndexScan { table, index, lo, hi, residual, .. } => {
+            IndexScan { table, index, prefix, lo, hi, residual, .. } => {
                 let t = catalog.table(table)?;
                 let ix = catalog.index(index)?;
                 let scan: BoxOp = Box::new(IndexScanOp::new(
-                    ix,
-                    t,
-                    lo.clone(),
-                    hi.clone(),
-                    ctx.clone(),
-                ));
-                match residual {
-                    Some(r) => Box::new(FilterOp::new(scan, r, ctx.clone())?),
-                    None => scan,
-                }
-            }
-            MultiIndexScan { table, index, prefix, lo, hi, residual, .. } => {
-                let t = catalog.table(table)?;
-                let ix = catalog.multi_index(index)?;
-                let scan: BoxOp = Box::new(rqp_exec::MultiIndexScanOp::new(
                     ix,
                     t,
                     prefix.clone(),
@@ -600,8 +548,7 @@ impl PhysicalPlan {
             TableScan { table, filter: Some(f), .. } => {
                 Some(rqp_stats::FeedbackRepo::signature(table, f))
             }
-            IndexScan { table, range_filter, residual, .. }
-            | MultiIndexScan { table, range_filter, residual, .. } => {
+            IndexScan { table, range_filter, residual, .. } => {
                 let full = match residual {
                     Some(r) => range_filter.clone().and(r.clone()),
                     None => range_filter.clone(),
@@ -647,24 +594,12 @@ impl PhysicalPlan {
                         .unwrap_or_default()
                 )
             }
-            IndexScan { table, index, lo, hi, residual, .. } => {
+            IndexScan { table, index, prefix, lo, hi, residual, .. } => {
                 writeln!(
                     f,
-                    "{} {table} via {index} [{:?}..{:?}]{}",
+                    "{} {table} via {index}{} [{:?}..{:?}]{}",
                     head("IndexScan"),
-                    lo,
-                    hi,
-                    residual
-                        .as_ref()
-                        .map(|p| format!(" residual {p}"))
-                        .unwrap_or_default()
-                )
-            }
-            MultiIndexScan { table, index, prefix, lo, hi, residual, .. } => {
-                writeln!(
-                    f,
-                    "{} {table} via {index} prefix {prefix:?} [{:?}..{:?}]{}",
-                    head("MultiIndexScan"),
+                    if prefix.is_empty() { String::new() } else { format!(" prefix {prefix:?}") },
                     lo,
                     hi,
                     residual
@@ -847,7 +782,7 @@ mod tests {
             u.append(vec![Value::Int(i % 10), Value::Int(i)]);
         }
         c.add_table(u);
-        c.create_index("ix_t_k", "t", "k").unwrap();
+        c.create_index("ix_t_k", "t", &["k"]).unwrap();
         c
     }
 
@@ -919,7 +854,7 @@ mod tests {
         let plan = PhysicalPlan::IndexScan {
             table: "t".into(),
             index: "ix_t_k".into(),
-            column: "k".into(),
+            prefix: Vec::new(),
             lo: Some(Value::Int(10)),
             hi: Some(Value::Int(19)),
             range_filter: col("t.k").between(10i64, 19i64),

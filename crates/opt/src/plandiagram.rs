@@ -273,9 +273,9 @@ mod tests {
             }
             c.add_table(t);
         }
-        c.create_index("ix_r_v", "r", "v").unwrap();
-        c.create_index("ix_s_v", "s", "v").unwrap();
-        c.create_index("ix_s_k", "s", "k").unwrap();
+        c.create_index("ix_r_v", "r", &["v"]).unwrap();
+        c.create_index("ix_s_v", "s", &["v"]).unwrap();
+        c.create_index("ix_s_k", "s", &["k"]).unwrap();
         c
     }
 

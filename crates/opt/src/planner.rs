@@ -446,9 +446,11 @@ impl<'a> Planner<'a> {
         out
     }
 
-    /// Best access path for one base table.
+    /// Best access path for one base table: a scan, or an index that
+    /// answers equalities on at most its leading k − 1 columns and a range
+    /// on the next one.
     fn best_access_path(&self, table: &str, spec: &QuerySpec) -> Result<Cand> {
-        let t = self.catalog.table(table)?;
+        self.catalog.table(table)?;
         let base = self.est.table_rows(table);
         let pred = spec.local_preds.get(table);
         let rows = match pred {
@@ -472,20 +474,50 @@ impl<'a> Planner<'a> {
             return Ok(best);
         }
         let Some(p) = pred else { return Ok(best) };
-        // Try every indexed column mentioned in the predicate.
         let conjuncts = p.conjuncts();
-        let mut tried: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for c in &conjuncts {
-            let Some(sp) = SimplePred::from_expr(c) else { continue };
-            let col = unqualify(sp.column()).to_owned();
-            if !tried.insert(col.clone()) {
+        // An equal-cost candidate never replaces an earlier one, so the visit
+        // order is part of the plan: one-column indexes in the order the
+        // predicate first names their column, then composite indexes by name.
+        let named_at = |col: &str| {
+            conjuncts.iter().position(|c| {
+                SimplePred::from_expr(c).is_some_and(|sp| unqualify(sp.column()) == col)
+            })
+        };
+        let mut candidates: Vec<_> = self
+            .catalog
+            .indexes_on(table)
+            .into_iter()
+            .filter_map(|ix| match ix.columns() {
+                [col] => named_at(col).map(|at| (at, ix)),
+                _ => Some((usize::MAX, ix)),
+            })
+            .collect();
+        candidates.sort_by_key(|(at, _)| *at);
+        for (_, ix) in candidates {
+            let cols = ix.columns();
+            let mut remaining = conjuncts.clone();
+            let mut prefix = Vec::new();
+            let mut used = Vec::new();
+            for name in &cols[..cols.len() - 1] {
+                let eq = remaining.iter().enumerate().find_map(|(i, c)| {
+                    match SimplePred::from_expr(c) {
+                        Some(SimplePred::Cmp { op: CmpOp::Eq, col, value })
+                            if unqualify(&col) == name && !value.is_null() =>
+                        {
+                            Some((i, value))
+                        }
+                        _ => None,
+                    }
+                });
+                let Some((i, value)) = eq else { break };
+                prefix.push(value);
+                used.push(remaining.remove(i));
+            }
+            let (lo, hi, range_used, residual) = split_range(&remaining, &cols[prefix.len()]);
+            if used.is_empty() && range_used.is_empty() {
                 continue;
             }
-            let Some(ix) = self.catalog.index_on(table, &col) else { continue };
-            let (lo, hi, used, residual) = split_range(&conjuncts, &col);
-            if used.is_empty() {
-                continue;
-            }
+            used.extend(range_used);
             let range_filter = Expr::conjoin(used);
             let matched = base * self.est.selectivity(table, &range_filter);
             let mut c_cost = self.cm.index_scan(base, matched, ix.clustered());
@@ -503,71 +535,6 @@ impl<'a> Planner<'a> {
                     plan: PhysicalPlan::IndexScan {
                         table: table.to_owned(),
                         index: ix.name().to_owned(),
-                        column: col.clone(),
-                        lo,
-                        hi,
-                        range_filter,
-                        residual: residual_expr,
-                        est_rows: c_rows,
-                        est_cost: c_cost,
-                    },
-                    cost: c_cost,
-                };
-            }
-        }
-        // Composite indexes: equality prefix + range on the next column.
-        for mix in self.catalog.multi_indexes_on(table) {
-            let mut remaining: Vec<Expr> = conjuncts.clone();
-            let mut prefix: Vec<Value> = Vec::new();
-            let mut used: Vec<Expr> = Vec::new();
-            for col_name in mix.columns() {
-                let found = remaining.iter().position(|c| {
-                    matches!(
-                        SimplePred::from_expr(c),
-                        Some(SimplePred::Cmp { op: CmpOp::Eq, ref col, ref value })
-                            if unqualify(col) == col_name && !value.is_null()
-                    )
-                });
-                match found {
-                    Some(i) => {
-                        let c = remaining.remove(i);
-                        if let Some(SimplePred::Cmp { value, .. }) = SimplePred::from_expr(&c)
-                        {
-                            prefix.push(value);
-                        }
-                        used.push(c);
-                    }
-                    None => break,
-                }
-            }
-            // Range on the column after the equality prefix.
-            let (lo, hi, range_used, residual) = if prefix.len() < mix.columns().len() {
-                split_range(&remaining, &mix.columns()[prefix.len()])
-            } else {
-                (None, None, Vec::new(), remaining.clone())
-            };
-            if used.is_empty() && range_used.is_empty() {
-                continue;
-            }
-            let mut all_used = used;
-            all_used.extend(range_used);
-            let range_filter = Expr::conjoin(all_used);
-            let matched = base * self.est.selectivity(table, &range_filter);
-            let mut c_cost = self.cm.index_scan(base, matched, false);
-            let mut c_rows = matched;
-            let residual_expr = if residual.is_empty() {
-                None
-            } else {
-                let r = Expr::conjoin(residual);
-                c_cost += self.cm.filter(matched);
-                c_rows = matched * self.est.selectivity(table, &r);
-                Some(r)
-            };
-            if c_cost < best.cost {
-                best = Cand {
-                    plan: PhysicalPlan::MultiIndexScan {
-                        table: table.to_owned(),
-                        index: mix.name().to_owned(),
                         prefix,
                         lo,
                         hi,
@@ -580,7 +547,6 @@ impl<'a> Planner<'a> {
                 };
             }
         }
-        let _ = t;
         Ok(best)
     }
 }
@@ -717,8 +683,8 @@ mod tests {
             d2.append(vec![Value::Int(i), Value::Int(i % 2)]);
         }
         c.add_table(d2);
-        c.create_index("ix_fact_id", "fact", "id").unwrap();
-        c.create_index("ix_dim1_k", "dim1", "k").unwrap();
+        c.create_index("ix_fact_id", "fact", &["id"]).unwrap();
+        c.create_index("ix_dim1_k", "dim1", &["k"]).unwrap();
         c
     }
 
@@ -893,7 +859,7 @@ mod tests {
             t.append(vec![Value::Int(i % 50), Value::Int(i % 20), Value::Int(i)]);
         }
         c.add_table(t);
-        c.create_multi_index("ix_abc", "t", &["a", "b", "cc"]).unwrap();
+        c.create_index("ix_abc", "t", &["a", "b", "cc"]).unwrap();
         let est = StatsEstimator::new(Rc::new(TableStatsRegistry::analyze_catalog(&c, 32)));
         let spec = QuerySpec::new().table("t").filter(
             "t",
@@ -901,7 +867,7 @@ mod tests {
         );
         let p = plan(&spec, &c, &est, PlannerConfig::default()).unwrap();
         assert!(
-            p.fingerprint().contains("mixscan"),
+            p.fingerprint().contains("ixscan(t:ix_abc)"),
             "composite index expected: {}",
             p.fingerprint()
         );
@@ -924,7 +890,7 @@ mod tests {
             t.append(vec![Value::Int(i % 50), Value::Int(i % 20)]);
         }
         c.add_table(t);
-        c.create_multi_index("ix_ab", "t", &["a", "b"]).unwrap();
+        c.create_index("ix_ab", "t", &["a", "b"]).unwrap();
         let est = StatsEstimator::new(Rc::new(TableStatsRegistry::analyze_catalog(&c, 16)));
         let spec = QuerySpec::new()
             .table("t")

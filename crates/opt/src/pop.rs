@@ -183,7 +183,7 @@ fn walk(
         && match &rebuilt {
             HashJoin { .. } | MergeJoin { .. } | GJoin { .. } | IndexNlJoin { .. } => true,
             TableScan { filter, .. } => filter.is_some(),
-            IndexScan { .. } | MultiIndexScan { .. } => true,
+            IndexScan { .. } => true,
             _ => false,
         };
     if !wrap {
@@ -294,8 +294,8 @@ mod tests {
             d2.append(vec![Value::Int(i), Value::Int(i % 3)]);
         }
         c.add_table(d2);
-        c.create_index("ix_d1", "dim1", "k").unwrap();
-        c.create_index("ix_d2", "dim2", "k").unwrap();
+        c.create_index("ix_d1", "dim1", &["k"]).unwrap();
+        c.create_index("ix_d2", "dim2", &["k"]).unwrap();
         c
     }
 

@@ -181,7 +181,7 @@ mod tests {
             s.append(vec![Value::Int(i), Value::Int(i % 200)]);
         }
         c.add_table(s);
-        c.create_index("ix_s_g", "s", "g").unwrap();
+        c.create_index("ix_s_g", "s", &["g"]).unwrap();
         c
     }
 

@@ -165,8 +165,8 @@ mod tests {
             small.append(vec![Value::Int(i), Value::Int(i)]);
         }
         c.add_table(small);
-        c.create_index("ix_big_k", "big", "k").unwrap();
-        c.create_index("ix_small_g", "small", "g").unwrap();
+        c.create_index("ix_big_k", "big", &["k"]).unwrap();
+        c.create_index("ix_small_g", "small", &["g"]).unwrap();
         c
     }
 

@@ -109,7 +109,7 @@ mod tests {
             s.append(vec![Value::Int(i), Value::Int(i % 100)]);
         }
         c.add_table(s);
-        c.create_index("ix_s_g", "s", "g").unwrap();
+        c.create_index("ix_s_g", "s", &["g"]).unwrap();
         c
     }
 

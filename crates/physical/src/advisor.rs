@@ -107,7 +107,7 @@ impl Advice {
     /// Materialize the recommended indexes into a catalog.
     pub fn apply(&self, catalog: &mut Catalog) -> Result<()> {
         for c in &self.indexes {
-            catalog.create_index(c.name(), &c.table, &c.column)?;
+            catalog.create_index(c.name(), &c.table, &[&c.column])?;
         }
         Ok(())
     }
@@ -198,7 +198,7 @@ pub fn advise(
                 continue;
             }
             let mut what_if = current_catalog.clone();
-            what_if.create_index(cand.name(), &cand.table, &cand.column)?;
+            what_if.create_index(cand.name(), &cand.table, &[&cand.column])?;
             let cost = workload_cost(workload, &what_if, &est)?;
             let benefit = current_cost - cost;
             let mut objective = benefit;
@@ -217,7 +217,7 @@ pub fn advise(
         }
         match best {
             Some((cand, _, cost)) => {
-                current_catalog.create_index(cand.name(), &cand.table, &cand.column)?;
+                current_catalog.create_index(cand.name(), &cand.table, &[&cand.column])?;
                 chosen.push(cand);
                 current_cost = cost;
             }
@@ -323,7 +323,7 @@ mod tests {
     fn existing_indexes_not_recommended() {
         let (mut catalog, reg, workload) = setup();
         catalog
-            .create_index("ix_shipdate", "lineitem", "shipdate")
+            .create_index("ix_shipdate", "lineitem", &["shipdate"])
             .unwrap();
         let advice = advise(&catalog, &reg, &workload, AdvisorConfig::default()).unwrap();
         assert!(advice

@@ -3,32 +3,28 @@
 //! Tables and secondary indexes are held behind `Arc` so running operators
 //! — including exchange workers on other threads — can keep cheap snapshot
 //! handles; mutation goes through [`Catalog::append_rows`] (table and
-//! indexes together) or [`Catalog::table_mut`] (table only), which copy on
-//! write if a snapshot is still live (a poor man's snapshot isolation —
-//! readers never observe concurrent appends). The adaptive indexes
-//! (crackers, adaptive merge) stay `Rc<RefCell<…>>`: they mutate on every
-//! query and remain single-threaded by design.
+//! indexes together) or, on a table without indexes,
+//! [`Catalog::table_mut`], both of which copy on write if a snapshot is
+//! still live (a poor man's snapshot isolation — readers never observe
+//! concurrent appends). The adaptive indexes (crackers, adaptive merge)
+//! stay `Rc<RefCell<…>>`: they mutate on every query and remain
+//! single-threaded by design.
 
 use crate::amerge::AdaptiveMergeIndex;
 use crate::crack::CrackerColumn;
-use crate::index::BTreeIndex;
-use crate::multi_index::MultiIndex;
+use crate::index::Index;
 use crate::table::Table;
-use crate::run::PackedIndex;
 use rqp_common::{Result, Row, RqpError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// A named collection of tables, B-tree indexes and adaptive indexes.
+/// A named collection of tables, secondary indexes and adaptive indexes.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
-    indexes: HashMap<String, Arc<BTreeIndex>>,
-    /// (table, column) → index name, for optimizer access-path lookup.
-    index_by_col: HashMap<(String, String), String>,
-    multi_indexes: HashMap<String, Arc<MultiIndex>>,
+    indexes: HashMap<String, Arc<Index>>,
     crackers: HashMap<(String, String), Rc<RefCell<CrackerColumn>>>,
     amerges: HashMap<(String, String), Rc<RefCell<AdaptiveMergeIndex>>>,
 }
@@ -39,8 +35,10 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register (or replace) a table.
+    /// Register a table, replacing any previous table of the same name and
+    /// dropping the indexes built over it.
     pub fn add_table(&mut self, table: Table) {
+        self.indexes.retain(|_, ix| ix.table() != table.name());
         self.tables.insert(table.name().to_owned(), Arc::new(table));
     }
 
@@ -54,10 +52,16 @@ impl Catalog {
 
     /// Mutable access to a table (copy-on-write if snapshots are live).
     ///
-    /// Appending through this handle **bypasses index upkeep**: indexes on
-    /// the table keep describing the rows they were built over. Use
-    /// [`append_rows`](Self::append_rows) to keep them in step.
+    /// Errors on a table that carries an index: a write through this handle
+    /// would leave the index describing other rows than the table holds.
+    /// Use [`append_rows`](Self::append_rows), which keeps them in step.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+        if let Some(ix) = self.indexes.values().find(|ix| ix.table() == name) {
+            return Err(RqpError::Invalid(format!(
+                "table '{name}' carries index '{}': append through append_rows",
+                ix.name()
+            )));
+        }
         let rc = self
             .tables
             .get_mut(name)
@@ -65,18 +69,17 @@ impl Catalog {
         Ok(Arc::make_mut(rc))
     }
 
-    /// Append `rows` to `table` *and* to every [`BTreeIndex`] and
-    /// [`MultiIndex`] on it (through their append partitions), copying on
-    /// write whatever a live snapshot still holds. Nothing is changed when
-    /// it errors: unknown table, a row of the wrong arity or with a value
-    /// its column does not take, or a table grown past the indexes' `u32`
-    /// row-id limit.
+    /// Append `rows` to `table` *and* to every [`Index`] on it (through its
+    /// append partition), copying on write whatever a live snapshot still
+    /// holds. Nothing is changed when it errors: unknown table, a row of the
+    /// wrong arity or with a value its column does not take, or a table grown
+    /// past the indexes' `u32` row-id limit.
     pub fn append_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| RqpError::TableNotFound(table.to_owned()))?;
-        append_with_indexes(t, self.indexes.values_mut(), self.multi_indexes.values_mut(), rows)
+        append_with_indexes(t, self.indexes.values_mut(), rows)
     }
 
     /// All table names, sorted.
@@ -91,69 +94,38 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
-    /// Build and register a B-tree index named `index_name` on
-    /// `table.column`. Replaces any index of the same name.
+    /// Build and register an index named `index_name` on
+    /// `table.(columns…)`. Replaces any index of the same name.
     pub fn create_index(
         &mut self,
         index_name: impl Into<String>,
         table: &str,
-        column: &str,
+        columns: &[&str],
     ) -> Result<()> {
-        let index_name = index_name.into();
-        let t = self.table(table)?;
-        let idx = BTreeIndex::build(index_name.clone(), &t, column)?;
-        self.index_by_col
-            .insert((table.to_owned(), idx.column().to_owned()), index_name.clone());
-        self.indexes.insert(index_name, Arc::new(idx));
+        let idx = Index::build(index_name, &*self.table(table)?, columns)?;
+        self.add_shared_index(Arc::new(idx));
         Ok(())
     }
 
     /// Index handle by name.
-    pub fn index(&self, name: &str) -> Result<Arc<BTreeIndex>> {
+    pub fn index(&self, name: &str) -> Result<Arc<Index>> {
         self.indexes
             .get(name)
             .cloned()
             .ok_or_else(|| RqpError::IndexNotFound(name.to_owned()))
     }
 
-    /// Find an index on `table.column`, if one exists.
-    pub fn index_on(&self, table: &str, column: &str) -> Option<Arc<BTreeIndex>> {
+    /// A one-column index on `table.column`, if one exists (the first by
+    /// name when there are several).
+    pub fn index_on(&self, table: &str, column: &str) -> Option<Arc<Index>> {
         let unq = column.rsplit_once('.').map(|(_, c)| c).unwrap_or(column);
-        self.index_by_col
-            .get(&(table.to_owned(), unq.to_owned()))
-            .and_then(|n| self.indexes.get(n).cloned())
+        self.indexes_on(table).into_iter().find(|ix| ix.columns() == [unq])
     }
 
-    /// Build and register a composite index over `table.(columns…)`.
-    pub fn create_multi_index(
-        &mut self,
-        index_name: impl Into<String>,
-        table: &str,
-        columns: &[&str],
-    ) -> Result<()> {
-        let index_name = index_name.into();
-        let t = self.table(table)?;
-        let idx = MultiIndex::build(index_name.clone(), &t, columns)?;
-        self.multi_indexes.insert(index_name, Arc::new(idx));
-        Ok(())
-    }
-
-    /// Composite index by name.
-    pub fn multi_index(&self, name: &str) -> Result<Arc<MultiIndex>> {
-        self.multi_indexes
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RqpError::IndexNotFound(name.to_owned()))
-    }
-
-    /// All composite indexes on `table`.
-    pub fn multi_indexes_on(&self, table: &str) -> Vec<Arc<MultiIndex>> {
-        let mut out: Vec<Arc<MultiIndex>> = self
-            .multi_indexes
-            .values()
-            .filter(|ix| ix.table() == table)
-            .cloned()
-            .collect();
+    /// All indexes on `table`, sorted by name.
+    pub fn indexes_on(&self, table: &str) -> Vec<Arc<Index>> {
+        let mut out: Vec<Arc<Index>> =
+            self.indexes.values().filter(|ix| ix.table() == table).cloned().collect();
         out.sort_by(|a, b| a.name().cmp(b.name()));
         out
     }
@@ -212,19 +184,10 @@ impl Catalog {
         self.tables.insert(table.name().to_owned(), table);
     }
 
-    /// Register an existing index handle, wiring the optimizer's
-    /// column-lookup map from the index's own table/column.
-    pub fn add_shared_index(&mut self, index: Arc<BTreeIndex>) {
-        self.index_by_col.insert(
-            (index.table().to_owned(), index.column().to_owned()),
-            index.name().to_owned(),
-        );
+    /// Register an existing index handle, replacing any index of the same
+    /// name.
+    pub fn add_shared_index(&mut self, index: Arc<Index>) {
         self.indexes.insert(index.name().to_owned(), index);
-    }
-
-    /// Register an existing composite-index handle.
-    pub fn add_shared_multi_index(&mut self, index: Arc<MultiIndex>) {
-        self.multi_indexes.insert(index.name().to_owned(), index);
     }
 
     /// Attach (or replace) `pool` on every registered table, so scans pin
@@ -249,8 +212,8 @@ impl Catalog {
         }
     }
 
-    /// A `Send + Sync` snapshot of the shareable half of the catalog: table,
-    /// B-tree and composite-index handles, in sorted name order.
+    /// A `Send + Sync` snapshot of the shareable half of the catalog: table
+    /// and index handles, in sorted name order.
     ///
     /// The `Catalog` itself is not `Send` — the adaptive indexes (crackers,
     /// adaptive merge) are `Rc<RefCell<…>>` and mutate on every query — but
@@ -263,12 +226,9 @@ impl Catalog {
     pub fn snapshot(&self) -> CatalogSnapshot {
         let mut tables: Vec<Arc<Table>> = self.tables.values().cloned().collect();
         tables.sort_by(|a, b| a.name().cmp(b.name()));
-        let mut indexes: Vec<Arc<BTreeIndex>> = self.indexes.values().cloned().collect();
+        let mut indexes: Vec<Arc<Index>> = self.indexes.values().cloned().collect();
         indexes.sort_by(|a, b| a.name().cmp(b.name()));
-        let mut multi_indexes: Vec<Arc<MultiIndex>> =
-            self.multi_indexes.values().cloned().collect();
-        multi_indexes.sort_by(|a, b| a.name().cmp(b.name()));
-        CatalogSnapshot { tables, indexes, multi_indexes }
+        CatalogSnapshot { tables, indexes }
     }
 }
 
@@ -278,8 +238,7 @@ impl Catalog {
 #[derive(Debug, Clone, Default)]
 pub struct CatalogSnapshot {
     tables: Vec<Arc<Table>>,
-    indexes: Vec<Arc<BTreeIndex>>,
-    multi_indexes: Vec<Arc<MultiIndex>>,
+    indexes: Vec<Arc<Index>>,
 }
 
 impl CatalogSnapshot {
@@ -293,19 +252,14 @@ impl CatalogSnapshot {
         for ix in &self.indexes {
             c.add_shared_index(Arc::clone(ix));
         }
-        for ix in &self.multi_indexes {
-            c.add_shared_multi_index(Arc::clone(ix));
-        }
         c
     }
 
     /// Heap bytes held by the snapshot's `(tables, indexes)` — column data
-    /// on one side, every single- and multi-column index on the other
-    /// (capacity-based, counted).
+    /// on one side, every index on the other (capacity-based, counted).
     pub fn heap_bytes(&self) -> (usize, usize) {
         let tables = self.tables.iter().map(|t| t.heap_bytes()).sum();
-        let indexes = self.indexes.iter().map(|ix| ix.heap_bytes()).sum::<usize>()
-            + self.multi_indexes.iter().map(|ix| ix.heap_bytes()).sum::<usize>();
+        let indexes = self.indexes.iter().map(|ix| ix.heap_bytes()).sum();
         (tables, indexes)
     }
 
@@ -330,23 +284,7 @@ impl CatalogSnapshot {
             .iter_mut()
             .find(|t| t.name() == table)
             .ok_or_else(|| RqpError::TableNotFound(table.to_owned()))?;
-        append_with_indexes(t, self.indexes.iter_mut(), self.multi_indexes.iter_mut(), rows)
-    }
-
-    /// Mutable access to a table in the snapshot, copying on write when
-    /// other handles are live — the same snapshot isolation as
-    /// [`Catalog::table_mut`], and like it **bypassing index upkeep** (use
-    /// [`append_rows`](Self::append_rows)). Because the table's attached pool
-    /// and changelog are shared `Arc`s, the copy keeps publishing to the same
-    /// feed; catalogs rebuilt from this snapshot *after* the write see the
-    /// new rows, ones rebuilt before keep their frozen view.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        let rc = self
-            .tables
-            .iter_mut()
-            .find(|t| t.name() == name)
-            .ok_or_else(|| RqpError::TableNotFound(name.to_owned()))?;
-        Ok(Arc::make_mut(rc))
+        append_with_indexes(t, self.indexes.iter_mut(), rows)
     }
 
     /// Attach (or replace) `pool` on every table handle in the snapshot.
@@ -371,16 +309,14 @@ impl CatalogSnapshot {
 /// The shared body of [`Catalog::append_rows`] and
 /// [`CatalogSnapshot::append_rows`]: validate every row first, then append
 /// each to the table and key it, under its new row id, into those of
-/// `indexes` and `multi` that are on the table.
+/// `indexes` that are on the table.
 fn append_with_indexes<'a>(
     table: &mut Arc<Table>,
-    indexes: impl Iterator<Item = &'a mut Arc<BTreeIndex>>,
-    multi: impl Iterator<Item = &'a mut Arc<MultiIndex>>,
+    indexes: impl Iterator<Item = &'a mut Arc<Index>>,
     rows: Vec<Row>,
 ) -> Result<()> {
     let name = table.name();
     let indexes = indexes.filter(|ix| ix.table() == name);
-    let multi = multi.filter(|ix| ix.table() == name);
     let arity = table.schema().len();
     for row in &rows {
         if row.len() != arity {
@@ -398,10 +334,7 @@ fn append_with_indexes<'a>(
         }
     }
     // Copy-on-write happens here, after the rows are known to be good.
-    let mut indexes: Vec<&mut PackedIndex> = indexes
-        .map(|ix| Arc::make_mut(ix).packed_mut())
-        .chain(multi.map(|ix| Arc::make_mut(ix).packed_mut()))
-        .collect();
+    let mut indexes: Vec<&mut Index> = indexes.map(Arc::make_mut).collect();
     if !indexes.is_empty() && table.nrows() + rows.len() > u32::MAX as usize {
         return Err(RqpError::Invalid(format!(
             "append to '{name}': {} rows exceed the index limit of {}",
@@ -455,11 +388,29 @@ mod tests {
     #[test]
     fn index_lookup_by_column() {
         let mut c = catalog();
-        c.create_index("ix_t_k", "t", "k").unwrap();
+        c.create_index("ix_t_kv", "t", &["k", "v"]).unwrap();
+        assert!(c.index_on("t", "k").is_none(), "a composite index is not a column's index");
+        c.create_index("ix_t_k", "t", &["k"]).unwrap();
         assert!(c.index_on("t", "k").is_some());
         assert!(c.index_on("t", "t.k").is_some(), "qualified names accepted");
         assert!(c.index_on("t", "v").is_none());
         assert_eq!(c.index("ix_t_k").unwrap().entries(), 50);
+        // Re-creating an index under the same name moves it to the new column.
+        c.create_index("ix_t_k", "t", &["v"]).unwrap();
+        assert!(c.index_on("t", "k").is_none());
+        assert_eq!(c.index_on("t", "v").unwrap().name(), "ix_t_k");
+        assert_eq!(c.indexes_on("t").len(), 2);
+    }
+
+    #[test]
+    fn indexes_follow_their_table() {
+        let mut c = catalog();
+        c.create_index("ix_t_k", "t", &["k"]).unwrap();
+        let err = c.table_mut("t").unwrap_err().to_string();
+        assert!(err.contains("ix_t_k"), "{err}");
+        c.add_table(Table::new("t", c.table("t").unwrap().schema().clone()));
+        assert!(c.index("ix_t_k").is_err(), "replacing a table drops its indexes");
+        assert!(c.table_mut("t").is_ok());
     }
 
     #[test]
@@ -476,8 +427,8 @@ mod tests {
     #[test]
     fn append_rows_keeps_indexes_in_step() {
         let mut c = catalog();
-        c.create_index("ix_t_k", "t", "k").unwrap();
-        c.create_multi_index("mx_t_kv", "t", &["k", "v"]).unwrap();
+        c.create_index("ix_t_k", "t", &["k"]).unwrap();
+        c.create_index("mx_t_kv", "t", &["k", "v"]).unwrap();
         let frozen = c.snapshot().to_catalog();
         let rows = |k: i64| vec![vec![Value::Int(k), Value::Float(0.5)]; 3];
         c.append_rows("t", rows(7)).unwrap();
@@ -491,7 +442,7 @@ mod tests {
         let after = snap.to_catalog();
         assert_eq!(after.table("t").unwrap().nrows(), 56);
         assert_eq!(after.index("ix_t_k").unwrap().lookup_eq(&Value::Int(7)).len(), 7);
-        let mx = after.multi_index("mx_t_kv").unwrap();
+        let mx = after.index("mx_t_kv").unwrap();
         assert_eq!(mx.lookup(&[Value::Int(7)], Some(&Value::Float(0.5)), None).unwrap().len(), 7);
         assert_eq!(mx.lookup(&[Value::Int(7), Value::Float(0.5)], None, None).unwrap().len(), 6);
     }
@@ -499,7 +450,7 @@ mod tests {
     #[test]
     fn append_rows_is_all_or_nothing() {
         let mut c = catalog();
-        c.create_index("ix_t_k", "t", "k").unwrap();
+        c.create_index("ix_t_k", "t", &["k"]).unwrap();
         let good = vec![Value::Int(1), Value::Int(2)]; // an Int coerces into the float column
         assert!(c.append_rows("missing", vec![good.clone()]).is_err());
         assert!(c.append_rows("t", vec![good.clone(), vec![Value::Int(1)]]).is_err());
@@ -537,8 +488,8 @@ mod tests {
     #[test]
     fn snapshot_round_trips_across_threads() {
         let mut c = catalog();
-        c.create_index("ix_t_k", "t", "k").unwrap();
-        c.create_multi_index("mx_t_kv", "t", &["k", "v"]).unwrap();
+        c.create_index("ix_t_k", "t", &["k"]).unwrap();
+        c.create_index("mx_t_kv", "t", &["k", "v"]).unwrap();
         let snap = c.snapshot();
         // The snapshot crosses a thread boundary; the rebuilt catalog sees
         // the same tables and indexes (including the column-lookup wiring).
@@ -547,7 +498,7 @@ mod tests {
             (
                 local.table("t").unwrap().nrows(),
                 local.index_on("t", "k").is_some(),
-                local.multi_index("mx_t_kv").unwrap().name().to_owned(),
+                local.index("mx_t_kv").unwrap().name().to_owned(),
             )
         })
         .join()
@@ -555,9 +506,7 @@ mod tests {
         assert_eq!(rebuilt, (50, true, "mx_t_kv".to_owned()));
         // Shared handles, not copies: the snapshot is isolated from later
         // writes exactly like any other live table handle.
-        c.table_mut("t")
-            .unwrap()
-            .append(vec![Value::Int(99), Value::Float(9.9)]);
+        c.append_rows("t", vec![vec![Value::Int(99), Value::Float(9.9)]]).unwrap();
         let snap2 = c.snapshot();
         assert_eq!(snap2.to_catalog().table("t").unwrap().nrows(), 51);
     }

@@ -6,11 +6,10 @@
 //! * [`mod@column`] — typed column vectors with min/max/distinct statistics
 //!   surface;
 //! * [`table`] — a [`table::Table`] of columns plus row-wise access;
-//! * [`index`] — clustered/unclustered secondary indexes
-//!   ([`index::BTreeIndex`]) and multi-column composite indexes
-//!   ([`multi_index::MultiIndex`]) with prefix + range lookups, both thin
-//!   wrappers over [`run`]: one packed sorted run plus an append partition,
-//!   probed through borrowed [`RowIds`];
+//! * [`index`] — clustered/unclustered secondary indexes: one [`Index`]
+//!   over k ≥ 1 columns with equality-prefix + range lookups, stored as one
+//!   packed sorted run plus an append partition (`run`) and probed through
+//!   borrowed [`RowIds`];
 //! * [`crack`] — **database cracking** (Idreos, Kersten, Manegold): a cracker
 //!   column physically reorganized as a side effect of range queries, the
 //!   seminar's flagship *adaptive indexing* technique;
@@ -38,9 +37,8 @@ pub mod changelog;
 pub mod column;
 pub mod crack;
 pub mod index;
-pub mod multi_index;
 pub mod pool;
-pub mod run;
+mod run;
 pub mod shared_scan;
 pub mod table;
 
@@ -49,10 +47,8 @@ pub use catalog::{Catalog, CatalogSnapshot};
 pub use changelog::{ChangeOp, ChangeRecord, Changelog};
 pub use column::{ColumnData, IntSlice, IntVec};
 pub use crack::CrackerColumn;
-pub use index::BTreeIndex;
-pub use multi_index::MultiIndex;
+pub use index::{Index, RidCursor, RowIds};
 pub use pool::{BufferPool, PagePin, PagerStats, PinOutcome};
-pub use run::{RidCursor, RowIds};
 pub use shared_scan::SharedScanCoordinator;
 pub use table::{StrEncoding, Table};
 

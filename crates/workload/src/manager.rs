@@ -231,24 +231,13 @@ impl FmtReport {
 }
 
 /// Run the FMT: execute `specs` three times — max memory, min memory, and
-/// under `schedule` (memory per query, cycled).
-pub fn fluctuating_memory_test(
-    catalog: &Catalog,
-    est: &dyn CardEstimator,
-    specs: &[QuerySpec],
-    schedule: &[f64],
-    max_memory: f64,
-    min_memory: f64,
-) -> Result<FmtReport> {
-    fluctuating_memory_test_with(catalog, est, specs, schedule, max_memory, min_memory, &|| {})
-}
-
-/// [`fluctuating_memory_test`] with a hook invoked before every measured
-/// run. The FMT's bound (UBL ≤ scheduled ≤ LBL) presumes each run's cost
-/// depends only on its memory grant — stateful storage (a buffer pool
-/// warmed by one run and charged to the next) breaks that. The hook lets
+/// under `schedule` (memory per query, cycled) — calling `before_run` before
+/// every measured run. The FMT's bound (UBL ≤ scheduled ≤ LBL) presumes each
+/// run's cost depends only on its memory grant — stateful storage (a buffer
+/// pool warmed by one run and charged to the next) breaks that. The hook lets
 /// the caller restore storage to one fixed state (e.g. re-attach a freshly
-/// warmed pool) so every run is measured from identical residency.
+/// warmed pool) so every run is measured from identical residency; `&|| {}`
+/// when there is none.
 #[allow(clippy::too_many_arguments)]
 pub fn fluctuating_memory_test_with(
     catalog: &Catalog,
@@ -480,15 +469,10 @@ mod tests {
         let est = StatsEstimator::new(reg);
         let mut rng = rqp_common::rng::seeded(5);
         let specs = db.analytic_mix(6, &mut rng);
-        let report = fluctuating_memory_test(
-            &db.catalog,
-            &est,
-            &specs,
-            &[200.0, 5000.0, 50_000.0],
-            1e9,
-            150.0,
-        )
-        .unwrap();
+        let schedule = [200.0, 5000.0, 50_000.0];
+        let report =
+            fluctuating_memory_test_with(&db.catalog, &est, &specs, &schedule, 1e9, 150.0, &|| {})
+                .unwrap();
         assert!(report.mem_ubl_cost <= report.mem_lbl_cost);
         assert!(report.within_bounds(), "position {}", report.position());
         assert!((0.0..=1.0).contains(&report.position()));
@@ -499,6 +483,7 @@ mod tests {
         let db = TpchDb::build(TpchParams { lineitem_rows: 500, ..Default::default() }, 5);
         let reg = Rc::new(TableStatsRegistry::analyze_catalog(&db.catalog, 16));
         let est = StatsEstimator::new(reg);
-        assert!(fluctuating_memory_test(&db.catalog, &est, &[], &[1.0], 10.0, 1.0).is_err());
+        let report = fluctuating_memory_test_with(&db.catalog, &est, &[], &[1.0], 10.0, 1.0, &|| {});
+        assert!(report.is_err());
     }
 }

@@ -89,7 +89,7 @@ impl StarDb {
                 .build(n, &mut rng);
             catalog.add_table(dim);
             catalog
-                .create_index(format!("ix_{name}_key"), name, "key")
+                .create_index(format!("ix_{name}_key"), name, &["key"])
                 .expect("dimension key index");
         }
 

@@ -110,13 +110,13 @@ impl TpchDb {
         catalog.add_table(supplier);
 
         if params.with_indexes {
-            catalog.create_index("ix_customer_custkey", "customer", "custkey").unwrap();
-            catalog.create_index("ix_orders_orderkey", "orders", "orderkey").unwrap();
-            catalog.create_index("ix_orders_custkey", "orders", "custkey").unwrap();
-            catalog.create_index("ix_lineitem_orderkey", "lineitem", "orderkey").unwrap();
-            catalog.create_index("ix_lineitem_shipdate", "lineitem", "shipdate").unwrap();
-            catalog.create_index("ix_part_partkey", "part", "partkey").unwrap();
-            catalog.create_index("ix_supplier_suppkey", "supplier", "suppkey").unwrap();
+            catalog.create_index("ix_customer_custkey", "customer", &["custkey"]).unwrap();
+            catalog.create_index("ix_orders_orderkey", "orders", &["orderkey"]).unwrap();
+            catalog.create_index("ix_orders_custkey", "orders", &["custkey"]).unwrap();
+            catalog.create_index("ix_lineitem_orderkey", "lineitem", &["orderkey"]).unwrap();
+            catalog.create_index("ix_lineitem_shipdate", "lineitem", &["shipdate"]).unwrap();
+            catalog.create_index("ix_part_partkey", "part", &["partkey"]).unwrap();
+            catalog.create_index("ix_supplier_suppkey", "supplier", &["suppkey"]).unwrap();
         }
 
         TpchDb { catalog, lineitem_rows: li }

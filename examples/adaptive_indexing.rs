@@ -46,7 +46,7 @@ fn main() {
     eager_ctx
         .clock
         .charge_compares(ROWS as f64 * (ROWS as f64).log2());
-    catalog.create_index("ix_t_k", "t", "k").unwrap();
+    catalog.create_index("ix_t_k", "t", &["k"]).unwrap();
 
     let scan_ctx = ExecContext::unbounded();
     let crack_ctx = ExecContext::unbounded();
@@ -85,6 +85,7 @@ fn main() {
         let mut ix = IndexScanOp::new(
             catalog.index("ix_t_k").unwrap(),
             catalog.table("t").unwrap(),
+            Vec::new(),
             Some(Value::Int(lo)),
             Some(Value::Int(hi)),
             eager_ctx.clone(),

@@ -18,10 +18,8 @@ use rqp::common::rng::{child_seed, seeded};
 use rqp::exec::{collect, ExecContext, GJoinOp, HashJoinOp, MergeJoinOp, Operator, SortOp};
 use rqp::expr::{col, lit, rewrites};
 use rqp::stats::MaxEntSolver;
-use rqp::storage::{
-    AdaptiveMergeIndex, BTreeIndex, CrackerColumn, IntVec, MultiIndex, RowId, Table,
-};
-use rqp::{DataType, Row, Schema, Value};
+use rqp::storage::{AdaptiveMergeIndex, CrackerColumn, Index, IntVec, RowId, Table};
+use rqp::{DataType, PlannerConfig, QuerySpec, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -229,7 +227,7 @@ fn cracker_survives_interleaved_updates() {
 }
 
 #[test]
-fn multi_index_agrees_with_filter() {
+fn composite_index_agrees_with_filter() {
     for case in 0..CASES {
         let mut rng = case_rng("multi-index", case);
         let n_rows = rng.gen_range(1usize..150);
@@ -244,7 +242,7 @@ fn multi_index_agrees_with_filter() {
         for &(a, b) in &rows {
             t.append(vec![Value::Int(a), Value::Int(b)]);
         }
-        let ix = MultiIndex::build("ix", &t, &["a", "b"]).unwrap();
+        let ix = Index::build("ix", &t, &["a", "b"]).unwrap();
         let mut got: Vec<usize> = ix
             .lookup(&[Value::Int(a_eq)], Some(&Value::Int(b_lo)), Some(&Value::Int(b_hi)))
             .unwrap()
@@ -464,10 +462,10 @@ fn packed_index_matches_btreemap_reference() {
             assert_eq!(t.column(0).as_int_slice().unwrap().width(), 1, "case {case}");
             assert!(!inserts.iter().all(one_byte), "case {case}: no insert widens the keys");
         }
-        let mut ix = BTreeIndex::build("ix", &t, "k").unwrap();
+        let mut ix = Index::build("ix", &t, &["k"]).unwrap();
         let mut reference = RefIndex::build(&values);
 
-        let check = |ix: &BTreeIndex, reference: &RefIndex, rng: &mut StdRng, what: &str| {
+        let check = |ix: &Index, reference: &RefIndex, rng: &mut StdRng, what: &str| {
             ix.validate().unwrap();
             assert_eq!(ix.entries(), reference.entries, "case {case} {what}: entries");
             assert_eq!(ix.distinct_keys(), reference.map.len(), "case {case} {what}: distinct");
@@ -477,11 +475,11 @@ fn packed_index_matches_btreemap_reference() {
                 let got: Vec<RowId> = ix.lookup_eq(&v).collect();
                 assert_eq!(got, reference.lookup_eq(&v), "case {case} {what}: eq {v:?}");
                 let (lo, hi) = (pick_bound(rng, &probes), pick_bound(rng, &probes));
-                let ids = ix.lookup_range(lo.as_ref(), hi.as_ref());
+                let ids = ix.lookup(&[], lo.as_ref(), hi.as_ref()).unwrap();
                 let want = reference.lookup_range(lo.as_ref(), hi.as_ref());
                 assert_eq!(ids.len(), want.len(), "case {case} {what}: len [{lo:?}, {hi:?}]");
                 assert_eq!(ids.collect::<Vec<_>>(), want, "case {case} {what}: [{lo:?}, {hi:?}]");
-                let sel = ix.selectivity(lo.as_ref(), hi.as_ref());
+                let sel = ix.selectivity(&[], lo.as_ref(), hi.as_ref()).unwrap();
                 let want_sel = want.len() as f64 / reference.entries.max(1) as f64;
                 assert_eq!(sel, want_sel, "case {case} {what}: selectivity");
             }
@@ -500,7 +498,7 @@ fn packed_index_matches_btreemap_reference() {
                 other => other,
             };
             let tail_before = ix.tail_entries();
-            ix.insert(key.clone(), rid).unwrap();
+            ix.insert(std::slice::from_ref(&key), rid).unwrap();
             reference.insert(key, rid);
             merges += usize::from(ix.tail_entries() < tail_before);
             if i % 7 == 0 {
@@ -512,7 +510,7 @@ fn packed_index_matches_btreemap_reference() {
     assert!(merges >= 2 * CASES as usize, "every case crosses two tail merges, saw {merges}");
 }
 
-/// The old `MultiIndex::lookup` over a `BTreeMap<Vec<Value>, Vec<RowId>>`.
+/// A composite-index lookup over a `BTreeMap<Vec<Value>, Vec<RowId>>`.
 fn ref_multi_lookup(
     map: &BTreeMap<Vec<Value>, Vec<RowId>>,
     prefix: &[Value],
@@ -535,7 +533,7 @@ fn ref_multi_lookup(
 }
 
 #[test]
-fn packed_multi_index_matches_btreemap_reference() {
+fn packed_composite_index_matches_btreemap_reference() {
     for case in 0..CASES {
         let mut rng = case_rng("packed-multi-index", case);
         let middle = [DataType::Float, DataType::Str][(case % 2) as usize];
@@ -560,7 +558,7 @@ fn packed_multi_index_matches_btreemap_reference() {
             map.entry(row.clone()).or_default().push(rid);
             t.append(row);
         }
-        let mut ix = MultiIndex::build("ix", &t, &["a", "b", "c"]).unwrap();
+        let mut ix = Index::build("ix", &t, &["a", "b", "c"]).unwrap();
         for step in 0..200 {
             if step > 0 {
                 let key = draw(&mut rng);
@@ -596,6 +594,111 @@ fn packed_multi_index_matches_btreemap_reference() {
         }
         assert_eq!(ix.entries(), map.values().map(Vec::len).sum::<usize>(), "case {case}");
     }
+}
+
+/// One random conjunct on column `c` of the index-differential table: `=`,
+/// `<`, `<=`, `BETWEEN` or `IN`, with values from `domain`.
+fn random_conjunct(rng: &mut StdRng, c: &str, domain: &[i64]) -> rqp::Expr {
+    let column = col(format!("t.{c}"));
+    let op = rng.gen_range(0..10);
+    let mut v = || domain[rng.gen_range(0..domain.len())];
+    match op {
+        0..=3 => column.eq(lit(v())),
+        4 => column.lt(lit(v())),
+        5 => column.le(lit(v())),
+        6..=7 => {
+            let (x, y) = (v(), v());
+            column.between(x.min(y), x.max(y))
+        }
+        _ => column.in_list((0..3).map(|_| Value::Int(v())).collect()),
+    }
+}
+
+/// A row of the index-differential table `t(a, b, c, d)`, each key drawn
+/// narrow (one, two and four bytes) or, now and then when `wide`, past what
+/// its column held so far; every key is recorded in its column's `domain`.
+fn keyed_row(rng: &mut StdRng, domains: &mut [Vec<i64>], wide: bool) -> Row {
+    domains
+        .iter_mut()
+        .enumerate()
+        .map(|(c, domain)| {
+            let wide = wide && rng.gen_range(0..4) == 0;
+            let k = match c {
+                0 => rng.gen_range(0..if wide { 300 } else { 8 }),
+                1 => rng.gen_range(-200i64..200) * if wide { 1000 } else { 1 },
+                2 => rng.gen_range(0i64..400) << if wide { 40 } else { 20 },
+                _ => rng.gen_range(0..50),
+            };
+            domain.push(k);
+            Value::Int(k)
+        })
+        .collect()
+}
+
+/// The planner's index choice never changes an answer: on tables carrying
+/// 1-, 2- and 3-column indexes over integer keys of several widths, random
+/// conjunctions over indexed and unindexed columns return under the chosen
+/// plan exactly the multiset a forced table scan returns — before and after
+/// appends that widen the keys and cross append-partition merges.
+#[test]
+fn planner_index_choice_agrees_with_a_table_scan() {
+    use rqp::opt::plan;
+    use rqp::stats::{StatsEstimator, TableStatsRegistry};
+    use std::rc::Rc;
+    const COLS: [&str; 4] = ["a", "b", "c", "d"];
+    let mut planned = [0usize; 3];
+    for case in 0..CASES {
+        let mut rng = case_rng("planner-index", case);
+        let mut domains = vec![Vec::new(); COLS.len()];
+        let mut t = Table::new("t", Schema::from_pairs(&COLS.map(|c| (c, DataType::Int))));
+        for _ in 0..rng.gen_range(500..2000) {
+            t.append(keyed_row(&mut rng, &mut domains, false));
+        }
+        let mut catalog = rqp::Catalog::new();
+        catalog.add_table(t);
+        // One index of each arity over the keyed columns `a`, `b`, `c`, in
+        // a per-case order; `d` stays unindexed.
+        for arity in 1..=3 {
+            let mut cols = vec!["a", "b", "c"];
+            let cols: Vec<&str> =
+                (0..arity).map(|_| cols.remove(rng.gen_range(0..cols.len()))).collect();
+            catalog.create_index(format!("ix{arity}"), "t", &cols).unwrap();
+        }
+        for phase in ["built", "appended"] {
+            if phase == "appended" {
+                let rows = (0..rng.gen_range(200..600))
+                    .map(|_| keyed_row(&mut rng, &mut domains, true))
+                    .collect();
+                catalog.append_rows("t", rows).unwrap();
+            }
+            let registry = TableStatsRegistry::analyze_catalog(&catalog, 16);
+            let est = StatsEstimator::new(Rc::new(registry));
+            for q in 0..12 {
+                let mut filter = None::<rqp::Expr>;
+                for _ in 0..rng.gen_range(1..=4) {
+                    let c = rng.gen_range(0..COLS.len());
+                    let conjunct = random_conjunct(&mut rng, COLS[c], &domains[c]);
+                    filter = Some(match filter {
+                        Some(f) => f.and(conjunct),
+                        None => conjunct,
+                    });
+                }
+                let spec = QuerySpec::new().table("t").filter("t", filter.unwrap());
+                let run = |cfg: PlannerConfig| {
+                    let p = plan(&spec, &catalog, &est, cfg).unwrap();
+                    let rows = p.build(&catalog, &ExecContext::unbounded(), None).unwrap().run();
+                    (p, multiset(rows))
+                };
+                let (chosen, got) = run(PlannerConfig::default());
+                let (_, want) = run(PlannerConfig { use_indexes: false, ..Default::default() });
+                assert_eq!(got, want, "case {case} {phase} query {q}: {chosen}");
+                if let rqp::PhysicalPlan::IndexScan { index, .. } = &chosen {
+                    planned[catalog.index(index).unwrap().columns().len() - 1] += 1;
+                }
+            }
+        }
+    }
+    assert!(planned.iter().all(|&n| n > 0), "index scans planned per arity: {planned:?}");
 }
 
 #[test]
