@@ -1,5 +1,5 @@
 //! The shared experiment harness: every `e*`/`a*` experiment runs through
-//! [`run`], so every run leaves a schema-versioned JSON [`RunReport`] in
+//! [`run`], so every run leaves a schema-versioned JSON [`RunReport`](rqp::telemetry::RunReport) in
 //! `exp_output/` next to its `.txt` artifact — config, RNG seed streams,
 //! operator spans with adaptive-decision events, and metrics.
 //!

@@ -66,14 +66,6 @@ impl ColVec {
             _ => None,
         }
     }
-
-    /// The dictionary-code slice, if this is a `Str` column.
-    pub fn as_codes(&self) -> Option<&[u32]> {
-        match self {
-            ColVec::Str(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// A selection bitmap over a batch's rows: bit `i` set means row `i` is

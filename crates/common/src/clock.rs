@@ -22,7 +22,7 @@
 //!
 //! Every operator in a plan holds a [`SharedClock`] (an `Arc`) and charges as
 //! it runs, including from exchange workers on other threads; workers charge
-//! private shard clocks ([`ExecContext::fork_worker`] in `rqp-exec`) so each
+//! private shard clocks (`ExecContext::fork_worker` in `rqp-exec`) so each
 //! worker's own cost stays attributable until the gather absorbs it.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -32,7 +32,7 @@
 //! * [`engine`] — [`engine::EngineConfig`], the two engine switches
 //!   (chaos seed, page budget) as one value, and the only reader of their
 //!   environment variables;
-//! * [`percentile`] — the nearest-rank [`percentile::percentile`] every
+//! * [`percentile`](mod@percentile) — the nearest-rank [`percentile::percentile`] every
 //!   latency report uses.
 //!
 //! Everything else in the workspace (`rqp-storage`, `rqp-stats`, `rqp-exec`,
@@ -65,4 +65,4 @@ pub use expr::{CmpOp, Expr, SimplePred};
 pub use percentile::percentile;
 pub use schema::{Field, Row, Schema};
 pub use sync::AtomicF64;
-pub use value::{key_atom_f64, key_atom_i64, DataType, KeyAtom, Value};
+pub use value::{DataType, KeyAtom, Value};

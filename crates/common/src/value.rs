@@ -184,7 +184,7 @@ pub enum KeyAtom<'a> {
 }
 
 /// [`Value::key_atom`] for a raw `i64`, without constructing a `Value`.
-pub fn key_atom_i64(v: i64) -> KeyAtom<'static> {
+fn key_atom_i64(v: i64) -> KeyAtom<'static> {
     // Identity for |v| ≤ 2^53; beyond that, collapse to the f64 image so the
     // atom agrees with cross-type equality (see `Value::key_atom`). The
     // saturating cast is exact even at the edge: `i64::MAX as f64` rounds up
@@ -193,7 +193,7 @@ pub fn key_atom_i64(v: i64) -> KeyAtom<'static> {
 }
 
 /// [`Value::key_atom`] for a raw `f64`, without constructing a `Value`.
-pub fn key_atom_f64(f: f64) -> KeyAtom<'static> {
+fn key_atom_f64(f: f64) -> KeyAtom<'static> {
     let i = f as i64; // saturating; NaN casts to 0 but fails the check below
     if f == f.trunc() && (i as f64) == f {
         KeyAtom::Int(i)

@@ -8,9 +8,10 @@
 //!
 //! The planner lowers every table scan to [`BatchScanOp`] (plus
 //! [`BatchFilterOp`] for a predicate that compiles to a
-//! [`SimplePred`]) behind the [`BatchRowsOp`] row adapter. The scalar scan
-//! and the other scalar twins remain as the reference these operators are
-//! tested against.
+//! [`SimplePred`]) behind the [`BatchRowsOp`] row adapter, and every
+//! parallel-scan exchange worker scans its range the same way. The scalar
+//! scan and the other scalar twins remain as the reference these operators
+//! are tested against.
 //!
 //! **Cost contract.** Every batch operator charges the [cost
 //! clock](rqp_common::clock) the *same amounts* as its scalar twin, just in
@@ -33,8 +34,8 @@ use crate::scan::{page_chaos, pin_page};
 use crate::Operator;
 use crate::agg::{AggFunc, AggSpec};
 use rqp_common::{
-    key_atom_f64, key_atom_i64, ColVec, ColumnBatch, DataType, Expr, KeyAtom, Result, Row,
-    RqpError, Schema, SimplePred, StringDict, Value,
+    ColVec, ColumnBatch, DataType, Expr, Result, Row, RqpError, Schema, SimplePred, StringDict,
+    Value,
 };
 use rqp_storage::Table;
 use rqp_telemetry::SpanHandle;
@@ -64,7 +65,7 @@ pub trait BatchOperator {
 pub type BoxBatchOp = Box<dyn BatchOperator>;
 
 /// Copy row `i` of `src` onto the end of `dst` (same-typed columns).
-pub(crate) fn push_from(dst: &mut ColVec, src: &ColVec, i: usize) {
+fn push_from(dst: &mut ColVec, src: &ColVec, i: usize) {
     match (dst, src) {
         (ColVec::Int(d), ColVec::Int(s)) => d.push(s[i]),
         (ColVec::Float(d), ColVec::Float(s)) => d.push(s[i]),
@@ -83,7 +84,7 @@ fn empty_like(like: &ColVec) -> ColVec {
 }
 
 /// An empty column vector for a schema field type, with room for `rows`.
-pub(crate) fn empty_for(dtype: DataType, rows: usize) -> ColVec {
+fn empty_for(dtype: DataType, rows: usize) -> ColVec {
     match dtype {
         DataType::Int => ColVec::Int(Vec::with_capacity(rows)),
         DataType::Float => ColVec::Float(Vec::with_capacity(rows)),
@@ -95,14 +96,20 @@ pub(crate) fn empty_for(dtype: DataType, rows: usize) -> ColVec {
 // Scan
 // ---------------------------------------------------------------------------
 
-/// Sequential batch scan of a table (or contiguous row range).
+/// Sequential batch scan of a table (or contiguous row range), in batches of
+/// [`rqp_common::DEFAULT_BATCH_ROWS`] rows.
 ///
 /// Page charges, cancellation checkpoints, chaos injection and buffer-pool
 /// pins happen at the same absolute page boundaries as
 /// [`crate::scan::TableScanOp`]; per-tuple CPU is charged in bulk per page.
+/// So a range starting on a page boundary (as [`Table::page_partitions`]
+/// guarantees) charges exactly its own pages, and per-range charges sum to
+/// the whole scan's for any partition count.
 /// `Str` columns are dictionary-encoded through the pipeline's shared
 /// [`StringDict`] at batch-build time. The planner lowers every table scan
-/// through this operator.
+/// through this operator, and each
+/// [`ExchangeOp::parallel_scan`](crate::ExchangeOp::parallel_scan) worker
+/// scans its range with it.
 pub struct BatchScanOp {
     table: Arc<Table>,
     schema: Schema,
@@ -116,7 +123,6 @@ pub struct BatchScanOp {
     start: usize,
     end: usize,
     rows_per_page: f64,
-    batch_rows: usize,
     chaos: bool,
     /// The table's buffer pool, if attached (see [`crate::scan::pin_page`]).
     pager: Option<Arc<rqp_storage::BufferPool>>,
@@ -180,18 +186,11 @@ impl BatchScanOp {
             start,
             end,
             rows_per_page,
-            batch_rows: rqp_common::DEFAULT_BATCH_ROWS,
             chaos,
             pager,
             pin: None,
             span,
         }
-    }
-
-    /// Override the rows-per-batch (default [`rqp_common::DEFAULT_BATCH_ROWS`]).
-    pub fn batch_rows(mut self, n: usize) -> Self {
-        self.batch_rows = n.max(1);
-        self
     }
 }
 
@@ -211,7 +210,7 @@ impl BatchOperator for BatchScanOp {
             return None;
         }
         let start = self.pos;
-        let end = (start + self.batch_rows).min(self.end);
+        let end = (start + rqp_common::DEFAULT_BATCH_ROWS).min(self.end);
         let mut columns: Vec<ColVec> =
             self.schema.fields().iter().map(|f| empty_for(f.dtype, end - start)).collect();
         // The scalar scan's page walk, a page at a time: each time the cursor
@@ -1093,7 +1092,7 @@ impl Operator for BatchHashAggOp {
 }
 
 // ---------------------------------------------------------------------------
-// Batch → row adapter and partition replay source
+// Batch → row adapter
 // ---------------------------------------------------------------------------
 
 /// Materializes a batch stream's surviving rows as scalar [`Row`]s — the
@@ -1183,100 +1182,4 @@ impl Operator for BatchRowsOp {
     fn span(&self) -> Option<&SpanHandle> {
         Some(&self.span)
     }
-}
-
-/// Replays one repartitioned columnar partition inside an exchange worker —
-/// the batch twin of [`PartitionSourceOp`](crate::exchange::PartitionSourceOp),
-/// charging one CPU tuple per replayed row (in bulk per batch).
-pub struct BatchPartitionSourceOp {
-    columns: Vec<ColVec>,
-    schema: Schema,
-    dict: Arc<StringDict>,
-    ctx: ExecContext,
-    pos: usize,
-    rows: usize,
-    batch_rows: usize,
-    span: SpanHandle,
-}
-
-impl BatchPartitionSourceOp {
-    /// Replay `columns` (one partition's compacted rows) under `schema`.
-    pub fn new(
-        columns: Vec<ColVec>,
-        schema: Schema,
-        dict: Arc<StringDict>,
-        ctx: ExecContext,
-    ) -> Self {
-        let rows = columns.first().map_or(0, ColVec::len);
-        let span = ctx.tracer.open("batch_partition_source", &ctx.clock);
-        span.set_detail(&format!("{rows} rows"));
-        BatchPartitionSourceOp {
-            columns,
-            schema,
-            dict,
-            ctx,
-            pos: 0,
-            rows,
-            batch_rows: rqp_common::DEFAULT_BATCH_ROWS,
-            span,
-        }
-    }
-}
-
-/// Slice a column vector to `[start, end)`.
-fn slice_col(col: &ColVec, start: usize, end: usize) -> ColVec {
-    match col {
-        ColVec::Int(v) => ColVec::Int(v[start..end].to_vec()),
-        ColVec::Float(v) => ColVec::Float(v[start..end].to_vec()),
-        ColVec::Str(v) => ColVec::Str(v[start..end].to_vec()),
-    }
-}
-
-impl BatchOperator for BatchPartitionSourceOp {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn dict(&self) -> &Arc<StringDict> {
-        &self.dict
-    }
-
-    fn next_batch(&mut self) -> Option<ColumnBatch> {
-        if self.pos >= self.rows {
-            self.span.close(&self.ctx.clock);
-            return None;
-        }
-        let start = self.pos;
-        let end = (start + self.batch_rows).min(self.rows);
-        let n = end - start;
-        self.ctx.clock.charge_cpu_tuples(n as f64);
-        let columns: Vec<ColVec> =
-            self.columns.iter().map(|c| slice_col(c, start, end)).collect();
-        self.pos = end;
-        self.span.produced_n(&self.ctx.clock, n as u64);
-        Some(ColumnBatch::new(columns, Arc::clone(&self.dict)))
-    }
-
-    fn span(&self) -> Option<&SpanHandle> {
-        Some(&self.span)
-    }
-}
-
-/// Hash one selected row's key columns exactly as the scalar
-/// [`hash_keys`](crate::exchange::hash_keys) does on materialized rows:
-/// fold [`KeyAtom`] encodings per key column, resolving dictionary codes to
-/// string bytes (codes are process-local; wire checksums and partition
-/// routing must agree with the scalar path byte-for-byte).
-pub(crate) fn hash_batch_row_keys(batch: &ColumnBatch, keys: &[usize], i: usize) -> u64 {
-    let mut h = crate::exchange::FNV_OFFSET;
-    for &k in keys {
-        h = match &batch.columns[k] {
-            ColVec::Int(xs) => crate::exchange::hash_atom(h, key_atom_i64(xs[i])),
-            ColVec::Float(xs) => crate::exchange::hash_atom(h, key_atom_f64(xs[i])),
-            ColVec::Str(xs) => batch
-                .dict
-                .with_resolved(xs[i], |s| crate::exchange::hash_atom(h, KeyAtom::Str(s))),
-        };
-    }
-    h
 }

@@ -51,8 +51,8 @@ impl MemoryGovernor {
         self.budget_rows.get()
     }
 
-    /// The budget the governor was configured with (what [`restore`]
-    /// (Self::restore) returns to after shocks).
+    /// The budget the governor was configured with (what
+    /// [`restore`](Self::restore) returns to after shocks).
     pub fn base_budget(&self) -> f64 {
         self.base_budget.get()
     }
@@ -63,8 +63,8 @@ impl MemoryGovernor {
     /// longer *silently*: the pressure epoch is bumped so holders
     /// renegotiate ([`WorkspaceLease::renegotiate`]), and the overcommit is
     /// reported to the caller. Also resets the base budget, so this is the
-    /// "official" resize; transient chaos shocks use [`shock_to`]
-    /// (Self::shock_to) instead.
+    /// "official" resize; transient chaos shocks use
+    /// [`shock_to`](Self::shock_to) instead.
     pub fn set_budget(&self, rows: f64) -> bool {
         self.base_budget.set(rows.max(0.0));
         self.budget_rows.set(rows.max(0.0));
@@ -163,8 +163,8 @@ impl MemoryGovernor {
 /// FMT-style budget shrink mid-drain silently left the governor
 /// overcommitted until the operator finished. A `WorkspaceLease` tracks what
 /// the operator actually holds and a snapshot of the governor's pressure
-/// epoch; when the epoch moves (a shrink landed), [`renegotiate`]
-/// (Self::renegotiate) sheds the overflow back to the governor and charges
+/// epoch; when the epoch moves (a shrink landed),
+/// [`renegotiate`](Self::renegotiate) sheds the overflow back to the governor and charges
 /// it as incremental spill — the smooth response the robustness metrics
 /// reward, instead of holding memory hostage or failing.
 ///
@@ -327,8 +327,10 @@ impl ExecContext {
     }
 
     /// Poll the cancellation token at the current virtual time and unwind
-    /// with the typed cause ([`RqpError::Cancelled`] /
-    /// [`RqpError::DeadlineExceeded`]) if it has tripped.
+    /// with the typed cause
+    /// ([`RqpError::Cancelled`](rqp_common::RqpError::Cancelled) /
+    /// [`RqpError::DeadlineExceeded`](rqp_common::RqpError::DeadlineExceeded))
+    /// if it has tripped.
     ///
     /// Operators call this at cost-charging boundaries (scan pages, sort and
     /// join output rows, exchange worker loops), right where they already

@@ -4,16 +4,19 @@
 //! Graefe's exchange operator encapsulates parallelism so that every other
 //! operator stays single-threaded: an [`ExchangeOp`] spawns one OS thread per
 //! partition, runs an independent operator pipeline in each, and gathers the
-//! results back into an ordinary pull-based stream. Three building blocks:
+//! results back into an ordinary pull-based stream. Two constructors over one
+//! gather:
 //!
 //! * **partition** — [`ExchangeOp::parallel_scan`] splits a base table into
-//!   page-aligned ranges ([`Table::page_partitions`]) and runs one range scan
-//!   per worker;
+//!   page-aligned ranges ([`Table::page_partitions`]); each worker scans its
+//!   range the way the planner lowers a scan ([`BatchScanOp`] behind the
+//!   [`BatchRowsOp`] row adapter) and stacks the caller's row pipeline on top;
 //! * **repartition** — [`ExchangeOp::repartition`] drains an arbitrary input
 //!   and redistributes its rows by [`Partitioning::Hash`] or
 //!   [`Partitioning::Range`] before running a per-partition pipeline;
-//! * **gather** — every exchange merges worker outputs *in worker-index
-//!   order*, so results and costs are reproducible.
+//! * **gather** — both merge worker outputs *in worker-index order*, so
+//!   results and costs are reproducible, and recover workers lost to
+//!   injected faults.
 //!
 //! Determinism is the design center, because the cost clock is the
 //! experiments' notion of response time. Each worker runs under
@@ -32,14 +35,11 @@
 //! `exchange.critical_path`, `exchange.total_work`, `exchange.speedup` and
 //! `exchange.skew` gauges for exactly that purpose.
 
-use crate::batch::{BatchPartitionSourceOp, BatchRowsOp, BatchScanOp, BoxBatchOp};
+use crate::batch::{BatchRowsOp, BatchScanOp};
 use crate::context::ExecContext;
-use crate::scan::TableScanOp;
 use crate::{BoxOp, Operator};
 use rqp_common::chaos::{install_quiet_panic_hook, ChaosPanic};
-use rqp_common::{
-    ColVec, ColumnBatch, KeyAtom, Result, Row, RqpError, Schema, SharedClock, Value, WorkerFault,
-};
+use rqp_common::{KeyAtom, Result, Row, RqpError, Schema, SharedClock, Value, WorkerFault};
 use rqp_storage::Table;
 use rqp_telemetry::SpanHandle;
 use std::any::Any;
@@ -69,20 +69,28 @@ pub enum Partitioning {
     },
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
-/// Fold one canonical [`KeyAtom`] into an FNV-1a stream (tag byte, then
-/// payload bytes). Shared by [`hash_value`] and the batch-mode routing path,
-/// which packs atoms straight from column vectors without materializing
-/// `Value`s — both must produce identical streams, or batch and scalar
-/// repartitions would route the same key to different workers.
-pub(crate) fn hash_atom(h: u64, atom: KeyAtom<'_>) -> u64 {
-    match atom {
+/// Deterministic FNV-1a hash of one value: a tag byte, then the payload
+/// bytes of its **canonical key atom** ([`Value::key_atom`]). Platform- and
+/// run-independent, unlike `std`'s `RandomState`, so hash partitions are
+/// reproducible across processes and CI legs.
+///
+/// Hashing the atom rather than the variant keeps the hash consistent with
+/// equality: `Value::total_cmp` calls `Int(3)` and `Float(3.0)` equal, so
+/// hashing them under different type tags (as this function once did) routed
+/// numerically-equal mixed-type keys to different workers — a silent
+/// wrong-answer bug for hash repartitioning. An integral float hashes
+/// byte-identically to its integer twin; `Int` keys and non-integral floats
+/// keep their original encodings, so hash partitions over single-type keys
+/// are unchanged.
+fn hash_value(h: u64, v: &Value) -> u64 {
+    match v.key_atom() {
         KeyAtom::Null => fnv1a(h, &[0]),
         KeyAtom::Int(i) => fnv1a(fnv1a(h, &[1]), &i.to_le_bytes()),
         KeyAtom::FloatBits(b) => fnv1a(fnv1a(h, &[2]), &b.to_le_bytes()),
@@ -90,24 +98,8 @@ pub(crate) fn hash_atom(h: u64, atom: KeyAtom<'_>) -> u64 {
     }
 }
 
-/// Deterministic FNV-1a hash of one value (type tag + payload bytes).
-/// Platform- and run-independent, unlike `std`'s `RandomState`, so hash
-/// partitions are reproducible across processes and CI legs.
-///
-/// Hashes the value's **canonical key atom** ([`Value::key_atom`]), not its
-/// variant: `Value::total_cmp` calls `Int(3)` and `Float(3.0)` equal, so
-/// hashing them under different type tags (as this function once did) routed
-/// numerically-equal mixed-type keys to different workers — a silent
-/// wrong-answer bug for hash repartitioning. An integral float now hashes
-/// byte-identically to its integer twin; `Int` keys and non-integral floats
-/// keep their original encodings, so hash partitions (and `rows_checksum`
-/// streams) over single-type keys are unchanged.
-pub fn hash_value(h: u64, v: &Value) -> u64 {
-    hash_atom(h, v.key_atom())
-}
-
 /// Hash the given key columns of a row. Errors if an index is out of bounds.
-pub fn hash_keys(row: &Row, keys: &[usize]) -> Result<u64> {
+fn hash_keys(row: &Row, keys: &[usize]) -> Result<u64> {
     let mut h = FNV_OFFSET;
     for &k in keys {
         let v = row
@@ -135,7 +127,7 @@ fn numeric_key(row: &Row, key: usize) -> Result<f64> {
 /// Split `rows` into `parts` buckets per `spec`. Pure and deterministic:
 /// the same rows and spec always yield the same buckets, in input order
 /// within each bucket.
-pub fn partition_rows(rows: Vec<Row>, spec: &Partitioning, parts: usize) -> Result<Vec<Vec<Row>>> {
+fn partition_rows(rows: Vec<Row>, spec: &Partitioning, parts: usize) -> Result<Vec<Vec<Row>>> {
     let parts = parts.max(1);
     let mut out: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
     match spec {
@@ -173,10 +165,11 @@ pub fn partition_rows(rows: Vec<Row>, spec: &Partitioning, parts: usize) -> Resu
 /// `Fn`, not `FnOnce`: when a worker is lost to an injected fault, the
 /// gather re-invokes the same builder under a fresh context to retry the
 /// partition.
-pub type WorkerBuilder = Box<dyn Fn(&ExecContext) -> BoxOp + Send + Sync>;
+type WorkerBuilder = Box<dyn Fn(&ExecContext) -> BoxOp + Send + Sync>;
 
-/// A per-partition pipeline applied on top of a partition source (or range
-/// scan) inside each worker. Shared across workers, hence `Fn + Send + Sync`.
+/// A per-partition row pipeline applied on top of each worker's source (its
+/// range scan or its replayed partition). Shared across workers, hence
+/// `Fn + Send + Sync`.
 pub type PipelineBuilder = Arc<dyn Fn(BoxOp, &ExecContext) -> BoxOp + Send + Sync>;
 
 /// Wrap a closure as a [`PipelineBuilder`].
@@ -184,22 +177,9 @@ pub fn pipeline(f: impl Fn(BoxOp, &ExecContext) -> BoxOp + Send + Sync + 'static
     Arc::new(f)
 }
 
-/// A per-partition **batch** pipeline applied on top of a batch range scan
-/// (or batch partition source) inside each worker — the batch-mode analogue
-/// of [`PipelineBuilder`].
-pub type BatchPipelineBuilder =
-    Arc<dyn Fn(BoxBatchOp, &ExecContext) -> BoxBatchOp + Send + Sync>;
-
-/// Wrap a closure as a [`BatchPipelineBuilder`].
-pub fn batch_pipeline(
-    f: impl Fn(BoxBatchOp, &ExecContext) -> BoxBatchOp + Send + Sync + 'static,
-) -> BatchPipelineBuilder {
-    Arc::new(f)
-}
-
 /// A materialized partition, replayed as an operator inside a worker. This
 /// is the "receive" half of a repartition exchange.
-pub struct PartitionSourceOp {
+struct PartitionSourceOp {
     schema: Schema,
     rows: std::vec::IntoIter<Row>,
     span: SpanHandle,
@@ -208,7 +188,7 @@ pub struct PartitionSourceOp {
 
 impl PartitionSourceOp {
     /// Source over pre-partitioned rows, traced under the worker's context.
-    pub fn new(schema: Schema, rows: Vec<Row>, ctx: &ExecContext) -> Self {
+    fn new(schema: Schema, rows: Vec<Row>, ctx: &ExecContext) -> Self {
         let span = ctx.tracer.open("partition_source", &ctx.clock);
         span.set_detail(&format!("rows={}", rows.len()));
         span.set_est_rows(rows.len() as f64);
@@ -245,11 +225,11 @@ impl Operator for PartitionSourceOp {
     }
 }
 
-/// The exchange operator: runs one worker thread per builder, gathers
+/// The exchange operator: runs one worker thread per partition, gathers
 /// deterministically, then streams the union.
 ///
-/// Execution is **eager**: workers run inside `new` (the exchange is a
-/// pipeline breaker either way), so by the time the constructor returns the
+/// Execution is **eager**: workers run inside the constructor (the exchange
+/// is a pipeline breaker either way), so by the time it returns the
 /// coordinator clock holds the absorbed shard costs, the trace holds one
 /// `exchange_worker` span per worker with the worker's operators beneath it,
 /// and the imbalance gauges are published. `next()` then replays the
@@ -321,9 +301,9 @@ fn cancellation_cause(payload: &(dyn Any + Send)) -> Option<RqpError> {
 
 /// Absorb one worker attempt's shard clock into the coordinator, open the
 /// `exchange_worker` span for it, adopt its partial trace, and record the
-/// gather event. Returns the shard's total cost. The `attempt == 0`
-/// success path emits byte-identical spans/events to the pre-chaos gather
-/// so chaos-off traces are unchanged.
+/// gather event. Returns the shard's total cost. A first attempt that
+/// succeeds emits the same spans and events as a gather without chaos, so
+/// chaos-off traces are unchanged.
 fn gather_attempt(
     ctx: &ExecContext,
     span: &SpanHandle,
@@ -375,183 +355,33 @@ fn gather_attempt(
 }
 
 impl ExchangeOp {
-    /// Run `builders` (one worker each) and gather in worker-index order.
+    /// Parallel table scan: page-aligned range partitions
+    /// ([`Table::page_partitions`]), one per worker. Each worker scans its
+    /// range the way the planner lowers a table scan — a
+    /// [`BatchScanOp::with_range`] behind the [`BatchRowsOp`] row adapter —
+    /// and stacks `build` on top (e.g. a filter pushed into the workers).
     ///
-    /// Panics if `builders` is empty or a worker fails beyond recovery;
-    /// prefer [`ExchangeOp::try_new`] where worker loss should surface as a
-    /// typed error.
-    pub fn new(builders: Vec<WorkerBuilder>, ctx: ExecContext) -> Self {
-        Self::try_new(builders, ctx).unwrap_or_else(|e| panic!("exchange worker failed: {e}"))
-    }
-
-    /// Run `builders` and gather in worker-index order, recovering lost
-    /// workers.
-    ///
-    /// A worker lost to an injected fault (a [`ChaosPanic`] or a typed
-    /// [`RqpError`] panic payload, e.g. scan retries exhausted) is retried
-    /// on the coordinator with a fresh forked context, charging one random
-    /// page per attempt as backoff, up to the policy's retry bound; the
-    /// lost attempt's partial cost and trace are still absorbed, so
-    /// recovery is visible as extra cost rather than vanished work. Retries
-    /// exhausted surfaces as [`RqpError::WorkerFailed`]. Genuine panics
-    /// (any other payload) keep unwinding.
-    pub fn try_new(builders: Vec<WorkerBuilder>, ctx: ExecContext) -> Result<Self> {
-        assert!(!builders.is_empty(), "exchange needs at least one worker");
-        let workers = builders.len();
-        if ctx.chaos.is_enabled() {
-            install_quiet_panic_hook();
-        }
-        let span = ctx.tracer.open("exchange", &ctx.clock);
-        span.set_detail(&format!("workers={workers}"));
-
-        // Fork one private context per worker, indexed by position.
-        let contexts: Vec<ExecContext> = (0..workers).map(|_| ctx.fork_worker()).collect();
-
-        // Run every pipeline to completion on its own thread. Scoped threads
-        // let builders borrow the forked contexts; dropping the operator
-        // before returning releases its grants and closes its spans even if
-        // a pipeline stops early.
-        let results: Vec<std::thread::Result<(Schema, Vec<Row>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = builders
-                .iter()
-                .zip(&contexts)
-                .enumerate()
-                .map(|(i, (build, wctx))| s.spawn(move || run_worker(build, wctx, i, 0)))
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
-        // Deterministic gather: absorb shard clocks and adopt worker traces
-        // strictly in worker-index order, never in completion order. Lost
-        // workers are retried inline here, still in worker-index order, so
-        // recovery does not perturb the gather order either.
-        let mut schema: Option<Schema> = None;
-        let mut out: Vec<Row> = Vec::new();
-        let mut costs: Vec<f64> = Vec::with_capacity(workers);
-        for (i, (result, wctx)) in results.into_iter().zip(&contexts).enumerate() {
-            let mut worker_cost;
-            let (wschema, rows) = match result {
-                Ok((wschema, rows)) => {
-                    worker_cost = gather_attempt(&ctx, &span, wctx, i, 0, Ok(rows.len()));
-                    (wschema, rows)
-                }
-                Err(payload) => {
-                    if let Some(cancel) = cancellation_cause(payload.as_ref()) {
-                        ctx.metrics.counter("exchange.workers_cancelled").inc();
-                        gather_attempt(&ctx, &span, wctx, i, 0, Err(&cancel.to_string()));
-                        span.close(&ctx.clock);
-                        return Err(cancel);
-                    }
-                    let Some(cause) = injected_cause(payload.as_ref()) else {
-                        resume_unwind(payload);
-                    };
-                    ctx.metrics.counter("exchange.workers_lost").inc();
-                    worker_cost = gather_attempt(&ctx, &span, wctx, i, 0, Err(&cause));
-                    let max_retries = ctx.chaos.worker_max_retries();
-                    let mut attempt = 1u32;
-                    loop {
-                        if attempt > max_retries {
-                            span.close(&ctx.clock);
-                            return Err(RqpError::WorkerFailed { worker: i, attempts: attempt });
-                        }
-                        // Backoff: the coordinator pays a growing random-I/O
-                        // charge before each retry, so recovery has a
-                        // deterministic, visible cost.
-                        ctx.clock.charge_random_pages(f64::from(attempt));
-                        ctx.metrics.counter("exchange.worker_retries").inc();
-                        let rctx = ctx.fork_worker();
-                        match catch_unwind(AssertUnwindSafe(|| run_worker(&builders[i], &rctx, i, attempt))) {
-                            Ok((wschema, rows)) => {
-                                worker_cost += gather_attempt(&ctx, &span, &rctx, i, attempt, Ok(rows.len()));
-                                ctx.metrics.counter("exchange.recoveries").inc();
-                                break (wschema, rows);
-                            }
-                            Err(p2) => {
-                                if let Some(cancel) = cancellation_cause(p2.as_ref()) {
-                                    ctx.metrics.counter("exchange.workers_cancelled").inc();
-                                    gather_attempt(&ctx, &span, &rctx, i, attempt, Err(&cancel.to_string()));
-                                    span.close(&ctx.clock);
-                                    return Err(cancel);
-                                }
-                                let Some(cause) = injected_cause(p2.as_ref()) else {
-                                    resume_unwind(p2);
-                                };
-                                worker_cost += gather_attempt(&ctx, &span, &rctx, i, attempt, Err(&cause));
-                                attempt += 1;
-                            }
-                        }
-                    }
-                }
-            };
-            costs.push(worker_cost);
-            out.extend(rows);
-            schema.get_or_insert(wschema);
-        }
-
-        // Imbalance gauges: in a cost-clock world the slowest worker is the
-        // elapsed time, so speedup = total work / critical path and skew is
-        // the critical path relative to a perfectly balanced split.
-        let total: f64 = costs.iter().sum();
-        let critical = costs.iter().copied().fold(0.0_f64, f64::max);
-        ctx.metrics.gauge("exchange.workers").set(workers as f64);
-        ctx.metrics.gauge("exchange.total_work").set(total);
-        ctx.metrics.gauge("exchange.critical_path").set(critical);
-        ctx.metrics
-            .gauge("exchange.speedup")
-            .set(if critical > 0.0 { total / critical } else { 1.0 });
-        ctx.metrics
-            .gauge("exchange.skew")
-            .set(if total > 0.0 { critical * workers as f64 / total } else { 1.0 });
-
-        Ok(ExchangeOp {
-            schema: schema.expect("at least one worker"),
-            ctx,
-            out: out.into_iter(),
-            span,
-        })
-    }
-
-    /// Parallel table scan: page-aligned range partitions, one
-    /// [`TableScanOp::with_range`] per worker. Because partitions are
-    /// page-aligned and gathered in worker order, the result rows *and* the
-    /// cost breakdown equal the sequential scan's (plus the gather's
-    /// per-tuple merge charge) for every worker count.
-    pub fn parallel_scan(table: Arc<Table>, workers: usize, ctx: ExecContext) -> Self {
-        Self::parallel_scan_with(table, workers, pipeline(|op, _| op), ctx)
-    }
-
-    /// Parallel scan with a per-worker pipeline on top of each range scan
-    /// (e.g. a filter pushed into the workers).
-    pub fn parallel_scan_with(
-        table: Arc<Table>,
-        workers: usize,
-        build: PipelineBuilder,
-        ctx: ExecContext,
-    ) -> Self {
-        Self::try_parallel_scan_with(table, workers, build, ctx)
-            .unwrap_or_else(|e| panic!("exchange worker failed: {e}"))
-    }
-
-    /// [`ExchangeOp::parallel_scan_with`], surfacing unrecoverable worker
-    /// loss as [`RqpError::WorkerFailed`] instead of panicking.
-    pub fn try_parallel_scan_with(
+    /// Because partitions are page-aligned and gathered in worker order, the
+    /// result rows *and* the cost breakdown equal the sequential scan's
+    /// (plus the gather's per-tuple merge charge) for every worker count.
+    /// Worker loss beyond recovery surfaces as [`RqpError::WorkerFailed`];
+    /// see [`ExchangeOp::repartition`] for the gather's error contract.
+    pub fn parallel_scan(
         table: Arc<Table>,
         workers: usize,
         build: PipelineBuilder,
         ctx: ExecContext,
     ) -> Result<Self> {
-        let workers = workers.max(1);
         let rpp = (ctx.clock.params().rows_per_page.max(1.0)) as usize;
         let builders: Vec<WorkerBuilder> = table
-            .page_partitions(workers, rpp)
+            .page_partitions(workers.max(1), rpp)
             .into_iter()
             .map(|(start, end)| {
                 let table = Arc::clone(&table);
                 let build = Arc::clone(&build);
                 Box::new(move |wctx: &ExecContext| {
-                    let scan: BoxOp =
-                        Box::new(TableScanOp::with_range(Arc::clone(&table), start, end, wctx.clone()));
-                    build(scan, wctx)
+                    let scan = BatchScanOp::with_range(Arc::clone(&table), start, end, wctx.clone());
+                    build(BatchRowsOp::boxed(Box::new(scan), wctx.clone()), wctx)
                 }) as WorkerBuilder
             })
             .collect();
@@ -560,8 +390,18 @@ impl ExchangeOp {
 
     /// Repartition exchange: drain `input` on the coordinator (charging one
     /// CPU tuple per row for the routing pass), split its rows per `spec`,
-    /// and run `build` over each partition's [`PartitionSourceOp`] in its
-    /// own worker.
+    /// and run `build` over each partition's replayed rows in its own
+    /// worker.
+    ///
+    /// A worker lost to an injected fault (a [`ChaosPanic`] or a typed
+    /// [`RqpError`] panic payload, e.g. scan retries exhausted) is retried
+    /// on the coordinator with a fresh forked context, charging one random
+    /// page per attempt as backoff, up to the policy's retry bound; the
+    /// lost attempt's partial cost and trace are still absorbed, so
+    /// recovery is visible as extra cost rather than vanished work. Retries
+    /// exhausted surfaces as [`RqpError::WorkerFailed`]; a cancellation or
+    /// page-budget exhaustion is returned as is, never retried. Genuine
+    /// panics (any other payload) keep unwinding.
     pub fn repartition(
         mut input: BoxOp,
         spec: Partitioning,
@@ -592,178 +432,110 @@ impl ExchangeOp {
         Self::try_new(builders, ctx)
     }
 
-    /// Parallel **batch** table scan: page-aligned range partitions, one
-    /// [`BatchScanOp`] per worker with `build` stacked on top, adapted to
-    /// rows at each worker's boundary. Gather, worker recovery and charge
-    /// totals are identical to [`ExchangeOp::try_parallel_scan_with`] over
-    /// the equivalent scalar pipeline.
-    pub fn try_parallel_batch_scan(
-        table: Arc<Table>,
-        workers: usize,
-        build: BatchPipelineBuilder,
-        ctx: ExecContext,
-    ) -> Result<Self> {
-        let workers = workers.max(1);
-        let rpp = (ctx.clock.params().rows_per_page.max(1.0)) as usize;
-        let builders: Vec<WorkerBuilder> = table
-            .page_partitions(workers, rpp)
-            .into_iter()
-            .map(|(start, end)| {
-                let table = Arc::clone(&table);
-                let build = Arc::clone(&build);
-                Box::new(move |wctx: &ExecContext| {
-                    let scan: BoxBatchOp = Box::new(BatchScanOp::with_range(
-                        Arc::clone(&table),
-                        start,
-                        end,
-                        wctx.clone(),
-                    ));
-                    BatchRowsOp::boxed(build(scan, wctx), wctx.clone())
-                }) as WorkerBuilder
-            })
-            .collect();
-        Self::try_new(builders, ctx)
-    }
-
-    /// Repartition a **batch** stream: drain `input` on the coordinator,
-    /// route each surviving row per `spec` into per-partition columnar
-    /// buffers (never materializing `Value` rows — string keys hash through
-    /// a per-code memo of their resolved bytes), and run `build` over each
-    /// partition's [`BatchPartitionSourceOp`] in its own worker.
-    ///
-    /// Row routing, the one-CPU-tuple-per-row routing charge, and the
-    /// worker/gather behavior are identical to [`ExchangeOp::repartition`]
-    /// over the materialized rows: the FNV key stream hashes canonical
-    /// [`KeyAtom`]s on both paths.
-    pub fn repartition_batches(
-        mut input: BoxBatchOp,
-        spec: Partitioning,
-        workers: usize,
-        build: BatchPipelineBuilder,
-        ctx: ExecContext,
-    ) -> Result<Self> {
-        let workers = workers.max(1);
-        let schema = input.schema().clone();
-        let dict = Arc::clone(input.dict());
-        let mut batches = Vec::new();
-        let mut routed = 0usize;
-        while let Some(b) = input.next_batch() {
-            routed += b.sel.count();
-            batches.push(b);
+    /// Run `builders` (one worker each) and gather in worker-index order,
+    /// recovering lost workers as [`ExchangeOp::repartition`] describes.
+    fn try_new(builders: Vec<WorkerBuilder>, ctx: ExecContext) -> Result<Self> {
+        assert!(!builders.is_empty(), "exchange needs at least one worker");
+        let workers = builders.len();
+        if ctx.chaos.is_enabled() {
+            install_quiet_panic_hook();
         }
-        drop(input);
-        ctx.clock.charge_cpu_tuples(routed as f64);
-        let parts = partition_batches(&batches, &schema, &spec, workers)?;
-        let builders: Vec<WorkerBuilder> = parts
-            .into_iter()
-            .map(|p| {
-                let build = Arc::clone(&build);
-                let schema = schema.clone();
-                let dict = Arc::clone(&dict);
-                Box::new(move |wctx: &ExecContext| {
-                    let src: BoxBatchOp = Box::new(BatchPartitionSourceOp::new(
-                        p.clone(),
-                        schema.clone(),
-                        Arc::clone(&dict),
-                        wctx.clone(),
-                    ));
-                    BatchRowsOp::boxed(build(src, wctx), wctx.clone())
-                }) as WorkerBuilder
-            })
-            .collect();
-        Self::try_new(builders, ctx)
-    }
-}
+        let span = ctx.tracer.open("exchange", &ctx.clock);
+        span.set_detail(&format!("workers={workers}"));
 
-/// Split a drained batch stream into `parts` per-partition columnar buffers
-/// per `spec`, preserving input order within each partition — the batch twin
-/// of [`partition_rows`], routing by the same canonical key hashes.
-fn partition_batches(
-    batches: &[ColumnBatch],
-    schema: &Schema,
-    spec: &Partitioning,
-    parts: usize,
-) -> Result<Vec<Vec<ColVec>>> {
-    let parts = parts.max(1);
-    let mut out: Vec<Vec<ColVec>> = (0..parts)
-        .map(|_| schema.fields().iter().map(|f| crate::batch::empty_for(f.dtype, 0)).collect())
-        .collect();
-    let push_row = |out: &mut Vec<Vec<ColVec>>, batch: &ColumnBatch, p: usize, i: usize| {
-        for (dst, src) in out[p].iter_mut().zip(&batch.columns) {
-            crate::batch::push_from(dst, src, i);
-        }
-    };
-    match spec {
-        Partitioning::Hash { keys, skew } => {
-            for &k in keys {
-                if k >= schema.len() {
-                    return Err(RqpError::KeyOutOfBounds { index: k, width: schema.len() });
-                }
-            }
-            // Single string key: the whole-row hash depends only on the
-            // dictionary code, so memoize it per code.
-            let single_str_key = match keys.as_slice() {
-                [k] if matches!(schema.field(*k).dtype, rqp_common::DataType::Str) => Some(*k),
-                _ => None,
-            };
-            let mut code_memo: Vec<Option<u64>> = Vec::new();
-            for batch in batches {
-                for i in batch.sel.iter_set() {
-                    let h = if let Some(k) = single_str_key {
-                        let codes = batch.columns[k].as_codes().expect("typed Str column");
-                        let c = codes[i] as usize;
-                        if c >= code_memo.len() {
-                            code_memo.resize(batch.dict.len(), None);
+        // Fork one private context per worker, indexed by position.
+        let contexts: Vec<ExecContext> = (0..workers).map(|_| ctx.fork_worker()).collect();
+
+        // Run every pipeline to completion on its own thread. Scoped threads
+        // let builders borrow the forked contexts; dropping the operator
+        // before returning releases its grants and closes its spans even if
+        // a pipeline stops early.
+        let results: Vec<std::thread::Result<(Schema, Vec<Row>)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = builders
+                .iter()
+                .zip(&contexts)
+                .enumerate()
+                .map(|(i, (build, wctx))| s.spawn(move || run_worker(build, wctx, i, 0)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+
+        // Deterministic gather: absorb shard clocks and adopt worker traces
+        // strictly in worker-index order, never in completion order. Lost
+        // workers are retried inline here, still in worker-index order, so
+        // recovery does not perturb the gather order either. The first
+        // attempt and every retry go through the same triage.
+        let max_retries = ctx.chaos.worker_max_retries();
+        let mut schema: Option<Schema> = None;
+        let mut out: Vec<Row> = Vec::new();
+        let mut costs: Vec<f64> = Vec::with_capacity(workers);
+        for (i, (mut result, mut wctx)) in results.into_iter().zip(contexts).enumerate() {
+            let mut worker_cost = 0.0;
+            let mut attempt = 0u32;
+            let (wschema, rows) = loop {
+                let payload = match result {
+                    Ok((wschema, rows)) => {
+                        worker_cost += gather_attempt(&ctx, &span, &wctx, i, attempt, Ok(rows.len()));
+                        if attempt > 0 {
+                            ctx.metrics.counter("exchange.recoveries").inc();
                         }
-                        *code_memo[c].get_or_insert_with(|| {
-                            batch
-                                .dict
-                                .with_resolved(codes[i], |s| hash_atom(FNV_OFFSET, KeyAtom::Str(s)))
-                        })
-                    } else {
-                        crate::batch::hash_batch_row_keys(batch, keys, i)
-                    };
-                    let p = if skewed_to_zero(h, *skew) { 0 } else { (h % parts as u64) as usize };
-                    push_row(&mut out, batch, p, i);
+                        break (wschema, rows);
+                    }
+                    Err(payload) => payload,
+                };
+                if let Some(cancel) = cancellation_cause(payload.as_ref()) {
+                    ctx.metrics.counter("exchange.workers_cancelled").inc();
+                    gather_attempt(&ctx, &span, &wctx, i, attempt, Err(&cancel.to_string()));
+                    span.close(&ctx.clock);
+                    return Err(cancel);
                 }
-            }
-        }
-        Partitioning::Range { key, skew } => {
-            if *key >= schema.len() {
-                return Err(RqpError::KeyOutOfBounds { index: *key, width: schema.len() });
-            }
-            let numeric = |batch: &ColumnBatch, i: usize| -> Result<f64> {
-                match &batch.columns[*key] {
-                    ColVec::Int(xs) => Ok(xs[i] as f64),
-                    ColVec::Float(xs) => Ok(xs[i]),
-                    ColVec::Str(xs) => Err(RqpError::NonNumericKey(format!(
-                        "{:?}",
-                        Value::Str(batch.dict.resolve(xs[i]))
-                    ))),
+                let Some(cause) = injected_cause(payload.as_ref()) else {
+                    resume_unwind(payload);
+                };
+                if attempt == 0 {
+                    ctx.metrics.counter("exchange.workers_lost").inc();
                 }
+                worker_cost += gather_attempt(&ctx, &span, &wctx, i, attempt, Err(&cause));
+                attempt += 1;
+                if attempt > max_retries {
+                    span.close(&ctx.clock);
+                    return Err(RqpError::WorkerFailed { worker: i, attempts: attempt });
+                }
+                // Backoff: the coordinator pays a growing random-I/O charge
+                // before each retry, so recovery has a deterministic,
+                // visible cost.
+                ctx.clock.charge_random_pages(f64::from(attempt));
+                ctx.metrics.counter("exchange.worker_retries").inc();
+                wctx = ctx.fork_worker();
+                result = catch_unwind(AssertUnwindSafe(|| run_worker(&builders[i], &wctx, i, attempt)));
             };
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for batch in batches {
-                for i in batch.sel.iter_set() {
-                    let v = numeric(batch, i)?;
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-            }
-            let width = (hi - lo).max(f64::MIN_POSITIVE);
-            for batch in batches {
-                for i in batch.sel.iter_set() {
-                    let v = numeric(batch, i)?;
-                    let by_range = (((v - lo) / width) * parts as f64) as usize;
-                    let h = crate::batch::hash_batch_row_keys(batch, &[*key], i);
-                    let p = if skewed_to_zero(h, *skew) { 0 } else { by_range.min(parts - 1) };
-                    push_row(&mut out, batch, p, i);
-                }
-            }
+            costs.push(worker_cost);
+            out.extend(rows);
+            schema.get_or_insert(wschema);
         }
+
+        // Imbalance gauges: in a cost-clock world the slowest worker is the
+        // elapsed time, so speedup = total work / critical path and skew is
+        // the critical path relative to a perfectly balanced split.
+        let total: f64 = costs.iter().sum();
+        let critical = costs.iter().copied().fold(0.0_f64, f64::max);
+        ctx.metrics.gauge("exchange.workers").set(workers as f64);
+        ctx.metrics.gauge("exchange.total_work").set(total);
+        ctx.metrics.gauge("exchange.critical_path").set(critical);
+        ctx.metrics
+            .gauge("exchange.speedup")
+            .set(if critical > 0.0 { total / critical } else { 1.0 });
+        ctx.metrics
+            .gauge("exchange.skew")
+            .set(if total > 0.0 { critical * workers as f64 / total } else { 1.0 });
+
+        Ok(ExchangeOp {
+            schema: schema.expect("at least one worker"),
+            ctx,
+            out: out.into_iter(),
+            span,
+        })
     }
-    Ok(out)
 }
 
 impl Operator for ExchangeOp {
@@ -822,6 +594,11 @@ mod tests {
 
     fn row_schema() -> Schema {
         Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)])
+    }
+
+    /// A parallel scan with no per-worker pipeline.
+    fn scan(t: &Arc<Table>, workers: usize, ctx: &ExecContext) -> Result<ExchangeOp> {
+        ExchangeOp::parallel_scan(Arc::clone(t), workers, pipeline(|op, _| op), ctx.clone())
     }
 
     #[test]
@@ -961,7 +738,7 @@ mod tests {
     fn parallel_scan_gathers_all_rows_in_table_order() {
         let t = table(1_050);
         let ctx = ExecContext::unbounded();
-        let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), 4, ctx.clone());
+        let mut ex = scan(&t, 4, &ctx).unwrap();
         let out = collect(&mut ex);
         // Range partitions are contiguous and gathered in worker order, so
         // the parallel scan preserves table order exactly.
@@ -975,15 +752,14 @@ mod tests {
     fn exchange_merges_worker_costs_traces_and_gauges() {
         let t = table(1_050);
         let ctx = ExecContext::unbounded();
-        let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), 4, ctx.clone());
-        collect(&mut ex);
+        collect(&mut scan(&t, 4, &ctx).unwrap());
         // Page charges equal the sequential scan's: page-aligned partitions
         // tile the 11 pages exactly.
         let bd = ctx.clock.breakdown();
         assert_eq!(bd.seq_io, 11.0 * ctx.clock.params().seq_page);
         // The trace holds the exchange span, one exchange_worker span per
-        // worker (parented to it), and each worker's scan beneath its
-        // exchange_worker span.
+        // worker (parented to it), and beneath each the planner's scan shape:
+        // a batch_rows adapter over a batch_scan.
         let spans = ctx.tracer.snapshot();
         let ex_id = spans.iter().find(|s| s.kind == "exchange").unwrap().id;
         let wspans: Vec<_> = spans.iter().filter(|s| s.kind == "exchange_worker").collect();
@@ -991,12 +767,19 @@ mod tests {
         for w in &wspans {
             assert_eq!(w.parent, Some(ex_id));
         }
-        let scans: Vec<_> = spans.iter().filter(|s| s.kind == "table_scan").collect();
-        assert_eq!(scans.len(), 4);
-        for s in &scans {
-            let parent = s.parent.expect("scan adopted under a worker span");
+        let adapters: Vec<_> = spans.iter().filter(|s| s.kind == "batch_rows").collect();
+        assert_eq!(adapters.len(), 4);
+        for a in &adapters {
+            let parent = a.parent.expect("adapter adopted under a worker span");
             assert!(wspans.iter().any(|w| w.id == parent));
         }
+        let scans: Vec<_> = spans.iter().filter(|s| s.kind == "batch_scan").collect();
+        assert_eq!(scans.len(), 4);
+        for s in &scans {
+            let parent = s.parent.expect("scan beneath its adapter");
+            assert!(adapters.iter().any(|a| a.id == parent));
+        }
+        assert!(!spans.iter().any(|s| s.kind == "table_scan"));
         // Worker spans count the rows their worker produced.
         assert_eq!(wspans.iter().map(|w| w.rows_out).sum::<u64>(), 1_050);
         // Gauges: 4 even workers → speedup near 4, skew near 1.
@@ -1025,8 +808,8 @@ mod tests {
                 Box::new(FilterOp::new(op, &col("t.id").lt(lit(700_i64)), wctx.clone()).unwrap())
                     as BoxOp
             });
-            let mut ex =
-                ExchangeOp::parallel_scan_with(Arc::clone(&t), workers, build, ctx.clone());
+            let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), workers, build, ctx.clone())
+                .unwrap();
             let rows = collect(&mut ex);
             (rows, ctx.clock.breakdown())
         };
@@ -1104,8 +887,8 @@ mod tests {
         let plain = ExecContext::unbounded();
         let off = ExecContext::unbounded()
             .with_chaos(ChaosPolicy::off());
-        let mut a = ExchangeOp::parallel_scan(Arc::clone(&t), 4, plain.clone());
-        let mut b = ExchangeOp::parallel_scan(Arc::clone(&t), 4, off.clone());
+        let mut a = scan(&t, 4, &plain).unwrap();
+        let mut b = scan(&t, 4, &off).unwrap();
         assert_eq!(collect(&mut a), collect(&mut b));
         assert_eq!(plain.clock.breakdown().total().to_bits(), off.clock.breakdown().total().to_bits());
         assert_eq!(plain.tracer.snapshot().len(), off.tracer.snapshot().len());
@@ -1127,8 +910,7 @@ mod tests {
         );
         let t = table(1_050);
         let ctx = chaos_ctx(ChaosConfig { scan_fault_rate: 0.0, shock_rate: 0.0, worker_stall_rate: 0.0, ..cfg });
-        let mut ex = ExchangeOp::try_parallel_scan_with(Arc::clone(&t), 4, pipeline(|op, _| op), ctx.clone())
-            .expect("panicked workers must recover within the retry bound");
+        let mut ex = scan(&t, 4, &ctx).expect("panicked workers must recover within the retry bound");
         let out = collect(&mut ex);
         let expected: Vec<Row> = t.iter_rows().collect();
         assert_eq!(out, expected, "recovered exchange must lose no rows");
@@ -1142,8 +924,7 @@ mod tests {
         // Recovery is visible as extra cost: backoff random pages on top of
         // the plain scan's charges.
         let plain = ExecContext::unbounded();
-        let mut p = ExchangeOp::parallel_scan(Arc::clone(&t), 4, plain.clone());
-        collect(&mut p);
+        collect(&mut scan(&t, 4, &plain).unwrap());
         assert!(ctx.clock.breakdown().total() > plain.clock.breakdown().total());
     }
 
@@ -1159,7 +940,7 @@ mod tests {
         };
         let t = table(200);
         let ctx = chaos_ctx(cfg);
-        let err = ExchangeOp::try_parallel_scan_with(Arc::clone(&t), 2, pipeline(|op, _| op), ctx)
+        let err = scan(&t, 2, &ctx)
             .map(|_| ())
             .expect_err("every attempt panics, so recovery must fail");
         assert!(matches!(err, RqpError::WorkerFailed { attempts: 3, .. }), "got {err}");
@@ -1178,12 +959,10 @@ mod tests {
         };
         let t = table(1_050);
         let ctx = chaos_ctx(cfg);
-        let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), 4, ctx.clone());
-        let out = collect(&mut ex);
+        let out = collect(&mut scan(&t, 4, &ctx).unwrap());
         assert_eq!(out.len(), 1_050, "stalls slow workers down but lose nothing");
         let plain = ExecContext::unbounded();
-        let mut p = ExchangeOp::parallel_scan(Arc::clone(&t), 4, plain.clone());
-        collect(&mut p);
+        collect(&mut scan(&t, 4, &plain).unwrap());
         let extra = ctx.clock.breakdown().seq_io - plain.clock.breakdown().seq_io;
         let per_stall = 16.0 * ctx.clock.params().seq_page;
         assert_eq!(extra, 4.0 * per_stall, "each of 4 workers stalls exactly once");
@@ -1202,8 +981,7 @@ mod tests {
         };
         let t = table(2_000);
         let ctx = chaos_ctx(cfg);
-        let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), 4, ctx.clone());
-        let out = collect(&mut ex);
+        let out = collect(&mut scan(&t, 4, &ctx).unwrap());
         let expected: Vec<Row> = t.iter_rows().collect();
         assert_eq!(out, expected, "retried scans must not lose or reorder rows");
         assert!(ctx.metrics.counter("chaos.scan_retries").get() >= 1);

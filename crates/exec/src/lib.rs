@@ -9,9 +9,9 @@
 //!
 //! Operator inventory:
 //!
-//! * [`scan`] — table scan, (un)clustered index scan over one- or
-//!   multi-column indexes (equality prefix + range), cracker scan,
-//!   adaptive-merge scan;
+//! * [`scan`] — row table scan (the batch scan's reference), (un)clustered
+//!   index scan over one- or multi-column indexes (equality prefix +
+//!   range), cracker scan, adaptive-merge scan;
 //! * [`filter`] — filter and project;
 //! * [`join`] — hash join (with Grace-style spill), sort-merge join,
 //!   index-nested-loop join, block-nested-loop join;
@@ -31,9 +31,10 @@
 //! * [`checkpoint`] — **POP CHECK operators** (Markl et al.): materialization
 //!   points that compare actual cardinality against a validity range and
 //!   signal re-optimization;
-//! * [`exchange`] — Volcano-style exchange: parallel scan, hash/range
-//!   repartition with injectable skew, deterministic gather over
-//!   `std::thread` workers;
+//! * [`exchange`] — Volcano-style exchange, two constructors over one
+//!   deterministic gather across `std::thread` workers: a parallel scan
+//!   whose workers run the planner's batch scan over page-aligned ranges,
+//!   and a hash/range row repartition with injectable skew;
 //! * [`batch`] — batch-at-a-time twins of the hot-path operators
 //!   (scan/filter/project/hash join/hash agg) exchanging columnar
 //!   [`rqp_common::ColumnBatch`]es with dictionary-encoded strings, plus the
@@ -65,16 +66,13 @@ pub mod symjoin;
 pub use agg::{AggFunc, AggSpec, HashAggOp};
 pub use agreedy::AGreedyFilterOp;
 pub use batch::{
-    BatchFilterOp, BatchHashAggOp, BatchHashJoinOp, BatchOperator, BatchPartitionSourceOp,
-    BatchProjectOp, BatchRowsOp, BatchScanOp, BoxBatchOp,
+    BatchFilterOp, BatchHashAggOp, BatchHashJoinOp, BatchOperator, BatchProjectOp, BatchRowsOp,
+    BatchScanOp, BoxBatchOp,
 };
 pub use checkpoint::{CheckOp, CheckOutcome, PopSignal};
 pub use context::{collect, ExecContext, MemoryGovernor, SpanOp, WorkspaceLease};
 pub use eddy::{EddyFilterOp, RoutingPolicy, StarEddyOp};
-pub use exchange::{
-    batch_pipeline, pipeline, BatchPipelineBuilder, ExchangeOp, Partitioning, PartitionSourceOp,
-    PipelineBuilder,
-};
+pub use exchange::{pipeline, ExchangeOp, Partitioning, PipelineBuilder};
 pub use filter::{FilterOp, ProjectOp};
 pub use gjoin::GJoinOp;
 pub use join::{BnlJoinOp, HashJoinOp, IndexNlJoinOp, MergeJoinOp};

@@ -18,15 +18,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Sequential scan of a whole table, or of a contiguous row range (the
-/// building block of parallel partitioned scans).
+/// Row-at-a-time sequential scan of a whole table: the reference the batch
+/// scan ([`crate::BatchScanOp`]), which the planner and the exchange run, is
+/// tested against.
 pub struct TableScanOp {
     table: Arc<Table>,
     schema: Schema,
     ctx: ExecContext,
     pos: usize,
-    start: usize,
-    end: usize,
     rows_per_page: f64,
     chaos: bool,
     /// The table's buffer pool, if one is attached; `None` keeps the legacy
@@ -42,27 +41,10 @@ pub struct TableScanOp {
 impl TableScanOp {
     /// Scan `table`, emitting rows with the qualified schema.
     pub fn new(table: Arc<Table>, ctx: ExecContext) -> Self {
-        let end = table.nrows();
-        Self::with_range(table, 0, end, ctx)
-    }
-
-    /// Scan only rows `[start, end)` of `table`.
-    ///
-    /// Page charges use *absolute* row positions, so a range starting on a
-    /// page boundary (as [`Table::page_partitions`] guarantees) charges
-    /// exactly its own pages — per-partition charges sum to the sequential
-    /// scan's total for any partition count.
-    pub fn with_range(table: Arc<Table>, start: usize, end: usize, ctx: ExecContext) -> Self {
         let schema = table.qualified_schema();
         let rows_per_page = ctx.clock.params().rows_per_page;
-        let end = end.min(table.nrows());
-        let start = start.min(end);
         let span = ctx.tracer.open("table_scan", &ctx.clock);
-        if start == 0 && end == table.nrows() {
-            span.set_detail(table.name());
-        } else {
-            span.set_detail(&format!("{}[{start}..{end}]", table.name()));
-        }
+        span.set_detail(table.name());
         let chaos = ctx.chaos.is_enabled();
         if chaos {
             rqp_common::chaos::install_quiet_panic_hook();
@@ -72,9 +54,7 @@ impl TableScanOp {
             table,
             schema,
             ctx,
-            pos: start,
-            start,
-            end,
+            pos: 0,
             rows_per_page,
             chaos,
             pager,
@@ -202,16 +182,15 @@ impl Operator for TableScanOp {
     }
 
     fn next(&mut self) -> Option<Row> {
-        if self.pos >= self.end {
+        if self.pos >= self.table.nrows() {
             self.pin = None;
             self.span.close(&self.ctx.clock);
             return None;
         }
-        // One sequential page each time the cursor crosses a page boundary
-        // (or enters mid-page at the start of an unaligned range). The page
-        // boundary is also the cancellation checkpoint: a cancelled or
-        // past-deadline query stops within one page of work.
-        if self.pos as f64 % self.rows_per_page == 0.0 || self.pos == self.start {
+        // One sequential page each time the cursor crosses a page boundary.
+        // The page boundary is also the cancellation checkpoint: a cancelled
+        // or past-deadline query stops within one page of work.
+        if self.pos as f64 % self.rows_per_page == 0.0 {
             self.ctx.checkpoint();
             self.ctx.clock.charge_seq_pages(1.0);
             let page = (self.pos as f64 / self.rows_per_page) as u64;
@@ -456,6 +435,7 @@ impl Operator for AMergeScanOp {
 mod tests {
     use super::*;
     use crate::context::collect;
+    use crate::{BatchRowsOp, BatchScanOp};
     use rqp_common::DataType;
     use rqp_storage::Catalog;
 
@@ -490,6 +470,10 @@ mod tests {
     fn range_scans_tile_the_table_and_sum_to_sequential_cost() {
         let c = catalog();
         let table = c.table("t").unwrap();
+        let range_scan = |s: usize, e: usize, ctx: &ExecContext| {
+            let scan = BatchScanOp::with_range(table.clone(), s, e, ctx.clone());
+            collect(BatchRowsOp::boxed(Box::new(scan), ctx.clone()).as_mut())
+        };
         // Sequential baseline.
         let seq = ExecContext::unbounded();
         let seq_rows = collect(&mut TableScanOp::new(table.clone(), seq.clone()));
@@ -499,12 +483,7 @@ mod tests {
             let ctx = ExecContext::unbounded();
             let mut rows = Vec::new();
             for (s, e) in table.page_partitions(k, 100) {
-                rows.extend(collect(&mut TableScanOp::with_range(
-                    table.clone(),
-                    s,
-                    e,
-                    ctx.clone(),
-                )));
+                rows.extend(range_scan(s, e, &ctx));
             }
             assert_eq!(rows, seq_rows, "k={k}");
             assert_eq!(
@@ -515,7 +494,7 @@ mod tests {
         }
         // An unaligned range still pays for the page it enters mid-way.
         let ctx = ExecContext::unbounded();
-        let rows = collect(&mut TableScanOp::with_range(table, 150, 250, ctx.clone()));
+        let rows = range_scan(150, 250, &ctx);
         assert_eq!(rows.len(), 100);
         assert_eq!(rows[0][0], Value::Int(150));
         assert!((ctx.clock.breakdown().seq_io - 2.0).abs() < 1e-9, "2 pages touched");

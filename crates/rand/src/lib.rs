@@ -153,7 +153,8 @@ macro_rules! impl_float_range {
 
 impl_float_range!(f32, f64);
 
-/// Distributions: the [`Distribution`] trait and the [`Standard`] instance.
+/// Distributions: the [`Distribution`](distributions::Distribution) trait and the
+/// [`Standard`](distributions::Standard) instance.
 pub mod distributions {
     use super::{standard_f64, Rng};
 

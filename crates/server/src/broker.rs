@@ -1,10 +1,10 @@
 //! Cross-query workspace brokering against a shared memory budget.
 //!
 //! Every admitted query executes under its **own**
-//! [`MemoryGovernor`](rqp_exec::MemoryGovernor) — operators inside a query
-//! already know how to degrade gracefully when *their* governor shrinks
-//! (the PR-4 pressure-epoch / [`WorkspaceLease::renegotiate`]
-//! (rqp_exec::WorkspaceLease::renegotiate) machinery). The broker's job is
+//! [`MemoryGovernor`] — operators inside a query already know how to
+//! degrade gracefully when *their* governor shrinks (the pressure-epoch /
+//! [`WorkspaceLease::renegotiate`](rqp_exec::WorkspaceLease::renegotiate)
+//! machinery). The broker's job is
 //! the layer above: it divides the *service's* budget among the running
 //! queries and moves each per-query budget as the population changes.
 //!

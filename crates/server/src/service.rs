@@ -45,8 +45,9 @@ pub struct ServiceConfig {
     /// Flight-recorder ring capacity (events retained for EVENTS tailing).
     pub recorder_capacity: usize,
     /// Page budget (frames) of the brokered buffer pool. `Some(n)` creates a
-    /// [`BufferPool`] attached to every snapshot table and funded by the
-    /// broker; `None` keeps the legacy always-resident storage path.
+    /// [`BufferPool`](rqp_storage::BufferPool) attached to every snapshot
+    /// table and funded by the broker; `None` keeps the legacy
+    /// always-resident storage path.
     pub page_budget: Option<usize>,
     /// Seed of the standard chaos mix injected into every query and every
     /// subscription poll; `None` injects nothing.
@@ -460,15 +461,21 @@ impl QueryService {
         self.subscribe_for(0, 1, spec, opts)
     }
 
-    /// Tear down subscription `id`: remove it from the registry, return
-    /// its broker grant, and cancel its token. Returns `false` if the id
-    /// is not a live subscription. After this returns the service holds
-    /// nothing for the subscription — no registry entry, no reservation,
-    /// no pins.
+    /// Tear down subscription `id`: return its broker grant, remove it
+    /// from the registry, and cancel its token. Returns `false` (and
+    /// touches nothing) if the id is not a live subscription. The grant
+    /// goes back first, so an observer that sees the registry entry gone
+    /// also sees no reservation for it; after this returns `true` the
+    /// service holds nothing for the subscription — no registry entry, no
+    /// reservation, no pins.
     pub fn unsubscribe(&self, id: u64) -> bool {
         let inner = &self.inner;
-        let Some(sub) = inner.subs.remove(id) else { return false };
+        let Some(sub) = inner.subs.get(id) else { return false };
         inner.broker.complete(id);
+        if inner.subs.remove(id).is_none() {
+            // A concurrent unsubscribe of the same id delisted it first.
+            return false;
+        }
         sub.cancel.cancel();
         self.trim_changelog();
         inner.metrics.counter("server.subs.unregistered").inc();
@@ -639,7 +646,7 @@ impl QueryService {
     /// identity, cancellation); wall-clock latencies on them are
     /// nondeterministic. So the gauges replay the recorded `(arrival,
     /// demand, priority, weight)` tuples through the
-    /// [`WorkloadManager`](rqp_workload::WorkloadManager) — the simulator
+    /// [`WorkloadManager`] — the simulator
     /// whose admission policy the gate shares — in virtual time. Same
     /// completion log → bit-identical report, which is what lets the
     /// scoreboard diff-gate these numbers.

@@ -1,7 +1,7 @@
 //! Live service introspection: the per-query registry + flight recorder.
 //!
-//! The completion log ([`QueryService::completions`]
-//! (crate::QueryService::completions)) describes queries that have already
+//! The completion log
+//! ([`QueryService::completions`](crate::QueryService::completions)) describes queries that have already
 //! *ended*; a long-running service also has to answer "what is the service
 //! doing right now?" — for the STATS/INSPECT/EVENTS wire frames and the
 //! `rqp-top` dashboard. [`ServiceStats`] is that answer, in two halves:

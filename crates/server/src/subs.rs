@@ -7,13 +7,13 @@
 //! under the catalog write lock, so the registration point is an exact
 //! changelog epoch), then advanced by *polls* that drain the shared
 //! [`Changelog`](rqp_storage::Changelog) through the circuit and emit
-//! [`DeltaPacket`]s. The service pieces each subscription touches:
+//! [`DeltaPacket`](rqp_stream::DeltaPacket)s. The service pieces each subscription touches:
 //!
 //! * **Identity** — subscriptions draw ids from the same sequence as
 //!   queries, so `broker.*` and `sub.*` flight-recorder events share one id
 //!   space and `rqp-top` can attribute both.
 //! * **Brokering** — each subscription holds a
-//!   [`MemoryGovernor`](rqp_exec::MemoryGovernor) granted by the
+//!   [`MemoryGovernor`] granted by the
 //!   [`MemoryBroker`](crate::MemoryBroker), funded from the circuit's
 //!   counted resident entries ([`ViewCircuit::state_rows`]: join-index
 //!   rows, groups, MIN/MAX multiset values — not the handful of rows the

@@ -6,7 +6,7 @@
 //! queue behind a mutex — because correctness of incremental view
 //! maintenance hinges on one property only: **every consumer sees the same
 //! records in the same total order**. Consumers keep a cursor (the epoch
-//! of the next unseen record) and poll with [`Changelog::since`]; the
+//! of the next unseen record) and poll with [`Changelog::since_up_to`]; the
 //! stream circuit in `rqp-stream` folds the drained records into its
 //! operator state.
 //!
@@ -101,16 +101,11 @@ impl Changelog {
         epoch
     }
 
-    /// All retained records with `epoch >= cursor`, plus the new cursor
-    /// (one past the last record in the log). A consumer that stores the
-    /// returned cursor and polls again sees each record exactly once.
-    pub fn since(&self, cursor: u64) -> (Vec<ChangeRecord>, u64) {
-        self.since_up_to(cursor, usize::MAX)
-    }
-
     /// At most `max_records` retained records with `epoch >= cursor`, plus
     /// the cursor one past the last record *returned* — a bounded poll
-    /// copies only what it will fold, however long the tail is. A cursor
+    /// copies only what it will fold, however long the tail is; pass
+    /// `usize::MAX` for the whole tail. A consumer that stores the returned
+    /// cursor and polls again sees each record exactly once. A cursor
     /// past the end is clamped; one below [`base`](Self::base) starts at
     /// the base (the records in between are gone — consumers keep their
     /// cursor registered with whoever trims).
@@ -178,7 +173,7 @@ mod tests {
         assert_eq!(log.publish_delete("t", row(1)), 1);
         assert_eq!(log.publish_insert("u", row(2)), 2);
         assert_eq!(log.len(), 3);
-        let (recs, cur) = log.since(0);
+        let (recs, cur) = log.since_up_to(0, usize::MAX);
         assert_eq!(cur, 3);
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].op, ChangeOp::Insert);
@@ -192,13 +187,13 @@ mod tests {
     fn cursor_sees_each_record_exactly_once() {
         let log = Changelog::new();
         log.publish_insert("t", row(1));
-        let (first, cur) = log.since(0);
+        let (first, cur) = log.since_up_to(0, usize::MAX);
         assert_eq!(first.len(), 1);
-        let (none, cur2) = log.since(cur);
+        let (none, cur2) = log.since_up_to(cur, usize::MAX);
         assert!(none.is_empty());
         assert_eq!(cur2, cur);
         log.publish_insert("t", row(2));
-        let (second, _) = log.since(cur2);
+        let (second, _) = log.since_up_to(cur2, usize::MAX);
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].row, row(2));
     }
@@ -207,7 +202,7 @@ mod tests {
     fn cursor_past_end_is_clamped() {
         let log = Changelog::new();
         log.publish_insert("t", row(1));
-        let (recs, cur) = log.since(99);
+        let (recs, cur) = log.since_up_to(99, usize::MAX);
         assert!(recs.is_empty());
         assert_eq!(cur, 1);
     }
@@ -262,7 +257,7 @@ mod tests {
         assert_eq!(log.base(), 10_001);
         // A stale cursor reads from the base, not from thin air.
         log.publish_insert("t", row(7));
-        let (recs, cur) = log.since(3);
+        let (recs, cur) = log.since_up_to(3, usize::MAX);
         assert_eq!((recs.len(), recs[0].epoch, cur), (1, 10_001, 10_002));
     }
 }

@@ -1,6 +1,6 @@
 //! Secondary indexes: one [`Index`] over k ≥ 1 columns of a table.
 //!
-//! An index is a packed sorted run (see [`crate::run`]) keyed on the column
+//! An index is a packed sorted run (see the `run` module) keyed on the column
 //! tuple and searched lexicographically, probed the way a B-tree is: the
 //! cost model charges `log2(entries)` compares per descent. A lookup is an
 //! equality `prefix` on the leading columns plus an inclusive `[lo, hi]` on
@@ -10,7 +10,7 @@
 //! the case of an empty prefix.
 //!
 //! Writes land in the run's append partition, which is merged into a new
-//! base once it outgrows [`TAIL_FRACTION`] of it. Cloning an index (what
+//! base once it outgrows `TAIL_FRACTION` of it. Cloning an index (what
 //! `Arc::make_mut` does when a running query still holds the old handle)
 //! therefore copies the tail and shares the base. Lookups borrow: a
 //! [`RowIds`] is a cursor over slices of the run, never a fresh `Vec`.

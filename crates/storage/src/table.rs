@@ -561,7 +561,7 @@ mod tests {
         assert_eq!(removed, vec![Value::Int(0), Value::Float(0.0)]);
         assert_eq!(cow.nrows(), 10);
         assert_eq!(cow.row(0), vec![Value::Int(1), Value::Float(0.5)]);
-        let (recs, cursor) = log.since(0);
+        let (recs, cursor) = log.since_up_to(0, usize::MAX);
         assert_eq!(cursor, 2);
         assert_eq!(recs[0].op, ChangeOp::Insert);
         assert_eq!(recs[0].row, vec![Value::Int(10), Value::Float(5.0)]);

@@ -13,7 +13,7 @@
 //!
 //! ## How a join index stores it
 //!
-//! Each side of a join stage is one [`JoinIndex`]: a map from key to the
+//! Each side of a join stage is one `JoinIndex`: a map from key to the
 //! `(first, last)` slots of its bucket, and one slot arena holding every
 //! bucket's `(narrowed row, weight)` entries — `arity` values per slot in
 //! one `Vec<Value>`, a weight and a next-slot link per slot beside it.
@@ -709,7 +709,7 @@ impl ViewCircuit {
     }
 
     /// One past the epoch of the last record folded in — the cursor to
-    /// pass to `Changelog::since` for the next poll.
+    /// pass to `Changelog::since_up_to` for the next poll.
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
@@ -1068,7 +1068,7 @@ mod tests {
         }
 
         fn poll(&mut self) -> DeltaPacket {
-            let (recs, cur) = self.log.since(self.cursor);
+            let (recs, cur) = self.log.since_up_to(self.cursor, usize::MAX);
             self.cursor = cur;
             self.circuit.apply(&recs, &self.clock)
         }
@@ -1401,7 +1401,7 @@ mod tests {
             ]
         );
         catalog.table_mut("t").unwrap().append(vec![Value::Int(0), Value::Int(4)]);
-        let (recs, _) = log.since(0);
+        let (recs, _) = log.since_up_to(0, usize::MAX);
         let before = clock.now();
         let p = circuit.apply(&recs, &clock);
         assert!(clock.now() > before, "deltas charge the clock");

@@ -1,13 +1,12 @@
 //! Acceptance tests for batch-at-a-time execution: every batch plan must be
 //! **row-identical** to its scalar twin and **bit-identical** in its charged
 //! cost breakdown under the default cost weights, at 1/2/8 workers, under
-//! repartitioning and under chaos injection. The planner lowers every table
-//! scan to the batch pipeline, so one question phrased two ways (a predicate
-//! with a batch form and one without) must charge the same bits. Also the
-//! mixed-type key
-//! regression: hash joins and hash repartitions over Int/Float keys must
-//! agree with a nested-loop oracle on both execution paths (the
-//! hash/equality divergence this PR fixed).
+//! repartitioning and under chaos injection. The planner and the parallel
+//! scan's workers lower every table scan to the batch pipeline, so one
+//! question phrased two ways (a predicate with a batch form and one without)
+//! must charge the same bits. Also the mixed-type key regression: hash joins
+//! and hash repartitions over Int/Float keys must agree with a nested-loop
+//! oracle on both execution paths.
 //!
 //! Compiled under `rqp-bench` so it can drive the whole stack through the
 //! `rqp` facade.
@@ -15,10 +14,10 @@
 use rqp::common::expr::{col, lit};
 use rqp::common::{ChaosConfig, ChaosPolicy, StringDict};
 use rqp::exec::{
-    batch_pipeline, collect, pipeline, AggFunc, AggSpec, BatchFilterOp, BatchHashAggOp,
-    BatchHashJoinOp, BatchProjectOp, BatchRowsOp, BatchScanOp, BnlJoinOp, BoxBatchOp, BoxOp,
-    ExchangeOp, ExecContext, FilterOp, HashAggOp, HashJoinOp, Operator, Partitioning, ProjectOp,
-    TableScanOp,
+    collect, pipeline, AggFunc, AggSpec, BatchFilterOp, BatchHashAggOp, BatchHashJoinOp,
+    BatchProjectOp, BatchRowsOp, BatchScanOp, BnlJoinOp, BoxBatchOp, BoxOp, ExchangeOp,
+    ExecContext, FilterOp, HashAggOp, HashJoinOp, Operator, Partitioning, PipelineBuilder,
+    ProjectOp, TableScanOp,
 };
 use rqp::{DataType, Expr, Row, Schema, Table, Value};
 use std::sync::Arc;
@@ -283,47 +282,60 @@ fn widened_orders() -> Arc<Table> {
     Arc::new(t)
 }
 
+/// Drain a sequential pipeline under `c`, then charge the one CPU tuple per
+/// row that an exchange's gather adds when it replays them: the reference
+/// a parallel scan must match bit for bit.
+fn gathered(mut op: BoxOp, c: ExecContext) -> (Vec<Row>, ExecContext) {
+    let rows = collect(op.as_mut());
+    c.clock.charge_cpu_tuples(rows.len() as f64);
+    (rows, c)
+}
+
+/// A parallel scan of `t` under `c` with `build` in every worker, drained.
+fn parallel(
+    t: &Arc<Table>,
+    workers: usize,
+    build: PipelineBuilder,
+    c: ExecContext,
+) -> (Vec<Row>, ExecContext) {
+    let mut ex = ExchangeOp::parallel_scan(Arc::clone(t), workers, build, c.clone()).unwrap();
+    (collect(&mut ex), c)
+}
+
+/// A per-worker row filter on `pred`.
+fn filter_in_workers(pred: &Expr) -> PipelineBuilder {
+    let p = pred.clone();
+    pipeline(move |op, wctx| Box::new(FilterOp::new(op, &p, wctx.clone()).unwrap()) as BoxOp)
+}
+
 #[test]
 fn parallel_batch_scan_matches_scalar_at_1_2_and_8_workers() {
     scan_twins_agree(orders(3_000), col("o.id").lt(lit(2_500i64)), 2_500);
     scan_twins_agree(widened_orders(), col("o.id").ge(lit(2_000i64)), 1_002);
 }
 
+/// The parallel scan with a row filter in its workers against two
+/// sequential references: the row scan under the same filter, and the
+/// planner's lowering of the predicate (batch scan, batch filter, row
+/// adapter). Rows and every cost component agree at each worker count.
 fn scan_twins_agree(t: Arc<Table>, pred: Expr, matching: usize) {
-    let scalar_run = |workers: usize| {
+    let scalar = {
         let c = ctx();
-        let p = pred.clone();
-        let build = pipeline(move |op, wctx| {
-            Box::new(FilterOp::new(op, &p, wctx.clone()).unwrap()) as BoxOp
-        });
-        let mut ex = ExchangeOp::parallel_scan_with(Arc::clone(&t), workers, build, c.clone());
-        (collect(&mut ex), c)
+        let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
+        gathered(Box::new(FilterOp::new(scan, &pred, c.clone()).unwrap()), c)
     };
-    let batch_run = |workers: usize| {
+    let planned = {
         let c = ctx();
-        let p = pred.clone();
-        let build = batch_pipeline(move |op, wctx| {
-            Box::new(BatchFilterOp::new(op, &p, wctx.clone()).unwrap()) as BoxBatchOp
-        });
-        let mut ex =
-            ExchangeOp::try_parallel_batch_scan(Arc::clone(&t), workers, build, c.clone())
-                .unwrap();
-        (collect(&mut ex), c)
+        let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(&t), c.clone()));
+        let f: BoxBatchOp = Box::new(BatchFilterOp::new(scan, &pred, c.clone()).unwrap());
+        gathered(BatchRowsOp::boxed(f, c.clone()), c)
     };
-
-    let baseline = scalar_run(1);
-    assert_eq!(baseline.0.len(), matching);
+    assert_eq!(scalar.0.len(), matching);
+    assert_rows_and_bits("row scan vs planner lowering", &scalar, &planned);
     for workers in [1usize, 2, 8] {
-        assert_rows_and_bits(
-            &format!("scalar vs batch at {workers} workers"),
-            &scalar_run(workers),
-            &batch_run(workers),
-        );
-        assert_rows_and_bits(
-            &format!("batch at {workers} workers vs 1-worker scalar"),
-            &baseline,
-            &batch_run(workers),
-        );
+        let got = parallel(&t, workers, filter_in_workers(&pred), ctx());
+        assert_rows_and_bits(&format!("{workers} workers vs row scan"), &scalar, &got);
+        assert_rows_and_bits(&format!("{workers} workers vs planner"), &planned, &got);
     }
 }
 
@@ -332,8 +344,9 @@ fn repartition_twins_are_bit_identical_for_hash_and_range_specs() {
     let t = orders(2_000);
     let pred = col("o.id").ge(lit(100i64));
     // Qualified scan schema: o.id=0, o.amt=1, o.cat=2. Hash on each column
-    // type plus a numeric range spec — batch routing must reproduce scalar
-    // routing byte for byte across Int, Float and dictionary-coded keys.
+    // type plus a numeric range spec. The repartition's input is the row
+    // scan or the planner's batch scan: routing and charges must agree byte
+    // for byte across Int, Float and dictionary-coded keys.
     let specs = [
         Partitioning::Hash { keys: vec![0], skew: 0.0 },
         Partitioning::Hash { keys: vec![1], skew: 0.0 },
@@ -341,38 +354,30 @@ fn repartition_twins_are_bit_identical_for_hash_and_range_specs() {
         Partitioning::Hash { keys: vec![0, 2], skew: 0.25 },
         Partitioning::Range { key: 1, skew: 0.0 },
     ];
+    let run = |batch: bool, spec: &Partitioning, workers: usize| {
+        let c = ctx();
+        let scan: BoxOp = if batch {
+            let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(&t), c.clone()));
+            BatchRowsOp::boxed(scan, c.clone())
+        } else {
+            Box::new(TableScanOp::new(Arc::clone(&t), c.clone()))
+        };
+        let build = filter_in_workers(&pred);
+        let mut ex = ExchangeOp::repartition(scan, spec.clone(), workers, build, c.clone()).unwrap();
+        (collect(&mut ex), c)
+    };
     for spec in &specs {
+        let mut multiset = None;
         for workers in [1usize, 2, 8] {
-            let scalar = {
-                let c = ctx();
-                let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
-                let p = pred.clone();
-                let build = pipeline(move |op, wctx| {
-                    Box::new(FilterOp::new(op, &p, wctx.clone()).unwrap()) as BoxOp
-                });
-                let mut ex =
-                    ExchangeOp::repartition(scan, spec.clone(), workers, build, c.clone())
-                        .unwrap();
-                (collect(&mut ex), c)
-            };
-            let batch = {
-                let c = ctx();
-                let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(&t), c.clone()));
-                let p = pred.clone();
-                let build = batch_pipeline(move |op, wctx| {
-                    Box::new(BatchFilterOp::new(op, &p, wctx.clone()).unwrap()) as BoxBatchOp
-                });
-                let mut ex = ExchangeOp::repartition_batches(
-                    scan,
-                    spec.clone(),
-                    workers,
-                    build,
-                    c.clone(),
-                )
-                .unwrap();
-                (collect(&mut ex), c)
-            };
-            assert_rows_and_bits(&format!("repartition {spec:?} x{workers}"), &scalar, &batch);
+            let scalar = run(false, spec, workers);
+            assert_rows_and_bits(
+                &format!("repartition {spec:?} x{workers}"),
+                &scalar,
+                &run(true, spec, workers),
+            );
+            let rows = sorted(scalar.0);
+            assert_eq!(rows.len(), 1_900, "{spec:?} x{workers}");
+            assert_eq!(multiset.get_or_insert_with(|| rows.clone()), &rows, "{spec:?} x{workers}");
         }
     }
 }
@@ -546,21 +551,21 @@ fn chaos_scan_faults_hit_batch_and_scalar_identically() {
 
 #[test]
 fn chaos_parallel_batch_scan_matches_scalar_exchange() {
+    // Scan faults key on the absolute page index, so the parallel scan's
+    // workers retry exactly the pages the sequential row scan retries.
     let t = orders(2_100);
-    let run = |batch: bool| {
-        let c = ctx().with_chaos(ChaosPolicy::new(chaos_scan_cfg()));
-        let rows = if batch {
-            let build = batch_pipeline(|op, _| op);
-            let mut ex =
-                ExchangeOp::try_parallel_batch_scan(Arc::clone(&t), 4, build, c.clone()).unwrap();
-            collect(&mut ex)
-        } else {
-            let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), 4, c.clone());
-            collect(&mut ex)
-        };
-        (rows, c)
+    let chaos = || ctx().with_chaos(ChaosPolicy::new(chaos_scan_cfg()));
+    let scalar = {
+        let c = chaos();
+        gathered(Box::new(TableScanOp::new(Arc::clone(&t), c.clone())), c)
     };
-    assert_rows_and_bits("chaos exchange", &run(false), &run(true));
+    for workers in [1usize, 2, 8] {
+        let got = parallel(&t, workers, pipeline(|op, _| op), chaos());
+        assert_rows_and_bits(&format!("chaos exchange x{workers}"), &scalar, &got);
+        let retries = got.1.metrics.counter("chaos.scan_retries").get();
+        assert!(retries >= 1, "seed must inject at least one transient fault");
+        assert_eq!(retries, scalar.1.metrics.counter("chaos.scan_retries").get());
+    }
 }
 
 #[test]
@@ -575,8 +580,7 @@ fn batch_workers_recover_from_injected_panics() {
     };
     let t = orders(1_050);
     let c = ctx().with_chaos(ChaosPolicy::new(cfg));
-    let build = batch_pipeline(|op, _| op);
-    let mut ex = ExchangeOp::try_parallel_batch_scan(Arc::clone(&t), 4, build, c.clone())
+    let mut ex = ExchangeOp::parallel_scan(Arc::clone(&t), 4, pipeline(|op, _| op), c.clone())
         .expect("panicked workers must recover within the retry bound");
     let out = collect(&mut ex);
     let expected: Vec<Row> = t.iter_rows().collect();
@@ -623,7 +627,7 @@ fn planned_scan(catalog: &rqp::Catalog, filter: Option<Expr>) -> (Vec<Row>, Vec<
 }
 
 #[test]
-fn the_planner_lowers_every_table_scan_to_a_batch_pipeline() {
+fn the_planner_lowers_every_table_scan_to_the_batch_scan() {
     let catalog = orders_catalog();
     let t = catalog.table("o").unwrap();
     let reference = |pred: &Expr| {

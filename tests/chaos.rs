@@ -57,7 +57,8 @@ fn same_seed_same_rows_and_cost_across_worker_counts() {
     let scan_run = |workers: usize| {
         let ctx = ExecContext::with_memory(1_000.0)
             .with_chaos(ChaosPolicy::new(scan_only));
-        let mut ex = ExchangeOp::parallel_scan(table(4_000), workers, ctx.clone());
+        let mut ex = ExchangeOp::parallel_scan(table(4_000), workers, pipeline(|op, _| op), ctx.clone())
+            .expect("exchange");
         (collect(&mut ex), ctx.clock.breakdown().total().to_bits())
     };
     let (rows1, cost1) = scan_run(1);

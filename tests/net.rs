@@ -736,9 +736,8 @@ fn wire_disconnect_tears_down_standing_subscriptions() {
     // empty registry.
     drop(doomed);
     await_until(|| svc.subscriptions().count() == 0, "subscription teardown");
-    // `unsubscribe` lists the registry entry as gone a moment before it
-    // returns the broker grant, on the connection's thread.
-    await_until(|| svc.reserved() == 0.0, "the disconnected subscriber's grants");
+    // `unsubscribe` returns the broker grant before it delists the entry.
+    assert_eq!(svc.reserved(), 0.0, "teardown leaked workspace grants");
     assert_eq!(svc.pager().expect("paged service").pins(), 0, "teardown leaked page pins");
     await_until(
         || svc.metrics().counter("wire.subs.torn_down").get() == 2,

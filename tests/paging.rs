@@ -1,22 +1,24 @@
 //! Acceptance tests for the paged buffer pool: with a page budget at or
 //! above the data size the engine must be **bit-identical** (rows and cost
-//! breakdown) to the pre-pool engine at 1, 2 and 8 workers on both the
-//! scalar and batch paths; below the data size it must stay row-identical
-//! and charge only the pager's fault surcharges, and a planner-built scan
-//! must hold one pin at a time, even through a pool smaller than one batch;
-//! budget exhaustion must
-//! surface as the typed [`RqpError::PageBudgetExhausted`] — never a panic,
-//! never burned worker retries — and every termination path (full drain,
-//! partial drain, deadline abort, wire disconnect) must leave the pool with
-//! zero pins and the broker with zero reservations.
+//! breakdown) to the pre-pool engine, and the parallel scan at 1, 2 and 8
+//! workers to the sequential row scan; below the data size it must stay
+//! row-identical and charge only the pager's fault surcharges, and a
+//! planner-built scan must hold one pin at a time, even through a pool
+//! smaller than one batch; budget exhaustion must surface as the typed
+//! [`RqpError::PageBudgetExhausted`] — never a panic, never burned worker
+//! retries — and every termination path (full drain, partial drain, worker
+//! recovery, worker loss, cancellation, deadline abort, wire disconnect)
+//! must leave the pool with zero pins, the governor with zero workspace and
+//! the broker with zero reservations.
 //!
 //! Compiled under `rqp-bench` so it can drive the exec operators, the query
 //! service and the wire layer in one place.
 
-use rqp::common::chaos::{ChaosConfig, ChaosPolicy};
-use rqp::common::{CostClock, CostModelParams, Row, RqpError};
+use rqp::common::chaos::{ChaosConfig, ChaosPolicy, WorkerFault};
+use rqp::common::{CancelToken, CostClock, CostModelParams, Row, RqpError};
+use rqp::exec::sort::SortOrder;
 use rqp::exec::{
-    batch_pipeline, collect, pipeline, ExchangeOp, ExecContext, Operator, TableScanOp,
+    collect, pipeline, BoxOp, ExchangeOp, ExecContext, Operator, Partitioning, SortOp, TableScanOp,
 };
 use rqp::server::{QueryOptions, QueryService, ServiceConfig};
 use rqp::storage::BufferPool;
@@ -38,6 +40,7 @@ fn table(n: i64) -> Arc<Table> {
     Arc::new(t)
 }
 
+#[derive(Debug, PartialEq)]
 struct RunOutput {
     rows: Vec<Row>,
     seq_io: u64,
@@ -46,13 +49,28 @@ struct RunOutput {
     spill: u64,
 }
 
-/// Parallel scan (scalar or batch path) of a fresh 4,000-row table, with an
-/// optional pool of `budget` pages attached. Returns rows, the four cost
-/// components as bits, and the pool for post-run pin/stat assertions.
+impl RunOutput {
+    /// Rows plus the four cost components of `ctx`'s clock, as bits.
+    fn new(rows: Vec<Row>, ctx: &ExecContext) -> Self {
+        let b = ctx.clock.breakdown();
+        RunOutput {
+            rows,
+            seq_io: b.seq_io.to_bits(),
+            rand_io: b.rand_io.to_bits(),
+            cpu: b.cpu.to_bits(),
+            spill: b.spill.to_bits(),
+        }
+    }
+}
+
+/// Scan a fresh 4,000-row table, with an optional pool of `budget` pages
+/// attached: in parallel on `workers` workers, or with `workers == 0`
+/// sequentially through the row scan, charging the one CPU tuple per row an
+/// exchange's gather adds (the reference the parallel scan must match).
+/// Returns rows and cost bits, and the pool for pin/stat assertions.
 fn scan_run(
     budget: Option<usize>,
     workers: usize,
-    batch: bool,
     chaos: ChaosPolicy,
 ) -> (RunOutput, Option<Arc<BufferPool>>) {
     let t = table(4_000);
@@ -62,25 +80,15 @@ fn scan_run(
         p
     });
     let ctx = ExecContext::with_memory(1_000.0).with_chaos(chaos);
-    let mut ex = if batch {
-        ExchangeOp::try_parallel_batch_scan(t, workers, batch_pipeline(|op, _| op), ctx.clone())
-            .expect("batch exchange")
+    let rows = if workers == 0 {
+        let rows = collect(&mut TableScanOp::new(t, ctx.clone()));
+        ctx.clock.charge_cpu_tuples(rows.len() as f64);
+        rows
     } else {
-        ExchangeOp::try_parallel_scan_with(t, workers, pipeline(|op, _| op), ctx.clone())
-            .expect("scalar exchange")
+        let build = pipeline(|op, _| op);
+        collect(&mut ExchangeOp::parallel_scan(t, workers, build, ctx.clone()).expect("exchange"))
     };
-    let rows = collect(&mut ex);
-    let b = ctx.clock.breakdown();
-    (
-        RunOutput {
-            rows,
-            seq_io: b.seq_io.to_bits(),
-            rand_io: b.rand_io.to_bits(),
-            cpu: b.cpu.to_bits(),
-            spill: b.spill.to_bits(),
-        },
-        pool,
-    )
+    (RunOutput::new(rows, &ctx), pool)
 }
 
 #[test]
@@ -88,24 +96,19 @@ fn full_budget_pool_is_bit_identical_to_the_unpooled_engine() {
     // The acceptance property: budget >= data means no eviction, no
     // re-fault, no surcharge — the pool is pure accounting and both the
     // row stream and every cost component match the pre-pool engine bit
-    // for bit, on the scalar and batch paths alike.
-    for workers in [1usize, 2, 8] {
-        for batch in [false, true] {
-            let label = format!("workers={workers} batch={batch}");
-            let (plain, _) = scan_run(None, workers, batch, ChaosPolicy::off());
-            let (pooled, pool) =
-                scan_run(Some(TABLE_PAGES), workers, batch, ChaosPolicy::off());
-            assert_eq!(plain.rows, pooled.rows, "{label}: rows diverged");
-            assert_eq!(plain.seq_io, pooled.seq_io, "{label}: seq_io bits");
-            assert_eq!(plain.rand_io, pooled.rand_io, "{label}: rand_io bits");
-            assert_eq!(plain.cpu, pooled.cpu, "{label}: cpu bits");
-            assert_eq!(plain.spill, pooled.spill, "{label}: spill bits");
-            let pool = pool.expect("pooled run");
-            let s = pool.stats();
-            assert_eq!(s.refaults, 0, "{label}: full budget must never re-fault");
-            assert_eq!(s.cold_loads as usize, TABLE_PAGES, "{label}: one load per page");
-            assert_eq!(pool.pins(), 0, "{label}: drained scan leaked pins");
-        }
+    // for bit, and the parallel scan matches the sequential row scan.
+    let (sequential, _) = scan_run(None, 0, ChaosPolicy::off());
+    for workers in [0usize, 1, 2, 8] {
+        let label = format!("workers={workers}");
+        let (plain, _) = scan_run(None, workers, ChaosPolicy::off());
+        let (pooled, pool) = scan_run(Some(TABLE_PAGES), workers, ChaosPolicy::off());
+        assert_eq!(plain, pooled, "{label}: the pool moved rows or cost bits");
+        assert_eq!(sequential, pooled, "{label}: diverged from the sequential scan");
+        let pool = pool.expect("pooled run");
+        let s = pool.stats();
+        assert_eq!(s.refaults, 0, "{label}: full budget must never re-fault");
+        assert_eq!(s.cold_loads as usize, TABLE_PAGES, "{label}: one load per page");
+        assert_eq!(pool.pins(), 0, "{label}: drained scan leaked pins");
     }
 }
 
@@ -120,24 +123,17 @@ fn chaos_page_faults_are_worker_count_invariant() {
         page_max_retries: 8,
         ..ChaosConfig::off()
     };
-    let (base, base_pool) =
-        scan_run(Some(TABLE_PAGES), 1, false, ChaosPolicy::new(cfg));
+    let (base, base_pool) = scan_run(Some(TABLE_PAGES), 0, ChaosPolicy::new(cfg));
     let retries = base_pool.expect("pool").stats().io_retries;
     assert!(retries > 0, "this seed must inject at least one page fault");
-    for workers in [2usize, 8] {
-        for batch in [false, true] {
-            let (run, pool) =
-                scan_run(Some(TABLE_PAGES), workers, batch, ChaosPolicy::new(cfg));
-            let label = format!("workers={workers} batch={batch}");
-            assert_eq!(base.rows, run.rows, "{label}: rows diverged under page faults");
-            assert_eq!(base.rand_io, run.rand_io, "{label}: retry charges diverged");
-            assert_eq!(base.seq_io, run.seq_io, "{label}: seq_io diverged");
-            assert_eq!(
-                pool.expect("pool").stats().io_retries,
-                retries,
-                "{label}: fault schedule moved with the worker count"
-            );
-        }
+    for workers in [1usize, 2, 8] {
+        let (run, pool) = scan_run(Some(TABLE_PAGES), workers, ChaosPolicy::new(cfg));
+        assert_eq!(base, run, "workers={workers}: rows or cost bits diverged under page faults");
+        assert_eq!(
+            pool.expect("pool").stats().io_retries,
+            retries,
+            "workers={workers}: fault schedule moved with the worker count"
+        );
     }
 }
 
@@ -146,15 +142,7 @@ fn constrained_budget_stays_row_identical_and_charges_only_refaults() {
     // Bare-scan baseline (no exchange, no pool), charge bits per component.
     let plain = {
         let ctx = ExecContext::with_memory(1_000.0);
-        let rows = collect(&mut TableScanOp::new(table(4_000), ctx.clone()));
-        let b = ctx.clock.breakdown();
-        RunOutput {
-            rows,
-            seq_io: b.seq_io.to_bits(),
-            rand_io: b.rand_io.to_bits(),
-            cpu: b.cpu.to_bits(),
-            spill: b.spill.to_bits(),
-        }
+        RunOutput::new(collect(&mut TableScanOp::new(table(4_000), ctx.clone())), &ctx)
     };
 
     // One pool, two sequential passes: the first is all cold loads (free —
@@ -203,12 +191,8 @@ fn page_budget_exhaustion_is_typed_and_propagates_through_the_exchange() {
     // The scan's first page is a hit on the guarded frame; page 1 needs a
     // second frame, finds the only one pinned, and must fail typed.
     let ctx = ExecContext::with_memory(1_000.0);
-    let err = match ExchangeOp::try_parallel_scan_with(
-        Arc::clone(&t),
-        1,
-        pipeline(|op, _| op),
-        ctx.clone(),
-    ) {
+    let err = match ExchangeOp::parallel_scan(Arc::clone(&t), 1, pipeline(|op, _| op), ctx.clone())
+    {
         Err(e) => e,
         Ok(_) => panic!("one pinned frame of one cannot serve a scan"),
     };
@@ -241,6 +225,96 @@ fn partial_drain_releases_every_pin() {
     assert_eq!(pool.pins(), 1, "a mid-page scan holds exactly its current page");
     drop(scan);
     assert_eq!(pool.pins(), 0, "dropping a part-way scan must release its pin");
+}
+
+/// The ways an exchange run can end.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    /// Every worker succeeds and the gather is drained.
+    Drain,
+    /// Worker 0 panics on its first attempt and a retry recovers it.
+    Recovered,
+    /// Every attempt panics: retries exhausted.
+    WorkerFailed,
+    /// The query's token is cancelled before the run.
+    Cancelled,
+}
+
+fn exit_context(exit: Exit) -> ExecContext {
+    let ctx = ExecContext::with_memory(1_000.0);
+    let panics = |seed, rate, retries| ChaosConfig {
+        seed,
+        worker_panic_rate: rate,
+        worker_max_retries: retries,
+        ..ChaosConfig::off()
+    };
+    match exit {
+        Exit::Drain => ctx,
+        Exit::Recovered => {
+            // The first seed under which worker 0 (present at every count)
+            // panics on its first attempt.
+            let first_panics = |&seed: &u64| {
+                let policy = ChaosPolicy::new(panics(seed, 0.3, 8));
+                matches!(policy.worker_fault(0, 0), Some(WorkerFault::Panic))
+            };
+            let seed = (0u64..).find(first_panics).expect("some seed panics");
+            ctx.with_chaos(ChaosPolicy::new(panics(seed, 0.3, 8)))
+        }
+        Exit::WorkerFailed => ctx.with_chaos(ChaosPolicy::new(panics(7, 1.0, 2))),
+        Exit::Cancelled => {
+            let token = CancelToken::new();
+            token.cancel();
+            ctx.with_cancel(token)
+        }
+    }
+}
+
+#[test]
+fn every_exchange_exit_releases_pins_and_workspace() {
+    // A 40-page table behind an 8-frame pool, scanned in parallel or
+    // repartitioned into per-worker sorts under a 1 000-row governor.
+    // Whichever way the run ends, nothing stays pinned or granted.
+    for workers in [1usize, 2, 8] {
+        for exit in [Exit::Drain, Exit::Recovered, Exit::WorkerFailed, Exit::Cancelled] {
+            for repartition in [false, true] {
+                let label = format!("{workers} workers, {exit:?}, repartition={repartition}");
+                let t = table(4_000);
+                let pool = BufferPool::new(8);
+                t.attach_pool(&pool);
+                let ctx = exit_context(exit);
+                let run = || -> Result<usize, RqpError> {
+                    let mut ex = if repartition {
+                        let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), ctx.clone()));
+                        let spec = Partitioning::Hash { keys: vec![1], skew: 0.0 };
+                        let build = pipeline(|op, wctx| {
+                            let order = [("t.key", SortOrder::Asc)];
+                            Box::new(SortOp::new(op, &order, wctx.clone()).expect("sort")) as BoxOp
+                        });
+                        ExchangeOp::repartition(scan, spec, workers, build, ctx.clone())?
+                    } else {
+                        let build = pipeline(|op, _| op);
+                        ExchangeOp::parallel_scan(Arc::clone(&t), workers, build, ctx.clone())?
+                    };
+                    Ok(collect(&mut ex).len())
+                };
+                // A repartition drains its input on the coordinator, whose
+                // scan unwinds with the typed cause when the token trips.
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                    .unwrap_or_else(|p| Err(*p.downcast::<RqpError>().expect("typed unwind")));
+                match (exit, outcome) {
+                    (Exit::Drain | Exit::Recovered, Ok(rows)) => assert_eq!(rows, 4_000, "{label}"),
+                    (Exit::WorkerFailed, Err(RqpError::WorkerFailed { attempts: 3, .. })) => {}
+                    (Exit::Cancelled, Err(RqpError::Cancelled)) => {}
+                    (_, other) => panic!("{label}: unexpected outcome {other:?}"),
+                }
+                if let Exit::Recovered = exit {
+                    assert!(ctx.metrics.counter("exchange.recoveries").get() >= 1, "{label}");
+                }
+                assert_eq!(pool.pins(), 0, "{label}: leaked page pins");
+                assert_eq!(ctx.memory.outstanding(), 0.0, "{label}: leaked workspace");
+            }
+        }
+    }
 }
 
 #[test]

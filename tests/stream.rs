@@ -415,7 +415,7 @@ fn churn_with_retractions_matches_cold_reruns_and_leaves_no_state() {
         let mut cursor = 0u64;
         let mut check =
             |catalog: &Catalog, circuits: &mut Vec<(ViewCircuit, Vec<Row>, usize)>, step: &str| {
-                let (recs, next) = log.since(cursor);
+                let (recs, next) = log.since_up_to(cursor, usize::MAX);
                 cursor = next;
                 let mut cold = Database::from_catalog(catalog.clone());
                 cold.analyze();
