@@ -350,13 +350,6 @@ impl Table {
         (0..self.nrows).map(|i| self.row(i))
     }
 
-    /// Iterate all rows in insertion order, materializing only the columns
-    /// at positions `cols` (in that order): a consumer that reads two of
-    /// eight columns builds two values per row, not eight.
-    pub fn iter_rows_of<'a>(&'a self, cols: &'a [usize]) -> impl Iterator<Item = Row> + 'a {
-        (0..self.nrows).map(move |i| cols.iter().map(|&c| self.columns[c].get(i)).collect())
-    }
-
     /// Split the table's row space into `parts` contiguous `[start, end)`
     /// ranges with **page-aligned** boundaries (multiples of
     /// `rows_per_page`), as evenly as the page granularity allows.
@@ -650,17 +643,6 @@ mod tests {
         assert!(pool.pin("hot", 1, &clock, &off).unwrap().1.hit);
         let (_pin, out) = pool.pin("hot", 2, &clock, &off).unwrap();
         assert!(!out.hit && out.refault, "mutated page re-reads as a re-fault");
-    }
-
-    #[test]
-    fn iter_rows_of_reads_only_the_named_columns() {
-        let t = tbl();
-        let rows: Vec<Row> = t.iter_rows_of(&[1]).collect();
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[3], vec![Value::Float(1.5)]);
-        // Order and repetition follow `cols`; no columns means empty rows.
-        assert_eq!(t.iter_rows_of(&[1, 0]).nth(2).unwrap(), vec![Value::Float(1.0), Value::Int(2)]);
-        assert_eq!(t.iter_rows_of(&[]).filter(|r| r.is_empty()).count(), 10);
     }
 
     #[test]

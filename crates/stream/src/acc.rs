@@ -89,7 +89,7 @@ impl RetractableAcc {
     }
 
     /// Payload bytes of the whole multiset (0 without one).
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn multiset_bytes(&self) -> usize {
         self.values.as_ref().map_or(0, |m| m.keys().map(Self::multiset_entry_bytes).sum())
     }

@@ -15,10 +15,9 @@
 //!
 //! Each side of a join stage is one `JoinIndex`: a map from key to the
 //! `(first, last)` slots of its bucket, and one slot arena holding every
-//! bucket's `(narrowed row, weight)` entries — `arity` values per slot in
-//! one `Vec<Value>`, a weight and a next-slot link per slot beside it.
-//! A one-column key (every TPC-H join) is stored inline in the map, so a
-//! stored row costs no heap allocation of its own. Rows that differ only in
+//! bucket's `(narrowed row, weight)` entries — one vector per stored
+//! column, a weight and a next-slot link per slot beside them. So a stored
+//! row costs no heap allocation of its own. Rows that differ only in
 //! columns nobody reads share an entry; an entry whose weight returns to
 //! zero is removed the way `Vec::swap_remove` removes it (the bucket's last
 //! entry takes its place), its slot goes on a free list the arena reuses
@@ -26,18 +25,31 @@
 //! a bucket iterates in the order a `Vec` bucket did, and everything
 //! computed from it — packets, snapshots, cost-clock charges — is too.
 //!
+//! Storage is typed where the schema allows it, and exact always. An `Int`
+//! or `Float` column is an `i64`/`f64` vector, and a one-column `Int` key
+//! lives in a `HashMap<i64, _>`; every other column is a `Vec<Value>` and
+//! every other key an inline `Value` (or one boxed slice when it is
+//! wider). The first time a typed column or map must store a value of
+//! another variant — NULL, a `Str`, a `Float` in an `Int` column, an `Int`
+//! in a `Float` one, an `Int` key beyond ±2^53 — it switches to the `Value`
+//! layout, for good. So every stored value keeps its variant and bits, and
+//! a probe matches exactly what `Value`'s `Eq` matches (a `Float(2.0)`
+//! probe finds the key `Int(2)`). The aggregate's groups follow the same
+//! rule: an ordered map from the group key (typed for one `Int` column) to
+//! a slot of two flat arenas, the row count and the accumulators.
+//!
 //! Cost-clock charges count *logical* rows (an entry of weight 3 charges
-//! three times), so what the clock reads does not depend on how many rows
+//! three units), so what the clock reads does not depend on how many rows
 //! happened to collapse into one entry.
 
 use crate::acc::RetractableAcc;
 use rqp_common::expr::BoundExpr;
-use rqp_common::{DataType, Field, Result, Row, RqpError, Schema, SharedClock, Value};
+use rqp_common::{DataType, Field, Result, Row, RqpError, Schema, SelMask, SharedClock, Value};
 use rqp_exec::AggFunc;
 use rqp_opt::QuerySpec;
 use rqp_storage::changelog::{ChangeOp, ChangeRecord};
-use rqp_storage::Catalog;
-use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet, HashMap};
+use rqp_storage::{Catalog, Table};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::mem::size_of;
 
 /// What one batch of changelog records did to the view: the rows a
@@ -84,17 +96,75 @@ struct TableInput {
     /// Base-table columns the circuit reads at all — filter inputs, this
     /// table's own join key, and whatever is kept downstream — ascending.
     cols: Vec<usize>,
-    /// Local filter bound over the read layout; `None` when the predicate
-    /// is trivially TRUE.
-    filter: Option<BoundExpr>,
+    /// Local filter bound over the read layout, with the read-layout
+    /// positions it reads; `None` when the predicate is trivially TRUE.
+    filter: Option<(BoundExpr, Vec<usize>)>,
     /// Read-layout positions that survive the filter: the columns a later
     /// stage reads (plus, for the first table, stage 0's key).
     keep: Vec<usize>,
 }
 
-/// The values of a join stage's key columns. Every TPC-H join is on one
-/// column, held inline; a wider key holds one boxed slice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+impl TableInput {
+    /// The rows of `table` whose read-layout values pass the filter.
+    fn survivors(&self, table: &Table) -> SelMask {
+        let mut set = SelMask::all(table.nrows());
+        if let Some((filter, reads)) = &self.filter {
+            // Only the filter's inputs are read; it looks at no other value.
+            let mut row = vec![Value::Null; self.cols.len()];
+            set.retain(|r| {
+                for &p in reads {
+                    row[p] = table.column(self.cols[p]).get(r);
+                }
+                filter.eval_bool(&row)
+            });
+        }
+        set
+    }
+}
+
+/// How many keys `keys()` yields, and how many distinct ones. One-column
+/// `Int` keys (`ints`) are counted in a bitmap over their range — or, when
+/// that range is sparser than one key per 64 values, in an exactly sized
+/// sorted vector — so counting never holds more than 8 bytes per key; any
+/// other key in a set of the distinct ones.
+fn count_keys<I: Iterator<Item = IndexKey>>(keys: impl Fn() -> I, ints: bool) -> (usize, usize) {
+    if !ints {
+        let mut n = 0;
+        let distinct: HashSet<IndexKey> = keys().inspect(|_| n += 1).collect();
+        return (n, distinct.len());
+    }
+    let int_keys = || {
+        keys().map(|key| match key {
+            IndexKey::One(Value::Int(k)) => k,
+            key => unreachable!("{key:?} read from an Int column"),
+        })
+    };
+    let (n, lo, hi) =
+        int_keys().fold((0, i64::MAX, i64::MIN), |(n, lo, hi), k| (n + 1, lo.min(k), hi.max(k)));
+    if n == 0 {
+        return (0, 0);
+    }
+    let span = hi.abs_diff(lo);
+    if span / 64 < n as u64 {
+        let mut bits = vec![0u64; span as usize / 64 + 1];
+        for offset in int_keys().map(|k| k.abs_diff(lo) as usize) {
+            bits[offset / 64] |= 1 << (offset % 64);
+        }
+        return (n, bits.iter().map(|w| w.count_ones() as usize).sum());
+    }
+    let mut sorted = Vec::with_capacity(n);
+    sorted.extend(int_keys());
+    sorted.sort_unstable();
+    sorted.dedup();
+    (n, sorted.len())
+}
+
+/// The values of a join stage's key columns, or of a group's. Every TPC-H
+/// join is on one column, held inline; a wider key holds one boxed slice
+/// (an empty one, which allocates nothing, for the global group). Equal,
+/// hashed and ordered as the slice of its values, so a one-column key
+/// orders as its value does.
+#[derive(Debug, Clone)]
 enum IndexKey {
     One(Value),
     Many(Box<[Value]>),
@@ -103,9 +173,14 @@ enum IndexKey {
 impl IndexKey {
     /// The key of `row` under a stage's key `positions`.
     fn of(row: &[Value], positions: &[usize]) -> IndexKey {
+        IndexKey::with(positions, |p| row[p].clone())
+    }
+
+    /// The key whose value at each of `positions` is `value(position)`.
+    fn with(positions: &[usize], value: impl Fn(usize) -> Value) -> IndexKey {
         match positions {
-            [p] => IndexKey::One(row[*p].clone()),
-            _ => IndexKey::Many(positions.iter().map(|&i| row[i].clone()).collect()),
+            [p] => IndexKey::One(value(*p)),
+            _ => IndexKey::Many(positions.iter().map(|&p| value(p)).collect()),
         }
     }
 
@@ -116,28 +191,379 @@ impl IndexKey {
         }
     }
 
-    /// Bytes of the key's map entry: the entry itself plus a wide key's
-    /// boxed values and the key's string contents.
-    fn bytes(&self) -> usize {
+    /// Bytes the key holds outside its map entry: a wide key's boxed
+    /// values and the key's string contents.
+    fn heap_bytes(&self) -> usize {
         let boxed = match self {
             IndexKey::One(_) => 0,
             IndexKey::Many(vs) => vs.len() * size_of::<Value>(),
         };
-        size_of::<(IndexKey, (u32, u32))>() + boxed + string_bytes(self.values())
+        boxed + string_bytes(self.values())
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for IndexKey {}
+
+impl std::hash::Hash for IndexKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl PartialOrd for IndexKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for IndexKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+/// Bound on a typed map's keys: within ±2^53 every `i64` has an `f64`
+/// image of its own, so a `Float` probe equals at most one stored key.
+const TYPED_KEYS: std::ops::RangeInclusive<i64> = -(1 << 53)..=1 << 53;
+
+/// The typed-map key that `Value`'s `Eq` matches `v` against: an `Int`
+/// itself, an integral `Float` its one equal integer; `None` when no key
+/// a typed map may hold equals `v`.
+fn int_key(v: &Value) -> Option<i64> {
+    match *v {
+        Value::Int(x) => Some(x),
+        Value::Float(f) => {
+            let i = f as i64;
+            (TYPED_KEYS.contains(&i) && (i as f64).to_bits() == f.to_bits()).then_some(i)
+        }
+        Value::Null | Value::Str(_) => None,
+    }
+}
+
+/// The map operations [`Keys`] needs, over a `HashMap` (join keys) or a
+/// `BTreeMap` (group keys, kept in order).
+trait Map<K: 'static>: Default + IntoIterator<Item = (K, Self::Value)> {
+    type Value: Copy + 'static;
+    fn get(&self, key: &K) -> Option<&Self::Value>;
+    fn get_mut(&mut self, key: &K) -> Option<&mut Self::Value>;
+    fn insert(&mut self, key: K, value: Self::Value);
+    fn remove_entry(&mut self, key: &K) -> Option<(K, Self::Value)>;
+    fn len(&self) -> usize;
+    fn entries(&self) -> impl Iterator<Item = (&K, &Self::Value)>;
+}
+
+impl<K: std::hash::Hash + Eq + 'static, X: Copy + 'static> Map<K> for HashMap<K, X> {
+    type Value = X;
+    fn get(&self, key: &K) -> Option<&X> {
+        HashMap::get(self, key)
+    }
+    fn get_mut(&mut self, key: &K) -> Option<&mut X> {
+        HashMap::get_mut(self, key)
+    }
+    fn insert(&mut self, key: K, value: X) {
+        HashMap::insert(self, key, value);
+    }
+    fn remove_entry(&mut self, key: &K) -> Option<(K, X)> {
+        HashMap::remove_entry(self, key)
+    }
+    fn len(&self) -> usize {
+        HashMap::len(self)
+    }
+    fn entries(&self) -> impl Iterator<Item = (&K, &X)> {
+        self.iter()
+    }
+}
+
+impl<K: Ord + 'static, X: Copy + 'static> Map<K> for BTreeMap<K, X> {
+    type Value = X;
+    fn get(&self, key: &K) -> Option<&X> {
+        BTreeMap::get(self, key)
+    }
+    fn get_mut(&mut self, key: &K) -> Option<&mut X> {
+        BTreeMap::get_mut(self, key)
+    }
+    fn insert(&mut self, key: K, value: X) {
+        BTreeMap::insert(self, key, value);
+    }
+    fn remove_entry(&mut self, key: &K) -> Option<(K, X)> {
+        BTreeMap::remove_entry(self, key)
+    }
+    fn len(&self) -> usize {
+        BTreeMap::len(self)
+    }
+    fn entries(&self) -> impl Iterator<Item = (&K, &X)> {
+        self.iter()
+    }
+}
+
+/// Keys stored typed while they can be: a one-column `Int` key lives in an
+/// `i64`-keyed map until a key it cannot hold — anything but an `Int`
+/// within ±2^53 — must be stored; then every key moves to the
+/// `IndexKey`-keyed map, for good. Lookups match what `Value`'s `Eq`
+/// matches either way.
+#[derive(Debug)]
+enum Keys<I, V> {
+    Int(I),
+    Values(V),
+}
+
+/// Join key → the first and last slot of its bucket.
+type KeyMap = Keys<HashMap<i64, (u32, u32)>, HashMap<IndexKey, (u32, u32)>>;
+/// Group key → its slot, in key order (`Int` keys order as `i64`s do).
+type GroupMap = Keys<BTreeMap<i64, u32>, BTreeMap<IndexKey, u32>>;
+
+impl<I: Map<i64>, V: Map<IndexKey, Value = I::Value>> Keys<I, V> {
+    /// Bytes of one typed entry.
+    const INT_BYTES: usize = size_of::<(i64, I::Value)>();
+    /// Bytes of one `IndexKey` entry, before the key's heap bytes.
+    const VALUE_BYTES: usize = size_of::<(IndexKey, I::Value)>();
+
+    /// An empty map, typed if its keys are one `Int` column.
+    fn new(key: &[DataType]) -> Self {
+        if key == [DataType::Int] {
+            Keys::Int(I::default())
+        } else {
+            Keys::Values(V::default())
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Keys::Int(m) => m.len(),
+            Keys::Values(m) => m.len(),
+        }
+    }
+
+    fn get(&self, key: &IndexKey) -> Option<I::Value> {
+        match (self, key) {
+            (Keys::Int(m), IndexKey::One(v)) => m.get(&int_key(v)?).copied(),
+            (Keys::Int(_), IndexKey::Many(_)) => None,
+            (Keys::Values(m), key) => m.get(key).copied(),
+        }
+    }
+
+    fn get_mut(&mut self, key: &IndexKey) -> Option<&mut I::Value> {
+        match (self, key) {
+            (Keys::Int(m), IndexKey::One(v)) => m.get_mut(&int_key(v)?),
+            (Keys::Int(_), IndexKey::Many(_)) => None,
+            (Keys::Values(m), key) => m.get_mut(key),
+        }
+    }
+
+    /// Counted bytes of `key`'s entry: a typed entry's whenever a typed
+    /// map can hold the key, whichever map holds it now, so that the count
+    /// depends on the keys alone and not on the ones that came and went.
+    fn entry_bytes(key: &IndexKey) -> usize {
+        match key {
+            IndexKey::One(Value::Int(k)) if TYPED_KEYS.contains(k) => Self::INT_BYTES,
+            _ => Self::VALUE_BYTES + key.heap_bytes(),
+        }
+    }
+
+    /// Add `key`, which the map does not hold, switching to `IndexKey`s
+    /// first when the typed map cannot hold it. Returns the entry's
+    /// counted bytes.
+    fn insert(&mut self, key: IndexKey, value: I::Value) -> usize {
+        let bytes = Self::entry_bytes(&key);
+        if let Keys::Int(m) = self {
+            match key {
+                IndexKey::One(Value::Int(k)) if TYPED_KEYS.contains(&k) => {
+                    m.insert(k, value);
+                    return bytes;
+                }
+                _ => {
+                    let mut values = V::default();
+                    for (k, x) in std::mem::take(m) {
+                        values.insert(IndexKey::One(Value::Int(k)), x);
+                    }
+                    *self = Keys::Values(values);
+                }
+            }
+        }
+        let Keys::Values(m) = self else { unreachable!("switched above") };
+        m.insert(key, value);
+        bytes
+    }
+
+    /// Drop `key`'s entry (it is present), returning its value and the
+    /// stored key's counted bytes.
+    fn remove(&mut self, key: &IndexKey) -> (I::Value, usize) {
+        match (self, key) {
+            (Keys::Int(m), IndexKey::One(v)) => {
+                let (_, x) = int_key(v).and_then(|k| m.remove_entry(&k)).expect("a present key");
+                (x, Self::INT_BYTES)
+            }
+            (Keys::Int(_), IndexKey::Many(_)) => unreachable!("typed keys are one column"),
+            (Keys::Values(m), key) => {
+                let (stored, x) = m.remove_entry(key).expect("a present key");
+                (x, Self::entry_bytes(&stored))
+            }
+        }
+    }
+
+    /// Every entry as `(key, value, counted bytes)`, in map order.
+    fn iter(&self) -> impl Iterator<Item = (IndexKey, I::Value, usize)> + '_ {
+        let (ints, values) = match self {
+            Keys::Int(m) => (Some(m), None),
+            Keys::Values(m) => (None, Some(m)),
+        };
+        let ints = ints.into_iter().flat_map(Map::entries);
+        let values = values.into_iter().flat_map(Map::entries);
+        ints.map(|(&k, &x)| (IndexKey::One(Value::Int(k)), x))
+            .chain(values.map(|(k, &x)| (k.clone(), x)))
+            .map(|(k, x)| {
+                let bytes = Self::entry_bytes(&k);
+                (k, x, bytes)
+            })
+    }
+}
+
+impl KeyMap {
+    fn reserve(&mut self, n: usize) {
+        match self {
+            Keys::Int(m) => m.reserve(n),
+            Keys::Values(m) => m.reserve(n),
+        }
     }
 }
 
 /// End of a slot chain.
 const NIL: u32 = u32::MAX;
 
-/// The slot arena behind a [`JoinIndex`]: slot `s` holds a stored row at
-/// `values[s * arity..][..arity]`, its net weight and the next slot of its
-/// chain — its bucket's, or the free list's.
+/// One stored column of a [`Slots`] arena, typed while every value it had
+/// to store was of its declared variant (see the module docs).
+#[derive(Debug)]
+enum Column {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Values(Vec<Value>),
+}
+
+/// Evaluate `$body` with `$c` bound to whichever vector `$column` holds.
+macro_rules! each_column {
+    ($column:expr, $c:ident => $body:expr) => {
+        match $column {
+            Column::Int($c) => $body,
+            Column::Float($c) => $body,
+            Column::Values($c) => $body,
+        }
+    };
+}
+
+/// Counted bytes of one stored value: an `Int`'s or `Float`'s typed size
+/// whichever column holds it, so that the count depends on the values
+/// alone; a `Value`'s, string contents included, for NULL or a `Str`.
+fn value_bytes(v: &Value) -> usize {
+    match v {
+        Value::Int(_) | Value::Float(_) => 8,
+        Value::Null | Value::Str(_) => size_of::<Value>() + string_bytes(std::slice::from_ref(v)),
+    }
+}
+
+impl Column {
+    fn new(dtype: DataType) -> Column {
+        match dtype {
+            DataType::Int => Column::Int(Vec::new()),
+            DataType::Float => Column::Float(Vec::new()),
+            DataType::Str => Column::Values(Vec::new()),
+        }
+    }
+
+    fn get(&self, s: usize) -> Value {
+        match self {
+            Column::Int(c) => Value::Int(c[s]),
+            Column::Float(c) => Value::Float(c[s]),
+            Column::Values(c) => c[s].clone(),
+        }
+    }
+
+    /// `Value`'s `Eq` between slot `s`'s value and `v`.
+    fn eq_at(&self, s: usize, v: &Value) -> bool {
+        match self {
+            Column::Int(c) => Value::Int(c[s]) == *v,
+            Column::Float(c) => Value::Float(c[s]) == *v,
+            Column::Values(c) => c[s] == *v,
+        }
+    }
+
+    /// Counted bytes of slot `s`'s value.
+    fn bytes_at(&self, s: usize) -> usize {
+        match self {
+            Column::Int(_) | Column::Float(_) => 8,
+            Column::Values(c) => value_bytes(&c[s]),
+        }
+    }
+
+    /// Make the column able to store `v`: a typed column switches to
+    /// `Value`s when `v` is of another variant, keeping its capacity.
+    fn admit(&mut self, v: &Value) {
+        let mut values = match (&*self, v) {
+            (Column::Int(_), Value::Int(_))
+            | (Column::Float(_), Value::Float(_))
+            | (Column::Values(_), _) => return,
+            (Column::Int(c), _) => c.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
+            (Column::Float(c), _) => c.iter().map(|&x| Value::Float(x)).collect(),
+        };
+        values.reserve_exact(self.capacity() - values.len());
+        *self = Column::Values(values);
+    }
+
+    /// Store `v` (which the column [admits](Self::admit)) at slot `s`, or
+    /// at a new last slot when `s` is the column's length.
+    fn put(&mut self, s: usize, v: Value) {
+        fn put<T>(c: &mut Vec<T>, s: usize, x: T) {
+            if s == c.len() {
+                c.push(x);
+            } else {
+                c[s] = x;
+            }
+        }
+        match (self, v) {
+            (Column::Int(c), Value::Int(x)) => put(c, s, x),
+            (Column::Float(c), Value::Float(x)) => put(c, s, x),
+            (Column::Values(c), v) => put(c, s, v),
+            (_, v) => unreachable!("{v:?} stored without being admitted"),
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        each_column!(self, c => c.swap(a, b))
+    }
+
+    /// Drop slot `s`'s string contents (a freed slot holds none).
+    fn release(&mut self, s: usize) {
+        if let Column::Values(c) = self {
+            c[s] = Value::Null;
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        each_column!(self, c => c.capacity())
+    }
+
+    fn reserve(&mut self, n: usize) {
+        each_column!(self, c => c.reserve(n))
+    }
+
+    fn clear(&mut self) {
+        each_column!(self, c => c.clear())
+    }
+}
+
+/// The slot arena behind a [`JoinIndex`]: slot `s` holds a stored row in
+/// the `s`-th value of every column, its net weight and the next slot of
+/// its chain — its bucket's, or the free list's.
 #[derive(Debug)]
 struct Slots {
-    /// Values per stored row (0 for a side that stores only weights).
-    arity: usize,
-    values: Vec<Value>,
+    /// One per stored value of a row (none for a side that stores only
+    /// weights).
+    columns: Vec<Column>,
     weights: Vec<i64>,
     next: Vec<u32>,
     /// Head of the free list, threaded through `next`.
@@ -145,9 +571,27 @@ struct Slots {
 }
 
 impl Slots {
-    fn row(&self, s: u32) -> &[Value] {
-        let start = s as usize * self.arity;
-        &self.values[start..start + self.arity]
+    fn new(stored: &[DataType]) -> Slots {
+        let columns = stored.iter().map(|&t| Column::new(t)).collect();
+        Slots { columns, weights: Vec::new(), next: Vec::new(), free: NIL }
+    }
+
+    /// Slot `s`'s stored row.
+    #[cfg(test)]
+    fn row(&self, s: u32) -> Row {
+        self.columns.iter().map(|c| c.get(s as usize)).collect()
+    }
+
+    /// `Value`'s `Eq` between slot `s`'s stored row and `row`.
+    fn row_eq(&self, s: u32, row: &[Value]) -> bool {
+        self.columns.iter().zip(row).all(|(c, v)| c.eq_at(s as usize, v))
+    }
+
+    /// Counted bytes of slot `s`'s entry: its values, its weight and its
+    /// chain link.
+    fn slot_bytes(&self, s: u32) -> usize {
+        let values: usize = self.columns.iter().map(|c| c.bytes_at(s as usize)).sum();
+        values + size_of::<i64>() + size_of::<u32>()
     }
 
     /// The slots of the chain starting at `first`, in order.
@@ -156,61 +600,70 @@ impl Slots {
         std::iter::successors(live(first), move |&s| live(self.next[s as usize]))
     }
 
-    /// Store `(row, weight)` as the end of a chain: in a freed slot when
-    /// there is one, at the end of the arena otherwise.
-    fn alloc(&mut self, row: Row, weight: i64) -> u32 {
-        debug_assert_eq!(row.len(), self.arity, "stored-row arity");
-        if self.free != NIL {
+    /// Store `(row, weight)` as the end of a chain — in a freed slot when
+    /// there is one, at the end of the arena otherwise — counting it in
+    /// `fp`.
+    fn alloc(&mut self, row: Row, weight: i64, fp: &mut Footprint) -> u32 {
+        debug_assert_eq!(row.len(), self.columns.len(), "stored-row arity");
+        for (c, v) in self.columns.iter_mut().zip(&row) {
+            c.admit(v);
+        }
+        let s = if self.free != NIL {
             let s = self.free;
             self.free = self.next[s as usize];
             self.next[s as usize] = NIL;
             self.weights[s as usize] = weight;
-            let start = s as usize * self.arity;
-            for (slot, v) in self.values[start..start + self.arity].iter_mut().zip(row) {
-                *slot = v;
-            }
-            return s;
+            s
+        } else {
+            let s = u32::try_from(self.weights.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("a join index holds fewer than u32::MAX entries");
+            self.weights.push(weight);
+            self.next.push(NIL);
+            s
+        };
+        for (c, v) in self.columns.iter_mut().zip(row) {
+            c.put(s as usize, v);
         }
-        let s = u32::try_from(self.weights.len())
-            .ok()
-            .filter(|&s| s != NIL)
-            .expect("a join index holds fewer than u32::MAX entries");
-        self.values.extend(row);
-        self.weights.push(weight);
-        self.next.push(NIL);
+        fp.add(self.slot_bytes(s));
         s
     }
 
     /// Move slot `from`'s row and weight into slot `to`; `from` is left
     /// holding `to`'s old values, for [`release`](Self::release).
     fn move_into(&mut self, from: u32, to: u32) {
-        let a = self.arity;
-        for i in 0..a {
-            self.values.swap(to as usize * a + i, from as usize * a + i);
+        for c in &mut self.columns {
+            c.swap(to as usize, from as usize);
         }
         self.weights[to as usize] = self.weights[from as usize];
     }
 
     /// Put slot `s` on the free list, dropping its values' string contents.
     fn release(&mut self, s: u32) {
-        let start = s as usize * self.arity;
-        self.values[start..start + self.arity].fill(Value::Null);
+        for c in &mut self.columns {
+            c.release(s as usize);
+        }
         self.next[s as usize] = self.free;
         self.free = s;
     }
 
+    fn reserve(&mut self, n: usize) {
+        for c in &mut self.columns {
+            c.reserve(n);
+        }
+        self.weights.reserve(n);
+        self.next.reserve(n);
+    }
+
     fn clear(&mut self) {
-        self.values.clear();
+        for c in &mut self.columns {
+            c.clear();
+        }
         self.weights.clear();
         self.next.clear();
         self.free = NIL;
     }
-}
-
-/// Bytes of one stored entry: its values (string contents included), its
-/// weight and its chain link.
-fn slot_bytes(row: &[Value]) -> usize {
-    row_bytes(row) + size_of::<i64>() + size_of::<u32>()
 }
 
 /// One side of a join stage: key → bucket of narrowed rows with net
@@ -218,31 +671,44 @@ fn slot_bytes(row: &[Value]) -> usize {
 /// docs). Buckets are short chains, scanned linearly on update.
 #[derive(Debug)]
 struct JoinIndex {
-    /// Key → the first and last slot of its bucket.
-    keys: HashMap<IndexKey, (u32, u32)>,
+    keys: KeyMap,
     slots: Slots,
 }
 
 impl JoinIndex {
-    /// An empty index storing rows of `arity` values.
-    fn new(arity: usize) -> JoinIndex {
-        let slots =
-            Slots { arity, values: Vec::new(), weights: Vec::new(), next: Vec::new(), free: NIL };
-        JoinIndex { keys: HashMap::new(), slots }
+    /// An empty index over keys of type `key` storing rows of type
+    /// `stored`.
+    fn new(key: &[DataType], stored: &[DataType]) -> JoinIndex {
+        JoinIndex { keys: KeyMap::new(key), slots: Slots::new(stored) }
     }
 
-    /// The `(row, weight)` entries under `key`, in the order a `Vec` bucket
-    /// kept them: appended at the tail, a removed entry replaced by the
-    /// last one.
-    fn bucket(&self, key: &IndexKey) -> impl Iterator<Item = (&[Value], i64)> + '_ {
-        let first = self.keys.get(key).map_or(NIL, |&(first, _)| first);
-        self.slots.chain(first).map(|s| (self.slots.row(s), self.slots.weights[s as usize]))
+    /// The slots under `key`, in the order a `Vec` bucket kept its
+    /// entries: appended at the tail, a removed entry replaced by the last
+    /// one.
+    fn bucket(&self, key: &IndexKey) -> impl Iterator<Item = u32> + '_ {
+        self.slots.chain(self.keys.get(key).map_or(NIL, |(first, _)| first))
     }
 
     /// Join a delta of weight `w` against the bucket for `key`: one output
-    /// per stored row, built by `combine`, at the product weight.
-    fn probe(&self, key: &IndexKey, w: i64, combine: impl Fn(&[Value]) -> Row) -> Vec<(Row, i64)> {
-        self.bucket(key).map(|(row, bw)| (combine(row), bw * w)).collect()
+    /// per stored row, `before ++ stored row ++ after`, at the product
+    /// weight.
+    fn probe(&self, key: &IndexKey, w: i64, before: &[Value], after: &[Value]) -> Vec<(Row, i64)> {
+        let width = before.len() + self.slots.columns.len() + after.len();
+        self.bucket(key)
+            .map(|s| {
+                let mut out = Vec::with_capacity(width);
+                out.extend_from_slice(before);
+                out.extend(self.slots.columns.iter().map(|c| c.get(s as usize)));
+                out.extend_from_slice(after);
+                (out, self.slots.weights[s as usize] * w)
+            })
+            .collect()
+    }
+
+    /// Size the index for `entries` more entries under `keys` more keys.
+    fn reserve(&mut self, entries: usize, keys: usize) {
+        self.slots.reserve(entries);
+        self.keys.reserve(keys);
     }
 
     /// Merge `(row, weight)` into the bucket for `key`, keeping `fp` in
@@ -252,34 +718,28 @@ impl JoinIndex {
     /// retracted rows leave nothing behind.
     fn update(&mut self, key: IndexKey, row: Row, weight: i64, fp: &mut Footprint) {
         let slots = &mut self.slots;
-        let mut entry = match self.keys.entry(key) {
-            hash_map::Entry::Vacant(entry) => {
-                fp.add(entry.key().bytes() + slot_bytes(&row));
-                let s = slots.alloc(row, weight);
-                entry.insert((s, s));
-                return;
-            }
-            hash_map::Entry::Occupied(entry) => entry,
+        let Some(bucket) = self.keys.get_mut(&key) else {
+            let s = slots.alloc(row, weight, fp);
+            fp.bytes += self.keys.insert(key, (s, s));
+            return;
         };
-        let (first, last) = *entry.get();
-        let Some(s) = slots.chain(first).find(|&s| slots.row(s) == row.as_slice()) else {
-            fp.add(slot_bytes(&row));
-            let s = slots.alloc(row, weight);
+        let (first, last) = *bucket;
+        let Some(s) = slots.chain(first).find(|&s| slots.row_eq(s, &row)) else {
+            let s = slots.alloc(row, weight, fp);
             slots.next[last as usize] = s;
-            entry.get_mut().1 = s;
+            bucket.1 = s;
             return;
         };
         slots.weights[s as usize] += weight;
         if slots.weights[s as usize] != 0 {
             return;
         }
-        fp.remove(slot_bytes(slots.row(s)));
+        fp.remove(slots.slot_bytes(s));
         if first == last {
             slots.release(s);
-            fp.bytes -= entry.key().bytes();
-            entry.remove();
-            if self.keys.is_empty() {
-                self.slots.clear();
+            fp.bytes -= self.keys.remove(&key).1;
+            if self.keys.len() == 0 {
+                slots.clear();
             }
             return;
         }
@@ -294,17 +754,17 @@ impl JoinIndex {
         }
         slots.release(last);
         slots.next[before_last as usize] = NIL;
-        entry.get_mut().1 = before_last;
+        bucket.1 = before_last;
     }
 
     /// The footprint recounted by walking every bucket.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     fn recount(&self) -> Footprint {
         let mut fp = Footprint::default();
-        for (key, &(first, _)) in &self.keys {
-            fp.bytes += key.bytes();
+        for (_, (first, _), bytes) in self.keys.iter() {
+            fp.bytes += bytes;
             for s in self.slots.chain(first) {
-                fp.add(slot_bytes(self.slots.row(s)));
+                fp.add(self.slots.slot_bytes(s));
             }
         }
         fp
@@ -327,51 +787,164 @@ struct JoinStage {
     right_index: JoinIndex,
 }
 
-/// The aggregation stage: per-group retractable accumulators.
+/// The aggregation stage: per-group retractable accumulators. A group is a
+/// key in an ordered map over a slot of two flat arenas — its weighted row
+/// count and its `aggs.len()` accumulators — so it costs no heap allocation
+/// of its own beyond a wide key's boxed values.
 #[derive(Debug)]
 struct AggStage {
     /// Group column positions in the last stage's output layout.
     group_cols: Vec<usize>,
     /// `(function, input column position)` per aggregate.
     aggs: Vec<(AggFunc, Option<usize>)>,
-    /// Group key → (weighted row count, per-aggregate state). Ordered by
-    /// key so snapshots come out in `HashAggOp`'s sorted-group order.
-    groups: BTreeMap<Vec<Value>, (i64, Vec<RetractableAcc>)>,
-}
-
-/// One empty accumulator per aggregate, each holding only what its
-/// function reads.
-fn fresh_accs(aggs: &[(AggFunc, Option<usize>)]) -> Vec<RetractableAcc> {
-    aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f)).collect()
-}
-
-/// Bytes of one group slot over `n_aggs` aggregates: the map entry, the
-/// key's values and the fixed part of each accumulator (multiset values are
-/// counted apart).
-fn group_bytes(key: &[Value], n_aggs: usize) -> usize {
-    size_of::<(Vec<Value>, (i64, Vec<RetractableAcc>))>()
-        + row_bytes(key)
-        + n_aggs * size_of::<RetractableAcc>()
+    /// Group key → its slot. Ordered by key so snapshots come out in
+    /// `HashAggOp`'s sorted-group order.
+    groups: GroupMap,
+    /// Weighted row count per slot.
+    rows: Vec<i64>,
+    /// Slot `g`'s accumulators at `accs[g * aggs.len()..][..aggs.len()]`.
+    accs: Vec<RetractableAcc>,
+    /// Slots of dropped groups, reused before the arenas grow.
+    free: Vec<u32>,
 }
 
 impl AggStage {
+    /// An aggregation with no groups yet — but for the global group, which
+    /// a global aggregate always has. `key` is the group columns' types.
+    fn new(
+        group_cols: Vec<usize>,
+        key: &[DataType],
+        aggs: Vec<(AggFunc, Option<usize>)>,
+        fp: &mut Footprint,
+    ) -> AggStage {
+        let mut agg = AggStage {
+            group_cols,
+            aggs,
+            groups: GroupMap::new(key),
+            rows: Vec::new(),
+            accs: Vec::new(),
+            free: Vec::new(),
+        };
+        if agg.group_cols.is_empty() {
+            // Materialized up front, so the initial snapshot over empty
+            // input already carries the COUNT=0 row.
+            agg.group(IndexKey::of(&[], &[]), fp);
+        }
+        agg
+    }
+
+    /// Size the arenas for `groups` more groups.
+    fn reserve(&mut self, groups: usize) {
+        self.rows.reserve(groups);
+        self.accs.reserve(groups * self.aggs.len());
+    }
+
+    /// Slot `g`'s accumulators.
+    fn accs(&self, g: u32) -> &[RetractableAcc] {
+        let n = self.aggs.len();
+        &self.accs[g as usize * n..][..n]
+    }
+
+    /// Bytes of a group's slot: its row count and the fixed part of each
+    /// accumulator (multiset values are counted apart).
+    fn slot_bytes(&self) -> usize {
+        size_of::<i64>() + self.aggs.len() * size_of::<RetractableAcc>()
+    }
+
+    /// The slot of `key`'s group, created empty (and counted in `fp`) when
+    /// there is none.
+    fn group(&mut self, key: IndexKey, fp: &mut Footprint) -> u32 {
+        if let Some(g) = self.groups.get(&key) {
+            return g;
+        }
+        let g = self.free.pop().unwrap_or_else(|| {
+            self.rows.push(0);
+            self.accs.extend(self.aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f)));
+            u32::try_from(self.rows.len() - 1).expect("fewer than u32::MAX groups")
+        });
+        fp.add(self.groups.insert(key, g) + self.slot_bytes());
+        g
+    }
+
+    /// Fold `row` (the last stage's output layout) into `key`'s group at
+    /// weight `w`, keeping `fp` in step.
+    fn fold(&mut self, key: IndexKey, row: &[Value], w: i64, fp: &mut Footprint) {
+        let g = self.group(key, fp) as usize;
+        self.rows[g] += w;
+        let n = self.aggs.len();
+        for (a, (_, col)) in self.accs[g * n..][..n].iter_mut().zip(&self.aggs) {
+            let v = col.map(|i| &row[i]);
+            let held = a.multiset_len();
+            a.apply(v, w);
+            // The multiset gained or lost at most this one value.
+            if let Some(v) = v {
+                if a.multiset_len() > held {
+                    fp.add(RetractableAcc::multiset_entry_bytes(v));
+                } else if a.multiset_len() < held {
+                    fp.remove(RetractableAcc::multiset_entry_bytes(v));
+                }
+            }
+        }
+    }
+
+    /// Drop `key`'s group if every row has left it — a from-scratch run
+    /// would not see it — resetting its slot for reuse. The global group
+    /// stays, COUNT=0 and all.
+    fn drop_if_empty(&mut self, key: &IndexKey, fp: &mut Footprint) {
+        if self.group_cols.is_empty() {
+            return;
+        }
+        let Some(g) = self.groups.get(key) else { return };
+        if self.rows[g as usize] > 0 {
+            return;
+        }
+        // A group without rows has had every value retracted: its
+        // multisets are already empty and uncounted.
+        fp.remove(self.groups.remove(key).1 + self.slot_bytes());
+        let n = self.aggs.len();
+        self.rows[g as usize] = 0;
+        for (a, (f, _)) in self.accs[g as usize * n..][..n].iter_mut().zip(&self.aggs) {
+            *a = RetractableAcc::for_func(*f);
+        }
+        self.free.push(g);
+    }
+
     /// The group's current output row (group key ++ aggregate values),
     /// pre-projection; `None` when the group has no rows (a global
     /// aggregate — empty `group_cols` — always has an output row, matching
     /// `HashAggOp` over empty input).
-    fn output(&self, key: &[Value]) -> Option<Row> {
-        let empty = (0, fresh_accs(&self.aggs));
-        let (rows, accs) = match self.groups.get(key) {
-            Some(g) => g,
-            None if self.group_cols.is_empty() => &empty,
-            None => return None,
-        };
-        if *rows <= 0 && !self.group_cols.is_empty() {
+    fn output(&self, key: &IndexKey) -> Option<Row> {
+        match self.groups.get(key) {
+            Some(g) => self.output_of(key, g),
+            None if self.group_cols.is_empty() => {
+                let empty = self.aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f).finish(*f));
+                Some(key.values().iter().cloned().chain(empty).collect())
+            }
+            None => None,
+        }
+    }
+
+    /// [`output`](Self::output) of the group at slot `g`.
+    fn output_of(&self, key: &IndexKey, g: u32) -> Option<Row> {
+        if self.rows[g as usize] <= 0 && !self.group_cols.is_empty() {
             return None;
         }
-        let mut out = key.to_vec();
-        out.extend(self.aggs.iter().zip(accs).map(|((f, _), a)| a.finish(*f)));
-        Some(out)
+        let finished = self.aggs.iter().zip(self.accs(g)).map(|((f, _), a)| a.finish(*f));
+        Some(key.values().iter().cloned().chain(finished).collect())
+    }
+
+    /// The footprint recounted by walking every group.
+    #[cfg(any(test, debug_assertions))]
+    fn recount(&self) -> Footprint {
+        let mut fp = Footprint::default();
+        for (_, g, bytes) in self.groups.iter() {
+            let accs = self.accs(g);
+            fp.rows += 1 + accs.iter().map(RetractableAcc::multiset_len).sum::<usize>();
+            fp.bytes += bytes
+                + self.slot_bytes()
+                + accs.iter().map(RetractableAcc::multiset_bytes).sum::<usize>();
+        }
+        fp
     }
 }
 
@@ -382,7 +955,7 @@ impl AggStage {
 struct PacketAcc {
     inserted: Vec<Row>,
     retracted: Vec<Row>,
-    touched: BTreeMap<Vec<Value>, Option<Row>>,
+    touched: BTreeMap<IndexKey, Option<Row>>,
 }
 
 /// A compiled standing query: delta-aware filter → joins → aggregation →
@@ -437,14 +1010,10 @@ fn string_bytes(values: &[Value]) -> usize {
     values.iter().map(|v| if let Value::Str(s) = v { s.len() } else { 0 }).sum()
 }
 
-/// Payload bytes of a row: its values plus their string contents.
-fn row_bytes(row: &[Value]) -> usize {
-    std::mem::size_of_val(row) + string_bytes(row)
-}
-
-/// Bytes of one non-aggregate view row with its weight.
+/// Bytes of one non-aggregate view row with its weight: the map entry,
+/// the row's values and their string contents.
 fn entry_bytes(row: &[Value]) -> usize {
-    size_of::<(Row, i64)>() + row_bytes(row)
+    size_of::<(Row, i64)>() + std::mem::size_of_val(row) + string_bytes(row)
 }
 
 /// Running count of what the circuit keeps resident, adjusted at every
@@ -472,13 +1041,9 @@ impl Footprint {
     }
 }
 
-/// Charge one hash-table touch per logical row of an entry of weight `w` —
-/// as `|w|` unit charges, not one charge of `|w|`: the clock adds floats,
-/// and its reading must not depend on how rows were grouped into entries.
+/// Charge one hash-table touch per logical row of an entry of weight `w`.
 fn charge_builds(clock: &SharedClock, w: i64) {
-    for _ in 0..w.unsigned_abs() {
-        clock.charge_hash_build(1.0);
-    }
+    clock.charge_hash_build(w.unsigned_abs() as f64);
 }
 
 impl ViewCircuit {
@@ -543,6 +1108,8 @@ impl ViewCircuit {
         }
         offsets.push(joined_fields.len());
         let joined_schema = Schema::new(joined_fields);
+        // Declared types by global position: what a join index stores typed.
+        let types: Vec<DataType> = joined_schema.fields().iter().map(|f| f.dtype).collect();
         // Aggregation binding mirrors HashAggOp::new (including output
         // field types), then projection resolves over the aggregate's
         // output schema — the same stacking order as the batch planner.
@@ -628,14 +1195,14 @@ impl ViewCircuit {
             if i > 0 {
                 cols.extend(right_keys[i - 1].iter().copied());
             }
-            for c in pred.columns() {
-                cols.insert(resolve(schema, &c)?);
-            }
+            let reads: Vec<usize> =
+                pred.columns().iter().map(|c| resolve(schema, c)).collect::<Result<_>>()?;
+            cols.extend(reads.iter().copied());
             let cols: Vec<usize> = cols.into_iter().collect();
             let filter = if pred == rqp_common::Expr::true_() {
                 None
             } else {
-                Some(pred.bind(&schema.project(&cols))?)
+                Some((pred.bind(&schema.project(&cols))?, positions_in(&cols, reads)))
             };
             let keep = positions_in(&cols, kept);
             if i > 0 {
@@ -646,13 +1213,19 @@ impl ViewCircuit {
         let mut stages = Vec::with_capacity(n_stages);
         for (s, right_key) in right_keys.into_iter().enumerate() {
             let layout = arriving(s);
-            let left_keep =
-                positions_in(&layout, after[s].iter().copied().filter(|&g| g < offsets[s + 1]));
+            let stored: Vec<usize> =
+                after[s].iter().copied().filter(|&g| g < offsets[s + 1]).collect();
+            let left_types =
+                |global: &[usize]| global.iter().map(|&g| types[g]).collect::<Vec<_>>();
+            let right = &inputs[s + 1];
+            let right_types = |read: &[usize]| {
+                read.iter().map(|&r| types[offsets[s + 1] + right.cols[r]]).collect::<Vec<_>>()
+            };
             stages.push(JoinStage {
+                left_index: JoinIndex::new(&left_types(&left_keys[s]), &left_types(&stored)),
+                right_index: JoinIndex::new(&right_types(&right_key), &right_types(&right.keep)),
                 left_key: positions_in(&layout, left_keys[s].iter().copied()),
-                left_index: JoinIndex::new(left_keep.len()),
-                right_index: JoinIndex::new(inputs[s + 1].keep.len()),
-                left_keep,
+                left_keep: positions_in(&layout, stored),
                 right_key,
             });
         }
@@ -661,23 +1234,12 @@ impl ViewCircuit {
         let final_layout: Vec<usize> = terminal.into_iter().collect();
         let mut footprint = Footprint::default();
         let agg = agg_cols.map(|(group_cols, aggs)| {
-            let mut agg = AggStage {
-                group_cols: positions_in(&final_layout, group_cols),
-                aggs: aggs
-                    .into_iter()
-                    .map(|(f, c)| (f, c.map(|c| positions_in(&final_layout, [c])[0])))
-                    .collect(),
-                groups: BTreeMap::new(),
-            };
-            if agg.group_cols.is_empty() {
-                // A global aggregate always has exactly one (possibly
-                // empty) group — materialize it so the initial snapshot
-                // over empty input already carries the COUNT=0 row.
-                let accs = fresh_accs(&agg.aggs);
-                agg.groups.insert(Vec::new(), (0, accs));
-                footprint.add(group_bytes(&[], agg.aggs.len()));
-            }
-            agg
+            let aggs = aggs
+                .into_iter()
+                .map(|(f, c)| (f, c.map(|c| positions_in(&final_layout, [c])[0])))
+                .collect();
+            let key: Vec<DataType> = group_cols.iter().map(|&g| types[g]).collect();
+            AggStage::new(positions_in(&final_layout, group_cols), &key, aggs, &mut footprint)
         });
         // A non-aggregate projection indexes the joined row; an aggregate's
         // indexes its own output row, which pruning does not touch.
@@ -723,19 +1285,93 @@ impl ViewCircuit {
     /// Fold the tables' *current* contents in as the initial state,
     /// charging `clock` for the build. Call once, right after `compile`,
     /// with the same catalog (or a snapshot taken at the changelog cursor
-    /// stored with [`set_cursor`](Self::set_cursor)). Only the columns the
-    /// circuit reads are materialized.
+    /// stored with [`set_cursor`](Self::set_cursor)).
+    ///
+    /// Each table is read straight from its columns: the filter picks the
+    /// surviving rows first, what they will fill is sized once for them —
+    /// a slot per row, a map entry per distinct key — and only then does
+    /// each survivor, narrowed to the columns the circuit reads, go through
+    /// the same propagation as a changelog row.
     pub fn load_initial(&mut self, catalog: &Catalog, clock: &SharedClock) -> Result<()> {
         for i in 0..self.inputs.len() {
             let table = catalog.table(&self.inputs[i].name)?;
-            let cols = self.inputs[i].cols.clone();
-            for row in table.iter_rows_of(&cols) {
+            clock.charge_cpu_tuples(table.nrows() as f64);
+            let survivors = self.inputs[i].survivors(&table);
+            self.reserve(i, &table, &survivors);
+            for r in survivors.iter_set() {
+                let row = self.inputs[i].cols.iter().map(|&c| table.column(c).get(r)).collect();
                 self.ingest(i, row, 1, clock, None);
             }
         }
-        #[cfg(test)]
+        #[cfg(debug_assertions)]
         assert_eq!(self.footprint, self.recount(), "running footprint drifted from a recount");
         Ok(())
+    }
+
+    /// Size what input `i`'s survivors fill during the load before any of
+    /// them is ingested, so that each structure is allocated once. A
+    /// survivor is stored in one join index — stage 0's left side for the
+    /// first table, stage `i - 1`'s right side for the others — and its
+    /// joined rows land in one more place: stage `i`'s left side, or the
+    /// groups past the last join. Every index further on is still empty, so
+    /// nothing reaches beyond. Arenas get a slot per row they will receive
+    /// (an upper bound: duplicates share one), key maps and groups an entry
+    /// per distinct key.
+    fn reserve(&mut self, i: usize, table: &Table, survivors: &SelMask) {
+        let input = &self.inputs[i];
+        let read = |r: usize, p: usize| table.column(input.cols[p]).get(r);
+        let int_at = |p: usize| table.column(input.cols[p]).as_int_slice().is_some();
+        let own = match i.checked_sub(1) {
+            // Stage 0's arriving layout is the first table's `keep`.
+            None => self.stages.first_mut().map(|s| {
+                (&mut s.left_index, s.left_key.iter().map(|&k| input.keep[k]).collect::<Vec<_>>())
+            }),
+            Some(s) => {
+                let stage = &mut self.stages[s];
+                Some((&mut stage.right_index, stage.right_key.clone()))
+            }
+        };
+        if let Some((index, key)) = own {
+            let keys = || survivors.iter_set().map(|r| IndexKey::with(&key, |p| read(r, p)));
+            let (n, distinct) = count_keys(keys, matches!(key[..], [p] if int_at(p)));
+            index.reserve(n, distinct);
+        }
+        // Where the joined rows land: nowhere for the first table of a join
+        // (stage 0's right side is still empty), else stage `i`'s left side
+        // or the groups.
+        let target_key = match (self.stages.get(i), &self.agg) {
+            (Some(_), _) if i == 0 => return,
+            (Some(next), _) => &next.left_key,
+            (None, Some(agg)) => &agg.group_cols,
+            (None, None) => return,
+        };
+        // A joined row is the left side's stored row (none for the first
+        // table) followed by the survivor's kept columns.
+        let left = i.checked_sub(1).map(|s| &self.stages[s]);
+        let arity = left.map_or(0, |s| s.left_index.slots.columns.len());
+        let matches = |r: usize| {
+            let probe = |s: &JoinStage| IndexKey::with(&s.right_key, |p| read(r, p));
+            let bucket = left.map(|s| s.left_index.bucket(&probe(s)));
+            bucket.into_iter().flatten().chain(left.is_none().then_some(NIL))
+        };
+        let value = |r: usize, s: u32, p: usize| match left {
+            Some(stage) if p < arity => stage.left_index.slots.columns[p].get(s as usize),
+            _ => read(r, input.keep[p - arity]),
+        };
+        let ints = matches!(target_key[..], [p] if match left {
+            Some(stage) if p < arity => matches!(stage.left_index.slots.columns[p], Column::Int(_)),
+            _ => int_at(input.keep[p - arity]),
+        });
+        let keys = || {
+            let key = move |r: usize, s: u32| IndexKey::with(target_key, |p| value(r, s, p));
+            survivors.iter_set().flat_map(move |r| matches(r).map(move |s| key(r, s)))
+        };
+        let (joined, distinct) = count_keys(keys, ints);
+        match (self.stages.get_mut(i), &mut self.agg) {
+            (Some(next), _) => next.left_index.reserve(joined, distinct),
+            (None, Some(agg)) => agg.reserve(distinct),
+            (None, None) => {}
+        }
     }
 
     /// Fold a batch of changelog records into the view, returning the
@@ -755,32 +1391,22 @@ impl ViewCircuit {
                 ChangeOp::Insert => 1,
                 ChangeOp::Delete => -1,
             };
-            debug_assert_eq!(rec.row.len(), self.inputs[i].arity, "changelog row arity");
-            let row = narrow(&rec.row, &self.inputs[i].cols);
-            self.ingest(i, row, w, clock, Some(&mut acc));
-        }
-        // Aggregate finalization: one retract/insert pair per changed
-        // group, comparing pre-batch and post-batch output rows.
-        if let Some(agg) = &mut self.agg {
-            // Drop fully-retracted groups (a from-scratch run would not
-            // see them); the global group stays, COUNT=0 and all.
-            if !agg.group_cols.is_empty() {
-                let n_aggs = agg.aggs.len();
-                let footprint = &mut self.footprint;
-                agg.groups.retain(|key, (rows, _)| {
-                    // A group without rows has had every value retracted:
-                    // its multisets are already empty and uncounted.
-                    let live = *rows > 0;
-                    if !live {
-                        footprint.remove(group_bytes(key, n_aggs));
-                    }
-                    live
-                });
+            let input = &self.inputs[i];
+            debug_assert_eq!(rec.row.len(), input.arity, "changelog row arity");
+            clock.charge_cpu_tuples(1.0);
+            let row = narrow(&rec.row, &input.cols);
+            if input.filter.as_ref().is_none_or(|(f, _)| f.eval_bool(&row)) {
+                self.ingest(i, row, w, clock, Some(&mut acc));
             }
         }
-        if let Some(agg) = &self.agg {
+        // Aggregate finalization: one retract/insert pair per changed
+        // group, comparing pre-batch and post-batch output rows. Only a
+        // touched group can have lost its last row, so only touched groups
+        // are checked for dropping.
+        if let Some(agg) = &mut self.agg {
             for (key, old) in std::mem::take(&mut acc.touched) {
-                let new = agg.output(&key).map(|r| self.project(r));
+                let new = agg.output(&key).map(|r| project(&self.projection, r));
+                agg.drop_if_empty(&key, &mut self.footprint);
                 if old == new {
                     continue;
                 }
@@ -792,7 +1418,7 @@ impl ViewCircuit {
                 }
             }
         }
-        #[cfg(test)]
+        #[cfg(debug_assertions)]
         assert_eq!(self.footprint, self.recount(), "running footprint drifted from a recount");
         DeltaPacket {
             epoch,
@@ -809,9 +1435,9 @@ impl ViewCircuit {
                 // order HashAggOp emits.
                 let rows: Vec<Row> = agg
                     .groups
-                    .keys()
-                    .filter_map(|k| agg.output(k))
-                    .map(|r| self.project(r))
+                    .iter()
+                    .filter_map(|(k, g, _)| agg.output_of(&k, g))
+                    .map(|r| project(&self.projection, r))
                     .collect();
                 canonicalize(rows)
             }
@@ -846,47 +1472,37 @@ impl ViewCircuit {
     /// Payload bytes behind [`state_rows`](Self::state_rows): every key,
     /// stored row, weight, accumulator and multiset value at its in-memory
     /// size, string contents included — a join-index entry as its arena
-    /// slot (values, weight, chain link), a join key as its map entry.
-    /// Allocator overhead, spare capacity and free arena slots are not
-    /// included (they are the allocator's and the arena's, not the state's),
-    /// so two circuits in the same state report the same number and a fully
-    /// retracted circuit reports what an empty one does.
+    /// slot (values, weight, chain link), a join key or group as its map
+    /// entry. A value or key that a typed layout can hold counts at the
+    /// typed size whichever layout holds it now (8 bytes for an `Int` or
+    /// `Float`, a 16-byte entry for an `Int` key). Allocator overhead,
+    /// spare capacity and free arena slots are not included (they are the
+    /// allocator's and the arena's, not the state's), so two circuits in
+    /// the same state report the same number, whatever values came and
+    /// went, and a fully retracted circuit reports what an empty one does.
     pub fn state_bytes(&self) -> usize {
         self.footprint.bytes
     }
 
     /// The footprint recounted by walking every structure — what the
     /// running count must equal at all times.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     fn recount(&self) -> Footprint {
         let mut fp = Footprint::default();
-        for index in self.stages.iter().flat_map(|s| [&s.left_index, &s.right_index]) {
-            let ix = index.recount();
-            fp.rows += ix.rows;
-            fp.bytes += ix.bytes;
-        }
-        if let Some(agg) = &self.agg {
-            for (key, (_, accs)) in &agg.groups {
-                fp.rows += 1 + accs.iter().map(RetractableAcc::multiset_len).sum::<usize>();
-                fp.bytes += group_bytes(key, agg.aggs.len())
-                    + accs.iter().map(RetractableAcc::multiset_bytes).sum::<usize>();
-            }
+        let parts =
+            self.stages.iter().flat_map(|s| [s.left_index.recount(), s.right_index.recount()]);
+        for part in parts.chain(self.agg.as_ref().map(AggStage::recount)) {
+            fp.rows += part.rows;
+            fp.bytes += part.bytes;
         }
         fp.rows += self.view.len();
         fp.bytes += self.view.keys().map(|row| entry_bytes(row)).sum::<usize>();
         fp
     }
 
-    fn project(&self, row: Row) -> Row {
-        match &self.projection {
-            Some(idx) => narrow(&row, idx),
-            None => row,
-        }
-    }
-
-    /// Push one weighted base-table row (in its table's read layout)
-    /// through filter → joins → the terminal stage. `out` is `None` during
-    /// the initial load (state is built, nothing is emitted).
+    /// Push one weighted base-table row (in its table's read layout) that
+    /// passed its filter through the joins and the terminal stage. `out` is
+    /// `None` during the initial load (state is built, nothing is emitted).
     fn ingest(
         &mut self,
         input_idx: usize,
@@ -895,14 +1511,8 @@ impl ViewCircuit {
         clock: &SharedClock,
         mut out: Option<&mut PacketAcc>,
     ) {
-        clock.charge_cpu_tuples(1.0);
         let input = &self.inputs[input_idx];
         debug_assert_eq!(row.len(), input.cols.len(), "read-layout arity");
-        if let Some(f) = &input.filter {
-            if !f.eval_bool(&row) {
-                return;
-            }
-        }
         // Propagate through the join chain. A delta on the first table
         // enters stage 0 on the left; a delta on table i>0 enters stage
         // i-1 on the right (joining everything already accumulated), then
@@ -912,9 +1522,7 @@ impl ViewCircuit {
             let stage = &mut self.stages[input_idx - 1];
             let key = IndexKey::of(&row, &stage.right_key);
             clock.charge_hash_build(1.0);
-            let joined = stage
-                .left_index
-                .probe(&key, weight, |lrow| lrow.iter().chain(&kept).cloned().collect());
+            let joined = stage.left_index.probe(&key, weight, &[], &kept);
             stage.right_index.update(key, kept, weight, &mut self.footprint);
             clock.charge_cpu_tuples(logical_rows(&joined));
             joined
@@ -930,11 +1538,7 @@ impl ViewCircuit {
                 let key = IndexKey::of(&lrow, &stage.left_key);
                 let stored = narrow(&lrow, &stage.left_keep);
                 charge_builds(clock, lw);
-                next.extend(
-                    stage
-                        .right_index
-                        .probe(&key, lw, |rrow| stored.iter().chain(rrow).cloned().collect()),
-                );
+                next.extend(stage.right_index.probe(&key, lw, &stored, &[]));
                 stage.left_index.update(key, stored, lw, &mut self.footprint);
             }
             clock.charge_cpu_tuples(logical_rows(&next));
@@ -944,42 +1548,19 @@ impl ViewCircuit {
         // view, emitting into the packet when one is being built.
         if let Some(agg) = &mut self.agg {
             for (row, w) in cur {
-                let key = narrow(&row, &agg.group_cols);
+                let key = IndexKey::of(&row, &agg.group_cols);
                 if let Some(acc) = out.as_deref_mut() {
                     if !acc.touched.contains_key(&key) {
-                        let old = agg.output(&key).map(|r| match &self.projection {
-                            Some(idx) => narrow(&r, idx),
-                            None => r,
-                        });
+                        let old = agg.output(&key).map(|r| project(&self.projection, r));
                         acc.touched.insert(key.clone(), old);
                     }
                 }
                 charge_builds(clock, w);
-                let (rows, accs) = match agg.groups.entry(key) {
-                    btree_map::Entry::Occupied(slot) => slot.into_mut(),
-                    btree_map::Entry::Vacant(slot) => {
-                        self.footprint.add(group_bytes(slot.key(), agg.aggs.len()));
-                        slot.insert((0, fresh_accs(&agg.aggs)))
-                    }
-                };
-                *rows += w;
-                for (a, (_, col)) in accs.iter_mut().zip(&agg.aggs) {
-                    let v = col.map(|i| &row[i]);
-                    let held = a.multiset_len();
-                    a.apply(v, w);
-                    // The multiset gained or lost at most this one value.
-                    if let Some(v) = v {
-                        if a.multiset_len() > held {
-                            self.footprint.add(RetractableAcc::multiset_entry_bytes(v));
-                        } else if a.multiset_len() < held {
-                            self.footprint.remove(RetractableAcc::multiset_entry_bytes(v));
-                        }
-                    }
-                }
+                agg.fold(key, &row, w, &mut self.footprint);
             }
         } else {
             for (row, w) in cur {
-                let row = self.project(row);
+                let row = project(&self.projection, row);
                 charge_builds(clock, w);
                 let held = self.view.len();
                 let net = self.view.entry(row.clone()).or_insert(0);
@@ -1004,6 +1585,14 @@ impl ViewCircuit {
     }
 }
 
+/// `row` under a view's output `projection` (`None` keeps everything).
+fn project(projection: &Option<Vec<usize>>, row: Row) -> Row {
+    match projection {
+        Some(idx) => narrow(&row, idx),
+        None => row,
+    }
+}
+
 /// Logical (weight-expanded) row count of a delta batch, as a clock charge.
 fn logical_rows(rows: &[(Row, i64)]) -> f64 {
     rows.iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>() as f64
@@ -1016,6 +1605,7 @@ mod tests {
     use rqp_common::{CostClock, DataType};
     use rqp_exec::AggSpec;
     use rqp_storage::{Changelog, Table};
+    use std::collections::hash_map;
     use std::sync::Arc;
 
     fn catalog() -> Catalog {
@@ -1488,13 +2078,38 @@ mod tests {
         assert_eq!(arities(&circuit.stages[1].left_index), vec![1]);
         // The two lineitems collapse into one entry of weight 2.
         let lineitems = entries(&circuit.stages[1].right_index);
-        assert_eq!(lineitems, vec![(&[Value::Int(250)][..], 2)]);
+        assert_eq!(lineitems, vec![(vec![Value::Int(250)], 2)]);
         assert_eq!(circuit.state_rows(), 4 + 1, "four index entries and one group");
+        // Every key and stored column is an `Int`, so all of it is typed:
+        // four slots (weight and link), three stored values, four keys.
+        for ix in circuit.stages.iter().flat_map(|s| [&s.left_index, &s.right_index]) {
+            assert!(matches!(ix.keys, Keys::Int(_)), "typed keys");
+            assert!(ix.slots.columns.iter().all(|c| matches!(c, Column::Int(_))), "typed values");
+        }
+        let agg = circuit.agg.as_ref().expect("an aggregate");
+        assert!(matches!(agg.groups, Keys::Int(_)), "typed group keys");
+        let group = GroupMap::INT_BYTES + agg.slot_bytes();
+        assert_eq!(circuit.state_bytes(), 4 * 12 + 3 * 8 + 4 * KeyMap::INT_BYTES + group);
     }
 
     /// Every `(row, weight)` entry of an index, bucket by bucket.
-    fn entries(ix: &JoinIndex) -> Vec<(&[Value], i64)> {
-        ix.keys.keys().flat_map(|k| ix.bucket(k)).collect()
+    fn entries(ix: &JoinIndex) -> Vec<(Row, i64)> {
+        let firsts = ix.keys.iter().map(|(_, (first, _), _)| first);
+        firsts
+            .flat_map(|first| ix.slots.chain(first))
+            .map(|s| (ix.slots.row(s), ix.slots.weights[s as usize]))
+            .collect()
+    }
+
+    /// The key `index` stores for `key`, if it holds one.
+    fn stored_key(index: &JoinIndex, key: &IndexKey) -> Option<IndexKey> {
+        match (&index.keys, key) {
+            (Keys::Int(m), IndexKey::One(v)) => {
+                int_key(v).filter(|k| m.contains_key(k)).map(|k| IndexKey::One(Value::Int(k)))
+            }
+            (Keys::Int(_), IndexKey::Many(_)) => None,
+            (Keys::Values(m), key) => m.get_key_value(key).map(|(k, _)| k.clone()),
+        }
     }
 
     /// The layout the slot arena replaced, kept as the reference it must
@@ -1538,17 +2153,34 @@ mod tests {
     }
 
     /// Seeded inserts, duplicates and retractions (partial and to zero)
-    /// over one- and three-column keys and stored rows of arity 0 and 3,
-    /// drawn from values that compare equal across representations: after
-    /// every step each key and its bucket, in order, equal the model's as
-    /// stored, and the running footprint equals a recount; after retracting
-    /// everything the index is an empty one, arena included.
+    /// over one- and three-column `Int` keys and stored rows of arity 0
+    /// and 3 (declared `Int`, `Float`, `Int`). For the first steps every
+    /// value is of its column's declared variant — the `Float` column's
+    /// include `-0.0` beside `0.0` and two NaN payloads — and everything
+    /// stays typed. Then values arrive that compare equal across
+    /// representations — `Float(2.0)` against `Int(2)`, `0.0` against
+    /// `Int(0)` — and others that must keep their exact form (NULL,
+    /// strings, an `Int` beyond ±2^53): they switch the columns and the
+    /// one-column key map mid-stream, with freed slots waiting to be
+    /// reused. After every step each key and its
+    /// bucket, in order, equal the model's as stored, and the running
+    /// footprint equals a recount; after retracting everything the index is
+    /// an empty one, arena included.
     #[test]
     fn join_index_matches_the_vec_bucket_model() {
         use rand::Rng;
+        let ints = [Value::Int(2), Value::Int(-7), Value::Int(0), Value::Int(5)];
+        let floats = [
+            Value::Float(2.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::Float(f64::from_bits(0xfff8_0000_0000_0002)),
+        ];
         let pool = [
-            Value::Null,
             Value::Int(2),
+            Value::Int(-7),
+            Value::Null,
             Value::Float(2.0),
             Value::Float(0.0),
             Value::Float(-0.0),
@@ -1556,17 +2188,29 @@ mod tests {
             Value::Float(f64::from_bits(0xfff8_0000_0000_0002)),
             Value::Str("a".into()),
             Value::Str("long enough".into()),
-            Value::Int(-7),
+            Value::Int((1 << 53) + 1),
         ];
-        let draw = |rng: &mut rand::rngs::StdRng, n: usize, domain: usize| -> Vec<Value> {
-            (0..n).map(|_| pool[rng.gen_range(0..domain)].clone()).collect()
+        const TYPED_STEPS: usize = 200;
+        let draw = |rng: &mut rand::rngs::StdRng, from: &[Value], n: usize, domain: usize| -> Row {
+            (0..n).map(|_| from[rng.gen_range(0..domain.min(from.len()))].clone()).collect()
         };
+        let mut reused_after_switch = 0;
         for (key_width, arity) in [(1usize, 0usize), (1, 3), (3, 0), (3, 3)] {
             // Narrow key domains so buckets hold several entries.
             let key_domain = if key_width == 1 { pool.len() } else { 4 };
             for seed in 0..4u64 {
                 let mut rng = rqp_common::rng::seeded(seed * 16 + (key_width * 4 + arity) as u64);
-                let mut index = JoinIndex::new(arity);
+                let key_types = vec![DataType::Int; key_width];
+                let stored_types =
+                    [DataType::Int, DataType::Float, DataType::Int][..arity].to_vec();
+                let typed = |t: &DataType| -> &[Value] {
+                    if *t == DataType::Int {
+                        &ints
+                    } else {
+                        &floats
+                    }
+                };
+                let mut index = JoinIndex::new(&key_types, &stored_types);
                 let mut model = ModelIndex::new();
                 let mut fp = Footprint::default();
                 let positions: Vec<usize> = (0..key_width).collect();
@@ -1575,14 +2219,24 @@ mod tests {
                                  key: Vec<Value>,
                                  row: Row,
                                  w: i64| {
+                    let switched =
+                        index.slots.columns.iter().any(|c| matches!(c, Column::Values(_)));
+                    let entries = |model: &ModelIndex| model.values().map(Vec::len).sum::<usize>();
+                    let (held, len) = (entries(model), index.slots.weights.len());
                     index.update(IndexKey::of(&key, &positions), row.clone(), w, &mut fp);
                     model_update(model, key, row, w);
+                    if switched && entries(model) > held && index.slots.weights.len() == len {
+                        reused_after_switch += 1;
+                    }
                     assert_eq!(index.keys.len(), model.len(), "key count");
                     for (key, bucket) in model.iter() {
                         let ik = IndexKey::of(key, &positions);
-                        let (stored, _) = index.keys.get_key_value(&ik).expect("key present");
+                        let stored = stored_key(index, &ik).expect("key present");
                         assert!(same(stored.values(), key), "stored key {stored:?} vs {key:?}");
-                        let got: Vec<(&[Value], i64)> = index.bucket(&ik).collect();
+                        let got: Vec<(Row, i64)> = index
+                            .bucket(&ik)
+                            .map(|s| (index.slots.row(s), index.slots.weights[s as usize]))
+                            .collect();
                         assert_eq!(got.len(), bucket.len(), "bucket length under {key:?}");
                         for ((row, w), (mrow, mw)) in got.iter().zip(bucket) {
                             assert!(same(row, mrow) && w == mw, "{got:?} vs {bucket:?}");
@@ -1590,7 +2244,18 @@ mod tests {
                     }
                     assert_eq!(fp, index.recount(), "running footprint vs recount");
                 };
-                for _ in 0..600 {
+                for step in 0..600 {
+                    if step == TYPED_STEPS {
+                        assert_eq!(matches!(index.keys, Keys::Int(_)), key_width == 1);
+                        for (c, t) in index.slots.columns.iter().zip(&stored_types) {
+                            let declared = match c {
+                                Column::Int(_) => DataType::Int,
+                                Column::Float(_) => DataType::Float,
+                                Column::Values(_) => DataType::Str,
+                            };
+                            assert_eq!(declared, *t, "still typed");
+                        }
+                    }
                     // Sorted: a seed picks the same entry whatever the map's order.
                     let mut live: Vec<(&Vec<Value>, &(Row, i64))> =
                         model.iter().flat_map(|(k, b)| b.iter().map(move |e| (k, e))).collect();
@@ -1609,13 +2274,24 @@ mod tests {
                             let (k, r) = (k.clone(), r.clone());
                             apply(&mut index, &mut model, k, r, 1);
                         }
+                        _ if step < TYPED_STEPS => {
+                            let key = draw(&mut rng, &ints, key_width, key_domain);
+                            let row: Row = stored_types
+                                .iter()
+                                .map(|t| typed(t)[rng.gen_range(0..typed(t).len())].clone())
+                                .collect();
+                            apply(&mut index, &mut model, key, row, rng.gen_range(1..3));
+                        }
                         _ => {
-                            let key = draw(&mut rng, key_width, key_domain);
-                            let row = draw(&mut rng, arity, pool.len());
+                            let key = draw(&mut rng, &pool, key_width, key_domain);
+                            let row = draw(&mut rng, &pool, arity, pool.len());
                             apply(&mut index, &mut model, key, row, rng.gen_range(1..3));
                         }
                     }
                 }
+                // Other variants reached every column and the key map.
+                assert!(matches!(index.keys, Keys::Values(_)), "the key map switched");
+                assert!(index.slots.columns.iter().all(|c| matches!(c, Column::Values(_))));
                 let live: Vec<(Vec<Value>, Row, i64)> = model
                     .iter()
                     .flat_map(|(k, b)| b.iter().map(move |(r, w)| (k.clone(), r.clone(), *w)))
@@ -1623,13 +2299,159 @@ mod tests {
                 for (k, r, w) in live {
                     apply(&mut index, &mut model, k, r, -w);
                 }
-                assert!(index.keys.is_empty(), "no key lingers");
+                assert_eq!(index.keys.len(), 0, "no key lingers");
                 let arena = &index.slots;
-                assert!(
-                    arena.values.is_empty() && arena.weights.is_empty() && arena.next.is_empty()
-                );
+                assert!(arena.weights.is_empty() && arena.next.is_empty());
+                let emptied = |c: &Column| matches!(c, Column::Values(v) if v.is_empty());
+                assert!(arena.columns.iter().all(emptied));
                 assert_eq!(arena.free, NIL, "an empty arena has no free list");
-                assert_eq!(fp, JoinIndex::new(arity).recount(), "an empty index's footprint");
+                let empty = JoinIndex::new(&key_types, &stored_types);
+                assert_eq!(fp, empty.recount(), "an empty index's footprint");
+            }
+        }
+        assert!(reused_after_switch > 0, "freed slots are reused after a column switches");
+    }
+
+    /// Probes match what `Value`'s `Eq` matches, on either side of a key
+    /// map's switch: a `Float(2.0)` probe finds the key `Int(2)`; `-0.0`,
+    /// `2.5` and a NaN find nothing; a non-`Int` key switches the map and
+    /// keeps its variant. A switching column keeps the values already
+    /// stored, and its bytes are recounted at the `Value` size.
+    #[test]
+    fn typed_index_probes_like_values_across_a_switch() {
+        let mut fp = Footprint::default();
+        let mut index = JoinIndex::new(&[DataType::Int], &[DataType::Int]);
+        let one = |v: Value| IndexKey::One(v);
+        for k in 0..4 {
+            index.update(one(Value::Int(k)), vec![Value::Int(10 * k)], 1, &mut fp);
+        }
+        let found = |index: &JoinIndex, v: Value| -> Vec<Row> {
+            index.probe(&one(v), 1, &[], &[]).into_iter().map(|(r, _)| r).collect()
+        };
+        for typed in [true, false] {
+            assert_eq!(matches!(index.keys, Keys::Int(_)), typed);
+            assert_eq!(found(&index, Value::Float(2.0)), vec![vec![Value::Int(20)]]);
+            assert_eq!(found(&index, Value::Int(2)), vec![vec![Value::Int(20)]]);
+            let misses =
+                [Value::Float(-0.0), Value::Float(2.5), Value::Float(f64::NAN), Value::Null];
+            for miss in misses {
+                assert!(found(&index, miss).is_empty());
+            }
+            assert_eq!(found(&index, Value::Float(0.0)), vec![vec![Value::Int(0)]]);
+            // A `Float(1.0)` update merges into the key `Int(1)`.
+            index.update(one(Value::Float(1.0)), vec![Value::Int(10)], 1, &mut fp);
+            assert_eq!(index.probe(&one(Value::Int(1)), 1, &[], &[])[0].1, 2);
+            index.update(one(Value::Int(1)), vec![Value::Int(10)], -1, &mut fp);
+            // A key no typed map holds switches it.
+            index.update(one(Value::Str("x".into())), vec![Value::Float(0.5)], 1, &mut fp);
+            assert_eq!(fp, index.recount());
+        }
+        // The column switched at the `Float(0.5)` and kept the `Int`s.
+        assert!(matches!(index.slots.columns[0], Column::Values(_)));
+        assert_eq!(found(&index, Value::Int(3)), vec![vec![Value::Int(30)]]);
+        assert_eq!(found(&index, Value::Str("x".into())).len(), 1);
+    }
+
+    /// The compact groups against the layout they replaced — a `BTreeMap`
+    /// from a `Vec<Value>` key to the row count and a `Vec` of
+    /// accumulators — over seeded folds and retractions with zero-, one-
+    /// and two-column keys. The one-column `Int` key starts typed; later
+    /// keys include `Float(2.0)` (the group `Int(2)`), `-0.0`, `0.5` and
+    /// NULL, which switch it mid-stream. After every step the groups
+    /// iterate in the model's key order, each key stored as the model
+    /// stores it, with the model's outputs; a group every row has left is
+    /// gone (the global group never goes), freed slots are reused, and the
+    /// running footprint equals a recount.
+    #[test]
+    fn agg_groups_match_the_btreemap_model() {
+        use rand::Rng;
+        type Model = BTreeMap<Vec<Value>, (i64, Vec<RetractableAcc>)>;
+        let aggs = vec![
+            (AggFunc::Count, None),
+            (AggFunc::Sum, Some(2)),
+            (AggFunc::Min, Some(2)),
+            (AggFunc::Avg, Some(2)),
+        ];
+        let fresh = || aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f)).collect::<Vec<_>>();
+        let finish = |accs: &[RetractableAcc]| -> Vec<Value> {
+            aggs.iter().zip(accs).map(|((f, _), a)| a.finish(*f)).collect()
+        };
+        let later = [Value::Float(2.0), Value::Float(-0.0), Value::Float(0.5), Value::Null];
+        const TYPED_STEPS: usize = 150;
+        for (group_cols, distinct) in [(vec![], 1), (vec![0], 4 + 3), (vec![0, 1], 2 * (4 + 3))] {
+            let mut rng = rqp_common::rng::seeded(distinct as u64);
+            let mut fp = Footprint::default();
+            let key_types = [DataType::Int, DataType::Str];
+            let key_types = &key_types[..group_cols.len()];
+            let mut agg = AggStage::new(group_cols.clone(), key_types, aggs.clone(), &mut fp);
+            let global = group_cols.is_empty();
+            assert_eq!(matches!(agg.groups, Keys::Int(_)), group_cols == [0]);
+            let mut model = Model::new();
+            if global {
+                model.insert(Vec::new(), (0, fresh()));
+            }
+            // What is folded in, so a retraction takes back a real row.
+            let mut held: Vec<Row> = Vec::new();
+            let step = |agg: &mut AggStage, model: &mut Model, fp: &mut Footprint, row: Row, w| {
+                let key = IndexKey::of(&row, &group_cols);
+                agg.fold(key.clone(), &row, w, fp);
+                agg.drop_if_empty(&key, fp);
+                let mkey = key.values().to_vec();
+                let (rows, accs) = model.entry(mkey.clone()).or_insert_with(|| (0, fresh()));
+                *rows += w;
+                for (a, (_, col)) in accs.iter_mut().zip(&aggs) {
+                    a.apply(col.map(|i| &row[i]), w);
+                }
+                if *rows <= 0 && !global {
+                    model.remove(&mkey);
+                }
+                assert_eq!(agg.groups.len(), model.len(), "group count");
+                for ((key, g, _), (mkey, (rows, accs))) in agg.groups.iter().zip(model.iter()) {
+                    assert!(same(key.values(), mkey), "stored key {key:?} vs {mkey:?}");
+                    let want = mkey.iter().cloned().chain(finish(accs)).collect();
+                    assert_eq!(agg.output_of(&key, g), (*rows > 0 || global).then_some(want));
+                }
+                assert_eq!(*fp, agg.recount(), "running footprint vs recount");
+            };
+            let draw = |rng: &mut rand::rngs::StdRng, typed: bool| -> Row {
+                let first = match rng.gen_range(0..4 + later.len()) {
+                    k if k < 4 || typed => Value::Int(k as i64 % 4),
+                    k => later[k - 4].clone(),
+                };
+                let tag = if rng.gen_range(0..2) == 0 { "a" } else { "b" };
+                // Tenths are not dyadic: a retracted sum need not return to
+                // zero, so a reused slot must start from fresh accumulators.
+                let x = Value::Float(rng.gen_range(-5..5) as f64 * 0.1);
+                vec![first, Value::Str(tag.into()), x]
+            };
+            for n in 0..400 {
+                if !held.is_empty() && rng.gen_range(0..3) == 0 {
+                    let row = held.swap_remove(rng.gen_range(0..held.len()));
+                    step(&mut agg, &mut model, &mut fp, row, -1);
+                    continue;
+                }
+                let row = draw(&mut rng, n < TYPED_STEPS);
+                held.push(row.clone());
+                step(&mut agg, &mut model, &mut fp, row, 1);
+            }
+            assert!(matches!(agg.groups, Keys::Values(_)), "group keys switched");
+            assert!(agg.rows.len() <= distinct, "a dropped group's slot is reused");
+            for row in std::mem::take(&mut held) {
+                step(&mut agg, &mut model, &mut fp, row, -1);
+            }
+            assert_eq!(agg.groups.len(), usize::from(global), "only the global group stays");
+            let mut empty = Footprint::default();
+            AggStage::new(group_cols.clone(), key_types, aggs.clone(), &mut empty);
+            assert_eq!(fp, empty, "an emptied stage counts as a new one");
+            if global {
+                let row = agg.output(&IndexKey::of(&[], &[])).expect("the global group's row");
+                assert_eq!(row[0], Value::Int(0), "COUNT=0 over no rows");
+                assert!(row[2].is_null() && row[3].is_null(), "no MIN or AVG over no rows");
+            }
+            // Refilled, every reused slot starts as a new group would.
+            for _ in 0..40 {
+                let row = draw(&mut rng, false);
+                step(&mut agg, &mut model, &mut fp, row, 1);
             }
         }
     }

@@ -238,12 +238,13 @@ fn shutdown_tears_down_every_subscription() {
 }
 
 /// The benchmark's q3 view (`customer ⋈ orders ⋈ lineitem` on one-column
-/// keys, at most one stored column per side) keeps its join state in slot
-/// arenas: the service's gauges read at most 60 counted bytes per state row
-/// — a `Vec` per key and per stored row cost ≈87 — and teardown returns
-/// every byte.
+/// `Int` keys, at most one stored column per side) keeps its join state in
+/// typed slot arenas under typed key maps, and its groups over a flat
+/// accumulator arena: the service's gauges read at most 30 counted bytes
+/// per state row — `Value` arenas and keys cost ≈51.5, a `Vec` per key and
+/// per stored row ≈87 — and teardown returns every byte.
 #[test]
-fn q3_view_state_stays_under_60_bytes_per_state_row() {
+fn q3_view_state_stays_under_30_bytes_per_state_row() {
     let db = TpchDb::build(TpchParams { lineitem_rows: 40_000, ..Default::default() }, 101);
     let svc = QueryService::new(
         &db.catalog,
@@ -257,7 +258,7 @@ fn q3_view_state_stays_under_60_bytes_per_state_row() {
     let gauge = |name: &str| svc.metrics().gauge(name).get();
     let (rows, bytes) = (gauge("server.subs.state_rows"), gauge("server.subs.state_bytes"));
     assert!(rows > 10_000.0, "the view holds real join state: {rows} rows");
-    assert!(bytes / rows <= 60.0, "{bytes} B over {rows} state rows = {:.1} B/row", bytes / rows);
+    assert!(bytes / rows <= 30.0, "{bytes} B over {rows} state rows = {:.1} B/row", bytes / rows);
     assert!(svc.unsubscribe(id));
     svc.refresh_live_gauges();
     assert_eq!((gauge("server.subs.state_rows"), gauge("server.subs.state_bytes")), (0.0, 0.0));
