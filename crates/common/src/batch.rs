@@ -19,6 +19,10 @@
 //! hold both paths to that.
 
 use crate::dict::StringDict;
+use crate::expr::{BoundExpr, CmpOp, Truth};
+use crate::value::Value;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Default number of rows a scan packs per batch: large enough to amortize
@@ -174,6 +178,107 @@ impl ColumnBatch {
     /// True if the batch holds no rows at all.
     pub fn is_empty(&self) -> bool {
         self.rows() == 0
+    }
+}
+
+/// One operand of a predicate, evaluated over every row of a batch.
+enum Vals<'a> {
+    /// An `Int` column.
+    Int(&'a [i64]),
+    /// A `Float` column.
+    Float(&'a [f64]),
+    /// A literal: one value for every row.
+    Same(&'a Value),
+    /// One value per row: a `Str` column resolved once, arithmetic, or a
+    /// boolean node read as `Int(1)`, `Int(0)` or NULL.
+    Cells(Vec<Value>),
+}
+
+impl Vals<'_> {
+    /// Row `i` as a value.
+    fn at(&self, i: usize) -> Cow<'_, Value> {
+        match self {
+            Vals::Int(x) => Cow::Owned(Value::Int(x[i])),
+            Vals::Float(x) => Cow::Owned(Value::Float(x[i])),
+            Vals::Same(v) => Cow::Borrowed(v),
+            Vals::Cells(v) => Cow::Borrowed(&v[i]),
+        }
+    }
+}
+
+/// Kleene-combine `b` into `a`, row by row.
+fn combine(a: Vec<Truth>, b: Vec<Truth>, f: fn(Truth, Truth) -> Truth) -> Vec<Truth> {
+    a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
+}
+
+impl BoundExpr {
+    /// The batch evaluator: this predicate's [`Truth`] on every row of
+    /// `batch`, selected or not. It calls the same truth table as the row
+    /// evaluator [`BoundExpr::truth`], so the two agree on every row.
+    pub fn truths(&self, batch: &ColumnBatch) -> Vec<Truth> {
+        let n = batch.rows();
+        let cmp = |op, l: &Vals, r: &Vals| compare(op, l, r, n);
+        match self {
+            BoundExpr::Cmp { op, lhs, rhs } => cmp(*op, &lhs.vals(batch), &rhs.vals(batch)),
+            BoundExpr::Between { expr, lo, hi } => {
+                let v = expr.vals(batch);
+                let (lo, hi) = (Vals::Same(lo), Vals::Same(hi));
+                combine(cmp(CmpOp::Ge, &v, &lo), cmp(CmpOp::Le, &v, &hi), Truth::and)
+            }
+            BoundExpr::InList { expr, list } => {
+                let v = expr.vals(batch);
+                let miss = vec![Truth::False; n];
+                let eq = |c| cmp(CmpOp::Eq, &v, &Vals::Same(c));
+                list.iter().fold(miss, |t, c| combine(t, eq(c), Truth::or))
+            }
+            BoundExpr::And(v) => v
+                .iter()
+                .fold(vec![Truth::True; n], |t, e| combine(t, e.truths(batch), Truth::and)),
+            BoundExpr::Or(v) => v
+                .iter()
+                .fold(vec![Truth::False; n], |t, e| combine(t, e.truths(batch), Truth::or)),
+            BoundExpr::Not(e) => e.truths(batch).into_iter().map(|t| !t).collect(),
+            BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Arith { .. } => {
+                let v = self.vals(batch);
+                (0..n).map(|i| Truth::of_value(&v.at(i))).collect()
+            }
+        }
+    }
+
+    /// This expression's value on every row of `batch`.
+    fn vals<'a>(&'a self, batch: &'a ColumnBatch) -> Vals<'a> {
+        match self {
+            BoundExpr::Col(i) => match &batch.columns[*i] {
+                ColVec::Int(x) => Vals::Int(x),
+                ColVec::Float(x) => Vals::Float(x),
+                ColVec::Str(x) => {
+                    Vals::Cells(batch.dict.resolve_all(x).into_iter().map(Value::Str).collect())
+                }
+            },
+            BoundExpr::Lit(v) => Vals::Same(v),
+            BoundExpr::Arith { op, lhs, rhs } => {
+                let (l, r) = (lhs.vals(batch), rhs.vals(batch));
+                Vals::Cells((0..batch.rows()).map(|i| op.apply(&l.at(i), &r.at(i))).collect())
+            }
+            _ => Vals::Cells(self.truths(batch).into_iter().map(Truth::to_value).collect()),
+        }
+    }
+}
+
+/// `l <op> r` on every row: a typed loop for a numeric column against a
+/// literal, [`Truth::compare`] on each row's values otherwise.
+fn compare(op: CmpOp, l: &Vals, r: &Vals, n: usize) -> Vec<Truth> {
+    let verdict = |o: Ordering| Truth::from(op.matches(o));
+    match (l, r) {
+        (Vals::Same(v), _) | (_, Vals::Same(v)) if v.is_null() => vec![Truth::Unknown; n],
+        (Vals::Same(_), Vals::Int(_) | Vals::Float(_)) => compare(op.flipped(), r, l, n),
+        (Vals::Int(x), Vals::Same(v)) => {
+            x.iter().map(|&a| verdict(Value::Int(a).total_cmp(v))).collect()
+        }
+        (Vals::Float(x), Vals::Same(v)) => {
+            x.iter().map(|&a| verdict(Value::Float(a).total_cmp(v))).collect()
+        }
+        _ => (0..n).map(|i| Truth::compare(op, &l.at(i), &r.at(i))).collect(),
     }
 }
 

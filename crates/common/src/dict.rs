@@ -68,6 +68,12 @@ impl StringDict {
         self.inner.read().expect("dict lock").strings[code as usize].clone()
     }
 
+    /// Resolve every code of `codes`, in order, under one lock acquisition.
+    pub fn resolve_all(&self, codes: &[u32]) -> Vec<String> {
+        let inner = self.inner.read().expect("dict lock");
+        codes.iter().map(|&c| inner.strings[c as usize].clone()).collect()
+    }
+
     /// Number of distinct strings interned (== the exclusive upper bound of
     /// issued codes, by density).
     pub fn len(&self) -> usize {
@@ -77,11 +83,6 @@ impl StringDict {
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Run `f` over the string for `code` without cloning it.
-    pub fn with_resolved<R>(&self, code: u32, f: impl FnOnce(&str) -> R) -> R {
-        f(&self.inner.read().expect("dict lock").strings[code as usize])
     }
 
     /// Append clones of every string with code `>= from` to `out` — one lock

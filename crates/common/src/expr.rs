@@ -11,7 +11,7 @@
 //! Robustness" break-out (Graefe et al.) proposes measuring whether a system
 //! treats all such variants identically; experiment E06 drives these rewrites.
 
-use crate::error::{Result, RqpError};
+use crate::error::Result;
 use crate::schema::{Row, Schema};
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -96,6 +96,128 @@ pub enum ArithOp {
     Sub,
     /// `*`
     Mul,
+}
+
+impl ArithOp {
+    /// The operator on two values: `Int∘Int` is an `Int` (wrapping on
+    /// overflow in every build), a mixed numeric pair a `Float`, and
+    /// anything with a `Str` or NULL operand is NULL.
+    pub fn apply(self, a: &Value, b: &Value) -> Value {
+        use ArithOp::*;
+        match (a, b, a.as_float(), b.as_float()) {
+            (Value::Int(x), Value::Int(y), _, _) => Value::Int(match self {
+                Add => x.wrapping_add(*y),
+                Sub => x.wrapping_sub(*y),
+                Mul => x.wrapping_mul(*y),
+            }),
+            (_, _, Some(x), Some(y)) => Value::Float(match self {
+                Add => x + y,
+                Sub => x - y,
+                Mul => x * y,
+            }),
+            _ => Value::Null,
+        }
+    }
+}
+
+/// SQL three-valued (Kleene) truth, the one definition of predicate logic:
+/// the row evaluator ([`BoundExpr::truth`]) and the batch evaluator
+/// ([`BoundExpr::truths`]) both call it, and a filter keeps a row only on
+/// `True`. The variant order `False < Unknown < True` makes AND the minimum
+/// and OR the maximum; NOT swaps True and False and keeps Unknown.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Truth {
+    /// Definitely false.
+    False,
+    /// Neither: a comparison with a NULL operand.
+    Unknown,
+    /// Definitely true.
+    True,
+}
+
+impl Truth {
+    /// Kleene AND.
+    pub fn and(self, other: Truth) -> Truth {
+        self.min(other)
+    }
+
+    /// Kleene OR.
+    pub fn or(self, other: Truth) -> Truth {
+        self.max(other)
+    }
+
+    /// `a <op> b` in [`Value::total_cmp`]'s order; Unknown when either side
+    /// is NULL.
+    pub fn compare(op: CmpOp, a: &Value, b: &Value) -> Truth {
+        if a.is_null() || b.is_null() {
+            Truth::Unknown
+        } else {
+            op.matches(a.total_cmp(b)).into()
+        }
+    }
+
+    /// `v BETWEEN lo AND hi`, which is `v >= lo AND v <= hi`.
+    pub fn between(v: &Value, lo: &Value, hi: &Value) -> Truth {
+        Truth::compare(CmpOp::Ge, v, lo).and(Truth::compare(CmpOp::Le, v, hi))
+    }
+
+    /// `v IN (list…)`, which is `v = c₁ OR v = c₂ OR …`: a NULL candidate
+    /// that does not match turns a miss into Unknown.
+    pub fn in_list(v: &Value, list: &[Value]) -> Truth {
+        Truth::any(list.iter().map(|c| Truth::compare(CmpOp::Eq, v, c)))
+    }
+
+    /// Kleene AND over `ts`, drawing no further once one is False.
+    pub fn all(ts: impl IntoIterator<Item = Truth>) -> Truth {
+        ts.into_iter()
+            .try_fold(Truth::True, |t, x| (x != Truth::False).then(|| t.and(x)))
+            .unwrap_or(Truth::False)
+    }
+
+    /// Kleene OR over `ts`, drawing no further once one is True.
+    pub fn any(ts: impl IntoIterator<Item = Truth>) -> Truth {
+        ts.into_iter()
+            .try_fold(Truth::False, |t, x| (x != Truth::True).then(|| t.or(x)))
+            .unwrap_or(Truth::True)
+    }
+
+    /// A value read as a predicate: NULL is Unknown, `Int(0)` False, any
+    /// other value True.
+    pub fn of_value(v: &Value) -> Truth {
+        match v {
+            Value::Null => Truth::Unknown,
+            Value::Int(0) => Truth::False,
+            _ => Truth::True,
+        }
+    }
+
+    /// The value of a boolean node: `Int(1)`, `Int(0)`, or NULL for Unknown.
+    pub fn to_value(self) -> Value {
+        match self {
+            Truth::False => Value::Int(0),
+            Truth::Unknown => Value::Null,
+            Truth::True => Value::Int(1),
+        }
+    }
+}
+
+impl From<bool> for Truth {
+    fn from(b: bool) -> Truth {
+        if b { Truth::True } else { Truth::False }
+    }
+}
+
+impl std::ops::Not for Truth {
+    type Output = Truth;
+
+    /// Kleene NOT: Unknown stays Unknown.
+    fn not(self) -> Truth {
+        match self {
+            Truth::False => Truth::True,
+            Truth::Unknown => Truth::Unknown,
+            Truth::True => Truth::False,
+        }
+    }
 }
 
 /// A logical scalar/boolean expression over named columns.
@@ -287,22 +409,6 @@ impl Expr {
         }
     }
 
-    // ---------------------------------------------------------------------
-    // Evaluation
-    // ---------------------------------------------------------------------
-
-    /// Evaluate against a row (booleans are `Int(0)`/`Int(1)`).
-    pub fn eval(&self, row: &Row, schema: &Schema) -> Result<Value> {
-        self.bind(schema)?.eval(row).ok_or_else(|| {
-            RqpError::Execution("expression evaluation produced no value".into())
-        })
-    }
-
-    /// Evaluate as a boolean predicate.
-    pub fn eval_bool(&self, row: &Row, schema: &Schema) -> Result<bool> {
-        Ok(!matches!(self.eval(row, schema)?, Value::Int(0) | Value::Null))
-    }
-
     /// Resolve column names against `schema`, producing a fast-path
     /// [`BoundExpr`] usable without further string lookups.
     pub fn bind(&self, schema: &Schema) -> Result<BoundExpr> {
@@ -443,68 +549,36 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluate against a row. Booleans are `Int(0)`/`Int(1)`.
-    pub fn eval(&self, row: &Row) -> Option<Value> {
-        Some(match self {
-            BoundExpr::Col(i) => row.get(*i)?.clone(),
+    /// Evaluate against a row. A boolean node yields `Int(1)`, `Int(0)` or,
+    /// for Unknown, NULL; a column past the row's end reads as NULL.
+    pub fn eval(&self, row: &Row) -> Value {
+        match self {
+            BoundExpr::Col(i) => row.get(*i).cloned().unwrap_or(Value::Null),
             BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Cmp { op, lhs, rhs } => {
-                let l = lhs.eval(row)?;
-                let r = rhs.eval(row)?;
-                if l.is_null() || r.is_null() {
-                    Value::Int(0)
-                } else {
-                    Value::Int(op.matches(l.total_cmp(&r)) as i64)
-                }
-            }
-            BoundExpr::Between { expr, lo, hi } => {
-                let v = expr.eval(row)?;
-                if v.is_null() {
-                    Value::Int(0)
-                } else {
-                    Value::Int((v >= *lo && v <= *hi) as i64)
-                }
-            }
-            BoundExpr::InList { expr, list } => {
-                let v = expr.eval(row)?;
-                Value::Int(list.contains(&v) as i64)
-            }
-            BoundExpr::And(v) => {
-                let mut all = true;
-                for e in v {
-                    if !e.eval_bool(row) {
-                        all = false;
-                        break;
-                    }
-                }
-                Value::Int(all as i64)
-            }
-            BoundExpr::Or(v) => {
-                let mut any = false;
-                for e in v {
-                    if e.eval_bool(row) {
-                        any = true;
-                        break;
-                    }
-                }
-                Value::Int(any as i64)
-            }
-            BoundExpr::Not(e) => Value::Int(!e.eval_bool(row) as i64),
-            BoundExpr::Arith { op, lhs, rhs } => {
-                let l = lhs.eval(row)?;
-                let r = rhs.eval(row)?;
-                match op {
-                    ArithOp::Add => l.add(&r),
-                    ArithOp::Sub => l.sub(&r),
-                    ArithOp::Mul => l.mul(&r),
-                }
-            }
-        })
+            BoundExpr::Arith { op, lhs, rhs } => op.apply(&lhs.eval(row), &rhs.eval(row)),
+            _ => self.truth(row).to_value(),
+        }
     }
 
-    /// Evaluate as a boolean predicate (NULL and missing are false).
+    /// Evaluate as a predicate under SQL three-valued logic ([`Truth`]).
+    pub fn truth(&self, row: &Row) -> Truth {
+        match self {
+            BoundExpr::Cmp { op, lhs, rhs } => Truth::compare(*op, &lhs.eval(row), &rhs.eval(row)),
+            BoundExpr::Between { expr, lo, hi } => Truth::between(&expr.eval(row), lo, hi),
+            BoundExpr::InList { expr, list } => Truth::in_list(&expr.eval(row), list),
+            BoundExpr::And(v) => Truth::all(v.iter().map(|e| e.truth(row))),
+            BoundExpr::Or(v) => Truth::any(v.iter().map(|e| e.truth(row))),
+            BoundExpr::Not(e) => !e.truth(row),
+            BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Arith { .. } => {
+                Truth::of_value(&self.eval(row))
+            }
+        }
+    }
+
+    /// Whether a filter keeps `row`: the predicate is `True` (not False,
+    /// not Unknown).
     pub fn eval_bool(&self, row: &Row) -> bool {
-        !matches!(self.eval(row), Some(Value::Int(0)) | Some(Value::Null) | None)
+        self.truth(row) == Truth::True
     }
 }
 
@@ -546,16 +620,17 @@ impl SimplePred {
     /// `col IN`. Everything else (arithmetic on columns, multi-column
     /// comparisons, disjunctions) returns `None` — exactly the "complex
     /// (known unknown) expressions" class the Nica et al. break-out flags as
-    /// hard for estimators.
+    /// hard for estimators. So does a comparison or range with a NULL bound:
+    /// it is Unknown on every row, not a range an index could scan.
     pub fn from_expr(e: &Expr) -> Option<SimplePred> {
         match e {
             Expr::Cmp { op, lhs, rhs } => match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Col(c), Expr::Lit(v)) => Some(SimplePred::Cmp {
+                (Expr::Col(c), Expr::Lit(v)) if !v.is_null() => Some(SimplePred::Cmp {
                     col: c.clone(),
                     op: *op,
                     value: v.clone(),
                 }),
-                (Expr::Lit(v), Expr::Col(c)) => Some(SimplePred::Cmp {
+                (Expr::Lit(v), Expr::Col(c)) if !v.is_null() => Some(SimplePred::Cmp {
                     col: c.clone(),
                     op: op.flipped(),
                     value: v.clone(),
@@ -563,7 +638,7 @@ impl SimplePred {
                 _ => None,
             },
             Expr::Between { expr, lo, hi } => match expr.as_ref() {
-                Expr::Col(c) => Some(SimplePred::Range {
+                Expr::Col(c) if !lo.is_null() && !hi.is_null() => Some(SimplePred::Range {
                     col: c.clone(),
                     lo: lo.clone(),
                     hi: hi.clone(),
@@ -596,15 +671,6 @@ impl SimplePred {
             SimplePred::Cmp { col, .. }
             | SimplePred::Range { col, .. }
             | SimplePred::InList { col, .. } => col,
-        }
-    }
-
-    /// Evaluate against a scalar value of the column.
-    pub fn matches(&self, v: &Value) -> bool {
-        match self {
-            SimplePred::Cmp { op, value, .. } => op.matches(v.total_cmp(value)),
-            SimplePred::Range { lo, hi, .. } => v >= lo && v <= hi,
-            SimplePred::InList { values, .. } => values.iter().any(|c| c == v),
         }
     }
 }
@@ -766,45 +832,45 @@ mod tests {
         vec![Value::Int(a), Value::Float(b)]
     }
 
+    fn holds(e: &Expr, r: &Row) -> bool {
+        e.bind(&schema()).unwrap().eval_bool(r)
+    }
+
     #[test]
     fn cmp_eval() {
-        let s = schema();
         let e = col("a").lt(lit(5i64));
-        assert!(e.eval_bool(&row(3, 0.0), &s).unwrap());
-        assert!(!e.eval_bool(&row(7, 0.0), &s).unwrap());
+        assert!(holds(&e, &row(3, 0.0)));
+        assert!(!holds(&e, &row(7, 0.0)));
     }
 
     #[test]
     fn between_and_in() {
-        let s = schema();
         let e = col("a").between(2i64, 4i64);
-        assert!(e.eval_bool(&row(2, 0.0), &s).unwrap());
-        assert!(e.eval_bool(&row(4, 0.0), &s).unwrap());
-        assert!(!e.eval_bool(&row(5, 0.0), &s).unwrap());
+        assert!(holds(&e, &row(2, 0.0)));
+        assert!(holds(&e, &row(4, 0.0)));
+        assert!(!holds(&e, &row(5, 0.0)));
         let e = col("a").in_list(vec![Value::Int(1), Value::Int(9)]);
-        assert!(e.eval_bool(&row(9, 0.0), &s).unwrap());
-        assert!(!e.eval_bool(&row(2, 0.0), &s).unwrap());
+        assert!(holds(&e, &row(9, 0.0)));
+        assert!(!holds(&e, &row(2, 0.0)));
     }
 
     #[test]
     fn boolean_combinators() {
-        let s = schema();
         let e = col("a").gt(lit(0i64)).and(col("b").lt(lit(1.0)));
-        assert!(e.eval_bool(&row(1, 0.5), &s).unwrap());
-        assert!(!e.eval_bool(&row(1, 1.5), &s).unwrap());
+        assert!(holds(&e, &row(1, 0.5)));
+        assert!(!holds(&e, &row(1, 1.5)));
         let e2 = col("a").eq(lit(0i64)).or(col("b").lt(lit(1.0)));
-        assert!(e2.eval_bool(&row(5, 0.5), &s).unwrap());
-        assert!(!e2.eval_bool(&row(5, 1.5), &s).unwrap());
-        assert!(col("a").eq(lit(1i64)).not().eval_bool(&row(2, 0.0), &s).unwrap());
+        assert!(holds(&e2, &row(5, 0.5)));
+        assert!(!holds(&e2, &row(5, 1.5)));
+        assert!(holds(&col("a").eq(lit(1i64)).not(), &row(2, 0.0)));
     }
 
     #[test]
     fn arithmetic_in_predicate() {
-        let s = schema();
         // a * 2 + 1 > 5
         let e = col("a").mul(lit(2i64)).add(lit(1i64)).gt(lit(5i64));
-        assert!(e.eval_bool(&row(3, 0.0), &s).unwrap());
-        assert!(!e.eval_bool(&row(2, 0.0), &s).unwrap());
+        assert!(holds(&e, &row(3, 0.0)));
+        assert!(!holds(&e, &row(2, 0.0)));
     }
 
     #[test]
@@ -835,21 +901,13 @@ mod tests {
         // NOT (a <> 3) normalizes to a = 3
         let sp = SimplePred::from_expr(&col("a").ne(lit(3i64)).not()).unwrap();
         assert!(matches!(sp, SimplePred::Cmp { op: CmpOp::Eq, .. }));
+        assert_eq!(sp.column(), "a");
         // multi-column comparison is not simple
         assert!(SimplePred::from_expr(&col("a").lt(col("b"))).is_none());
     }
 
     #[test]
-    fn simple_pred_matches() {
-        let sp = SimplePred::Range { col: "a".into(), lo: Value::Int(2), hi: Value::Int(4) };
-        assert!(sp.matches(&Value::Int(3)));
-        assert!(!sp.matches(&Value::Int(5)));
-        assert_eq!(sp.column(), "a");
-    }
-
-    #[test]
     fn rewrites_preserve_semantics() {
-        let s = schema();
         let base = col("a")
             .between(2i64, 6i64)
             .and(col("b").lt(lit(0.5)))
@@ -862,8 +920,8 @@ mod tests {
         for v in &fam {
             for r in &rows {
                 assert_eq!(
-                    base.eval_bool(r, &s).unwrap(),
-                    v.eval_bool(r, &s).unwrap(),
+                    holds(&base, r),
+                    holds(v, r),
                     "variant {v} disagrees on row {r:?}"
                 );
             }
@@ -886,9 +944,47 @@ mod tests {
 
     #[test]
     fn null_comparisons_are_false() {
-        let s = schema();
         let e = col("a").eq(lit(1i64));
         let r = vec![Value::Null, Value::Float(0.0)];
-        assert!(!e.eval_bool(&r, &s).unwrap());
+        assert!(!holds(&e, &r));
+    }
+
+    #[test]
+    fn null_logic_is_kleene() {
+        use Truth::{False as F, True as T, Unknown as U};
+        let r = vec![Value::Null, Value::Float(0.0)];
+        assert!(!holds(&col("a").eq(lit(1i64)).not(), &r), "NOT Unknown is Unknown");
+        let null = || lit(Value::Null);
+        assert!(!holds(&col("b").lt(null()).not(), &r));
+        assert!(holds(&col("b").lt(null()).or(col("b").ge(lit(0.0))), &r));
+        let miss = col("b").in_list(vec![Value::Int(1), Value::Null]);
+        assert!(!holds(&miss, &r) && !holds(&miss.not(), &r), "a NULL candidate that misses");
+        assert!(holds(&col("b").in_list(vec![Value::Null, Value::Int(0)]), &r));
+        assert!(!holds(&col("b").between(Value::Null, 1.0).not(), &r));
+        for (a, b, and, or) in [(T, U, U, T), (F, U, F, U), (U, U, U, U), (T, F, F, T)] {
+            assert_eq!((a.and(b), b.and(a), a.or(b), b.or(a)), (and, and, or, or));
+        }
+        assert_eq!((!T, !F, !U), (F, T, U));
+        // AND stops at the first False, OR at the first True.
+        let boom = || std::iter::from_fn(|| -> Option<Truth> { panic!("drawn past the verdict") });
+        assert_eq!(Truth::all([U, F].into_iter().chain(boom())), F);
+        assert_eq!(Truth::any([U, T].into_iter().chain(boom())), T);
+        let folds = (Truth::all([U, T]), Truth::any([U, F]), Truth::all([]), Truth::any([]));
+        assert_eq!(folds, (U, U, T, F));
+    }
+
+    #[test]
+    fn arithmetic_types_and_wraps() {
+        let (i, f) = (Value::Int, Value::Float);
+        assert_eq!(ArithOp::Add.apply(&i(2), &i(3)), i(5));
+        assert_eq!(ArithOp::Sub.apply(&i(5), &i(2)), i(3));
+        assert!(matches!(ArithOp::Mul.apply(&i(2), &f(1.5)), Value::Float(x) if x == 3.0));
+        assert!(ArithOp::Add.apply(&Value::Null, &i(1)).is_null());
+        assert!(ArithOp::Add.apply(&Value::Str("x".into()), &i(1)).is_null());
+        // Overflow wraps in debug and release alike.
+        assert!(matches!(ArithOp::Add.apply(&i(i64::MAX), &i(1)), Value::Int(i64::MIN)));
+        assert!(matches!(ArithOp::Mul.apply(&i(i64::MIN), &i(-1)), Value::Int(i64::MIN)));
+        let e = col("a").add(lit(1i64)).lt(lit(0i64));
+        assert!(holds(&e, &row(i64::MAX, 0.0)));
     }
 }

@@ -7,9 +7,9 @@
 //! * [`schema`] — [`schema::Schema`]/[`schema::Field`] describing row shapes, and
 //!   the [`schema::Row`] type flowing between operators;
 //! * [`expr`] — a small scalar/boolean expression algebra ([`expr::Expr`]) with
-//!   evaluation, binding (name → index resolution), conjunct decomposition and
-//!   the semantics-preserving rewrites used by the equivalent-query robustness
-//!   benchmark;
+//!   binding (name → index resolution), the one three-valued truth table
+//!   ([`expr::Truth`]) its row and batch evaluators share, conjunct
+//!   decomposition and the equivalent-query benchmark's rewrites;
 //! * [`error`] — the crate-wide [`error::RqpError`] error enum with its
 //!   retryable/fatal/cancellation taxonomy;
 //! * [`cancel`] — the [`cancel::CancelToken`] cooperative-cancellation handle
@@ -61,7 +61,7 @@ pub use clock::{CostBreakdown, CostClock, CostModelParams, SharedClock};
 pub use dict::StringDict;
 pub use engine::EngineConfig;
 pub use error::{Result, RqpError};
-pub use expr::{CmpOp, Expr, SimplePred};
+pub use expr::{CmpOp, Expr, SimplePred, Truth};
 pub use percentile::percentile;
 pub use schema::{Field, Row, Schema};
 pub use sync::AtomicF64;

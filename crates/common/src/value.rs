@@ -116,21 +116,6 @@ impl Value {
         }
     }
 
-    /// Arithmetic addition (numeric only); `Null` propagates.
-    pub fn add(&self, other: &Value) -> Value {
-        numeric_binop(self, other, |a, b| a + b, |a, b| a + b)
-    }
-
-    /// Arithmetic subtraction (numeric only); `Null` propagates.
-    pub fn sub(&self, other: &Value) -> Value {
-        numeric_binop(self, other, |a, b| a - b, |a, b| a - b)
-    }
-
-    /// Arithmetic multiplication (numeric only); `Null` propagates.
-    pub fn mul(&self, other: &Value) -> Value {
-        numeric_binop(self, other, |a, b| a * b, |a, b| a * b)
-    }
-
     /// The canonical hashing identity of this value.
     ///
     /// Every hash the engine derives from a `Value` — the FNV stream behind
@@ -199,22 +184,6 @@ fn key_atom_f64(f: f64) -> KeyAtom<'static> {
         KeyAtom::Int(i)
     } else {
         KeyAtom::FloatBits(f.to_bits())
-    }
-}
-
-fn numeric_binop(
-    a: &Value,
-    b: &Value,
-    f_int: impl Fn(i64, i64) -> i64,
-    f_float: impl Fn(f64, f64) -> f64,
-) -> Value {
-    use Value::*;
-    match (a, b) {
-        (Int(x), Int(y)) => Int(f_int(*x, *y)),
-        (Float(x), Float(y)) => Float(f_float(*x, *y)),
-        (Int(x), Float(y)) => Float(f_float(*x as f64, *y)),
-        (Float(x), Int(y)) => Float(f_float(*x, *y as f64)),
-        _ => Null,
     }
 }
 
@@ -321,14 +290,6 @@ mod tests {
         };
         assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
         assert_eq!(Value::Int(7), Value::Float(7.0));
-    }
-
-    #[test]
-    fn arithmetic() {
-        assert_eq!(Value::Int(2).add(&Value::Int(3)), Value::Int(5));
-        assert_eq!(Value::Int(2).mul(&Value::Float(1.5)), Value::Float(3.0));
-        assert!(Value::Null.add(&Value::Int(1)).is_null());
-        assert_eq!(Value::Int(5).sub(&Value::Int(2)), Value::Int(3));
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! Each operator here consumes/produces [`ColumnBatch`]es instead of rows:
 //! the scan packs a table range into typed column vectors (dictionary-encoding
-//! strings), the filter clears selection bits with tight typed loops, and the
-//! hash join/aggregation key on packed `(tag, u64)` codes derived from
-//! [`rqp_common::KeyAtom`] instead of `Vec<Value>` keys.
+//! strings), the filter clears selection bits by the batch evaluator's
+//! verdicts, and the hash join/aggregation key on packed `(tag, u64)` codes
+//! derived from [`rqp_common::KeyAtom`] instead of `Vec<Value>` keys.
 //!
-//! The planner lowers every table scan to [`BatchScanOp`] (plus
-//! [`BatchFilterOp`] for a predicate that compiles to a
-//! [`SimplePred`]) behind the [`BatchRowsOp`] row adapter, and every
-//! parallel-scan exchange worker scans its range the same way. The scalar
-//! scan and the other scalar twins remain as the reference these operators
-//! are tested against.
+//! The planner lowers every table scan to [`BatchScanOp`], then
+//! [`BatchFilterOp`] for any predicate, behind the [`BatchRowsOp`] row
+//! adapter, and every parallel-scan exchange worker scans its range the same
+//! way. The scalar scan and the other scalar twins remain as the reference
+//! these operators are tested against.
 //!
 //! **Cost contract.** Every batch operator charges the [cost
 //! clock](rqp_common::clock) the *same amounts* as its scalar twin, just in
@@ -33,9 +32,9 @@ use crate::context::{ExecContext, WorkspaceLease};
 use crate::scan::{page_chaos, pin_page};
 use crate::Operator;
 use crate::agg::{AggFunc, AggSpec};
+use rqp_common::expr::BoundExpr;
 use rqp_common::{
-    ColVec, ColumnBatch, DataType, Expr, Result, Row, RqpError, Schema, SimplePred, StringDict,
-    Value,
+    ColVec, ColumnBatch, DataType, Expr, Result, Row, RqpError, Schema, StringDict, Truth, Value,
 };
 use rqp_storage::Table;
 use rqp_telemetry::SpanHandle;
@@ -285,114 +284,44 @@ impl BatchScanOp {
 // Filter
 // ---------------------------------------------------------------------------
 
-/// Compare an `i64` cell with a literal under [`Value::total_cmp`] semantics.
-#[inline]
-fn cmp_int_lit(x: i64, lit: &Value) -> std::cmp::Ordering {
-    match lit {
-        Value::Null => std::cmp::Ordering::Greater,
-        Value::Int(b) => x.cmp(b),
-        Value::Float(f) => (x as f64).total_cmp(f),
-        Value::Str(_) => std::cmp::Ordering::Less,
-    }
-}
-
-/// Compare an `f64` cell with a literal under [`Value::total_cmp`] semantics.
-#[inline]
-fn cmp_float_lit(x: f64, lit: &Value) -> std::cmp::Ordering {
-    match lit {
-        Value::Null => std::cmp::Ordering::Greater,
-        Value::Int(b) => x.total_cmp(&(*b as f64)),
-        Value::Float(f) => x.total_cmp(f),
-        Value::Str(_) => std::cmp::Ordering::Less,
-    }
-}
-
-/// Compare a resolved string cell with a literal under
-/// [`Value::total_cmp`] semantics.
-#[inline]
-fn cmp_str_lit(x: &str, lit: &Value) -> std::cmp::Ordering {
-    match lit {
-        Value::Null => std::cmp::Ordering::Greater,
-        Value::Int(_) | Value::Float(_) => std::cmp::Ordering::Greater,
-        Value::Str(s) => x.cmp(s.as_str()),
-    }
-}
-
-/// Filters batches by a [`SimplePred`]-compilable predicate, clearing
-/// selection bits in place.
+/// Filters batches by any predicate that binds, clearing selection bits in
+/// place.
 ///
-/// Semantics are exactly those of the scalar
-/// [`FilterOp`](crate::filter::FilterOp) evaluating the same expression
-/// (`total_cmp` comparisons, NULL-literal comparisons are false). One
-/// compare is charged per examined (currently-selected) row, mirroring the
-/// scalar per-row charge in bulk. Expressions that do not reduce to a
-/// single-column simple predicate are rejected at construction — callers
-/// fall back to the scalar filter.
+/// It keeps exactly the rows the row [`FilterOp`](crate::filter::FilterOp)
+/// keeps: both evaluators call one truth table ([`rqp_common::Truth`]), and a
+/// row survives only on `True`. A predicate that reads nothing but one `Str`
+/// column is decided once per dictionary code and cached; any other runs
+/// through the batch evaluator [`BoundExpr::truths`]. One compare is charged
+/// per examined (currently-selected) row whatever the predicate's shape,
+/// the row filter's per-row charge in bulk.
 pub struct BatchFilterOp {
     inner: BoxBatchOp,
-    col: usize,
-    pred: SimplePred,
+    pred: BoundExpr,
+    /// The one `Str` column the predicate reads, when it reads no other.
+    str_col: Option<usize>,
     schema: Schema,
     ctx: ExecContext,
-    /// Rows examined (for selectivity post-mortems).
-    pub examined: usize,
-    /// Rows passed.
-    pub passed: usize,
-    /// Per-dictionary-code pass/fail cache for string columns.
+    /// Per-dictionary-code verdict cache for `str_col`.
     code_cache: Vec<Option<bool>>,
     span: SpanHandle,
 }
 
 impl BatchFilterOp {
-    /// Filter `inner` by `pred`, which must compile to a [`SimplePred`]
-    /// bound against the inner schema.
+    /// Filter `inner` by `pred`, bound against the inner schema.
     pub fn new(inner: BoxBatchOp, pred: &Expr, ctx: ExecContext) -> Result<Self> {
-        let simple = SimplePred::from_expr(pred).ok_or_else(|| {
-            RqpError::Invalid(format!("predicate not batch-compilable: {pred}"))
-        })?;
         let schema = inner.schema().clone();
-        let col = schema.index_of(simple.column())?;
+        let bound = pred.bind(&schema)?;
+        let str_col = match Vec::from_iter(pred.columns()).as_slice() {
+            [c] => Some(schema.index_of(c)?).filter(|&i| schema.field(i).dtype == DataType::Str),
+            _ => None,
+        };
         let span = ctx.tracer.open("batch_filter", &ctx.clock);
         span.set_detail(&pred.to_string());
         if let Some(s) = inner.span() {
             s.set_parent(span.id());
         }
-        Ok(BatchFilterOp {
-            inner,
-            col,
-            pred: simple,
-            schema,
-            ctx,
-            examined: 0,
-            passed: 0,
-            code_cache: Vec::new(),
-            span,
-        })
-    }
-
-    /// Observed pass rate so far (1.0 before any row is examined).
-    pub fn pass_rate(&self) -> f64 {
-        if self.examined == 0 {
-            1.0
-        } else {
-            self.passed as f64 / self.examined as f64
-        }
-    }
-
-    /// Evaluate the predicate for one scalar cell comparison result stream.
-    /// `cmp` maps a row index to `Ordering` against a literal.
-    fn apply_cmp(
-        sel: &mut rqp_common::SelMask,
-        op: rqp_common::CmpOp,
-        lit: &Value,
-        mut cmp: impl FnMut(usize, &Value) -> std::cmp::Ordering,
-    ) {
-        if lit.is_null() {
-            // eval_bool: a comparison against NULL is false for every row.
-            sel.retain(|_| false);
-        } else {
-            sel.retain(|i| op.matches(cmp(i, lit)));
-        }
+        let code_cache = Vec::new();
+        Ok(BatchFilterOp { inner, pred: bound, str_col, schema, ctx, code_cache, span })
     }
 }
 
@@ -410,81 +339,24 @@ impl BatchOperator for BatchFilterOp {
             self.span.close(&self.ctx.clock);
             return None;
         };
-        let examined = batch.sel.count();
-        self.examined += examined;
-        self.ctx.clock.charge_compares(examined as f64);
-        let pred = &self.pred;
-        match &batch.columns[self.col] {
-            ColVec::Int(xs) => match pred {
-                SimplePred::Cmp { op, value, .. } => {
-                    Self::apply_cmp(&mut batch.sel, *op, value, |i, v| cmp_int_lit(xs[i], v));
-                }
-                SimplePred::Range { lo, hi, .. } => batch.sel.retain(|i| {
-                    cmp_int_lit(xs[i], lo) != std::cmp::Ordering::Less
-                        && cmp_int_lit(xs[i], hi) != std::cmp::Ordering::Greater
-                }),
-                SimplePred::InList { values, .. } => batch.sel.retain(|i| {
-                    values
-                        .iter()
-                        .any(|v| cmp_int_lit(xs[i], v) == std::cmp::Ordering::Equal)
-                }),
-            },
-            ColVec::Float(xs) => match pred {
-                SimplePred::Cmp { op, value, .. } => {
-                    Self::apply_cmp(&mut batch.sel, *op, value, |i, v| cmp_float_lit(xs[i], v));
-                }
-                SimplePred::Range { lo, hi, .. } => batch.sel.retain(|i| {
-                    cmp_float_lit(xs[i], lo) != std::cmp::Ordering::Less
-                        && cmp_float_lit(xs[i], hi) != std::cmp::Ordering::Greater
-                }),
-                SimplePred::InList { values, .. } => batch.sel.retain(|i| {
-                    values
-                        .iter()
-                        .any(|v| cmp_float_lit(xs[i], v) == std::cmp::Ordering::Equal)
-                }),
-            },
-            ColVec::Str(codes) => {
-                // Fast path: equality against a string literal is a code
-                // compare — the whole point of dictionary encoding.
-                if let SimplePred::Cmp {
-                    op: rqp_common::CmpOp::Eq,
-                    value: Value::Str(s),
-                    ..
-                } = pred
-                {
-                    match batch.dict.lookup(s) {
-                        Some(code) => batch.sel.retain(|i| codes[i] == code),
-                        None => batch.sel.retain(|_| false),
-                    }
-                } else {
-                    // General path: evaluate once per distinct code, cache
-                    // the verdict, test codes thereafter.
-                    let dict = Arc::clone(&batch.dict);
-                    self.code_cache.resize(dict.len(), None);
-                    let cache = &mut self.code_cache;
-                    batch.sel.retain(|i| {
-                        let c = codes[i] as usize;
-                        *cache[c].get_or_insert_with(|| {
-                            dict.with_resolved(codes[i], |s| match pred {
-                                SimplePred::Cmp { op, value, .. } => {
-                                    !value.is_null() && op.matches(cmp_str_lit(s, value))
-                                }
-                                SimplePred::Range { lo, hi, .. } => {
-                                    cmp_str_lit(s, lo) != std::cmp::Ordering::Less
-                                        && cmp_str_lit(s, hi) != std::cmp::Ordering::Greater
-                                }
-                                SimplePred::InList { values, .. } => values.iter().any(|v| {
-                                    cmp_str_lit(s, v) == std::cmp::Ordering::Equal
-                                }),
-                            })
-                        })
-                    });
-                }
-            }
+        self.ctx.clock.charge_compares(batch.sel.count() as f64);
+        if let Some(c) = self.str_col {
+            let ColVec::Str(codes) = &batch.columns[c] else { unreachable!("Str column") };
+            let (pred, width, dict) = (&self.pred, self.schema.len(), &batch.dict);
+            self.code_cache.resize(dict.len(), None);
+            let cache = &mut self.code_cache;
+            batch.sel.retain(|i| {
+                *cache[codes[i] as usize].get_or_insert_with(|| {
+                    let mut row = vec![Value::Null; width];
+                    row[c] = Value::Str(dict.resolve(codes[i]));
+                    pred.eval_bool(&row)
+                })
+            });
+        } else {
+            let truths = self.pred.truths(&batch);
+            batch.sel.retain(|i| truths[i] == Truth::True);
         }
-        let passed = batch.sel.count();
-        self.passed += passed;
-        self.span.produced_n(&self.ctx.clock, passed as u64);
+        self.span.produced_n(&self.ctx.clock, batch.sel.count() as u64);
         Some(batch)
     }
 

@@ -12,10 +12,6 @@ pub struct FilterOp {
     bound: BoundExpr,
     ctx: ExecContext,
     schema: Schema,
-    /// Rows examined (for selectivity post-mortems).
-    pub examined: usize,
-    /// Rows passed.
-    pub passed: usize,
     span: SpanHandle,
 }
 
@@ -26,16 +22,7 @@ impl FilterOp {
         let bound = pred.bind(&schema)?;
         let span = ctx.op_span("filter", &[&inner]);
         span.set_detail(&pred.to_string());
-        Ok(FilterOp { inner, bound, ctx, schema, examined: 0, passed: 0, span })
-    }
-
-    /// Observed pass rate so far (1.0 before any row is examined).
-    pub fn pass_rate(&self) -> f64 {
-        if self.examined == 0 {
-            1.0
-        } else {
-            self.passed as f64 / self.examined as f64
-        }
+        Ok(FilterOp { inner, bound, ctx, schema, span })
     }
 }
 
@@ -50,10 +37,8 @@ impl Operator for FilterOp {
                 self.span.close(&self.ctx.clock);
                 return None;
             };
-            self.examined += 1;
             self.ctx.clock.charge_compares(1.0);
             if self.bound.eval_bool(&row) {
-                self.passed += 1;
                 self.span.produced(&self.ctx.clock);
                 return Some(row);
             }
@@ -122,12 +107,7 @@ impl Operator for ProjectOp {
         };
         self.ctx.clock.charge_cpu_tuples(1.0);
         self.span.produced(&self.ctx.clock);
-        Some(
-            self.exprs
-                .iter()
-                .map(|e| e.eval(&row).unwrap_or(rqp_common::Value::Null))
-                .collect(),
-        )
+        Some(self.exprs.iter().map(|e| e.eval(&row)).collect())
     }
 
     fn span(&self) -> Option<&SpanHandle> {
@@ -184,12 +164,14 @@ mod tests {
     #[test]
     fn filter_selects_and_tracks_stats() {
         let ctx = ExecContext::unbounded();
-        let mut f = FilterOp::new(src(), &col("a").lt(lit(4i64)), ctx).unwrap();
+        let mut f = FilterOp::new(src(), &col("a").lt(lit(4i64)), ctx.clone()).unwrap();
         let out = collect(&mut f);
         assert_eq!(out.len(), 4);
-        assert_eq!(f.examined, 10);
-        assert_eq!(f.passed, 4);
-        assert!((f.pass_rate() - 0.4).abs() < 1e-9);
+        assert_eq!(f.span().unwrap().rows(), 4);
+        let want = ExecContext::unbounded();
+        want.clock.charge_compares(10.0);
+        let cpu = |c: &ExecContext| c.clock.breakdown().cpu.to_bits();
+        assert_eq!(cpu(&ctx), cpu(&want), "one compare per examined row");
     }
 
     #[test]
@@ -225,6 +207,5 @@ mod tests {
         let mut f =
             FilterOp::new(RowsOp::boxed(schema, vec![]), &col("a").eq(lit(1i64)), ctx).unwrap();
         assert!(f.next().is_none());
-        assert_eq!(f.pass_rate(), 1.0, "no evidence yet");
     }
 }

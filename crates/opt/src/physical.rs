@@ -665,23 +665,13 @@ fn fmt_edges(edges: &[JoinEdge]) -> String {
 }
 
 /// The one table-scan lowering: a [`BatchScanOp`], then a [`BatchFilterOp`]
-/// when the predicate compiles to a [`SimplePred`](rqp_common::SimplePred),
-/// then the [`BatchRowsOp`] row adapter, with a row [`FilterOp`] above it for
-/// any other predicate. Both filters charge one compare per examined row, so
-/// one question phrased two ways (`x IN (1, 2)` compiles, `x = 1 OR x = 2`
-/// does not) charges the same.
+/// for any predicate, then the [`BatchRowsOp`] row adapter.
 fn scan_pipeline(t: Arc<Table>, filter: &Option<Expr>, ctx: &ExecContext) -> Result<BoxOp> {
-    let simple = filter.as_ref().filter(|f| rqp_common::SimplePred::from_expr(f).is_some());
-    let scan: BoxBatchOp = Box::new(BatchScanOp::new(t, ctx.clone()));
-    let batch: BoxBatchOp = match simple {
-        Some(f) => Box::new(BatchFilterOp::new(scan, f, ctx.clone())?),
-        None => scan,
-    };
-    let rows = BatchRowsOp::boxed(batch, ctx.clone());
-    Ok(match filter {
-        Some(f) if simple.is_none() => Box::new(FilterOp::new(rows, f, ctx.clone())?),
-        _ => rows,
-    })
+    let mut batch: BoxBatchOp = Box::new(BatchScanOp::new(t, ctx.clone()));
+    if let Some(f) = filter {
+        batch = Box::new(BatchFilterOp::new(batch, f, ctx.clone())?);
+    }
+    Ok(BatchRowsOp::boxed(batch, ctx.clone()))
 }
 
 /// Qualified key column lists for join construction.

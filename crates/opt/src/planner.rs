@@ -502,7 +502,7 @@ impl<'a> Planner<'a> {
                 let eq = remaining.iter().enumerate().find_map(|(i, c)| {
                     match SimplePred::from_expr(c) {
                         Some(SimplePred::Cmp { op: CmpOp::Eq, col, value })
-                            if unqualify(&col) == name && !value.is_null() =>
+                            if unqualify(&col) == name =>
                         {
                             Some((i, value))
                         }

@@ -2,9 +2,11 @@
 //! **row-identical** to its scalar twin and **bit-identical** in its charged
 //! cost breakdown under the default cost weights, at 1/2/8 workers, under
 //! repartitioning and under chaos injection. The planner and the parallel
-//! scan's workers lower every table scan to the batch pipeline, so one
-//! question phrased two ways (a predicate with a batch form and one without)
-//! must charge the same bits. Also the mixed-type key regression: hash joins
+//! scan's workers lower every table scan to the batch pipeline, and the
+//! batch filter runs any predicate on the row filter's truth table: random
+//! expression trees (NULL literals, NaN, ±0.0, mixed Int/Float, strings,
+//! overflowing arithmetic, AND/OR/NOT) select the same rows and charge the
+//! same bits on both. Also the mixed-type key regression: hash joins
 //! and hash repartitions over Int/Float keys must agree with a nested-loop
 //! oracle on both execution paths.
 //!
@@ -160,6 +162,114 @@ fn string_filter_twins_agree_on_every_simple_predicate() {
         };
         assert_rows_and_bits(&format!("str filter {pred}"), &scalar, &batch);
     }
+}
+
+/// `p(i Int, f Float, s Str)` over awkward values — the i64 extremes, 2^53
+/// and its successor, NaN, ±0.0, ±∞, the empty string — in 2 500 rows, so
+/// filters cross batch boundaries and reuse the per-code verdict cache.
+fn awkward_table() -> Arc<Table> {
+    let ints = [0, 1, -1, 3, 7, i64::MAX, i64::MIN, 1 << 53, (1 << 53) + 1];
+    let floats = [0.0, -0.0, 1.5, 3.0, -7.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let strs = ["", "a", "b", "cat3", "zz"];
+    let schema =
+        Schema::from_pairs(&[("i", DataType::Int), ("f", DataType::Float), ("s", DataType::Str)]);
+    let mut t = Table::new("p", schema);
+    for r in 0..2_500usize {
+        t.append(vec![
+            Value::Int(ints[r % ints.len()]),
+            Value::Float(floats[(r / 3) % floats.len()]),
+            Value::Str(strs[(r / 7) % strs.len()].into()),
+        ]);
+    }
+    Arc::new(t)
+}
+
+/// A literal from the awkward pools, NULL included.
+fn awkward_value(rng: &mut rand::rngs::StdRng) -> Value {
+    use rand::Rng;
+    match rng.gen_range(0..10) {
+        0 => Value::Null,
+        1..=3 => Value::Int([0, 1, 3, -1, i64::MAX, i64::MIN, 1 << 53][rng.gen_range(0..7usize)]),
+        4..=6 => {
+            Value::Float([0.0, -0.0, 1.5, 3.0, f64::NAN, f64::INFINITY][rng.gen_range(0..6usize)])
+        }
+        _ => Value::Str(["", "a", "b", "cat3"][rng.gen_range(0..4usize)].into()),
+    }
+}
+
+/// A random scalar: a column, a literal, arithmetic, or (rarely) a
+/// predicate read as a value.
+fn random_operand(rng: &mut rand::rngs::StdRng, depth: u32) -> Expr {
+    use rand::Rng;
+    use rqp::common::expr::ArithOp;
+    match rng.gen_range(0..if depth == 0 { 5 } else { 8 }) {
+        0 | 1 => col(["p.i", "p.f", "p.s"][rng.gen_range(0..3usize)]),
+        2..=4 => lit(awkward_value(rng)),
+        5 | 6 => Expr::Arith {
+            op: [ArithOp::Add, ArithOp::Sub, ArithOp::Mul][rng.gen_range(0..3usize)],
+            lhs: Box::new(random_operand(rng, depth - 1)),
+            rhs: Box::new(random_operand(rng, depth - 1)),
+        },
+        _ => random_predicate(rng, depth - 1),
+    }
+}
+
+/// A random predicate tree: comparisons, BETWEEN, IN, AND/OR/NOT nesting,
+/// and bare scalars read as predicates.
+fn random_predicate(rng: &mut rand::rngs::StdRng, depth: u32) -> Expr {
+    use rand::Rng;
+    use rqp::common::CmpOp;
+    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    let operand = |rng: &mut rand::rngs::StdRng| random_operand(rng, depth.min(1));
+    match rng.gen_range(0..if depth == 0 { 4 } else { 8 }) {
+        0 | 1 => Expr::Cmp {
+            op: OPS[rng.gen_range(0..6usize)],
+            lhs: Box::new(operand(rng)),
+            rhs: Box::new(operand(rng)),
+        },
+        2 => operand(rng).between(awkward_value(rng), awkward_value(rng)),
+        3 => {
+            let list = (0..rng.gen_range(0..4usize)).map(|_| awkward_value(rng)).collect();
+            operand(rng).in_list(list)
+        }
+        4 => random_predicate(rng, depth - 1).not(),
+        5 => random_predicate(rng, depth - 1).and(random_predicate(rng, depth - 1)),
+        6 => random_predicate(rng, depth - 1).or(random_predicate(rng, depth - 1)),
+        _ => operand(rng),
+    }
+}
+
+#[test]
+fn random_expression_trees_filter_alike_row_and_batch() {
+    // The one truth table, two evaluators: the row filter over the row scan
+    // and the batch filter over the batch scan keep the same rows and
+    // charge the same bits for any predicate that binds. Each tree also
+    // runs conjoined with the always-true `p.i = p.i`, so a tree that reads
+    // only `p.s` meets the batch evaluator as well as the per-code cache.
+    let t = awkward_table();
+    let mut kept = [0usize; 2];
+    for case in 0..300u64 {
+        let mut rng = rqp::common::rng::seeded(rqp::common::rng::child_seed(case, "expr-trees"));
+        let tree = random_predicate(&mut rng, 3);
+        for pred in [tree.clone(), tree.and(col("p.i").eq(col("p.i")))] {
+            let scalar = {
+                let c = ctx();
+                let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
+                let mut f = FilterOp::new(scan, &pred, c.clone()).unwrap();
+                (collect(&mut f), c)
+            };
+            let batch = {
+                let c = ctx();
+                let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(&t), c.clone()));
+                let f = BatchFilterOp::new(scan, &pred, c.clone()).unwrap();
+                let mut rows = BatchRowsOp::boxed(Box::new(f), c.clone());
+                (collect(rows.as_mut()), c)
+            };
+            assert_rows_and_bits(&format!("case {case}: {pred}"), &scalar, &batch);
+            kept[(!scalar.0.is_empty()) as usize] += 1;
+        }
+    }
+    assert!(kept.iter().all(|&n| n > 60), "trees keep none / some rows: {kept:?}");
 }
 
 #[test]
@@ -642,10 +752,10 @@ fn the_planner_lowers_every_table_scan_to_the_batch_scan() {
     assert_eq!(planned.1, ["batch_scan", "batch_filter", "batch_rows"]);
     assert_rows_and_bits("simple predicate", &reference(&simple), &(planned.0, planned.2));
 
-    // No batch form: the row filter sits above the batch scan's row adapter.
+    // Column against column: the same one shape, the row filter's rows and bits.
     let complex = col("o.id").lt(col("o.amt"));
     let planned = planned_scan(&catalog, Some(complex.clone()));
-    assert_eq!(planned.1, ["batch_scan", "batch_rows", "filter"]);
+    assert_eq!(planned.1, ["batch_scan", "batch_filter", "batch_rows"]);
     assert_rows_and_bits("complex predicate", &reference(&complex), &(planned.0, planned.2));
 
     let bare = planned_scan(&catalog, None);
@@ -655,9 +765,10 @@ fn the_planner_lowers_every_table_scan_to_the_batch_scan() {
 
 #[test]
 fn in_list_and_its_or_phrasing_charge_the_same_bits() {
-    // e06's equivalence family: `IN` compiles to the batch filter, its `OR`
-    // phrasing takes the row filter. Both charge one compare per examined
-    // row, so rows and every cost component must agree to the bit.
+    // e06's equivalence family: `IN` and its `OR` phrasing both run in the
+    // batch filter, which charges one compare per examined row whatever the
+    // predicate's shape, so rows and every cost component agree to the bit,
+    // with each other and with the row filter.
     let catalog = orders_catalog();
     let values = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
     let in_list = col("o.id").in_list(values.clone());
@@ -666,12 +777,18 @@ fn in_list_and_its_or_phrasing_charge_the_same_bits() {
         .map(|v| col("o.id").eq(lit(v)))
         .reduce(Expr::or)
         .unwrap();
-    assert!(rqp::common::SimplePred::from_expr(&in_list).is_some());
-    assert!(rqp::common::SimplePred::from_expr(&ors).is_none());
+    let reference = {
+        let c = ctx();
+        let scan: BoxOp = Box::new(TableScanOp::new(catalog.table("o").unwrap(), c.clone()));
+        let mut f = FilterOp::new(scan, &ors, c.clone()).unwrap();
+        (collect(&mut f), c)
+    };
     let (a, kinds_a, ctx_a) = planned_scan(&catalog, Some(in_list));
     let (b, kinds_b, ctx_b) = planned_scan(&catalog, Some(ors));
-    assert!(kinds_a.iter().any(|k| k == "batch_filter"), "{kinds_a:?}");
-    assert!(kinds_b.iter().any(|k| k == "filter"), "{kinds_b:?}");
+    for kinds in [&kinds_a, &kinds_b] {
+        assert_eq!(kinds, &["batch_scan", "batch_filter", "batch_rows"]);
+    }
     assert_eq!(a.len(), 3);
+    assert_rows_and_bits("IN vs row OR", &reference, &(a.clone(), ctx_a.clone()));
     assert_rows_and_bits("IN vs OR", &(a, ctx_a), &(b, ctx_b));
 }

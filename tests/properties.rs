@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Cases per property — matches the proptest budget this file replaced.
 const CASES: u64 = 48;
@@ -597,10 +598,12 @@ fn packed_composite_index_matches_btreemap_reference() {
 }
 
 /// One random conjunct on column `c` of the index-differential table: `=`,
-/// `<`, `<=`, `BETWEEN` or `IN`, with values from `domain`.
+/// `<`, `<=`, `BETWEEN` or `IN` with values from `domain`, which the planner
+/// can match to an index; or `NOT`, `OR`, a comparison with column `d`,
+/// arithmetic, or a NULL literal, which it leaves to the residual filter.
 fn random_conjunct(rng: &mut StdRng, c: &str, domain: &[i64]) -> rqp::Expr {
     let column = col(format!("t.{c}"));
-    let op = rng.gen_range(0..10);
+    let op = rng.gen_range(0..20);
     let mut v = || domain[rng.gen_range(0..domain.len())];
     match op {
         0..=3 => column.eq(lit(v())),
@@ -610,7 +613,15 @@ fn random_conjunct(rng: &mut StdRng, c: &str, domain: &[i64]) -> rqp::Expr {
             let (x, y) = (v(), v());
             column.between(x.min(y), x.max(y))
         }
-        _ => column.in_list((0..3).map(|_| Value::Int(v())).collect()),
+        8..=9 => column.in_list((0..3).map(|_| Value::Int(v())).collect()),
+        10..=11 => column.lt(lit(v())).not(),
+        12 => column.clone().eq(lit(v())).or(column.gt(lit(v()))),
+        13 => column.le(col("t.d")),
+        14..=15 => column.mul(lit(3i64)).add(lit(v())).ge(lit(v())),
+        16 => column.lt(lit(Value::Null)).not(),
+        17 => column.in_list(vec![Value::Int(v()), Value::Null]).not(),
+        18 => column.between(Value::Null, v()),
+        _ => column.clone().eq(lit(Value::Null)).or(column.ge(lit(v()))),
     }
 }
 
@@ -639,14 +650,15 @@ fn keyed_row(rng: &mut StdRng, domains: &mut [Vec<i64>], wide: bool) -> Row {
 /// 1-, 2- and 3-column indexes over integer keys of several widths, random
 /// conjunctions over indexed and unindexed columns return under the chosen
 /// plan exactly the multiset a forced table scan returns — before and after
-/// appends that widen the keys and cross append-partition merges.
+/// appends that widen the keys and cross append-partition merges — and each
+/// conjoined with a NULL-literal probe, both plans return nothing.
 #[test]
 fn planner_index_choice_agrees_with_a_table_scan() {
     use rqp::opt::plan;
     use rqp::stats::{StatsEstimator, TableStatsRegistry};
     use std::rc::Rc;
     const COLS: [&str; 4] = ["a", "b", "c", "d"];
-    let mut planned = [0usize; 3];
+    let (mut planned, mut probed_index) = ([0usize; 3], 0);
     for case in 0..CASES {
         let mut rng = case_rng("planner-index", case);
         let mut domains = vec![Vec::new(); COLS.len()];
@@ -683,50 +695,98 @@ fn planner_index_choice_agrees_with_a_table_scan() {
                         None => conjunct,
                     });
                 }
-                let spec = QuerySpec::new().table("t").filter("t", filter.unwrap());
-                let run = |cfg: PlannerConfig| {
+                let filter = filter.unwrap();
+                let run = |f: &rqp::Expr, cfg: PlannerConfig| {
+                    let spec = QuerySpec::new().table("t").filter("t", f.clone());
                     let p = plan(&spec, &catalog, &est, cfg).unwrap();
                     let rows = p.build(&catalog, &ExecContext::unbounded(), None).unwrap().run();
                     (p, multiset(rows))
                 };
-                let (chosen, got) = run(PlannerConfig::default());
-                let (_, want) = run(PlannerConfig { use_indexes: false, ..Default::default() });
+                let scan = PlannerConfig { use_indexes: false, ..Default::default() };
+                let (chosen, got) = run(&filter, PlannerConfig::default());
+                let (_, want) = run(&filter, scan);
                 assert_eq!(got, want, "case {case} {phase} query {q}: {chosen}");
                 if let rqp::PhysicalPlan::IndexScan { index, .. } = &chosen {
                     planned[catalog.index(index).unwrap().columns().len() - 1] += 1;
+                }
+                // A conjunct a NULL literal makes Unknown on every row keeps
+                // nothing, on the index plan's residual as on the table scan.
+                let unknown = || col("t.a").lt(lit(Value::Null)).not();
+                let probe = filter.and(match q % 3 {
+                    0 => unknown(),
+                    1 => unknown().and(col("t.b").lt(lit(100i64))),
+                    _ => col("t.a").in_list(vec![Value::Int(1), Value::Null]).not(),
+                });
+                for cfg in [PlannerConfig::default(), scan] {
+                    let (p, rows) = run(&probe, cfg);
+                    assert!(rows.is_empty(), "case {case} {phase} query {q}: {p} kept rows");
+                    probed_index += matches!(p, rqp::PhysicalPlan::IndexScan { .. }) as usize;
                 }
             }
         }
     }
     assert!(planned.iter().all(|&n| n > 0), "index scans planned per arity: {planned:?}");
+    assert!(probed_index > 0, "no NULL probe ran under an index scan");
 }
 
+/// Every member of a rewrite family selects the same rows on the row
+/// evaluator and on the batch evaluator, with NULL in `IN` lists and
+/// `BETWEEN` bounds; and a conjunction never selects more than its first
+/// conjunct.
 #[test]
 fn rewrites_preserve_predicate_semantics() {
+    use rqp::common::{ColVec, ColumnBatch, StringDict, Truth};
     for case in 0..CASES {
         let mut rng = case_rng("rewrites", case);
         let mut a_vals = int_vec(&mut rng, -10, 10, 30);
         if a_vals.is_empty() {
             a_vals.push(rng.gen_range(-10i64..10));
         }
+        let maybe_null = |rng: &mut StdRng, v: i64| {
+            if rng.gen_range(0..4) == 0 {
+                Value::Null
+            } else {
+                Value::Int(v)
+            }
+        };
         let lo = rng.gen_range(-10i64..5);
         let width = rng.gen_range(0i64..10);
+        let (lo, hi) = (maybe_null(&mut rng, lo), maybe_null(&mut rng, lo + width));
         let n_list = rng.gen_range(1usize..4);
-        let in_list: Vec<i64> = (0..n_list).map(|_| rng.gen_range(-10i64..10)).collect();
+        let mut in_list: Vec<Value> =
+            (0..n_list).map(|_| Value::Int(rng.gen_range(-10i64..10))).collect();
+        if rng.gen_range(0..3) == 0 {
+            in_list.insert(rng.gen_range(0..=n_list), Value::Null);
+        }
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
+        let dict = Arc::new(StringDict::new());
+        let batch = ColumnBatch::new(vec![ColVec::Int(a_vals.clone())], dict);
+        // Each row's truth on the row evaluator, checked against the batch
+        // evaluator's.
+        let truths = |e: &rqp::Expr| -> Vec<Truth> {
+            let bound = e.bind(&schema).unwrap();
+            let rows: Vec<Truth> =
+                a_vals.iter().map(|&v| bound.truth(&vec![Value::Int(v)])).collect();
+            assert_eq!(rows, bound.truths(&batch), "case {case}: row and batch evaluators on {e}");
+            rows
+        };
         let base = col("a")
-            .between(lo, lo + width)
-            .or(col("a").in_list(in_list.iter().map(|&v| Value::Int(v)).collect()))
+            .between(lo, hi)
+            .or(col("a").in_list(in_list))
             .and(col("a").ne(lit(0i64)).not().not());
+        let want = truths(&base);
         for variant in rewrites::variants(&base) {
-            for &v in &a_vals {
-                let row = vec![Value::Int(v)];
-                assert_eq!(
-                    base.eval_bool(&row, &schema).unwrap(),
-                    variant.eval_bool(&row, &schema).unwrap(),
-                    "case {case}: variant {variant} disagrees at a={v}"
-                );
-            }
+            assert_eq!(truths(&variant), want, "case {case}: variant {variant} disagrees");
+        }
+        let q = [
+            col("a").lt(lit(Value::Null)).not(),
+            col("a").in_list(vec![Value::Int(1), Value::Null]).not(),
+            col("a").between(Value::Null, 5i64),
+            col("a").ne(lit(0i64)),
+        ][rng.gen_range(0..4usize)]
+        .clone();
+        for (p, pq) in want.iter().zip(truths(&base.clone().and(q.clone()))) {
+            assert!(pq != Truth::True || *p == Truth::True, "case {case}: p AND {q} outgrows p");
         }
     }
 }

@@ -32,8 +32,10 @@ fn service(li: usize, page_budget: Option<usize>) -> (TpchDb, QueryService) {
 }
 
 /// The standing-query menu: grouped aggregate, 3-way join + aggregate,
-/// global aggregate, filter + projection — ORDER BY/LIMIT stripped.
+/// global aggregate, filter + projection — ORDER BY/LIMIT stripped — and
+/// the last [`PROBES`] filters, which a NULL literal makes select nothing.
 fn menu(db: &TpchDb) -> Vec<QuerySpec> {
+    use rqp::expr::{col, lit};
     let wide = QuerySpec::new()
         .table("lineitem")
         .filter(
@@ -47,8 +49,20 @@ fn menu(db: &TpchDb) -> Vec<QuerySpec> {
         s.limit = None;
     }
     specs.push(wide);
+    let unknown = || col("lineitem.shipdate").lt(lit(Value::Null)).not();
+    for probe in [
+        unknown(),
+        unknown().and(col("lineitem.orderkey").lt(lit(100i64))),
+        col("lineitem.orderkey").in_list(vec![Value::Int(1), Value::Null]).not(),
+    ] {
+        let spec = QuerySpec::new().table("lineitem").filter("lineitem", probe);
+        specs.push(spec.project(&["lineitem.orderkey", "lineitem.quantity"]));
+    }
     specs
 }
+
+/// How many of [`menu`]'s specs, at its end, select nothing.
+const PROBES: usize = 3;
 
 /// A fresh lineitem row; float columns dyadic so retractable sums stay
 /// exact no matter how the interleaving slices them.
@@ -93,12 +107,13 @@ fn maintained_views_match_cold_reruns_under_random_churn() {
             }
         }
         // Checkpoint: drain fully, then every view must equal a cold rerun.
-        for &(id, spec) in &subs {
+        for (i, &(id, spec)) in subs.iter().enumerate() {
             let (_, lag) = svc.poll_subscription(id, 0).expect("drain");
             assert_eq!(lag, 0, "a full drain leaves no lag");
             let view = svc.subscriptions().get(id).expect("live").view();
             let cold = canonicalize(svc.run_solo(spec).expect("cold rerun").rows);
             assert_eq!(view, cold, "case {case}: maintained view diverged from cold rerun");
+            assert!(i + PROBES < subs.len() || view.is_empty(), "case {case}: probe {i} kept rows");
         }
     }
     assert_eq!(svc.shutdown_subscriptions(), subs.len());
