@@ -8,7 +8,8 @@
 //! Polls the read-only STATS and EVENTS introspection frames on a
 //! dedicated connection (they bypass admission, so watching the service
 //! never competes with it) and redraws a refreshing dashboard: admission
-//! and broker gauges, the buffer-pool pager gauges (when the server runs
+//! and broker gauges, the start-up ANALYZE time (`server.setup.analyze_ms`),
+//! the buffer-pool pager gauges (when the server runs
 //! with a page budget), the standing-subscription gauges (`server.subs.*`,
 //! when subscriptions are registered, plus the maintained state's bytes per
 //! state row), the storage footprint
@@ -139,9 +140,12 @@ fn render(
         ));
     }
     // Sections that appear only once the server publishes their gauges.
-    for (title, prefix) in
-        [("pager:", "server.pager."), ("subs:", "server.subs."), ("storage:", "server.storage.")]
-    {
+    for (title, prefix) in [
+        ("setup:", "server.setup."),
+        ("pager:", "server.pager."),
+        ("subs:", "server.subs."),
+        ("storage:", "server.storage."),
+    ] {
         let mut lines = snap.metrics.iter().filter(|(n, _)| n.starts_with(prefix)).peekable();
         if lines.peek().is_some() {
             out.push_str(title);
@@ -166,6 +170,7 @@ fn render(
                 && !n.starts_with("server.pager.")
                 && !n.starts_with("server.subs.")
                 && !n.starts_with("server.storage.")
+                && !n.starts_with("server.setup.")
                 && !n.starts_with("wire.")
         })
         .collect();

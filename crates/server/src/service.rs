@@ -230,9 +230,13 @@ impl QueryService {
     }
 
     /// Stand up a service over `catalog` (snapshotted and analyzed here).
+    /// The ANALYZE pass's wall time is the `server.setup.analyze_ms` gauge
+    /// and a `stats.analyze` flight-recorder event.
     pub fn new(catalog: &Catalog, config: ServiceConfig) -> Self {
         let snapshot = catalog.snapshot();
+        let analyze_start = std::time::Instant::now();
         let stats = TableStatsRegistry::analyze_catalog(catalog, 32);
+        let analyze_ms = analyze_start.elapsed().as_secs_f64() * 1e3;
         let shared = MemoryGovernor::new(config.memory_rows);
         let live = Arc::new(ServiceStats::new(config.recorder_capacity));
         let mut broker = MemoryBroker::new(shared).with_observer(Arc::clone(&live));
@@ -267,6 +271,12 @@ impl QueryService {
             stats,
             config,
         };
+        let tables = catalog.table_names();
+        let rows: usize =
+            tables.iter().filter_map(|t| catalog.table(t).ok()).map(|t| t.nrows()).sum();
+        inner.metrics.gauge("server.setup.analyze_ms").set(analyze_ms);
+        let detail = format!("{} tables {rows} rows {analyze_ms:.1} ms", tables.len());
+        inner.live.publish(0, "stats.analyze", &detail);
         QueryService { inner: Arc::new(inner) }
     }
 
@@ -982,5 +992,22 @@ mod tests {
         assert_eq!(served, Some(learned), "the service stores LEO's normalised factor");
         let events = svc.stats().recorder().tail(0, usize::MAX).events;
         assert!(events.iter().any(|e| e.kind == "leo.correction"), "{events:?}");
+    }
+
+    #[test]
+    fn start_up_publishes_its_analyze_time() {
+        let mut catalog = Catalog::new();
+        let mut t = Table::new("t", Schema::from_pairs(&[("a", DataType::Int)]));
+        for i in 0..300i64 {
+            t.append(vec![Value::Int(i % 7)]);
+        }
+        catalog.add_table(t);
+        let svc = QueryService::new(&catalog, ServiceConfig::default());
+        assert!(svc.metrics().gauge("server.setup.analyze_ms").get() >= 0.0);
+        let events = svc.stats().recorder().tail(0, usize::MAX).events;
+        let analyze: Vec<_> = events.iter().filter(|e| e.kind == "stats.analyze").collect();
+        assert_eq!(analyze.len(), 1, "{events:?}");
+        assert_eq!(analyze[0].seq, 0, "the first event of the service's life");
+        assert!(analyze[0].detail.starts_with("1 tables 300 rows "), "{}", analyze[0].detail);
     }
 }

@@ -18,9 +18,9 @@
 
 use crate::histogram::{EquiDepthHistogram, Histogram};
 use rand::Rng;
-use rqp_common::{CmpOp, DataType, Expr, SimplePred, Value};
-use rqp_storage::{Catalog, ColumnData, Table};
-use std::collections::HashMap;
+use rqp_common::{CmpOp, Expr, SimplePred, Value};
+use rqp_storage::{Catalog, ColumnData, Groups, Table};
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -46,57 +46,39 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Gather stats from a column, optionally from a row subset (sampled
     /// statistics — the trigger of the "automatic disaster" experiment E21).
+    ///
+    /// A numeric column goes through the grouping kernel ([`Groups`]):
+    /// O(n) counting for integers of a narrow span, one keyless sort
+    /// otherwise. `ndv` is its number of runs — distinct bit patterns of the
+    /// values as `f64`, so every NaN payload and each zero counts once — and
+    /// the histogram is cut from the same runs.
     pub fn gather(col: &ColumnData, rows: Option<&[usize]>, buckets: usize) -> Self {
-        let collect_numeric = |vals: &mut Vec<f64>| {
-            match (col, rows) {
-                (ColumnData::Int(v), None) => vals.extend(v.as_slice().iter().map(|x| x as f64)),
-                (ColumnData::Int(v), Some(ids)) => {
-                    vals.extend(ids.iter().map(|&i| v.get(i) as f64))
-                }
-                (ColumnData::Float(v), None) => vals.extend(v.iter().copied()),
-                (ColumnData::Float(v), Some(ids)) => vals.extend(ids.iter().map(|&i| v[i])),
-                (ColumnData::Str(_), _) => {}
+        let Some(groups) = Groups::of(col, rows) else {
+            let ColumnData::Str(v) = col else { unreachable!("numeric columns group") };
+            let seen: BTreeSet<&str> = match rows {
+                None => v.iter().map(String::as_str).collect(),
+                Some(ids) => ids.iter().map(|&i| v[i].as_str()).collect(),
             };
+            let count = rows.map_or(v.len(), <[usize]>::len);
+            return ColumnStats { count, ndv: seen.len(), min: None, max: None, histogram: None };
         };
-        match col.data_type() {
-            DataType::Int | DataType::Float => {
-                let mut vals = Vec::new();
-                collect_numeric(&mut vals);
-                // `f64::min`/`max` pick between -0.0 and 0.0 by argument
-                // order, so they fold over the column order, before the sort.
-                let min = vals.iter().copied().reduce(f64::min);
-                let max = vals.iter().copied().reduce(f64::max);
-                // One sort serves both: `total_cmp` orders by bit pattern
-                // (every NaN payload and each zero its own value), so equal
-                // bit patterns are adjacent and `ndv` is the number of runs.
-                vals.sort_unstable_by(f64::total_cmp);
-                let ndv = vals.chunk_by(|a, b| a.to_bits() == b.to_bits()).count();
-                let histogram = (!vals.is_empty())
-                    .then(|| EquiDepthHistogram::from_sorted(&vals, buckets));
-                ColumnStats { count: vals.len(), ndv, min, max, histogram }
+        let (values, offsets) = runs_as_f64(groups);
+        let count = *offsets.last().expect("offsets close every run") as usize;
+        let (min, max) = match col {
+            // `f64::min`/`max` pick between -0.0 and 0.0 by argument order,
+            // so a float column folds them in column order.
+            ColumnData::Float(v) => {
+                let fold = |f: fn(f64, f64) -> f64| match rows {
+                    None => v.iter().copied().reduce(f),
+                    Some(ids) => ids.iter().map(|&i| v[i]).reduce(f),
+                };
+                (fold(f64::min), fold(f64::max))
             }
-            DataType::Str => {
-                let mut seen = std::collections::BTreeSet::new();
-                let mut count = 0usize;
-                if let ColumnData::Str(v) = col {
-                    match rows {
-                        None => {
-                            for s in v {
-                                seen.insert(s.as_str());
-                                count += 1;
-                            }
-                        }
-                        Some(ids) => {
-                            for &i in ids {
-                                seen.insert(v[i].as_str());
-                                count += 1;
-                            }
-                        }
-                    }
-                }
-                ColumnStats { count, ndv: seen.len(), min: None, max: None, histogram: None }
-            }
-        }
+            _ => (values.first().copied(), values.last().copied()),
+        };
+        let histogram =
+            (!values.is_empty()).then(|| EquiDepthHistogram::from_runs(&values, &offsets, buckets));
+        ColumnStats { count, ndv: values.len(), min, max, histogram }
     }
 
     /// Estimate the selectivity of a [`SimplePred`] against this column.
@@ -141,6 +123,32 @@ impl ColumnStats {
                 .sum::<f64>()
                 .clamp(0.0, 1.0),
         }
+    }
+}
+
+/// A numeric column's runs with each key as the `f64` the estimator reads.
+/// Integers beyond 2^53 can share an `f64`; their runs merge, so the runs
+/// stay distinct bit patterns.
+fn runs_as_f64(groups: Groups) -> (Vec<f64>, Vec<u32>) {
+    let Groups { keys, mut offsets } = groups;
+    match keys {
+        ColumnData::Float(values) => (values, offsets),
+        ColumnData::Int(keys) => {
+            let mut values: Vec<f64> = Vec::with_capacity(keys.len());
+            let mut kept = 0;
+            for (k, key) in keys.as_slice().iter().enumerate() {
+                let x = key as f64;
+                if values.last().is_none_or(|last| last.to_bits() != x.to_bits()) {
+                    values.push(x);
+                    offsets[kept] = offsets[k];
+                    kept += 1;
+                }
+            }
+            offsets[kept] = offsets[keys.len()];
+            offsets.truncate(kept + 1);
+            (values, offsets)
+        }
+        ColumnData::Str(_) => unreachable!("string columns do not group"),
     }
 }
 
@@ -458,7 +466,7 @@ mod tests {
     use super::*;
     use rqp_common::expr::{col, lit};
     use rqp_common::rng::seeded;
-    use rqp_common::Schema;
+    use rqp_common::{DataType, Schema};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -627,5 +635,105 @@ mod tests {
         // A sampled gather sees only its row subset.
         let sub = ColumnStats::gather(&ColumnData::Float(vals), Some(&[0, 1, 7, 8]), 8);
         assert_eq!((sub.count, sub.ndv), (4, 2));
+    }
+
+    /// The comparison-sort reference `gather` replaced: every value widened
+    /// to `f64`, one `total_cmp` sort, runs of equal bit patterns.
+    fn gather_by_sort(col: &ColumnData, rows: Option<&[usize]>, buckets: usize) -> ColumnStats {
+        let mut vals: Vec<f64> = match (col, rows) {
+            (ColumnData::Int(v), None) => v.as_slice().iter().map(|x| x as f64).collect(),
+            (ColumnData::Int(v), Some(ids)) => ids.iter().map(|&i| v.get(i) as f64).collect(),
+            (ColumnData::Float(v), None) => v.clone(),
+            (ColumnData::Float(v), Some(ids)) => ids.iter().map(|&i| v[i]).collect(),
+            (ColumnData::Str(_), _) => unreachable!("numeric reference"),
+        };
+        let min = vals.iter().copied().reduce(f64::min);
+        let max = vals.iter().copied().reduce(f64::max);
+        vals.sort_unstable_by(f64::total_cmp);
+        let ndv = vals.chunk_by(|a, b| a.to_bits() == b.to_bits()).count();
+        let histogram =
+            (!vals.is_empty()).then(|| crate::histogram::tests::from_sorted(&vals, buckets));
+        ColumnStats { count: vals.len(), ndv, min, max, histogram }
+    }
+
+    /// Columns a change of sort could mishandle: integers at every stored
+    /// width over dense and sparse spans (the counting and the sorting
+    /// path), `i64` extremes and neighbours that share an `f64`, floats with
+    /// NaN payloads, both zeros, infinities and subnormals, and empty and
+    /// one-row columns.
+    fn awkward_columns() -> Vec<ColumnData> {
+        let mut rng = seeded(33);
+        let mut cols: Vec<ColumnData> = vec![
+            ColumnData::Int(Vec::new().into()),
+            ColumnData::Float(Vec::new()),
+            ColumnData::Int(vec![-7].into()),
+            ColumnData::Float(vec![-0.0]),
+            ColumnData::Int(vec![i64::MIN, i64::MAX, 0, i64::MAX, i64::MIN + 1, -1].into()),
+            ColumnData::Int((0..300).map(|k| i64::MAX - k % 40).collect()),
+            ColumnData::Int((0..300).map(|k| (1 << 53) + k % 7).collect()),
+        ];
+        for n in [2, 37, 1000, 70_000] {
+            for (lo, hi) in [
+                (-100, 27),
+                (-20_000, 30_000),
+                (-5, 5 + n as i64 / 3),
+                (i32::MIN as i64, i32::MAX as i64),
+                (-(1 << 40), 1 << 40),
+                (i64::MIN, i64::MAX),
+            ] {
+                cols.push(ColumnData::Int((0..n).map(|_| rng.gen_range(lo..=hi)).collect()));
+            }
+            let specials = crate::histogram::tests::awkward_floats();
+            let floats = (0..n).map(|_| match rng.gen_range(0..6) {
+                0 => specials[rng.gen_range(0..specials.len())],
+                1 => f64::from_bits(rng.gen::<u64>() & 0x800f_ffff_ffff_ffff), // ±subnormal
+                2 => f64::from_bits(rng.gen::<u64>() | 0x7ff0_0000_0000_0001), // NaN payloads
+                3 => rng.gen_range(0..8) as f64 * 0.5 - 2.0,
+                _ => rng.gen_range(-1e6..1e6),
+            });
+            cols.push(ColumnData::Float(floats.collect()));
+        }
+        cols
+    }
+
+    fn stats_bits(s: &ColumnStats) -> (usize, usize, Option<u64>, Option<u64>, Option<Vec<u64>>) {
+        let h = s.histogram.as_ref().map(EquiDepthHistogram::bits);
+        (s.count, s.ndv, s.min.map(f64::to_bits), s.max.map(f64::to_bits), h)
+    }
+
+    #[test]
+    fn gather_matches_the_comparison_sort() {
+        let mut rng = seeded(211);
+        for col in awkward_columns() {
+            let n = col.len();
+            let ids: Vec<usize> = (0..n / 3).map(|_| rng.gen_range(0..n)).collect();
+            for buckets in [1, 7, 32] {
+                for rows in [None, Some(&ids[..])] {
+                    let got = ColumnStats::gather(&col, rows, buckets);
+                    let want = gather_by_sort(&col, rows, buckets);
+                    let what = format!("{:?} n={n} sampled={}", col.data_type(), rows.is_some());
+                    assert_eq!(stats_bits(&got), stats_bits(&want), "{what} buckets={buckets}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ndv_and_histogram_agree_on_zeros_and_nans() {
+        let zeros = ColumnStats::gather(&ColumnData::Float(vec![-0.0, 0.0]), None, 4);
+        let nans = ColumnStats::gather(&ColumnData::Float(vec![f64::NAN, f64::NAN]), None, 4);
+        for (stats, ndv) in [(zeros, 2), (nans, 1)] {
+            assert_eq!(stats.ndv, ndv);
+            assert_eq!(stats.histogram.unwrap().distinct_total(), ndv as f64);
+        }
+    }
+
+    #[test]
+    fn string_columns_count_distinct_strings() {
+        let col = ColumnData::Str(["b", "a", "b", "c"].map(String::from).to_vec());
+        let all = ColumnStats::gather(&col, None, 8);
+        assert_eq!((all.count, all.ndv, all.histogram.is_none()), (4, 3, true));
+        let sub = ColumnStats::gather(&col, Some(&[0, 2]), 8);
+        assert_eq!((sub.count, sub.ndv), (2, 1));
     }
 }

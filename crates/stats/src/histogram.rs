@@ -6,6 +6,8 @@
 //! assumption applies — exactly the assumption whose failure under skew the
 //! black-hat experiments (E22) exploit.
 
+use rqp_storage::{ColumnData, Groups};
+
 /// Common interface of the numeric histograms.
 pub trait Histogram {
     /// Total rows summarized.
@@ -126,18 +128,22 @@ pub struct EquiDepthHistogram {
 impl EquiDepthHistogram {
     /// Build from values with at most `buckets` quantile buckets.
     pub fn build(values: &[f64], buckets: usize) -> Self {
-        let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        Self::from_sorted(&sorted, buckets)
+        let groups = Groups::of(&ColumnData::Float(values.to_vec()), None).expect("floats group");
+        let ColumnData::Float(keys) = &groups.keys else { unreachable!("float keys") };
+        Self::from_runs(keys, &groups.offsets, buckets)
     }
 
-    /// [`build`](Self::build) for values already ascending under
-    /// `f64::total_cmp` — a caller that sorted the column for its own
-    /// purposes (distinct counting) does not pay a second sort.
-    pub fn from_sorted(sorted: &[f64], buckets: usize) -> Self {
+    /// [`build`](Self::build) from a column's runs of equal values, as the
+    /// grouping kernel ([`Groups`]) cuts them: `values` strictly ascending
+    /// under `f64::total_cmp`, value `k` held by `offsets[k + 1] -
+    /// offsets[k]` rows. A bucket never splits a run, and its distinct
+    /// count is its number of runs — bit patterns, as `ndv` counts them.
+    /// O(runs), whatever the row count.
+    pub fn from_runs(values: &[f64], offsets: &[u32], buckets: usize) -> Self {
         assert!(buckets > 0, "need at least one bucket");
-        debug_assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
-        if sorted.is_empty() {
+        debug_assert_eq!(offsets.len(), values.len() + 1);
+        debug_assert!(values.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()));
+        if values.is_empty() {
             return EquiDepthHistogram {
                 bounds: vec![0.0, 0.0],
                 counts: vec![0.0],
@@ -145,28 +151,24 @@ impl EquiDepthHistogram {
                 total: 0.0,
             };
         }
-        let n = sorted.len();
+        let n = offsets[values.len()] as usize;
         let per = (n as f64 / buckets as f64).ceil().max(1.0) as usize;
-        let mut bounds = vec![sorted[0]];
+        let mut bounds = vec![values[0]];
         let mut counts = Vec::new();
         let mut distinct = Vec::new();
-        let mut i = 0usize;
-        while i < n {
-            let mut j = (i + per).min(n);
-            // Don't split a run of duplicates across buckets.
-            while j < n && sorted[j] == sorted[j - 1] {
-                j += 1;
+        let mut first = 0usize;
+        while first < values.len() {
+            // The bucket takes `per` rows and the rest of the run its last
+            // row falls in.
+            let target = (offsets[first] as usize + per).min(n) as u32;
+            let mut last = first;
+            while offsets[last + 1] < target {
+                last += 1;
             }
-            counts.push((j - i) as f64);
-            let mut d = 1.0;
-            for k in i + 1..j {
-                if sorted[k] != sorted[k - 1] {
-                    d += 1.0;
-                }
-            }
-            distinct.push(d);
-            bounds.push(sorted[j - 1]);
-            i = j;
+            counts.push((offsets[last + 1] - offsets[first]) as f64);
+            distinct.push((last + 1 - first) as f64);
+            bounds.push(values[last]);
+            first = last + 1;
         }
         EquiDepthHistogram { bounds, counts, distinct, total: n as f64 }
     }
@@ -306,21 +308,76 @@ pub(crate) mod tests {
         v
     }
 
+    impl EquiDepthHistogram {
+        /// Every field's bits, NaN payloads and zero signs included.
+        pub(crate) fn bits(&self) -> Vec<u64> {
+            let fields = [&self.bounds, &self.counts, &self.distinct, &vec![self.total]];
+            fields.iter().flat_map(|f| f.iter().map(|x| x.to_bits())).collect()
+        }
+
+        /// Distinct values summed over the buckets.
+        pub(crate) fn distinct_total(&self) -> f64 {
+            self.distinct.iter().sum()
+        }
+    }
+
+    /// The comparison-sort reference: the histogram cut from values
+    /// ascending under `f64::total_cmp`, one element at a time, with runs of
+    /// equal bit patterns kept whole.
+    pub(crate) fn from_sorted(sorted: &[f64], buckets: usize) -> EquiDepthHistogram {
+        assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        if sorted.is_empty() {
+            return EquiDepthHistogram::from_runs(&[], &[0], buckets);
+        }
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let n = sorted.len();
+        let per = (n as f64 / buckets as f64).ceil().max(1.0) as usize;
+        let mut bounds = vec![sorted[0]];
+        let mut counts = Vec::new();
+        let mut distinct = Vec::new();
+        let mut i = 0usize;
+        while i < n {
+            let mut j = (i + per).min(n);
+            while j < n && same(sorted[j], sorted[j - 1]) {
+                j += 1;
+            }
+            counts.push((j - i) as f64);
+            let runs = 1 + (i + 1..j).filter(|&k| !same(sorted[k], sorted[k - 1])).count();
+            distinct.push(runs as f64);
+            bounds.push(sorted[j - 1]);
+            i = j;
+        }
+        EquiDepthHistogram { bounds, counts, distinct, total: n as f64 }
+    }
+
     #[test]
     fn from_sorted_is_bit_identical_to_build() {
         let vals = awkward_floats();
         let mut sorted = vals.clone();
         sorted.sort_by(f64::total_cmp);
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for buckets in [1, 3, 8, 64] {
             let a = EquiDepthHistogram::build(&vals, buckets);
-            let b = EquiDepthHistogram::from_sorted(&sorted, buckets);
-            assert_eq!(bits(&a.bounds), bits(&b.bounds), "buckets={buckets}");
-            assert_eq!((a.counts, a.distinct, a.total), (b.counts, b.distinct, b.total));
+            assert_eq!(a.bits(), from_sorted(&sorted, buckets).bits(), "buckets={buckets}");
         }
         // -0.0 sorts before 0.0 and negative NaNs before everything: the
         // first bound keeps the sign and payload it had.
-        let h = EquiDepthHistogram::from_sorted(&sorted, 4);
+        let h = EquiDepthHistogram::build(&vals, 4);
         assert_eq!(h.bounds[0].to_bits(), (-f64::NAN).to_bits());
+    }
+
+    #[test]
+    fn distinct_means_distinct_bit_patterns() {
+        // -0.0 and 0.0 are two values, as `ndv` counts them; two NaNs of
+        // one payload are one.
+        let zeros = EquiDepthHistogram::build(&[-0.0, 0.0], 1);
+        assert_eq!((zeros.counts.clone(), zeros.distinct.clone()), (vec![2.0], vec![2.0]));
+        let nans = EquiDepthHistogram::build(&[f64::NAN, f64::NAN], 1);
+        assert_eq!((nans.counts.clone(), nans.distinct.clone()), (vec![2.0], vec![1.0]));
+        // A run is never split: two NaNs stay in one bucket of two.
+        let nans = EquiDepthHistogram::build(&[f64::NAN, f64::NAN], 2);
+        assert_eq!(nans.counts, vec![2.0]);
+        // …while -0.0 and 0.0 are two runs a bucket boundary may cut.
+        let zeros = EquiDepthHistogram::build(&[-0.0, 0.0], 2);
+        assert_eq!((zeros.counts, zeros.distinct), (vec![1.0, 1.0], vec![1.0, 1.0]));
     }
 }

@@ -30,7 +30,7 @@ pub(crate) use each_width;
 
 /// `x` as an `i64`. Generic, so that the eight-byte arm of [`each_width`] is
 /// not a conversion of a type to itself.
-fn wide<T: Into<i64>>(x: T) -> i64 {
+pub(crate) fn wide<T: Into<i64>>(x: T) -> i64 {
     x.into()
 }
 

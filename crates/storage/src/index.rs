@@ -612,4 +612,78 @@ mod tests {
         let got = ix.lookup(&[Value::Int(1)], Some(&Value::Int(9)), Some(&Value::Int(2)));
         assert!(got.unwrap().is_empty());
     }
+
+    /// One-column keys a change of sort could mishandle: integers at every
+    /// stored width over dense and sparse spans (the kernel's counting and
+    /// sorting paths), `i64` extremes, floats with NaN payloads, both
+    /// zeros, infinities and subnormals, and empty and one-row tables.
+    fn awkward_keys() -> Vec<ColumnData> {
+        use rand::Rng;
+        let mut rng = rqp_common::rng::seeded(33);
+        let nan_payload = f64::from_bits(f64::NAN.to_bits() | 0xbeef);
+        let specials = [0.0, -0.0, f64::NAN, -f64::NAN, nan_payload, f64::INFINITY, 5e-324];
+        let mut cols = vec![
+            ColumnData::Int(Vec::new().into()),
+            ColumnData::Float(Vec::new()),
+            ColumnData::Int(vec![3].into()),
+            ColumnData::Float(vec![f64::NAN]),
+            ColumnData::Int(vec![i64::MAX, i64::MIN, 0, i64::MAX, i64::MIN + 1].into()),
+            ColumnData::Int((0..500).collect()),
+        ];
+        for n in [2, 37, 1000, 70_000] {
+            for (lo, hi) in [
+                (-100, 27),
+                (-20_000, 30_000),
+                (0, n as i64 / 3),
+                (i32::MIN as i64, i32::MAX as i64),
+                (i64::MIN, i64::MAX),
+            ] {
+                cols.push(ColumnData::Int((0..n).map(|_| rng.gen_range(lo..=hi)).collect()));
+            }
+            let floats = (0..n).map(|_| match rng.gen_range(0..5) {
+                0 => specials[rng.gen_range(0..specials.len())],
+                1 => -f64::from_bits(rng.gen::<u64>() & 0x000f_ffff_ffff_ffff),
+                2 => rng.gen_range(0..8) as f64 * 0.5 - 2.0,
+                _ => rng.gen_range(-1e6..1e6),
+            });
+            cols.push(ColumnData::Float(floats.collect()));
+        }
+        cols
+    }
+
+    /// Keys as bits, so NaN payloads and zero signs compare.
+    fn key_bits(keys: &[ColumnData]) -> Vec<u64> {
+        keys.iter()
+            .flat_map(|c| match c {
+                ColumnData::Int(v) => v.as_slice().iter().map(|x| x as u64).collect::<Vec<_>>(),
+                ColumnData::Float(v) => v.iter().map(|x| x.to_bits()).collect(),
+                ColumnData::Str(_) => unreachable!("numeric keys"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_column_runs_match_the_comparison_sort() {
+        for col in awkward_keys() {
+            let n = col.len();
+            let what = format!("{:?} n={n}", col.data_type());
+            let schema = Schema::from_pairs(&[("k", col.data_type())]);
+            let t = Table::from_columns("t", schema, vec![col]).unwrap();
+            let idx = Index::build("ix", &t, &["k"]).unwrap();
+            idx.validate().unwrap();
+            let want = Run::build_by_sort(&[t.column(0)], n as u32);
+            let got = &*idx.base;
+            assert_eq!(key_bits(&got.keys), key_bits(&want.keys), "{what}");
+            let width = |keys: &[ColumnData]| keys[0].as_int_slice().map(|s| s.width());
+            assert_eq!(width(&got.keys), width(&want.keys), "{what}");
+            assert_eq!((&got.offsets, &got.rids), (&want.offsets, &want.rids), "{what}");
+            let identity = want.rids.iter().enumerate().all(|(i, &r)| r as usize == i);
+            assert_eq!(idx.clustered(), identity, "{what}");
+            assert_eq!(
+                idx.heap_bytes(),
+                Index { base: Arc::new(want), ..idx.clone() }.heap_bytes(),
+                "{what}"
+            );
+        }
+    }
 }

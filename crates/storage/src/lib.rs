@@ -6,6 +6,9 @@
 //! * [`mod@column`] — typed column vectors with min/max/distinct statistics
 //!   surface;
 //! * [`table`] — a [`table::Table`] of columns plus row-wise access;
+//! * [`group`] — the grouping kernel: a numeric column cut into runs of
+//!   equal keys in O(n) (counting) or one keyless sort, which ANALYZE and
+//!   one-column index builds share;
 //! * [`index`] — clustered/unclustered secondary indexes: one [`Index`]
 //!   over k ≥ 1 columns with equality-prefix + range lookups, stored as one
 //!   packed sorted run plus an append partition (`run`) and probed through
@@ -36,6 +39,7 @@ pub mod catalog;
 pub mod changelog;
 pub mod column;
 pub mod crack;
+pub mod group;
 pub mod index;
 pub mod pool;
 mod run;
@@ -47,6 +51,7 @@ pub use catalog::{Catalog, CatalogSnapshot};
 pub use changelog::{ChangeOp, ChangeRecord, Changelog};
 pub use column::{ColumnData, IntSlice, IntVec};
 pub use crack::CrackerColumn;
+pub use group::Groups;
 pub use index::{Index, RidCursor, RowIds};
 pub use pool::{BufferPool, PagePin, PagerStats, PinOutcome};
 pub use shared_scan::SharedScanCoordinator;

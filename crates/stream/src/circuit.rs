@@ -48,7 +48,7 @@ use rqp_common::{DataType, Field, Result, Row, RqpError, Schema, SelMask, Shared
 use rqp_exec::AggFunc;
 use rqp_opt::QuerySpec;
 use rqp_storage::changelog::{ChangeOp, ChangeRecord};
-use rqp_storage::{Catalog, Table};
+use rqp_storage::{Catalog, IntSlice, Table};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::mem::size_of;
 
@@ -122,41 +122,63 @@ impl TableInput {
     }
 }
 
-/// How many keys `keys()` yields, and how many distinct ones. One-column
-/// `Int` keys (`ints`) are counted in a bitmap over their range — or, when
-/// that range is sparser than one key per 64 values, in an exactly sized
-/// sorted vector — so counting never holds more than 8 bytes per key; any
-/// other key in a set of the distinct ones.
-fn count_keys<I: Iterator<Item = IndexKey>>(keys: impl Fn() -> I, ints: bool) -> (usize, usize) {
-    if !ints {
-        let mut n = 0;
-        let distinct: HashSet<IndexKey> = keys().inspect(|_| n += 1).collect();
-        return (n, distinct.len());
-    }
-    let int_keys = || {
-        keys().map(|key| match key {
-            IndexKey::One(Value::Int(k)) => k,
-            key => unreachable!("{key:?} read from an Int column"),
-        })
-    };
-    let (n, lo, hi) =
-        int_keys().fold((0, i64::MAX, i64::MIN), |(n, lo, hi), k| (n + 1, lo.min(k), hi.max(k)));
+/// How many keys `each` visits, and how many distinct ones, for a
+/// one-column `Int` key read straight from its column: counted in a bitmap
+/// over their range — or, when that range is sparser than one key per 64
+/// values, in an exactly sized sorted vector — so counting never holds more
+/// than 8 bytes per key.
+fn count_int_keys(each: impl Fn(&mut dyn FnMut(i64))) -> (usize, usize) {
+    let (mut n, mut lo, mut hi) = (0, i64::MAX, i64::MIN);
+    each(&mut |k| (n, lo, hi) = (n + 1, lo.min(k), hi.max(k)));
     if n == 0 {
         return (0, 0);
     }
     let span = hi.abs_diff(lo);
     if span / 64 < n as u64 {
         let mut bits = vec![0u64; span as usize / 64 + 1];
-        for offset in int_keys().map(|k| k.abs_diff(lo) as usize) {
+        each(&mut |k| {
+            let offset = k.abs_diff(lo) as usize;
             bits[offset / 64] |= 1 << (offset % 64);
-        }
+        });
         return (n, bits.iter().map(|w| w.count_ones() as usize).sum());
     }
     let mut sorted = Vec::with_capacity(n);
-    sorted.extend(int_keys());
+    each(&mut |k| sorted.push(k));
     sorted.sort_unstable();
     sorted.dedup();
     (n, sorted.len())
+}
+
+/// [`count_int_keys`] for any other key, visited as its values: the set of
+/// distinct keys allocates once per key it has not seen, never per row.
+fn count_keys(each: impl Fn(&mut dyn FnMut(&[Value]))) -> (usize, usize) {
+    let mut distinct: HashSet<Box<[Value]>> = HashSet::new();
+    let mut n = 0;
+    each(&mut |key| {
+        n += 1;
+        if !distinct.contains(key) {
+            distinct.insert(key.into());
+        }
+    });
+    (n, distinct.len())
+}
+
+/// Where a one-column `Int` key of a joined row is read: a left-side slot
+/// column, or the arriving table's column.
+#[derive(Clone, Copy)]
+enum IntKey<'a> {
+    Slot(&'a [i64]),
+    Row(IntSlice<'a>),
+}
+
+impl IntKey<'_> {
+    /// The key of survivor `r` joined to left slot `s`.
+    fn get(self, r: usize, s: u32) -> i64 {
+        match self {
+            IntKey::Slot(v) => v[s as usize],
+            IntKey::Row(xs) => xs.get(r),
+        }
+    }
 }
 
 /// The values of a join stage's key columns, or of a group's. Every TPC-H
@@ -1320,7 +1342,7 @@ impl ViewCircuit {
     fn reserve(&mut self, i: usize, table: &Table, survivors: &SelMask) {
         let input = &self.inputs[i];
         let read = |r: usize, p: usize| table.column(input.cols[p]).get(r);
-        let int_at = |p: usize| table.column(input.cols[p]).as_int_slice().is_some();
+        let ints = |p: usize| table.column(input.cols[p]).as_int_slice();
         let own = match i.checked_sub(1) {
             // Stage 0's arriving layout is the first table's `keep`.
             None => self.stages.first_mut().map(|s| {
@@ -1332,8 +1354,21 @@ impl ViewCircuit {
             }
         };
         if let Some((index, key)) = own {
-            let keys = || survivors.iter_set().map(|r| IndexKey::with(&key, |p| read(r, p)));
-            let (n, distinct) = count_keys(keys, matches!(key[..], [p] if int_at(p)));
+            let int_key = match key[..] {
+                [p] => ints(p),
+                _ => None,
+            };
+            let (n, distinct) = match int_key {
+                Some(xs) => count_int_keys(|f| survivors.iter_set().for_each(|r| f(xs.get(r)))),
+                None => count_keys(|f| {
+                    let mut k = Vec::new();
+                    for r in survivors.iter_set() {
+                        k.clear();
+                        k.extend(key.iter().map(|&p| read(r, p)));
+                        f(&k);
+                    }
+                }),
+            };
             index.reserve(n, distinct);
         }
         // Where the joined rows land: nowhere for the first table of a join
@@ -1349,24 +1384,44 @@ impl ViewCircuit {
         // table) followed by the survivor's kept columns.
         let left = i.checked_sub(1).map(|s| &self.stages[s]);
         let arity = left.map_or(0, |s| s.left_index.slots.columns.len());
-        let matches = |r: usize| {
-            let probe = |s: &JoinStage| IndexKey::with(&s.right_key, |p| read(r, p));
-            let bucket = left.map(|s| s.left_index.bucket(&probe(s)));
-            bucket.into_iter().flatten().chain(left.is_none().then_some(NIL))
-        };
         let value = |r: usize, s: u32, p: usize| match left {
             Some(stage) if p < arity => stage.left_index.slots.columns[p].get(s as usize),
             _ => read(r, input.keep[p - arity]),
         };
-        let ints = matches!(target_key[..], [p] if match left {
-            Some(stage) if p < arity => matches!(stage.left_index.slots.columns[p], Column::Int(_)),
-            _ => int_at(input.keep[p - arity]),
-        });
-        let keys = || {
-            let key = move |r: usize, s: u32| IndexKey::with(target_key, |p| value(r, s, p));
-            survivors.iter_set().flat_map(move |r| matches(r).map(move |s| key(r, s)))
+        let int_key = match target_key[..] {
+            [p] => match left {
+                Some(stage) if p < arity => match &stage.left_index.slots.columns[p] {
+                    Column::Int(v) => Some(IntKey::Slot(v)),
+                    _ => None,
+                },
+                _ => ints(input.keep[p - arity]).map(IntKey::Row),
+            },
+            _ => None,
         };
-        let (joined, distinct) = count_keys(keys, ints);
+        // Every joined row as (survivor, left slot): one per stored row its
+        // key matches, or the survivor alone (`NIL`) for the first table.
+        let each_joined = |f: &mut dyn FnMut(usize, u32)| {
+            for r in survivors.iter_set() {
+                match left {
+                    Some(stage) => {
+                        let probe = IndexKey::with(&stage.right_key, |p| read(r, p));
+                        stage.left_index.bucket(&probe).for_each(|s| f(r, s));
+                    }
+                    None => f(r, NIL),
+                }
+            }
+        };
+        let (joined, distinct) = match int_key {
+            Some(key) => count_int_keys(|f| each_joined(&mut |r, s| f(key.get(r, s)))),
+            None => count_keys(|f| {
+                let mut k = Vec::new();
+                each_joined(&mut |r, s| {
+                    k.clear();
+                    k.extend(target_key.iter().map(|&p| value(r, s, p)));
+                    f(&k);
+                })
+            }),
+        };
         match (self.stages.get_mut(i), &mut self.agg) {
             (Some(next), _) => next.left_index.reserve(joined, distinct),
             (None, Some(agg)) => agg.reserve(distinct),
