@@ -93,6 +93,17 @@ impl SelMask {
         SelMask { words, len }
     }
 
+    /// A mask over `len` rows from its words: bit `i % 64` of word `i / 64`
+    /// selects row `i`. No bit past `len` may be set.
+    pub fn from_words(words: Vec<u64>, len: usize) -> SelMask {
+        assert_eq!(words.len(), len.div_ceil(64), "one word per 64 rows");
+        debug_assert!(
+            len.is_multiple_of(64) || words.last().is_some_and(|w| w >> (len % 64) == 0),
+            "a bit past the end"
+        );
+        SelMask { words, len }
+    }
+
     /// Number of rows the mask covers (selected or not).
     pub fn len(&self) -> usize {
         self.len
@@ -272,6 +283,12 @@ fn compare(op: CmpOp, l: &Vals, r: &Vals, n: usize) -> Vec<Truth> {
     match (l, r) {
         (Vals::Same(v), _) | (_, Vals::Same(v)) if v.is_null() => vec![Truth::Unknown; n],
         (Vals::Same(_), Vals::Int(_) | Vals::Float(_)) => compare(op.flipped(), r, l, n),
+        // `Value::total_cmp` between two `Int`s, or two `Float`s, without
+        // building a `Value` per row.
+        (Vals::Int(x), Vals::Same(Value::Int(v))) => x.iter().map(|a| verdict(a.cmp(v))).collect(),
+        (Vals::Float(x), Vals::Same(Value::Float(v))) => {
+            x.iter().map(|a| verdict(a.total_cmp(v))).collect()
+        }
         (Vals::Int(x), Vals::Same(v)) => {
             x.iter().map(|&a| verdict(Value::Int(a).total_cmp(v))).collect()
         }
@@ -302,6 +319,11 @@ mod tests {
         assert_eq!(around_64, vec![63, 65]);
         let idx: Vec<usize> = m.iter_set().take(3).collect();
         assert_eq!(idx, vec![1, 2, 3]);
+        let words = vec![u64::MAX, 1 << 63, 0b10];
+        let from_words = SelMask::from_words(words, 130);
+        let high: Vec<usize> = from_words.iter_set().filter(|&i| i >= 63).collect();
+        assert_eq!(high, vec![63, 127, 129]);
+        assert_eq!(SelMask::from_words(vec![u64::MAX; 2], 128), SelMask::all(128));
         // retain only even rows among the live ones.
         m.retain(|i| i % 2 == 0);
         assert!(m.iter_set().all(|i| i % 2 == 0));

@@ -580,6 +580,34 @@ impl BoundExpr {
     pub fn eval_bool(&self, row: &Row) -> bool {
         self.truth(row) == Truth::True
     }
+
+    /// The row indices this expression reads, ascending.
+    pub fn columns(&self) -> BTreeSet<usize> {
+        let mut out = BTreeSet::new();
+        self.collect_columns(&mut out);
+        out
+    }
+
+    fn collect_columns(&self, out: &mut BTreeSet<usize>) {
+        match self {
+            BoundExpr::Col(i) => {
+                out.insert(*i);
+            }
+            BoundExpr::Lit(_) => {}
+            BoundExpr::Cmp { lhs, rhs, .. } | BoundExpr::Arith { lhs, rhs, .. } => {
+                lhs.collect_columns(out);
+                rhs.collect_columns(out);
+            }
+            BoundExpr::Between { expr, .. }
+            | BoundExpr::InList { expr, .. }
+            | BoundExpr::Not(expr) => expr.collect_columns(out),
+            BoundExpr::And(v) | BoundExpr::Or(v) => {
+                for e in v {
+                    e.collect_columns(out);
+                }
+            }
+        }
+    }
 }
 
 /// A "simple" predicate over a single column, the currency of cardinality

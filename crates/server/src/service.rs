@@ -421,6 +421,7 @@ impl QueryService {
         // of the state the circuit absorbed, and no changelog trim can run
         // past a cursor the registry does not list yet.
         let guard = inner.snapshot.read().expect("snapshot lock");
+        let started = std::time::Instant::now();
         let loaded = (|| {
             let catalog = guard.to_catalog();
             let mut circuit = ViewCircuit::compile(spec, &catalog)?;
@@ -428,6 +429,7 @@ impl QueryService {
             circuit.set_cursor(inner.changelog.len());
             Ok(circuit)
         })();
+        let load_ms = started.elapsed().as_secs_f64() * 1e3;
         drop(permit);
         let circuit = match loaded {
             Ok(c) => c,
@@ -438,8 +440,9 @@ impl QueryService {
         };
         // Fund what the circuit actually keeps resident.
         gov.grant(circuit.state_rows() as f64);
+        inner.metrics.histogram("server.subs.load_ms").observe(load_ms);
         let detail = format!(
-            "s{session} prio {priority} cursor {} view {} state {}",
+            "s{session} prio {priority} cursor {} view {} state {} load {load_ms:.1} ms",
             circuit.cursor(),
             circuit.view_rows(),
             circuit.state_bytes()

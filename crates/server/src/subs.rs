@@ -273,6 +273,12 @@ mod tests {
         let sub = svc.subscriptions().get(id).expect("registered");
         assert_eq!(sub.view().len(), 44, "initial load absorbed the table");
         assert!(sub.cost() > 0.0, "initial load charged the clock");
+        // The load's wall time: one histogram sample, and the event detail.
+        assert_eq!(svc.metrics().histogram("server.subs.load_ms").count(), 1);
+        let events = svc.stats().recorder().tail(0, usize::MAX).events;
+        let register = events.iter().find(|e| e.kind == "sub.register").expect("registered");
+        assert!(register.detail.ends_with(" ms"), "{}", register.detail);
+        assert!(register.detail.contains(" load "), "{}", register.detail);
 
         let epoch = svc
             .append_rows(

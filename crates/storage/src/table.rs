@@ -4,7 +4,11 @@ use crate::changelog::Changelog;
 use crate::column::ColumnData;
 use crate::pool::BufferPool;
 use crate::RowId;
-use rqp_common::{ChaosPolicy, CostModelParams, Result, Row, RqpError, Schema, Value};
+use rqp_common::expr::BoundExpr;
+use rqp_common::{
+    ChaosPolicy, ColVec, ColumnBatch, CostModelParams, DataType, Result, Row, RqpError, Schema,
+    SelMask, StringDict, Truth, Value, DEFAULT_BATCH_ROWS,
+};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -376,17 +380,80 @@ impl Table {
 
     /// Count rows matching a predicate evaluated against the *qualified*
     /// schema. Used by "oracle" estimators and metric code (true
-    /// cardinalities), not by the query path.
+    /// cardinalities), not by the query path. Runs the selection kernel
+    /// ([`select`](Self::select)), so it counts exactly the rows a filter
+    /// keeps.
     pub fn count_where(&self, pred: &rqp_common::Expr) -> Result<usize> {
-        let schema = self.qualified_schema();
-        let bound = pred.bind(&schema)?;
-        let mut n = 0;
-        for r in self.iter_rows() {
-            if bound.eval_bool(&r) {
-                n += 1;
+        let bound = pred.bind(&self.qualified_schema())?;
+        let every: Vec<usize> = (0..self.columns.len()).collect();
+        Ok(self.select(&every, &bound).count())
+    }
+
+    /// The selection kernel: the rows on which `pred` is TRUE — not FALSE,
+    /// not UNKNOWN — which are exactly the rows [`BoundExpr::eval_bool`]
+    /// keeps. `pred` is bound over the columns at `layout`: its column `i`
+    /// is the table's column `layout[i]`.
+    ///
+    /// Only the columns the predicate reads are touched. They are cut into
+    /// batches of [`DEFAULT_BATCH_ROWS`] rows, each widened once from its
+    /// stored width (a `Str` column as codes into one dictionary, through
+    /// the memoized [`str_encoding`](Self::str_encoding)), and the batch
+    /// evaluator [`BoundExpr::truths`] decides a whole batch at a time.
+    /// No `Row` is built.
+    pub fn select(&self, layout: &[usize], pred: &BoundExpr) -> SelMask {
+        let n = self.nrows;
+        let reads = pred.columns();
+        let dict = Arc::new(StringDict::new());
+        // Per read `Str` column: its encoding and each local code's code in
+        // `dict`, interned once per distinct value.
+        let strs: Vec<Option<(Arc<StrEncoding>, Vec<u32>)>> = (0..layout.len())
+            .map(|p| {
+                let enc = reads.contains(&p).then(|| self.str_encoding(layout[p]))??;
+                let xlate = enc.values.iter().map(|s| dict.intern(s)).collect();
+                Some((enc, xlate))
+            })
+            .collect();
+        // Columns the predicate does not read stay empty.
+        let rows = |p: &usize| if reads.contains(p) { DEFAULT_BATCH_ROWS.min(n) } else { 0 };
+        let columns = (0..layout.len())
+            .map(|p| match self.columns[layout[p]].data_type() {
+                DataType::Int => ColVec::Int(Vec::with_capacity(rows(&p))),
+                DataType::Float => ColVec::Float(Vec::with_capacity(rows(&p))),
+                DataType::Str => ColVec::Str(Vec::with_capacity(rows(&p))),
+            })
+            .collect();
+        let mut batch = ColumnBatch { columns, sel: SelMask::all(0), dict };
+        let mut words = Vec::with_capacity(n.div_ceil(64));
+        for start in (0..n).step_by(DEFAULT_BATCH_ROWS) {
+            let range = start..(start + DEFAULT_BATCH_ROWS).min(n);
+            for &p in &reads {
+                let column = &self.columns[layout[p]];
+                match &mut batch.columns[p] {
+                    ColVec::Int(v) => {
+                        v.clear();
+                        let ints = column.as_int_slice().expect("an Int column");
+                        ints.slice(range.clone()).extend_into(v);
+                    }
+                    ColVec::Float(v) => {
+                        v.clear();
+                        let floats = column.as_float_slice().expect("a Float column");
+                        v.extend_from_slice(&floats[range.clone()]);
+                    }
+                    ColVec::Str(v) => {
+                        v.clear();
+                        let (enc, xlate) = strs[p].as_ref().expect("a Str column");
+                        v.extend(enc.codes[range.clone()].iter().map(|&lc| xlate[lc as usize]));
+                    }
+                }
+            }
+            batch.sel = SelMask::all(range.len());
+            // A batch is a whole number of words (but for the last one).
+            for truths in pred.truths(&batch).chunks(64) {
+                let bit = |i: usize, t: &Truth| u64::from(*t == Truth::True) << i;
+                words.push(truths.iter().enumerate().fold(0, |w, (i, t)| w | bit(i, t)));
             }
         }
-        Ok(n)
+        SelMask::from_words(words, n)
     }
 }
 
@@ -440,6 +507,69 @@ mod tests {
         assert_eq!(n, 4);
         let n = t.count_where(&col("v").ge(lit(2.0))).unwrap();
         assert_eq!(n, 6);
+    }
+
+    /// The selection kernel keeps exactly the rows the row evaluator's
+    /// `eval_bool` keeps, over several batches: `Int` columns at every
+    /// stored width, floats with NaN, ±0.0 and ±inf, a `Str` column, and
+    /// predicates of every shape — comparisons either way round, BETWEEN,
+    /// IN, AND/OR/NOT and arithmetic — including ones nothing passes.
+    #[test]
+    fn select_keeps_what_eval_bool_keeps() {
+        use rand::Rng;
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("c", DataType::Int),
+            ("d", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+        ]);
+        let floats = [0.0, -0.0, 1.5, -2.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut rng = rqp_common::rng::seeded(34);
+        let mut t = Table::new("t", schema);
+        for _ in 0..2_600 {
+            let small: i64 = rng.gen_range(-5..5);
+            t.append(vec![
+                Value::Int(small),
+                Value::Int(small * 1_000),
+                Value::Int(small * 100_000_000),
+                Value::Int([small, i64::MAX, i64::MIN, (1 << 53) + 1][rng.gen_range(0..4usize)]),
+                Value::Float(floats[rng.gen_range(0..floats.len())]),
+                Value::Str(["x", "y", ""][rng.gen_range(0..3usize)].into()),
+            ]);
+        }
+        let width = |c: usize| t.column(c).as_int_slice().unwrap().width();
+        let widths: Vec<usize> = (0..4).map(width).collect();
+        assert_eq!(widths, vec![1, 2, 4, 8], "every stored width");
+        let preds = [
+            col("t.a").lt(lit(0i64)),
+            lit(0i64).le(col("t.b")),
+            col("t.c").between(-200_000_000i64, 100_000_000i64),
+            col("t.d").ge(lit(i64::MAX)),
+            col("t.d").eq(lit(((1i64 << 53) + 1) as f64)),
+            col("t.f").ge(lit(0.0)),
+            col("t.f").eq(lit(f64::NAN)).or(col("t.f").lt(lit(-0.0))),
+            col("t.f").gt(col("t.a")).and(col("t.s").ne(lit("x"))),
+            col("t.s").in_list(vec![Value::Str("y".into()), Value::Str("".into())]).not(),
+            col("t.a").add(col("t.b")).gt(lit(10i64)),
+            col("t.a").gt(lit(100i64)),
+        ];
+        let every: Vec<usize> = (0..6).collect();
+        for pred in preds {
+            let bound = pred.bind(&t.qualified_schema()).unwrap();
+            let keeps = |(i, r): (usize, Row)| bound.eval_bool(&r).then_some(i);
+            let want: Vec<usize> = t.iter_rows().enumerate().filter_map(keeps).collect();
+            let got: Vec<usize> = t.select(&every, &bound).iter_set().collect();
+            assert_eq!(got, want, "{pred}");
+            assert_eq!(t.count_where(&pred).unwrap(), want.len(), "{pred}");
+        }
+        // A layout that reorders and skips columns reads through it.
+        let bound = col("t.s").eq(lit("y")).and(col("t.f").le(lit(1.5)));
+        let layout = [5, 4];
+        let projected = Schema::from_pairs(&[("t.s", DataType::Str), ("t.f", DataType::Float)]);
+        let mask = t.select(&layout, &bound.bind(&projected).unwrap());
+        assert_eq!(mask.count(), t.count_where(&bound).unwrap());
     }
 
     #[test]

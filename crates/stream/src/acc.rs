@@ -76,6 +76,15 @@ impl RetractableAcc {
         }
     }
 
+    /// [`apply`](Self::apply) of a non-null number — an `Int` as `f64`, or
+    /// a `Float` — to an accumulator without a multiset (COUNT, SUM, AVG):
+    /// the same arithmetic, without a `Value`.
+    pub(crate) fn add(&mut self, x: f64, weight: i64) {
+        debug_assert!(self.values.is_none(), "MIN/MAX keep their values");
+        self.count += weight as f64;
+        self.sum += x * weight as f64;
+    }
+
     /// Distinct values held in the MIN/MAX multiset (0 without one).
     pub(crate) fn multiset_len(&self) -> usize {
         self.values.as_ref().map_or(0, BTreeMap::len)

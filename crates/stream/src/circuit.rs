@@ -41,6 +41,24 @@
 //! Cost-clock charges count *logical* rows (an entry of weight 3 charges
 //! three units), so what the clock reads does not depend on how many rows
 //! happened to collapse into one entry.
+//!
+//! ## How the initial load runs
+//!
+//! A load reads each base table, in join order, straight from its columns.
+//! The selection kernel (`Table::select`) runs the table's local filter
+//! over column batches through the batch evaluator and keeps the TRUE rows;
+//! `reserve` sizes every arena and key map the survivors will fill; then the
+//! survivors, in ascending row order and `LOAD_BATCH` at a time, go through
+//! `ingest` — the one fold a changelog row takes too, as a batch of one.
+//! A batch is read where it lies: table columns at their stored width, a
+//! joined row as the left slot it matched plus its survivor. So no `Row` is
+//! built: probes visit matching slots in place, keys and stored values are
+//! read and compared as stored, and COUNT/SUM/AVG add the numbers as read.
+//! Within a batch every index is either probed or merged into, never both,
+//! and each sees its rows in row order; so a batch leaves exactly the state,
+//! float sums and clock charges its rows one at a time would. Charges are
+//! summed per batch (the clock is exact), and the typed join-key maps hash
+//! an `i64` with one multiply.
 
 use crate::acc::RetractableAcc;
 use rqp_common::expr::BoundExpr;
@@ -48,8 +66,10 @@ use rqp_common::{DataType, Field, Result, Row, RqpError, Schema, SelMask, Shared
 use rqp_exec::AggFunc;
 use rqp_opt::QuerySpec;
 use rqp_storage::changelog::{ChangeOp, ChangeRecord};
-use rqp_storage::{Catalog, IntSlice, Table};
+use rqp_storage::{Catalog, ColumnData, IntSlice};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::mem::size_of;
 
 /// What one batch of changelog records did to the view: the rows a
@@ -96,89 +116,147 @@ struct TableInput {
     /// Base-table columns the circuit reads at all — filter inputs, this
     /// table's own join key, and whatever is kept downstream — ascending.
     cols: Vec<usize>,
-    /// Local filter bound over the read layout, with the read-layout
-    /// positions it reads; `None` when the predicate is trivially TRUE.
-    filter: Option<(BoundExpr, Vec<usize>)>,
+    /// Local filter bound over the read layout; `None` when the predicate
+    /// is trivially TRUE.
+    filter: Option<BoundExpr>,
     /// Read-layout positions that survive the filter: the columns a later
     /// stage reads (plus, for the first table, stage 0's key).
     keep: Vec<usize>,
 }
 
-impl TableInput {
-    /// The rows of `table` whose read-layout values pass the filter.
-    fn survivors(&self, table: &Table) -> SelMask {
-        let mut set = SelMask::all(table.nrows());
-        if let Some((filter, reads)) = &self.filter {
-            // Only the filter's inputs are read; it looks at no other value.
-            let mut row = vec![Value::Null; self.cols.len()];
-            set.retain(|r| {
-                for &p in reads {
-                    row[p] = table.column(self.cols[p]).get(r);
-                }
-                filter.eval_bool(&row)
-            });
-        }
-        set
-    }
-}
-
-/// How many keys `each` visits, and how many distinct ones, for a
-/// one-column `Int` key read straight from its column: counted in a bitmap
-/// over their range — or, when that range is sparser than one key per 64
-/// values, in an exactly sized sorted vector — so counting never holds more
-/// than 8 bytes per key.
-fn count_int_keys(each: impl Fn(&mut dyn FnMut(i64))) -> (usize, usize) {
-    let (mut n, mut lo, mut hi) = (0, i64::MAX, i64::MIN);
-    each(&mut |k| (n, lo, hi) = (n + 1, lo.min(k), hi.max(k)));
-    if n == 0 {
-        return (0, 0);
-    }
-    let span = hi.abs_diff(lo);
-    if span / 64 < n as u64 {
-        let mut bits = vec![0u64; span as usize / 64 + 1];
-        each(&mut |k| {
-            let offset = k.abs_diff(lo) as usize;
-            bits[offset / 64] |= 1 << (offset % 64);
-        });
-        return (n, bits.iter().map(|w| w.count_ones() as usize).sum());
-    }
-    let mut sorted = Vec::with_capacity(n);
-    each(&mut |k| sorted.push(k));
-    sorted.sort_unstable();
-    sorted.dedup();
-    (n, sorted.len())
-}
-
-/// [`count_int_keys`] for any other key, visited as its values: the set of
-/// distinct keys allocates once per key it has not seen, never per row.
-fn count_keys(each: impl Fn(&mut dyn FnMut(&[Value]))) -> (usize, usize) {
-    let mut distinct: HashSet<Box<[Value]>> = HashSet::new();
-    let mut n = 0;
-    each(&mut |key| {
-        n += 1;
-        if !distinct.contains(key) {
-            distinct.insert(key.into());
-        }
-    });
-    (n, distinct.len())
-}
-
-/// Where a one-column `Int` key of a joined row is read: a left-side slot
-/// column, or the arriving table's column.
+/// Where one arriving row is read: row `r` of its batch's row columns,
+/// slot `s` of its slot columns (`NIL` when it has none).
 #[derive(Clone, Copy)]
-enum IntKey<'a> {
-    Slot(&'a [i64]),
-    Row(IntSlice<'a>),
+struct At {
+    r: usize,
+    s: u32,
 }
 
-impl IntKey<'_> {
-    /// The key of survivor `r` joined to left slot `s`.
-    fn get(self, r: usize, s: u32) -> i64 {
-        match self {
-            IntKey::Slot(v) => v[s as usize],
-            IntKey::Row(xs) => xs.get(r),
+/// One column of a batch of arriving rows: a stored column of a join
+/// index's slot arena, read at the row's slot, or a column read at the
+/// row's number — a table column at its stored width during the initial
+/// load, one value per row otherwise (a changelog row is a batch of one).
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Slot(&'a Column),
+    Int(IntSlice<'a>),
+    Float(&'a [f64]),
+    Str(&'a [String]),
+    Values(&'a [Value]),
+}
+
+impl<'a> Src<'a> {
+    /// The columns of a materialized row, as a batch of one.
+    fn of_row(row: &'a [Value]) -> Vec<Src<'a>> {
+        row.iter().map(|v| Src::Values(std::slice::from_ref(v))).collect()
+    }
+
+    /// A table column, read at its stored width.
+    fn table(column: &'a ColumnData) -> Src<'a> {
+        match column {
+            ColumnData::Int(xs) => Src::Int(xs.as_slice()),
+            ColumnData::Float(xs) => Src::Float(xs),
+            ColumnData::Str(xs) => Src::Str(xs),
         }
     }
+
+    /// The value of the row at `at`.
+    fn get(self, at: At) -> Value {
+        match self {
+            Src::Slot(c) => c.get(at.s as usize),
+            Src::Int(xs) => Value::Int(xs.get(at.r)),
+            Src::Float(xs) => Value::Float(xs[at.r]),
+            Src::Str(xs) => Value::Str(xs[at.r].clone()),
+            Src::Values(xs) => xs[at.r].clone(),
+        }
+    }
+
+    /// The `Int` of the row at `at`, read as stored, when the column is a
+    /// typed `Int` one; `None` for any other column, whatever its value.
+    fn int(self, at: At) -> Option<i64> {
+        match self {
+            Src::Slot(Column::Int(v)) => Some(v[at.s as usize]),
+            Src::Int(xs) => Some(xs.get(at.r)),
+            _ => None,
+        }
+    }
+}
+
+/// A batch of rows arriving on the left of a join stage, or at the terminal
+/// stage, read where they lie: the layout's columns, and per row where it
+/// is read and its weight. A base row's first hop is its kept columns —
+/// behind the stored row of the left slot it joined, for every table but
+/// the first — and builds nothing; only rows that a later stage joins
+/// (which the initial load never reaches: every index past the loading
+/// table's is still empty) are gathered into value columns.
+struct Arrivals<'a> {
+    cols: Vec<Src<'a>>,
+    rows: Vec<(At, i64)>,
+}
+
+/// A row to store in a join index, read where it lies: its `k`-th value
+/// is `cols[positions[k]]` of the row at `at`.
+#[derive(Clone, Copy)]
+struct Gather<'a> {
+    cols: &'a [Src<'a>],
+    positions: &'a [usize],
+    at: At,
+}
+
+impl<'a> Gather<'a> {
+    /// Where the row's `k`-th value is read.
+    fn src(&self, k: usize) -> Src<'a> {
+        self.cols[self.positions[k]]
+    }
+}
+
+/// How many rows `rows()` yields, and how many distinct keys — the values
+/// at `key` of `cols` — they carry. A one-column key of a typed `Int`
+/// column is counted in a bitmap over the keys' range — or, when that range
+/// is sparser than one key per 64 values, in an exactly sized sorted
+/// vector — so counting never holds more than 8 bytes per key; any other
+/// key in a set that allocates once per key it has not seen, never per
+/// row.
+fn count_keys<I: Iterator<Item = At>>(
+    cols: &[Src],
+    key: &[usize],
+    rows: impl Fn() -> I,
+) -> (usize, usize) {
+    if let [p] = *key {
+        if let src @ (Src::Int(_) | Src::Slot(Column::Int(_))) = cols[p] {
+            let keys = || rows().map(|at| src.int(at).expect("a typed Int column"));
+            let (mut n, mut lo, mut hi) = (0, i64::MAX, i64::MIN);
+            keys().for_each(|k| (n, lo, hi) = (n + 1, lo.min(k), hi.max(k)));
+            if n == 0 {
+                return (0, 0);
+            }
+            let span = hi.abs_diff(lo);
+            if span / 64 < n as u64 {
+                let mut bits = vec![0u64; span as usize / 64 + 1];
+                for k in keys() {
+                    let offset = k.abs_diff(lo) as usize;
+                    bits[offset / 64] |= 1 << (offset % 64);
+                }
+                return (n, bits.iter().map(|w| w.count_ones() as usize).sum());
+            }
+            let mut sorted = Vec::with_capacity(n);
+            sorted.extend(keys());
+            sorted.sort_unstable();
+            sorted.dedup();
+            return (n, sorted.len());
+        }
+    }
+    let mut distinct: HashSet<Box<[Value]>> = HashSet::new();
+    let (mut n, mut k) = (0, Vec::new());
+    for at in rows() {
+        n += 1;
+        k.clear();
+        k.extend(key.iter().map(|&p| cols[p].get(at)));
+        if !distinct.contains(&k[..]) {
+            distinct.insert(k[..].into());
+        }
+    }
+    (n, distinct.len())
 }
 
 /// The values of a join stage's key columns, or of a group's. Every TPC-H
@@ -280,7 +358,12 @@ trait Map<K: 'static>: Default + IntoIterator<Item = (K, Self::Value)> {
     fn entries(&self) -> impl Iterator<Item = (&K, &Self::Value)>;
 }
 
-impl<K: std::hash::Hash + Eq + 'static, X: Copy + 'static> Map<K> for HashMap<K, X> {
+impl<K, X, S> Map<K> for HashMap<K, X, S>
+where
+    K: std::hash::Hash + Eq + 'static,
+    X: Copy + 'static,
+    S: BuildHasher + Default,
+{
     type Value = X;
     fn get(&self, key: &K) -> Option<&X> {
         HashMap::get(self, key)
@@ -336,7 +419,37 @@ enum Keys<I, V> {
 }
 
 /// Join key → the first and last slot of its bucket.
-type KeyMap = Keys<HashMap<i64, (u32, u32)>, HashMap<IndexKey, (u32, u32)>>;
+type KeyMap = Keys<HashMap<i64, (u32, u32), IntHash>, HashMap<IndexKey, (u32, u32)>>;
+
+/// The typed join-key maps' hasher: one multiply by a 64-bit odd constant,
+/// folded so the low bits the table indexes by depend on every key bit.
+/// Where a map iterates is never observable — packets and snapshots are
+/// canonicalized, footprints are sums — so a hash that is fast on `i64`s
+/// is all a typed map needs.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_i64(&mut self, x: i64) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+type IntHash = BuildHasherDefault<IntHasher>;
 /// Group key → its slot, in key order (`Int` keys order as `i64`s do).
 type GroupMap = Keys<BTreeMap<i64, u32>, BTreeMap<IndexKey, u32>>;
 
@@ -467,6 +580,15 @@ enum Column {
     Values(Vec<Value>),
 }
 
+/// Store `x` at `c[s]`, or push it when `s` is the vector's length.
+fn put<T>(c: &mut Vec<T>, s: usize, x: T) {
+    if s == c.len() {
+        c.push(x);
+    } else {
+        c[s] = x;
+    }
+}
+
 /// Evaluate `$body` with `$c` bound to whichever vector `$column` holds.
 macro_rules! each_column {
     ($column:expr, $c:ident => $body:expr) => {
@@ -514,6 +636,38 @@ impl Column {
         }
     }
 
+    /// [`eq_at`](Self::eq_at) against `src`'s value at `at`, compared as
+    /// stored when both sides are typed (two floats are `Eq` exactly when
+    /// their bits are).
+    fn eq_src(&self, s: usize, src: Src, at: At) -> bool {
+        match (self, src) {
+            (Column::Int(c), Src::Int(xs)) => c[s] == xs.get(at.r),
+            (Column::Int(c), Src::Slot(Column::Int(v))) => c[s] == v[at.s as usize],
+            (Column::Float(c), Src::Float(xs)) => c[s].to_bits() == xs[at.r].to_bits(),
+            (Column::Float(c), Src::Slot(Column::Float(v))) => {
+                c[s].to_bits() == v[at.s as usize].to_bits()
+            }
+            _ => self.eq_at(s, &src.get(at)),
+        }
+    }
+
+    /// Store `src`'s value at `at` at slot `s`, or at a new last slot when
+    /// `s` is the column's length — as read when the column and the source
+    /// are typed alike, else [admitted](Self::admit) as a `Value` first.
+    fn store(&mut self, s: usize, src: Src, at: At) {
+        match (&mut *self, src) {
+            (Column::Int(c), Src::Int(xs)) => put(c, s, xs.get(at.r)),
+            (Column::Int(c), Src::Slot(Column::Int(v))) => put(c, s, v[at.s as usize]),
+            (Column::Float(c), Src::Float(xs)) => put(c, s, xs[at.r]),
+            (Column::Float(c), Src::Slot(Column::Float(v))) => put(c, s, v[at.s as usize]),
+            _ => {
+                let v = src.get(at);
+                self.admit(&v);
+                self.put(s, v);
+            }
+        }
+    }
+
     /// Counted bytes of slot `s`'s value.
     fn bytes_at(&self, s: usize) -> usize {
         match self {
@@ -539,13 +693,6 @@ impl Column {
     /// Store `v` (which the column [admits](Self::admit)) at slot `s`, or
     /// at a new last slot when `s` is the column's length.
     fn put(&mut self, s: usize, v: Value) {
-        fn put<T>(c: &mut Vec<T>, s: usize, x: T) {
-            if s == c.len() {
-                c.push(x);
-            } else {
-                c[s] = x;
-            }
-        }
         match (self, v) {
             (Column::Int(c), Value::Int(x)) => put(c, s, x),
             (Column::Float(c), Value::Float(x)) => put(c, s, x),
@@ -605,8 +752,8 @@ impl Slots {
     }
 
     /// `Value`'s `Eq` between slot `s`'s stored row and `row`.
-    fn row_eq(&self, s: u32, row: &[Value]) -> bool {
-        self.columns.iter().zip(row).all(|(c, v)| c.eq_at(s as usize, v))
+    fn row_eq(&self, s: u32, row: Gather) -> bool {
+        self.columns.iter().enumerate().all(|(k, c)| c.eq_src(s as usize, row.src(k), row.at))
     }
 
     /// Counted bytes of slot `s`'s entry: its values, its weight and its
@@ -625,11 +772,7 @@ impl Slots {
     /// Store `(row, weight)` as the end of a chain — in a freed slot when
     /// there is one, at the end of the arena otherwise — counting it in
     /// `fp`.
-    fn alloc(&mut self, row: Row, weight: i64, fp: &mut Footprint) -> u32 {
-        debug_assert_eq!(row.len(), self.columns.len(), "stored-row arity");
-        for (c, v) in self.columns.iter_mut().zip(&row) {
-            c.admit(v);
-        }
+    fn alloc(&mut self, row: Gather, weight: i64, fp: &mut Footprint) -> u32 {
         let s = if self.free != NIL {
             let s = self.free;
             self.free = self.next[s as usize];
@@ -645,8 +788,8 @@ impl Slots {
             self.next.push(NIL);
             s
         };
-        for (c, v) in self.columns.iter_mut().zip(row) {
-            c.put(s as usize, v);
+        for (k, c) in self.columns.iter_mut().enumerate() {
+            c.store(s as usize, row.src(k), row.at);
         }
         fp.add(self.slot_bytes(s));
         s
@@ -713,7 +856,8 @@ impl JoinIndex {
 
     /// Join a delta of weight `w` against the bucket for `key`: one output
     /// per stored row, `before ++ stored row ++ after`, at the product
-    /// weight.
+    /// weight — the row load's probe, which built every joined row.
+    #[cfg(test)]
     fn probe(&self, key: &IndexKey, w: i64, before: &[Value], after: &[Value]) -> Vec<(Row, i64)> {
         let width = before.len() + self.slots.columns.len() + after.len();
         self.bucket(key)
@@ -738,15 +882,34 @@ impl JoinIndex {
     /// last entry takes its place), a bucket's key goes with its last
     /// entry, and the arena is emptied with the last key, so fully
     /// retracted rows leave nothing behind.
-    fn update(&mut self, key: IndexKey, row: Row, weight: i64, fp: &mut Footprint) {
+    fn update(&mut self, key: IndexKey, row: Gather, weight: i64, fp: &mut Footprint) {
         let slots = &mut self.slots;
-        let Some(bucket) = self.keys.get_mut(&key) else {
-            let s = slots.alloc(row, weight, fp);
-            fp.bytes += self.keys.insert(key, (s, s));
-            return;
+        // A key a typed map holds is looked up once, for reading or adding.
+        let typed = match (&self.keys, &key) {
+            (Keys::Int(_), IndexKey::One(Value::Int(k))) if TYPED_KEYS.contains(k) => Some(*k),
+            _ => None,
+        };
+        let bucket = match (typed, &mut self.keys) {
+            (Some(k), Keys::Int(m)) => match m.entry(k) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let s = slots.alloc(row, weight, fp);
+                    e.insert((s, s));
+                    fp.bytes += KeyMap::INT_BYTES;
+                    return;
+                }
+            },
+            (_, keys) => match keys.get_mut(&key) {
+                Some(bucket) => bucket,
+                None => {
+                    let s = slots.alloc(row, weight, fp);
+                    fp.bytes += keys.insert(key, (s, s));
+                    return;
+                }
+            },
         };
         let (first, last) = *bucket;
-        let Some(s) = slots.chain(first).find(|&s| slots.row_eq(s, &row)) else {
+        let Some(s) = slots.chain(first).find(|&s| slots.row_eq(s, row)) else {
             let s = slots.alloc(row, weight, fp);
             slots.next[last as usize] = s;
             bucket.1 = s;
@@ -888,22 +1051,57 @@ impl AggStage {
         g
     }
 
-    /// Fold `row` (the last stage's output layout) into `key`'s group at
-    /// weight `w`, keeping `fp` in step.
-    fn fold(&mut self, key: IndexKey, row: &[Value], w: i64, fp: &mut Footprint) {
-        let g = self.group(key, fp) as usize;
-        self.rows[g] += w;
+    /// [`group`](Self::group) of the group key of the row at `at` of
+    /// `cols`: a one-column `Int` key read as stored goes straight to a
+    /// typed map, and only a key the map lacks is built.
+    fn group_at(&mut self, cols: &[Src], at: At, fp: &mut Footprint) -> u32 {
+        if let (Keys::Int(m), &[p]) = (&self.groups, &self.group_cols[..]) {
+            if let Some(&g) = cols[p].int(at).and_then(|k| m.get(&k)) {
+                return g;
+            }
+        }
+        self.group(IndexKey::with(&self.group_cols, |p| cols[p].get(at)), fp)
+    }
+
+    /// Apply aggregate `a`'s input of every row of `rows` (the last stage's
+    /// output layout) at the row's weight to its group's accumulator —
+    /// `groups[k]` is row `k`'s — keeping `fp` in step. Rows are applied in
+    /// order, so each accumulator sees its values in the order single rows
+    /// would bring them; a COUNT, SUM or AVG over a typed column adds the
+    /// numbers as read, without building a `Value`.
+    fn fold(&mut self, a: usize, rows: &Arrivals, groups: &[u32], fp: &mut Footprint) {
         let n = self.aggs.len();
-        for (a, (_, col)) in self.accs[g * n..][..n].iter_mut().zip(&self.aggs) {
-            let v = col.map(|i| &row[i]);
-            let held = a.multiset_len();
-            a.apply(v, w);
-            // The multiset gained or lost at most this one value.
-            if let Some(v) = v {
-                if a.multiset_len() > held {
-                    fp.add(RetractableAcc::multiset_entry_bytes(v));
-                } else if a.multiset_len() < held {
-                    fp.remove(RetractableAcc::multiset_entry_bytes(v));
+        let (func, col) = self.aggs[a];
+        // Group `g`'s accumulator is `accs[g * n]`.
+        let accs = &mut self.accs[a..];
+        let each = rows.rows.iter().zip(groups).map(|(&(at, w), &g)| (at, w, g as usize * n));
+        let algebraic = !matches!(func, AggFunc::Min | AggFunc::Max);
+        match col.map(|c| rows.cols[c]) {
+            Some(Src::Int(xs)) if algebraic => {
+                each.for_each(|(at, w, g)| accs[g].add(xs.get(at.r) as f64, w))
+            }
+            Some(Src::Float(xs)) if algebraic => {
+                each.for_each(|(at, w, g)| accs[g].add(xs[at.r], w))
+            }
+            Some(Src::Slot(Column::Int(v))) if algebraic => {
+                each.for_each(|(at, w, g)| accs[g].add(v[at.s as usize] as f64, w))
+            }
+            Some(Src::Slot(Column::Float(v))) if algebraic => {
+                each.for_each(|(at, w, g)| accs[g].add(v[at.s as usize], w))
+            }
+            src => {
+                for (at, w, g) in each {
+                    let v = src.map(|c| c.get(at));
+                    let held = accs[g].multiset_len();
+                    accs[g].apply(v.as_ref(), w);
+                    // The multiset gained or lost at most this one value.
+                    if let Some(v) = &v {
+                        if accs[g].multiset_len() > held {
+                            fp.add(RetractableAcc::multiset_entry_bytes(v));
+                        } else if accs[g].multiset_len() < held {
+                            fp.remove(RetractableAcc::multiset_entry_bytes(v));
+                        }
+                    }
                 }
             }
         }
@@ -1063,11 +1261,6 @@ impl Footprint {
     }
 }
 
-/// Charge one hash-table touch per logical row of an entry of weight `w`.
-fn charge_builds(clock: &SharedClock, w: i64) {
-    clock.charge_hash_build(w.unsigned_abs() as f64);
-}
-
 impl ViewCircuit {
     /// Compile `spec` against `catalog` into an empty circuit (no rows
     /// folded in yet; see [`load_initial`](Self::load_initial)).
@@ -1224,7 +1417,7 @@ impl ViewCircuit {
             let filter = if pred == rqp_common::Expr::true_() {
                 None
             } else {
-                Some((pred.bind(&schema.project(&cols))?, positions_in(&cols, reads)))
+                Some(pred.bind(&schema.project(&cols))?)
             };
             let keep = positions_in(&cols, kept);
             if i > 0 {
@@ -1309,21 +1502,32 @@ impl ViewCircuit {
     /// with the same catalog (or a snapshot taken at the changelog cursor
     /// stored with [`set_cursor`](Self::set_cursor)).
     ///
-    /// Each table is read straight from its columns: the filter picks the
-    /// surviving rows first, what they will fill is sized once for them —
-    /// a slot per row, a map entry per distinct key — and only then does
-    /// each survivor, narrowed to the columns the circuit reads, go through
-    /// the same propagation as a changelog row.
+    /// Each table is read straight from its columns: the selection kernel
+    /// ([`Table::select`](rqp_storage::Table::select)) picks the surviving
+    /// rows first, what they will fill is sized once for them — a slot per
+    /// row, a map entry per distinct key — and only then do the survivors,
+    /// in ascending row order and 1024 at a time, go through the same
+    /// `ingest` as a changelog row, read in place (see the module docs).
     pub fn load_initial(&mut self, catalog: &Catalog, clock: &SharedClock) -> Result<()> {
         for i in 0..self.inputs.len() {
             let table = catalog.table(&self.inputs[i].name)?;
             clock.charge_cpu_tuples(table.nrows() as f64);
-            let survivors = self.inputs[i].survivors(&table);
-            self.reserve(i, &table, &survivors);
-            for r in survivors.iter_set() {
-                let row = self.inputs[i].cols.iter().map(|&c| table.column(c).get(r)).collect();
-                self.ingest(i, row, 1, clock, None);
+            let input = &self.inputs[i];
+            let survivors = match &input.filter {
+                Some(filter) => table.select(&input.cols, filter),
+                None => SelMask::all(table.nrows()),
+            };
+            let cols: Vec<Src> = input.cols.iter().map(|&c| Src::table(table.column(c))).collect();
+            self.reserve(i, &cols, &survivors);
+            let mut tally = Tally::default();
+            let mut batch = Vec::with_capacity(LOAD_BATCH);
+            let mut rows = survivors.iter_set().peekable();
+            while rows.peek().is_some() {
+                batch.clear();
+                batch.extend(rows.by_ref().take(LOAD_BATCH));
+                self.ingest(i, &cols, &batch, 1, &mut tally, None);
             }
+            tally.charge(clock);
         }
         #[cfg(debug_assertions)]
         assert_eq!(self.footprint, self.recount(), "running footprint drifted from a recount");
@@ -1338,11 +1542,9 @@ impl ViewCircuit {
     /// groups past the last join. Every index further on is still empty, so
     /// nothing reaches beyond. Arenas get a slot per row they will receive
     /// (an upper bound: duplicates share one), key maps and groups an entry
-    /// per distinct key.
-    fn reserve(&mut self, i: usize, table: &Table, survivors: &SelMask) {
+    /// per distinct key. `cols` are the input's read-layout columns.
+    fn reserve(&mut self, i: usize, cols: &[Src], survivors: &SelMask) {
         let input = &self.inputs[i];
-        let read = |r: usize, p: usize| table.column(input.cols[p]).get(r);
-        let ints = |p: usize| table.column(input.cols[p]).as_int_slice();
         let own = match i.checked_sub(1) {
             // Stage 0's arriving layout is the first table's `keep`.
             None => self.stages.first_mut().map(|s| {
@@ -1353,22 +1555,9 @@ impl ViewCircuit {
                 Some((&mut stage.right_index, stage.right_key.clone()))
             }
         };
+        let survivors = || survivors.iter_set().map(|r| At { r, s: NIL });
         if let Some((index, key)) = own {
-            let int_key = match key[..] {
-                [p] => ints(p),
-                _ => None,
-            };
-            let (n, distinct) = match int_key {
-                Some(xs) => count_int_keys(|f| survivors.iter_set().for_each(|r| f(xs.get(r)))),
-                None => count_keys(|f| {
-                    let mut k = Vec::new();
-                    for r in survivors.iter_set() {
-                        k.clear();
-                        k.extend(key.iter().map(|&p| read(r, p)));
-                        f(&k);
-                    }
-                }),
-            };
+            let (n, distinct) = count_keys(cols, &key, survivors);
             index.reserve(n, distinct);
         }
         // Where the joined rows land: nowhere for the first table of a join
@@ -1381,46 +1570,20 @@ impl ViewCircuit {
             (None, None) => return,
         };
         // A joined row is the left side's stored row (none for the first
-        // table) followed by the survivor's kept columns.
+        // table) followed by the survivor's kept columns, as `ingest` reads
+        // it: at the left slot its key matched, and at the survivor.
         let left = i.checked_sub(1).map(|s| &self.stages[s]);
-        let arity = left.map_or(0, |s| s.left_index.slots.columns.len());
-        let value = |r: usize, s: u32, p: usize| match left {
-            Some(stage) if p < arity => stage.left_index.slots.columns[p].get(s as usize),
-            _ => read(r, input.keep[p - arity]),
-        };
-        let int_key = match target_key[..] {
-            [p] => match left {
-                Some(stage) if p < arity => match &stage.left_index.slots.columns[p] {
-                    Column::Int(v) => Some(IntKey::Slot(v)),
-                    _ => None,
-                },
-                _ => ints(input.keep[p - arity]).map(IntKey::Row),
-            },
-            _ => None,
-        };
-        // Every joined row as (survivor, left slot): one per stored row its
-        // key matches, or the survivor alone (`NIL`) for the first table.
-        let each_joined = |f: &mut dyn FnMut(usize, u32)| {
-            for r in survivors.iter_set() {
-                match left {
-                    Some(stage) => {
-                        let probe = IndexKey::with(&stage.right_key, |p| read(r, p));
-                        stage.left_index.bucket(&probe).for_each(|s| f(r, s));
-                    }
-                    None => f(r, NIL),
-                }
-            }
-        };
-        let (joined, distinct) = match int_key {
-            Some(key) => count_int_keys(|f| each_joined(&mut |r, s| f(key.get(r, s)))),
-            None => count_keys(|f| {
-                let mut k = Vec::new();
-                each_joined(&mut |r, s| {
-                    k.clear();
-                    k.extend(target_key.iter().map(|&p| value(r, s, p)));
-                    f(&k);
+        let slots = left.into_iter().flat_map(|s| s.left_index.slots.columns.iter().map(Src::Slot));
+        let joined_cols: Vec<Src> = slots.chain(input.keep.iter().map(|&p| cols[p])).collect();
+        let (joined, distinct) = match left {
+            // One joined row per stored row the survivor's key matches.
+            Some(stage) => count_keys(&joined_cols, target_key, || {
+                survivors().flat_map(|at| {
+                    let key = IndexKey::with(&stage.right_key, |p| cols[p].get(at));
+                    stage.left_index.bucket(&key).map(move |s| At { s, ..at })
                 })
             }),
+            None => count_keys(&joined_cols, target_key, survivors),
         };
         match (self.stages.get_mut(i), &mut self.agg) {
             (Some(next), _) => next.left_index.reserve(joined, distinct),
@@ -1435,6 +1598,7 @@ impl ViewCircuit {
     /// catalog-wide). Every touched row charges the shared cost clock.
     pub fn apply(&mut self, recs: &[ChangeRecord], clock: &SharedClock) -> DeltaPacket {
         let mut acc = PacketAcc::default();
+        let mut tally = Tally::default();
         let mut epoch = self.cursor.saturating_sub(1);
         for rec in recs {
             epoch = epoch.max(rec.epoch);
@@ -1448,12 +1612,13 @@ impl ViewCircuit {
             };
             let input = &self.inputs[i];
             debug_assert_eq!(rec.row.len(), input.arity, "changelog row arity");
-            clock.charge_cpu_tuples(1.0);
+            tally.tuples += 1;
             let row = narrow(&rec.row, &input.cols);
-            if input.filter.as_ref().is_none_or(|(f, _)| f.eval_bool(&row)) {
-                self.ingest(i, row, w, clock, Some(&mut acc));
+            if input.filter.as_ref().is_none_or(|f| f.eval_bool(&row)) {
+                self.ingest(i, &Src::of_row(&row), &[0], w, &mut tally, Some(&mut acc));
             }
         }
+        tally.charge(clock);
         // Aggregate finalization: one retract/insert pair per changed
         // group, comparing pre-batch and post-batch output rows. Only a
         // touched group can have lost its last row, so only touched groups
@@ -1555,85 +1720,186 @@ impl ViewCircuit {
         fp
     }
 
-    /// Push one weighted base-table row (in its table's read layout) that
-    /// passed its filter through the joins and the terminal stage. `out` is
-    /// `None` during the initial load (state is built, nothing is emitted).
+    /// Push a batch of base-table rows of input `input_idx` that passed its
+    /// filter — rows `rows` of its read-layout columns `cols`, in order,
+    /// each of weight `weight` — through the joins and the terminal stage,
+    /// adding what they owe the cost clock to `tally`. `out` is `None`
+    /// during the initial load (state is built, nothing is emitted).
+    ///
+    /// Rows on the first table enter stage 0 on the left; rows on table
+    /// `i > 0` enter stage `i - 1` on the right, joining everything already
+    /// accumulated on the left, and the joined rows flow on through the
+    /// remaining stages, a stage at a time. Within a batch every index is
+    /// either probed or merged into, never both, and each sees its rows in
+    /// row order; so a batch leaves every index, group, float sum and
+    /// charge as its rows ingested one at a time would.
     fn ingest(
         &mut self,
         input_idx: usize,
-        row: Row,
+        cols: &[Src<'_>],
+        rows: &[usize],
         weight: i64,
-        clock: &SharedClock,
-        mut out: Option<&mut PacketAcc>,
+        tally: &mut Tally,
+        out: Option<&mut PacketAcc>,
     ) {
-        let input = &self.inputs[input_idx];
-        debug_assert_eq!(row.len(), input.cols.len(), "read-layout arity");
-        // Propagate through the join chain. A delta on the first table
-        // enters stage 0 on the left; a delta on table i>0 enters stage
-        // i-1 on the right (joining everything already accumulated), then
-        // flows left through the remaining stages.
-        let kept = narrow(&row, &input.keep);
-        let mut cur: Vec<(Row, i64)> = if input_idx > 0 {
-            let stage = &mut self.stages[input_idx - 1];
-            let key = IndexKey::of(&row, &stage.right_key);
-            clock.charge_hash_build(1.0);
-            let joined = stage.left_index.probe(&key, weight, &[], &kept);
-            stage.right_index.update(key, kept, weight, &mut self.footprint);
-            clock.charge_cpu_tuples(logical_rows(&joined));
-            joined
-        } else {
-            vec![(kept, weight)]
+        let ViewCircuit { inputs, stages, agg, projection, view, footprint, .. } = self;
+        let keep = &inputs[input_idx].keep;
+        let kept: Vec<Src> = keep.iter().map(|&p| cols[p]).collect();
+        let mut fold = Fold { agg: agg.as_mut(), projection, view, footprint, tally, out };
+        let Some(prev) = input_idx.checked_sub(1) else {
+            let rows = rows.iter().map(|&r| (At { r, s: NIL }, weight)).collect();
+            return fold.push(stages, Arrivals { cols: kept, rows });
         };
-        for stage in &mut self.stages[input_idx..] {
-            if cur.is_empty() {
-                return;
+        let (done, later) = stages.split_at_mut(input_idx);
+        let stage = &mut done[prev];
+        let left = &stage.left_index;
+        let key = |r: usize| IndexKey::with(&stage.right_key, |p| cols[p].get(At { r, s: NIL }));
+        // All probes first, then all merges: the lookups of a batch are
+        // independent of one another, and a loop of nothing else lets them
+        // overlap.
+        let mut joined = Vec::new();
+        for &r in rows {
+            for s in left.bucket(&key(r)) {
+                let w = left.slots.weights[s as usize] * weight;
+                fold.tally.tuples += w.unsigned_abs();
+                joined.push((At { r, s }, w));
             }
-            let mut next = Vec::new();
-            for (lrow, lw) in cur {
-                let key = IndexKey::of(&lrow, &stage.left_key);
-                let stored = narrow(&lrow, &stage.left_keep);
-                charge_builds(clock, lw);
-                next.extend(stage.right_index.probe(&key, lw, &stored, &[]));
-                stage.left_index.update(key, stored, lw, &mut self.footprint);
-            }
-            clock.charge_cpu_tuples(logical_rows(&next));
-            cur = next;
         }
-        // Terminal stage: fold into the aggregate groups or the multiset
-        // view, emitting into the packet when one is being built.
-        if let Some(agg) = &mut self.agg {
-            for (row, w) in cur {
-                let key = IndexKey::of(&row, &agg.group_cols);
-                if let Some(acc) = out.as_deref_mut() {
-                    if !acc.touched.contains_key(&key) {
-                        let old = agg.output(&key).map(|r| project(&self.projection, r));
-                        acc.touched.insert(key.clone(), old);
-                    }
+        fold.tally.builds += rows.len() as u64;
+        for &r in rows {
+            let row = Gather { cols, positions: keep, at: At { r, s: NIL } };
+            stage.right_index.update(key(r), row, weight, fold.footprint);
+        }
+        let slots = left.slots.columns.iter().map(Src::Slot);
+        fold.push(
+            later,
+            Arrivals { cols: slots.chain(kept.iter().copied()).collect(), rows: joined },
+        );
+    }
+}
+
+/// How many survivors the initial load hands [`ViewCircuit::ingest`] at a
+/// time: enough to run each pass as a loop over plain slices, few enough
+/// that a batch's joined rows stay small and cache-resident.
+const LOAD_BATCH: usize = 1024;
+
+/// Cost-clock units an ingest owes, charged in one go by its caller: the
+/// clock is exact, so a sum charged once reads as its parts charged one by
+/// one.
+#[derive(Default)]
+struct Tally {
+    /// Tuples read or emitted, each row of weight `w` counting `|w|`.
+    tuples: u64,
+    /// Hash-table touches.
+    builds: u64,
+}
+
+impl Tally {
+    fn charge(self, clock: &SharedClock) {
+        clock.charge_cpu_tuples(self.tuples as f64);
+        clock.charge_hash_build(self.builds as f64);
+    }
+}
+
+/// What rows pushed through the join stages reach besides their indexes:
+/// the terminal stage, the running footprint, the charges owed and the
+/// packet being built (`None` during the initial load).
+struct Fold<'a> {
+    agg: Option<&'a mut AggStage>,
+    projection: &'a Option<Vec<usize>>,
+    view: &'a mut BTreeMap<Row, i64>,
+    footprint: &'a mut Footprint,
+    tally: &'a mut Tally,
+    out: Option<&'a mut PacketAcc>,
+}
+
+impl Fold<'_> {
+    /// Push `rows` into the first of `stages`: join each against the
+    /// stage's right side and merge it into the left side, then push the
+    /// joined rows on through the rest. Past the last stage, fold them into
+    /// the terminal stage.
+    fn push(&mut self, stages: &mut [JoinStage], rows: Arrivals<'_>) {
+        if rows.rows.is_empty() {
+            return;
+        }
+        let Some((stage, later)) = stages.split_first_mut() else {
+            return self.terminal(&rows);
+        };
+        let right = &stage.right_index;
+        let keep = &stage.left_keep;
+        // The joined rows' left halves, gathered: a joined row reads them
+        // at its number and its right half at its right slot.
+        let mut stored: Vec<Vec<Value>> = vec![Vec::new(); keep.len()];
+        let mut joined = Vec::new();
+        for &(at, w) in &rows.rows {
+            let key = IndexKey::with(&stage.left_key, |p| rows.cols[p].get(at));
+            self.tally.builds += w.unsigned_abs();
+            for t in right.bucket(&key) {
+                for (column, &p) in stored.iter_mut().zip(keep) {
+                    column.push(rows.cols[p].get(at));
                 }
-                charge_builds(clock, w);
-                agg.fold(key, &row, w, &mut self.footprint);
+                let jw = right.slots.weights[t as usize] * w;
+                self.tally.tuples += jw.unsigned_abs();
+                joined.push((At { r: joined.len(), s: t }, jw));
             }
-        } else {
-            for (row, w) in cur {
-                let row = project(&self.projection, row);
-                charge_builds(clock, w);
-                let held = self.view.len();
-                let net = self.view.entry(row.clone()).or_insert(0);
-                *net += w;
-                debug_assert!(*net >= 0, "retraction of a row the view never held");
-                if *net == 0 {
-                    self.view.remove(&row);
-                }
-                if self.view.len() > held {
-                    self.footprint.add(entry_bytes(&row));
-                } else if self.view.len() < held {
-                    self.footprint.remove(entry_bytes(&row));
-                }
-                if let Some(acc) = out.as_deref_mut() {
-                    let list = if w > 0 { &mut acc.inserted } else { &mut acc.retracted };
-                    for _ in 0..w.unsigned_abs() {
-                        list.push(row.clone());
+            let row = Gather { cols: &rows.cols, positions: keep, at };
+            stage.left_index.update(key, row, w, self.footprint);
+        }
+        let lefts = stored.iter().map(|c| Src::Values(c));
+        let cols = lefts.chain(right.slots.columns.iter().map(Src::Slot)).collect();
+        self.push(later, Arrivals { cols, rows: joined });
+    }
+
+    /// Fold `rows` into the aggregate groups or the multiset view, emitting
+    /// into the packet when one is being built.
+    fn terminal(&mut self, rows: &Arrivals<'_>) {
+        self.tally.builds += rows.rows.iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>();
+        if let Some(agg) = self.agg.as_deref_mut() {
+            // Each row's group, in row order — so groups are created in the
+            // order single rows would create them — then every aggregate
+            // over all rows, a column at a time.
+            let mut groups = Vec::with_capacity(rows.rows.len());
+            for &(at, w) in &rows.rows {
+                let g = match self.out.as_deref_mut() {
+                    Some(acc) => {
+                        let key = IndexKey::with(&agg.group_cols, |p| rows.cols[p].get(at));
+                        if !acc.touched.contains_key(&key) {
+                            let old = agg.output(&key).map(|r| project(self.projection, r));
+                            acc.touched.insert(key.clone(), old);
+                        }
+                        agg.group(key, self.footprint)
                     }
+                    None => agg.group_at(&rows.cols, at, self.footprint),
+                };
+                agg.rows[g as usize] += w;
+                groups.push(g);
+            }
+            for a in 0..agg.aggs.len() {
+                agg.fold(a, rows, &groups, self.footprint);
+            }
+            return;
+        }
+        for &(at, w) in &rows.rows {
+            let row: Row = match self.projection {
+                Some(idx) => idx.iter().map(|&p| rows.cols[p].get(at)).collect(),
+                None => rows.cols.iter().map(|c| c.get(at)).collect(),
+            };
+            let held = self.view.len();
+            let net = self.view.entry(row.clone()).or_insert(0);
+            *net += w;
+            debug_assert!(*net >= 0, "retraction of a row the view never held");
+            if *net == 0 {
+                self.view.remove(&row);
+            }
+            if self.view.len() > held {
+                self.footprint.add(entry_bytes(&row));
+            } else if self.view.len() < held {
+                self.footprint.remove(entry_bytes(&row));
+            }
+            if let Some(acc) = self.out.as_deref_mut() {
+                let list = if w > 0 { &mut acc.inserted } else { &mut acc.retracted };
+                for _ in 0..w.unsigned_abs() {
+                    list.push(row.clone());
                 }
             }
         }
@@ -1646,11 +1912,6 @@ fn project(projection: &Option<Vec<usize>>, row: Row) -> Row {
         Some(idx) => narrow(&row, idx),
         None => row,
     }
-}
-
-/// Logical (weight-expanded) row count of a delta batch, as a clock charge.
-fn logical_rows(rows: &[(Row, i64)]) -> f64 {
-    rows.iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>() as f64
 }
 
 #[cfg(test)]
@@ -1825,6 +2086,24 @@ mod tests {
 
         fn assert_consistent(&self) {
             assert_eq!(self.circuit.snapshot(), self.rerun(), "view diverged from re-run");
+        }
+    }
+
+    /// Merge one materialized row into `index`'s bucket for `key`.
+    fn update_row(index: &mut JoinIndex, key: IndexKey, row: &[Value], w: i64, fp: &mut Footprint) {
+        let (cols, positions) = (Src::of_row(row), Vec::from_iter(0..row.len()));
+        let row = Gather { cols: &cols, positions: &positions, at: At { r: 0, s: NIL } };
+        index.update(key, row, w, fp);
+    }
+
+    /// Fold one materialized row (the last stage's output layout) into
+    /// `key`'s group at weight `w`, as a batch of one.
+    fn fold_row(agg: &mut AggStage, key: IndexKey, row: &[Value], w: i64, fp: &mut Footprint) {
+        let g = agg.group(key, fp);
+        agg.rows[g as usize] += w;
+        let rows = Arrivals { cols: Src::of_row(row), rows: vec![(At { r: 0, s: NIL }, w)] };
+        for a in 0..agg.aggs.len() {
+            agg.fold(a, &rows, &[g], fp);
         }
     }
 
@@ -2278,7 +2557,7 @@ mod tests {
                         index.slots.columns.iter().any(|c| matches!(c, Column::Values(_)));
                     let entries = |model: &ModelIndex| model.values().map(Vec::len).sum::<usize>();
                     let (held, len) = (entries(model), index.slots.weights.len());
-                    index.update(IndexKey::of(&key, &positions), row.clone(), w, &mut fp);
+                    update_row(index, IndexKey::of(&key, &positions), &row, w, &mut fp);
                     model_update(model, key, row, w);
                     if switched && entries(model) > held && index.slots.weights.len() == len {
                         reused_after_switch += 1;
@@ -2378,7 +2657,7 @@ mod tests {
         let mut index = JoinIndex::new(&[DataType::Int], &[DataType::Int]);
         let one = |v: Value| IndexKey::One(v);
         for k in 0..4 {
-            index.update(one(Value::Int(k)), vec![Value::Int(10 * k)], 1, &mut fp);
+            update_row(&mut index, one(Value::Int(k)), &[Value::Int(10 * k)], 1, &mut fp);
         }
         let found = |index: &JoinIndex, v: Value| -> Vec<Row> {
             index.probe(&one(v), 1, &[], &[]).into_iter().map(|(r, _)| r).collect()
@@ -2394,11 +2673,12 @@ mod tests {
             }
             assert_eq!(found(&index, Value::Float(0.0)), vec![vec![Value::Int(0)]]);
             // A `Float(1.0)` update merges into the key `Int(1)`.
-            index.update(one(Value::Float(1.0)), vec![Value::Int(10)], 1, &mut fp);
+            update_row(&mut index, one(Value::Float(1.0)), &[Value::Int(10)], 1, &mut fp);
             assert_eq!(index.probe(&one(Value::Int(1)), 1, &[], &[])[0].1, 2);
-            index.update(one(Value::Int(1)), vec![Value::Int(10)], -1, &mut fp);
+            update_row(&mut index, one(Value::Int(1)), &[Value::Int(10)], -1, &mut fp);
             // A key no typed map holds switches it.
-            index.update(one(Value::Str("x".into())), vec![Value::Float(0.5)], 1, &mut fp);
+            let x = one(Value::Str("x".into()));
+            update_row(&mut index, x, &[Value::Float(0.5)], 1, &mut fp);
             assert_eq!(fp, index.recount());
         }
         // The column switched at the `Float(0.5)` and kept the `Int`s.
@@ -2449,7 +2729,7 @@ mod tests {
             let mut held: Vec<Row> = Vec::new();
             let step = |agg: &mut AggStage, model: &mut Model, fp: &mut Footprint, row: Row, w| {
                 let key = IndexKey::of(&row, &group_cols);
-                agg.fold(key.clone(), &row, w, fp);
+                fold_row(agg, key.clone(), &row, w, fp);
                 agg.drop_if_empty(&key, fp);
                 let mkey = key.values().to_vec();
                 let (rows, accs) = model.entry(mkey.clone()).or_insert_with(|| (0, fresh()));
@@ -2507,6 +2787,342 @@ mod tests {
             for _ in 0..40 {
                 let row = draw(&mut rng, false);
                 step(&mut agg, &mut model, &mut fp, row, 1);
+            }
+        }
+    }
+
+    /// The row load the column-batch load replaced, kept as the reference
+    /// it must match bit for bit: the filter evaluated on a `Row` per table
+    /// row, a `Row` per survivor, each stage's joined rows collected as
+    /// `Row`s before the next stage runs, and every charge made as it
+    /// happens.
+    fn row_load(circuit: &mut ViewCircuit, catalog: &Catalog, clock: &SharedClock) {
+        for i in 0..circuit.inputs.len() {
+            let table = catalog.table(&circuit.inputs[i].name).unwrap();
+            clock.charge_cpu_tuples(table.nrows() as f64);
+            let input = &circuit.inputs[i];
+            let read =
+                |r: usize| -> Row { input.cols.iter().map(|&c| table.column(c).get(r)).collect() };
+            let mut survivors = SelMask::all(table.nrows());
+            if let Some(filter) = &input.filter {
+                survivors.retain(|r| filter.eval_bool(&read(r)));
+            }
+            let cols: Vec<Src> = input.cols.iter().map(|&c| Src::table(table.column(c))).collect();
+            let rows: Vec<Row> = survivors.iter_set().map(read).collect();
+            circuit.reserve(i, &cols, &survivors);
+            for row in rows {
+                row_ingest(circuit, i, row, clock);
+            }
+        }
+    }
+
+    /// One survivor of input `i` through the row load's propagation.
+    fn row_ingest(c: &mut ViewCircuit, i: usize, row: Row, clock: &SharedClock) {
+        let logical = |rows: &[(Row, i64)]| rows.iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>();
+        let kept = narrow(&row, &c.inputs[i].keep);
+        let mut cur = match i.checked_sub(1) {
+            Some(s) => {
+                let stage = &mut c.stages[s];
+                let key = IndexKey::of(&row, &stage.right_key);
+                clock.charge_hash_build(1.0);
+                let joined = stage.left_index.probe(&key, 1, &[], &kept);
+                update_row(&mut stage.right_index, key, &kept, 1, &mut c.footprint);
+                clock.charge_cpu_tuples(logical(&joined) as f64);
+                joined
+            }
+            None => vec![(kept, 1)],
+        };
+        for stage in &mut c.stages[i..] {
+            if cur.is_empty() {
+                return;
+            }
+            let mut next = Vec::new();
+            for (lrow, lw) in cur {
+                let key = IndexKey::of(&lrow, &stage.left_key);
+                let stored = narrow(&lrow, &stage.left_keep);
+                clock.charge_hash_build(lw.unsigned_abs() as f64);
+                next.extend(stage.right_index.probe(&key, lw, &stored, &[]));
+                update_row(&mut stage.left_index, key, &stored, lw, &mut c.footprint);
+            }
+            clock.charge_cpu_tuples(logical(&next) as f64);
+            cur = next;
+        }
+        for (row, w) in cur {
+            clock.charge_hash_build(w.unsigned_abs() as f64);
+            if let Some(agg) = &mut c.agg {
+                fold_row(agg, IndexKey::of(&row, &agg.group_cols), &row, w, &mut c.footprint);
+                continue;
+            }
+            let row = project(&c.projection, row);
+            let net = c.view.entry(row.clone()).or_insert(0);
+            *net += w;
+            if *net == w {
+                c.footprint.add(entry_bytes(&row));
+            }
+        }
+    }
+
+    /// Everything a load leaves that anyone could tell apart: the view, the
+    /// footprint (running and recounted), every index's entries bucket by
+    /// bucket with their stored keys, the groups, every arena's capacity and
+    /// the cost clock's bits.
+    fn load_state(c: &ViewCircuit, clock: &SharedClock) -> String {
+        let mut out = format!(
+            "{:?} rows {} bytes {} recount {:?} clock {:#x} {:?}\n",
+            c.snapshot(),
+            c.state_rows(),
+            c.state_bytes(),
+            c.recount(),
+            clock.now().to_bits(),
+            clock.breakdown(),
+        );
+        for ix in c.stages.iter().flat_map(|s| [&s.left_index, &s.right_index]) {
+            let mut buckets: Vec<String> = ix
+                .keys
+                .iter()
+                .map(|(k, (first, _), bytes)| {
+                    let slots: Vec<(u32, Row, i64)> = ix
+                        .slots
+                        .chain(first)
+                        .map(|s| (s, ix.slots.row(s), ix.slots.weights[s as usize]))
+                        .collect();
+                    format!("{k:?} {bytes} {slots:?}")
+                })
+                .collect();
+            buckets.sort();
+            let typed = ix.slots.columns.iter().map(|c| matches!(c, Column::Values(_)));
+            let capacity = (ix.slots.weights.capacity(), ix.slots.next.capacity());
+            let keys = match &ix.keys {
+                Keys::Int(m) => ("typed", m.capacity()),
+                Keys::Values(m) => ("values", m.capacity()),
+            };
+            out += &format!("{buckets:?} {:?} {capacity:?} {keys:?}\n", typed.collect::<Vec<_>>());
+        }
+        if let Some(agg) = &c.agg {
+            let groups: Vec<_> = agg.groups.iter().collect();
+            let accs: Vec<String> = agg.accs.iter().map(|a| format!("{a:?}")).collect();
+            let capacity = (agg.rows.capacity(), agg.accs.capacity());
+            out += &format!("{groups:?} {:?} {accs:?} {capacity:?}\n", agg.rows);
+        }
+        out
+    }
+
+    /// Compile `spec` and load `catalog` twice — through the column-batch
+    /// load and through the row load — and require the same state.
+    fn assert_loads_alike(spec: &QuerySpec, catalog: &Catalog) {
+        let (batch_clock, row_clock) = (CostClock::default_clock(), CostClock::default_clock());
+        let mut batch = ViewCircuit::compile(spec, catalog).unwrap();
+        batch.load_initial(catalog, &batch_clock).unwrap();
+        let mut rows = ViewCircuit::compile(spec, catalog).unwrap();
+        row_load(&mut rows, catalog, &row_clock);
+        assert_eq!(batch.footprint, batch.recount(), "footprint vs recount");
+        assert_eq!(load_state(&batch, &batch_clock), load_state(&rows, &row_clock), "{spec:?}");
+    }
+
+    /// The standing specs the benchmark and a11 subscribe, ORDER BY dropped.
+    fn tpch_specs(db: &rqp_workload::TpchDb) -> Vec<QuerySpec> {
+        let menu = [db.q1(30), db.q3(1, 400), db.q6(100, 0.05, 30), db.q1(90)];
+        let shapes = [db.q1(60), db.q3(2, 1250), db.q5(3, 22, 700), db.q5(0, 24, 0)];
+        let mut specs: Vec<QuerySpec> = menu.into_iter().chain(shapes).collect();
+        for s in &mut specs {
+            s.order_by.clear();
+            s.limit = None;
+        }
+        specs
+    }
+
+    #[test]
+    fn column_load_matches_the_row_load_on_tpch_shapes() {
+        use rqp_workload::tpch::TpchParams;
+        for (rows, seed) in [(4_000, 111), (20_000, 7)] {
+            let params =
+                TpchParams { lineitem_rows: rows, with_indexes: false, ..Default::default() };
+            let db = rqp_workload::TpchDb::build(params, seed);
+            for spec in tpch_specs(&db) {
+                assert_loads_alike(&spec, &db.catalog);
+            }
+        }
+    }
+
+    /// Seeded tables `t(k, a, f, s)` and `u(k, b, g, s)` (`Int`, `Int`,
+    /// `Float`, `Str`): each `Int` column drawn at one of the four stored
+    /// widths, the eight-byte one with keys beyond ±2^53 and the `i64`
+    /// extremes; floats with NaN payloads, ±0.0, ±inf and integral values
+    /// that equal an `Int` key; short strings. Empty when `rows` is 0.
+    fn random_catalog(seed: u64, rows: usize) -> Catalog {
+        use rand::Rng;
+        let mut rng = rqp_common::rng::seeded(seed);
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            2.0,
+            -3.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0002),
+        ];
+        let wide = [(1i64 << 53) + 1, -(1 << 53) - 3, i64::MAX, i64::MIN, 1 << 53];
+        let mut c = Catalog::new();
+        for (name, ints) in [("t", ["k", "a"]), ("u", ["k", "b"])] {
+            let (f, s) = if name == "t" { ("f", "s") } else { ("g", "s") };
+            let schema = Schema::from_pairs(&[
+                (ints[0], DataType::Int),
+                (ints[1], DataType::Int),
+                (f, DataType::Float),
+                (s, DataType::Str),
+            ]);
+            let mut table = Table::new(name, schema);
+            // Per `Int` column a stored width; keys stay in a small domain
+            // so joins and groups meet.
+            let widths: [u32; 2] = [rng.gen_range(0..4), rng.gen_range(0..4)];
+            for _ in 0..rows {
+                let int = |rng: &mut rand::rngs::StdRng, width: u32| -> i64 {
+                    let small = rng.gen_range(-4..6);
+                    match (width, rng.gen_range(0..4)) {
+                        (_, 0..=1) | (0, _) => small,
+                        (1, _) => small * 1_000,
+                        (2, _) => small * 100_000_000,
+                        _ => wide[rng.gen_range(0..wide.len())],
+                    }
+                };
+                let row = vec![
+                    Value::Int(int(&mut rng, widths[0])),
+                    Value::Int(int(&mut rng, widths[1])),
+                    Value::Float(floats[rng.gen_range(0..floats.len())]),
+                    Value::Str(["a", "b", "long enough", ""][rng.gen_range(0..4usize)].into()),
+                ];
+                table.append(row);
+            }
+            c.add_table(table);
+        }
+        c
+    }
+
+    /// Specs over [`random_catalog`]: filters on every column type
+    /// (NULL-free, NaN-bearing and string ones among them), joins on an
+    /// `Int`, a `Float` and a `Str` key, groups by each type, MIN/MAX
+    /// beside SUM/AVG/COUNT, and plain projections.
+    fn random_specs() -> Vec<QuerySpec> {
+        let sums = |col: &str| {
+            vec![
+                AggSpec::count_star("n"),
+                AggSpec::on(AggFunc::Sum, col, "s"),
+                AggSpec::on(AggFunc::Avg, col, "a"),
+                AggSpec::on(AggFunc::Min, col, "lo"),
+                AggSpec::on(AggFunc::Max, col, "hi"),
+            ]
+        };
+        vec![
+            QuerySpec::new()
+                .table("t")
+                .filter("t", col("t.a").gt(lit(0i64)))
+                .aggregate(&["t.k"], sums("t.f")),
+            QuerySpec::new()
+                .table("t")
+                .filter("t", col("t.f").ge(lit(0.0)))
+                .aggregate(&["t.f"], sums("t.a")),
+            QuerySpec::new()
+                .table("t")
+                .filter("t", col("t.s").eq(lit("b")))
+                .aggregate(&["t.s"], sums("t.k")),
+            QuerySpec::new()
+                .table("t")
+                .filter("t", col("t.s").lt(lit("b")).or(col("t.f").lt(lit(1.0))))
+                .project(&["t.k", "t.f"]),
+            QuerySpec::new()
+                .table("t")
+                .filter("t", col("t.k").gt(lit(i64::MAX)))
+                .aggregate(&["t.k"], sums("t.a")),
+            QuerySpec::new().table("t").aggregate(&[], sums("t.a")),
+            QuerySpec::new()
+                .join("t", "k", "u", "k")
+                .filter("u", col("u.b").ne(lit(0i64)))
+                .aggregate(&["t.a"], sums("u.g")),
+            QuerySpec::new().join("t", "f", "u", "g").aggregate(&["u.k"], sums("t.a")),
+            // `t.f` reaches the groups from the left slots, where equal rows
+            // of `t` have collapsed into one entry of weight above one.
+            QuerySpec::new().join("t", "k", "u", "k").aggregate(&["u.b"], sums("t.f")),
+            QuerySpec::new()
+                .join("t", "s", "u", "s")
+                .filter("t", col("t.f").lt(lit(f64::INFINITY)))
+                .project(&["t.a", "u.b", "u.g"]),
+            QuerySpec::new()
+                .join("t", "k", "u", "b")
+                .filter("t", col("t.s").ne(lit("a")))
+                .aggregate(&["u.s", "t.a"], sums("u.g")),
+        ]
+    }
+
+    #[test]
+    fn column_load_matches_the_row_load_on_random_tables() {
+        for seed in 0..12u64 {
+            // Empty tables, a few rows, and enough to span several batches.
+            let rows = [0, 1, 37, 2_600][seed as usize % 4];
+            let catalog = random_catalog(seed, rows);
+            for spec in random_specs() {
+                assert_loads_alike(&spec, &catalog);
+            }
+        }
+    }
+
+    /// A copy of `catalog`'s tables, empty, with a changelog attached.
+    fn empty_like(catalog: &Catalog, names: &[String]) -> (Catalog, Arc<Changelog>) {
+        let mut empty = Catalog::new();
+        for name in names {
+            empty
+                .add_table(Table::new(name.clone(), catalog.table(name).unwrap().schema().clone()));
+        }
+        let log = Arc::new(Changelog::new());
+        empty.attach_changelog(&log);
+        (empty, log)
+    }
+
+    /// Loading a populated table leaves what loading it empty and then
+    /// inserting the same rows, table by table in the circuit's order and
+    /// row by row, leaves; retracting every row afterwards leaves what an
+    /// empty load does (nothing, but a global aggregate's group).
+    #[test]
+    fn a_load_equals_its_replay() {
+        use rqp_workload::tpch::TpchParams;
+        let params = TpchParams { lineitem_rows: 3_000, with_indexes: false, ..Default::default() };
+        let db = rqp_workload::TpchDb::build(params, 5);
+        let random = random_catalog(99, 700);
+        let tpch = tpch_specs(&db).into_iter().map(|spec| (spec, &db.catalog));
+        let cases = tpch.chain(random_specs().into_iter().map(|spec| (spec, &random)));
+        for (spec, catalog) in cases {
+            let clock = CostClock::default_clock();
+            let mut loaded = ViewCircuit::compile(&spec, catalog).unwrap();
+            loaded.load_initial(catalog, &clock).unwrap();
+            let names: Vec<String> = loaded.inputs.iter().map(|t| t.name.clone()).collect();
+            let (mut empty, log) = empty_like(catalog, &names);
+            let mut replayed = ViewCircuit::compile(&spec, &empty).unwrap();
+            replayed.load_initial(&empty, &clock).unwrap();
+            let fresh = (replayed.state_rows(), replayed.state_bytes());
+            for name in &names {
+                for row in catalog.table(name).unwrap().iter_rows() {
+                    empty.table_mut(name).unwrap().append(row);
+                }
+            }
+            let (inserts, _) = log.since_up_to(0, usize::MAX);
+            replayed.apply(&inserts, &clock);
+            assert_eq!(replayed.snapshot(), loaded.snapshot(), "{spec:?}");
+            assert_eq!(replayed.state_rows(), loaded.state_rows(), "{spec:?}");
+            assert_eq!(replayed.state_bytes(), loaded.state_bytes(), "{spec:?}");
+            for name in &names {
+                while empty.table(name).unwrap().nrows() > 0 {
+                    empty.table_mut(name).unwrap().delete_row(0);
+                }
+            }
+            let (retracts, _) = log.since_up_to(inserts.len() as u64, usize::MAX);
+            replayed.apply(&retracts, &clock);
+            assert_eq!((replayed.state_rows(), replayed.state_bytes()), fresh, "{spec:?}");
+            if spec.group_by.is_empty() && !spec.aggs.is_empty() {
+                assert_eq!(fresh.0, 1, "a global aggregate keeps its group");
+            } else {
+                assert_eq!(fresh.0, 0, "nothing stays behind");
             }
         }
     }
