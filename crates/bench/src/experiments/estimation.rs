@@ -152,7 +152,7 @@ fn e19_body(h: &mut Harness) -> String {
         h.note_seed("db", 19),
     );
     let reg = TableStatsRegistry::analyze_catalog(&db.catalog, 32);
-    let repo = Rc::new(RefCell::new(FeedbackRepo::new(0.8)));
+    let repo = RefCell::new(FeedbackRepo::new(0.8));
     // Base estimator underestimates the fact table 40×.
     let lie: &EstimatorWrapper<'_> =
         &|e| Box::new(LyingEstimator::new(e).with_table_factor("fact", 1.0 / 40.0));

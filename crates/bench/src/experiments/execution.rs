@@ -9,7 +9,10 @@ use rqp::exec::{
 };
 use rqp::expr::{col, lit};
 use rqp::metrics::ReportTable;
+use rqp::storage::{AdaptiveMergeIndex, CrackerColumn};
 use rqp::{Catalog, DataType, Row, Schema, Table, Value};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// E11 — adaptive indexing: cracking vs adaptive merging vs scan vs eager
 /// index over a query sequence (the convergence curve).
@@ -26,9 +29,9 @@ fn e11_body(h: &mut Harness) -> String {
     for _ in 0..rows {
         t.append(vec![Value::Int(rng.gen_range(0..rows as i64))]);
     }
+    let cracker = Rc::new(RefCell::new(CrackerColumn::over(&t, "k").expect("cracker")));
+    let amerge = Rc::new(RefCell::new(AdaptiveMergeIndex::over(&t, "k", 0).expect("amerge")));
     catalog.add_table(t);
-    catalog.create_cracker("t", "k").expect("cracker");
-    catalog.create_amerge("t", "k", 0).expect("amerge");
     // Eager index pays its build up front.
     let eager_ctx = ExecContext::unbounded();
     eager_ctx
@@ -50,21 +53,21 @@ fn e11_body(h: &mut Harness) -> String {
         let mut scan = TableScanOp::new(catalog.table("t").expect("t"), scan_ctx.clone());
         while scan.next().is_some() {}
         let mut crack = CrackerScanOp::new(
-            catalog.cracker("t", "k").expect("cracker"),
+            Rc::clone(&cracker),
             catalog.table("t").expect("t"),
             lo,
             hi,
             crack_ctx.clone(),
         );
         let n_crack = collect(&mut crack).len();
-        let mut amerge = AMergeScanOp::new(
-            catalog.amerge("t", "k").expect("amerge"),
+        let mut merge = AMergeScanOp::new(
+            Rc::clone(&amerge),
             catalog.table("t").expect("t"),
             lo,
             hi,
             amerge_ctx.clone(),
         );
-        let n_amerge = collect(&mut amerge).len();
+        let n_amerge = collect(&mut merge).len();
         assert_eq!(n_crack, n_amerge);
         let mut ix = IndexScanOp::new(
             catalog.index("ix").expect("ix"),

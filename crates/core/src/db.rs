@@ -14,7 +14,7 @@ use std::rc::Rc;
 pub struct Database {
     catalog: Catalog,
     registry: Rc<TableStatsRegistry>,
-    feedback: Rc<RefCell<FeedbackRepo>>,
+    feedback: RefCell<FeedbackRepo>,
     /// Planner configuration used for every query.
     pub planner_config: PlannerConfig,
     /// Histogram buckets used by [`Database::analyze`].
@@ -32,7 +32,7 @@ impl Database {
         Database {
             catalog,
             registry: Rc::new(TableStatsRegistry::new()),
-            feedback: Rc::new(RefCell::new(FeedbackRepo::new(0.8))),
+            feedback: RefCell::new(FeedbackRepo::new(0.8)),
             planner_config: PlannerConfig::default(),
             stat_buckets: 32,
         }
@@ -76,11 +76,6 @@ impl Database {
         &self.registry
     }
 
-    /// The LEO feedback repository.
-    pub fn feedback(&self) -> Rc<RefCell<FeedbackRepo>> {
-        Rc::clone(&self.feedback)
-    }
-
     /// The histogram+independence estimator over the current statistics.
     pub fn estimator(&self) -> StatsEstimator {
         StatsEstimator::new(Rc::clone(&self.registry))
@@ -103,7 +98,8 @@ impl Database {
     }
 
     /// Execute under the given mode, on a fresh context with the planner's
-    /// memory budget. LEO reads and writes [`Database::feedback`].
+    /// memory budget. LEO reads and writes the database's feedback
+    /// repository.
     pub fn execute_mode(&self, spec: &QuerySpec, mode: ExecutionMode) -> Result<Execution> {
         let inputs = PlanInputs {
             feedback: Some(&self.feedback),
@@ -181,9 +177,9 @@ mod tests {
     #[test]
     fn leo_populates_feedback() {
         let db = db();
-        assert!(db.feedback().borrow().is_empty());
+        assert!(db.feedback.borrow().is_empty());
         db.execute_mode(&join_spec(), ExecutionMode::Leo).unwrap();
-        assert!(!db.feedback().borrow().is_empty());
+        assert!(!db.feedback.borrow().is_empty());
     }
 
     #[test]

@@ -448,9 +448,15 @@ mod tests {
         }
         c.add_table(t);
         c.create_index("ix", "t", &["k"]).unwrap();
-        c.create_cracker("t", "k").unwrap();
-        c.create_amerge("t", "k", 100).unwrap();
         c
+    }
+
+    fn cracker(c: &Catalog) -> Rc<RefCell<CrackerColumn>> {
+        Rc::new(RefCell::new(CrackerColumn::over(&c.table("t").unwrap(), "k").unwrap()))
+    }
+
+    fn amerge(c: &Catalog) -> Rc<RefCell<AdaptiveMergeIndex>> {
+        Rc::new(RefCell::new(AdaptiveMergeIndex::over(&c.table("t").unwrap(), "k", 100).unwrap()))
     }
 
     #[test]
@@ -552,9 +558,10 @@ mod tests {
     #[test]
     fn cracker_scan_matches_table_scan_results() {
         let c = catalog();
+        let cracker = cracker(&c);
         let ctx = ExecContext::unbounded();
         let mut s = CrackerScanOp::new(
-            c.cracker("t", "k").unwrap(),
+            Rc::clone(&cracker),
             c.table("t").unwrap(),
             250,
             349,
@@ -568,7 +575,7 @@ mod tests {
         // Second identical query is much cheaper.
         let ctx2 = ExecContext::unbounded();
         let mut s2 = CrackerScanOp::new(
-            c.cracker("t", "k").unwrap(),
+            Rc::clone(&cracker),
             c.table("t").unwrap(),
             250,
             349,
@@ -582,9 +589,10 @@ mod tests {
     #[test]
     fn amerge_scan_matches_and_converges() {
         let c = catalog();
+        let amerge = amerge(&c);
         let ctx = ExecContext::unbounded();
         let mut s = AMergeScanOp::new(
-            c.amerge("t", "k").unwrap(),
+            Rc::clone(&amerge),
             c.table("t").unwrap(),
             500,
             599,
@@ -595,7 +603,7 @@ mod tests {
         let first_cost = ctx.clock.now();
         let ctx2 = ExecContext::unbounded();
         let mut s2 = AMergeScanOp::new(
-            c.amerge("t", "k").unwrap(),
+            Rc::clone(&amerge),
             c.table("t").unwrap(),
             500,
             599,

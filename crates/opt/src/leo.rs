@@ -42,7 +42,6 @@ mod tests {
     use rqp_stats::{FeedbackRepo, LyingEstimator, TableStatsRegistry};
     use rqp_storage::{Catalog, Table};
     use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -70,7 +69,7 @@ mod tests {
     fn run_leo(
         c: &Catalog,
         lie: &EstimatorWrapper<'_>,
-        repo: &Rc<RefCell<FeedbackRepo>>,
+        repo: &RefCell<FeedbackRepo>,
         ctx: &ExecContext,
     ) -> Execution {
         let reg = TableStatsRegistry::analyze_catalog(c, 16);
@@ -86,7 +85,7 @@ mod tests {
     #[test]
     fn observations_cover_scans_and_joins() {
         let c = catalog();
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
+        let repo = RefCell::new(FeedbackRepo::new(1.0));
         let ctx = ExecContext::unbounded();
         let report = run_leo(&c, &|e| e, &repo, &ctx);
         assert_eq!(report.rows.len(), 5000, "500 × 10 matches");
@@ -101,7 +100,7 @@ mod tests {
     #[test]
     fn misestimates_surface_as_correction_events() {
         let c = catalog();
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
+        let repo = RefCell::new(FeedbackRepo::new(1.0));
         let ctx = ExecContext::unbounded();
         run_leo(&c, &lie_about_t, &repo, &ctx);
         assert!(ctx.metrics.counter("leo.corrections").get() >= 1);
@@ -119,7 +118,7 @@ mod tests {
     #[test]
     fn feedback_corrects_future_estimates() {
         let c = catalog();
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
+        let repo = RefCell::new(FeedbackRepo::new(1.0));
         // LEO should learn the liar's error away.
         let ctx = ExecContext::unbounded();
         let r1 = run_leo(&c, &lie_about_t, &repo, &ctx);
@@ -136,7 +135,7 @@ mod tests {
     #[test]
     fn repeated_epochs_converge_near_one() {
         let c = catalog();
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
+        let repo = RefCell::new(FeedbackRepo::new(1.0));
         let ctx = ExecContext::unbounded();
         let mut last_q = f64::INFINITY;
         for _ in 0..4 {

@@ -85,9 +85,10 @@ pub struct PlanInputs<'a> {
     pub registry: &'a TableStatsRegistry,
     /// Injected estimation error (none by default).
     pub lie: &'a EstimatorWrapper<'a>,
-    /// The repository LEO reads corrections from and [`learn`]s into.
+    /// The repository LEO reads corrections from and [`learn`]s into: it is
+    /// borrowed to plan, released, then borrowed mutably to learn.
     /// Required by [`ExecutionMode::Leo`]; the other modes ignore it.
-    pub feedback: Option<&'a Rc<RefCell<FeedbackRepo>>>,
+    pub feedback: Option<&'a RefCell<FeedbackRepo>>,
     /// Planner configuration.
     pub config: PlannerConfig,
 }
@@ -233,7 +234,8 @@ pub fn execute(
             let repo = inputs.feedback.ok_or_else(|| {
                 RqpError::Invalid("LEO mode needs a feedback repository".into())
             })?;
-            let est = FeedbackEstimator::new(inputs.estimator(&registry), Rc::clone(repo));
+            let repo = repo.borrow();
+            let est = FeedbackEstimator::new(inputs.estimator(&registry), &repo);
             plan_query(spec, catalog, &est, config)?
         }
     };

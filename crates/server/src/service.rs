@@ -13,11 +13,10 @@ use rqp_exec::{ExecContext, MemoryGovernor};
 use rqp_opt::run::{learn, run_plan};
 use rqp_opt::{plan, PlannerConfig, QuerySpec};
 use rqp_stats::{FeedbackEstimator, FeedbackRepo, StatsEstimator, TableStatsRegistry};
-use rqp_storage::{Catalog, CatalogSnapshot, Changelog};
+use rqp_storage::{Catalog, Changelog};
 use rqp_stream::{DeltaPacket, ViewCircuit};
 use rqp_telemetry::{MetricsRegistry, Tracer};
 use rqp_workload::{Job, WorkloadManager};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +44,7 @@ pub struct ServiceConfig {
     /// Flight-recorder ring capacity (events retained for EVENTS tailing).
     pub recorder_capacity: usize,
     /// Page budget (frames) of the brokered buffer pool. `Some(n)` creates a
-    /// [`BufferPool`](rqp_storage::BufferPool) attached to every snapshot
+    /// [`BufferPool`](rqp_storage::BufferPool) attached to every served
     /// table and funded by the broker; `None` keeps the legacy
     /// always-resident storage path.
     pub page_budget: Option<usize>,
@@ -155,12 +154,15 @@ pub struct ServiceReport {
 
 pub(crate) struct ServiceInner {
     pub(crate) config: ServiceConfig,
-    /// The serving catalog. Reads (query planning/execution, subscription
-    /// registration) take the read lock; [`QueryService::append_rows`]
-    /// takes the write lock, so a subscription's initial load and its
-    /// changelog cursor are captured atomically with respect to appends.
-    pub(crate) snapshot: RwLock<CatalogSnapshot>,
-    /// Epoch-sequenced mutation feed, attached to every snapshot table.
+    /// The serving catalog, one `Arc` per epoch. A query clones the `Arc`
+    /// under the read lock and plans and runs on that epoch to the end;
+    /// a subscription loads under the read lock; [`QueryService::append_rows`]
+    /// publishes the next epoch under the write lock (copy on write while
+    /// a query still holds the last one), so a subscription's initial load
+    /// and its changelog cursor are captured atomically with respect to
+    /// appends.
+    pub(crate) catalog: RwLock<Arc<Catalog>>,
+    /// Epoch-sequenced mutation feed, attached to every served table.
     pub(crate) changelog: Arc<Changelog>,
     /// Live standing subscriptions.
     pub(crate) subs: SubscriptionRegistry,
@@ -168,7 +170,10 @@ pub(crate) struct ServiceInner {
     pub(crate) admission: AdmissionController,
     pub(crate) broker: MemoryBroker,
     pub(crate) plan_cache: PlanCache,
-    pub(crate) feedback: Mutex<FeedbackRepo>,
+    /// LEO's learned corrections: a plan-cache miss plans under the read
+    /// lock, a completed query [`learn`]s under the write lock, and neither
+    /// takes another service lock while it holds this one.
+    pub(crate) feedback: RwLock<FeedbackRepo>,
     pub(crate) metrics: MetricsRegistry,
     pub(crate) tracer: Tracer,
     pub(crate) live: Arc<ServiceStats>,
@@ -212,13 +217,13 @@ impl ServiceInner {
     }
 }
 
-/// A multi-session query service over an immutable catalog snapshot.
+/// A multi-session query service over a shared, epoch-versioned catalog.
 ///
-/// Construction takes a one-time [`CatalogSnapshot`] and ANALYZE pass; after
-/// that, every query thread rebuilds a thread-local [`Catalog`] from the
-/// shared `Arc`s (tables are immutable, so this is cheap) and plans against
-/// the shared statistics + feedback repository. See the crate docs for the
-/// full admission → brokering → execution → telemetry pipeline.
+/// Construction copies the [`Catalog`]'s handles (never its data) and runs
+/// one ANALYZE pass; after that, every query plans and runs on the
+/// `Arc<Catalog>` of the epoch it started in, against the shared
+/// statistics and feedback repository. See the crate docs for the full
+/// admission → brokering → execution → telemetry pipeline.
 #[derive(Debug)]
 pub struct QueryService {
     inner: Arc<ServiceInner>,
@@ -229,11 +234,12 @@ impl QueryService {
         QueryService { inner }
     }
 
-    /// Stand up a service over `catalog` (snapshotted and analyzed here).
+    /// Stand up a service over `catalog` (its handles copied and its tables
+    /// analyzed here).
     /// The ANALYZE pass's wall time is the `server.setup.analyze_ms` gauge
     /// and a `stats.analyze` flight-recorder event.
     pub fn new(catalog: &Catalog, config: ServiceConfig) -> Self {
-        let snapshot = catalog.snapshot();
+        let served = Arc::new(catalog.clone());
         let analyze_start = std::time::Instant::now();
         let stats = TableStatsRegistry::analyze_catalog(catalog, 32);
         let analyze_ms = analyze_start.elapsed().as_secs_f64() * 1e3;
@@ -241,27 +247,27 @@ impl QueryService {
         let live = Arc::new(ServiceStats::new(config.recorder_capacity));
         let mut broker = MemoryBroker::new(shared).with_observer(Arc::clone(&live));
         if let Some(pages) = config.page_budget {
-            // One pool for the whole service: attached to the snapshot's
-            // table Arcs, so every per-query thread-local catalog rebuild
-            // pins through it; funded (and shrunk under concurrency) by the
-            // broker, outside the workspace ledger.
+            // One pool for the whole service: attached to the served
+            // catalog's tables, so every query pins through it; funded (and
+            // shrunk under concurrency) by the broker, outside the workspace
+            // ledger.
             let pool = rqp_storage::BufferPool::new(pages);
-            snapshot.attach_pool(&pool);
+            served.attach_pool(&pool);
             broker = broker.with_page_pool(pool, pages);
         }
         // Every table publishes mutations into one service changelog, the
         // total order standing subscriptions replay.
         let changelog = Arc::new(Changelog::new());
-        snapshot.attach_changelog(&changelog);
+        served.attach_changelog(&changelog);
         let inner = ServiceInner {
-            snapshot: RwLock::new(snapshot),
+            catalog: RwLock::new(served),
             changelog,
             subs: SubscriptionRegistry::new(),
             admission: AdmissionController::new(config.mpl),
             broker,
             live,
             plan_cache: PlanCache::new(config.drift_threshold),
-            feedback: Mutex::new(FeedbackRepo::new(FEEDBACK_SMOOTHING)),
+            feedback: RwLock::new(FeedbackRepo::new(FEEDBACK_SMOOTHING)),
             metrics: MetricsRegistry::new(),
             tracer: Tracer::new(),
             trace_merge: Mutex::new(()),
@@ -354,10 +360,11 @@ impl QueryService {
         m.gauge("server.subs.max_lag").set(inner.subs.max_lag(inner.changelog.len()) as f64);
         m.gauge("server.subs.state_rows").set(inner.subs.total_state_rows() as f64);
         m.gauge("server.subs.state_bytes").set(inner.subs.total_state_bytes() as f64);
-        let (table_bytes, index_bytes) =
-            inner.snapshot.read().expect("snapshot lock").heap_bytes();
+        let (table_bytes, index_bytes) = inner.catalog.read().expect("catalog lock").heap_bytes();
         m.gauge("server.storage.table_bytes").set(table_bytes as f64);
         m.gauge("server.storage.index_bytes").set(index_bytes as f64);
+        let signatures = inner.feedback.read().expect("feedback lock").len();
+        m.gauge("server.feedback.signatures").set(signatures as f64);
     }
 
     /// The service's epoch-sequenced mutation feed.
@@ -371,18 +378,19 @@ impl QueryService {
     }
 
     /// Append `rows` to `table` and to every index on it under the catalog
-    /// write lock, publishing each row to the changelog. Returns the changelog length after the
-    /// append (the epoch one past the last published record). Running
-    /// queries keep their frozen table handles (snapshot isolation);
-    /// queries planned after this call see the new rows, and standing
-    /// subscriptions pick them up at their next poll.
+    /// write lock, publishing each row to the changelog. Returns the
+    /// changelog length after the append (the epoch one past the last
+    /// published record). Running queries keep the catalog epoch they
+    /// started in (snapshot isolation); queries started after this call see
+    /// the new rows, and standing subscriptions pick them up at their next
+    /// poll.
     pub fn append_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
         let inner = &self.inner;
         let count = rows.len();
         // Table and indexes move together under the write lock, so every
-        // catalog a query rebuilds from the snapshot is of one epoch.
-        let mut guard = inner.snapshot.write().expect("snapshot lock");
-        guard.append_rows(table, rows)?;
+        // epoch a query clones holds one version of both.
+        let mut guard = inner.catalog.write().expect("catalog lock");
+        Arc::make_mut(&mut guard).append_rows(table, rows)?;
         let epoch = inner.changelog.len();
         drop(guard);
         self.trim_changelog();
@@ -420,12 +428,11 @@ impl QueryService {
         // subscription is in the registry: the cursor is exactly the epoch
         // of the state the circuit absorbed, and no changelog trim can run
         // past a cursor the registry does not list yet.
-        let guard = inner.snapshot.read().expect("snapshot lock");
+        let guard = inner.catalog.read().expect("catalog lock");
         let started = std::time::Instant::now();
         let loaded = (|| {
-            let catalog = guard.to_catalog();
-            let mut circuit = ViewCircuit::compile(spec, &catalog)?;
-            circuit.load_initial(&catalog, &clock)?;
+            let mut circuit = ViewCircuit::compile(spec, &guard)?;
+            circuit.load_initial(&guard, &clock)?;
             circuit.set_cursor(inner.changelog.len());
             Ok(circuit)
         })();
@@ -503,7 +510,7 @@ impl QueryService {
     /// Drop the changelog records no live subscription can still ask for:
     /// everything below the smallest live cursor, or everything published
     /// so far when nobody subscribes. The log's length is read *before* the
-    /// registry, and a registering subscription holds the snapshot read
+    /// registry, and a registering subscription holds the catalog read
     /// lock from capturing its cursor until it is listed, so a trim never
     /// passes a cursor it could not see.
     fn trim_changelog(&self) {
@@ -845,22 +852,19 @@ fn execute(
         Arc::clone(&ctx.memory),
         ctx.tracer.clone(),
     );
-    let catalog = svc.snapshot.read().expect("snapshot lock").to_catalog();
+    let catalog = Arc::clone(&svc.catalog.read().expect("catalog lock"));
     let key = spec.cache_key();
     let (phys, plan_cached) = match svc.plan_cache.lookup(&key) {
         Some(p) => (p, true),
         None => {
             let planned = {
-                let repo = svc.feedback.lock().expect("feedback lock").clone();
-                let est = FeedbackEstimator::new(
-                    Box::new(StatsEstimator::new(Rc::new(svc.stats.clone()))),
-                    Rc::new(RefCell::new(repo)),
-                );
+                let stats = Box::new(StatsEstimator::new(Rc::new(svc.stats.clone())));
                 let cfg = PlannerConfig {
                     memory_rows: svc.config.default_reservation,
                     ..PlannerConfig::default()
                 };
-                plan(spec, &catalog, &est, cfg)
+                let repo = svc.feedback.read().expect("feedback lock");
+                plan(spec, &catalog, &FeedbackEstimator::new(stats, &repo), cfg)
             };
             match planned {
                 Ok(p) => {
@@ -876,7 +880,7 @@ fn execute(
         run_plan(&phys, &catalog, None, &ctx)
     }));
     if let Ok(Ok(exec)) = &run {
-        learn(exec, &mut svc.feedback.lock().expect("feedback lock"), &ctx);
+        learn(exec, &mut svc.feedback.write().expect("feedback lock"), &ctx);
     }
     let demand = ctx.clock.now();
     // Republish span-carried adaptive decisions (chaos injections, governor
@@ -933,6 +937,7 @@ mod tests {
     use rqp_opt::run::{execute, ExecutionMode, PlanInputs};
     use rqp_storage::Table;
     use rqp_workload::{tpch::TpchParams, TpchDb};
+    use std::cell::RefCell;
 
     #[test]
     fn aggregate_q_error_never_evicts_a_cached_plan() {
@@ -971,7 +976,7 @@ mod tests {
 
         let config = ServiceConfig::default();
         let registry = TableStatsRegistry::analyze_catalog(&catalog, 32);
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
+        let repo = RefCell::new(FeedbackRepo::new(1.0));
         let inputs = PlanInputs {
             feedback: Some(&repo),
             config: PlannerConfig { memory_rows: config.default_reservation, ..Default::default() },
@@ -991,7 +996,7 @@ mod tests {
         let svc = QueryService::new(&catalog, config);
         let outcome = svc.run_solo(&spec).unwrap();
         assert_eq!(outcome.fingerprint, leo.plan_fingerprint);
-        let served = svc.inner.feedback.lock().unwrap().adjustment(sig);
+        let served = svc.inner.feedback.read().unwrap().adjustment(sig);
         assert_eq!(served, Some(learned), "the service stores LEO's normalised factor");
         let events = svc.stats().recorder().tail(0, usize::MAX).events;
         assert!(events.iter().any(|e| e.kind == "leo.correction"), "{events:?}");

@@ -13,9 +13,7 @@
 
 use crate::estimator::CardEstimator;
 use rqp_common::Expr;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// A learned adjustment for one predicate signature.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,25 +86,23 @@ impl FeedbackRepo {
     }
 }
 
-/// An estimator that applies LEO corrections on top of a base estimator.
-pub struct FeedbackEstimator {
+/// An estimator that applies LEO corrections on top of a base estimator,
+/// reading them from a repository it borrows: a planner holds the
+/// repository for one optimisation and releases it before anything
+/// [`observe`](FeedbackRepo::observe)s into it.
+pub struct FeedbackEstimator<'a> {
     inner: Box<dyn CardEstimator>,
-    repo: Rc<RefCell<FeedbackRepo>>,
+    repo: &'a FeedbackRepo,
 }
 
-impl FeedbackEstimator {
-    /// Wrap `inner`, consulting (and sharing) `repo`.
-    pub fn new(inner: Box<dyn CardEstimator>, repo: Rc<RefCell<FeedbackRepo>>) -> Self {
+impl<'a> FeedbackEstimator<'a> {
+    /// Wrap `inner`, consulting `repo`.
+    pub fn new(inner: Box<dyn CardEstimator>, repo: &'a FeedbackRepo) -> Self {
         FeedbackEstimator { inner, repo }
     }
-
-    /// Shared handle to the repository (for recording observations).
-    pub fn repo(&self) -> Rc<RefCell<FeedbackRepo>> {
-        Rc::clone(&self.repo)
-    }
 }
 
-impl CardEstimator for FeedbackEstimator {
+impl CardEstimator for FeedbackEstimator<'_> {
     fn table_rows(&self, table: &str) -> f64 {
         self.inner.table_rows(table)
     }
@@ -114,7 +110,7 @@ impl CardEstimator for FeedbackEstimator {
     fn selectivity(&self, table: &str, pred: &Expr) -> f64 {
         let base = self.inner.selectivity(table, pred);
         let sig = FeedbackRepo::signature(table, pred);
-        match self.repo.borrow().adjustment(&sig) {
+        match self.repo.adjustment(&sig) {
             Some(f) => (base * f).clamp(0.0, 1.0),
             None => base,
         }
@@ -131,7 +127,7 @@ impl CardEstimator for FeedbackEstimator {
             .inner
             .join_selectivity(left_table, left_col, right_table, right_col);
         let sig = format!("join|{left_table}.{left_col}={right_table}.{right_col}");
-        match self.repo.borrow().adjustment(&sig) {
+        match self.repo.adjustment(&sig) {
             Some(f) => (base * f).clamp(0.0, 1.0),
             None => base,
         }
@@ -178,35 +174,35 @@ mod tests {
 
     #[test]
     fn estimator_applies_correction() {
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
-        let est = FeedbackEstimator::new(Box::new(Fixed(0.01)), Rc::clone(&repo));
+        let mut repo = FeedbackRepo::new(1.0);
         let pred = col("a").eq(lit(5i64));
         // Uncorrected.
+        let est = FeedbackEstimator::new(Box::new(Fixed(0.01)), &repo);
         assert!((est.selectivity("t", &pred) - 0.01).abs() < 1e-12);
         // After the executor observed the truth (estimate 10 rows of 1000,
         // actual 300) the factor 30 applies.
         let sig = FeedbackRepo::signature("t", &pred);
-        repo.borrow_mut().observe(&sig, 10.0, 300.0);
+        repo.observe(&sig, 10.0, 300.0);
+        let est = FeedbackEstimator::new(Box::new(Fixed(0.01)), &repo);
         let corrected = est.selectivity("t", &pred);
         assert!((corrected - 0.3).abs() < 1e-9, "got {corrected}");
     }
 
     #[test]
     fn correction_clamped_to_one() {
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
-        let est = FeedbackEstimator::new(Box::new(Fixed(0.5)), Rc::clone(&repo));
+        let mut repo = FeedbackRepo::new(1.0);
         let pred = col("a").lt(lit(1i64));
         let sig = FeedbackRepo::signature("t", &pred);
-        repo.borrow_mut().observe(&sig, 1.0, 1_000_000.0);
+        repo.observe(&sig, 1.0, 1_000_000.0);
+        let est = FeedbackEstimator::new(Box::new(Fixed(0.5)), &repo);
         assert_eq!(est.selectivity("t", &pred), 1.0);
     }
 
     #[test]
     fn join_corrections_keyed_separately() {
-        let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
-        let est = FeedbackEstimator::new(Box::new(Fixed(0.001)), Rc::clone(&repo));
-        repo.borrow_mut()
-            .observe("join|t.a=u.b", 1.0, 50.0);
+        let mut repo = FeedbackRepo::new(1.0);
+        repo.observe("join|t.a=u.b", 1.0, 50.0);
+        let est = FeedbackEstimator::new(Box::new(Fixed(0.001)), &repo);
         let js = est.join_selectivity("t", "a", "u", "b");
         assert!((js - 0.05).abs() < 1e-9, "got {js}");
         // Different join key unaffected.

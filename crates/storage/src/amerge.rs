@@ -8,7 +8,9 @@
 //! cost. The seminar's adaptive-indexing session contrasts the two — E11
 //! benchmarks them head to head.
 
+use crate::table::Table;
 use crate::RowId;
+use rqp_common::Result;
 use std::collections::BTreeMap;
 
 /// Statistics for one adaptive-merge query.
@@ -73,6 +75,13 @@ impl AdaptiveMergeIndex {
     /// Comparisons spent building the initial sorted runs.
     pub fn initial_sort_comparisons(&self) -> usize {
         self.initial_sort_comparisons
+    }
+
+    /// Build over the `INT` column `column` of `table` (rowid = row
+    /// position), in runs of `run_size` as [`new`](Self::new) cuts them. The
+    /// caller owns the result: every query merges into it.
+    pub fn over(table: &Table, column: &str, run_size: usize) -> Result<Self> {
+        Ok(AdaptiveMergeIndex::new(&table.int_keys(column, "adaptive merging")?, run_size))
     }
 
     /// Total entries across runs and merged index.

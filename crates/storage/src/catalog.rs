@@ -1,33 +1,43 @@
-//! The catalog: named tables, indexes and adaptive-index stores.
+//! The catalog: named tables and their secondary indexes.
 //!
-//! Tables and secondary indexes are held behind `Arc` so running operators
-//! — including exchange workers on other threads — can keep cheap snapshot
-//! handles; mutation goes through [`Catalog::append_rows`] (table and
-//! indexes together) or, on a table without indexes,
-//! [`Catalog::table_mut`], both of which copy on write if a snapshot is
-//! still live (a poor man's snapshot isolation — readers never observe
-//! concurrent appends). The adaptive indexes (crackers, adaptive merge)
-//! stay `Rc<RefCell<…>>`: they mutate on every query and remain
-//! single-threaded by design.
+//! Tables and indexes are held behind `Arc`, so a [`Catalog`] is `Send +
+//! Sync` and a clone copies handles, never column data. Running operators
+//! (exchange workers on other threads included) and a query service's
+//! readers keep such handles; mutation goes through
+//! [`Catalog::append_rows`] (table and indexes together) or, on a table
+//! without indexes, [`Catalog::table_mut`], both of which copy on write
+//! whatever a live handle still holds (a poor man's snapshot isolation:
+//! readers never observe concurrent appends). The adaptive indexes,
+//! [`CrackerColumn`](crate::CrackerColumn) and
+//! [`AdaptiveMergeIndex`](crate::AdaptiveMergeIndex), are not registered
+//! here: they reorganise themselves on every query, so whoever builds one
+//! over a table column owns it.
 
-use crate::amerge::AdaptiveMergeIndex;
-use crate::crack::CrackerColumn;
 use crate::index::Index;
 use crate::table::Table;
 use rqp_common::{Result, Row, RqpError};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
-/// A named collection of tables, secondary indexes and adaptive indexes.
+/// A named collection of tables and secondary indexes.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
     indexes: HashMap<String, Arc<Index>>,
-    crackers: HashMap<(String, String), Rc<RefCell<CrackerColumn>>>,
-    amerges: HashMap<(String, String), Rc<RefCell<AdaptiveMergeIndex>>>,
 }
+
+/// A catalog is shared across threads as it is; this fails to compile the
+/// day a field stops being `Send + Sync`.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<Catalog>();
+};
+
+/// Kept, with [`Catalog::snapshot`] and [`Catalog::to_catalog`], only for
+/// `crates/perf/src/replay.rs`, until its replay runs through
+/// `QueryService::run_solo`. A [`Catalog`] is itself the shareable
+/// snapshot; everywhere else, clone it.
+pub type CatalogSnapshot = Catalog;
 
 impl Catalog {
     /// An empty catalog.
@@ -71,15 +81,55 @@ impl Catalog {
 
     /// Append `rows` to `table` *and* to every [`Index`] on it (through its
     /// append partition), copying on write whatever a live snapshot still
-    /// holds. Nothing is changed when it errors: unknown table, a row of the
-    /// wrong arity or with a value its column does not take, or a table grown
-    /// past the indexes' `u32` row-id limit.
+    /// holds; an index copy shares the immutable base run and duplicates
+    /// only the append partition. Nothing is changed when it errors: unknown
+    /// table, a row of the wrong arity or with a value its column does not
+    /// take, or a table grown past the indexes' `u32` row-id limit.
     pub fn append_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| RqpError::TableNotFound(table.to_owned()))?;
-        append_with_indexes(t, self.indexes.values_mut(), rows)
+        let t =
+            self.tables.get_mut(table).ok_or_else(|| RqpError::TableNotFound(table.to_owned()))?;
+        let arity = t.schema().len();
+        for row in &rows {
+            if row.len() != arity {
+                return Err(RqpError::Invalid(format!(
+                    "append to '{table}': row arity {} != table arity {arity}",
+                    row.len()
+                )));
+            }
+            if let Some((i, v)) = row.iter().enumerate().find(|(i, v)| !t.column(*i).accepts(v)) {
+                let field = &t.schema().field(i).name;
+                return Err(RqpError::TypeMismatch {
+                    expected: format!("{} for {table}.{field}", t.column(i).data_type()),
+                    got: v.data_type().map_or("NULL".into(), |t| t.to_string()),
+                });
+            }
+        }
+        // Copy-on-write happens here, after the rows are known to be good.
+        let mut indexes: Vec<&mut Index> =
+            self.indexes.values_mut().filter(|ix| ix.table() == table).map(Arc::make_mut).collect();
+        if !indexes.is_empty() && t.nrows() + rows.len() > u32::MAX as usize {
+            return Err(RqpError::Invalid(format!(
+                "append to '{table}': {} rows exceed the index limit of {}",
+                t.nrows() + rows.len(),
+                u32::MAX
+            )));
+        }
+        let key_cols: Vec<Vec<usize>> = indexes
+            .iter()
+            .map(|ix| ix.columns().iter().map(|c| t.column_index(c)).collect())
+            .collect::<Result<_>>()?;
+        let t = Arc::make_mut(t);
+        let mut key = Vec::new();
+        for row in rows {
+            let rid = t.nrows();
+            for (ix, cols) in indexes.iter_mut().zip(&key_cols) {
+                key.clear();
+                key.extend(cols.iter().map(|&c| row[c].clone()));
+                ix.insert(&key, rid).expect("types and row-id range were checked above");
+            }
+            t.append(row);
+        }
+        Ok(())
     }
 
     /// All table names, sorted.
@@ -130,70 +180,27 @@ impl Catalog {
         out
     }
 
-    /// Create a cracker column over an integer `table.column`.
-    pub fn create_cracker(&mut self, table: &str, column: &str) -> Result<()> {
-        let t = self.table(table)?;
-        let col = t.column_by_name(column)?;
-        let keys = col.as_int_slice().ok_or_else(|| RqpError::TypeMismatch {
-            expected: "INT column for cracking".into(),
-            got: col.data_type().to_string(),
-        })?;
-        let unq = column.rsplit_once('.').map(|(_, c)| c).unwrap_or(column);
-        self.crackers.insert(
-            (table.to_owned(), unq.to_owned()),
-            Rc::new(RefCell::new(CrackerColumn::new(&keys.to_vec()))),
-        );
-        Ok(())
-    }
-
-    /// Cracker column over `table.column`, if created.
-    pub fn cracker(&self, table: &str, column: &str) -> Option<Rc<RefCell<CrackerColumn>>> {
-        let unq = column.rsplit_once('.').map(|(_, c)| c).unwrap_or(column);
-        self.crackers.get(&(table.to_owned(), unq.to_owned())).cloned()
-    }
-
-    /// Create an adaptive-merge index over an integer `table.column`.
-    pub fn create_amerge(&mut self, table: &str, column: &str, run_size: usize) -> Result<()> {
-        let t = self.table(table)?;
-        let col = t.column_by_name(column)?;
-        let keys = col.as_int_slice().ok_or_else(|| RqpError::TypeMismatch {
-            expected: "INT column for adaptive merging".into(),
-            got: col.data_type().to_string(),
-        })?;
-        let unq = column.rsplit_once('.').map(|(_, c)| c).unwrap_or(column);
-        self.amerges.insert(
-            (table.to_owned(), unq.to_owned()),
-            Rc::new(RefCell::new(AdaptiveMergeIndex::new(&keys.to_vec(), run_size))),
-        );
-        Ok(())
-    }
-
-    /// Adaptive-merge index over `table.column`, if created.
-    pub fn amerge(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Option<Rc<RefCell<AdaptiveMergeIndex>>> {
-        let unq = column.rsplit_once('.').map(|(_, c)| c).unwrap_or(column);
-        self.amerges.get(&(table.to_owned(), unq.to_owned())).cloned()
-    }
-
-    /// Register an existing table handle without copying its data (the
-    /// reconstruction half of [`snapshot`](Self::snapshot)).
-    pub fn add_shared_table(&mut self, table: Arc<Table>) {
-        self.tables.insert(table.name().to_owned(), table);
-    }
-
     /// Register an existing index handle, replacing any index of the same
     /// name.
     pub fn add_shared_index(&mut self, index: Arc<Index>) {
         self.indexes.insert(index.name().to_owned(), index);
     }
 
+    /// Heap bytes held by the catalog's `(tables, indexes)`: column data on
+    /// one side, every index on the other (capacity-based, counted). Data a
+    /// clone shares is counted by each holder.
+    pub fn heap_bytes(&self) -> (usize, usize) {
+        let tables = self.tables.values().map(|t| t.heap_bytes()).sum();
+        let indexes = self.indexes.values().map(|ix| ix.heap_bytes()).sum();
+        (tables, indexes)
+    }
+
     /// Attach (or replace) `pool` on every registered table, so scans pin
     /// data pages through one shared [`BufferPool`](crate::pool::BufferPool).
-    /// Tables registered *after* this call are not wired — attach the pool
-    /// once the catalog is fully loaded (or re-attach).
+    /// The pool sits on the table itself, so every clone holding the same
+    /// table handle pins through it too. Tables registered *after* this call
+    /// are not wired — attach the pool once the catalog is fully loaded (or
+    /// re-attach).
     pub fn attach_pool(&self, pool: &Arc<crate::pool::BufferPool>) {
         for t in self.tables.values() {
             t.attach_pool(pool);
@@ -212,152 +219,15 @@ impl Catalog {
         }
     }
 
-    /// A `Send + Sync` snapshot of the shareable half of the catalog: table
-    /// and index handles, in sorted name order.
-    ///
-    /// The `Catalog` itself is not `Send` — the adaptive indexes (crackers,
-    /// adaptive merge) are `Rc<RefCell<…>>` and mutate on every query — but
-    /// everything an optimizer-planned query reads is already behind `Arc`.
-    /// A query service snapshots the catalog once, hands the snapshot to
-    /// each query thread, and every thread rebuilds a cheap thread-local
-    /// `Catalog` with [`CatalogSnapshot::to_catalog`] (handle copies only,
-    /// no data copies). Adaptive indexes are deliberately absent: a
-    /// reconstructed catalog plans the non-adaptive access paths.
+    /// A clone; see [`CatalogSnapshot`] for why the name is kept.
     pub fn snapshot(&self) -> CatalogSnapshot {
-        let mut tables: Vec<Arc<Table>> = self.tables.values().cloned().collect();
-        tables.sort_by(|a, b| a.name().cmp(b.name()));
-        let mut indexes: Vec<Arc<Index>> = self.indexes.values().cloned().collect();
-        indexes.sort_by(|a, b| a.name().cmp(b.name()));
-        CatalogSnapshot { tables, indexes }
+        self.clone()
     }
-}
 
-/// The `Send + Sync` half of a [`Catalog`]: shared handles to tables and
-/// static indexes, produced by [`Catalog::snapshot`] and turned back into a
-/// thread-local catalog with [`CatalogSnapshot::to_catalog`].
-#[derive(Debug, Clone, Default)]
-pub struct CatalogSnapshot {
-    tables: Vec<Arc<Table>>,
-    indexes: Vec<Arc<Index>>,
-}
-
-impl CatalogSnapshot {
-    /// Rebuild a thread-local [`Catalog`] from the shared handles. Cheap:
-    /// only `Arc` clones, never data copies.
+    /// A clone; see [`CatalogSnapshot`] for why the name is kept.
     pub fn to_catalog(&self) -> Catalog {
-        let mut c = Catalog::new();
-        for t in &self.tables {
-            c.add_shared_table(Arc::clone(t));
-        }
-        for ix in &self.indexes {
-            c.add_shared_index(Arc::clone(ix));
-        }
-        c
+        self.clone()
     }
-
-    /// Heap bytes held by the snapshot's `(tables, indexes)` — column data
-    /// on one side, every index on the other (capacity-based, counted).
-    pub fn heap_bytes(&self) -> (usize, usize) {
-        let tables = self.tables.iter().map(|t| t.heap_bytes()).sum();
-        let indexes = self.indexes.iter().map(|ix| ix.heap_bytes()).sum();
-        (tables, indexes)
-    }
-
-    /// Shared handle to a table in the snapshot.
-    pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        self.tables
-            .iter()
-            .find(|t| t.name() == name)
-            .cloned()
-            .ok_or_else(|| RqpError::TableNotFound(name.to_owned()))
-    }
-
-    /// Append `rows` to `table` and to every index on it — the snapshot's
-    /// [`Catalog::append_rows`], with the same all-or-nothing errors — so a
-    /// catalog rebuilt by [`to_catalog`](Self::to_catalog) always gets a
-    /// table and indexes of the same epoch. An index a running query still
-    /// holds is copied on write; the copy shares the immutable base run and
-    /// duplicates only the append partition.
-    pub fn append_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
-        let t = self
-            .tables
-            .iter_mut()
-            .find(|t| t.name() == table)
-            .ok_or_else(|| RqpError::TableNotFound(table.to_owned()))?;
-        append_with_indexes(t, self.indexes.iter_mut(), rows)
-    }
-
-    /// Attach (or replace) `pool` on every table handle in the snapshot.
-    /// Because [`to_catalog`](Self::to_catalog) copies handles rather than
-    /// data, every thread-local catalog rebuilt from this snapshot shares
-    /// the attached pool.
-    pub fn attach_pool(&self, pool: &Arc<crate::pool::BufferPool>) {
-        for t in &self.tables {
-            t.attach_pool(pool);
-        }
-    }
-
-    /// Attach (or replace) `log` on every table handle in the snapshot; all
-    /// thread-local catalogs rebuilt from this snapshot share the feed.
-    pub fn attach_changelog(&self, log: &Arc<crate::changelog::Changelog>) {
-        for t in &self.tables {
-            t.attach_changelog(log);
-        }
-    }
-}
-
-/// The shared body of [`Catalog::append_rows`] and
-/// [`CatalogSnapshot::append_rows`]: validate every row first, then append
-/// each to the table and key it, under its new row id, into those of
-/// `indexes` that are on the table.
-fn append_with_indexes<'a>(
-    table: &mut Arc<Table>,
-    indexes: impl Iterator<Item = &'a mut Arc<Index>>,
-    rows: Vec<Row>,
-) -> Result<()> {
-    let name = table.name();
-    let indexes = indexes.filter(|ix| ix.table() == name);
-    let arity = table.schema().len();
-    for row in &rows {
-        if row.len() != arity {
-            return Err(RqpError::Invalid(format!(
-                "append to '{name}': row arity {} != table arity {arity}",
-                row.len()
-            )));
-        }
-        if let Some((i, v)) = row.iter().enumerate().find(|(i, v)| !table.column(*i).accepts(v)) {
-            let field = &table.schema().field(i).name;
-            return Err(RqpError::TypeMismatch {
-                expected: format!("{} for {name}.{field}", table.column(i).data_type()),
-                got: v.data_type().map_or("NULL".into(), |t| t.to_string()),
-            });
-        }
-    }
-    // Copy-on-write happens here, after the rows are known to be good.
-    let mut indexes: Vec<&mut Index> = indexes.map(Arc::make_mut).collect();
-    if !indexes.is_empty() && table.nrows() + rows.len() > u32::MAX as usize {
-        return Err(RqpError::Invalid(format!(
-            "append to '{name}': {} rows exceed the index limit of {}",
-            table.nrows() + rows.len(),
-            u32::MAX
-        )));
-    }
-    let key_cols: Vec<Vec<usize>> = indexes
-        .iter()
-        .map(|ix| ix.columns().iter().map(|c| table.column_index(c)).collect())
-        .collect::<Result<_>>()?;
-    let table = Arc::make_mut(table);
-    let mut key = Vec::new();
-    for row in rows {
-        let rid = table.nrows();
-        for (ix, cols) in indexes.iter_mut().zip(&key_cols) {
-            key.clear();
-            key.extend(cols.iter().map(|&c| row[c].clone()));
-            ix.insert(&key, rid).expect("types and row-id range were checked above");
-        }
-        table.append(row);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -429,17 +299,16 @@ mod tests {
         let mut c = catalog();
         c.create_index("ix_t_k", "t", &["k"]).unwrap();
         c.create_index("mx_t_kv", "t", &["k", "v"]).unwrap();
-        let frozen = c.snapshot().to_catalog();
+        let frozen = c.clone();
         let rows = |k: i64| vec![vec![Value::Int(k), Value::Float(0.5)]; 3];
         c.append_rows("t", rows(7)).unwrap();
-        let mut snap = c.snapshot();
-        snap.append_rows("t", rows(7)).unwrap();
+        let mut after = c.clone();
+        after.append_rows("t", rows(7)).unwrap();
         for (cat, want) in [(&frozen, vec![7]), (&c, vec![7, 50, 51, 52])] {
             let got: Vec<_> = cat.index("ix_t_k").unwrap().lookup_eq(&Value::Int(7)).collect();
             assert_eq!(got, want);
             assert_eq!(cat.table("t").unwrap().nrows(), 50 + want.len() - 1);
         }
-        let after = snap.to_catalog();
         assert_eq!(after.table("t").unwrap().nrows(), 56);
         assert_eq!(after.index("ix_t_k").unwrap().lookup_eq(&Value::Int(7)).len(), 7);
         let mx = after.index("mx_t_kv").unwrap();
@@ -465,49 +334,30 @@ mod tests {
     }
 
     #[test]
-    fn cracker_and_amerge_registration() {
-        let mut c = catalog();
-        c.create_cracker("t", "k").unwrap();
-        c.create_amerge("t", "k", 8).unwrap();
-        let cr = c.cracker("t", "k").unwrap();
-        let (rows, _) = cr.borrow_mut().query(10, 19);
-        assert_eq!(rows.len(), 10);
-        let am = c.amerge("t", "k").unwrap();
-        let (rows, _) = am.borrow_mut().query(10, 19);
-        assert_eq!(rows.len(), 10);
-        assert!(c.cracker("t", "v").is_none());
-    }
-
-    #[test]
-    fn cracker_requires_int_column() {
-        let mut c = catalog();
-        assert!(c.create_cracker("t", "v").is_err());
-        assert!(c.create_amerge("t", "v", 4).is_err());
-    }
-
-    #[test]
     fn snapshot_round_trips_across_threads() {
         let mut c = catalog();
         c.create_index("ix_t_k", "t", &["k"]).unwrap();
         c.create_index("mx_t_kv", "t", &["k", "v"]).unwrap();
-        let snap = c.snapshot();
-        // The snapshot crosses a thread boundary; the rebuilt catalog sees
-        // the same tables and indexes (including the column-lookup wiring).
-        let rebuilt = std::thread::spawn(move || {
-            let local = snap.to_catalog();
+        // A clone crosses a thread boundary and sees the same tables and
+        // indexes (the column-lookup wiring and composite lookups included),
+        // and an append to the original while it is there never reaches it.
+        let copy = c.clone();
+        let (appended, wait) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            wait.recv().unwrap();
+            let mx = copy.index("mx_t_kv").unwrap();
             (
-                local.table("t").unwrap().nrows(),
-                local.index_on("t", "k").is_some(),
-                local.index("mx_t_kv").unwrap().name().to_owned(),
+                copy.table("t").unwrap().nrows(),
+                copy.index_on("t", "k").map(|ix| ix.lookup_eq(&Value::Int(7)).len()),
+                mx.lookup(&[Value::Int(7)], Some(&Value::Float(7.0)), None).unwrap().len(),
+                copy.table_names(),
             )
-        })
-        .join()
-        .unwrap();
-        assert_eq!(rebuilt, (50, true, "mx_t_kv".to_owned()));
-        // Shared handles, not copies: the snapshot is isolated from later
-        // writes exactly like any other live table handle.
-        c.append_rows("t", vec![vec![Value::Int(99), Value::Float(9.9)]]).unwrap();
-        let snap2 = c.snapshot();
-        assert_eq!(snap2.to_catalog().table("t").unwrap().nrows(), 51);
+        });
+        c.append_rows("t", vec![vec![Value::Int(7), Value::Float(9.9)]]).unwrap();
+        appended.send(()).unwrap();
+        assert_eq!(reader.join().unwrap(), (50, Some(1), 1, vec!["t".to_owned()]));
+        assert_eq!(c.table("t").unwrap().nrows(), 51);
+        let mx = c.index("mx_t_kv").unwrap();
+        assert_eq!(mx.lookup(&[Value::Int(7)], Some(&Value::Float(7.0)), None).unwrap().len(), 2);
     }
 }

@@ -14,7 +14,9 @@
 //! et al. (SIGMOD 2007): inserts and deletes queue in pending sets and merge
 //! lazily, only when a query actually asks for the affected key range.
 
+use crate::table::Table;
 use crate::RowId;
+use rqp_common::Result;
 use std::collections::BTreeMap;
 
 /// Statistics about one cracking query.
@@ -66,6 +68,13 @@ impl CrackerColumn {
             pending_deletes: Vec::new(),
             total_touched: 0,
         }
+    }
+
+    /// Build over the `INT` column `column` of `table` (rowid = row
+    /// position). The caller owns the result: cracking mutates it on every
+    /// query.
+    pub fn over(table: &Table, column: &str) -> Result<Self> {
+        Ok(CrackerColumn::new(&table.int_keys(column, "cracking")?))
     }
 
     /// Number of live entries (excluding pending deletes, including pending
@@ -261,6 +270,8 @@ impl CrackerColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdaptiveMergeIndex;
+    use rqp_common::{DataType, Schema, Value};
 
     fn keys() -> Vec<i64> {
         // deterministic shuffle of 0..100
@@ -387,5 +398,31 @@ mod tests {
         let (rows, _) = c.query(7, 7);
         assert_eq!(rows.len(), 1);
         assert_eq!(keys()[rows[0]], 7);
+    }
+
+    fn table() -> Table {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]);
+        let mut t = Table::new("t", schema);
+        for i in 0..50 {
+            t.append(vec![Value::Int(i), Value::Float(i as f64)]);
+        }
+        t
+    }
+
+    #[test]
+    fn cracker_and_amerge_over_a_table_column() {
+        let t = table();
+        let (rows, _) = CrackerColumn::over(&t, "k").unwrap().query(10, 19);
+        assert_eq!(sorted(rows), (10..20).collect::<Vec<_>>());
+        let (rows, _) = AdaptiveMergeIndex::over(&t, "t.k", 8).unwrap().query(10, 19);
+        assert_eq!(sorted(rows), (10..20).collect::<Vec<_>>(), "qualified names accepted");
+    }
+
+    #[test]
+    fn cracker_requires_int_column() {
+        let t = table();
+        assert!(CrackerColumn::over(&t, "v").is_err());
+        assert!(AdaptiveMergeIndex::over(&t, "v", 4).is_err());
+        assert!(CrackerColumn::over(&t, "missing").is_err());
     }
 }

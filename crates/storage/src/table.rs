@@ -211,6 +211,18 @@ impl Table {
         self.schema.index_of(unq)
     }
 
+    /// The keys of the `INT` column `name`, widened to `i64`, for the
+    /// adaptive index `what` names in the error a column of another type
+    /// gets.
+    pub(crate) fn int_keys(&self, name: &str, what: &str) -> Result<Vec<i64>> {
+        let col = self.column_by_name(name)?;
+        let keys = col.as_int_slice().ok_or_else(|| RqpError::TypeMismatch {
+            expected: format!("INT column for {what}"),
+            got: col.data_type().to_string(),
+        })?;
+        Ok(keys.to_vec())
+    }
+
     /// Materialize row `id` (panics if out of bounds).
     pub fn row(&self, id: RowId) -> Row {
         self.columns.iter().map(|c| c.get(id)).collect()

@@ -13,8 +13,11 @@
 use rqp::common::rng::seeded;
 use rqp::exec::{AMergeScanOp, CrackerScanOp, ExecContext, IndexScanOp, Operator, TableScanOp};
 use rqp::metrics::ReportTable;
+use rqp::storage::{AdaptiveMergeIndex, CrackerColumn};
 use rqp::{Catalog, DataType, Schema, Table, Value};
 use rand::Rng;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const ROWS: usize = 200_000;
 const QUERIES: usize = 20;
@@ -36,9 +39,10 @@ fn main() {
     for _ in 0..ROWS {
         t.append(vec![Value::Int(rng.gen_range(0..ROWS as i64))]);
     }
+    // The adaptive indexes belong to whoever queries through them.
+    let cracker = Rc::new(RefCell::new(CrackerColumn::over(&t, "k").unwrap()));
+    let merger = Rc::new(RefCell::new(AdaptiveMergeIndex::over(&t, "k", 0).unwrap()));
     catalog.add_table(t);
-    catalog.create_cracker("t", "k").unwrap();
-    catalog.create_amerge("t", "k", 0).unwrap();
 
     // The "eager index" contender pays its build cost up front: we charge a
     // full sort's worth of comparisons on a dedicated clock.
@@ -64,7 +68,7 @@ fn main() {
         drain(&mut scan); // full scan each time (filtering omitted: same cost)
 
         let mut crack = CrackerScanOp::new(
-            catalog.cracker("t", "k").unwrap(),
+            Rc::clone(&cracker),
             catalog.table("t").unwrap(),
             lo,
             hi,
@@ -73,7 +77,7 @@ fn main() {
         let crack_rows = drain(&mut crack);
 
         let mut amerge = AMergeScanOp::new(
-            catalog.amerge("t", "k").unwrap(),
+            Rc::clone(&merger),
             catalog.table("t").unwrap(),
             lo,
             hi,
@@ -98,7 +102,7 @@ fn main() {
             amerge_ctx.clock.now(),
             eager_ctx.clock.now(),
         ];
-        let pieces = catalog.cracker("t", "k").unwrap().borrow().pieces();
+        let pieces = cracker.borrow().pieces();
         table.row(&[
             format!("{q}"),
             format!("{:.0}", now[0] - prev[0]),

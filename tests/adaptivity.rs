@@ -9,6 +9,7 @@ use rqp::exec::{
 use rqp::expr::{col, lit};
 use rqp::opt::run::{execute, EstimatorWrapper, ExecutionMode, PlanInputs};
 use rqp::stats::{FeedbackRepo, LyingEstimator, TableStatsRegistry};
+use rqp::storage::CrackerColumn;
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp::QuerySpec;
 use std::cell::RefCell;
@@ -40,7 +41,7 @@ fn leo_qerror_decays() {
     // Under-estimate regime (the common disaster); damped smoothing avoids
     // the correction/re-plan ping-pong LEO is known for under over-estimates.
     let (db, reg) = setup();
-    let repo = Rc::new(RefCell::new(FeedbackRepo::new(0.7)));
+    let repo = RefCell::new(FeedbackRepo::new(0.7));
     let lie: &EstimatorWrapper<'_> =
         &|e| Box::new(LyingEstimator::new(e).with_table_factor("lineitem", 1.0 / 30.0));
     let inputs = PlanInputs { lie, feedback: Some(&repo), ..PlanInputs::new(&db.catalog, &reg) };
@@ -99,8 +100,9 @@ fn eddy_and_static_filters_agree_under_drift() {
 #[test]
 fn cracker_converges_and_matches_scan_results() {
     let (db, _) = setup();
-    let mut catalog = db.catalog.clone();
-    catalog.create_cracker("lineitem", "shipdate").unwrap();
+    let catalog = &db.catalog;
+    let lineitem = catalog.table("lineitem").unwrap();
+    let cracker = Rc::new(RefCell::new(CrackerColumn::over(&lineitem, "shipdate").unwrap()));
     let ctx = ExecContext::unbounded();
     let mut first_cost = 0.0;
     let mut last_cost = 0.0;
@@ -109,7 +111,7 @@ fn cracker_converges_and_matches_scan_results() {
         let hi = lo + 200;
         let before = ctx.clock.now();
         let mut scan = CrackerScanOp::new(
-            catalog.cracker("lineitem", "shipdate").unwrap(),
+            Rc::clone(&cracker),
             catalog.table("lineitem").unwrap(),
             lo,
             hi,
@@ -149,7 +151,7 @@ fn pop_with_accurate_stats_has_bounded_overhead() {
 #[test]
 fn feedback_survives_across_query_shapes() {
     let (db, reg) = setup();
-    let repo = Rc::new(RefCell::new(FeedbackRepo::new(1.0)));
+    let repo = RefCell::new(FeedbackRepo::new(1.0));
     let inputs = PlanInputs { feedback: Some(&repo), ..PlanInputs::new(&db.catalog, &reg) };
     let ctx = ExecContext::unbounded();
     let q1 = QuerySpec::new()

@@ -259,7 +259,7 @@ fn widening_appends_match_an_i64_reference_on_every_read_path() {
         ["orderkey", "shipdate", "quantity"]
             .map(|c| t.column_by_name(c).unwrap().as_int_slice().unwrap().width())
     };
-    let before = db.catalog.snapshot();
+    let before = db.catalog.clone();
     // The reference: the rows as `Value::Int(i64)`s, filtered in the test.
     let mut reference: Vec<Row> = before.table("lineitem").unwrap().iter_rows().collect();
     assert_eq!(widths(&before.table("lineitem").unwrap()), [2, 2, 1], "loaded narrow");
@@ -348,6 +348,23 @@ fn narrow_columns_bound_the_resident_bytes_per_row() {
     let counted: usize =
         db.catalog.table_names().iter().map(|t| db.catalog.table(t).unwrap().heap_bytes()).sum();
     assert_eq!(svc.metrics().gauge("server.storage.table_bytes").get(), counted as f64);
+
+    // Beside the bytes, the feedback repository's size: signatures carry
+    // their predicate's literals, so every new literal is a new entry.
+    let signatures = || {
+        svc.refresh_live_gauges();
+        svc.metrics().gauge("server.feedback.signatures").get()
+    };
+    assert_eq!(signatures(), 0.0);
+    let scan = |q: i64| {
+        QuerySpec::new().table("lineitem").filter("lineitem", col("lineitem.quantity").lt(lit(q)))
+    };
+    svc.run_solo(&scan(10)).unwrap();
+    assert_eq!(signatures(), 1.0, "one filtered scan, one signature");
+    svc.run_solo(&scan(10)).unwrap();
+    assert_eq!(signatures(), 1.0, "a repeat refines its signature");
+    svc.run_solo(&scan(20)).unwrap();
+    assert_eq!(signatures(), 2.0, "another literal, another signature");
 }
 
 #[test]
