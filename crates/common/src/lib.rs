@@ -10,6 +10,9 @@
 //!   binding (name → index resolution), the one three-valued truth table
 //!   ([`expr::Truth`]) its row and batch evaluators share, conjunct
 //!   decomposition and the equivalent-query benchmark's rewrites;
+//! * [`acc`] — the aggregate functions ([`acc::AggFunc`]) and the one
+//!   [`acc::Accumulator`] that row, batch and standing-view aggregation all
+//!   fold into (retractable, so a query is a view's load at weight +1);
 //! * [`error`] — the crate-wide [`error::RqpError`] error enum with its
 //!   retryable/fatal/cancellation taxonomy;
 //! * [`cancel`] — the [`cancel::CancelToken`] cooperative-cancellation handle
@@ -40,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod acc;
 pub mod batch;
 pub mod cancel;
 pub mod chaos;
@@ -54,6 +58,7 @@ pub mod schema;
 pub mod sync;
 pub mod value;
 
+pub use acc::{Accumulator, AggFunc};
 pub use batch::{ColumnBatch, ColVec, SelMask, DEFAULT_BATCH_ROWS};
 pub use cancel::CancelToken;
 pub use chaos::{ChaosConfig, ChaosPolicy, WorkerFault};

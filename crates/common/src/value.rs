@@ -98,6 +98,7 @@ impl Value {
     /// Numeric comparison helper: compares Int/Float cross-type numerically,
     /// strings lexicographically, `Null` first. This is the engine-wide total
     /// order used by sorts, merges and B-trees.
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -118,8 +119,8 @@ impl Value {
 
     /// The canonical hashing identity of this value.
     ///
-    /// Every hash the engine derives from a `Value` — the FNV stream behind
-    /// hash repartitioning and row checksums, and batch join/group keys —
+    /// Every hash the engine derives from a `Value` outside its `Hash`
+    /// impl — the FNV stream behind hash repartitioning and row checksums —
     /// must be computed from the atom, never from the raw variant, so that
     /// `a == b` (under [`Value::total_cmp`]) implies `a.key_atom() ==
     /// b.key_atom()`. The variant-level encoding cannot be used directly
@@ -153,8 +154,8 @@ impl Value {
 
 /// The canonical hashing identity of a [`Value`]; see [`Value::key_atom`].
 ///
-/// `Copy`, `Eq`, and `Hash`, so batch operators can use atoms directly as
-/// hash-table keys without materializing `Value`s.
+/// `Copy`, `Eq`, and `Hash`, so it can key a hash table without a
+/// `Value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyAtom<'a> {
     /// `Null` (equal only to itself).
@@ -202,6 +203,7 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.total_cmp(other)
     }

@@ -1,25 +1,11 @@
-//! Hash aggregation.
+//! Hash aggregation, and the one binding of an aggregation to its input.
 
 use crate::context::ExecContext;
 use crate::{BoxOp, Operator};
-use rqp_common::{DataType, Field, Result, Row, RqpError, Schema, Value};
+pub use rqp_common::AggFunc;
+use rqp_common::{DataType, Field, Result, Row, RqpError, Schema};
+use rqp_storage::{GroupTable, IndexKey};
 use rqp_telemetry::SpanHandle;
-use std::collections::HashMap;
-
-/// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// COUNT(*) (column ignored) or COUNT(col).
-    Count,
-    /// SUM(col).
-    Sum,
-    /// MIN(col).
-    Min,
-    /// MAX(col).
-    Max,
-    /// AVG(col).
-    Avg,
-}
 
 /// One aggregate column specification.
 #[derive(Debug, Clone)]
@@ -44,64 +30,60 @@ impl AggSpec {
     }
 }
 
+/// An aggregation bound to its input schema — what the row and batch hash
+/// aggregations and the standing view's aggregate stage all build from.
 #[derive(Debug, Clone)]
-struct AggState {
-    count: f64,
-    sum: f64,
-    min: Option<Value>,
-    max: Option<Value>,
+pub struct AggBinding {
+    /// Group column positions in the input.
+    pub group_cols: Vec<usize>,
+    /// `(function, input column position)` per aggregate (`None` for
+    /// COUNT(*)).
+    pub aggs: Vec<(AggFunc, Option<usize>)>,
+    /// The output schema: the group columns' fields, then one field per
+    /// aggregate typed by [`AggFunc::output_type`].
+    pub schema: Schema,
 }
 
-impl AggState {
-    fn new() -> Self {
-        AggState { count: 0.0, sum: 0.0, min: None, max: None }
+impl AggBinding {
+    /// Resolve `group_by` and every aggregate's input column in `input`.
+    /// An aggregation needs groups or aggregates.
+    pub fn new(input: &Schema, group_by: &[impl AsRef<str>], aggs: &[AggSpec]) -> Result<Self> {
+        if aggs.is_empty() && group_by.is_empty() {
+            return Err(RqpError::Invalid("aggregation needs groups or aggregates".into()));
+        }
+        let group_cols: Vec<usize> =
+            group_by.iter().map(|c| input.index_of(c.as_ref())).collect::<Result<_>>()?;
+        let mut fields: Vec<Field> = group_cols.iter().map(|&i| input.field(i).clone()).collect();
+        let mut bound = Vec::with_capacity(aggs.len());
+        for a in aggs {
+            let col = a.col.as_deref().map(|c| input.index_of(c)).transpose()?;
+            let dtype = a.func.output_type(col.map(|i| input.field(i).dtype));
+            fields.push(Field::new(a.alias.clone(), dtype));
+            bound.push((a.func, col));
+        }
+        Ok(AggBinding { group_cols, aggs: bound, schema: Schema::new(fields) })
     }
 
-    fn update(&mut self, v: Option<&Value>) {
-        match v {
-            None => self.count += 1.0, // COUNT(*)
-            Some(v) if !v.is_null() => {
-                self.count += 1.0;
-                if let Some(x) = v.as_float() {
-                    self.sum += x;
-                }
-                if self.min.as_ref().map(|m| v < m).unwrap_or(true) {
-                    self.min = Some(v.clone());
-                }
-                if self.max.as_ref().map(|m| v > m).unwrap_or(true) {
-                    self.max = Some(v.clone());
-                }
-            }
-            Some(_) => {}
-        }
+    /// The group columns' types.
+    pub fn key_types(&self) -> Vec<DataType> {
+        self.schema.fields()[..self.group_cols.len()].iter().map(|f| f.dtype).collect()
     }
 
-    fn finish(&self, func: AggFunc) -> Value {
-        match func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-            AggFunc::Avg => {
-                if self.count > 0.0 {
-                    Value::Float(self.sum / self.count)
-                } else {
-                    Value::Null
-                }
-            }
-        }
+    /// The aggregate functions, in output order.
+    pub fn funcs(&self) -> impl Iterator<Item = AggFunc> + '_ {
+        self.aggs.iter().map(|&(f, _)| f)
     }
 }
 
-/// Hash-based GROUP BY aggregation.
+/// Hash-based GROUP BY aggregation: every input row folds into a
+/// [`GroupTable`] at weight +1, and the groups come out in key order
+/// (`Value::total_cmp`).
 ///
 /// With no group columns it produces exactly one row (global aggregates),
 /// even over empty input (COUNT = 0) — SQL semantics.
 pub struct HashAggOp {
     inner: Option<BoxOp>,
-    group_cols: Vec<usize>,
-    aggs: Vec<(AggFunc, Option<usize>)>,
-    schema: Schema,
+    binding: AggBinding,
     ctx: ExecContext,
     out: Option<std::vec::IntoIter<Row>>,
     span: SpanHandle,
@@ -115,83 +97,26 @@ impl HashAggOp {
         aggs: &[AggSpec],
         ctx: ExecContext,
     ) -> Result<Self> {
-        if aggs.is_empty() && group_by.is_empty() {
-            return Err(RqpError::Invalid("aggregation needs groups or aggregates".into()));
-        }
-        let in_schema = inner.schema().clone();
-        let group_cols: Vec<usize> = group_by
-            .iter()
-            .map(|c| in_schema.index_of(c))
-            .collect::<Result<_>>()?;
-        let mut fields: Vec<Field> = group_cols
-            .iter()
-            .map(|&i| in_schema.field(i).clone())
-            .collect();
-        let mut bound_aggs = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            let col = a.col.as_deref().map(|c| in_schema.index_of(c)).transpose()?;
-            let dtype = match a.func {
-                AggFunc::Count => DataType::Int,
-                AggFunc::Sum | AggFunc::Avg => DataType::Float,
-                AggFunc::Min | AggFunc::Max => col
-                    .map(|i| in_schema.field(i).dtype)
-                    .unwrap_or(DataType::Float),
-            };
-            fields.push(Field::new(a.alias.clone(), dtype));
-            bound_aggs.push((a.func, col));
-        }
+        let binding = AggBinding::new(inner.schema(), group_by, aggs)?;
         let span = ctx.op_span("hash_agg", &[&inner]);
-        Ok(HashAggOp {
-            inner: Some(inner),
-            group_cols,
-            aggs: bound_aggs,
-            schema: Schema::new(fields),
-            ctx,
-            out: None,
-            span,
-        })
+        Ok(HashAggOp { inner: Some(inner), binding, ctx, out: None, span })
     }
 
     fn run(&mut self) {
         let mut inner = self.inner.take().expect("run once");
-        let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+        let AggBinding { group_cols, aggs, .. } = &self.binding;
+        let mut table = GroupTable::new(&self.binding.key_types(), self.binding.funcs());
         let mut n = 0.0;
         while let Some(r) = inner.next() {
             n += 1.0;
-            let key: Vec<Value> = self.group_cols.iter().map(|&i| r[i].clone()).collect();
-            let states = groups
-                .entry(key)
-                .or_insert_with(|| vec![AggState::new(); self.aggs.len()]);
-            for (s, (_, col)) in states.iter_mut().zip(&self.aggs) {
-                s.update(col.map(|i| &r[i]));
+            let g = table.group(IndexKey::of(&r, group_cols));
+            table.add_rows(g, 1);
+            for (a, &(_, col)) in aggs.iter().enumerate() {
+                table.fold(a, g, col.map(|i| &r[i]), 1);
             }
         }
         self.ctx.clock.charge_hash_build(n);
-        if groups.is_empty() && self.group_cols.is_empty() {
-            groups.insert(Vec::new(), vec![AggState::new(); self.aggs.len()]);
-        }
-        let mut rows: Vec<Row> = groups
-            .into_iter()
-            .map(|(mut key, states)| {
-                key.extend(
-                    states
-                        .iter()
-                        .zip(&self.aggs)
-                        .map(|(s, (f, _))| s.finish(*f)),
-                );
-                key
-            })
-            .collect();
-        // Deterministic output order.
-        rows.sort_by(|a, b| {
-            for i in 0..self.group_cols.len() {
-                let o = a[i].total_cmp(&b[i]);
-                if o != std::cmp::Ordering::Equal {
-                    return o;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        let rows = table.finish();
         self.ctx.clock.charge_cpu_tuples(rows.len() as f64);
         self.out = Some(rows.into_iter());
     }
@@ -199,7 +124,7 @@ impl HashAggOp {
 
 impl Operator for HashAggOp {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.binding.schema
     }
 
     fn next(&mut self) -> Option<Row> {
@@ -224,6 +149,7 @@ mod tests {
     use super::*;
     use crate::context::collect;
     use crate::filter::test_support::RowsOp;
+    use rqp_common::Value;
 
     fn src() -> BoxOp {
         let schema = Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Float)]);

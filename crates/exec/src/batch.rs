@@ -3,8 +3,10 @@
 //! Each operator here consumes/produces [`ColumnBatch`]es instead of rows:
 //! the scan packs a table range into typed column vectors (dictionary-encoding
 //! strings), the filter clears selection bits by the batch evaluator's
-//! verdicts, and the hash join/aggregation key on packed `(tag, u64)` codes
-//! derived from [`rqp_common::KeyAtom`] instead of `Vec<Value>` keys.
+//! verdicts, and the hash join and aggregation key their rows through the
+//! shared keyed state ([`rqp_storage::keyed`]): the typed key map, with a
+//! string entering as its dictionary code, and the group table of
+//! accumulators every aggregation folds into.
 //!
 //! The planner lowers every table scan to [`BatchScanOp`], then
 //! [`BatchFilterOp`] for any predicate, behind the [`BatchRowsOp`] row
@@ -22,23 +24,22 @@
 //!
 //! **Row contract.** A batch plan yields exactly the rows of its scalar twin,
 //! in the same order — including the hash join's reversed per-probe match
-//! emission and the aggregation's group-key output sort.
+//! emission and the aggregation's group-key output order.
 //!
-//! Batch join/group-by keys are single-column (the common case in this
-//! testbed); constructors return `Err` for multi-column keys and callers fall
-//! back to the scalar operators.
+//! The batch hash join takes one key column per side (the common case in
+//! this testbed); the aggregation groups by any number of columns.
 
 use crate::context::{ExecContext, WorkspaceLease};
 use crate::scan::{page_chaos, pin_page};
 use crate::Operator;
-use crate::agg::{AggFunc, AggSpec};
+use crate::agg::{AggBinding, AggSpec};
 use rqp_common::expr::BoundExpr;
 use rqp_common::{
     ColVec, ColumnBatch, DataType, Expr, Result, Row, RqpError, Schema, StringDict, Truth, Value,
 };
-use rqp_storage::Table;
+use rqp_storage::keyed::Keys;
+use rqp_storage::{GroupTable, IndexKey, Table};
 use rqp_telemetry::SpanHandle;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A pull-based batch operator: the batch-mode analogue of [`Operator`].
@@ -430,64 +431,6 @@ impl BatchOperator for BatchProjectOp {
 }
 
 // ---------------------------------------------------------------------------
-// Packed keys
-// ---------------------------------------------------------------------------
-
-/// A packed single-column join/group key: a type tag plus 64 key bits.
-///
-/// Tags keep key spaces disjoint (a string never equals a number under
-/// [`Value::total_cmp`]). Within a space the packing is exact:
-///
-/// * `INT` — the raw `i64` bits (integer columns joined/grouped against
-///   integer columns compare exactly; no canonicalization loss);
-/// * `F64` — `f64::to_bits()` of the numeric value, used for float columns
-///   and for the *mixed* Int⋈Float case, where scalar equality is numeric
-///   (`total_cmp` casts the int side to `f64`, and `f64` total-order
-///   equality is bit equality);
-/// * `STR` — the dictionary code (valid because both sides share one
-///   dictionary, enforced with `Arc::ptr_eq`).
-type PackedKey = (u8, u64);
-
-const TAG_INT: u8 = 1;
-const TAG_F64: u8 = 2;
-const TAG_STR: u8 = 3;
-
-/// How a key column packs into a [`PackedKey`], fixed per (column type,
-/// partner column type) at operator construction.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum KeyPack {
-    /// `i64` column, partner also `i64`: exact integer key.
-    IntExact,
-    /// Numeric column in a mixed or float pairing: key is `f64` bits.
-    Numeric,
-    /// String column: key is the dictionary code.
-    Code,
-}
-
-impl KeyPack {
-    /// Choose the packing for a column of `dtype` joined against `other`.
-    fn for_pair(dtype: DataType, other: DataType) -> KeyPack {
-        match (dtype, other) {
-            (DataType::Int, DataType::Int) => KeyPack::IntExact,
-            (DataType::Int, _) | (DataType::Float, _) => KeyPack::Numeric,
-            (DataType::Str, _) => KeyPack::Code,
-        }
-    }
-
-    /// Pack row `i` of `col`.
-    #[inline]
-    fn pack(self, col: &ColVec, i: usize) -> PackedKey {
-        match (self, col) {
-            (KeyPack::IntExact, ColVec::Int(xs)) => (TAG_INT, xs[i] as u64),
-            (KeyPack::Numeric, ColVec::Int(xs)) => (TAG_F64, (xs[i] as f64).to_bits()),
-            (KeyPack::Numeric, ColVec::Float(xs)) => (TAG_F64, xs[i].to_bits()),
-            (KeyPack::Code, ColVec::Str(xs)) => (TAG_STR, xs[i] as u64),
-            _ => unreachable!("key packing chosen from the column's own type"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Hash join
 // ---------------------------------------------------------------------------
 
@@ -508,12 +451,36 @@ impl BuildStore {
     }
 }
 
+/// Row `i` of a key column as the key maps take it: a number as its
+/// `Value`, a string as its dictionary code, which is exact within one
+/// pipeline's dictionary.
+#[inline]
+fn key_value(col: &ColVec, i: usize) -> Value {
+    match col {
+        ColVec::Int(xs) => Value::Int(xs[i]),
+        ColVec::Float(xs) => Value::Float(xs[i]),
+        ColVec::Str(xs) => Value::Int(i64::from(xs[i])),
+    }
+}
+
+/// The type a key column of `dtype` enters the key maps as: a string as
+/// its dictionary code, an `Int`.
+fn key_type(dtype: DataType) -> DataType {
+    if dtype == DataType::Str {
+        DataType::Int
+    } else {
+        dtype
+    }
+}
+
 /// Batch hash join on a single equality key per side: builds on the
-/// **right** input, probes with the left, comparing packed keys (dictionary
-/// codes for strings, exact or numeric-canonical bits for numbers).
+/// **right** input, probes with the left. The build side's keys go through
+/// the shared typed key map ([`Keys`]), so a probe matches exactly what
+/// `Value`'s `Eq` matches — an `Int` key a `Float` of the same number,
+/// a string key the same string (its dictionary code) and never a number.
 ///
-/// Mirrors [`HashJoinOp`](crate::join::HashJoinOp) exactly: workspace
-/// grant/spill accounting on the build side, per-probe-batch lease
+/// Charges and emits as [`HashJoinOp`](crate::join::HashJoinOp) does:
+/// workspace grant/spill accounting on the build side, per-probe-batch lease
 /// renegotiation, reversed per-probe match emission, and the probe-side
 /// spill charged once at the end.
 pub struct BatchHashJoinOp {
@@ -521,13 +488,17 @@ pub struct BatchHashJoinOp {
     right: Option<BoxBatchOp>,
     left_key: usize,
     right_key: usize,
-    left_pack: KeyPack,
-    right_pack: KeyPack,
+    /// False when exactly one key column is a string: no probe can match.
+    comparable: bool,
     schema: Schema,
     ctx: ExecContext,
     dict: Arc<StringDict>,
     store: BuildStore,
-    table: HashMap<PackedKey, Vec<u32>>,
+    /// Build key → the last stored row under it.
+    keys: Keys<u32>,
+    /// Per stored row, the previous row under its key (`u32::MAX` ends
+    /// the chain), so a bucket walks in reverse build order.
+    prev: Vec<u32>,
     built: bool,
     spill_fraction: f64,
     probe_rows: f64,
@@ -578,13 +549,13 @@ impl BatchHashJoinOp {
             right: Some(right),
             left_key: lk,
             right_key: rk,
-            left_pack: KeyPack::for_pair(lt, rt),
-            right_pack: KeyPack::for_pair(rt, lt),
+            comparable: (lt == DataType::Str) == (rt == DataType::Str),
             schema,
             ctx,
             dict,
             store,
-            table: HashMap::new(),
+            keys: Keys::new(&[key_type(rt)]),
+            prev: Vec::new(),
             built: false,
             spill_fraction: 0.0,
             probe_rows: 0.0,
@@ -598,13 +569,18 @@ impl BatchHashJoinOp {
         while let Some(batch) = right.next_batch() {
             let from = self.store.rows;
             self.store.append_selected(&batch);
-            // Key every appended row from the compacted store so match
-            // lists hold store indices in build (input) order.
+            // Key every appended row from the compacted store, so chains
+            // hold store indices.
             for r in from..self.store.rows {
-                let k = self
-                    .right_pack
-                    .pack(&self.store.columns[self.right_key], r);
-                self.table.entry(k).or_default().push(r as u32);
+                let key = IndexKey::One(key_value(&self.store.columns[self.right_key], r));
+                let last = r as u32;
+                match self.keys.get_mut(&key) {
+                    Some(head) => self.prev.push(std::mem::replace(head, last)),
+                    None => {
+                        self.keys.insert(key, last);
+                        self.prev.push(u32::MAX);
+                    }
+                }
             }
         }
         let n = self.store.rows as f64;
@@ -684,20 +660,20 @@ impl BatchOperator for BatchHashJoinOp {
             .collect();
         let mut produced = 0u64;
         let key_col = &batch.columns[self.left_key];
-        for i in batch.sel.iter_set() {
-            let k = self.left_pack.pack(key_col, i);
-            if let Some(matches) = self.table.get(&k) {
-                // Scalar twin pops a cloned match list, emitting in
-                // *reverse* build order — replicate for row-identity.
-                for &m in matches.iter().rev() {
-                    for (c, dst) in out.iter_mut().enumerate().take(left_w) {
-                        push_from(dst, &batch.columns[c], i);
-                    }
-                    for (c, dst) in out.iter_mut().enumerate().skip(left_w) {
-                        push_from(dst, &self.store.columns[c - left_w], m as usize);
-                    }
-                    produced += 1;
+        for i in batch.sel.iter_set().filter(|_| self.comparable) {
+            // The scalar twin pops a cloned match list, emitting in
+            // *reverse* build order: the chain's order.
+            let key = IndexKey::One(key_value(key_col, i));
+            let mut m = self.keys.get(&key).unwrap_or(u32::MAX);
+            while m != u32::MAX {
+                for (c, dst) in out.iter_mut().enumerate().take(left_w) {
+                    push_from(dst, &batch.columns[c], i);
                 }
+                for (c, dst) in out.iter_mut().enumerate().skip(left_w) {
+                    push_from(dst, &self.store.columns[c - left_w], m as usize);
+                }
+                produced += 1;
+                m = self.prev[m as usize];
             }
         }
         self.ctx.clock.charge_cpu_tuples(produced as f64);
@@ -714,236 +690,108 @@ impl BatchOperator for BatchHashJoinOp {
 // Hash aggregation
 // ---------------------------------------------------------------------------
 
-/// Typed accumulator mirroring the scalar `AggState` arithmetic exactly
-/// (same `f64` summation in input-row order, same min/max comparisons).
-#[derive(Clone)]
-struct BatchAggState {
-    count: f64,
-    sum: f64,
-    min_i: Option<i64>,
-    max_i: Option<i64>,
-    min_f: Option<f64>,
-    max_f: Option<f64>,
-}
-
-impl BatchAggState {
-    fn new() -> Self {
-        BatchAggState { count: 0.0, sum: 0.0, min_i: None, max_i: None, min_f: None, max_f: None }
-    }
-
-    #[inline]
-    fn update_int(&mut self, x: i64) {
-        self.count += 1.0;
-        self.sum += x as f64;
-        if self.min_i.map(|m| x < m).unwrap_or(true) {
-            self.min_i = Some(x);
-        }
-        if self.max_i.map(|m| x > m).unwrap_or(true) {
-            self.max_i = Some(x);
-        }
-    }
-
-    #[inline]
-    fn update_float(&mut self, x: f64) {
-        self.count += 1.0;
-        self.sum += x;
-        if self
-            .min_f
-            .map(|m| x.total_cmp(&m) == std::cmp::Ordering::Less)
-            .unwrap_or(true)
-        {
-            self.min_f = Some(x);
-        }
-        if self
-            .max_f
-            .map(|m| x.total_cmp(&m) == std::cmp::Ordering::Greater)
-            .unwrap_or(true)
-        {
-            self.max_f = Some(x);
-        }
-    }
-
-    #[inline]
-    fn update_count_only(&mut self) {
-        self.count += 1.0;
-    }
-
-    fn finish(&self, func: AggFunc) -> Value {
-        match func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Min => self
-                .min_i
-                .map(Value::Int)
-                .or(self.min_f.map(Value::Float))
-                .unwrap_or(Value::Null),
-            AggFunc::Max => self
-                .max_i
-                .map(Value::Int)
-                .or(self.max_f.map(Value::Float))
-                .unwrap_or(Value::Null),
-            AggFunc::Avg => {
-                if self.count > 0.0 {
-                    Value::Float(self.sum / self.count)
-                } else {
-                    Value::Null
-                }
-            }
-        }
-    }
-}
-
-/// Batch hash GROUP BY aggregation over at most one group column, producing
-/// scalar rows (aggregation is a pipeline breaker with tiny output, so its
-/// output side stays row-oriented and it implements [`Operator`] directly).
+/// Batch hash GROUP BY aggregation, producing scalar rows (aggregation is a
+/// pipeline breaker with tiny output, so its output side stays
+/// row-oriented and it implements [`Operator`] directly).
 ///
-/// Row- and charge-identical to [`HashAggOp`](crate::agg::HashAggOp): `f64`
-/// accumulation in input-row order, one `hash_build` unit per input row
-/// charged after the drain, deterministically sorted output, one global row
-/// for group-less aggregation over empty input.
+/// Every selected row folds into a [`GroupTable`] at weight +1, as in
+/// [`HashAggOp`](crate::agg::HashAggOp): the same groups, accumulators and
+/// charges (one `hash_build` unit per input row after the drain, one CPU
+/// tuple per output row), one global row for group-less aggregation over
+/// empty input. A string group column is keyed by its dictionary code, so
+/// the output resolves codes and sorts into `Value` order.
 pub struct BatchHashAggOp {
     inner: Option<BoxBatchOp>,
-    group_col: Option<usize>,
-    group_pack: Option<KeyPack>,
-    aggs: Vec<(AggFunc, Option<usize>)>,
-    schema: Schema,
+    binding: AggBinding,
     ctx: ExecContext,
     out: Option<std::vec::IntoIter<Row>>,
     span: SpanHandle,
 }
 
 impl BatchHashAggOp {
-    /// Aggregate `inner`, grouping by zero or one columns. `Min`/`Max`/`Sum`
-    /// over string columns are rejected (callers fall back to the scalar
-    /// aggregation, which compares `Value`s).
+    /// Aggregate `inner`, grouping by `group_by` columns.
     pub fn new(
         inner: BoxBatchOp,
         group_by: &[&str],
         aggs: &[AggSpec],
         ctx: ExecContext,
     ) -> Result<Self> {
-        if aggs.is_empty() && group_by.is_empty() {
-            return Err(RqpError::Invalid("aggregation needs groups or aggregates".into()));
-        }
-        if group_by.len() > 1 {
-            return Err(RqpError::Invalid(
-                "batch aggregation supports at most one group column".into(),
-            ));
-        }
-        let in_schema = inner.schema().clone();
-        let group_col = group_by
-            .first()
-            .map(|c| in_schema.index_of(c))
-            .transpose()?;
-        let mut fields: Vec<rqp_common::Field> = group_col
-            .iter()
-            .map(|&i| in_schema.field(i).clone())
-            .collect();
-        let mut bound = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            let col = a.col.as_deref().map(|c| in_schema.index_of(c)).transpose()?;
-            let dtype = match a.func {
-                AggFunc::Count => DataType::Int,
-                AggFunc::Sum | AggFunc::Avg => DataType::Float,
-                AggFunc::Min | AggFunc::Max => col
-                    .map(|i| in_schema.field(i).dtype)
-                    .unwrap_or(DataType::Float),
-            };
-            if let Some(i) = col {
-                if in_schema.field(i).dtype == DataType::Str
-                    && !matches!(a.func, AggFunc::Count)
-                {
-                    return Err(RqpError::Invalid(
-                        "batch aggregation over string columns supports only COUNT".into(),
-                    ));
-                }
-            }
-            fields.push(rqp_common::Field::new(a.alias.clone(), dtype));
-            bound.push((a.func, col));
-        }
+        let binding = AggBinding::new(inner.schema(), group_by, aggs)?;
         let span = ctx.tracer.open("batch_hash_agg", &ctx.clock);
         if let Some(s) = inner.span() {
             s.set_parent(span.id());
         }
-        let group_pack = group_col.map(|i| {
-            let dt = in_schema.field(i).dtype;
-            KeyPack::for_pair(dt, dt)
-        });
-        Ok(BatchHashAggOp {
-            inner: Some(inner),
-            group_col,
-            group_pack,
-            aggs: bound,
-            schema: Schema::new(fields),
-            ctx,
-            out: None,
-            span,
-        })
+        Ok(BatchHashAggOp { inner: Some(inner), binding, ctx, out: None, span })
     }
 
     fn run(&mut self) {
         let mut inner = self.inner.take().expect("run once");
-        // Group key → (representative group Value for output, accumulators).
-        let mut groups: HashMap<PackedKey, (Value, Vec<BatchAggState>)> = HashMap::new();
-        let global_key: PackedKey = (0, 0);
+        let dict = Arc::clone(inner.dict());
+        let AggBinding { group_cols, aggs, .. } = &self.binding;
+        let key_types = self.binding.key_types();
+        let keyed_as: Vec<DataType> = key_types.iter().map(|&t| key_type(t)).collect();
+        let mut table = GroupTable::new(&keyed_as, self.binding.funcs());
+        let mut groups: Vec<(usize, u32)> = Vec::new();
         let mut n = 0.0;
         while let Some(batch) = inner.next_batch() {
+            let cols = &batch.columns;
+            // Each row's group, in row order — so groups are created in the
+            // order single rows would create them — then every aggregate
+            // over all rows, a column at a time.
+            groups.clear();
             for i in batch.sel.iter_set() {
-                n += 1.0;
-                let (key, rep) = match (self.group_col, self.group_pack) {
-                    (Some(c), Some(p)) => {
-                        let col = &batch.columns[c];
-                        (p.pack(col, i), Some(col))
+                let g = table.group(IndexKey::with(group_cols, |c| key_value(&cols[c], i)));
+                table.add_rows(g, 1);
+                groups.push((i, g));
+            }
+            n += groups.len() as f64;
+            for (a, &(func, col)) in aggs.iter().enumerate() {
+                let (each, algebraic) = (groups.iter().copied(), func.is_algebraic());
+                match col.map(|c| &cols[c]) {
+                    Some(ColVec::Int(xs)) if algebraic => {
+                        each.for_each(|(i, g)| table.add(a, g, xs[i] as f64, 1))
                     }
-                    _ => (global_key, None),
-                };
-                let states = groups.entry(key).or_insert_with(|| {
-                    let rep_val = rep
-                        .map(|col| match col {
-                            ColVec::Int(xs) => Value::Int(xs[i]),
-                            ColVec::Float(xs) => Value::Float(xs[i]),
-                            ColVec::Str(xs) => Value::Str(batch.dict.resolve(xs[i])),
-                        })
-                        .unwrap_or(Value::Null);
-                    (rep_val, vec![BatchAggState::new(); self.aggs.len()])
-                });
-                for (s, (_, col)) in states.1.iter_mut().zip(&self.aggs) {
-                    match col.map(|c| &batch.columns[c]) {
-                        None => s.update_count_only(),
-                        Some(ColVec::Int(xs)) => s.update_int(xs[i]),
-                        Some(ColVec::Float(xs)) => s.update_float(xs[i]),
-                        Some(ColVec::Str(_)) => s.update_count_only(),
+                    Some(ColVec::Float(xs)) if algebraic => {
+                        each.for_each(|(i, g)| table.add(a, g, xs[i], 1))
                     }
+                    // COUNT(*), and a string, which adds no number: the row counts.
+                    None | Some(ColVec::Str(_)) if algebraic => {
+                        each.for_each(|(_, g)| table.fold(a, g, None, 1))
+                    }
+                    col => each.for_each(|(i, g)| {
+                        table.fold(a, g, col.map(|c| materialize(c, i, &dict)).as_ref(), 1)
+                    }),
                 }
             }
         }
         self.ctx.clock.charge_hash_build(n);
-        if groups.is_empty() && self.group_col.is_none() {
-            groups.insert(global_key, (Value::Null, vec![BatchAggState::new(); self.aggs.len()]));
-        }
-        let grouped = self.group_col.is_some();
-        let mut rows: Vec<Row> = groups
-            .into_values()
-            .map(|(rep, states)| {
-                let mut row = Vec::with_capacity(self.schema.len());
-                if grouped {
-                    row.push(rep);
+        let mut rows = table.finish();
+        for row in &mut rows {
+            for (v, t) in row.iter_mut().zip(&key_types) {
+                if let (DataType::Str, Value::Int(code)) = (t, &*v) {
+                    *v = Value::Str(dict.resolve(*code as u32));
                 }
-                row.extend(states.iter().zip(&self.aggs).map(|(s, (f, _))| s.finish(*f)));
-                row
-            })
-            .collect();
-        if grouped {
-            rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+            }
         }
+        let width = key_types.len();
+        rows.sort_by(|a, b| a[..width].cmp(&b[..width]));
         self.ctx.clock.charge_cpu_tuples(rows.len() as f64);
         self.out = Some(rows.into_iter());
     }
 }
 
+/// The `Value` of row `i` of `col`, a string resolved through `dict`.
+fn materialize(col: &ColVec, i: usize, dict: &StringDict) -> Value {
+    match col {
+        ColVec::Int(xs) => Value::Int(xs[i]),
+        ColVec::Float(xs) => Value::Float(xs[i]),
+        ColVec::Str(xs) => Value::Str(dict.resolve(xs[i])),
+    }
+}
+
 impl Operator for BatchHashAggOp {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.binding.schema
     }
 
     fn next(&mut self) -> Option<Row> {

@@ -63,7 +63,7 @@ pub mod scan;
 pub mod sort;
 pub mod symjoin;
 
-pub use agg::{AggFunc, AggSpec, HashAggOp};
+pub use agg::{AggBinding, AggFunc, AggSpec, HashAggOp};
 pub use agreedy::AGreedyFilterOp;
 pub use batch::{
     BatchFilterOp, BatchHashAggOp, BatchHashJoinOp, BatchOperator, BatchProjectOp, BatchRowsOp,

@@ -9,6 +9,10 @@
 //! * [`group`] — the grouping kernel: a numeric column cut into runs of
 //!   equal keys in O(n) (counting) or one keyless sort, which ANALYZE and
 //!   one-column index builds share;
+//! * [`keyed`] — keyed state: the one typed key map ([`keyed::Keys`], the
+//!   ±2^53 `Int` rule) every hash-join build side keys through, and the one
+//!   [`keyed::GroupTable`] of accumulators that row, batch and
+//!   standing-view aggregation fold into;
 //! * [`index`] — clustered/unclustered secondary indexes: one [`Index`]
 //!   over k ≥ 1 columns with equality-prefix + range lookups, stored as one
 //!   packed sorted run plus an append partition (`run`) and probed through
@@ -41,6 +45,7 @@ pub mod column;
 pub mod crack;
 pub mod group;
 pub mod index;
+pub mod keyed;
 pub mod pool;
 mod run;
 pub mod shared_scan;
@@ -53,6 +58,7 @@ pub use column::{ColumnData, IntSlice, IntVec};
 pub use crack::CrackerColumn;
 pub use group::Groups;
 pub use index::{Index, RidCursor, RowIds};
+pub use keyed::{Footprint, GroupTable, IndexKey};
 pub use pool::{BufferPool, PagePin, PagerStats, PinOutcome};
 pub use shared_scan::SharedScanCoordinator;
 pub use table::{StrEncoding, Table};

@@ -26,17 +26,16 @@
 //! computed from it — packets, snapshots, cost-clock charges — is too.
 //!
 //! Storage is typed where the schema allows it, and exact always. An `Int`
-//! or `Float` column is an `i64`/`f64` vector, and a one-column `Int` key
-//! lives in a `HashMap<i64, _>`; every other column is a `Vec<Value>` and
-//! every other key an inline `Value` (or one boxed slice when it is
-//! wider). The first time a typed column or map must store a value of
+//! or `Float` column is an `i64`/`f64` vector; every other column is a
+//! `Vec<Value>`. The first time a typed column must store a value of
 //! another variant — NULL, a `Str`, a `Float` in an `Int` column, an `Int`
-//! in a `Float` one, an `Int` key beyond ±2^53 — it switches to the `Value`
-//! layout, for good. So every stored value keeps its variant and bits, and
-//! a probe matches exactly what `Value`'s `Eq` matches (a `Float(2.0)`
-//! probe finds the key `Int(2)`). The aggregate's groups follow the same
-//! rule: an ordered map from the group key (typed for one `Int` column) to
-//! a slot of two flat arenas, the row count and the accumulators.
+//! in a `Float` one — it switches to the `Value` layout, for good, so every
+//! stored value keeps its variant and bits. Keys go through the shared
+//! typed key map of [`rqp_storage::keyed`] (`Keys`), whose ±2^53 `Int`
+//! rule makes a probe match exactly what `Value`'s `Eq` matches (a
+//! `Float(2.0)` probe finds the key `Int(2)`). The aggregate's groups live
+//! in the same module's `GroupTable` — the one every aggregation folds
+//! into — driven here at each change's weight.
 //!
 //! Cost-clock charges count *logical* rows (an entry of weight 3 charges
 //! three units), so what the clock reads does not depend on how many rows
@@ -60,16 +59,17 @@
 //! summed per batch (the clock is exact), and the typed join-key maps hash
 //! an `i64` with one multiply.
 
-use crate::acc::RetractableAcc;
 use rqp_common::expr::BoundExpr;
-use rqp_common::{DataType, Field, Result, Row, RqpError, Schema, SelMask, SharedClock, Value};
-use rqp_exec::AggFunc;
+use rqp_common::{
+    AggFunc, DataType, Field, Result, Row, RqpError, Schema, SelMask, SharedClock, Value,
+};
+use rqp_exec::AggBinding;
 use rqp_opt::QuerySpec;
 use rqp_storage::changelog::{ChangeOp, ChangeRecord};
-use rqp_storage::{Catalog, ColumnData, IntSlice};
+use rqp_storage::keyed::{string_bytes, Keys, TYPED_KEYS};
+use rqp_storage::{Catalog, ColumnData, Footprint, GroupTable, IndexKey, IntSlice};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::mem::size_of;
 
 /// What one batch of changelog records did to the view: the rows a
@@ -259,314 +259,8 @@ fn count_keys<I: Iterator<Item = At>>(
     (n, distinct.len())
 }
 
-/// The values of a join stage's key columns, or of a group's. Every TPC-H
-/// join is on one column, held inline; a wider key holds one boxed slice
-/// (an empty one, which allocates nothing, for the global group). Equal,
-/// hashed and ordered as the slice of its values, so a one-column key
-/// orders as its value does.
-#[derive(Debug, Clone)]
-enum IndexKey {
-    One(Value),
-    Many(Box<[Value]>),
-}
-
-impl IndexKey {
-    /// The key of `row` under a stage's key `positions`.
-    fn of(row: &[Value], positions: &[usize]) -> IndexKey {
-        IndexKey::with(positions, |p| row[p].clone())
-    }
-
-    /// The key whose value at each of `positions` is `value(position)`.
-    fn with(positions: &[usize], value: impl Fn(usize) -> Value) -> IndexKey {
-        match positions {
-            [p] => IndexKey::One(value(*p)),
-            _ => IndexKey::Many(positions.iter().map(|&p| value(p)).collect()),
-        }
-    }
-
-    fn values(&self) -> &[Value] {
-        match self {
-            IndexKey::One(v) => std::slice::from_ref(v),
-            IndexKey::Many(vs) => vs,
-        }
-    }
-
-    /// Bytes the key holds outside its map entry: a wide key's boxed
-    /// values and the key's string contents.
-    fn heap_bytes(&self) -> usize {
-        let boxed = match self {
-            IndexKey::One(_) => 0,
-            IndexKey::Many(vs) => vs.len() * size_of::<Value>(),
-        };
-        boxed + string_bytes(self.values())
-    }
-}
-
-impl PartialEq for IndexKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.values() == other.values()
-    }
-}
-
-impl Eq for IndexKey {}
-
-impl std::hash::Hash for IndexKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.values().hash(state);
-    }
-}
-
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.values().cmp(other.values())
-    }
-}
-
-/// Bound on a typed map's keys: within ±2^53 every `i64` has an `f64`
-/// image of its own, so a `Float` probe equals at most one stored key.
-const TYPED_KEYS: std::ops::RangeInclusive<i64> = -(1 << 53)..=1 << 53;
-
-/// The typed-map key that `Value`'s `Eq` matches `v` against: an `Int`
-/// itself, an integral `Float` its one equal integer; `None` when no key
-/// a typed map may hold equals `v`.
-fn int_key(v: &Value) -> Option<i64> {
-    match *v {
-        Value::Int(x) => Some(x),
-        Value::Float(f) => {
-            let i = f as i64;
-            (TYPED_KEYS.contains(&i) && (i as f64).to_bits() == f.to_bits()).then_some(i)
-        }
-        Value::Null | Value::Str(_) => None,
-    }
-}
-
-/// The map operations [`Keys`] needs, over a `HashMap` (join keys) or a
-/// `BTreeMap` (group keys, kept in order).
-trait Map<K: 'static>: Default + IntoIterator<Item = (K, Self::Value)> {
-    type Value: Copy + 'static;
-    fn get(&self, key: &K) -> Option<&Self::Value>;
-    fn get_mut(&mut self, key: &K) -> Option<&mut Self::Value>;
-    fn insert(&mut self, key: K, value: Self::Value);
-    fn remove_entry(&mut self, key: &K) -> Option<(K, Self::Value)>;
-    fn len(&self) -> usize;
-    fn entries(&self) -> impl Iterator<Item = (&K, &Self::Value)>;
-}
-
-impl<K, X, S> Map<K> for HashMap<K, X, S>
-where
-    K: std::hash::Hash + Eq + 'static,
-    X: Copy + 'static,
-    S: BuildHasher + Default,
-{
-    type Value = X;
-    fn get(&self, key: &K) -> Option<&X> {
-        HashMap::get(self, key)
-    }
-    fn get_mut(&mut self, key: &K) -> Option<&mut X> {
-        HashMap::get_mut(self, key)
-    }
-    fn insert(&mut self, key: K, value: X) {
-        HashMap::insert(self, key, value);
-    }
-    fn remove_entry(&mut self, key: &K) -> Option<(K, X)> {
-        HashMap::remove_entry(self, key)
-    }
-    fn len(&self) -> usize {
-        HashMap::len(self)
-    }
-    fn entries(&self) -> impl Iterator<Item = (&K, &X)> {
-        self.iter()
-    }
-}
-
-impl<K: Ord + 'static, X: Copy + 'static> Map<K> for BTreeMap<K, X> {
-    type Value = X;
-    fn get(&self, key: &K) -> Option<&X> {
-        BTreeMap::get(self, key)
-    }
-    fn get_mut(&mut self, key: &K) -> Option<&mut X> {
-        BTreeMap::get_mut(self, key)
-    }
-    fn insert(&mut self, key: K, value: X) {
-        BTreeMap::insert(self, key, value);
-    }
-    fn remove_entry(&mut self, key: &K) -> Option<(K, X)> {
-        BTreeMap::remove_entry(self, key)
-    }
-    fn len(&self) -> usize {
-        BTreeMap::len(self)
-    }
-    fn entries(&self) -> impl Iterator<Item = (&K, &X)> {
-        self.iter()
-    }
-}
-
-/// Keys stored typed while they can be: a one-column `Int` key lives in an
-/// `i64`-keyed map until a key it cannot hold — anything but an `Int`
-/// within ±2^53 — must be stored; then every key moves to the
-/// `IndexKey`-keyed map, for good. Lookups match what `Value`'s `Eq`
-/// matches either way.
-#[derive(Debug)]
-enum Keys<I, V> {
-    Int(I),
-    Values(V),
-}
-
 /// Join key → the first and last slot of its bucket.
-type KeyMap = Keys<HashMap<i64, (u32, u32), IntHash>, HashMap<IndexKey, (u32, u32)>>;
-
-/// The typed join-key maps' hasher: one multiply by a 64-bit odd constant,
-/// folded so the low bits the table indexes by depend on every key bit.
-/// Where a map iterates is never observable — packets and snapshots are
-/// canonicalized, footprints are sums — so a hash that is fast on `i64`s
-/// is all a typed map needs.
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn write_i64(&mut self, x: i64) {
-        self.write_u64(x as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 29)
-    }
-}
-
-type IntHash = BuildHasherDefault<IntHasher>;
-/// Group key → its slot, in key order (`Int` keys order as `i64`s do).
-type GroupMap = Keys<BTreeMap<i64, u32>, BTreeMap<IndexKey, u32>>;
-
-impl<I: Map<i64>, V: Map<IndexKey, Value = I::Value>> Keys<I, V> {
-    /// Bytes of one typed entry.
-    const INT_BYTES: usize = size_of::<(i64, I::Value)>();
-    /// Bytes of one `IndexKey` entry, before the key's heap bytes.
-    const VALUE_BYTES: usize = size_of::<(IndexKey, I::Value)>();
-
-    /// An empty map, typed if its keys are one `Int` column.
-    fn new(key: &[DataType]) -> Self {
-        if key == [DataType::Int] {
-            Keys::Int(I::default())
-        } else {
-            Keys::Values(V::default())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Keys::Int(m) => m.len(),
-            Keys::Values(m) => m.len(),
-        }
-    }
-
-    fn get(&self, key: &IndexKey) -> Option<I::Value> {
-        match (self, key) {
-            (Keys::Int(m), IndexKey::One(v)) => m.get(&int_key(v)?).copied(),
-            (Keys::Int(_), IndexKey::Many(_)) => None,
-            (Keys::Values(m), key) => m.get(key).copied(),
-        }
-    }
-
-    fn get_mut(&mut self, key: &IndexKey) -> Option<&mut I::Value> {
-        match (self, key) {
-            (Keys::Int(m), IndexKey::One(v)) => m.get_mut(&int_key(v)?),
-            (Keys::Int(_), IndexKey::Many(_)) => None,
-            (Keys::Values(m), key) => m.get_mut(key),
-        }
-    }
-
-    /// Counted bytes of `key`'s entry: a typed entry's whenever a typed
-    /// map can hold the key, whichever map holds it now, so that the count
-    /// depends on the keys alone and not on the ones that came and went.
-    fn entry_bytes(key: &IndexKey) -> usize {
-        match key {
-            IndexKey::One(Value::Int(k)) if TYPED_KEYS.contains(k) => Self::INT_BYTES,
-            _ => Self::VALUE_BYTES + key.heap_bytes(),
-        }
-    }
-
-    /// Add `key`, which the map does not hold, switching to `IndexKey`s
-    /// first when the typed map cannot hold it. Returns the entry's
-    /// counted bytes.
-    fn insert(&mut self, key: IndexKey, value: I::Value) -> usize {
-        let bytes = Self::entry_bytes(&key);
-        if let Keys::Int(m) = self {
-            match key {
-                IndexKey::One(Value::Int(k)) if TYPED_KEYS.contains(&k) => {
-                    m.insert(k, value);
-                    return bytes;
-                }
-                _ => {
-                    let mut values = V::default();
-                    for (k, x) in std::mem::take(m) {
-                        values.insert(IndexKey::One(Value::Int(k)), x);
-                    }
-                    *self = Keys::Values(values);
-                }
-            }
-        }
-        let Keys::Values(m) = self else { unreachable!("switched above") };
-        m.insert(key, value);
-        bytes
-    }
-
-    /// Drop `key`'s entry (it is present), returning its value and the
-    /// stored key's counted bytes.
-    fn remove(&mut self, key: &IndexKey) -> (I::Value, usize) {
-        match (self, key) {
-            (Keys::Int(m), IndexKey::One(v)) => {
-                let (_, x) = int_key(v).and_then(|k| m.remove_entry(&k)).expect("a present key");
-                (x, Self::INT_BYTES)
-            }
-            (Keys::Int(_), IndexKey::Many(_)) => unreachable!("typed keys are one column"),
-            (Keys::Values(m), key) => {
-                let (stored, x) = m.remove_entry(key).expect("a present key");
-                (x, Self::entry_bytes(&stored))
-            }
-        }
-    }
-
-    /// Every entry as `(key, value, counted bytes)`, in map order.
-    fn iter(&self) -> impl Iterator<Item = (IndexKey, I::Value, usize)> + '_ {
-        let (ints, values) = match self {
-            Keys::Int(m) => (Some(m), None),
-            Keys::Values(m) => (None, Some(m)),
-        };
-        let ints = ints.into_iter().flat_map(Map::entries);
-        let values = values.into_iter().flat_map(Map::entries);
-        ints.map(|(&k, &x)| (IndexKey::One(Value::Int(k)), x))
-            .chain(values.map(|(k, &x)| (k.clone(), x)))
-            .map(|(k, x)| {
-                let bytes = Self::entry_bytes(&k);
-                (k, x, bytes)
-            })
-    }
-}
-
-impl KeyMap {
-    fn reserve(&mut self, n: usize) {
-        match self {
-            Keys::Int(m) => m.reserve(n),
-            Keys::Values(m) => m.reserve(n),
-        }
-    }
-}
+type KeyMap = Keys<(u32, u32)>;
 
 /// End of a slot chain.
 const NIL: u32 = u32::MAX;
@@ -923,7 +617,7 @@ impl JoinIndex {
         if first == last {
             slots.release(s);
             fp.bytes -= self.keys.remove(&key).1;
-            if self.keys.len() == 0 {
+            if self.keys.is_empty() {
                 slots.clear();
             }
             return;
@@ -972,199 +666,60 @@ struct JoinStage {
     right_index: JoinIndex,
 }
 
-/// The aggregation stage: per-group retractable accumulators. A group is a
-/// key in an ordered map over a slot of two flat arenas — its weighted row
-/// count and its `aggs.len()` accumulators — so it costs no heap allocation
-/// of its own beyond a wide key's boxed values.
+/// The aggregation stage: the group table every aggregation folds into,
+/// driven here by the rows arriving at the terminal stage at their
+/// weights. Its groups iterate in key order, so snapshots come out in
+/// `HashAggOp`'s group order.
 #[derive(Debug)]
 struct AggStage {
     /// Group column positions in the last stage's output layout.
     group_cols: Vec<usize>,
     /// `(function, input column position)` per aggregate.
     aggs: Vec<(AggFunc, Option<usize>)>,
-    /// Group key → its slot. Ordered by key so snapshots come out in
-    /// `HashAggOp`'s sorted-group order.
-    groups: GroupMap,
-    /// Weighted row count per slot.
-    rows: Vec<i64>,
-    /// Slot `g`'s accumulators at `accs[g * aggs.len()..][..aggs.len()]`.
-    accs: Vec<RetractableAcc>,
-    /// Slots of dropped groups, reused before the arenas grow.
-    free: Vec<u32>,
+    table: GroupTable,
 }
 
 impl AggStage {
     /// An aggregation with no groups yet — but for the global group, which
     /// a global aggregate always has. `key` is the group columns' types.
-    fn new(
-        group_cols: Vec<usize>,
-        key: &[DataType],
-        aggs: Vec<(AggFunc, Option<usize>)>,
-        fp: &mut Footprint,
-    ) -> AggStage {
-        let mut agg = AggStage {
-            group_cols,
-            aggs,
-            groups: GroupMap::new(key),
-            rows: Vec::new(),
-            accs: Vec::new(),
-            free: Vec::new(),
-        };
-        if agg.group_cols.is_empty() {
-            // Materialized up front, so the initial snapshot over empty
-            // input already carries the COUNT=0 row.
-            agg.group(IndexKey::of(&[], &[]), fp);
-        }
-        agg
+    fn new(group_cols: Vec<usize>, key: &[DataType], aggs: Vec<(AggFunc, Option<usize>)>) -> Self {
+        let table = GroupTable::new(key, aggs.iter().map(|&(f, _)| f));
+        AggStage { group_cols, aggs, table }
     }
 
-    /// Size the arenas for `groups` more groups.
-    fn reserve(&mut self, groups: usize) {
-        self.rows.reserve(groups);
-        self.accs.reserve(groups * self.aggs.len());
-    }
-
-    /// Slot `g`'s accumulators.
-    fn accs(&self, g: u32) -> &[RetractableAcc] {
-        let n = self.aggs.len();
-        &self.accs[g as usize * n..][..n]
-    }
-
-    /// Bytes of a group's slot: its row count and the fixed part of each
-    /// accumulator (multiset values are counted apart).
-    fn slot_bytes(&self) -> usize {
-        size_of::<i64>() + self.aggs.len() * size_of::<RetractableAcc>()
-    }
-
-    /// The slot of `key`'s group, created empty (and counted in `fp`) when
-    /// there is none.
-    fn group(&mut self, key: IndexKey, fp: &mut Footprint) -> u32 {
-        if let Some(g) = self.groups.get(&key) {
-            return g;
-        }
-        let g = self.free.pop().unwrap_or_else(|| {
-            self.rows.push(0);
-            self.accs.extend(self.aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f)));
-            u32::try_from(self.rows.len() - 1).expect("fewer than u32::MAX groups")
-        });
-        fp.add(self.groups.insert(key, g) + self.slot_bytes());
-        g
-    }
-
-    /// [`group`](Self::group) of the group key of the row at `at` of
-    /// `cols`: a one-column `Int` key read as stored goes straight to a
-    /// typed map, and only a key the map lacks is built.
-    fn group_at(&mut self, cols: &[Src], at: At, fp: &mut Footprint) -> u32 {
-        if let (Keys::Int(m), &[p]) = (&self.groups, &self.group_cols[..]) {
-            if let Some(&g) = cols[p].int(at).and_then(|k| m.get(&k)) {
-                return g;
-            }
-        }
-        self.group(IndexKey::with(&self.group_cols, |p| cols[p].get(at)), fp)
+    /// The group key of the row at `at` of `cols`.
+    fn key_at(&self, cols: &[Src], at: At) -> IndexKey {
+        IndexKey::with(&self.group_cols, |p| cols[p].get(at))
     }
 
     /// Apply aggregate `a`'s input of every row of `rows` (the last stage's
     /// output layout) at the row's weight to its group's accumulator —
-    /// `groups[k]` is row `k`'s — keeping `fp` in step. Rows are applied in
-    /// order, so each accumulator sees its values in the order single rows
-    /// would bring them; a COUNT, SUM or AVG over a typed column adds the
-    /// numbers as read, without building a `Value`.
-    fn fold(&mut self, a: usize, rows: &Arrivals, groups: &[u32], fp: &mut Footprint) {
-        let n = self.aggs.len();
+    /// `groups[k]` is row `k`'s slot. Rows are applied in order, so each
+    /// accumulator sees its values in the order single rows would bring
+    /// them; a COUNT, SUM or AVG over a typed column adds the numbers as
+    /// read, without building a `Value`.
+    fn fold(&mut self, a: usize, rows: &Arrivals, groups: &[u32]) {
         let (func, col) = self.aggs[a];
-        // Group `g`'s accumulator is `accs[g * n]`.
-        let accs = &mut self.accs[a..];
-        let each = rows.rows.iter().zip(groups).map(|(&(at, w), &g)| (at, w, g as usize * n));
-        let algebraic = !matches!(func, AggFunc::Min | AggFunc::Max);
+        let table = &mut self.table;
+        let each = rows.rows.iter().zip(groups).map(|(&(at, w), &g)| (at, w, g));
+        let algebraic = func.is_algebraic();
         match col.map(|c| rows.cols[c]) {
             Some(Src::Int(xs)) if algebraic => {
-                each.for_each(|(at, w, g)| accs[g].add(xs.get(at.r) as f64, w))
+                each.for_each(|(at, w, g)| table.add(a, g, xs.get(at.r) as f64, w))
             }
             Some(Src::Float(xs)) if algebraic => {
-                each.for_each(|(at, w, g)| accs[g].add(xs[at.r], w))
+                each.for_each(|(at, w, g)| table.add(a, g, xs[at.r], w))
             }
             Some(Src::Slot(Column::Int(v))) if algebraic => {
-                each.for_each(|(at, w, g)| accs[g].add(v[at.s as usize] as f64, w))
+                each.for_each(|(at, w, g)| table.add(a, g, v[at.s as usize] as f64, w))
             }
             Some(Src::Slot(Column::Float(v))) if algebraic => {
-                each.for_each(|(at, w, g)| accs[g].add(v[at.s as usize], w))
+                each.for_each(|(at, w, g)| table.add(a, g, v[at.s as usize], w))
             }
             src => {
-                for (at, w, g) in each {
-                    let v = src.map(|c| c.get(at));
-                    let held = accs[g].multiset_len();
-                    accs[g].apply(v.as_ref(), w);
-                    // The multiset gained or lost at most this one value.
-                    if let Some(v) = &v {
-                        if accs[g].multiset_len() > held {
-                            fp.add(RetractableAcc::multiset_entry_bytes(v));
-                        } else if accs[g].multiset_len() < held {
-                            fp.remove(RetractableAcc::multiset_entry_bytes(v));
-                        }
-                    }
-                }
+                each.for_each(|(at, w, g)| table.fold(a, g, src.map(|c| c.get(at)).as_ref(), w))
             }
         }
-    }
-
-    /// Drop `key`'s group if every row has left it — a from-scratch run
-    /// would not see it — resetting its slot for reuse. The global group
-    /// stays, COUNT=0 and all.
-    fn drop_if_empty(&mut self, key: &IndexKey, fp: &mut Footprint) {
-        if self.group_cols.is_empty() {
-            return;
-        }
-        let Some(g) = self.groups.get(key) else { return };
-        if self.rows[g as usize] > 0 {
-            return;
-        }
-        // A group without rows has had every value retracted: its
-        // multisets are already empty and uncounted.
-        fp.remove(self.groups.remove(key).1 + self.slot_bytes());
-        let n = self.aggs.len();
-        self.rows[g as usize] = 0;
-        for (a, (f, _)) in self.accs[g as usize * n..][..n].iter_mut().zip(&self.aggs) {
-            *a = RetractableAcc::for_func(*f);
-        }
-        self.free.push(g);
-    }
-
-    /// The group's current output row (group key ++ aggregate values),
-    /// pre-projection; `None` when the group has no rows (a global
-    /// aggregate — empty `group_cols` — always has an output row, matching
-    /// `HashAggOp` over empty input).
-    fn output(&self, key: &IndexKey) -> Option<Row> {
-        match self.groups.get(key) {
-            Some(g) => self.output_of(key, g),
-            None if self.group_cols.is_empty() => {
-                let empty = self.aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f).finish(*f));
-                Some(key.values().iter().cloned().chain(empty).collect())
-            }
-            None => None,
-        }
-    }
-
-    /// [`output`](Self::output) of the group at slot `g`.
-    fn output_of(&self, key: &IndexKey, g: u32) -> Option<Row> {
-        if self.rows[g as usize] <= 0 && !self.group_cols.is_empty() {
-            return None;
-        }
-        let finished = self.aggs.iter().zip(self.accs(g)).map(|((f, _), a)| a.finish(*f));
-        Some(key.values().iter().cloned().chain(finished).collect())
-    }
-
-    /// The footprint recounted by walking every group.
-    #[cfg(any(test, debug_assertions))]
-    fn recount(&self) -> Footprint {
-        let mut fp = Footprint::default();
-        for (_, g, bytes) in self.groups.iter() {
-            let accs = self.accs(g);
-            fp.rows += 1 + accs.iter().map(RetractableAcc::multiset_len).sum::<usize>();
-            fp.bytes += bytes
-                + self.slot_bytes()
-                + accs.iter().map(RetractableAcc::multiset_bytes).sum::<usize>();
-        }
-        fp
     }
 }
 
@@ -1200,7 +755,8 @@ pub struct ViewCircuit {
     view: BTreeMap<Row, i64>,
     /// One past the epoch of the last record folded in.
     cursor: u64,
-    /// What the structures above hold right now.
+    /// What the join indexes and `view` hold right now (the aggregate's
+    /// group table counts its own).
     footprint: Footprint,
 }
 
@@ -1225,40 +781,10 @@ fn positions_in(layout: &[usize], wanted: impl IntoIterator<Item = usize>) -> Ve
         .collect()
 }
 
-/// String contents held by `values`.
-fn string_bytes(values: &[Value]) -> usize {
-    values.iter().map(|v| if let Value::Str(s) = v { s.len() } else { 0 }).sum()
-}
-
 /// Bytes of one non-aggregate view row with its weight: the map entry,
 /// the row's values and their string contents.
 fn entry_bytes(row: &[Value]) -> usize {
     size_of::<(Row, i64)>() + std::mem::size_of_val(row) + string_bytes(row)
-}
-
-/// Running count of what the circuit keeps resident, adjusted at every
-/// insertion into and removal from a maintained structure (so reading it
-/// is O(1) — a poll renegotiates its grant without walking the state).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct Footprint {
-    /// Resident entries (see [`ViewCircuit::state_rows`]).
-    rows: usize,
-    /// Their payload bytes (see [`ViewCircuit::state_bytes`]).
-    bytes: usize,
-}
-
-impl Footprint {
-    /// One entry of `bytes` became resident.
-    fn add(&mut self, bytes: usize) {
-        self.rows += 1;
-        self.bytes += bytes;
-    }
-
-    /// One entry of `bytes` was dropped.
-    fn remove(&mut self, bytes: usize) {
-        self.rows -= 1;
-        self.bytes -= bytes;
-    }
 }
 
 impl ViewCircuit {
@@ -1325,35 +851,13 @@ impl ViewCircuit {
         let joined_schema = Schema::new(joined_fields);
         // Declared types by global position: what a join index stores typed.
         let types: Vec<DataType> = joined_schema.fields().iter().map(|f| f.dtype).collect();
-        // Aggregation binding mirrors HashAggOp::new (including output
-        // field types), then projection resolves over the aggregate's
-        // output schema — the same stacking order as the batch planner.
+        // The aggregation binds as every aggregation does, then projection
+        // resolves over the aggregate's output schema — the same stacking
+        // order as the batch planner.
         let (agg_cols, pre_proj_schema) = if !spec.aggs.is_empty() || !spec.group_by.is_empty() {
-            let mut group_cols = Vec::with_capacity(spec.group_by.len());
-            let mut fields: Vec<Field> = Vec::new();
-            for g in &spec.group_by {
-                let i = resolve(&joined_schema, g)?;
-                group_cols.push(i);
-                fields.push(joined_schema.field(i).clone());
-            }
-            let mut aggs = Vec::with_capacity(spec.aggs.len());
-            for a in &spec.aggs {
-                let col = a
-                    .col
-                    .as_deref()
-                    .map(|c| resolve(&joined_schema, c))
-                    .transpose()?;
-                let dtype = match a.func {
-                    AggFunc::Count => DataType::Int,
-                    AggFunc::Sum | AggFunc::Avg => DataType::Float,
-                    AggFunc::Min | AggFunc::Max => col
-                        .map(|i| joined_schema.field(i).dtype)
-                        .unwrap_or(DataType::Float),
-                };
-                fields.push(Field::new(a.alias.clone(), dtype));
-                aggs.push((a.func, col));
-            }
-            (Some((group_cols, aggs)), Schema::new(fields))
+            let AggBinding { group_cols, aggs, schema } =
+                AggBinding::new(&joined_schema, &spec.group_by, &spec.aggs)?;
+            (Some((group_cols, aggs)), schema)
         } else {
             (None, joined_schema)
         };
@@ -1447,14 +951,13 @@ impl ViewCircuit {
         // The terminal stage reads the last stage's output layout — exactly
         // the terminal's own required columns, ascending.
         let final_layout: Vec<usize> = terminal.into_iter().collect();
-        let mut footprint = Footprint::default();
         let agg = agg_cols.map(|(group_cols, aggs)| {
             let aggs = aggs
                 .into_iter()
                 .map(|(f, c)| (f, c.map(|c| positions_in(&final_layout, [c])[0])))
                 .collect();
             let key: Vec<DataType> = group_cols.iter().map(|&g| types[g]).collect();
-            AggStage::new(positions_in(&final_layout, group_cols), &key, aggs, &mut footprint)
+            AggStage::new(positions_in(&final_layout, group_cols), &key, aggs)
         });
         // A non-aggregate projection indexes the joined row; an aggregate's
         // indexes its own output row, which pruning does not touch.
@@ -1471,7 +974,7 @@ impl ViewCircuit {
             out_schema,
             view: BTreeMap::new(),
             cursor: 0,
-            footprint,
+            footprint: Footprint::default(),
         })
     }
 
@@ -1530,7 +1033,7 @@ impl ViewCircuit {
             tally.charge(clock);
         }
         #[cfg(debug_assertions)]
-        assert_eq!(self.footprint, self.recount(), "running footprint drifted from a recount");
+        assert_eq!(self.footprint(), self.recount(), "running footprint drifted from a recount");
         Ok(())
     }
 
@@ -1587,7 +1090,7 @@ impl ViewCircuit {
         };
         match (self.stages.get_mut(i), &mut self.agg) {
             (Some(next), _) => next.left_index.reserve(joined, distinct),
-            (None, Some(agg)) => agg.reserve(distinct),
+            (None, Some(agg)) => agg.table.reserve(distinct),
             (None, None) => {}
         }
     }
@@ -1625,8 +1128,8 @@ impl ViewCircuit {
         // are checked for dropping.
         if let Some(agg) = &mut self.agg {
             for (key, old) in std::mem::take(&mut acc.touched) {
-                let new = agg.output(&key).map(|r| project(&self.projection, r));
-                agg.drop_if_empty(&key, &mut self.footprint);
+                let new = agg.table.output(&key).map(|r| project(&self.projection, r));
+                agg.table.drop_if_empty(&key);
                 if old == new {
                     continue;
                 }
@@ -1639,7 +1142,7 @@ impl ViewCircuit {
             }
         }
         #[cfg(debug_assertions)]
-        assert_eq!(self.footprint, self.recount(), "running footprint drifted from a recount");
+        assert_eq!(self.footprint(), self.recount(), "running footprint drifted from a recount");
         DeltaPacket {
             epoch,
             inserted: canonicalize(acc.inserted),
@@ -1653,13 +1156,8 @@ impl ViewCircuit {
             Some(agg) => {
                 // Groups iterate in key order — the same sorted-group
                 // order HashAggOp emits.
-                let rows: Vec<Row> = agg
-                    .groups
-                    .iter()
-                    .filter_map(|(k, g, _)| agg.output_of(&k, g))
-                    .map(|r| project(&self.projection, r))
-                    .collect();
-                canonicalize(rows)
+                let rows = agg.table.finish().into_iter();
+                canonicalize(rows.map(|r| project(&self.projection, r)).collect())
             }
             None => self
                 .view
@@ -1676,7 +1174,7 @@ impl ViewCircuit {
     /// aggregate ones) — what a subscriber's copy holds.
     pub fn view_rows(&self) -> usize {
         match &self.agg {
-            Some(agg) => agg.groups.len().max(usize::from(agg.group_cols.is_empty())),
+            Some(agg) => agg.table.len(),
             None => self.view.values().map(|&w| w.max(0) as usize).sum(),
         }
     }
@@ -1686,7 +1184,7 @@ impl ViewCircuit {
     /// distinct rows of a non-aggregate view. Counted as the structures
     /// change, not estimated — this is what the memory broker funds.
     pub fn state_rows(&self) -> usize {
-        self.footprint.rows
+        self.footprint().rows
     }
 
     /// Payload bytes behind [`state_rows`](Self::state_rows): every key,
@@ -1701,20 +1199,24 @@ impl ViewCircuit {
     /// the same state report the same number, whatever values came and
     /// went, and a fully retracted circuit reports what an empty one does.
     pub fn state_bytes(&self) -> usize {
-        self.footprint.bytes
+        self.footprint().bytes
+    }
+
+    /// What the circuit holds right now: the join indexes and the view, and
+    /// the aggregate's groups.
+    fn footprint(&self) -> Footprint {
+        let groups = self.agg.as_ref().map(|agg| agg.table.footprint());
+        self.footprint + groups.unwrap_or_default()
     }
 
     /// The footprint recounted by walking every structure — what the
     /// running count must equal at all times.
     #[cfg(any(test, debug_assertions))]
     fn recount(&self) -> Footprint {
-        let mut fp = Footprint::default();
         let parts =
             self.stages.iter().flat_map(|s| [s.left_index.recount(), s.right_index.recount()]);
-        for part in parts.chain(self.agg.as_ref().map(AggStage::recount)) {
-            fp.rows += part.rows;
-            fp.bytes += part.bytes;
-        }
+        let groups = self.agg.as_ref().map(|agg| agg.table.recount());
+        let mut fp = parts.chain(groups).fold(Footprint::default(), |a, b| a + b);
         fp.rows += self.view.len();
         fp.bytes += self.view.keys().map(|row| entry_bytes(row)).sum::<usize>();
         fp
@@ -1860,22 +1362,19 @@ impl Fold<'_> {
             // over all rows, a column at a time.
             let mut groups = Vec::with_capacity(rows.rows.len());
             for &(at, w) in &rows.rows {
-                let g = match self.out.as_deref_mut() {
-                    Some(acc) => {
-                        let key = IndexKey::with(&agg.group_cols, |p| rows.cols[p].get(at));
-                        if !acc.touched.contains_key(&key) {
-                            let old = agg.output(&key).map(|r| project(self.projection, r));
-                            acc.touched.insert(key.clone(), old);
-                        }
-                        agg.group(key, self.footprint)
+                let key = agg.key_at(&rows.cols, at);
+                if let Some(acc) = self.out.as_deref_mut() {
+                    if !acc.touched.contains_key(&key) {
+                        let old = agg.table.output(&key).map(|r| project(self.projection, r));
+                        acc.touched.insert(key.clone(), old);
                     }
-                    None => agg.group_at(&rows.cols, at, self.footprint),
-                };
-                agg.rows[g as usize] += w;
+                }
+                let g = agg.table.group(key);
+                agg.table.add_rows(g, w);
                 groups.push(g);
             }
             for a in 0..agg.aggs.len() {
-                agg.fold(a, rows, &groups, self.footprint);
+                agg.fold(a, rows, &groups);
             }
             return;
         }
@@ -1918,10 +1417,11 @@ fn project(projection: &Option<Vec<usize>>, row: Row) -> Row {
 mod tests {
     use super::*;
     use rqp_common::expr::{col, lit};
-    use rqp_common::{CostClock, DataType};
+    use rqp_common::{Accumulator, CostClock, DataType, Field};
     use rqp_exec::AggSpec;
+    use rqp_storage::keyed::int_key;
     use rqp_storage::{Changelog, Table};
-    use std::collections::hash_map;
+    use std::collections::{hash_map, HashMap};
     use std::sync::Arc;
 
     fn catalog() -> Catalog {
@@ -2035,15 +1535,15 @@ mod tests {
                     .iter()
                     .map(|a| a.col.as_deref().map(|c| joined_schema.index_of(c).unwrap()))
                     .collect();
-                let mut groups: BTreeMap<Vec<Value>, Vec<RetractableAcc>> = BTreeMap::new();
+                let mut groups: BTreeMap<Vec<Value>, Vec<Accumulator>> = BTreeMap::new();
                 if gc.is_empty() {
-                    groups.insert(Vec::new(), vec![RetractableAcc::new(); spec.aggs.len()]);
+                    groups.insert(Vec::new(), vec![Accumulator::new(); spec.aggs.len()]);
                 }
                 for r in &rows {
                     let key: Vec<Value> = gc.iter().map(|&i| r[i].clone()).collect();
                     let states = groups
                         .entry(key)
-                        .or_insert_with(|| vec![RetractableAcc::new(); spec.aggs.len()]);
+                        .or_insert_with(|| vec![Accumulator::new(); spec.aggs.len()]);
                     for (s, c) in states.iter_mut().zip(&ac) {
                         s.apply(c.map(|i| &r[i]), 1);
                     }
@@ -2098,12 +1598,12 @@ mod tests {
 
     /// Fold one materialized row (the last stage's output layout) into
     /// `key`'s group at weight `w`, as a batch of one.
-    fn fold_row(agg: &mut AggStage, key: IndexKey, row: &[Value], w: i64, fp: &mut Footprint) {
-        let g = agg.group(key, fp);
-        agg.rows[g as usize] += w;
+    fn fold_row(agg: &mut AggStage, key: IndexKey, row: &[Value], w: i64) {
+        let g = agg.table.group(key);
+        agg.table.add_rows(g, w);
         let rows = Arrivals { cols: Src::of_row(row), rows: vec![(At { r: 0, s: NIL }, w)] };
         for a in 0..agg.aggs.len() {
-            agg.fold(a, &rows, &[g], fp);
+            agg.fold(a, &rows, &[g]);
         }
     }
 
@@ -2421,8 +1921,8 @@ mod tests {
             assert!(ix.slots.columns.iter().all(|c| matches!(c, Column::Int(_))), "typed values");
         }
         let agg = circuit.agg.as_ref().expect("an aggregate");
-        assert!(matches!(agg.groups, Keys::Int(_)), "typed group keys");
-        let group = GroupMap::INT_BYTES + agg.slot_bytes();
+        assert!(matches!(agg.table.keys(), Keys::Int(_)), "typed group keys");
+        let group = Keys::<u32>::INT_BYTES + agg.table.slot_bytes();
         assert_eq!(circuit.state_bytes(), 4 * 12 + 3 * 8 + 4 * KeyMap::INT_BYTES + group);
     }
 
@@ -2700,37 +2200,36 @@ mod tests {
     #[test]
     fn agg_groups_match_the_btreemap_model() {
         use rand::Rng;
-        type Model = BTreeMap<Vec<Value>, (i64, Vec<RetractableAcc>)>;
+        type Model = BTreeMap<Vec<Value>, (i64, Vec<Accumulator>)>;
         let aggs = vec![
             (AggFunc::Count, None),
             (AggFunc::Sum, Some(2)),
             (AggFunc::Min, Some(2)),
             (AggFunc::Avg, Some(2)),
         ];
-        let fresh = || aggs.iter().map(|(f, _)| RetractableAcc::for_func(*f)).collect::<Vec<_>>();
-        let finish = |accs: &[RetractableAcc]| -> Vec<Value> {
+        let fresh = || aggs.iter().map(|(f, _)| Accumulator::for_func(*f)).collect::<Vec<_>>();
+        let finish = |accs: &[Accumulator]| -> Vec<Value> {
             aggs.iter().zip(accs).map(|((f, _), a)| a.finish(*f)).collect()
         };
         let later = [Value::Float(2.0), Value::Float(-0.0), Value::Float(0.5), Value::Null];
         const TYPED_STEPS: usize = 150;
         for (group_cols, distinct) in [(vec![], 1), (vec![0], 4 + 3), (vec![0, 1], 2 * (4 + 3))] {
             let mut rng = rqp_common::rng::seeded(distinct as u64);
-            let mut fp = Footprint::default();
             let key_types = [DataType::Int, DataType::Str];
             let key_types = &key_types[..group_cols.len()];
-            let mut agg = AggStage::new(group_cols.clone(), key_types, aggs.clone(), &mut fp);
+            let mut agg = AggStage::new(group_cols.clone(), key_types, aggs.clone());
             let global = group_cols.is_empty();
-            assert_eq!(matches!(agg.groups, Keys::Int(_)), group_cols == [0]);
+            assert_eq!(matches!(agg.table.keys(), Keys::Int(_)), group_cols == [0]);
             let mut model = Model::new();
             if global {
                 model.insert(Vec::new(), (0, fresh()));
             }
             // What is folded in, so a retraction takes back a real row.
             let mut held: Vec<Row> = Vec::new();
-            let step = |agg: &mut AggStage, model: &mut Model, fp: &mut Footprint, row: Row, w| {
+            let step = |agg: &mut AggStage, model: &mut Model, row: Row, w| {
                 let key = IndexKey::of(&row, &group_cols);
-                fold_row(agg, key.clone(), &row, w, fp);
-                agg.drop_if_empty(&key, fp);
+                fold_row(agg, key.clone(), &row, w);
+                agg.table.drop_if_empty(&key);
                 let mkey = key.values().to_vec();
                 let (rows, accs) = model.entry(mkey.clone()).or_insert_with(|| (0, fresh()));
                 *rows += w;
@@ -2740,13 +2239,16 @@ mod tests {
                 if *rows <= 0 && !global {
                     model.remove(&mkey);
                 }
-                assert_eq!(agg.groups.len(), model.len(), "group count");
-                for ((key, g, _), (mkey, (rows, accs))) in agg.groups.iter().zip(model.iter()) {
+                assert_eq!(agg.table.len(), model.len(), "group count");
+                let groups = agg.table.groups().into_iter();
+                for ((key, g), (mkey, (rows, accs))) in groups.zip(model.iter()) {
                     assert!(same(key.values(), mkey), "stored key {key:?} vs {mkey:?}");
                     let want = mkey.iter().cloned().chain(finish(accs)).collect();
-                    assert_eq!(agg.output_of(&key, g), (*rows > 0 || global).then_some(want));
+                    let got = agg.table.output_of(&key, g);
+                    assert_eq!(got, (*rows > 0 || global).then_some(want));
                 }
-                assert_eq!(*fp, agg.recount(), "running footprint vs recount");
+                let fp = agg.table.footprint();
+                assert_eq!(fp, agg.table.recount(), "running footprint vs recount");
             };
             let draw = |rng: &mut rand::rngs::StdRng, typed: bool| -> Row {
                 let first = match rng.gen_range(0..4 + later.len()) {
@@ -2762,31 +2264,33 @@ mod tests {
             for n in 0..400 {
                 if !held.is_empty() && rng.gen_range(0..3) == 0 {
                     let row = held.swap_remove(rng.gen_range(0..held.len()));
-                    step(&mut agg, &mut model, &mut fp, row, -1);
+                    step(&mut agg, &mut model, row, -1);
                     continue;
                 }
                 let row = draw(&mut rng, n < TYPED_STEPS);
                 held.push(row.clone());
-                step(&mut agg, &mut model, &mut fp, row, 1);
+                step(&mut agg, &mut model, row, 1);
             }
-            assert!(matches!(agg.groups, Keys::Values(_)), "group keys switched");
-            assert!(agg.rows.len() <= distinct, "a dropped group's slot is reused");
+            assert!(matches!(agg.table.keys(), Keys::Values(_)), "group keys switched");
+            let slots = agg.table.row_counts().len();
+            assert!(slots <= distinct, "a dropped group's slot is reused");
             for row in std::mem::take(&mut held) {
-                step(&mut agg, &mut model, &mut fp, row, -1);
+                step(&mut agg, &mut model, row, -1);
             }
-            assert_eq!(agg.groups.len(), usize::from(global), "only the global group stays");
-            let mut empty = Footprint::default();
-            AggStage::new(group_cols.clone(), key_types, aggs.clone(), &mut empty);
-            assert_eq!(fp, empty, "an emptied stage counts as a new one");
+            assert_eq!(agg.table.len(), usize::from(global), "only the global group stays");
+            let empty = AggStage::new(group_cols.clone(), key_types, aggs.clone());
+            let fp = agg.table.footprint();
+            assert_eq!(fp, empty.table.footprint(), "an emptied stage counts as a new one");
             if global {
-                let row = agg.output(&IndexKey::of(&[], &[])).expect("the global group's row");
+                let global = IndexKey::of(&[], &[]);
+                let row = agg.table.output(&global).expect("the global group's row");
                 assert_eq!(row[0], Value::Int(0), "COUNT=0 over no rows");
                 assert!(row[2].is_null() && row[3].is_null(), "no MIN or AVG over no rows");
             }
             // Refilled, every reused slot starts as a new group would.
             for _ in 0..40 {
                 let row = draw(&mut rng, false);
-                step(&mut agg, &mut model, &mut fp, row, 1);
+                step(&mut agg, &mut model, row, 1);
             }
         }
     }
@@ -2850,7 +2354,7 @@ mod tests {
         for (row, w) in cur {
             clock.charge_hash_build(w.unsigned_abs() as f64);
             if let Some(agg) = &mut c.agg {
-                fold_row(agg, IndexKey::of(&row, &agg.group_cols), &row, w, &mut c.footprint);
+                fold_row(agg, IndexKey::of(&row, &agg.group_cols), &row, w);
                 continue;
             }
             let row = project(&c.projection, row);
@@ -2899,10 +2403,12 @@ mod tests {
             out += &format!("{buckets:?} {:?} {capacity:?} {keys:?}\n", typed.collect::<Vec<_>>());
         }
         if let Some(agg) = &c.agg {
-            let groups: Vec<_> = agg.groups.iter().collect();
-            let accs: Vec<String> = agg.accs.iter().map(|a| format!("{a:?}")).collect();
-            let capacity = (agg.rows.capacity(), agg.accs.capacity());
-            out += &format!("{groups:?} {:?} {accs:?} {capacity:?}\n", agg.rows);
+            let table = &agg.table;
+            let mut groups: Vec<_> = table.keys().iter().collect();
+            groups.sort();
+            let accs: Vec<String> = table.accumulators().iter().map(|a| format!("{a:?}")).collect();
+            let capacity = table.capacity();
+            out += &format!("{groups:?} {:?} {accs:?} {capacity:?}\n", table.row_counts());
         }
         out
     }
@@ -2915,7 +2421,7 @@ mod tests {
         batch.load_initial(catalog, &batch_clock).unwrap();
         let mut rows = ViewCircuit::compile(spec, catalog).unwrap();
         row_load(&mut rows, catalog, &row_clock);
-        assert_eq!(batch.footprint, batch.recount(), "footprint vs recount");
+        assert_eq!(batch.footprint(), batch.recount(), "footprint vs recount");
         assert_eq!(load_state(&batch, &batch_clock), load_state(&rows, &row_clock), "{spec:?}");
     }
 

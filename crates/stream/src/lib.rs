@@ -16,11 +16,13 @@
 //!   opposite side's index and flows on; the classic bilinear rule
 //!   `Δ(A ⋈ B) = ΔA ⋈ B + A ⋈ ΔB` degenerates to one term per changelog
 //!   record because records are applied one at a time;
-//! * **grouped aggregation** — retractable accumulators
-//!   ([`RetractableAcc`]) that mirror `HashAggOp`'s `AggState` finish
-//!   semantics (COUNT → `Int`, SUM → `Float`, AVG of nothing → `Null`;
-//!   only MIN/MAX keep an ordered value multiset, so retraction can fall
-//!   back to the runner-up);
+//! * **grouped aggregation** — the group table every aggregation folds
+//!   into ([`rqp_storage::GroupTable`], over the one retractable
+//!   [`rqp_common::Accumulator`]), driven at each change's weight where
+//!   `HashAggOp` drives it at +1 — so a view finishes exactly as a
+//!   from-scratch run (COUNT → `Int`, SUM → `Float`, AVG of nothing →
+//!   `Null`; only MIN/MAX keep an ordered value multiset, so retraction
+//!   can fall back to the runner-up);
 //! * **projection** — applied last, over the aggregate's output schema,
 //!   exactly where the batch planner puts it.
 //!
@@ -50,8 +52,6 @@
 
 #![warn(missing_docs)]
 
-pub mod acc;
 pub mod circuit;
 
-pub use acc::RetractableAcc;
 pub use circuit::{canonicalize, DeltaPacket, ViewCircuit};

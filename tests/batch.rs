@@ -21,7 +21,10 @@ use rqp::exec::{
     ExecContext, FilterOp, HashAggOp, HashJoinOp, Operator, Partitioning, PipelineBuilder,
     ProjectOp, TableScanOp,
 };
-use rqp::{DataType, Expr, Row, Schema, Table, Value};
+use rqp::common::CostClock;
+use rqp::storage::{ChangeOp, ChangeRecord};
+use rqp::stream::ViewCircuit;
+use rqp::{Catalog, DataType, Expr, QuerySpec, Row, Schema, Table, Value};
 use std::sync::Arc;
 
 fn ctx() -> ExecContext {
@@ -91,6 +94,19 @@ fn assert_rows_and_bits(
     assert_eq!(a.rand_io.to_bits(), b.rand_io.to_bits(), "{label}: rand_io");
     assert_eq!(a.cpu.to_bits(), b.cpu.to_bits(), "{label}: cpu");
     assert_eq!(a.spill.to_bits(), b.spill.to_bits(), "{label}: spill");
+}
+
+/// Every value's variant and bits. `Value`'s `Eq` calls `Int(1)` and
+/// `Float(1.0)` equal and `-0.0` unequal to `0.0`; bit identity tells all
+/// four apart, and each NaN payload from every other.
+fn bits(rows: &[Row]) -> Vec<Vec<String>> {
+    let bits = |v: &Value| match v {
+        Value::Null => "null".to_string(),
+        Value::Int(x) => format!("int {x}"),
+        Value::Float(f) => format!("float {:#018x}", f.to_bits()),
+        Value::Str(s) => format!("str {s:?}"),
+    };
+    rows.iter().map(|r| r.iter().map(bits).collect()).collect()
 }
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -320,8 +336,13 @@ fn hash_agg_twins_are_bit_identical() {
         AggSpec::on(AggFunc::Avg, "o.amt", "a"),
         AggSpec::on(AggFunc::Min, "o.amt", "lo"),
         AggSpec::on(AggFunc::Max, "o.amt", "hi"),
+        AggSpec::on(AggFunc::Min, "o.cat", "first_cat"),
+        AggSpec::on(AggFunc::Max, "o.cat", "last_cat"),
+        AggSpec::on(AggFunc::Count, "o.cat", "cats"),
+        AggSpec::on(AggFunc::Sum, "o.cat", "cat_sum"),
+        AggSpec::on(AggFunc::Avg, "o.cat", "cat_avg"),
     ];
-    for group in [&["o.cat"][..], &[][..]] {
+    for group in [&["o.cat"][..], &[][..], &["o.id", "o.cat"][..], &["o.amt", "o.cat"][..]] {
         let scalar = {
             let c = ctx();
             let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(&t), c.clone()));
@@ -335,6 +356,7 @@ fn hash_agg_twins_are_bit_identical() {
             (collect(&mut a), c)
         };
         assert_rows_and_bits(&format!("hash agg group={group:?}"), &scalar, &batch);
+        assert_eq!(bits(&scalar.0), bits(&batch.0), "group={group:?}: value bits");
     }
 }
 
@@ -374,6 +396,223 @@ fn degenerate_inputs_match_scalar() {
     };
     assert_eq!(scalar.0, vec![vec![Value::Int(0)]]);
     assert_rows_and_bits("empty global agg", &scalar, &batch);
+}
+
+// ---------------------------------------------------------------------------
+// One keyed state, three drivers: row, batch and standing-view aggregation
+// ---------------------------------------------------------------------------
+
+/// COUNT(*) and every aggregate function over each of `cols`.
+fn every_agg(cols: &[&str]) -> Vec<AggSpec> {
+    let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
+    let each = cols.iter().flat_map(|c| funcs.map(|f| AggSpec::on(f, *c, format!("{f:?}({c})"))));
+    std::iter::once(AggSpec::count_star("n")).chain(each).collect()
+}
+
+/// `group` × `aggs` over `t` through the row and the batch hash aggregation
+/// and a standing view's load: all three finish to the same bits, and the
+/// two operators charge the same bits.
+fn assert_drivers_agree(t: &Arc<Table>, group: &[&str], aggs: &[AggSpec]) {
+    let scalar = {
+        let c = ctx();
+        let scan: BoxOp = Box::new(TableScanOp::new(Arc::clone(t), c.clone()));
+        let mut a = HashAggOp::new(scan, group, aggs, c.clone()).unwrap();
+        (collect(&mut a), c)
+    };
+    let batch = {
+        let c = ctx();
+        let scan: BoxBatchOp = Box::new(BatchScanOp::new(Arc::clone(t), c.clone()));
+        let mut a = BatchHashAggOp::new(scan, group, aggs, c.clone()).unwrap();
+        (collect(&mut a), c)
+    };
+    let label = format!("{} rows, group={group:?}", t.nrows());
+    assert_rows_and_bits(&label, &scalar, &batch);
+    assert_eq!(bits(&scalar.0), bits(&batch.0), "{label}: row vs batch");
+    let spec = QuerySpec::new().table(t.name()).aggregate(group, aggs.to_vec());
+    assert_eq!(bits(&scalar.0), bits(&view_of(&spec, &[t])), "{label}: row vs view");
+}
+
+/// The schema of the literal rows below: a group column and an input
+/// column, declared `Int` and `Float` but holding values of any variant.
+fn any_schema() -> Schema {
+    Schema::from_pairs(&[("m.g", DataType::Int), ("m.x", DataType::Float)])
+}
+
+/// The rows of [`any_schema`] through the row hash aggregation.
+fn row_agg(rows: &[Row], aggs: &[AggSpec]) -> Vec<Row> {
+    let c = ctx();
+    let rows: Vec<Row> = rows.to_vec();
+    let src: BoxOp = Box::new(MixedRowsOp { schema: any_schema(), rows: rows.into_iter() });
+    let mut a = HashAggOp::new(src, &["m.g"], aggs, c).unwrap();
+    collect(&mut a)
+}
+
+/// A standing view grouping table `m` (of [`any_schema`]) by `m.g`, fed
+/// `changes` as changelog records.
+fn view_after(changes: &[(ChangeOp, Row)], aggs: &[AggSpec]) -> Vec<Row> {
+    let mut catalog = Catalog::new();
+    let columns = Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]);
+    catalog.add_table(Table::new("m", columns));
+    let spec = QuerySpec::new().table("m").aggregate(&["m.g"], aggs.to_vec());
+    let mut view = ViewCircuit::compile(&spec, &catalog).unwrap();
+    let table: Arc<str> = Arc::from("m");
+    let records: Vec<ChangeRecord> = changes
+        .iter()
+        .enumerate()
+        .map(|(epoch, (op, row))| ChangeRecord {
+            epoch: epoch as u64,
+            table: Arc::clone(&table),
+            op: *op,
+            row: row.clone(),
+        })
+        .collect();
+    view.apply(&records, &CostClock::default_clock());
+    view.snapshot()
+}
+
+#[test]
+fn group_keys_switch_mid_build_alike_on_every_driver() {
+    // Typed group keys that switch to `Value` keys mid-build (an `Int` past
+    // 2^53 after typed keys), Float keys -0.0, 0.0, a NaN and integral
+    // values, string keys and an (Int, Str) pair.
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+        ("x", DataType::Float),
+    ]);
+    let floats = [-0.0, 0.0, f64::NAN, 2.0, -1.5, 3.0];
+    let mut t = Table::new("t", schema);
+    for i in 0..300i64 {
+        let g = match i {
+            200 => (1 << 53) + 1,
+            250 => -(1 << 53) - 5,
+            _ => i % 4,
+        };
+        let x = (i % 9) as f64 * 0.25 - 1.0;
+        let s = format!("s{}", i % 3);
+        t.append(vec![g.into(), floats[i as usize % 6].into(), s.into(), x.into()]);
+    }
+    let t = Arc::new(t);
+    let aggs = every_agg(&["t.x", "t.f", "t.s"]);
+    for group in [&["t.g"][..], &["t.f"], &["t.g", "t.s"], &["t.s"], &[]] {
+        assert_drivers_agree(&t, group, &aggs);
+    }
+    // On the row path a group column holds any variant: an `Int` and the
+    // equal `Float` (one group, keyed as the first seen), `-0.0` apart from
+    // `0` and a NaN on their own, all while the map is typed; then a NULL
+    // key that switches it, and `2^53 + 1` beside the equal `Float` 2^53.
+    let keys = [
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Int(0),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Float(f64::NAN),
+        Value::Null,
+        Value::Int((1 << 53) + 1),
+        Value::Float(9_007_199_254_740_992.0),
+        Value::Int(7),
+    ];
+    let x = |i: usize| Value::Float(i as f64 * 0.5);
+    let rows: Vec<Row> = (0..120).map(|i| vec![keys[i % keys.len()].clone(), x(i)]).collect();
+    let aggs = every_agg(&["m.x"]);
+    let inserts: Vec<_> = rows.iter().map(|r| (ChangeOp::Insert, r.clone())).collect();
+    let row = row_agg(&rows, &aggs);
+    assert_eq!(row.len(), 7, "{row:?}");
+    for group in &row {
+        let naive = rows.iter().filter(|r| r[0] == group[0]).count() as i64;
+        assert_eq!(group[1], Value::Int(naive), "{:?}: COUNT(*) vs a nested loop", group[0]);
+    }
+    assert_eq!(bits(&row), bits(&view_after(&inserts, &aggs)), "row vs view");
+}
+
+/// One accumulator, three drivers: seeded values — NULL, NaN, ±0.0, ±inf,
+/// Int/Float-equal pairs and strings — fold to the same finished bits for
+/// every aggregate function through the row and batch hash aggregations
+/// (typed, non-null columns) and a standing view (any value, through the
+/// changelog). With retractions, the view finishes as the row aggregation
+/// over the surviving rows; those values are dyadic and hold no
+/// Int/Float-equal pair, since a retraction keeps the first of equal values.
+#[test]
+fn one_accumulator_finishes_alike_on_row_batch_and_view() {
+    use rand::Rng;
+    let ints = [-3i64, 0, 2, 7, 1 << 40];
+    let floats = [f64::NAN, -0.0, 0.0, 2.0, 0.25, -1.5, f64::INFINITY, f64::NEG_INFINITY, 1e-300];
+    let strs = ["", "a", "b", "ab"];
+    let dyadic = [
+        Value::Null,
+        Value::Int(-3),
+        Value::Int(2),
+        Value::Float(0.5),
+        Value::Float(-1.25),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Str("a".into()),
+        Value::Str("b".into()),
+    ];
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+    ]);
+    let aggs = every_agg(&["t.i", "t.f", "t.s"]);
+    let any_aggs = every_agg(&["m.x"]);
+    for seed in 0..6 {
+        let mut rng = rqp::common::rng::seeded(seed);
+        let mut t = Table::new("t", schema.clone());
+        for _ in 0..rng.gen_range(0..200) {
+            t.append(vec![
+                Value::Int(rng.gen_range(0..4)),
+                Value::Int(ints[rng.gen_range(0..ints.len())]),
+                Value::Float(floats[rng.gen_range(0..floats.len())]),
+                Value::Str(strs[rng.gen_range(0..strs.len())].into()),
+            ]);
+        }
+        let t = Arc::new(t);
+        for group in [&[][..], &["t.g"], &["t.s", "t.g"]] {
+            assert_drivers_agree(&t, group, &aggs);
+        }
+
+        // Any variant in one column, NULL included: row and view.
+        let any = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..6) {
+            0 => Value::Null,
+            1 => Value::Int(ints[rng.gen_range(0..ints.len())]),
+            2 => Value::Float(floats[rng.gen_range(0..floats.len())]),
+            3 => Value::Str(strs[rng.gen_range(0..strs.len())].into()),
+            4 => Value::Int(2),
+            _ => Value::Float(2.0),
+        };
+        let key = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..5) {
+            0 => Value::Null,
+            1 => Value::Float(1.0),
+            k => Value::Int(k - 1),
+        };
+        let n = rng.gen_range(0..200);
+        let rows: Vec<Row> = (0..n).map(|_| vec![key(&mut rng), any(&mut rng)]).collect();
+        let inserts: Vec<_> = rows.iter().map(|r| (ChangeOp::Insert, r.clone())).collect();
+        let label = format!("seed {seed}");
+        let view = view_after(&inserts, &any_aggs);
+        assert_eq!(bits(&row_agg(&rows, &any_aggs)), bits(&view), "{label}");
+
+        // Inserts and retractions of dyadic values.
+        let (mut live, mut changes) = (Vec::<Row>::new(), Vec::new());
+        for _ in 0..200 {
+            if !live.is_empty() && rng.gen_range(0..3) == 0 {
+                let row = live.swap_remove(rng.gen_range(0..live.len()));
+                changes.push((ChangeOp::Delete, row));
+            } else {
+                let k = rng.gen_range(0..4);
+                let g = if k == 3 { Value::Null } else { Value::Int(k) };
+                let row = vec![g, dyadic[rng.gen_range(0..dyadic.len())].clone()];
+                live.push(row.clone());
+                changes.push((ChangeOp::Insert, row));
+            }
+        }
+        let survivors = bits(&row_agg(&live, &any_aggs));
+        assert_eq!(survivors, bits(&view_after(&changes, &any_aggs)), "{label}: retractions");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -496,53 +735,128 @@ fn repartition_twins_are_bit_identical_for_hash_and_range_specs() {
 // The mixed-type key regression (the bug this PR fixed)
 // ---------------------------------------------------------------------------
 
+/// Left side of the switching join: a **Float** probe key cycling through
+/// `-0.0`, `0.0`, a NaN, integral values, a fraction, `2^53` and `1e300`.
+fn switch_left(n: usize) -> Arc<Table> {
+    let schema = Schema::from_pairs(&[("k", DataType::Float), ("v", DataType::Int)]);
+    let keys = [-0.0, 0.0, f64::NAN, 2.0, 2.5, 9_007_199_254_740_992.0, 5.0, 1e300];
+    let mut t = Table::new("l", schema);
+    for i in 0..n {
+        t.append(vec![Value::Float(keys[i % keys.len()]), Value::Int(i as i64)]);
+    }
+    Arc::new(t)
+}
+
+/// Right side of the switching join: an **Int** build key whose first rows
+/// fit the typed key map, then `2^53 + 1` (equal to the Float `2^53`) and
+/// `-(2^53) - 3`, which switch it to `Value` keys mid-build, then small
+/// keys again.
+fn switch_right(n: usize) -> Arc<Table> {
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("w", DataType::Int)]);
+    let mut t = Table::new("r", schema);
+    for i in 0..n as i64 {
+        let k = match i {
+            40 => (1 << 53) + 1,
+            41 => -(1 << 53) - 3,
+            _ => i % 8,
+        };
+        t.append(vec![Value::Int(k), Value::Int(i + 1000)]);
+    }
+    Arc::new(t)
+}
+
+/// A standing view of `spec` over `tables`, loaded: its rows, canonically
+/// ordered.
+fn view_of(spec: &QuerySpec, tables: &[&Arc<Table>]) -> Vec<Row> {
+    let mut catalog = Catalog::new();
+    for t in tables {
+        catalog.add_table(Table::clone(t));
+    }
+    let mut view = ViewCircuit::compile(spec, &catalog).unwrap();
+    view.load_initial(&catalog, &CostClock::default_clock()).unwrap();
+    view.snapshot()
+}
+
 #[test]
 fn mixed_type_key_join_matches_nested_loop_oracle_on_both_paths() {
-    let l = mixed_left(400);
-    let r = mixed_right(300);
+    // Int ⋈ Float keys; then Float probes against an Int build side whose
+    // key map stays typed, and against one that switches to `Value` keys
+    // mid-build.
+    let pairs = [
+        (mixed_left(400), mixed_right(300)),
+        (switch_left(400), switch_right(40)),
+        (switch_left(400), switch_right(60)),
+    ];
+    for (l, r) in pairs {
+        let oracle = {
+            let c = ctx();
+            let left: BoxOp = Box::new(TableScanOp::new(Arc::clone(&l), c.clone()));
+            let right: BoxOp = Box::new(TableScanOp::new(Arc::clone(&r), c.clone()));
+            let pred = col("l.k").eq(col("r.k"));
+            let mut j = BnlJoinOp::new(left, right, Some(&pred), c.clone()).unwrap();
+            sorted(collect(&mut j))
+        };
+        assert!(!oracle.is_empty(), "whole-number Float keys must match Int keys");
 
-    let oracle = {
-        let c = ctx();
-        let left: BoxOp = Box::new(TableScanOp::new(Arc::clone(&l), c.clone()));
-        let right: BoxOp = Box::new(TableScanOp::new(Arc::clone(&r), c.clone()));
-        let pred = col("l.k").eq(col("r.k"));
-        let mut j = BnlJoinOp::new(left, right, Some(&pred), c.clone()).unwrap();
-        sorted(collect(&mut j))
-    };
-    assert!(!oracle.is_empty(), "whole-number Float keys must match Int keys");
-
+        let scalar = {
+            let c = ctx();
+            let left: BoxOp = Box::new(TableScanOp::new(Arc::clone(&l), c.clone()));
+            let right: BoxOp = Box::new(TableScanOp::new(Arc::clone(&r), c.clone()));
+            let mut j = HashJoinOp::new(left, right, &["l.k"], &["r.k"], c.clone()).unwrap();
+            (collect(&mut j), c)
+        };
+        let batch = {
+            let c = ctx();
+            let dict = Arc::new(StringDict::new());
+            let left: BoxBatchOp = Box::new(BatchScanOp::with_dict(
+                Arc::clone(&l),
+                0,
+                l.nrows(),
+                Arc::clone(&dict),
+                c.clone(),
+            ));
+            let right: BoxBatchOp = Box::new(BatchScanOp::with_dict(
+                Arc::clone(&r),
+                0,
+                r.nrows(),
+                dict,
+                c.clone(),
+            ));
+            let j: BoxBatchOp =
+                Box::new(BatchHashJoinOp::new(left, right, "l.k", "r.k", c.clone()).unwrap());
+            let mut rows = BatchRowsOp::boxed(j, c.clone());
+            (collect(rows.as_mut()), c)
+        };
+        let view = view_of(&QuerySpec::new().join("l", "k", "r", "k"), &[&l, &r]);
+        assert_eq!(bits(&sorted(scalar.0.clone())), bits(&oracle), "scalar hash join vs oracle");
+        assert_eq!(bits(&sorted(batch.0.clone())), bits(&oracle), "batch hash join vs oracle");
+        assert_eq!(bits(&view), bits(&oracle), "standing join view vs oracle");
+        assert_rows_and_bits("mixed-key join twins", &scalar, &batch);
+    }
+    // A string key never equals a number, though its dictionary code is an
+    // integer: order ids 0..5 meet the codes of the five category names.
+    let (o, cs) = (orders(50), cats());
     let scalar = {
         let c = ctx();
-        let left: BoxOp = Box::new(TableScanOp::new(Arc::clone(&l), c.clone()));
-        let right: BoxOp = Box::new(TableScanOp::new(Arc::clone(&r), c.clone()));
-        let mut j = HashJoinOp::new(left, right, &["l.k"], &["r.k"], c.clone()).unwrap();
+        let left: BoxOp = Box::new(TableScanOp::new(Arc::clone(&o), c.clone()));
+        let right: BoxOp = Box::new(TableScanOp::new(Arc::clone(&cs), c.clone()));
+        let mut j = HashJoinOp::new(left, right, &["o.id"], &["c.cat"], c.clone()).unwrap();
         (collect(&mut j), c)
     };
     let batch = {
         let c = ctx();
         let dict = Arc::new(StringDict::new());
-        let left: BoxBatchOp = Box::new(BatchScanOp::with_dict(
-            Arc::clone(&l),
-            0,
-            l.nrows(),
-            Arc::clone(&dict),
-            c.clone(),
-        ));
-        let right: BoxBatchOp = Box::new(BatchScanOp::with_dict(
-            Arc::clone(&r),
-            0,
-            r.nrows(),
-            dict,
-            c.clone(),
-        ));
+        let left: BoxBatchOp =
+            Box::new(BatchScanOp::with_dict(Arc::clone(&o), 0, 50, Arc::clone(&dict), c.clone()));
+        let right: BoxBatchOp =
+            Box::new(BatchScanOp::with_dict(Arc::clone(&cs), 0, 5, dict, c.clone()));
         let j: BoxBatchOp =
-            Box::new(BatchHashJoinOp::new(left, right, "l.k", "r.k", c.clone()).unwrap());
+            Box::new(BatchHashJoinOp::new(left, right, "o.id", "c.cat", c.clone()).unwrap());
         let mut rows = BatchRowsOp::boxed(j, c.clone());
         (collect(rows.as_mut()), c)
     };
-    assert_eq!(sorted(scalar.0.clone()), oracle, "scalar hash join vs oracle");
-    assert_eq!(sorted(batch.0.clone()), oracle, "batch hash join vs oracle");
-    assert_rows_and_bits("mixed-key join twins", &scalar, &batch);
+    assert!(scalar.0.is_empty());
+    assert_rows_and_bits("string key against numbers", &scalar, &batch);
 }
 
 /// Literal row source whose key column mixes `Int` and `Float` values —
