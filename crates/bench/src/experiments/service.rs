@@ -8,7 +8,6 @@ use rqp::server::{QueryOptions, QueryService, ServiceConfig};
 use rqp::telemetry::scoreboard::samples;
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 use rqp::QuerySpec;
-use std::collections::HashMap;
 
 /// A06 — concurrent service: MPL × arrival-rate sweep over a mixed
 /// workload, plus the behavioral leg (result identity, MPL gate, deadline
@@ -154,10 +153,8 @@ fn a06_body(h: &mut Harness) -> String {
         for &period in &periods {
             let jobs = make_jobs(period);
             let sim = WorkloadManager::new(m, 1.0).simulate(&jobs);
-            let arrivals: HashMap<usize, f64> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
             let mut resp: Vec<f64> = sim.jobs.iter().map(|j| j.response).collect();
-            let mut waits: Vec<f64> =
-                sim.jobs.iter().map(|j| (j.start - arrivals[&j.id]).max(0.0)).collect();
+            let mut waits: Vec<f64> = sim.jobs.iter().map(|j| j.wait).collect();
             let mut solo: Vec<f64> = jobs.iter().map(|j| j.demand).collect();
             resp.sort_by(f64::total_cmp);
             waits.sort_by(f64::total_cmp);

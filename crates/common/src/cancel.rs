@@ -29,7 +29,7 @@
 use crate::error::{Result, RqpError};
 use crate::sync::AtomicF64;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Latched lifecycle of a token: live → cancelled | deadline-exceeded.
 const LIVE: u8 = 0;
@@ -44,9 +44,11 @@ struct Inner {
     state: AtomicU8,
     /// Deadline in cost units on the query's root clock; `+inf` = none.
     deadline: AtomicF64,
-    /// Wakers registered by blocked waiters (e.g. the admission gate's
-    /// condvar). Drained and fired exactly once, on the latch transition.
-    wakers: Mutex<Vec<Waker>>,
+    /// The next registration number, and the wakers registered by blocked
+    /// waiters (e.g. the admission gate's condvar), each under its number.
+    /// Drained and fired exactly once, on the latch transition; a
+    /// [`WakerGuard`] dropped before then takes its own out.
+    wakers: Mutex<(u64, Vec<(u64, Waker)>)>,
 }
 
 impl Inner {
@@ -54,8 +56,8 @@ impl Inner {
     /// under normal flow this runs once; the re-check in `on_cancel` may call
     /// it again on an already-empty list, which is harmless.
     fn fire_wakers(&self) {
-        let wakers = std::mem::take(&mut *self.wakers.lock().unwrap());
-        for w in wakers {
+        let wakers = std::mem::take(&mut self.wakers.lock().unwrap().1);
+        for (_, w) in wakers {
             w();
         }
     }
@@ -97,7 +99,7 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 state: AtomicU8::new(LIVE),
                 deadline: AtomicF64::new(f64::INFINITY),
-                wakers: Mutex::new(Vec::new()),
+                wakers: Mutex::new((0, Vec::new())),
             }),
             origin: 0.0,
         }
@@ -117,23 +119,30 @@ impl CancelToken {
     }
 
     /// Register a callback fired when the token latches (explicit cancel or
-    /// deadline trip). Fired at most once per registration; if the token is
-    /// already latched the callback runs immediately on the caller's thread.
+    /// deadline trip), for as long as the returned guard lives. Fired at
+    /// most once per registration; if the token is already latched the
+    /// callback runs immediately on the caller's thread.
     ///
     /// This is what lets blocking waiters (the admission gate's condvar) sleep
     /// without polling: the waker nudges the condvar instead of the waiter
-    /// re-checking `is_cancelled` on a timer.
-    pub fn on_cancel(&self, waker: impl Fn() + Send + Sync + 'static) {
-        if self.is_cancelled() {
-            waker();
-            return;
-        }
-        self.inner.wakers.lock().unwrap().push(Box::new(waker));
-        // Latch may have raced the registration: the canceller could have
-        // drained the list before our push landed. Re-check and fire.
+    /// re-checking `is_cancelled` on a timer. The guard bounds the
+    /// registration to the wait, so a long-lived token waited on many times
+    /// holds at most the wakers of the waits in progress.
+    pub fn on_cancel(&self, waker: impl Fn() + Send + Sync + 'static) -> WakerGuard<'_> {
+        let id = {
+            let mut wakers = self.inner.wakers.lock().unwrap();
+            let id = wakers.0;
+            wakers.0 += 1;
+            wakers.1.push((id, Box::new(waker)));
+            id
+        };
+        // The latch may precede or race the registration: the canceller
+        // could have drained the list before our push landed. Re-check and
+        // fire.
         if self.is_cancelled() {
             self.inner.fire_wakers();
         }
+        WakerGuard { inner: &self.inner, id }
     }
 
     /// Set (or tighten) the deadline, in cost units on the root clock.
@@ -200,6 +209,24 @@ impl CancelToken {
     }
 }
 
+/// One registration made by [`CancelToken::on_cancel`]; dropping it
+/// deregisters the waker if it has not fired yet.
+#[derive(Debug)]
+#[must_use = "dropping the guard deregisters the waker at once"]
+pub struct WakerGuard<'a> {
+    inner: &'a Inner,
+    id: u64,
+}
+
+impl Drop for WakerGuard<'_> {
+    fn drop(&mut self) {
+        // No panic in `drop`: every update leaves the list valid, so a
+        // poisoned lock is still safe to use.
+        let mut wakers = self.inner.wakers.lock().unwrap_or_else(PoisonError::into_inner);
+        wakers.1.retain(|&(id, _)| id != self.id);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +286,7 @@ mod tests {
         let t = CancelToken::new();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        t.on_cancel(move || {
+        let _waker = t.on_cancel(move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 0, "waker fired before the latch");
@@ -275,7 +302,7 @@ mod tests {
         t.set_deadline(10.0);
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        t.on_cancel(move || {
+        let _waker = t.on_cancel(move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(t.poll(5.0), None);
@@ -291,10 +318,29 @@ mod tests {
         t.cancel();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        t.on_cancel(move || {
+        let _waker = t.on_cancel(move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 1, "late registration must still fire");
+    }
+
+    #[test]
+    fn dropped_guard_deregisters_its_waker() {
+        use std::sync::atomic::AtomicUsize;
+        let t = CancelToken::new();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let (h1, h2) = (Arc::clone(&hits), Arc::clone(&hits));
+        let kept = t.on_cancel(move || {
+            h1.fetch_add(1, Ordering::SeqCst);
+        });
+        drop(t.on_cancel(move || {
+            h2.fetch_add(10, Ordering::SeqCst);
+        }));
+        assert_eq!(t.inner.wakers.lock().unwrap().1.len(), 1, "dropped waker still held");
+        t.cancel();
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "only the kept waker fires");
+        drop(kept); // after firing: nothing left to deregister
+        assert!(t.inner.wakers.lock().unwrap().1.is_empty());
     }
 
     #[test]

@@ -1,163 +1,112 @@
-//! MPL admission gate with priority queueing.
-//!
-//! The seminar's workload-management break-out frames admission control as
-//! the first line of robustness defense: past a saturation MPL, *running*
-//! more queries makes *every* query slower, so a gate that queues the excess
-//! keeps the system on the good side of the thrashing cliff. The
-//! [`WorkloadManager`](rqp_workload::WorkloadManager) simulates that policy;
-//! this controller enforces it for real threads.
-//!
-//! At most `mpl` queries run at once, and when a slot frees the waiter
-//! [`rqp_workload::admission_head`] names wins — the smallest
-//! `(priority, submission sequence)`, priority 0 highest, ties FIFO. The
-//! simulator calls the same function, so the policy exists once;
-//! `tests/service.rs` replays a trace through both and asserts the
-//! completion orders agree, which checks the mechanics around it (queueing,
-//! wakeups, slot hand-over).
+//! The MPL admission gate. Past a saturation MPL, *running* more queries
+//! makes *every* query slower, so the gate queues the excess (the seminar's
+//! workload-management break-out). The policy is one pure state machine,
+//! [`rqp_workload::Admission`], with two drivers: the
+//! [`WorkloadManager`](rqp_workload::WorkloadManager) simulator on its
+//! virtual clock, and this controller for real threads — the machine under a
+//! mutex, a condvar that wakes the waiters it admits, and a cancel waker.
 
 use rqp_common::{CancelToken, Result};
-use rqp_workload::admission_head;
-use std::sync::{Arc, Condvar, Mutex};
+use rqp_workload::{Admission, Ticket};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-#[derive(Debug, Clone, Copy)]
-struct Ticket {
-    priority: u8,
-    seq: u64,
-}
-
-#[derive(Debug, Default)]
-struct State {
-    running: usize,
-    paused: bool,
-    next_seq: u64,
-    waiting: Vec<Ticket>,
-    peak_running: usize,
-    admitted: u64,
-}
-
-/// The MPL gate: blocks submitters until a slot is free and they are the
-/// highest-priority waiter. See the module docs for the policy.
+/// The MPL gate: blocks submitters until the [`Admission`] machine admits
+/// them. Machine and condvar sit behind `Arc`s shared with cancel wakers.
 #[derive(Debug)]
 pub struct AdmissionController {
-    mpl: usize,
-    /// Behind an `Arc` so cancel wakers can lock it: notifying while holding
-    /// this mutex is what makes the cancel wakeup race-free (see `admit`).
-    state: Arc<Mutex<State>>,
-    /// Shared with cancel wakers: a token latched while its query is queued
-    /// nudges this condvar so the waiter wakes and leaves, with no polling.
+    state: Arc<Mutex<Admission>>,
     cv: Arc<Condvar>,
 }
 
 impl AdmissionController {
     /// A gate admitting at most `mpl` concurrent queries (clamped to ≥ 1).
     pub fn new(mpl: usize) -> Self {
-        AdmissionController {
-            mpl: mpl.max(1),
-            state: Arc::new(Mutex::new(State::default())),
-            cv: Arc::new(Condvar::new()),
-        }
+        let state = Arc::new(Mutex::new(Admission::new(mpl)));
+        AdmissionController { state, cv: Arc::new(Condvar::new()) }
     }
 
     /// The configured multiprogramming limit.
     pub fn mpl(&self) -> usize {
-        self.mpl
+        self.lock().mpl()
     }
 
-    /// Block until admitted (or the token trips while queued). The returned
-    /// permit occupies one MPL slot until dropped.
-    ///
-    /// The wait is a pure condvar sleep — no timeout polling. Every event
-    /// that can change admittability notifies the condvar: a slot release, a
-    /// [`resume`](Self::resume), and — via a [`CancelToken::on_cancel`]
-    /// waker registered here — the waiter's own token latching, so a queued
-    /// query that is cancelled leaves the queue with the token's latched
-    /// cause instead of occupying it as a zombie.
+    /// Block until admitted, or until the token latches first: then the
+    /// query leaves with the latched cause. The permit holds one MPL slot
+    /// until dropped. A pure condvar sleep: every admission notifies, and so
+    /// does a waker on `cancel`, registered for this call only.
     pub fn admit(&self, priority: u8, cancel: &CancelToken) -> Result<AdmissionPermit<'_>> {
-        // Register before queueing: if the token latches at any point after
-        // this, the condvar is nudged and the loop below observes it. The
-        // waker outlives the wait (it lives as long as the token); stray
-        // notifies after admission are harmless.
-        //
-        // The waker takes the state lock (an empty critical section) before
-        // notifying: a waiter is then either before its `is_cancelled` check
-        // — it holds the lock and will observe the latch — or already parked
-        // in `cv.wait`, which the notify wakes. Without the lock the notify
-        // could land in the window between check and sleep and be lost,
-        // leaving a cancelled waiter asleep until some unrelated release.
-        let cv = Arc::clone(&self.cv);
-        let state = Arc::clone(&self.state);
-        cancel.on_cancel(move || {
+        // The waker notifies under the state lock, so a latch lands either
+        // before the waiter's `is_cancelled` check or while it is parked in
+        // `cv.wait` — never in the window between, where it would be lost.
+        // The guard deregisters it on return: a subscription admits every
+        // poll with one long-lived token, which must not collect wakers.
+        let (cv, state) = (Arc::clone(&self.cv), Arc::clone(&self.state));
+        let _waker = cancel.on_cancel(move || {
             let _sync = state.lock();
             cv.notify_all();
         });
-        let mut st = self.state.lock().expect("admission lock");
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.waiting.push(Ticket { priority, seq });
+        let mut st = self.lock();
+        let ticket = st.arrive(priority);
+        self.admit_waiters(&mut st);
         loop {
             if cancel.is_cancelled() {
-                st.waiting.retain(|t| t.seq != seq);
-                self.cv.notify_all();
-                // A queued query has spent no cost yet, so only a latched
-                // cause can surface here; `check(0.0)` reports it.
-                cancel.check(0.0)?;
+                // Queued, or admitted by a release after the latch: either
+                // way the ticket leaves, and its slot goes to the next waiter.
+                st.cancel(ticket);
+                self.admit_waiters(&mut st);
+                cancel.check(0.0)?; // nothing spent yet: reports the cause
                 unreachable!("is_cancelled implies a latched cause");
             }
-            // This waiter's queue position, if the policy admits it next.
-            let head = admission_head(st.waiting.iter().map(|t| (t.priority, t.seq)))
-                .filter(|&at| st.waiting[at].seq == seq);
-            if let Some(at) = head.filter(|_| !st.paused && st.running < self.mpl) {
-                st.waiting.remove(at);
-                st.running += 1;
-                st.peak_running = st.peak_running.max(st.running);
-                st.admitted += 1;
-                // More slots may remain; wake the next head.
-                self.cv.notify_all();
-                return Ok(AdmissionPermit { ctl: self });
+            if !st.is_queued(ticket) {
+                return Ok(AdmissionPermit { ctl: self, ticket });
             }
             st = self.cv.wait(st).expect("admission lock");
         }
     }
 
-    /// Stop admitting (running queries are unaffected). With the gate
-    /// paused, a batch of submissions can queue up and then be released in
-    /// strict `(priority, seq)` order by [`resume`](Self::resume) — how the
-    /// deterministic trace tests remove submission-timing races.
+    /// Stop admitting; running queries are unaffected. Submissions queued
+    /// meanwhile are released in `(priority, seq)` order by
+    /// [`resume`](Self::resume), which is how trace tests remove races.
     pub fn pause(&self) {
-        self.state.lock().expect("admission lock").paused = true;
+        self.lock().pause();
     }
 
     /// Resume admitting queued queries.
     pub fn resume(&self) {
-        self.state.lock().expect("admission lock").paused = false;
-        self.cv.notify_all();
+        let mut st = self.lock();
+        st.resume();
+        self.admit_waiters(&mut st);
     }
 
     /// Queries currently executing (admitted, not yet completed).
     pub fn running(&self) -> usize {
-        self.state.lock().expect("admission lock").running
+        self.lock().running()
     }
 
-    /// High-water mark of concurrently admitted queries — the number the
-    /// MPL-gate acceptance test compares against [`mpl`](Self::mpl).
+    /// High-water mark of concurrently admitted queries.
     pub fn peak_running(&self) -> usize {
-        self.state.lock().expect("admission lock").peak_running
+        self.lock().peak_running()
     }
 
     /// Queries waiting at the gate right now.
     pub fn queue_depth(&self) -> usize {
-        self.state.lock().expect("admission lock").waiting.len()
+        self.lock().queue_depth()
     }
 
     /// Total queries ever admitted.
     pub fn admitted(&self) -> u64 {
-        self.state.lock().expect("admission lock").admitted
+        self.lock().admitted()
     }
 
-    fn release(&self) {
-        let mut st = self.state.lock().expect("admission lock");
-        st.running = st.running.saturating_sub(1);
-        self.cv.notify_all();
+    fn lock(&self) -> MutexGuard<'_, Admission> {
+        self.state.lock().expect("admission lock")
+    }
+
+    /// Drain the machine's admissions and wake the waiters to look.
+    fn admit_waiters(&self, st: &mut Admission) {
+        if st.admit().count() > 0 {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -165,11 +114,14 @@ impl AdmissionController {
 #[derive(Debug)]
 pub struct AdmissionPermit<'a> {
     ctl: &'a AdmissionController,
+    ticket: Ticket,
 }
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        self.ctl.release();
+        let mut st = self.ctl.lock();
+        st.complete(self.ticket);
+        self.ctl.admit_waiters(&mut st);
     }
 }
 
@@ -283,5 +235,51 @@ mod tests {
         let fresh = CancelToken::new();
         drop(ctl.admit(0, &fresh).unwrap());
         assert_eq!(ctl.admitted(), 1);
+    }
+
+    #[test]
+    fn waiter_admitted_after_its_token_latched_passes_the_slot_on() {
+        // B waits behind A. B's token latches, then — before B wakes — A's
+        // release admits B. B must leave with its typed error and return
+        // the slot, or the gate stays full of a query nobody runs.
+        let ctl = Arc::new(AdmissionController::new(1));
+        let a = ctl.admit(0, &CancelToken::new()).unwrap();
+        let token = CancelToken::new();
+        let (ctl2, t2, latched) = (Arc::clone(&ctl), token.clone(), token.clone());
+        let b = std::thread::spawn(move || ctl2.admit(0, &t2).map(|_| ()));
+        while ctl.queue_depth() != 1 {
+            std::thread::yield_now();
+        }
+        let mut st = ctl.lock();
+        // The canceller latches the token, then blocks in the waker on the
+        // lock this thread holds.
+        let canceller = std::thread::spawn(move || token.cancel());
+        while !latched.is_cancelled() {
+            std::thread::yield_now();
+        }
+        st.complete(a.ticket);
+        std::mem::forget(a);
+        ctl.admit_waiters(&mut st);
+        assert_eq!((st.running(), st.queue_depth()), (1, 0), "A's release admitted B");
+        drop(st);
+        assert_eq!(b.join().unwrap(), Err(RqpError::Cancelled));
+        canceller.join().unwrap();
+        assert_eq!((ctl.running(), ctl.admitted()), (0, 2));
+        drop(ctl.admit(0, &CancelToken::new()).unwrap());
+        assert_eq!(ctl.admitted(), 3);
+    }
+
+    #[test]
+    fn one_token_admitted_many_times_holds_no_stale_wakers() {
+        // A subscription admits every poll with its one long-lived token;
+        // each admit's waker must leave with it. The token's wakers each
+        // hold a clone of the gate state, so the count is the leak.
+        let ctl = AdmissionController::new(1);
+        let token = CancelToken::new();
+        for _ in 0..1_000 {
+            drop(ctl.admit(0, &token).unwrap());
+        }
+        assert!(Arc::strong_count(&ctl.state) <= 2, "{} refs", Arc::strong_count(&ctl.state));
+        assert_eq!(ctl.admitted(), 1_000);
     }
 }

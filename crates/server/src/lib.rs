@@ -7,10 +7,11 @@
 //!
 //! * [`AdmissionController`] — the MPL gate with priority queueing. At most
 //!   `mpl` queries run at once; excess submissions wait, highest priority
-//!   (then FIFO) first. It picks the next waiter with the same function
-//!   ([`rqp_workload::admission_head`]) as the
-//!   [`WorkloadManager`](rqp_workload::WorkloadManager) simulator, so traces
-//!   replay identically through both.
+//!   (then FIFO) first. The policy is one state machine,
+//!   [`rqp_workload::Admission`], which this gate drives under its mutex for
+//!   real threads and the [`WorkloadManager`](rqp_workload::WorkloadManager)
+//!   simulator drives on its virtual clock, so traces replay identically
+//!   through both.
 //! * [`MemoryBroker`] — cross-query workspace brokering. Each admitted
 //!   query gets a private [`MemoryGovernor`](rqp_exec::MemoryGovernor)
 //!   budgeted at its fair share of the service budget; admissions shrink

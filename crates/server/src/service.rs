@@ -17,7 +17,6 @@ use rqp_storage::{Catalog, Changelog};
 use rqp_stream::{DeltaPacket, ViewCircuit};
 use rqp_telemetry::{MetricsRegistry, Tracer};
 use rqp_workload::{Job, WorkloadManager};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -666,8 +665,8 @@ impl QueryService {
     /// identity, cancellation); wall-clock latencies on them are
     /// nondeterministic. So the gauges replay the recorded `(arrival,
     /// demand, priority, weight)` tuples through the
-    /// [`WorkloadManager`] — the simulator
-    /// whose admission policy the gate shares — in virtual time. Same
+    /// [`WorkloadManager`], which drives the gate's own
+    /// [`Admission`](rqp_workload::Admission) machine in virtual time. Same
     /// completion log → bit-identical report, which is what lets the
     /// scoreboard diff-gate these numbers.
     pub fn schedule_report(&self) -> ServiceReport {
@@ -708,10 +707,8 @@ impl QueryService {
             .collect();
         if !jobs.is_empty() {
             let sim = WorkloadManager::new(inner.admission.mpl(), CAPACITY).simulate(&jobs);
-            let arrivals: HashMap<usize, f64> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
             let mut responses: Vec<f64> = sim.jobs.iter().map(|j| j.response).collect();
-            let mut waits: Vec<f64> =
-                sim.jobs.iter().map(|j| (j.start - arrivals[&j.id]).max(0.0)).collect();
+            let mut waits: Vec<f64> = sim.jobs.iter().map(|j| j.wait).collect();
             let mut solos: Vec<f64> = jobs.iter().map(|j| j.demand / CAPACITY).collect();
             responses.sort_by(|a, b| a.total_cmp(b));
             waits.sort_by(|a, b| a.total_cmp(b));

@@ -18,8 +18,9 @@
 //!   Optimization" session's trap list);
 //! * [`tractor`] — the **tractor-pull benchmark**: escalating workload
 //!   rounds until the system "stalls";
-//! * [`manager`] — a deterministic MPL / priority workload-manager
-//!   simulation over cost-clock service demands, plus the **FMT**
+//! * [`manager`] — the one MPL / priority admission state machine
+//!   ([`Admission`]), a deterministic workload-manager simulation that
+//!   drives it over cost-clock service demands, plus the **FMT**
 //!   (fluctuating memory) and **FPT** (fluctuating parallelism) tests;
 //! * [`shift`] — workload-shift detection (the trigger for re-tuning
 //!   self-managing components when the mix changes).
@@ -37,7 +38,7 @@ pub mod tractor;
 
 pub use blackhat::BlackHatDb;
 pub use gen::{ColumnGen, TableBuilder};
-pub use manager::{admission_head, FmtReport, FptReport, Job, SimOutcome, WorkloadManager};
+pub use manager::{Admission, FmtReport, FptReport, Job, SimOutcome, Ticket, WorkloadManager};
 pub use oltp::OltpSimulator;
 pub use shift::{ShiftDetector, ShiftEvent};
 pub use star::StarDb;

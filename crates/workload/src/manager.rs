@@ -13,14 +13,16 @@
 //!
 //! [`WorkloadManager`] is a deterministic discrete-event simulator: jobs
 //! carry *service demands in cost units* (measured by really executing plans
-//! on the cost clock), and the manager schedules them under an MPL gate with
-//! priority admission and weighted processor sharing.
+//! on the cost clock), and the manager schedules them through the
+//! [`Admission`] state machine — the MPL gate with priority admission the
+//! query service runs too — and weighted processor sharing.
 
 use rqp_common::{Result, RqpError};
 use rqp_exec::ExecContext;
 use rqp_opt::{plan, PlannerConfig, QuerySpec};
 use rqp_stats::CardEstimator;
 use rqp_storage::Catalog;
+use std::collections::BTreeSet;
 
 /// A unit of work for the manager.
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +46,8 @@ pub struct JobOutcome {
     pub id: usize,
     /// Time admitted to the run set.
     pub start: f64,
+    /// Time spent queued at the gate (start − arrival, ≥ 0).
+    pub wait: f64,
     /// Completion time.
     pub finish: f64,
     /// Response time (finish − arrival).
@@ -75,16 +79,116 @@ impl SimOutcome {
     }
 }
 
-/// The admission policy, stated once: of the waiters at the gate — each a
-/// `(priority, seq)` pair, priority 0 highest, `seq` the order they joined
-/// the queue in — the smallest pair takes the next free slot, so admission
-/// is by priority and first-come-first-served within one. Returns that
-/// waiter's position in `waiting`, `None` when nobody waits. Both
-/// [`WorkloadManager::simulate`] and the query service's admission gate call
-/// this, so the simulator replays exactly the policy real threads queue
-/// under.
-pub fn admission_head(waiting: impl IntoIterator<Item = (u8, u64)>) -> Option<usize> {
-    waiting.into_iter().enumerate().min_by_key(|&(_, key)| key).map(|(at, _)| at)
+/// A place at the admission gate: `(priority, seq)`, whose tuple order is
+/// the admission policy; `seq` counts arrivals from 0.
+pub type Ticket = (u8, u64);
+
+/// The admission policy as a pure state machine, with no clock, threads or
+/// locks: at most `mpl` tickets run, and while the gate is open a free slot
+/// goes to the smallest waiting ticket — priority 0 first, ties first come
+/// first served; nothing running is preempted. [`WorkloadManager::simulate`]
+/// drives it on its virtual clock and the query service's gate under its
+/// mutex. After each event the caller drains [`admit`](Self::admit).
+#[derive(Debug, Clone)]
+pub struct Admission {
+    mpl: usize,
+    paused: bool,
+    next_seq: u64,
+    waiting: BTreeSet<Ticket>,
+    running: usize,
+    peak_running: usize,
+    admitted: u64,
+}
+
+impl Admission {
+    /// An open gate with `mpl` slots (clamped to ≥ 1) and nobody waiting.
+    pub fn new(mpl: usize) -> Self {
+        Admission {
+            mpl: mpl.max(1),
+            paused: false,
+            next_seq: 0,
+            waiting: BTreeSet::new(),
+            running: 0,
+            peak_running: 0,
+            admitted: 0,
+        }
+    }
+
+    /// A submission joins the queue.
+    pub fn arrive(&mut self, priority: u8) -> Ticket {
+        self.next_seq += 1;
+        let ticket = (priority, self.next_seq - 1);
+        self.waiting.insert(ticket);
+        ticket
+    }
+
+    /// The tickets admitted now, smallest first, while a slot is free and
+    /// the gate is open. Each holds its slot until `complete` or `cancel`.
+    pub fn admit(&mut self) -> impl Iterator<Item = Ticket> + '_ {
+        std::iter::from_fn(move || {
+            if self.paused || self.running >= self.mpl {
+                return None;
+            }
+            let ticket = self.waiting.pop_first()?;
+            self.running += 1;
+            self.peak_running = self.peak_running.max(self.running);
+            self.admitted += 1;
+            Some(ticket)
+        })
+    }
+
+    /// An admitted ticket finishes and returns its slot.
+    pub fn complete(&mut self, ticket: Ticket) {
+        debug_assert!(self.running > 0 && !self.is_queued(ticket), "{ticket:?} is not running");
+        self.running -= 1;
+    }
+
+    /// A ticket leaves: from the queue, or from its slot if admitted.
+    pub fn cancel(&mut self, ticket: Ticket) {
+        if !self.waiting.remove(&ticket) {
+            self.complete(ticket);
+        }
+    }
+
+    /// Stop admitting; running tickets are unaffected.
+    pub fn pause(&mut self) {
+        self.paused = true;
+    }
+
+    /// Admit again.
+    pub fn resume(&mut self) {
+        self.paused = false;
+    }
+
+    /// Whether `ticket` still waits.
+    pub fn is_queued(&self, ticket: Ticket) -> bool {
+        self.waiting.contains(&ticket)
+    }
+
+    /// The slot count.
+    pub fn mpl(&self) -> usize {
+        self.mpl
+    }
+
+    /// Tickets holding a slot.
+    pub fn running(&self) -> usize {
+        self.running
+    }
+
+    /// Tickets waiting.
+    pub fn queue_depth(&self) -> usize {
+        self.waiting.len()
+    }
+
+    /// High-water mark of [`running`](Self::running).
+    pub fn peak_running(&self) -> usize {
+        self.peak_running
+    }
+
+    /// Tickets ever admitted.
+    pub fn admitted(&self) -> u64 {
+        self.admitted
+    }
 }
 
 /// The manager: MPL gate + priority queue + weighted processor sharing.
@@ -120,41 +224,34 @@ impl WorkloadManager {
         #[derive(Debug, Clone, Copy)]
         struct Running {
             job: Job,
+            ticket: Ticket,
             start: f64,
             left: f64,
         }
-        let mut pending: Vec<Job> = jobs.to_vec();
-        pending.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-        pending.reverse(); // pop() = earliest
-        // Waiters carry the sequence number they joined the queue with.
-        let mut waiting: Vec<(u64, Job)> = Vec::new();
-        let mut next_seq = 0u64;
-        let mut enqueue = |waiting: &mut Vec<(u64, Job)>, j: Job| {
-            waiting.push((next_seq, j));
-            next_seq += 1;
-        };
+        let mut by_arrival: Vec<Job> = jobs.to_vec();
+        by_arrival.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+        // Jobs arrive in this order, so a ticket's `seq` indexes its job.
+        let mut arrived = 0;
+        let mut gate = Admission::new(self.mpl);
         let mut running: Vec<Running> = Vec::new();
         let mut done: Vec<JobOutcome> = Vec::new();
         let mut t: f64 = 0.0;
 
-        while !pending.is_empty() || !waiting.is_empty() || !running.is_empty() {
+        while arrived < by_arrival.len() || gate.queue_depth() > 0 || !running.is_empty() {
             // Every arrival due by now joins the wait queue *before* anyone
             // is admitted, so a batch arriving together is admitted in
             // priority order rather than list order.
-            while pending.last().is_some_and(|j| j.arrival <= t) {
-                enqueue(&mut waiting, pending.pop().expect("checked"));
+            while by_arrival.get(arrived).is_some_and(|j| j.arrival <= t) {
+                gate.arrive(by_arrival[arrived].priority);
+                arrived += 1;
             }
-            while running.len() < self.mpl {
-                let head = admission_head(waiting.iter().map(|(seq, j)| (j.priority, *seq)));
-                let Some(head) = head else { break };
-                let (_, j) = waiting.remove(head);
-                running.push(Running { job: j, start: t, left: j.demand });
+            for ticket in gate.admit() {
+                let job = by_arrival[ticket.1 as usize];
+                running.push(Running { job, ticket, start: t, left: job.demand });
             }
             if running.is_empty() {
                 // Idle until the next arrival.
-                let j = pending.pop().expect("loop invariant: work exists");
-                t = t.max(j.arrival);
-                enqueue(&mut waiting, j);
+                t = t.max(by_arrival[arrived].arrival);
                 continue;
             }
             let total_weight: f64 = running.iter().map(|r| r.job.weight.max(1e-9)).sum();
@@ -164,7 +261,7 @@ impl WorkloadManager {
                 .iter()
                 .map(|r| t + r.left / rate(r))
                 .fold(f64::INFINITY, f64::min);
-            let next_arrival = pending.last().map(|j| j.arrival).unwrap_or(f64::INFINITY);
+            let next_arrival = by_arrival.get(arrived).map_or(f64::INFINITY, |j| j.arrival);
             let t_next = next_finish.min(next_arrival.max(t));
             let dt = (t_next - t).max(0.0);
             for r in &mut running {
@@ -173,9 +270,11 @@ impl WorkloadManager {
             t = t_next;
             running.retain(|r| {
                 if r.left <= 1e-9 {
+                    gate.complete(r.ticket);
                     done.push(JobOutcome {
                         id: r.job.id,
                         start: r.start,
+                        wait: (r.start - r.job.arrival).max(0.0),
                         finish: t,
                         response: t - r.job.arrival,
                     });
@@ -376,14 +475,97 @@ mod tests {
         assert!(out.job(2).unwrap().start < out.job(1).unwrap().start);
     }
 
+    /// Random `arrive`/`complete`/`cancel`/`pause`/`resume` traces against
+    /// a recount: after every event (and the `admit` drain that follows it)
+    /// the machine's counters match a model of who waits and who runs, and
+    /// each admission went to the smallest waiter at that moment.
     #[test]
-    fn admission_head_is_priority_then_arrival_order() {
-        assert_eq!(admission_head([]), None);
-        assert_eq!(admission_head([(1, 7)]), Some(0));
-        // Priority 0 beats priority 1 whatever the sequence numbers…
-        assert_eq!(admission_head([(1, 0), (0, 9), (2, 1)]), Some(1));
-        // …and within a priority the earliest arrival wins, wherever it sits.
-        assert_eq!(admission_head([(1, 5), (1, 3), (1, 4)]), Some(1));
+    fn admission_machine_holds_its_invariants_on_random_traces() {
+        use rand::Rng;
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Fate {
+            Waiting,
+            Running,
+            Ended,
+        }
+        for seed in 0..64u64 {
+            let mut rng = rqp_common::rng::seeded(seed);
+            let mpl = 1 + (seed % 4) as usize;
+            let mut gate = Admission::new(mpl);
+            let (mut tickets, mut fates) = (Vec::<Ticket>::new(), Vec::<Fate>::new());
+            let (mut paused, mut peak, mut admitted, mut ends) = (false, 0, 0u64, 0usize);
+            for step in 0..400 {
+                let in_state = |fates: &[Fate], f: Fate| {
+                    (0..fates.len()).filter(|&i| fates[i] == f).collect::<Vec<_>>()
+                };
+                let running = in_state(&fates, Fate::Running);
+                let live: Vec<usize> =
+                    (0..fates.len()).filter(|&i| fates[i] != Fate::Ended).collect();
+                // Drain the queue towards the end, so every ticket ends.
+                let draining = step >= 300;
+                match rng.gen_range(0..10u32) {
+                    0..=3 if !draining => {
+                        let t = gate.arrive(rng.gen_range(0..4u32) as u8);
+                        assert_eq!(t.1 as usize, tickets.len(), "dense arrival numbering");
+                        tickets.push(t);
+                        fates.push(Fate::Waiting);
+                    }
+                    4..=6 if !running.is_empty() => {
+                        let i = running[rng.gen_range(0..running.len())];
+                        gate.complete(tickets[i]);
+                        fates[i] = Fate::Ended;
+                        ends += 1;
+                    }
+                    7 if !live.is_empty() => {
+                        let i = live[rng.gen_range(0..live.len())];
+                        gate.cancel(tickets[i]);
+                        fates[i] = Fate::Ended;
+                        ends += 1;
+                    }
+                    8 if !draining => {
+                        gate.pause();
+                        paused = true;
+                    }
+                    _ => {
+                        gate.resume();
+                        paused = false;
+                    }
+                }
+                let out: Vec<Ticket> = gate.admit().collect();
+                for t in out {
+                    assert!(!paused, "seed {seed}: admitted {t:?} while paused");
+                    let waiting = in_state(&fates, Fate::Waiting);
+                    let head = waiting.iter().map(|&i| tickets[i]).min();
+                    assert_eq!(Some(t), head, "seed {seed}: admitted past the smallest waiter");
+                    fates[t.1 as usize] = Fate::Running;
+                    admitted += 1;
+                }
+                let running = in_state(&fates, Fate::Running).len();
+                peak = peak.max(running);
+                assert!(running <= mpl, "seed {seed}: {running} running at MPL {mpl}");
+                assert_eq!(gate.running(), running, "seed {seed}");
+                assert_eq!(gate.queue_depth(), in_state(&fates, Fate::Waiting).len());
+                assert_eq!(gate.peak_running(), peak, "seed {seed}");
+                assert_eq!(gate.admitted(), admitted, "seed {seed}");
+                if !paused && gate.running() < mpl {
+                    assert_eq!(gate.queue_depth(), 0, "seed {seed}: a free slot left idle");
+                }
+                for (i, &t) in tickets.iter().enumerate() {
+                    assert_eq!(gate.is_queued(t), fates[i] == Fate::Waiting, "seed {seed}");
+                }
+            }
+            // Whatever is still live ends now; then every ticket has ended
+            // exactly once.
+            for i in 0..fates.len() {
+                if fates[i] != Fate::Ended {
+                    gate.cancel(tickets[i]);
+                    fates[i] = Fate::Ended;
+                    ends += 1;
+                }
+            }
+            assert_eq!(ends, tickets.len(), "seed {seed}");
+            assert_eq!((gate.running(), gate.queue_depth()), (0, 0), "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Acceptance tests for the concurrent query service (`rqp-server`):
 //! the MPL gate, result identity under concurrency, typed deadline aborts
 //! that release every workspace grant, cancellation while queued, agreement
-//! between the real service and the virtual-time [`WorkloadManager`] on a
-//! deterministic trace, the ambient engine switches reaching default
+//! between the real service and the virtual-time [`WorkloadManager`] —
+//! two drivers of one `Admission` machine — on seeded submit/cancel
+//! traces, the ambient engine switches reaching default
 //! contexts and services, the A06 scoreboard gate, secondary indexes
 //! following service appends, and width-adaptive integer columns (widening
 //! appends against an `i64` reference, the bytes-per-row gate).
@@ -107,8 +108,19 @@ fn cancelling_a_queued_query_frees_its_slot() {
     assert_eq!(svc.reserved(), 0.0);
 }
 
+/// One admission trace at MPL 1: `(spec, priority)` per query in submission
+/// order, and the positions cancelled while queued.
+type AdmissionTrace = (Vec<(usize, u8)>, Vec<usize>);
+
+/// The service's gate and the simulator drive one `Admission` machine; on
+/// the same trace they must finish the same queries in the same order. The
+/// first input is the fixed three-job trace (distinct priorities, nothing
+/// cancelled); 16 seeded traces follow, each 3–8 queries with random
+/// priorities queued behind a paused gate, a random subset cancelled while
+/// queued, then released.
 #[test]
-fn service_and_simulator_agree_on_a_deterministic_three_job_trace() {
+fn service_and_simulator_agree_on_seeded_admission_traces() {
+    use rand::Rng;
     let db = small_db();
     let svc = service(&db, 1);
     let specs = [db.q1(30), db.q3(1, 400), db.q6(100, 0.05, 30)];
@@ -116,44 +128,80 @@ fn service_and_simulator_agree_on_a_deterministic_three_job_trace() {
     let demands: Vec<f64> =
         specs.iter().map(|q| svc.run_solo(q).expect("solo run").cost).collect();
 
-    // Queue all three behind a paused gate with distinct priorities; with
-    // MPL 1 the completion order is then fully determined by the gate.
-    svc.pause_admission();
-    let priorities = [2u8, 0, 1];
-    let handles: Vec<_> = specs
-        .iter()
-        .zip(priorities)
-        .map(|(q, p)| svc.session(p).submit(q.clone(), QueryOptions::default()))
-        .collect();
-    while svc.queue_depth() != 3 {
-        std::thread::yield_now();
-    }
-    let jobs: Vec<Job> = handles
-        .iter()
-        .zip(priorities)
-        .zip(&demands)
-        .map(|((h, priority), &demand)| Job {
-            id: h.query() as usize,
-            arrival: 0.0,
-            demand,
-            priority,
-            weight: 1.0,
-        })
-        .collect();
-    svc.resume_admission();
-    for h in handles {
-        assert!(h.join().is_ok());
-    }
-    let sim = WorkloadManager::new(1, 1.0).simulate(&jobs);
-    let mut by_finish: Vec<_> = sim.jobs.clone();
-    by_finish.sort_by(|a, b| a.finish.total_cmp(&b.finish));
-    let simulated: Vec<u64> = by_finish.iter().map(|j| j.id as u64).collect();
+    let three_jobs: AdmissionTrace = (vec![(0, 2), (1, 0), (2, 1)], vec![]);
+    let seeded = (0..16u64).map(|seed| -> AdmissionTrace {
+        let mut rng = rqp::common::rng::seeded(seed);
+        let n = rng.gen_range(3..9usize);
+        let queries = (0..n).map(|_| (rng.gen_range(0..3usize), rng.gen_range(0..4u32) as u8));
+        let queries: Vec<(usize, u8)> = queries.collect();
+        (queries, (0..n).filter(|_| rng.gen_bool(0.3)).collect())
+    });
+    for (trace, (queries, cancelled)) in std::iter::once(three_jobs).chain(seeded).enumerate() {
+        let logged = svc.completions().len();
+        // Queue every query behind the paused gate, one at a time, so the
+        // gate's arrival order is the submission order the simulator sees.
+        svc.pause_admission();
+        let handles: Vec<_> = queries
+            .iter()
+            .enumerate()
+            .map(|(at, &(q, p))| {
+                let h = svc.session(p).submit(specs[q].clone(), QueryOptions::default());
+                while svc.queue_depth() != at + 1 {
+                    std::thread::yield_now();
+                }
+                h
+            })
+            .collect();
+        for (left, &at) in cancelled.iter().enumerate() {
+            handles[at].cancel();
+            while svc.queue_depth() != queries.len() - left - 1 {
+                std::thread::yield_now();
+            }
+        }
+        let jobs: Vec<Job> = handles
+            .iter()
+            .zip(&queries)
+            .enumerate()
+            .filter(|(at, _)| !cancelled.contains(at))
+            .map(|(_, (h, &(q, priority)))| Job {
+                id: h.query() as usize,
+                arrival: 0.0,
+                demand: demands[q],
+                priority,
+                weight: 1.0,
+            })
+            .collect();
+        let cancelled_ids: Vec<u64> = cancelled.iter().map(|&at| handles[at].query()).collect();
+        svc.resume_admission();
+        for (at, h) in handles.into_iter().enumerate() {
+            let out = h.join();
+            if cancelled.contains(&at) {
+                assert!(out.unwrap_err().is_cancellation(), "trace {trace}: query {at}");
+            } else {
+                assert!(out.is_ok(), "trace {trace}: query {at} failed: {out:?}");
+            }
+        }
+        let sim = WorkloadManager::new(1, 1.0).simulate(&jobs);
+        let mut by_finish: Vec<_> = sim.jobs.clone();
+        by_finish.sort_by(|a, b| a.finish.total_cmp(&b.finish));
+        let simulated: Vec<u64> = by_finish.iter().map(|j| j.id as u64).collect();
 
-    let completed: Vec<u64> = svc.completions().iter().map(|c| c.query).collect();
-    assert_eq!(
-        completed, simulated,
-        "real service and virtual-time simulator disagree on completion order"
-    );
+        let log = svc.completions().split_off(logged);
+        let completed: Vec<u64> =
+            log.iter().map(|c| c.query).filter(|id| !cancelled_ids.contains(id)).collect();
+        assert_eq!(
+            completed, simulated,
+            "trace {trace}: real service and virtual-time simulator disagree on completion order"
+        );
+        for id in &cancelled_ids {
+            let c = log.iter().find(|c| c.query == *id).expect("cancelled query recorded");
+            assert_eq!(c.demand, 0.0, "trace {trace}: query {id} cancelled while queued");
+        }
+        svc.refresh_live_gauges();
+        assert_eq!(svc.queue_depth(), 0, "trace {trace}");
+        assert_eq!(svc.metrics().gauge("server.live.running").get(), 0.0, "trace {trace}");
+        assert_eq!(svc.reserved(), 0.0, "trace {trace}");
+    }
 }
 
 /// The CI matrix legs reach the suite through one hook: whatever the process
