@@ -8,11 +8,15 @@
 //! string entering as its dictionary code, and the group table of
 //! accumulators every aggregation folds into.
 //!
-//! The planner lowers every table scan to [`BatchScanOp`], then
-//! [`BatchFilterOp`] for any predicate, behind the [`BatchRowsOp`] row
-//! adapter, and every parallel-scan exchange worker scans its range the same
-//! way. The scalar scan and the other scalar twins remain as the reference
-//! these operators are tested against.
+//! The planner (`PhysicalPlan::build` in `rqp-opt`) lowers every maximal
+//! batchable subtree — table scans with their predicates, single-key hash
+//! joins, column projections — into one batch pipeline, feeds an
+//! aggregation over one into [`BatchHashAggOp`], and puts the one
+//! [`BatchRowsOp`] row adapter where a row operator takes the pipeline
+//! over. Every parallel-scan exchange worker scans its range with
+//! [`BatchScanOp`] too. The scalar twins remain where a plan cannot run on
+//! batches (multi-key joins, index access, the adaptive operators) and as
+//! the reference these operators are tested against.
 //!
 //! **Cost contract.** Every batch operator charges the [cost
 //! clock](rqp_common::clock) the *same amounts* as its scalar twin, just in
@@ -107,7 +111,7 @@ fn empty_for(dtype: DataType, rows: usize) -> ColVec {
 /// the whole scan's for any partition count.
 /// `Str` columns are dictionary-encoded through the pipeline's shared
 /// [`StringDict`] at batch-build time. The planner lowers every table scan
-/// through this operator, and each
+/// through this operator, with the plan's one dictionary, and each
 /// [`ExchangeOp::parallel_scan`](crate::ExchangeOp::parallel_scan) worker
 /// scans its range with it.
 pub struct BatchScanOp {

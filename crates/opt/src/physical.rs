@@ -17,14 +17,15 @@
 
 use crate::cost::CostModel;
 use crate::query::JoinEdge;
-use rqp_common::{Expr, Result, RqpError, Value};
+use rqp_common::{Expr, Result, RqpError, StringDict, Value};
 use rqp_exec::{
-    AggSpec, BatchFilterOp, BatchRowsOp, BatchScanOp, BoxBatchOp, BoxOp, CheckOp, ExecContext,
-    FilterOp, GJoinOp, HashAggOp, HashJoinOp, IndexNlJoinOp, IndexScanOp, MergeJoinOp, PopSignal,
-    ProjectOp, SortOp, SpanHandle, TopNOp,
+    AggSpec, BatchFilterOp, BatchHashAggOp, BatchHashJoinOp, BatchProjectOp, BatchRowsOp,
+    BatchScanOp, BoxBatchOp, BoxOp, CheckOp, ExecContext, FilterOp, GJoinOp, HashAggOp,
+    HashJoinOp, IndexNlJoinOp, IndexScanOp, MergeJoinOp, PopSignal, ProjectOp, SortOp, SpanHandle,
+    TopNOp,
 };
 use rqp_stats::CardEstimator;
-use rqp_storage::{Catalog, Table};
+use rqp_storage::Catalog;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -392,31 +393,81 @@ impl PhysicalPlan {
     }
 
     /// Compile to executable operators, metering every node.
+    ///
+    /// Every maximal batchable subtree becomes one batch pipeline over one
+    /// [`StringDict`]: a `TableScan` is a [`BatchScanOp`] (then a
+    /// [`BatchFilterOp`] for its predicate), a single-edge `HashJoin` of two
+    /// batchable inputs a [`BatchHashJoinOp`], and a `Project` of a
+    /// batchable input a [`BatchProjectOp`]. An `Aggregate` of a batchable
+    /// input is a [`BatchHashAggOp`], which hands rows on. One
+    /// [`BatchRowsOp`] adapter goes where a row operator consumes a
+    /// pipeline, or at the root. Each node's meter reads the span of the
+    /// operator that hands its output on: the adapter's, where there is one.
     pub fn build(
         &self,
         catalog: &Catalog,
         ctx: &ExecContext,
         signal: Option<Rc<PopSignal>>,
     ) -> Result<BuiltPlan> {
-        let mut meters = Vec::new();
-        let root = self.build_node(catalog, ctx, &signal, &mut meters)?;
-        Ok(BuiltPlan { root, meters })
+        let dict = Arc::new(StringDict::new());
+        let mut lw = Lowering { catalog, ctx, signal, dict, meters: Vec::new() };
+        let root = self.rows(&mut lw)?;
+        Ok(BuiltPlan { root, meters: lw.meters })
     }
 
-    fn build_node(
-        &self,
-        catalog: &Catalog,
-        ctx: &ExecContext,
-        signal: &Option<Rc<PopSignal>>,
-        meters: &mut Vec<NodeMeter>,
-    ) -> Result<BoxOp> {
+    /// Whether this node lowers to a batch operator: a table scan, a
+    /// single-edge hash join of two batchable inputs, or a projection of a
+    /// batchable input.
+    fn batchable(&self) -> bool {
         use PhysicalPlan::*;
-        let subtree_start = meters.len();
-        let op: BoxOp = match self {
-            TableScan { table, filter, .. } => scan_pipeline(catalog.table(table)?, filter, ctx)?,
+        match self {
+            TableScan { .. } => true,
+            HashJoin { left, right, edges, .. } => {
+                edges.len() == 1 && left.batchable() && right.batchable()
+            }
+            Project { input, .. } => input.batchable(),
+            _ => false,
+        }
+    }
+
+    /// Lower this node for a row consumer.
+    fn rows(&self, lw: &mut Lowering<'_>) -> Result<BoxOp> {
+        match self.lower(lw, true)? {
+            Lowered::Rows(op) => Ok(op),
+            Lowered::Batch(_) => unreachable!("a row consumer gets the adapter"),
+        }
+    }
+
+    /// Lower this (batchable) node for a batch consumer.
+    fn batch(&self, lw: &mut Lowering<'_>) -> Result<BoxBatchOp> {
+        match self.lower(lw, false)? {
+            Lowered::Batch(op) => Ok(op),
+            Lowered::Rows(_) => unreachable!("only a batchable node has a batch consumer"),
+        }
+    }
+
+    /// Lower this node, behind the row adapter when `for_rows` and the node
+    /// is batchable, and push its meter.
+    fn lower(&self, lw: &mut Lowering<'_>, for_rows: bool) -> Result<Lowered> {
+        use Lowered::{Batch, Rows};
+        use PhysicalPlan::*;
+        let subtree_start = lw.meters.len();
+        let ctx = lw.ctx;
+        let batchable = self.batchable();
+        let op = match self {
+            TableScan { table, filter, .. } => {
+                let t = lw.catalog.table(table)?;
+                let end = t.nrows();
+                let mut batch: BoxBatchOp =
+                    Box::new(BatchScanOp::with_dict(t, 0, end, Arc::clone(&lw.dict), ctx.clone()));
+                if let Some(f) = filter {
+                    batch = Box::new(BatchFilterOp::new(batch, f, ctx.clone())?);
+                }
+                Batch(batch)
+            }
             IndexScan { table, index, prefix, lo, hi, residual, .. } => {
-                let t = catalog.table(table)?;
-                let ix = catalog.index(index)?;
+                let t = lw.catalog.table(table)?;
+                let ix = lw.catalog.index(index)?;
                 let scan: BoxOp = Box::new(IndexScanOp::new(
                     ix,
                     t,
@@ -425,56 +476,51 @@ impl PhysicalPlan {
                     hi.clone(),
                     ctx.clone(),
                 ));
-                match residual {
+                Rows(match residual {
                     Some(r) => Box::new(FilterOp::new(scan, r, ctx.clone())?),
                     None => scan,
-                }
+                })
+            }
+            HashJoin { left, right, edges, .. } if batchable => {
+                let (l, r) = (left.batch(lw)?, right.batch(lw)?);
+                let e = &edges[0];
+                let (lk, rk) = (e.left_qualified(), e.right_qualified());
+                Batch(Box::new(BatchHashJoinOp::new(l, r, &lk, &rk, ctx.clone())?))
             }
             HashJoin { left, right, edges, .. } => {
-                let l = left.build_node(catalog, ctx, signal, meters)?;
-                let r = right.build_node(catalog, ctx, signal, meters)?;
+                let (l, r) = (left.rows(lw)?, right.rows(lw)?);
                 let (lk, rk) = edge_keys(edges);
-                let lk_refs: Vec<&str> = lk.iter().map(|s| s.as_str()).collect();
-                let rk_refs: Vec<&str> = rk.iter().map(|s| s.as_str()).collect();
-                Box::new(HashJoinOp::new(l, r, &lk_refs, &rk_refs, ctx.clone())?)
+                Rows(Box::new(HashJoinOp::new(l, r, &refs(&lk), &refs(&rk), ctx.clone())?))
             }
             MergeJoin { left, right, edges, sort_left, sort_right, .. } => {
-                let mut l = left.build_node(catalog, ctx, signal, meters)?;
-                let mut r = right.build_node(catalog, ctx, signal, meters)?;
+                let (mut l, mut r) = (left.rows(lw)?, right.rows(lw)?);
                 let (lk, rk) = edge_keys(edges);
                 if *sort_left {
-                    let keys: Vec<&str> = lk.iter().map(|s| s.as_str()).collect();
-                    l = Box::new(SortOp::asc(l, &keys, ctx.clone())?);
+                    l = Box::new(SortOp::asc(l, &refs(&lk), ctx.clone())?);
                 }
                 if *sort_right {
-                    let keys: Vec<&str> = rk.iter().map(|s| s.as_str()).collect();
-                    r = Box::new(SortOp::asc(r, &keys, ctx.clone())?);
+                    r = Box::new(SortOp::asc(r, &refs(&rk), ctx.clone())?);
                 }
-                let lk_refs: Vec<&str> = lk.iter().map(|s| s.as_str()).collect();
-                let rk_refs: Vec<&str> = rk.iter().map(|s| s.as_str()).collect();
-                Box::new(MergeJoinOp::new(l, r, &lk_refs, &rk_refs, ctx.clone())?)
+                Rows(Box::new(MergeJoinOp::new(l, r, &refs(&lk), &refs(&rk), ctx.clone())?))
             }
             GJoin { left, right, edges, left_sorted, right_sorted, .. } => {
-                let l = left.build_node(catalog, ctx, signal, meters)?;
-                let r = right.build_node(catalog, ctx, signal, meters)?;
+                let (l, r) = (left.rows(lw)?, right.rows(lw)?);
                 let (lk, rk) = edge_keys(edges);
-                let lk_refs: Vec<&str> = lk.iter().map(|s| s.as_str()).collect();
-                let rk_refs: Vec<&str> = rk.iter().map(|s| s.as_str()).collect();
-                Box::new(GJoinOp::new(
+                Rows(Box::new(GJoinOp::new(
                     l,
                     r,
-                    &lk_refs,
-                    &rk_refs,
+                    &refs(&lk),
+                    &refs(&rk),
                     *left_sorted,
                     *right_sorted,
                     None,
                     ctx.clone(),
-                )?)
+                )?))
             }
             IndexNlJoin { outer, inner_table, inner_index, edge, inner_residual, .. } => {
-                let o = outer.build_node(catalog, ctx, signal, meters)?;
-                let ix = catalog.index(inner_index)?;
-                let t = catalog.table(inner_table)?;
+                let o = outer.rows(lw)?;
+                let ix = lw.catalog.index(inner_index)?;
+                let t = lw.catalog.table(inner_table)?;
                 let join: BoxOp = Box::new(IndexNlJoinOp::new(
                     o,
                     &edge.left_qualified(),
@@ -482,56 +528,62 @@ impl PhysicalPlan {
                     t,
                     ctx.clone(),
                 )?);
-                match inner_residual {
+                Rows(match inner_residual {
                     Some(p) => Box::new(FilterOp::new(join, p, ctx.clone())?),
                     None => join,
-                }
+                })
             }
             Check { input, id, validity, est_rows, .. } => {
-                let i = input.build_node(catalog, ctx, signal, meters)?;
-                let sig = signal.as_ref().ok_or_else(|| {
+                let i = input.rows(lw)?;
+                let sig = lw.signal.as_ref().ok_or_else(|| {
                     RqpError::Planning("CHECK node requires a PopSignal".into())
                 })?;
-                Box::new(CheckOp::new(
+                Rows(Box::new(CheckOp::new(
                     i,
                     *id,
                     *est_rows,
                     *validity,
                     Rc::clone(sig),
                     ctx.clone(),
-                ))
+                )))
+            }
+            Aggregate { input, group_by, aggs, .. } if input.batchable() => {
+                let i = input.batch(lw)?;
+                Rows(Box::new(BatchHashAggOp::new(i, &refs(group_by), aggs, ctx.clone())?))
             }
             Aggregate { input, group_by, aggs, .. } => {
-                let i = input.build_node(catalog, ctx, signal, meters)?;
-                let gb: Vec<&str> = group_by.iter().map(|s| s.as_str()).collect();
-                Box::new(HashAggOp::new(i, &gb, aggs, ctx.clone())?)
+                let i = input.rows(lw)?;
+                Rows(Box::new(HashAggOp::new(i, &refs(group_by), aggs, ctx.clone())?))
             }
             Sort { input, keys, .. } => {
-                let i = input.build_node(catalog, ctx, signal, meters)?;
-                let ks: Vec<&str> = keys.iter().map(|s| s.as_str()).collect();
-                Box::new(SortOp::asc(i, &ks, ctx.clone())?)
+                let i = input.rows(lw)?;
+                Rows(Box::new(SortOp::asc(i, &refs(keys), ctx.clone())?))
             }
             TopN { input, keys, n, .. } => {
-                let i = input.build_node(catalog, ctx, signal, meters)?;
+                let i = input.rows(lw)?;
                 let ks: Vec<(&str, rqp_exec::sort::SortOrder)> = keys
                     .iter()
                     .map(|s| (s.as_str(), rqp_exec::sort::SortOrder::Asc))
                     .collect();
-                Box::new(TopNOp::new(i, &ks, *n, ctx.clone())?)
+                Rows(Box::new(TopNOp::new(i, &ks, *n, ctx.clone())?))
+            }
+            Project { input, columns, .. } if batchable => {
+                let i = input.batch(lw)?;
+                Batch(Box::new(BatchProjectOp::columns(i, &refs(columns), ctx.clone())?))
             }
             Project { input, columns, .. } => {
-                let i = input.build_node(catalog, ctx, signal, meters)?;
-                let cols: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-                Box::new(ProjectOp::columns(i, &cols, ctx.clone())?)
+                let i = input.rows(lw)?;
+                Rows(Box::new(ProjectOp::columns(i, &refs(columns), ctx.clone())?))
             }
         };
-        let span = op
-            .span()
-            .expect("every rqp-exec operator carries a span")
-            .clone();
+        let op = match op {
+            Batch(op) if for_rows => Rows(BatchRowsOp::boxed(op, ctx.clone())),
+            op => op,
+        };
+        let span = op.span().clone();
         span.set_detail(&self.fingerprint());
         span.set_est_rows(self.est_rows());
-        meters.push(NodeMeter {
+        lw.meters.push(NodeMeter {
             label: self.fingerprint(),
             est_rows: self.est_rows(),
             span,
@@ -664,14 +716,38 @@ fn fmt_edges(edges: &[JoinEdge]) -> String {
         .join(" AND ")
 }
 
-/// The one table-scan lowering: a [`BatchScanOp`], then a [`BatchFilterOp`]
-/// for any predicate, then the [`BatchRowsOp`] row adapter.
-fn scan_pipeline(t: Arc<Table>, filter: &Option<Expr>, ctx: &ExecContext) -> Result<BoxOp> {
-    let mut batch: BoxBatchOp = Box::new(BatchScanOp::new(t, ctx.clone()));
-    if let Some(f) = filter {
-        batch = Box::new(BatchFilterOp::new(batch, f, ctx.clone())?);
+/// What [`PhysicalPlan::build`] threads through the tree: the catalog, the
+/// context, POP's signal, the plan's one string dictionary and the meters
+/// pushed so far.
+struct Lowering<'a> {
+    catalog: &'a Catalog,
+    ctx: &'a ExecContext,
+    signal: Option<Rc<PopSignal>>,
+    dict: Arc<StringDict>,
+    meters: Vec<NodeMeter>,
+}
+
+/// One lowered plan node: a batch pipeline still open to a batch consumer,
+/// or a row operator.
+enum Lowered {
+    Batch(BoxBatchOp),
+    Rows(BoxOp),
+}
+
+impl Lowered {
+    /// The span of the operator producing this node's output.
+    fn span(&self) -> &SpanHandle {
+        let span = match self {
+            Lowered::Batch(op) => op.span(),
+            Lowered::Rows(op) => op.span(),
+        };
+        span.expect("every rqp-exec operator carries a span")
     }
-    Ok(BatchRowsOp::boxed(batch, ctx.clone()))
+}
+
+/// Column names as the operators' constructors take them.
+fn refs(names: &[String]) -> Vec<&str> {
+    names.iter().map(|s| s.as_str()).collect()
 }
 
 /// Qualified key column lists for join construction.

@@ -1,8 +1,13 @@
 //! Acceptance tests for batch-at-a-time execution: every batch plan must be
 //! **row-identical** to its scalar twin and **bit-identical** in its charged
 //! cost breakdown under the default cost weights, at 1/2/8 workers, under
-//! repartitioning and under chaos injection. The planner and the parallel
-//! scan's workers lower every table scan to the batch pipeline, and the
+//! repartitioning and under chaos injection. The planner lowers scans,
+//! single-key hash joins, projections and the aggregations over them to
+//! batch pipelines with one row adapter where a row operator takes over, and
+//! its plans (TPC-H q1/q3/q5/q6 and the range query under two estimators,
+//! also memory-starved, and string-key joins) return the rows, value bits,
+//! cost bits and per-node actual rows of the same plans lowered to row
+//! operators alone. The parallel scan's workers run the batch scan, and the
 //! batch filter runs any predicate on the row filter's truth table: random
 //! expression trees (NULL literals, NaN, ±0.0, mixed Int/Float, strings,
 //! overflowing arithmetic, AND/OR/NOT) select the same rows and charge the
@@ -18,13 +23,18 @@ use rqp::common::{ChaosConfig, ChaosPolicy, StringDict};
 use rqp::exec::{
     collect, pipeline, AggFunc, AggSpec, BatchFilterOp, BatchHashAggOp, BatchHashJoinOp,
     BatchProjectOp, BatchRowsOp, BatchScanOp, BnlJoinOp, BoxBatchOp, BoxOp, ExchangeOp,
-    ExecContext, FilterOp, HashAggOp, HashJoinOp, Operator, Partitioning, PipelineBuilder,
-    ProjectOp, TableScanOp,
+    ExecContext, FilterOp, GJoinOp, HashAggOp, HashJoinOp, IndexNlJoinOp, IndexScanOp,
+    MergeJoinOp, Operator, Partitioning, PipelineBuilder, PopSignal, ProjectOp, SortOp,
+    SpanHandle, TableScanOp, TopNOp,
 };
+use rqp::opt::{JoinEdge, PhysicalPlan};
+use rqp::stats::{CardEstimator, OracleEstimator, StatsEstimator, TableStatsRegistry};
+use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp::common::CostClock;
 use rqp::storage::{ChangeOp, ChangeRecord};
 use rqp::stream::ViewCircuit;
 use rqp::{Catalog, DataType, Expr, QuerySpec, Row, Schema, Table, Value};
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn ctx() -> ExecContext {
@@ -1012,10 +1022,176 @@ fn batch_workers_recover_from_injected_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Planner lowering: every TableScan is a batch pipeline
+// Planner lowering: batch pipelines with one row adapter per pipeline
 // ---------------------------------------------------------------------------
 
-/// `o(id Int, amt Float, cat Str)` with 1 000 rows, as a catalog.
+fn refs(names: &[String]) -> Vec<&str> {
+    names.iter().map(String::as_str).collect()
+}
+
+/// The row lowering of `plan`: every node out of its row twin, the
+/// reference the planner's batch pipelines must match. Pushes each node's
+/// `(label, span)` in post-order, as `PhysicalPlan::build` pushes meters.
+fn row_lowering(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    c: &ExecContext,
+    meters: &mut Vec<(String, SpanHandle)>,
+) -> BoxOp {
+    use PhysicalPlan::*;
+    let keys = |edges: &[JoinEdge], left: bool| -> Vec<String> {
+        let key = |e: &JoinEdge| if left { e.left_qualified() } else { e.right_qualified() };
+        edges.iter().map(key).collect()
+    };
+    let filtered = |op: BoxOp, pred: &Option<Expr>| -> BoxOp {
+        match pred {
+            Some(p) => Box::new(FilterOp::new(op, p, c.clone()).unwrap()),
+            None => op,
+        }
+    };
+    let op: BoxOp = match plan {
+        TableScan { table, filter, .. } => {
+            let scan = Box::new(TableScanOp::new(catalog.table(table).unwrap(), c.clone()));
+            filtered(scan, filter)
+        }
+        IndexScan { table, index, prefix, lo, hi, residual, .. } => {
+            let (ix, t) = (catalog.index(index).unwrap(), catalog.table(table).unwrap());
+            let (p, lo, hi) = (prefix.clone(), lo.clone(), hi.clone());
+            filtered(Box::new(IndexScanOp::new(ix, t, p, lo, hi, c.clone())), residual)
+        }
+        HashJoin { left, right, edges, .. } => {
+            let l = row_lowering(left, catalog, c, meters);
+            let r = row_lowering(right, catalog, c, meters);
+            let (lk, rk) = (keys(edges, true), keys(edges, false));
+            Box::new(HashJoinOp::new(l, r, &refs(&lk), &refs(&rk), c.clone()).unwrap())
+        }
+        MergeJoin { left, right, edges, sort_left, sort_right, .. } => {
+            let mut l = row_lowering(left, catalog, c, meters);
+            let mut r = row_lowering(right, catalog, c, meters);
+            let (lk, rk) = (keys(edges, true), keys(edges, false));
+            if *sort_left {
+                l = Box::new(SortOp::asc(l, &refs(&lk), c.clone()).unwrap());
+            }
+            if *sort_right {
+                r = Box::new(SortOp::asc(r, &refs(&rk), c.clone()).unwrap());
+            }
+            Box::new(MergeJoinOp::new(l, r, &refs(&lk), &refs(&rk), c.clone()).unwrap())
+        }
+        GJoin { left, right, edges, left_sorted, right_sorted, .. } => {
+            let l = row_lowering(left, catalog, c, meters);
+            let r = row_lowering(right, catalog, c, meters);
+            let (lk, rk) = (keys(edges, true), keys(edges, false));
+            let (ls, rs) = (*left_sorted, *right_sorted);
+            Box::new(
+                GJoinOp::new(l, r, &refs(&lk), &refs(&rk), ls, rs, None, c.clone()).unwrap(),
+            )
+        }
+        IndexNlJoin { outer, inner_table, inner_index, edge, inner_residual, .. } => {
+            let o = row_lowering(outer, catalog, c, meters);
+            let ix = catalog.index(inner_index).unwrap();
+            let t = catalog.table(inner_table).unwrap();
+            let key = edge.left_qualified();
+            let join = IndexNlJoinOp::new(o, &key, ix, t, c.clone()).unwrap();
+            filtered(Box::new(join), inner_residual)
+        }
+        Check { .. } => panic!("the reference runs no POP checkpoint"),
+        Aggregate { input, group_by, aggs, .. } => {
+            let i = row_lowering(input, catalog, c, meters);
+            Box::new(HashAggOp::new(i, &refs(group_by), aggs, c.clone()).unwrap())
+        }
+        Sort { input, keys, .. } => {
+            let i = row_lowering(input, catalog, c, meters);
+            Box::new(SortOp::asc(i, &refs(keys), c.clone()).unwrap())
+        }
+        TopN { input, keys, n, .. } => {
+            let i = row_lowering(input, catalog, c, meters);
+            let ks: Vec<_> =
+                keys.iter().map(|k| (k.as_str(), rqp::exec::sort::SortOrder::Asc)).collect();
+            Box::new(TopNOp::new(i, &ks, *n, c.clone()).unwrap())
+        }
+        Project { input, columns, .. } => {
+            let i = row_lowering(input, catalog, c, meters);
+            Box::new(ProjectOp::columns(i, &refs(columns), c.clone()).unwrap())
+        }
+    };
+    meters.push((plan.fingerprint(), op.span().unwrap().clone()));
+    op
+}
+
+/// Run `plan` through `PhysicalPlan::build` and through the row lowering,
+/// each under a fresh context with `memory_rows` of workspace, and assert
+/// the same rows in the same order, bit for bit, the same cost bits and the
+/// same `(label, rows_out)` for every meter. Returns the rows spilled.
+fn assert_planned_matches_rows(
+    label: &str,
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    memory_rows: f64,
+) -> f64 {
+    let fresh = || ExecContext::with_memory(memory_rows);
+    let (planned, planned_meters) = {
+        let c = fresh();
+        let mut built = plan.build(catalog, &c, None).unwrap();
+        let rows = built.run();
+        let meters: Vec<_> =
+            built.meters.iter().map(|m| (m.label.clone(), m.actual_rows())).collect();
+        ((rows, c), meters)
+    };
+    let (reference, reference_meters) = {
+        let c = fresh();
+        let mut spans = Vec::new();
+        let mut root = row_lowering(plan, catalog, &c, &mut spans);
+        let rows = collect(root.as_mut());
+        let meters: Vec<_> = spans.iter().map(|(l, s)| (l.clone(), s.rows() as usize)).collect();
+        ((rows, c), meters)
+    };
+    let label = format!("{label}: {}", plan.fingerprint());
+    assert_rows_and_bits(&label, &reference, &planned);
+    assert_eq!(bits(&reference.0), bits(&planned.0), "{label}: value bits");
+    assert_eq!(reference_meters, planned_meters, "{label}: per-node actual rows");
+    for (_, c) in [&reference, &planned] {
+        assert_eq!(c.memory.outstanding(), 0.0, "{label}: a workspace grant outlived the plan");
+    }
+    planned.1.clock.breakdown().spill
+}
+
+#[test]
+fn planned_pipelines_match_the_row_lowering_bit_for_bit() {
+    for seed in [3u64, 17, 42] {
+        let db = TpchDb::build(TpchParams { lineitem_rows: 20_000, ..Default::default() }, seed);
+        let catalog = &db.catalog;
+        let registry = Rc::new(TableStatsRegistry::analyze_catalog(catalog, 32));
+        let estimators: [(&str, Box<dyn CardEstimator>); 2] = [
+            ("stats", Box::new(StatsEstimator::new(registry))),
+            ("oracle", Box::new(OracleEstimator::new(Rc::new(catalog.clone())))),
+        ];
+        let s = seed as i64;
+        let specs = [
+            db.q1(30 + s),
+            db.q3(s % 5, 400 + 10 * s),
+            db.q5(s % 10, s % 10 + 8, 100 + s),
+            db.q6(300 + s, 0.05, 30),
+            db.range_query(0.02 * (1 + s % 4) as f64),
+        ];
+        let (mut batch_joins, mut spill) = (0, 0.0);
+        for (name, est) in &estimators {
+            for spec in &specs {
+                let plan = rqp::opt::plan(spec, catalog, est.as_ref(), Default::default()).unwrap();
+                batch_joins += plan.fingerprint().matches("hj(").count();
+                let label = format!("seed {seed} {name}");
+                assert_planned_matches_rows(&label, &plan, catalog, f64::INFINITY);
+                // Memory-starved: build-side grants and spills are compared too.
+                let starved = format!("{label} starved");
+                spill += assert_planned_matches_rows(&starved, &plan, catalog, 64.0);
+            }
+        }
+        assert!(batch_joins > 0, "seed {seed}: no hash join was planned");
+        assert!(spill > 0.0, "seed {seed}: the starved runs never spilled");
+    }
+}
+
+/// `o(id Int, amt Float, cat Str)` with 1 000 rows and an index on `o.id`,
+/// and `c(cat Str, tax Float, id Int)` with 5 rows, as a catalog.
 fn orders_catalog() -> rqp::Catalog {
     let mut catalog = rqp::Catalog::new();
     let schema = Schema::from_pairs(&[
@@ -1032,6 +1208,18 @@ fn orders_catalog() -> rqp::Catalog {
         ]);
     }
     catalog.add_table(t);
+    let schema = Schema::from_pairs(&[
+        ("cat", DataType::Str),
+        ("tax", DataType::Float),
+        ("id", DataType::Int),
+    ]);
+    let mut c = Table::new("c", schema);
+    for i in 0..5i64 {
+        let (cat, tax) = (Value::Str(format!("cat{i}")), Value::Float(i as f64 * 0.125));
+        c.append(vec![cat, tax, Value::Int(i)]);
+    }
+    catalog.add_table(c);
+    catalog.create_index("ix_o_id", "o", &["id"]).unwrap();
     catalog
 }
 
@@ -1075,6 +1263,84 @@ fn the_planner_lowers_every_table_scan_to_the_batch_scan() {
     let bare = planned_scan(&catalog, None);
     assert_eq!(bare.1, ["batch_scan", "batch_rows"]);
     assert_eq!(bare.0.len(), 1_000);
+
+    // Joins and aggregates: one batch pipeline, and one adapter where a row
+    // operator (or the caller) takes its rows over.
+    let scan = |table: &str, filter| PhysicalPlan::TableScan {
+        table: table.into(),
+        filter,
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    // `o` is the build side: more rows than the one-page grant floor, so a
+    // starved run spills.
+    let hj = |edges: Vec<JoinEdge>| PhysicalPlan::HashJoin {
+        left: Box::new(scan("c", None)),
+        right: Box::new(scan("o", Some(simple.clone()))),
+        edges,
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    let on_cat = || vec![JoinEdge::new("c", "cat", "o", "cat")];
+    let kinds = |plan: &PhysicalPlan| {
+        let c = ctx();
+        let rows = plan.build(&catalog, &c, Some(PopSignal::new())).unwrap().run();
+        assert!(!rows.is_empty(), "{}: no rows", plan.fingerprint());
+        c.tracer.snapshot().iter().map(|s| s.kind.clone()).collect::<Vec<_>>()
+    };
+    // A string join key, keyed by the plan's one dictionary; also starved.
+    let starved = |label: &str, plan: &PhysicalPlan| {
+        let spill = assert_planned_matches_rows(label, plan, &catalog, 2.0);
+        assert!(spill > 0.0, "{label}: the starved run never spilled");
+    };
+    let join = hj(on_cat());
+    let pipeline = ["batch_scan", "batch_scan", "batch_filter", "batch_hash_join"];
+    assert_eq!(kinds(&join), [&pipeline[..], &["batch_rows"]].concat());
+    assert_planned_matches_rows("hj", &join, &catalog, f64::INFINITY);
+    starved("hj starved", &join);
+
+    let agg = PhysicalPlan::Aggregate {
+        input: Box::new(join.clone()),
+        group_by: vec!["c.cat".into()],
+        aggs: vec![AggSpec::count_star("n"), AggSpec::on(AggFunc::Sum, "o.amt", "s")],
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    assert_eq!(kinds(&agg), [&pipeline[..], &["batch_hash_agg"]].concat());
+    assert_planned_matches_rows("agg(hj)", &agg, &catalog, f64::INFINITY);
+    starved("agg(hj) starved", &agg);
+
+    // A two-edge hash join stays a row join: each batch input gets its own
+    // adapter.
+    let two_edges =
+        hj(vec![JoinEdge::new("c", "cat", "o", "cat"), JoinEdge::new("c", "id", "o", "id")]);
+    assert_eq!(
+        kinds(&two_edges),
+        ["batch_scan", "batch_rows", "batch_scan", "batch_filter", "batch_rows", "hash_join"]
+    );
+    assert_planned_matches_rows("two-edge hj", &two_edges, &catalog, f64::INFINITY);
+
+    // Row consumers: POP's CHECK over the batch join, and an index
+    // nested-loop join probing `o` for each row of a `c` pipeline.
+    let check = PhysicalPlan::Check {
+        input: Box::new(join),
+        id: 0,
+        validity: (0.0, f64::INFINITY),
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    assert_eq!(kinds(&check), [&pipeline[..], &["batch_rows", "check"]].concat());
+    let inl = PhysicalPlan::IndexNlJoin {
+        outer: Box::new(scan("c", None)),
+        inner_table: "o".into(),
+        inner_index: "ix_o_id".into(),
+        edge: JoinEdge::new("c", "id", "o", "id"),
+        inner_residual: None,
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    assert_eq!(kinds(&inl), ["batch_scan", "batch_rows", "index_nl_join"]);
+    assert_planned_matches_rows("inl", &inl, &catalog, f64::INFINITY);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Acceptance tests for the concurrent query service (`rqp-server`):
 //! the MPL gate, result identity under concurrency, typed deadline aborts
-//! that release every workspace grant, cancellation while queued, agreement
-//! between the real service and the virtual-time [`WorkloadManager`] —
-//! two drivers of one `Admission` machine — on seeded submit/cancel
-//! traces, the ambient engine switches reaching default
+//! that release every workspace grant, deadline aborts and cancels inside a
+//! batch hash join's build side that leave nothing behind, cancellation
+//! while queued, agreement between the real service and the virtual-time
+//! [`WorkloadManager`] — two drivers of one `Admission` machine — on
+//! seeded submit/cancel traces, the ambient engine switches reaching default
 //! contexts and services, the A06 scoreboard gate, secondary indexes
 //! following service appends, and width-adaptive integer columns (widening
 //! appends against an `i64` reference, the bytes-per-row gate).
@@ -18,6 +19,7 @@ use rqp::server::{QueryOptions, QueryService, ServiceConfig, SubscribeOptions};
 use rqp::storage::Table;
 use rqp::stream::canonicalize;
 use rqp::telemetry::scoreboard::Scoreboard;
+use rqp::telemetry::SpanSnapshot;
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 
 fn small_db() -> TpchDb {
@@ -87,6 +89,107 @@ fn past_deadline_query_aborts_typed_releases_grants_and_spares_others() {
         .find(|c| c.query == doomed_id)
         .expect("aborted query must still be recorded");
     assert!(aborted.cancel_latency.is_some(), "deadline abort must report its latency");
+}
+
+/// The spans of served query `query`, out of the service's merged trace.
+fn spans_of(svc: &QueryService, query: u64) -> Vec<SpanSnapshot> {
+    let all = svc.tracer().snapshot();
+    let head = format!("q{query} ");
+    let root = all.iter().find(|s| s.kind == "query" && s.detail.starts_with(&head));
+    let mut ids = vec![root.expect("the query's trace").id];
+    loop {
+        let more: Vec<usize> = all
+            .iter()
+            .filter(|s| !ids.contains(&s.id) && s.parent.is_some_and(|p| ids.contains(&p)))
+            .map(|s| s.id)
+            .collect();
+        if more.is_empty() {
+            break;
+        }
+        ids.extend(more);
+    }
+    all.into_iter().filter(|s| ids[1..].contains(&s.id)).collect()
+}
+
+/// The query ran batch hash joins and stopped before any of them emitted a
+/// row. Each join builds before it probes, and the first work of q3's plan is
+/// a build, so a query that charged something and stopped here stopped
+/// inside a build side.
+fn stopped_in_a_build(spans: &[SpanSnapshot]) -> bool {
+    let joins: Vec<_> = spans.iter().filter(|s| s.kind == "batch_hash_join").collect();
+    !joins.is_empty() && joins.iter().all(|j| j.rows_out == 0)
+}
+
+/// A served q3 runs its joins as batch hash joins. Past a short deadline, or
+/// cancelled, while a build side runs, it comes back with the typed error and
+/// leaves no page pin, workspace grant, admission slot or queue entry behind,
+/// and a neighbour on the same service then completes with its solo rows.
+#[test]
+fn a_batch_join_stopped_in_its_build_side_contains_the_failure() {
+    let db = TpchDb::build(TpchParams { lineitem_rows: 20_000, ..Default::default() }, 42);
+    let svc = QueryService::new(
+        &db.catalog,
+        ServiceConfig {
+            mpl: 2,
+            memory_rows: 20_000.0,
+            drift_threshold: 1e9,
+            page_budget: Some(64),
+            ..Default::default()
+        },
+    );
+    let (q3, neighbour) = (db.q3(1, 400), db.q1(30));
+    let q3_solo = svc.run_solo(&q3).expect("solo q3");
+    let fingerprint = &q3_solo.fingerprint;
+    assert!(fingerprint.contains("hj("), "q3 planned no hash join: {fingerprint}");
+    let solo = svc.run_solo(&neighbour).expect("solo neighbour");
+    let session = svc.session(0);
+    let contained = |label: &str| {
+        svc.refresh_live_gauges();
+        let pins = svc.pager().expect("a paged service").pins();
+        assert_eq!(pins, 0, "{label}: a page stayed pinned");
+        assert_eq!(svc.reserved(), 0.0, "{label}: a workspace grant leaked");
+        for gauge in ["server.live.running", "server.live.queued"] {
+            assert_eq!(svc.metrics().gauge(gauge).get(), 0.0, "{label}: {gauge}");
+        }
+        let out = session.submit(neighbour.clone(), QueryOptions::default()).join();
+        assert_eq!(out.expect("neighbour failed").rows, solo.rows, "{label}: neighbour's rows");
+    };
+
+    // One cost unit expires on the first build side's first pages.
+    let doomed = session.submit(q3.clone(), QueryOptions::with_deadline(1.0));
+    let id = doomed.query();
+    assert_eq!(doomed.join().unwrap_err(), RqpError::DeadlineExceeded);
+    assert!(stopped_in_a_build(&spans_of(&svc, id)), "the deadline missed the build side");
+    contained("deadline");
+
+    // An explicit cancel, sent once the query's own clock has moved: its
+    // first charges are a build side's. A cancel that lands later (or after
+    // completion) is retried.
+    let mut landed = 0;
+    for _ in 0..100 {
+        let handle = session.submit(q3.clone(), QueryOptions::default());
+        let id = handle.query();
+        loop {
+            let moved = svc.stats().live_tracer(id).is_some_and(|(_, clock)| clock.now() > 0.0);
+            if moved || svc.completions().iter().any(|c| c.query == id) {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        handle.cancel();
+        match handle.join() {
+            Ok(out) => assert_eq!(out.rows, q3_solo.rows, "a completed q3's rows"),
+            Err(e) => {
+                assert_eq!(e, RqpError::Cancelled);
+                landed += stopped_in_a_build(&spans_of(&svc, id)) as usize;
+            }
+        }
+        contained("cancel");
+        if landed > 0 {
+            break;
+        }
+    }
+    assert!(landed > 0, "no cancel landed while a build side ran");
 }
 
 #[test]
