@@ -20,8 +20,8 @@
 //! deterministic query menu (chosen by `(seed, client, index)`), with:
 //!
 //! * **closed-loop** arrival: submit → drain → next (one query in flight,
-//!   one round trip each while the result fits the first credit window:
-//!   `WireClient::run` grants it with the SUBMIT);
+//!   one round trip each: `WireClient::run` grants the rest of the result
+//!   with the SUBMIT);
 //! * **open-loop** arrival: all queries submitted up front with no credit
 //!   window (several are in flight, none may send pages yet), then drained —
 //!   arrival *timestamps* are virtual (`index / rate`), carried in the

@@ -7,11 +7,12 @@
 //! no demultiplexing is needed — every frame read belongs to the
 //! conversation in progress.
 //!
-//! **One round trip per query.** [`run`](WireClient::run) puts the first
-//! credit window into the SUBMIT itself, so SUBMIT_ACK, up to
-//! `FETCH_CREDITS` pages and the DONE come back without a second request;
-//! only a result with more pages than that costs a FETCH, once per window.
-//! [`submit`](WireClient::submit) passes `opts.credits` through untouched
+//! **One round trip per query.** [`run`](WireClient::run) grants the rest
+//! of the result ([`REST_OF_RESULT`]) in the SUBMIT itself, so SUBMIT_ACK,
+//! every page and the DONE come back without a second request, whatever
+//! the result's size. [`fetch`](WireClient::fetch) grants the rest of its
+//! query with at most one FETCH, so `submit` + `fetch` costs two round
+//! trips. [`submit`](WireClient::submit) passes `opts.credits` through untouched
 //! (default 0): a caller that keeps several queries in flight, or reads
 //! anything else before draining, must not have pages arrive unsolicited
 //! and grants by [`fetch`](WireClient::fetch) /
@@ -31,6 +32,7 @@
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{
     self, ClientMsg, RemoteFailure, ServerMsg, WireQueryOptions, WireSubscribeOptions,
+    REST_OF_RESULT,
 };
 use rqp_common::{Row, RqpError};
 use rqp_opt::QuerySpec;
@@ -38,10 +40,6 @@ use rqp_server::{LiveQueryStats, QueryPhase};
 use rqp_telemetry::{EventTail, MetricsSnapshot};
 use std::collections::HashMap;
 use std::net::TcpStream;
-
-/// Credits granted per FETCH round trip, and with the SUBMIT of
-/// [`WireClient::run`].
-const FETCH_CREDITS: u32 = 4;
 
 /// What a query's DONE frame reported.
 #[derive(Debug)]
@@ -177,8 +175,9 @@ impl WireClient {
         }
     }
 
-    /// Drain `query` to completion: grant credits window by window, collect
-    /// the pages not yet read, and return the assembled outcome — or the
+    /// Drain `query` to completion: once the credits already granted are
+    /// spent, grant the rest of the result in one FETCH, collect the pages
+    /// not yet read, and return the assembled outcome — or the
     /// server-reported failure with its stable wire code. After
     /// [`fetch_partial`](Self::fetch_partial) calls, `rows` holds the rows
     /// those calls did not return.
@@ -210,7 +209,7 @@ impl WireClient {
                 return Ok(Ok(RemoteOutcome { query, rows, cost, plan_cached }));
             }
             if cursor.outstanding == 0 {
-                self.grant(query, FETCH_CREDITS)?;
+                self.grant(query, REST_OF_RESULT)?;
             }
             self.advance(query, &mut rows)?;
         }
@@ -424,15 +423,15 @@ impl WireClient {
         }
     }
 
-    /// Submit and fully drain in one call. The SUBMIT carries the first
-    /// credit window (replacing `opts.credits`), so a result of up to
-    /// `FETCH_CREDITS` pages costs one round trip.
+    /// Submit and fully drain in one call. The SUBMIT grants the rest of
+    /// the result (replacing `opts.credits`), so a result of any size costs
+    /// one round trip.
     pub fn run(
         &mut self,
         spec: &QuerySpec,
         opts: WireQueryOptions,
     ) -> Result<Result<RemoteOutcome, RemoteFailure>, RqpError> {
-        let query = self.submit(spec, WireQueryOptions { credits: FETCH_CREDITS, ..opts })?;
+        let query = self.submit(spec, WireQueryOptions { credits: REST_OF_RESULT, ..opts })?;
         self.fetch(query)
     }
 

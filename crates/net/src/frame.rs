@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic     0x52515057 ("RQPW"), big-endian
-//! 4       2     version   protocol version, big-endian (currently 2)
+//! 4       2     version   protocol version, big-endian (currently 3)
 //! 6       1     type      message type tag (see `proto`)
 //! 7       1     reserved  must be 0
 //! 8       4     length    payload length in bytes, big-endian
@@ -23,8 +23,9 @@ use std::io::{Read, Write};
 pub const MAGIC: u32 = 0x5251_5057;
 
 /// Current protocol version. Bump on any incompatible layout change.
-/// Version 2 added the first credit window to SUBMIT's options.
-pub const VERSION: u16 = 2;
+/// Version 2 added the first credit window to SUBMIT's options; version 3
+/// encodes integers, row arities and string lengths as varints.
+pub const VERSION: u16 = 3;
 
 /// Hard upper bound on a frame payload (16 MiB). Frames claiming more are
 /// rejected before allocation.
@@ -185,11 +186,14 @@ mod tests {
         let mut old = buf.clone();
         old[4..6].copy_from_slice(&9999u16.to_be_bytes());
         assert_eq!(read_frame(&mut &old[..]), Err(FrameError::VersionMismatch(9999)));
-        // The previous protocol version (SUBMIT without a credit window) is
-        // refused at the header, before its payload is looked at.
-        let mut v1 = buf.clone();
-        v1[4..6].copy_from_slice(&1u16.to_be_bytes());
-        assert_eq!(read_frame(&mut &v1[..]), Err(FrameError::VersionMismatch(1)));
+        // Earlier protocol versions (1: SUBMIT without a credit window; 2:
+        // fixed-width integers and lengths) are refused at the header,
+        // before their payload is looked at.
+        for old in [1u16, 2] {
+            let mut v = buf.clone();
+            v[4..6].copy_from_slice(&old.to_be_bytes());
+            assert_eq!(read_frame(&mut &v[..]), Err(FrameError::VersionMismatch(old)));
+        }
     }
 
     #[test]

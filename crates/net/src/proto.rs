@@ -5,7 +5,8 @@
 //! credits → up to that many PAGE frames then DONE/ERROR, CANCEL is
 //! fire-and-forget, GOODBYE → GOODBYE_ACK). Credits are granted by FETCH
 //! and, for the first window, by SUBMIT itself
-//! ([`WireQueryOptions::credits`]), so a small result costs one round trip.
+//! ([`WireQueryOptions::credits`]); a window of [`REST_OF_RESULT`] credits
+//! in the SUBMIT returns a result of any size in one round trip.
 //! Because result pages flow only against explicitly granted credits, a
 //! client that stops granting stops *receiving* — its query's remaining
 //! rows wait server-side in their already-accounted result buffer, and no
@@ -75,6 +76,13 @@ pub struct WireQueryOptions {
     /// may grant here — pages arrive unsolicited from then on.
     pub credits: u32,
 }
+
+/// The credit grant that covers the rest of a query's result: the server's
+/// ledger saturates at `u32::MAX`, and no materialized result has that many
+/// pages. It carries no special meaning on the wire — the pager still
+/// encodes one page per credit it holds — and TCP's own flow control bounds
+/// what such a window puts in flight.
+pub const REST_OF_RESULT: u32 = u32::MAX;
 
 impl Default for WireQueryOptions {
     fn default() -> Self {

@@ -12,10 +12,11 @@
 //! memory ledger is never held hostage by a slow consumer: `run_query`
 //! returns every grant before paging begins.
 //!
-//! Disconnects — clean (GOODBYE) or abrupt (EOF/reset mid-query) — cancel
-//! every live query's token and join its pager, which in turn means the
-//! query thread has fully unwound: MPL slot surrendered, memory grants
-//! returned. The churn counters this maintains
+//! Disconnects — clean (GOODBYE) or abrupt (EOF/reset mid-query) — shut
+//! the socket down (failing any write blocked on a peer that stopped
+//! reading), cancel every live query's token and join its pager, which in
+//! turn means the query thread has fully unwound: MPL slot surrendered,
+//! memory grants returned. The churn counters this maintains
 //! (`wire.queries.disconnected` / `wire.queries.recovered`) are what the
 //! A07 experiment's churn-recovery gauge is derived from.
 
@@ -526,6 +527,11 @@ fn serve_connection(
     // Teardown: every live query is cancelled and its pager joined. Joining
     // the pager means handle.join() returned — the query thread has unwound
     // through run_query, so its MPL slot and memory grants are released.
+    // A pager blocked in a write to a peer that stopped reading never sees
+    // its ledger killed, and it holds the writer lock: shutting the socket
+    // down through the reader's handle fails that write, so every join
+    // below returns.
+    let _ = reader.shutdown(std::net::Shutdown::Both);
     let mut disconnected = 0u64;
     let mut recovered = 0u64;
     for (_, q) in live.drain() {

@@ -9,6 +9,16 @@
 //! remaining payload, so a claimed length of four billion fails on the
 //! first missing byte instead of reserving memory up front).
 //!
+//! Row values are compact: an `Int` is a zigzag [varint](Writer::varint),
+//! and a row's arity and every string's length are varints too, so a
+//! small integer costs 1–2 bytes instead of 8 and a short string one
+//! length byte instead of 4. Result bytes are what a drained query puts
+//! on the wire in one burst, and on loopback a burst past one TCP segment
+//! (≈ 64 KiB) changes which delayed-ACK waits the round trip pays (DESIGN.md,
+//! "Value encoding"); the compact form keeps the same rows in about half
+//! the bytes. Floats stay 8-byte bit patterns, so every value round-trips
+//! bit for bit.
+//!
 //! Recursive structures ([`Expr`]) carry an explicit depth limit
 //! ([`MAX_EXPR_DEPTH`]) on both encode and decode: a deeply nested
 //! hostile payload errors out instead of overflowing the stack.
@@ -74,11 +84,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Append a big-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Append an `f64` as its IEEE-754 bit pattern (big-endian).
     pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_be_bytes());
@@ -89,17 +94,25 @@ impl Writer {
         self.buf.push(v as u8);
     }
 
-    /// Append a length-prefixed UTF-8 string. Mirrors [`Reader::str`]:
-    /// strings over [`MAX_STR`] are rejected at encode time, so this side
-    /// never emits a frame the peer is guaranteed to drop as malformed
-    /// (and a ≥ 4 GiB string can never silently truncate its length).
-    pub fn str(&mut self, s: &str) -> Result<()> {
-        let len = u32::try_from(s.len())
-            .map_err(|_| malformed(format!("string of {} bytes overflows u32", s.len())))?;
-        if len > MAX_STR {
-            return Err(malformed(format!("string of {len} bytes exceeds {MAX_STR}")));
+    /// Append a `u64` as an unsigned LEB128 varint: seven bits per byte,
+    /// low groups first, the high bit set on every byte but the last.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
         }
-        self.u32(len);
+        self.buf.push(v as u8);
+    }
+
+    /// Append a varint-length-prefixed UTF-8 string. Mirrors
+    /// [`Reader::str`]: strings over [`MAX_STR`] are rejected at encode
+    /// time, so this side never emits a frame the peer is guaranteed to
+    /// drop as malformed.
+    pub fn str(&mut self, s: &str) -> Result<()> {
+        if s.len() > MAX_STR as usize {
+            return Err(malformed(format!("string of {} bytes exceeds {MAX_STR}", s.len())));
+        }
+        self.varint(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
         Ok(())
     }
@@ -176,11 +189,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    /// Read a big-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
     /// Read an `f64` from its bit pattern.
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
@@ -195,11 +203,35 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read a length-prefixed UTF-8 string. The length is validated against
-    /// both [`MAX_STR`] and the remaining payload before any allocation.
+    /// Read an unsigned LEB128 varint ([`Writer::varint`]). At most ten
+    /// bytes; a tenth byte carrying more than the 64th bit is malformed,
+    /// never silently truncated.
+    pub fn varint(&mut self) -> Result<u64> {
+        let rest = &self.buf[self.pos..];
+        let mut v = 0u64;
+        for (i, &b) in rest.iter().take(10).enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if i == 9 && b > 1 {
+                    return Err(malformed("varint overflows u64"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(malformed(if rest.len() < 10 {
+            "varint runs past the end of the payload"
+        } else {
+            "varint longer than ten bytes"
+        }))
+    }
+
+    /// Read a varint-length-prefixed UTF-8 string. The length is validated
+    /// against both [`MAX_STR`] and the remaining payload before any
+    /// allocation.
     pub fn str(&mut self) -> Result<String> {
-        let len = self.u32()?;
-        if len > MAX_STR {
+        let len = self.varint()?;
+        if len > u64::from(MAX_STR) {
             return Err(malformed(format!("string of {len} bytes exceeds {MAX_STR}")));
         }
         let bytes = self.take(len as usize)?;
@@ -216,14 +248,16 @@ impl<'a> Reader<'a> {
 // Engine types
 // ---------------------------------------------------------------------------
 
-/// Encode a [`Value`]. Fails on a string value the wire cannot carry
-/// (over [`MAX_STR`]), mirroring the decode-side bound.
+/// Encode a [`Value`]: a tag byte, then an `Int` as a zigzag varint
+/// (`0, -1, 1, -2, …` ↦ `0, 1, 2, 3, …`), a `Float` as its 8-byte bit
+/// pattern, a `Str` as a string. Fails on a string value the wire cannot
+/// carry (over [`MAX_STR`]), mirroring the decode-side bound.
 pub fn put_value(w: &mut Writer, v: &Value) -> Result<()> {
     match v {
         Value::Null => w.u8(0),
         Value::Int(i) => {
             w.u8(1);
-            w.i64(*i);
+            w.varint(((i << 1) ^ (i >> 63)) as u64);
         }
         Value::Float(f) => {
             w.u8(2);
@@ -241,16 +275,19 @@ pub fn put_value(w: &mut Writer, v: &Value) -> Result<()> {
 pub fn get_value(r: &mut Reader) -> Result<Value> {
     Ok(match r.u8()? {
         0 => Value::Null,
-        1 => Value::Int(r.i64()?),
+        1 => {
+            let z = r.varint()?;
+            Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+        }
         2 => Value::Float(r.f64()?),
         3 => Value::Str(r.str()?),
         t => return Err(malformed(format!("value tag {t}"))),
     })
 }
 
-/// Encode a [`Row`].
+/// Encode a [`Row`]: its arity as a varint, then each value.
 pub fn put_row(w: &mut Writer, row: &Row) -> Result<()> {
-    w.u32(row.len() as u32);
+    w.varint(row.len() as u64);
     for v in row {
         put_value(w, v)?;
     }
@@ -259,7 +296,7 @@ pub fn put_row(w: &mut Writer, row: &Row) -> Result<()> {
 
 /// Decode a [`Row`].
 pub fn get_row(r: &mut Reader) -> Result<Row> {
-    let n = r.u32()?;
+    let n = r.varint()?;
     let mut row = Vec::new();
     for _ in 0..n {
         row.push(get_value(r)?);
@@ -836,6 +873,74 @@ mod tests {
     }
 
     #[test]
+    fn compact_values_round_trip_bit_for_bit_at_the_extremes() {
+        let ints = [0, 1, -1, 63, -64, 64, -65, 1 << 53, i64::MAX, i64::MIN, i64::MIN + 1];
+        let floats = [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, -1.5e300];
+        let row: Row = ints
+            .iter()
+            .map(|&i| Value::Int(i))
+            .chain(floats.iter().map(|&f| Value::Float(f)))
+            .chain([Value::Str(String::new()), Value::Str("x".repeat(200)), Value::Null])
+            .collect();
+        let mut w = Writer::new();
+        put_row(&mut w, &row).unwrap();
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = get_row(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.len(), row.len());
+        for (a, b) in row.iter().zip(&back) {
+            match (a, b) {
+                (Value::Float(x), Value::Float(y)) => assert_eq!(x.to_bits(), y.to_bits()),
+                _ => assert_eq!(a, b),
+            }
+        }
+        // Sizes: a tag, then 1 varint byte per 7 bits of the zigzag value.
+        let size = |v: Value| {
+            let mut w = Writer::new();
+            put_value(&mut w, &v).unwrap();
+            w.into_bytes().len()
+        };
+        for (i, n) in [(0, 2), (-1, 2), (-64, 2), (63, 2), (64, 3), (i64::MAX, 11), (i64::MIN, 11)] {
+            assert_eq!(size(Value::Int(i)), n, "Int({i})");
+        }
+        assert_eq!(size(Value::Str("x".repeat(127))), 1 + 1 + 127);
+        assert_eq!(size(Value::Str("x".repeat(128))), 1 + 2 + 128);
+        // A `wide_fetch` customer row (custkey, nationkey, mktsegment,
+        // acctbal): 17 bytes, 40 with fixed-width integers and arity.
+        let mut w = Writer::new();
+        let customer = vec![Value::Int(4_999), Value::Int(24), Value::Int(4), Value::Float(1_234.5)];
+        put_row(&mut w, &customer).unwrap();
+        assert_eq!(w.into_bytes().len(), 17);
+    }
+
+    #[test]
+    fn varints_are_bounded_to_ten_bytes_and_sixty_four_bits() {
+        let mut w = Writer::new();
+        w.varint(u64::MAX);
+        let max = w.into_bytes();
+        assert_eq!(max.len(), 10);
+        assert_eq!(Reader::new(&max).varint().unwrap(), u64::MAX);
+        // A tenth byte carrying bits past the 64th overflows.
+        let mut over = max.clone();
+        over[9] = 0x02;
+        assert!(Reader::new(&over).varint().is_err());
+        // Eleven bytes never decode, and a dangling continuation bit is a
+        // truncation.
+        let long = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x81, 0x00];
+        assert!(Reader::new(&long).varint().is_err());
+        assert!(Reader::new(&[0x80u8]).varint().is_err());
+        // Every truncation of an encoded row is a typed error.
+        let mut w = Writer::new();
+        put_row(&mut w, &vec![Value::Int(i64::MIN), Value::Str("héllo".into())]).unwrap();
+        let bytes = w.into_bytes();
+        for cut in 0..bytes.len() {
+            let mut r = Reader::new(&bytes[..cut]);
+            assert!(get_row(&mut r).is_err(), "truncation at {cut} must not decode");
+        }
+    }
+
+    #[test]
     fn introspection_payloads_round_trip_and_reject_truncation() {
         let metrics: MetricsSnapshot = vec![
             ("wire.connections".into(), MetricValue::Counter(3)),
@@ -932,7 +1037,7 @@ mod tests {
         assert!(get_rows(&mut r).is_err());
         // A string claiming MAX_STR+1 bytes is rejected before allocation.
         let mut w = Writer::new();
-        w.u32(MAX_STR + 1);
+        w.varint(u64::from(MAX_STR) + 1);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.str().is_err());

@@ -576,15 +576,23 @@ impl PhysicalPlan {
                 Rows(Box::new(ProjectOp::columns(i, &refs(columns), ctx.clone())?))
             }
         };
+        let label = self.fingerprint();
         let op = match op {
-            Batch(op) if for_rows => Rows(BatchRowsOp::boxed(op, ctx.clone())),
+            Batch(op) if for_rows => {
+                // The pipeline's top operator carries its node's label too.
+                // The estimate stays on the adapter alone, which the meter
+                // reads: one estimated span per node.
+                let top = op.span().expect("every rqp-exec operator carries a span");
+                top.set_detail(&label);
+                Rows(BatchRowsOp::boxed(op, ctx.clone()))
+            }
             op => op,
         };
         let span = op.span().clone();
-        span.set_detail(&self.fingerprint());
+        span.set_detail(&label);
         span.set_est_rows(self.est_rows());
         lw.meters.push(NodeMeter {
-            label: self.fingerprint(),
+            label,
             est_rows: self.est_rows(),
             span,
             feedback_signature: self.feedback_signature(),

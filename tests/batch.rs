@@ -28,6 +28,7 @@ use rqp::exec::{
     SpanHandle, TableScanOp, TopNOp,
 };
 use rqp::opt::{JoinEdge, PhysicalPlan};
+use rqp::server::{QueryService, ServiceConfig};
 use rqp::stats::{CardEstimator, OracleEstimator, StatsEstimator, TableStatsRegistry};
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp::common::CostClock;
@@ -1341,6 +1342,31 @@ fn the_planner_lowers_every_table_scan_to_the_batch_scan() {
     };
     assert_eq!(kinds(&inl), ["batch_scan", "batch_rows", "index_nl_join"]);
     assert_planned_matches_rows("inl", &inl, &catalog, f64::INFINITY);
+
+    // Served TPC-H q3/q5, and a join served with no operator above it (the
+    // shape of e19's plans): every plan-node span carries its label, the
+    // top of a pipeline under its row adapter as well as the adapter.
+    let db = TpchDb::build(TpchParams { lineitem_rows: 4_000, ..Default::default() }, 42);
+    let svc = QueryService::new(&db.catalog, ServiceConfig::default());
+    let root_join = QuerySpec::new()
+        .join("lineitem", "returnflag", "customer", "mktsegment")
+        .filter("customer", col("customer.nationkey").lt(lit(2i64)));
+    for spec in [db.q3(1, 400), db.q5(0, 10, 100), root_join] {
+        svc.run_solo(&spec).unwrap();
+    }
+    let spans = svc.tracer().snapshot();
+    let nodes: Vec<_> = spans.iter().filter(|s| s.kind != "query").collect();
+    let adapters: Vec<usize> =
+        nodes.iter().filter(|s| s.kind == "batch_rows").map(|s| s.id).collect();
+    assert!(
+        nodes.iter().any(|s| {
+            s.kind == "batch_hash_join" && s.parent.is_some_and(|p| adapters.contains(&p))
+        }),
+        "no join was served under an adapter"
+    );
+    for s in &nodes {
+        assert!(!s.detail.is_empty(), "an unlabeled {} span (id {})", s.kind, s.id);
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Acceptance tests for the TCP wire layer (`rqp-net`): remote results
 //! bit-identical to solo execution, credit-based backpressure that bounds
 //! what a stalled client can hold, abrupt-disconnect teardown that releases
-//! the MPL slot and every memory grant, stable error codes across the wire,
+//! the MPL slot and every memory grant (also behind a pager blocked on a
+//! peer that stopped reading), stable error codes across the wire,
 //! cooperative cancellation of a queued query from a remote client,
 //! APPENDed rows reaching index-served plans, and the one-round-trip path:
 //! SUBMIT's own credit window returns what SUBMIT + FETCH returns, under
@@ -11,11 +12,16 @@
 use rqp_common::expr::{col, lit};
 use rqp_common::{Row, RqpError, Value};
 use rqp_telemetry::scoreboard::Scoreboard;
-use rqp_net::proto::WireSubscribeOptions;
-use rqp_net::{rows_checksum, RemoteDelta, WireClient, WireQueryOptions, WireServer, PAGE_ROWS};
+use rqp_net::frame::{read_frame, write_frame};
+use rqp_net::proto::{self, WireSubscribeOptions, REST_OF_RESULT};
+use rqp_net::{
+    rows_checksum, ClientMsg, RemoteDelta, ServerMsg, WireClient, WireQueryOptions, WireServer,
+    PAGE_ROWS,
+};
 use rqp_opt::QuerySpec;
 use rqp_server::{QueryPhase, QueryService, ServiceConfig};
 use rqp_workload::{tpch::TpchParams, TpchDb};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,6 +58,15 @@ fn scan_of(n: usize) -> QuerySpec {
         return wide_scan().filter("lineitem", col("lineitem.quantity").lt(lit(0)));
     }
     wide_scan().order(&["lineitem.orderkey", "lineitem.extendedprice"]).limit(n)
+}
+
+/// Every lineitem row paired with each customer below `customers` whose
+/// market segment equals the row's return flag (0–2 against 0–4): on
+/// [`small_db`], about 800 rows per customer, every column of both tables.
+fn fan_out(customers: i64) -> QuerySpec {
+    QuerySpec::new()
+        .join("lineitem", "returnflag", "customer", "mktsegment")
+        .filter("customer", col("customer.custkey").lt(lit(customers)))
 }
 
 /// The one-page index join the `oltp_point` benchmark workload issues.
@@ -261,10 +276,10 @@ fn run_with_an_initial_window_equals_submit_then_fetch() {
 }
 
 /// The frame counts the one-round-trip claim rests on, read from the
-/// counters the server itself keeps (and STATS reports): a one-page result
-/// under `run` is SUBMIT in, SUBMIT_ACK + PAGE + DONE out; the explicit
-/// path pays one FETCH more; a five-page result under `run` needs exactly
-/// one FETCH, for the page past the first window.
+/// counters the server itself keeps (and STATS reports). Whatever the
+/// result's size — empty, one row, one page, four pages, one row past four,
+/// several pages, more than 64 pages — `run` is SUBMIT in and SUBMIT_ACK,
+/// `p` PAGEs and DONE out; `submit` + `fetch` pays exactly one FETCH more.
 #[test]
 fn frames_per_query_are_counted_by_the_server() {
     let db = small_db();
@@ -272,29 +287,31 @@ fn frames_per_query_are_counted_by_the_server() {
     let (server, addr) = start(&svc);
     let mut client = WireClient::connect(&addr, 0).expect("connect");
     assert_eq!(frames(&svc), (1, 1), "HELLO in, HELLO_ACK out");
-    let moved = |before: (u64, u64)| {
+    // An empty result's DONE needs no credit, so it can reach the client
+    // before the server has read (and counted) the FETCH: wait for the
+    // frames in, then pin both counts exactly.
+    let moved = |before: (u64, u64), frames_in: u64| {
+        await_until(|| frames(&svc).0 - before.0 >= frames_in, "the frames in to be counted");
         let now = frames(&svc);
         (now.0 - before.0, now.1 - before.1)
     };
 
-    let before = frames(&svc);
-    let out = client.run(&point_join(7), WireQueryOptions::default()).expect("wire").expect("run");
-    assert!(!out.rows.is_empty() && out.rows.len() <= PAGE_ROWS, "a one-page result");
-    assert_eq!(moved(before), (1, 3), "run of a one-page result");
+    let sizes = [0, 1, PAGE_ROWS, 4 * PAGE_ROWS, 4 * PAGE_ROWS + 1, 9 * PAGE_ROWS + 7];
+    let specs = sizes.iter().map(|&n| (scan_of(n), n)).chain([(fan_out(25), 64 * PAGE_ROWS)]);
+    for (spec, at_least) in specs {
+        let before = frames(&svc);
+        let out = client.run(&spec, WireQueryOptions::default()).expect("wire").expect("run");
+        assert!(out.rows.len() >= at_least, "{} rows, expected {at_least}", out.rows.len());
+        let p = out.rows.len().div_ceil(PAGE_ROWS) as u64;
+        assert_eq!(moved(before, 1), (1, p + 2), "run of {} rows", out.rows.len());
 
-    let before = frames(&svc);
-    let q = client.submit(&point_join(7), WireQueryOptions::default()).expect("submit");
-    let split = client.fetch(q).expect("wire").expect("fetch");
-    assert_eq!(split.rows, out.rows);
-    assert_eq!(moved(before), (2, 3), "submit + fetch of a one-page result");
-
-    let before = frames(&svc);
-    let five = client
-        .run(&scan_of(4 * PAGE_ROWS + 1), WireQueryOptions::default())
-        .expect("wire")
-        .expect("run");
-    assert_eq!(five.rows.len(), 4 * PAGE_ROWS + 1);
-    assert_eq!(moved(before), (2, 7), "run of a five-page result");
+        let before = frames(&svc);
+        let q = client.submit(&spec, WireQueryOptions::default()).expect("submit");
+        let split = client.fetch(q).expect("wire").expect("fetch");
+        assert_eq!(split.rows, out.rows);
+        assert_eq!(moved(before, 2), (2, p + 2), "submit + fetch of {} rows", out.rows.len());
+        assert!(server.stats().peak_buffered_pages <= 1, "credits must bound buffering at 1");
+    }
 
     // An operator reads the same counters over the wire.
     let snap = client.stats().expect("stats");
@@ -304,6 +321,78 @@ fn frames_per_query_are_counted_by_the_server() {
     assert!(counter("wire.frames.out").is_some());
     client.goodbye().expect("goodbye");
     drop(server);
+}
+
+/// A pager blocked writing to a peer that stopped reading holds the
+/// connection's writer lock and never sees its credit ledger killed. A raw
+/// peer grants the rest of a result larger than both loopback socket
+/// buffers, shuts its write half and never reads: the connection still
+/// closes, the query is reaped and the server shuts down.
+#[test]
+fn teardown_unblocks_a_pager_writing_to_a_peer_that_stopped_reading() {
+    // One and a half times `small_db`, so the result outgrows both buffers.
+    let db = TpchDb::build(TpchParams { lineitem_rows: 6_000, ..Default::default() }, 42);
+    let svc = service(&db, 2);
+    let (mut server, addr) = start(&svc);
+
+    let mut peer = TcpStream::connect(&addr).expect("connect");
+    let write = |peer: &mut TcpStream, (tag, payload): (u8, Vec<u8>)| {
+        write_frame(peer, tag, &payload).expect("write a frame");
+    };
+    let read = |peer: &mut TcpStream| {
+        ServerMsg::decode(&read_frame(peer).expect("read").expect("a frame")).expect("decode")
+    };
+    write(&mut peer, ClientMsg::Hello { priority: 0 }.encode().expect("encode"));
+    assert!(matches!(read(&mut peer), ServerMsg::HelloAck { .. }));
+    let opts = WireQueryOptions { credits: REST_OF_RESULT, ..Default::default() };
+    write(&mut peer, proto::encode_submit(&fan_out(i64::MAX), &opts).expect("encode"));
+    let ServerMsg::SubmitAck { query } = read(&mut peer) else { panic!("expected SUBMIT_ACK") };
+
+    // The frames the pager hands the socket, once they stop moving. The
+    // query is still paging then (the result is about 164 000 rows, 8 MB
+    // encoded), so the pager is blocked in a write.
+    let acked = frames(&svc).1;
+    let stalled = || {
+        let (mut out, mut since) = (acked, Instant::now());
+        await_until(
+            || {
+                std::thread::sleep(Duration::from_millis(10));
+                let now = frames(&svc).1;
+                if now != out {
+                    (out, since) = (now, Instant::now());
+                }
+                out > acked && since.elapsed() > Duration::from_millis(300)
+            },
+            "the pager to block on the full socket",
+        );
+        out
+    };
+    // Any segment from the peer may still widen its receive window and let
+    // a few more pages out; the FIN below must not be the one that frees
+    // the pager. So the peer sends no-op FETCHes (an unknown query, no
+    // credit, no reply) until one no longer moves it.
+    let mut out = stalled();
+    loop {
+        write(&mut peer, ClientMsg::Fetch { query: 0, credits: 0 }.encode().expect("encode"));
+        let now = stalled();
+        if now == out {
+            break;
+        }
+        out = now;
+    }
+    let phase = svc.stats().phase(query);
+    assert_eq!(phase, Some(QueryPhase::Paging), "the pager finished: the socket never filled");
+    peer.shutdown(Shutdown::Write).expect("shut the write half");
+
+    await_until(|| server.stats().closed == 1, "teardown behind a blocked pager");
+    let stats = server.stats();
+    assert_eq!(stats.disconnected_queries, 1, "the paging query was live at disconnect");
+    assert_eq!(stats.recovered_queries, 1, "the blocked pager was not reaped");
+    await_until(|| svc.stats().live_count() == 0, "the live registry to empty");
+    assert_eq!(svc.reserved(), 0.0, "the disconnected query leaked memory grants");
+    // The peer is still open (and still not reading) while the server stops.
+    server.shutdown();
+    drop(peer);
 }
 
 /// `fetch_partial` and `fetch` advance one cursor per query: `fetch` returns
