@@ -10,6 +10,7 @@ use rqp::exec::{
 use rqp::expr::{col, lit};
 use rqp::metrics::ReportTable;
 use rqp::storage::{AdaptiveMergeIndex, CrackerColumn};
+use rqp::common::rule;
 use rqp::{Catalog, DataType, Row, Schema, Table, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,9 +35,7 @@ fn e11_body(h: &mut Harness) -> String {
     catalog.add_table(t);
     // Eager index pays its build up front.
     let eager_ctx = ExecContext::unbounded();
-    eager_ctx
-        .clock
-        .charge_compares(rows as f64 * (rows as f64).log2());
+    eager_ctx.clock.charge(&rule::runs(rows as f64));
     catalog.create_index("ix", "t", &["k"]).expect("index");
 
     let scan_ctx = ExecContext::unbounded();

@@ -65,6 +65,7 @@ fn e07_body(h: &mut Harness) -> String {
                 hi: Some(rqp::Value::Int((width - 1).max(0))),
                 range_filter: col("lineitem.shipdate").between(0i64, (width - 1).max(0)),
                 residual: None,
+                clustered: db.catalog.index("ix_lineitem_shipdate").is_ok_and(|ix| ix.clustered()),
                 est_rows: 0.0,
                 est_cost: 0.0,
             }),

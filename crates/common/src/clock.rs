@@ -15,15 +15,17 @@
 //! counters do not depend on how work is chunked (one charge of `n` or `n`
 //! charges of one), on the order of charges, or on how it is split across
 //! exchange workers and [`absorb`](CostClock::absorb)ed back. Cost appears
-//! only when it is read: [`breakdown`](CostClock::breakdown) and
-//! [`now`](CostClock::now) compute Σ amount × weight in one fixed order, so
-//! equal amounts give equal bits under *any* [`CostModelParams`]. One charge
-//! rounds its amount to the nearest 2⁻²⁴; integer amounts are exact.
+//! only when it is read, through the one fold [`Amounts::breakdown`]: Σ
+//! amount × weight in one fixed order, so equal amounts give equal bits
+//! under *any* [`CostModelParams`]. One charge rounds its amount to the
+//! nearest 2⁻²⁴; integer amounts are exact.
 //!
 //! Every operator in a plan holds a [`SharedClock`] (an `Arc`) and charges as
-//! it runs, including from exchange workers on other threads; workers charge
-//! private shard clocks (`ExecContext::fork_worker` in `rqp-exec`) so each
-//! worker's own cost stays attributable until the gather absorbs it.
+//! it runs, one [`charge`](CostClock::charge) of a [`crate::rule`]'s amounts
+//! at a time (the clock's only way in), including from exchange workers on
+//! other threads; workers charge private shard clocks
+//! (`ExecContext::fork_worker` in `rqp-exec`) so each worker's own cost stays
+//! attributable until the gather absorbs it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,6 +70,13 @@ impl Default for CostModelParams {
     }
 }
 
+impl CostModelParams {
+    /// Pages holding `rows` rows.
+    pub fn pages(&self, rows: f64) -> f64 {
+        (rows / self.rows_per_page).ceil()
+    }
+}
+
 /// Running totals per cost category, for post-mortem attribution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostBreakdown {
@@ -92,13 +101,85 @@ impl CostBreakdown {
 const SCALE: f64 = (1u64 << 24) as f64;
 
 // Counter slots, one per weight of `CostModelParams`.
-const SEQ_PAGES: usize = 0;
-const RAND_PAGES: usize = 1;
-const CPU_TUPLES: usize = 2;
-const COMPARES: usize = 3;
-const HASH_BUILDS: usize = 4;
-const HASH_PROBES: usize = 5;
-const SPILL_PAGES: usize = 6;
+pub(crate) const SEQ_PAGES: usize = 0;
+pub(crate) const RAND_PAGES: usize = 1;
+pub(crate) const CPU_TUPLES: usize = 2;
+pub(crate) const COMPARES: usize = 3;
+pub(crate) const HASH_BUILDS: usize = 4;
+pub(crate) const HASH_PROBES: usize = 5;
+pub(crate) const SPILL_PAGES: usize = 6;
+
+/// One charge of `n` units in fixed point, rounded to the nearest 2⁻²⁴.
+#[inline]
+fn fixed(n: f64) -> i128 {
+    (n * SCALE).round() as i128
+}
+
+/// Amounts per weight in the clock's fixed point: what a [`CostClock`] has
+/// been charged, or what a plan is predicted to charge, as built by the
+/// [`crate::rule`] functions. Wide enough that no estimate overflows; within
+/// the clock's range the fold reads the same bits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Amounts([i128; 7]);
+
+impl Amounts {
+    /// Nothing charged.
+    pub const ZERO: Amounts = Amounts([0; 7]);
+
+    /// These amounts plus one charge of `n` units to `slot`.
+    #[inline]
+    pub(crate) fn with(mut self, slot: usize, n: f64) -> Self {
+        self.0[slot] += fixed(n);
+        self
+    }
+
+    /// These amounts charged `k` times: exact for a whole `k`, rounded to
+    /// the fixed point otherwise.
+    #[inline]
+    pub fn times(self, k: f64) -> Self {
+        let whole = k as i128;
+        let each = |a: i128| match whole as f64 == k {
+            true => a * whole,
+            false => (a as f64 * k).round() as i128,
+        };
+        Amounts(self.0.map(each))
+    }
+
+    /// The one fold: each amount times its weight, summed in one fixed
+    /// order. The only reader of the weights.
+    pub fn breakdown(&self, p: &CostModelParams) -> CostBreakdown {
+        let a = |slot: usize| self.0[slot] as f64 / SCALE;
+        CostBreakdown {
+            seq_io: a(SEQ_PAGES) * p.seq_page,
+            rand_io: a(RAND_PAGES) * p.rand_page,
+            cpu: a(CPU_TUPLES) * p.cpu_tuple
+                + a(COMPARES) * p.cpu_compare
+                + a(HASH_BUILDS) * p.hash_build
+                + a(HASH_PROBES) * p.hash_probe,
+            spill: a(SPILL_PAGES) * p.spill_page,
+        }
+    }
+
+    /// Total cost under `p`: [`breakdown`](Self::breakdown)'s total.
+    pub fn cost(&self, p: &CostModelParams) -> f64 {
+        self.breakdown(p).total()
+    }
+}
+
+impl std::ops::Add for Amounts {
+    type Output = Amounts;
+
+    #[inline]
+    fn add(self, other: Amounts) -> Amounts {
+        Amounts(std::array::from_fn(|slot| self.0[slot] + other.0[slot]))
+    }
+}
+
+impl std::iter::Sum for Amounts {
+    fn sum<I: Iterator<Item = Amounts>>(iter: I) -> Amounts {
+        iter.fold(Amounts::ZERO, |a, b| a + b)
+    }
+}
 
 /// A deterministic virtual clock accumulating exact charged amounts.
 #[derive(Debug)]
@@ -128,57 +209,19 @@ impl CostClock {
         &self.params
     }
 
+    /// Charge `a`, as built by a [`crate::rule`] function.
     #[inline]
-    fn charge(&self, slot: usize, n: f64) {
-        let fixed = (n * SCALE).round() as i64;
-        self.amounts[slot].fetch_add(fixed as u64, Ordering::Relaxed);
+    pub fn charge(&self, a: &Amounts) {
+        for (slot, &n) in a.0.iter().enumerate() {
+            if n != 0 {
+                self.amounts[slot].fetch_add(n as i64 as u64, Ordering::Relaxed);
+            }
+        }
     }
 
-    /// The amount charged to `slot` so far, in units.
-    #[inline]
-    fn amount(&self, slot: usize) -> f64 {
-        self.amounts[slot].load(Ordering::Relaxed) as i64 as f64 / SCALE
-    }
-
-    /// Charge a sequential scan of `rows` tuples (page I/O + per-tuple CPU).
-    pub fn charge_seq_rows(&self, rows: f64) {
-        self.charge(SEQ_PAGES, (rows / self.params.rows_per_page).ceil());
-        self.charge(CPU_TUPLES, rows);
-    }
-
-    /// Charge `n` random page accesses (e.g. unclustered index fetches).
-    pub fn charge_random_pages(&self, n: f64) {
-        self.charge(RAND_PAGES, n);
-    }
-
-    /// Charge exactly `n` sequential page reads (no per-tuple CPU).
-    pub fn charge_seq_pages(&self, n: f64) {
-        self.charge(SEQ_PAGES, n);
-    }
-
-    /// Charge CPU work for touching `n` tuples.
-    pub fn charge_cpu_tuples(&self, n: f64) {
-        self.charge(CPU_TUPLES, n);
-    }
-
-    /// Charge `n` comparisons.
-    pub fn charge_compares(&self, n: f64) {
-        self.charge(COMPARES, n);
-    }
-
-    /// Charge `n` hash-table builds.
-    pub fn charge_hash_build(&self, n: f64) {
-        self.charge(HASH_BUILDS, n);
-    }
-
-    /// Charge `n` hash-table probes.
-    pub fn charge_hash_probe(&self, n: f64) {
-        self.charge(HASH_PROBES, n);
-    }
-
-    /// Charge spilling `rows` tuples to temp storage and reading them back.
-    pub fn charge_spill_rows(&self, rows: f64) {
-        self.charge(SPILL_PAGES, (rows / self.params.rows_per_page).ceil());
+    /// Everything charged so far.
+    pub fn amounts(&self) -> Amounts {
+        Amounts(self.amounts.each_ref().map(|a| a.load(Ordering::Relaxed) as i64 as i128))
     }
 
     /// Current virtual time (total cost charged so far).
@@ -186,20 +229,9 @@ impl CostClock {
         self.breakdown().total()
     }
 
-    /// Per-category totals: each charged amount times its weight, summed in
-    /// one fixed order.
+    /// Per-category totals: the charged amounts through the one fold.
     pub fn breakdown(&self) -> CostBreakdown {
-        let p = &self.params;
-        let a = |slot| self.amount(slot);
-        CostBreakdown {
-            seq_io: a(SEQ_PAGES) * p.seq_page,
-            rand_io: a(RAND_PAGES) * p.rand_page,
-            cpu: a(CPU_TUPLES) * p.cpu_tuple
-                + a(COMPARES) * p.cpu_compare
-                + a(HASH_BUILDS) * p.hash_build
-                + a(HASH_PROBES) * p.hash_probe,
-            spill: a(SPILL_PAGES) * p.spill_page,
-        }
+        self.amounts().breakdown(&self.params)
     }
 
     /// Fold a shard clock's amounts into this one.
@@ -226,12 +258,13 @@ impl CostClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule;
     use rand::Rng;
 
     #[test]
     fn seq_scan_charges_pages_and_cpu() {
         let c = CostClock::default_clock();
-        c.charge_seq_rows(250.0);
+        c.charge(&rule::scan(c.params().pages(250.0), 250.0));
         // 3 pages * 1.0 + 250 * 0.005
         assert!((c.now() - (3.0 + 1.25)).abs() < 1e-9);
         let b = c.breakdown();
@@ -242,15 +275,15 @@ mod tests {
     #[test]
     fn random_pages_cost_more() {
         let c = CostClock::default_clock();
-        c.charge_random_pages(3.0);
+        c.charge(&rule::random_pages(3.0));
         assert!((c.now() - 12.0).abs() < 1e-9);
     }
 
     #[test]
     fn lap_measures_delta() {
         let c = CostClock::default_clock();
-        c.charge_cpu_tuples(100.0);
-        let (_, d) = c.lap(|| c.charge_cpu_tuples(200.0));
+        c.charge(&rule::emit(100.0));
+        let (_, d) = c.lap(|| c.charge(&rule::emit(200.0)));
         assert!((d - 1.0).abs() < 1e-9);
         assert!((c.now() - 1.5).abs() < 1e-9);
     }
@@ -258,10 +291,10 @@ mod tests {
     #[test]
     fn absorb_merges_shard_breakdowns() {
         let main = CostClock::default_clock();
-        main.charge_seq_pages(2.0);
+        main.charge(&rule::scan(2.0, 0.0));
         let shard = CostClock::new(*main.params());
-        shard.charge_random_pages(1.0);
-        shard.charge_cpu_tuples(200.0);
+        shard.charge(&rule::random_pages(1.0));
+        shard.charge(&rule::emit(200.0));
         main.absorb(&shard);
         let b = main.breakdown();
         assert!((b.seq_io - 2.0).abs() < 1e-12);
@@ -269,23 +302,23 @@ mod tests {
         assert!((b.cpu - 1.0).abs() < 1e-12);
     }
 
-    /// One charge of the seeded sequence: which method, and how much.
+    /// One charge of the seeded sequence: which rule, and how much.
     #[derive(Clone, Copy, Debug)]
     struct Charge(u8, f64);
 
     impl Charge {
         fn apply(self, c: &CostClock) {
-            let Charge(kind, n) = self;
-            match kind {
-                0 => c.charge_seq_rows(n),
-                1 => c.charge_random_pages(n),
-                2 => c.charge_seq_pages(n),
-                3 => c.charge_cpu_tuples(n),
-                4 => c.charge_compares(n),
-                5 => c.charge_hash_build(n),
-                6 => c.charge_hash_probe(n),
-                _ => c.charge_spill_rows(n),
-            }
+            let (Charge(kind, n), p) = (self, c.params());
+            c.charge(&match kind {
+                0 => rule::scan(p.pages(n), n),
+                1 => rule::random_pages(n),
+                2 => rule::scan(n, 0.0),
+                3 => rule::emit(n),
+                4 => rule::filter(n),
+                5 => rule::hash_build(n),
+                6 => rule::hash_probe(n),
+                _ => rule::spill(p, n),
+            })
         }
 
         /// Split a whole-count charge in two, as a batch operator charges `n`

@@ -24,6 +24,9 @@
 //! * [`clock`] — the deterministic [`clock::CostClock`] "virtual time" that every
 //!   operator charges I/O and CPU cost units to, in exact fixed-point amounts,
 //!   making robustness experiments reproducible to the bit;
+//! * [`rule`] — the cost rules, one function per operator rule, that turn
+//!   counts into the clock's [`clock::Amounts`]: what operators charge and
+//!   what the optimizer predicts;
 //! * [`rng`] — seeded random-number helpers (uniform, Zipf, correlated draws)
 //!   so all workloads are deterministic;
 //! * [`sync`] — the atomic primitives ([`sync::AtomicF64`]) behind the
@@ -54,6 +57,7 @@ pub mod error;
 pub mod expr;
 pub mod percentile;
 pub mod rng;
+pub mod rule;
 pub mod schema;
 pub mod sync;
 pub mod value;
@@ -62,7 +66,7 @@ pub use acc::{Accumulator, AggFunc};
 pub use batch::{ColumnBatch, ColVec, SelMask, DEFAULT_BATCH_ROWS};
 pub use cancel::CancelToken;
 pub use chaos::{ChaosConfig, ChaosPolicy, WorkerFault};
-pub use clock::{CostBreakdown, CostClock, CostModelParams, SharedClock};
+pub use clock::{Amounts, CostBreakdown, CostClock, CostModelParams, SharedClock};
 pub use dict::StringDict;
 pub use engine::EngineConfig;
 pub use error::{Result, RqpError};

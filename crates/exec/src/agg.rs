@@ -3,7 +3,7 @@
 use crate::context::ExecContext;
 use crate::{BoxOp, Operator};
 pub use rqp_common::AggFunc;
-use rqp_common::{DataType, Field, Result, Row, RqpError, Schema};
+use rqp_common::{rule, DataType, Field, Result, Row, RqpError, Schema};
 use rqp_storage::{GroupTable, IndexKey};
 use rqp_telemetry::SpanHandle;
 
@@ -115,9 +115,8 @@ impl HashAggOp {
                 table.fold(a, g, col.map(|i| &r[i]), 1);
             }
         }
-        self.ctx.clock.charge_hash_build(n);
         let rows = table.finish();
-        self.ctx.clock.charge_cpu_tuples(rows.len() as f64);
+        self.ctx.clock.charge(&rule::hash_agg(n, rows.len() as f64));
         self.out = Some(rows.into_iter());
     }
 }

@@ -16,7 +16,7 @@ use crate::{BoxOp, Operator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rqp_common::expr::BoundExpr;
-use rqp_common::{Expr, Result, Row, RqpError, Schema};
+use rqp_common::{rule, Expr, Result, Row, RqpError, Schema};
 use rqp_telemetry::SpanHandle;
 use std::collections::VecDeque;
 
@@ -146,7 +146,7 @@ impl Operator for AGreedyFilterOp {
                 let mut passed_all = true;
                 for (f, filter) in self.filters.iter().enumerate() {
                     self.evaluations += 1;
-                    self.ctx.clock.charge_compares(1.0);
+                    self.ctx.clock.charge(&rule::filter(1.0));
                     if !filter.eval_bool(&row) {
                         profile |= 1u64 << f;
                         passed_all = false;
@@ -169,7 +169,7 @@ impl Operator for AGreedyFilterOp {
             let order = self.order.clone();
             for f in order {
                 self.evaluations += 1;
-                self.ctx.clock.charge_compares(1.0);
+                self.ctx.clock.charge(&rule::filter(1.0));
                 if !self.filters[f].eval_bool(&row) {
                     continue 'tuple;
                 }

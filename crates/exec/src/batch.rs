@@ -20,7 +20,7 @@
 //!
 //! **Cost contract.** Every batch operator charges the [cost
 //! clock](rqp_common::clock) the *same amounts* as its scalar twin, just in
-//! bulk (one `charge_cpu_tuples(n)` instead of `n` charges of `1.0`). Page
+//! bulk (one `charge(&rule::emit(n))` instead of `n` charges of `1.0`). Page
 //! charges, pins and chaos injection still happen per absolute page index,
 //! so fault schedules are identical in both modes. The clock counts amounts
 //! exactly, so the two breakdowns are bit-identical under any cost
@@ -39,6 +39,7 @@ use crate::Operator;
 use crate::agg::{AggBinding, AggSpec};
 use rqp_common::expr::BoundExpr;
 use rqp_common::{
+    rule,
     ColVec, ColumnBatch, DataType, Expr, Result, Row, RqpError, Schema, StringDict, Truth, Value,
 };
 use rqp_storage::keyed::Keys;
@@ -228,7 +229,7 @@ impl BatchOperator for BatchScanOp {
         while from < end {
             if from as f64 % self.rows_per_page == 0.0 || from == self.start {
                 self.ctx.checkpoint();
-                self.ctx.clock.charge_seq_pages(1.0);
+                self.ctx.clock.charge(&rule::scan(1.0, 0.0));
                 let page = (from as f64 / self.rows_per_page) as u64;
                 if self.chaos {
                     page_chaos(&self.ctx, &self.span, self.table.name(), page);
@@ -240,7 +241,7 @@ impl BatchOperator for BatchScanOp {
             }
             let to = self.next_page_start(from).min(end);
             self.copy_rows(from..to, &mut columns);
-            self.ctx.clock.charge_cpu_tuples((to - from) as f64);
+            self.ctx.clock.charge(&rule::scan(0.0, (to - from) as f64));
             from = to;
         }
         self.pos = end;
@@ -344,7 +345,7 @@ impl BatchOperator for BatchFilterOp {
             self.span.close(&self.ctx.clock);
             return None;
         };
-        self.ctx.clock.charge_compares(batch.sel.count() as f64);
+        self.ctx.clock.charge(&rule::filter(batch.sel.count() as f64));
         if let Some(c) = self.str_col {
             let ColVec::Str(codes) = &batch.columns[c] else { unreachable!("Str column") };
             let (pred, width, dict) = (&self.pred, self.schema.len(), &batch.dict);
@@ -422,7 +423,7 @@ impl BatchOperator for BatchProjectOp {
             return None;
         };
         let n = batch.sel.count();
-        self.ctx.clock.charge_cpu_tuples(n as f64);
+        self.ctx.clock.charge(&rule::emit(n as f64));
         let columns: Vec<ColVec> =
             self.cols.iter().map(|&i| batch.columns[i].clone()).collect();
         self.span.produced_n(&self.ctx.clock, n as u64);
@@ -589,18 +590,14 @@ impl BatchHashJoinOp {
         }
         let n = self.store.rows as f64;
         let grant = self.lease.grant(&self.ctx, &self.span, n);
-        if n > grant {
-            self.spill_fraction = 1.0 - grant / n;
+        self.spill_fraction = rule::overflow(n, grant);
+        if self.spill_fraction > 0.0 {
             let spilled = n * self.spill_fraction;
-            self.ctx.clock.charge_spill_rows(spilled);
-            self.span.record_spill(spilled);
-            self.span.record_event(
-                &self.ctx.clock,
-                "governor.spill",
-                &format!("hash build spilled {spilled:.0} of {n:.0} rows (grant {grant:.0})"),
-            );
+            let detail =
+                format!("hash build spilled {spilled:.0} of {n:.0} rows (grant {grant:.0})");
+            self.ctx.spill(&self.span, spilled, "governor.spill", &detail);
         }
-        self.ctx.clock.charge_hash_build(n);
+        self.ctx.clock.charge(&rule::hash_build(n));
         self.built = true;
     }
 
@@ -640,13 +637,8 @@ impl BatchOperator for BatchHashJoinOp {
         let Some(batch) = self.left.next_batch() else {
             if self.spill_fraction > 0.0 && self.probe_rows > 0.0 {
                 let spilled = self.probe_rows * self.spill_fraction;
-                self.ctx.clock.charge_spill_rows(spilled);
-                self.span.record_spill(spilled);
-                self.span.record_event(
-                    &self.ctx.clock,
-                    "governor.spill",
-                    &format!("hash probe spilled {spilled:.0} rows"),
-                );
+                let detail = format!("hash probe spilled {spilled:.0} rows");
+                self.ctx.spill(&self.span, spilled, "governor.spill", &detail);
                 self.probe_rows = 0.0;
             }
             self.finish();
@@ -654,7 +646,7 @@ impl BatchOperator for BatchHashJoinOp {
         };
         let probes = batch.sel.count();
         self.probe_rows += probes as f64;
-        self.ctx.clock.charge_hash_probe(probes as f64);
+        self.ctx.clock.charge(&rule::hash_probe(probes as f64));
         let left_w = batch.columns.len();
         let mut out: Vec<ColVec> = batch
             .columns
@@ -680,7 +672,7 @@ impl BatchOperator for BatchHashJoinOp {
                 m = self.prev[m as usize];
             }
         }
-        self.ctx.clock.charge_cpu_tuples(produced as f64);
+        self.ctx.clock.charge(&rule::emit(produced as f64));
         self.span.produced_n(&self.ctx.clock, produced);
         Some(ColumnBatch::new(out, Arc::clone(&self.dict)))
     }
@@ -768,7 +760,6 @@ impl BatchHashAggOp {
                 }
             }
         }
-        self.ctx.clock.charge_hash_build(n);
         let mut rows = table.finish();
         for row in &mut rows {
             for (v, t) in row.iter_mut().zip(&key_types) {
@@ -779,7 +770,7 @@ impl BatchHashAggOp {
         }
         let width = key_types.len();
         rows.sort_by(|a, b| a[..width].cmp(&b[..width]));
-        self.ctx.clock.charge_cpu_tuples(rows.len() as f64);
+        self.ctx.clock.charge(&rule::hash_agg(n, rows.len() as f64));
         self.out = Some(rows.into_iter());
     }
 }

@@ -140,7 +140,7 @@ impl CheckOp {
             buffer.push(r);
         }
         // Materialization cost: write + read the intermediate once.
-        self.ctx.clock.charge_cpu_tuples(buffer.len() as f64);
+        self.ctx.clock.charge(&rqp_common::rule::emit(buffer.len() as f64));
         // Fully drained, so the input's span observation equals the buffer
         // length; prefer the span as the single source of actuals.
         let actual = match &self.input_span {

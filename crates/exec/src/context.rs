@@ -112,9 +112,7 @@ impl MemoryGovernor {
     /// exceeds the ask: `grant(0.0)` is 0, and a 5-row ask gets 5 rows, not
     /// a phantom page inflating `outstanding`/`granted_total`.
     pub fn grant(&self, want: f64) -> f64 {
-        let want = want.max(0.0);
-        let floor = want.min(100.0);
-        let granted = want.min(self.budget_rows.get()).max(floor);
+        let granted = rqp_common::rule::grant(want, self.budget_rows.get());
         let now_out = self.outstanding.update(|x| x + granted);
         self.peak_outstanding.fetch_max(now_out);
         self.grant_count.fetch_add(1, Ordering::Relaxed);
@@ -221,13 +219,8 @@ impl WorkspaceLease {
         }
         self.held = keep;
         ctx.memory.release(shed);
-        ctx.clock.charge_spill_rows(shed);
-        span.record_spill(shed);
-        span.record_event(
-            &ctx.clock,
-            "governor.pressure",
-            &format!("budget shrink: shed {shed:.0} rows, kept {keep:.0}"),
-        );
+        let detail = format!("budget shrink: shed {shed:.0} rows, kept {keep:.0}");
+        ctx.spill(span, shed, "governor.pressure", &detail);
         ctx.metrics.counter("governor.renegotiations").inc();
         shed
     }
@@ -363,6 +356,14 @@ impl ExecContext {
         span
     }
 
+    /// Charge spilling `rows` rows to temp storage and back, and record it
+    /// on `span` with an event of `kind`.
+    pub(crate) fn spill(&self, span: &SpanHandle, rows: f64, kind: &str, detail: &str) {
+        self.clock.charge(&rqp_common::rule::spill(self.clock.params(), rows));
+        span.record_spill(rows);
+        span.record_event(&self.clock, kind, detail);
+    }
+
     /// Assemble a [`RunReport`](rqp_telemetry::RunReport) from everything
     /// this context observed: the cost-clock breakdown, every span, every
     /// metric. Experiments call this once at the end of a run and
@@ -433,7 +434,7 @@ pub fn collect(op: &mut dyn Operator) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqp_common::{DataType, Value};
+    use rqp_common::{rule, DataType, Value};
 
     /// A tiny literal-rows source for tests.
     pub struct RowsOp {
@@ -682,7 +683,7 @@ mod tests {
     #[test]
     fn fork_worker_shares_memory_but_not_clock_or_trace() {
         let ctx = ExecContext::with_memory(5_000.0);
-        ctx.clock.charge_seq_pages(10.0);
+        ctx.clock.charge(&rule::scan(10.0, 0.0));
         ctx.tracer.open("parent_op", &ctx.clock);
         let w = ctx.fork_worker();
         assert_eq!(w.clock.now(), 0.0, "shard clock starts at zero");
@@ -695,7 +696,7 @@ mod tests {
         w.metrics.counter("shared.counter").inc();
         assert_eq!(ctx.metrics.counter("shared.counter").get(), 1);
         // Worker charges stay on the shard until absorbed.
-        w.clock.charge_seq_pages(3.0);
+        w.clock.charge(&rule::scan(3.0, 0.0));
         assert_eq!(ctx.clock.now(), 10.0);
         ctx.clock.absorb(&w.clock);
         assert_eq!(ctx.clock.now(), 13.0);
@@ -704,7 +705,7 @@ mod tests {
     #[test]
     fn checkpoint_is_a_no_op_on_a_live_token() {
         let ctx = ExecContext::unbounded();
-        ctx.clock.charge_seq_pages(1_000.0);
+        ctx.clock.charge(&rule::scan(1_000.0, 0.0));
         ctx.checkpoint(); // must not panic
         assert_eq!(ctx.metrics.counter("cancel.trips").get(), 0);
     }
@@ -729,9 +730,9 @@ mod tests {
         use rqp_common::RqpError;
         let ctx = ExecContext::unbounded();
         ctx.cancel.set_deadline(50.0);
-        ctx.clock.charge_seq_pages(4.0); // 4 cost units < 50
+        ctx.clock.charge(&rule::scan(4.0, 0.0)); // 4 cost units < 50
         ctx.checkpoint();
-        ctx.clock.charge_seq_pages(100.0);
+        ctx.clock.charge(&rule::scan(100.0, 0.0));
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.checkpoint();
         }))
@@ -746,13 +747,13 @@ mod tests {
     fn forked_worker_shares_the_deadline_in_root_units() {
         let ctx = ExecContext::unbounded();
         ctx.cancel.set_deadline(100.0);
-        ctx.clock.charge_seq_pages(80.0);
+        ctx.clock.charge(&rule::scan(80.0, 0.0));
         let w = ctx.fork_worker();
         // The shard clock restarts at zero, but the worker's token carries
         // the coordinator's 80 elapsed units: 20 more trips the deadline.
-        w.clock.charge_seq_pages(19.0);
+        w.clock.charge(&rule::scan(19.0, 0.0));
         w.checkpoint();
-        w.clock.charge_seq_pages(1.0);
+        w.clock.charge(&rule::scan(1.0, 0.0));
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             w.checkpoint();
         }))

@@ -20,7 +20,7 @@ use crate::{BoxOp, Operator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rqp_common::expr::BoundExpr;
-use rqp_common::{Expr, Result, Row, RqpError, Schema, Value};
+use rqp_common::{rule, Expr, Result, Row, RqpError, Schema, Value};
 use rqp_telemetry::SpanHandle;
 use std::collections::HashMap;
 
@@ -192,7 +192,7 @@ impl Operator for EddyFilterOp {
             };
             for &f in &order {
                 self.evaluations += 1;
-                self.ctx.clock.charge_compares(1.0);
+                self.ctx.clock.charge(&rule::filter(1.0));
                 let passed = self.filters[f].eval_bool(&row);
                 let s = &mut self.stats[f];
                 s.seen = s.seen * decay + 1.0;
@@ -385,7 +385,7 @@ impl Operator for StarEddyOp {
             let mut dropped = false;
             for &s in &order {
                 self.probes += 1;
-                self.ctx.clock.charge_hash_probe(1.0);
+                self.ctx.clock.charge(&rule::hash_probe(1.0));
                 let key = &driver_row[self.key_cols[s]];
                 let hit = self.stems[s].probe(key);
                 let st = &mut self.stats[s];
@@ -411,7 +411,7 @@ impl Operator for StarEddyOp {
                 let mut expanded = Vec::with_capacity(results.len() * dim_rows.len());
                 for base in &results {
                     for d in &dim_rows {
-                        self.ctx.clock.charge_cpu_tuples(1.0);
+                        self.ctx.clock.charge(&rule::emit(1.0));
                         let mut row = base.clone();
                         row.extend(d.clone());
                         expanded.push(row);

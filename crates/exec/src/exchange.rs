@@ -39,7 +39,7 @@ use crate::batch::{BatchRowsOp, BatchScanOp};
 use crate::context::ExecContext;
 use crate::{BoxOp, Operator};
 use rqp_common::chaos::{install_quiet_panic_hook, ChaosPanic};
-use rqp_common::{KeyAtom, Result, Row, RqpError, Schema, SharedClock, Value, WorkerFault};
+use rqp_common::{rule, KeyAtom, Result, Row, RqpError, Schema, SharedClock, Value, WorkerFault};
 use rqp_storage::Table;
 use rqp_telemetry::SpanHandle;
 use std::any::Any;
@@ -209,7 +209,7 @@ impl Operator for PartitionSourceOp {
     fn next(&mut self) -> Option<Row> {
         match self.rows.next() {
             Some(r) => {
-                self.clock.charge_cpu_tuples(1.0);
+                self.clock.charge(&rule::emit(1.0));
                 self.span.produced(&self.clock);
                 Some(r)
             }
@@ -258,7 +258,7 @@ fn run_worker(build: &WorkerBuilder, wctx: &ExecContext, worker: usize, attempt:
         }
         Some(WorkerFault::Stall(pages)) => {
             wctx.metrics.counter("chaos.worker_stalls").inc();
-            wctx.clock.charge_seq_pages(pages);
+            wctx.clock.charge(&rule::scan(pages, 0.0));
         }
         None => {}
     }
@@ -416,7 +416,7 @@ impl ExchangeOp {
             rows.push(r);
         }
         drop(input);
-        ctx.clock.charge_cpu_tuples(rows.len() as f64);
+        ctx.clock.charge(&rule::emit(rows.len() as f64));
         let parts = partition_rows(rows, &spec, workers)?;
         let builders: Vec<WorkerBuilder> = parts
             .into_iter()
@@ -504,7 +504,7 @@ impl ExchangeOp {
                 // Backoff: the coordinator pays a growing random-I/O charge
                 // before each retry, so recovery has a deterministic,
                 // visible cost.
-                ctx.clock.charge_random_pages(f64::from(attempt));
+                ctx.clock.charge(&rule::random_pages(f64::from(attempt)));
                 ctx.metrics.counter("exchange.worker_retries").inc();
                 wctx = ctx.fork_worker();
                 result = catch_unwind(AssertUnwindSafe(|| run_worker(&builders[i], &wctx, i, attempt)));
@@ -546,7 +546,7 @@ impl Operator for ExchangeOp {
     fn next(&mut self) -> Option<Row> {
         match self.out.next() {
             Some(r) => {
-                self.ctx.clock.charge_cpu_tuples(1.0);
+                self.ctx.clock.charge(&rule::emit(1.0));
                 self.span.produced(&self.ctx.clock);
                 Some(r)
             }

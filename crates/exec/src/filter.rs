@@ -3,7 +3,7 @@
 use crate::context::ExecContext;
 use crate::{BoxOp, Operator};
 use rqp_common::expr::BoundExpr;
-use rqp_common::{Expr, Result, Row, Schema};
+use rqp_common::{rule, Expr, Result, Row, Schema};
 use rqp_telemetry::SpanHandle;
 
 /// Filters rows by a predicate.
@@ -37,7 +37,7 @@ impl Operator for FilterOp {
                 self.span.close(&self.ctx.clock);
                 return None;
             };
-            self.ctx.clock.charge_compares(1.0);
+            self.ctx.clock.charge(&rule::filter(1.0));
             if self.bound.eval_bool(&row) {
                 self.span.produced(&self.ctx.clock);
                 return Some(row);
@@ -105,7 +105,7 @@ impl Operator for ProjectOp {
             self.span.close(&self.ctx.clock);
             return None;
         };
-        self.ctx.clock.charge_cpu_tuples(1.0);
+        self.ctx.clock.charge(&rule::emit(1.0));
         self.span.produced(&self.ctx.clock);
         Some(self.exprs.iter().map(|e| e.eval(&row)).collect())
     }
@@ -169,7 +169,7 @@ mod tests {
         assert_eq!(out.len(), 4);
         assert_eq!(f.span().unwrap().rows(), 4);
         let want = ExecContext::unbounded();
-        want.clock.charge_compares(10.0);
+        want.clock.charge(&rule::filter(10.0));
         let cpu = |c: &ExecContext| c.clock.breakdown().cpu.to_bits();
         assert_eq!(cpu(&ctx), cpu(&want), "one compare per examined row");
     }

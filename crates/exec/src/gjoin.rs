@@ -16,7 +16,7 @@
 
 use crate::context::{ExecContext, WorkspaceLease};
 use crate::{BoxOp, Operator};
-use rqp_common::{Result, Row, RqpError, Schema};
+use rqp_common::{rule, Result, Row, RqpError, Schema};
 use rqp_storage::{Index, Table};
 use rqp_telemetry::SpanHandle;
 use std::cmp::Ordering;
@@ -125,21 +125,15 @@ impl GJoinOp {
     /// taking the pass's workspace on the lease.
     fn prepare(&mut self, rows: &mut [Row], keys: &[usize], already_sorted: bool) {
         let n = rows.len() as f64;
-        if n <= 1.0 {
-            return;
-        }
-        if already_sorted {
-            // Verification pass only.
-            self.ctx.clock.charge_compares(n);
+        if n <= 1.0 || already_sorted {
+            // A sorted input gets a verification pass only.
+            self.ctx.clock.charge(&rule::prepare(self.ctx.clock.params(), n, true, n));
             return;
         }
         let grant = self.lease.grant(&self.ctx, &self.span, n);
-        self.ctx.clock.charge_compares(n * n.log2().max(1.0));
+        self.ctx.clock.charge(&rule::prepare(self.ctx.clock.params(), n, false, grant));
         if n > grant {
-            self.ctx.clock.charge_spill_rows(n - grant);
             self.span.record_spill(n - grant);
-            let runs = (n / grant).ceil().max(2.0);
-            self.ctx.clock.charge_compares(n * runs.log2());
         }
         rows.sort_by(|a, b| cmp_keys(a, b, keys, keys));
     }
@@ -159,16 +153,14 @@ impl GJoinOp {
                 let mut out = Vec::new();
                 let rows_per_page = self.ctx.clock.params().rows_per_page;
                 for l in &left_rows {
-                    self.ctx.clock.charge_compares(inner_n.max(2.0).log2());
+                    self.ctx.clock.charge(&rule::descend(inner_n));
                     let rids = ii.index.lookup_eq(&l[self.left_keys[0]]);
-                    if ii.index.clustered() {
-                        let pages = (rids.len() as f64 / rows_per_page).ceil();
-                        self.ctx.clock.charge_random_pages(pages.min(1.0));
-                    } else {
-                        self.ctx.clock.charge_random_pages(rids.len() as f64);
-                    }
+                    // One random page at most per probe, even clustered.
+                    let rows = rids.len() as f64;
+                    let hit = (rows / rows_per_page).ceil().min(1.0);
+                    self.ctx.clock.charge(&rule::fetch(ii.index.clustered(), hit, hit, rows));
                     for rid in rids {
-                        self.ctx.clock.charge_cpu_tuples(1.0);
+                        self.ctx.clock.charge(&rule::emit(1.0));
                         let mut row = l.clone();
                         row.extend(ii.table.row(rid));
                         out.push(row);
@@ -192,8 +184,10 @@ impl GJoinOp {
         let mut out = Vec::new();
         let mut i = 0usize;
         let mut j = 0usize;
+        let mut steps = 0u64;
         while i < left_rows.len() && j < right_rows.len() {
-            self.ctx.clock.charge_compares(1.0);
+            self.ctx.clock.charge(&rule::merge(1.0));
+            steps += 1;
             match cmp_keys(&left_rows[i], &right_rows[j], &lk, &rk) {
                 Ordering::Less => i += 1,
                 Ordering::Greater => j += 1,
@@ -215,7 +209,7 @@ impl GJoinOp {
                     }
                     for l in &left_rows[i..i_end] {
                         for r in &right_rows[j..j_end] {
-                            self.ctx.clock.charge_cpu_tuples(1.0);
+                            self.ctx.clock.charge(&rule::emit(1.0));
                             let mut row = l.clone();
                             row.extend(r.clone());
                             out.push(row);
@@ -226,6 +220,7 @@ impl GJoinOp {
                 }
             }
         }
+        self.span.record_work(steps, 0);
         self.out = Some(out.into_iter());
     }
 

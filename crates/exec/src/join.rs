@@ -11,7 +11,7 @@
 use crate::context::{ExecContext, WorkspaceLease};
 use crate::{BoxOp, Operator};
 use rqp_common::expr::BoundExpr;
-use rqp_common::{Expr, Result, Row, RqpError, Schema, Value};
+use rqp_common::{rule, Expr, Result, Row, RqpError, Schema, Value};
 use rqp_storage::{Index, Table};
 use rqp_telemetry::SpanHandle;
 use std::collections::HashMap;
@@ -88,18 +88,14 @@ impl HashJoinOp {
         }
         let n = rows.len() as f64;
         let grant = self.lease.grant(&self.ctx, &self.span, n);
-        if n > grant {
-            self.spill_fraction = 1.0 - grant / n;
+        self.spill_fraction = rule::overflow(n, grant);
+        if self.spill_fraction > 0.0 {
             let spilled = n * self.spill_fraction;
-            self.ctx.clock.charge_spill_rows(spilled);
-            self.span.record_spill(spilled);
-            self.span.record_event(
-                &self.ctx.clock,
-                "governor.spill",
-                &format!("hash build spilled {spilled:.0} of {n:.0} rows (grant {grant:.0})"),
-            );
+            let detail =
+                format!("hash build spilled {spilled:.0} of {n:.0} rows (grant {grant:.0})");
+            self.ctx.spill(&self.span, spilled, "governor.spill", &detail);
         }
-        self.ctx.clock.charge_hash_build(n);
+        self.ctx.clock.charge(&rule::hash_build(n));
         for r in rows {
             let k = key_of(&r, &self.right_keys);
             self.table.entry(k).or_default().push(r);
@@ -140,7 +136,7 @@ impl Operator for HashJoinOp {
         loop {
             if let Some(right_row) = self.pending.pop() {
                 let left_row = self.current_left.as_ref().expect("pending implies left");
-                self.ctx.clock.charge_cpu_tuples(1.0);
+                self.ctx.clock.charge(&rule::emit(1.0));
                 let mut out = left_row.clone();
                 out.extend(right_row);
                 self.span.produced(&self.ctx.clock);
@@ -149,7 +145,7 @@ impl Operator for HashJoinOp {
             match self.left.next() {
                 Some(l) => {
                     self.probe_rows += 1.0;
-                    self.ctx.clock.charge_hash_probe(1.0);
+                    self.ctx.clock.charge(&rule::hash_probe(1.0));
                     let k = key_of(&l, &self.left_keys);
                     if let Some(matches) = self.table.get(&k) {
                         self.pending = matches.clone();
@@ -160,13 +156,8 @@ impl Operator for HashJoinOp {
                     if self.spill_fraction > 0.0 && self.probe_rows > 0.0 {
                         // Spill the probe side's share once, at the end.
                         let spilled = self.probe_rows * self.spill_fraction;
-                        self.ctx.clock.charge_spill_rows(spilled);
-                        self.span.record_spill(spilled);
-                        self.span.record_event(
-                            &self.ctx.clock,
-                            "governor.spill",
-                            &format!("hash probe spilled {spilled:.0} rows"),
-                        );
+                        let detail = format!("hash probe spilled {spilled:.0} rows");
+                        self.ctx.spill(&self.span, spilled, "governor.spill", &detail);
                         self.probe_rows = 0.0;
                     }
                     self.finish();
@@ -195,6 +186,8 @@ pub struct MergeJoinOp {
     group: Vec<Row>,
     group_pos: usize,
     started: bool,
+    /// Key comparisons so far, recorded on the span when it closes.
+    steps: u64,
     span: SpanHandle,
 }
 
@@ -226,6 +219,7 @@ impl MergeJoinOp {
             group: Vec::new(),
             group_pos: 0,
             started: false,
+            steps: 0,
             span,
         })
     }
@@ -238,6 +232,12 @@ impl MergeJoinOp {
             }
         }
         std::cmp::Ordering::Equal
+    }
+
+    /// One key comparison: charged, and counted as the merge's work.
+    fn step(&mut self) {
+        self.ctx.clock.charge(&rule::merge(1.0));
+        self.steps += 1;
     }
 
     fn left_key_eq(&self, a: &Row, b: &Row) -> bool {
@@ -254,7 +254,7 @@ impl MergeJoinOp {
             // Emit from the buffered group first.
             if self.group_pos < self.group.len() {
                 let l = self.left_row.as_ref()?;
-                self.ctx.clock.charge_cpu_tuples(1.0);
+                self.ctx.clock.charge(&rule::emit(1.0));
                 let mut out = l.clone();
                 out.extend(self.group[self.group_pos].clone());
                 self.group_pos += 1;
@@ -265,7 +265,7 @@ impl MergeJoinOp {
             if !self.group.is_empty() {
                 let prev = self.left_row.take().expect("group implies left");
                 self.left_row = self.left.next();
-                self.ctx.clock.charge_compares(1.0);
+                self.step();
                 match &self.left_row {
                     Some(l) if self.left_key_eq(l, &prev) => {
                         self.group_pos = 0;
@@ -282,7 +282,7 @@ impl MergeJoinOp {
                 Some(r) => r.clone(),
                 None => return None,
             };
-            self.ctx.clock.charge_compares(1.0);
+            self.step();
             match self.cmp_keys(&l, &r) {
                 std::cmp::Ordering::Less => {
                     self.left_row = self.left.next();
@@ -298,7 +298,7 @@ impl MergeJoinOp {
                     self.group.push(r);
                     loop {
                         self.right_row = self.right.next();
-                        self.ctx.clock.charge_compares(1.0);
+                        self.step();
                         match &self.right_row {
                             Some(nr)
                                 if self.cmp_keys(&l, nr) == std::cmp::Ordering::Equal =>
@@ -324,7 +324,10 @@ impl Operator for MergeJoinOp {
         let row = self.produce();
         match &row {
             Some(_) => self.span.produced(&self.ctx.clock),
-            None => self.span.close(&self.ctx.clock),
+            None => {
+                self.span.record_work(std::mem::take(&mut self.steps), 0);
+                self.span.close(&self.ctx.clock);
+            }
         }
         row
     }
@@ -345,7 +348,9 @@ pub struct IndexNlJoinOp {
     ctx: ExecContext,
     pending: Vec<Row>,
     current_outer: Option<Row>,
-    rows_per_page: f64,
+    /// Probes that hit and the pages they fetched, recorded on the span
+    /// when it closes.
+    work: (u64, u64),
     span: SpanHandle,
 }
 
@@ -360,7 +365,6 @@ impl IndexNlJoinOp {
     ) -> Result<Self> {
         let ok = outer.schema().index_of(outer_key)?;
         let schema = outer.schema().join(&inner_table.qualified_schema());
-        let rows_per_page = ctx.clock.params().rows_per_page;
         let span = ctx.op_span("index_nl_join", &[&outer]);
         span.set_detail(&format!("{}:{}", inner_table.name(), index.name()));
         Ok(IndexNlJoinOp {
@@ -372,7 +376,7 @@ impl IndexNlJoinOp {
             ctx,
             pending: Vec::new(),
             current_outer: None,
-            rows_per_page,
+            work: (0, 0),
             span,
         })
     }
@@ -387,30 +391,25 @@ impl Operator for IndexNlJoinOp {
         loop {
             if let Some(inner_row) = self.pending.pop() {
                 let o = self.current_outer.as_ref().expect("pending implies outer");
-                self.ctx.clock.charge_cpu_tuples(1.0);
+                self.ctx.clock.charge(&rule::emit(1.0));
                 let mut out = o.clone();
                 out.extend(inner_row);
                 self.span.produced(&self.ctx.clock);
                 return Some(out);
             }
             let Some(o) = self.outer.next() else {
+                let (hits, pages) = std::mem::take(&mut self.work);
+                self.span.record_work(hits, pages);
                 self.span.close(&self.ctx.clock);
                 return None;
             };
-            // B-tree descent per probe.
-            let n = self.index.entries().max(2) as f64;
-            self.ctx.clock.charge_compares(n.log2());
+            self.ctx.clock.charge(&rule::descend(self.index.entries() as f64));
             let rids = self.index.lookup_eq(&o[self.outer_key]);
             if !rids.is_empty() {
-                if self.index.clustered() {
-                    let pages = (rids.len() as f64 / self.rows_per_page).ceil();
-                    self.ctx.clock.charge_random_pages(pages.min(1.0));
-                    self.ctx
-                        .clock
-                        .charge_seq_pages((pages - 1.0).max(0.0));
-                } else {
-                    self.ctx.clock.charge_random_pages(rids.len() as f64);
-                }
+                let (rows, clustered) = (rids.len() as f64, self.index.clustered());
+                let pages = self.ctx.clock.params().pages(rows);
+                self.ctx.clock.charge(&rule::fetch(clustered, 1.0, pages, rows));
+                self.work = (self.work.0 + 1, self.work.1 + pages as u64);
                 // `pending` is empty here (drained above): reuse its buffer.
                 self.pending.extend(rids.map(|rid| self.inner_table.row(rid)));
                 self.current_outer = Some(o);
@@ -464,7 +463,7 @@ impl BnlJoinOp {
             while let Some(r) = src.next() {
                 rows.push(r);
             }
-            self.ctx.clock.charge_cpu_tuples(rows.len() as f64);
+            self.ctx.clock.charge(&rule::emit(rows.len() as f64));
             self.right_rows = Some(rows);
         }
         loop {
@@ -478,13 +477,13 @@ impl BnlJoinOp {
             while self.right_pos < right.len() {
                 let r = &right[self.right_pos];
                 self.right_pos += 1;
-                self.ctx.clock.charge_compares(1.0);
+                self.ctx.clock.charge(&rule::filter(1.0));
                 let mut out = l.clone();
                 out.extend(r.clone());
                 match &self.pred {
                     Some(p) if !p.eval_bool(&out) => continue,
                     _ => {
-                        self.ctx.clock.charge_cpu_tuples(1.0);
+                        self.ctx.clock.charge(&rule::emit(1.0));
                         return Some(out);
                     }
                 }

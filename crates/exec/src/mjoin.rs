@@ -16,7 +16,7 @@
 
 use crate::context::ExecContext;
 use crate::{BoxOp, Operator};
-use rqp_common::{Result, Row, RqpError, Schema, Value};
+use rqp_common::{rule, Result, Row, RqpError, Schema, Value};
 use rqp_telemetry::SpanHandle;
 use std::collections::HashMap;
 
@@ -105,7 +105,7 @@ impl MJoinOp {
                 }
                 Some(row) => {
                     let key = row[self.key_cols[i]].clone();
-                    self.ctx.clock.charge_hash_build(1.0);
+                    self.ctx.clock.charge(&rule::hash_build(1.0));
                     // Probe the other tables along the adaptive sequence;
                     // any empty probe kills the combination early.
                     let seq = self.probing_sequence(i);
@@ -114,7 +114,7 @@ impl MJoinOp {
                     for &j in &seq {
                         self.total_probes += 1;
                         self.probes[j] += 1.0;
-                        self.ctx.clock.charge_hash_probe(1.0);
+                        self.ctx.clock.charge(&rule::hash_probe(1.0));
                         match self.tables[j].get(&key) {
                             Some(rows) => matches.push((j, rows)),
                             None => {
@@ -150,7 +150,7 @@ impl MJoinOp {
                             }
                         }
                         for combo in combos {
-                            self.ctx.clock.charge_cpu_tuples(1.0);
+                            self.ctx.clock.charge(&rule::emit(1.0));
                             let mut out = Vec::with_capacity(self.schema.len());
                             for part in combo {
                                 out.extend(part.iter().cloned());

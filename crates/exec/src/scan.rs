@@ -9,7 +9,7 @@
 
 use crate::context::ExecContext;
 use crate::Operator;
-use rqp_common::{Row, RqpError, Schema, Value};
+use rqp_common::{rule, Row, RqpError, Schema, Value};
 use rqp_storage::{
     AdaptiveMergeIndex, BufferPool, CrackerColumn, Index, PagePin, RidCursor, RowId, Table,
 };
@@ -97,7 +97,7 @@ pub(crate) fn page_chaos(ctx: &ExecContext, span: &SpanHandle, table_name: &str,
         }
         attempt += 1;
         // The retry re-reads the page out of sequence.
-        ctx.clock.charge_random_pages(1.0);
+        ctx.clock.charge(&rule::random_pages(1.0));
         span.record_event(
             &ctx.clock,
             "chaos.scan_retry",
@@ -192,7 +192,7 @@ impl Operator for TableScanOp {
         // or past-deadline query stops within one page of work.
         if self.pos as f64 % self.rows_per_page == 0.0 {
             self.ctx.checkpoint();
-            self.ctx.clock.charge_seq_pages(1.0);
+            self.ctx.clock.charge(&rule::scan(1.0, 0.0));
             let page = (self.pos as f64 / self.rows_per_page) as u64;
             if self.chaos {
                 self.page_chaos(page);
@@ -205,7 +205,7 @@ impl Operator for TableScanOp {
                     Some(pin_page(&self.ctx, &self.span, pool, self.table.name(), page));
             }
         }
-        self.ctx.clock.charge_cpu_tuples(1.0);
+        self.ctx.clock.charge(&rule::scan(0.0, 1.0));
         let row = self.table.row(self.pos);
         self.pos += 1;
         self.span.produced(&self.ctx.clock);
@@ -237,7 +237,6 @@ pub struct IndexScanOp {
     /// cursor walks, the rid list is never materialized.
     cursor: Option<RidCursor>,
     pos: usize,
-    rows_per_page: f64,
     span: SpanHandle,
 }
 
@@ -253,7 +252,6 @@ impl IndexScanOp {
         ctx: ExecContext,
     ) -> Self {
         let schema = table.qualified_schema();
-        let rows_per_page = ctx.clock.params().rows_per_page;
         let span = ctx.tracer.open("index_scan", &ctx.clock);
         span.set_detail(&format!("{}:{}", table.name(), index.name()));
         IndexScanOp {
@@ -266,7 +264,6 @@ impl IndexScanOp {
             hi,
             cursor: None,
             pos: 0,
-            rows_per_page,
             span,
         }
     }
@@ -280,9 +277,7 @@ impl Operator for IndexScanOp {
     fn next(&mut self) -> Option<Row> {
         let index = &self.index;
         let cursor = self.cursor.get_or_insert_with(|| {
-            // B-tree descent: log2(entries) comparisons.
-            let n = index.entries().max(2) as f64;
-            self.ctx.clock.charge_compares(n.log2());
+            self.ctx.clock.charge(&rule::descend(index.entries() as f64));
             index
                 .lookup(&self.prefix, self.lo.as_ref(), self.hi.as_ref())
                 .map(|ids| ids.into_cursor())
@@ -292,14 +287,9 @@ impl Operator for IndexScanOp {
             self.span.close(&self.ctx.clock);
             return None;
         };
-        if self.index.clustered() {
-            if self.pos as f64 % self.rows_per_page == 0.0 {
-                self.ctx.clock.charge_seq_pages(1.0);
-            }
-        } else {
-            self.ctx.clock.charge_random_pages(1.0);
-        }
-        self.ctx.clock.charge_cpu_tuples(1.0);
+        let page = f64::from(self.pos as f64 % self.ctx.clock.params().rows_per_page == 0.0);
+        let fetched = rule::fetch(self.index.clustered(), 0.0, page, 1.0);
+        self.ctx.clock.charge(&(fetched + rule::emit(1.0)));
         self.pos += 1;
         self.span.produced(&self.ctx.clock);
         Some(self.table.row(rid))
@@ -350,8 +340,8 @@ impl Operator for CrackerScanOp {
             let (ids, stats) = self.cracker.borrow_mut().query(self.lo, self.hi);
             // Partitioning work: one compare + potential swap per touched
             // tuple; merged updates cost a tuple move each.
-            self.ctx.clock.charge_compares(stats.touched as f64);
-            self.ctx.clock.charge_cpu_tuples(stats.merged_updates as f64);
+            self.ctx.clock.charge(&rule::filter(stats.touched as f64));
+            self.ctx.clock.charge(&rule::emit(stats.merged_updates as f64));
             self.rowids = Some(ids);
         }
         let ids = self.rowids.as_ref().expect("opened above");
@@ -359,7 +349,7 @@ impl Operator for CrackerScanOp {
             self.span.close(&self.ctx.clock);
             return None;
         }
-        self.ctx.clock.charge_cpu_tuples(1.0);
+        self.ctx.clock.charge(&rule::emit(1.0));
         let row = self.table.row(ids[self.pos]);
         self.pos += 1;
         self.span.produced(&self.ctx.clock);
@@ -409,9 +399,9 @@ impl Operator for AMergeScanOp {
     fn next(&mut self) -> Option<Row> {
         if self.rowids.is_none() {
             let (ids, stats) = self.amerge.borrow_mut().query(self.lo, self.hi);
-            self.ctx.clock.charge_compares(stats.probes as f64);
+            self.ctx.clock.charge(&rule::merge(stats.probes as f64));
             // Moving an entry into the merged index ≈ one B-tree insert.
-            self.ctx.clock.charge_hash_build(stats.moved as f64);
+            self.ctx.clock.charge(&rule::hash_build(stats.moved as f64));
             self.rowids = Some(ids);
         }
         let ids = self.rowids.as_ref().expect("opened above");
@@ -419,7 +409,7 @@ impl Operator for AMergeScanOp {
             self.span.close(&self.ctx.clock);
             return None;
         }
-        self.ctx.clock.charge_cpu_tuples(1.0);
+        self.ctx.clock.charge(&rule::emit(1.0));
         let row = self.table.row(ids[self.pos]);
         self.pos += 1;
         self.span.produced(&self.ctx.clock);

@@ -2,7 +2,7 @@
 
 use crate::context::{ExecContext, WorkspaceLease};
 use crate::{BoxOp, Operator};
-use rqp_common::{Result, Row, Schema};
+use rqp_common::{rule, Result, Row, Schema};
 use rqp_telemetry::SpanHandle;
 use std::cmp::Ordering;
 
@@ -82,21 +82,15 @@ impl SortOp {
         let n = rows.len() as f64;
         if n > 1.0 {
             let grant = self.lease.grant(&self.ctx, &self.span, n);
-            // In-memory comparisons: n log2(n) within runs.
-            self.ctx.clock.charge_compares(n * n.log2());
+            self.ctx.clock.charge(&rule::runs(n));
             if n > grant {
                 // External sort: spill overflow once (write+read), plus a
                 // merge pass of comparisons across runs.
                 let overflow = n - grant;
-                self.ctx.clock.charge_spill_rows(overflow);
-                self.span.record_spill(overflow);
-                self.span.record_event(
-                    &self.ctx.clock,
-                    "governor.spill",
-                    &format!("sort spilled {overflow:.0} of {n:.0} rows (grant {grant:.0})"),
-                );
-                let runs = (n / grant).ceil().max(2.0);
-                self.ctx.clock.charge_compares(n * runs.log2());
+                let detail =
+                    format!("sort spilled {overflow:.0} of {n:.0} rows (grant {grant:.0})");
+                self.ctx.spill(&self.span, overflow, "governor.spill", &detail);
+                self.ctx.clock.charge(&rule::merge_runs(n, grant));
             }
         }
         rows.sort_by(|a, b| cmp_rows(a, b, &self.keys));
@@ -139,7 +133,7 @@ impl Operator for SortOp {
         let row = self.sorted.as_mut().expect("materialized").next();
         match &row {
             Some(_) => {
-                self.ctx.clock.charge_cpu_tuples(1.0);
+                self.ctx.clock.charge(&rule::emit(1.0));
                 self.span.produced(&self.ctx.clock);
             }
             None => self.finish(),
@@ -221,11 +215,10 @@ impl Operator for TopNOp {
             let mut inner = self.inner.take().expect("run once");
             // Simple bounded selection: keep a sorted buffer of ≤ n rows.
             self.lease.grant(&self.ctx, &self.span, self.n as f64);
-            let mut buf: Vec<Row> = Vec::with_capacity(self.n + 1);
+            // Room for a small limit up front; a huge one grows as rows come.
+            let mut buf: Vec<Row> = Vec::with_capacity(self.n.min(1024) + 1);
             while let Some(r) = inner.next() {
-                self.ctx
-                    .clock
-                    .charge_compares((buf.len().max(1) as f64).log2() + 1.0);
+                self.ctx.clock.charge(&rule::top_n_offer(buf.len() as f64));
                 let pos = buf
                     .binary_search_by(|probe| cmp_rows(probe, &r, &self.keys))
                     .unwrap_or_else(|e| e);
@@ -239,7 +232,7 @@ impl Operator for TopNOp {
         let row = self.out.as_mut().expect("filled").next();
         match &row {
             Some(_) => {
-                self.ctx.clock.charge_cpu_tuples(1.0);
+                self.ctx.clock.charge(&rule::emit(1.0));
                 self.span.produced(&self.ctx.clock);
             }
             None => self.finish(),

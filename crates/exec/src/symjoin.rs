@@ -8,7 +8,7 @@
 
 use crate::context::ExecContext;
 use crate::{BoxOp, Operator};
-use rqp_common::{Result, Row, RqpError, Schema, Value};
+use rqp_common::{rule, Result, Row, RqpError, Schema, Value};
 use rqp_telemetry::SpanHandle;
 use std::collections::HashMap;
 
@@ -88,11 +88,11 @@ impl SymmetricHashJoinOp {
                 match self.left.next() {
                     Some(l) => {
                         let k = Self::key(&l, &self.left_keys);
-                        self.ctx.clock.charge_hash_build(1.0);
-                        self.ctx.clock.charge_hash_probe(1.0);
+                        self.ctx.clock.charge(&rule::hash_build(1.0));
+                        self.ctx.clock.charge(&rule::hash_probe(1.0));
                         if let Some(matches) = self.right_table.get(&k) {
                             for r in matches {
-                                self.ctx.clock.charge_cpu_tuples(1.0);
+                                self.ctx.clock.charge(&rule::emit(1.0));
                                 let mut row = l.clone();
                                 row.extend(r.clone());
                                 self.pending.push(row);
@@ -107,11 +107,11 @@ impl SymmetricHashJoinOp {
                 match self.right.next() {
                     Some(r) => {
                         let k = Self::key(&r, &self.right_keys);
-                        self.ctx.clock.charge_hash_build(1.0);
-                        self.ctx.clock.charge_hash_probe(1.0);
+                        self.ctx.clock.charge(&rule::hash_build(1.0));
+                        self.ctx.clock.charge(&rule::hash_probe(1.0));
                         if let Some(matches) = self.left_table.get(&k) {
                             for l in matches {
-                                self.ctx.clock.charge_cpu_tuples(1.0);
+                                self.ctx.clock.charge(&rule::emit(1.0));
                                 let mut row = l.clone();
                                 row.extend(r.clone());
                                 self.pending.push(row);

@@ -26,7 +26,7 @@ use rqp_common::{CancelToken, CostClock, Row, RqpError};
 use rqp_server::{QueryPhase, QueryService, Session};
 use rqp_telemetry::{Counter, SpanSnapshot, TraceTree};
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -114,14 +114,18 @@ pub struct WireStats {
     pub protocol_errors: u64,
 }
 
+/// A live connection: a handle to its socket, to close it from outside,
+/// beside its thread.
+type Conn = (Option<TcpStream>, std::thread::JoinHandle<()>);
+
 /// A running TCP wire server. Dropping it (or calling
-/// [`shutdown`](WireServer::shutdown)) stops the accept loop and joins
-/// every connection thread.
+/// [`shutdown`](WireServer::shutdown)) stops the accept loop, closes every
+/// connection's socket and joins its thread.
 pub struct WireServer {
     shared: Arc<ServerShared>,
     local: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
     stats: Arc<Mutex<WireStats>>,
 }
 
@@ -143,8 +147,7 @@ impl WireServer {
             clock: CostClock::default_clock(),
             next_conn: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
         let stats = Arc::new(Mutex::new(WireStats::default()));
         let accept = {
             let (shared, conns, stats) = (Arc::clone(&shared), Arc::clone(&conns), Arc::clone(&stats));
@@ -163,6 +166,7 @@ impl WireServer {
                         stats.lock().expect("stats lock").connections += 1;
                         shared.svc.metrics().counter("wire.connections").inc();
                         let (shared, stats) = (Arc::clone(&shared), Arc::clone(&stats));
+                        let socket = stream.try_clone().ok();
                         let handle = std::thread::Builder::new()
                             .name(format!("rqp-net-conn-{conn_id}"))
                             .spawn(move || serve_connection(shared, stats, stream, conn_id))
@@ -173,13 +177,13 @@ impl WireServer {
                         let mut guard = conns.lock().expect("conns lock");
                         let mut i = 0;
                         while i < guard.len() {
-                            if guard[i].is_finished() {
-                                let _ = guard.swap_remove(i).join();
+                            if guard[i].1.is_finished() {
+                                let _ = guard.swap_remove(i).1.join();
                             } else {
                                 i += 1;
                             }
                         }
-                        guard.push(handle);
+                        guard.push((socket, handle));
                     }
                 })
                 .expect("spawn accept thread")
@@ -197,8 +201,10 @@ impl WireServer {
         *self.stats.lock().expect("stats lock")
     }
 
-    /// Stop accepting, then join the accept loop and every connection
-    /// thread. Idempotent.
+    /// Stop accepting, then join the accept loop, and close every live
+    /// connection's socket before joining its thread: an idle peer that
+    /// never says GOODBYE, or a pager blocked writing to a peer that stopped
+    /// reading, cannot hold shutdown up. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -217,8 +223,11 @@ impl WireServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<_> = self.conns.lock().expect("conns lock").drain(..).collect();
-        for h in handles {
+        let conns: Vec<Conn> = self.conns.lock().expect("conns lock").drain(..).collect();
+        for socket in conns.iter().filter_map(|c| c.0.as_ref()) {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        for (_, h) in conns {
             let _ = h.join();
         }
     }

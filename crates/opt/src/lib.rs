@@ -5,8 +5,9 @@
 //!
 //! * [`query`] — the conjunctive-query descriptor ([`query::QuerySpec`]) the
 //!   planner consumes;
-//! * [`cost`] — the optimizer's cost model, deliberately kept commensurable
-//!   with the executor's cost-clock charges so that *estimation error, not
+//! * [`cost`] — the optimizer's cost model: one costing walk that prices a
+//!   plan with the executor's own cost rules and the clock's fold, on
+//!   estimated or observed counts, so that *estimation error, not
 //!   cost-model error*, is the experimental variable;
 //! * [`physical`] — physical plan trees, re-estimation of a fixed plan under
 //!   a different estimator, and compilation to `rqp-exec` operators;

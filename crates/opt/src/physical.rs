@@ -9,13 +9,14 @@
 //! * [`PhysicalPlan::reestimate`] — re-derive rows/cost for the *same* plan
 //!   shape under a *different* estimator (robust costing, plan diagrams,
 //!   validity ranges all need to ask "what would this plan cost if the
-//!   selectivities were X?");
+//!   selectivities were X?"), through the one costing walk of [`crate::cost`]
+//!   the planner prices with;
 //! * [`PhysicalPlan::build`] — compile to `rqp-exec` operators. Every
 //!   operator carries a telemetry span, so actual cardinalities are
 //!   observable (POP, LEO) through the per-node [`NodeMeter`]s without any
 //!   wrapper layer.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, Estimated};
 use crate::query::JoinEdge;
 use rqp_common::{Expr, Result, RqpError, StringDict, Value};
 use rqp_exec::{
@@ -62,6 +63,8 @@ pub enum PhysicalPlan {
         range_filter: Expr,
         /// Residual predicate applied after the index.
         residual: Option<Expr>,
+        /// The index was clustered when the plan was costed.
+        clustered: bool,
         /// Estimated output rows (after residual).
         est_rows: f64,
         /// Estimated cumulative cost.
@@ -126,6 +129,8 @@ pub enum PhysicalPlan {
         edge: JoinEdge,
         /// Inner local predicate applied as residual after the probe.
         inner_residual: Option<Expr>,
+        /// The inner index was clustered when the plan was costed.
+        inner_clustered: bool,
         /// Estimated output rows.
         est_rows: f64,
         /// Estimated cumulative cost.
@@ -197,37 +202,29 @@ pub enum PhysicalPlan {
 impl PhysicalPlan {
     /// Estimated output rows of this node.
     pub fn est_rows(&self) -> f64 {
-        use PhysicalPlan::*;
-        match self {
-            TableScan { est_rows, .. }
-            | IndexScan { est_rows, .. }
-            | HashJoin { est_rows, .. }
-            | MergeJoin { est_rows, .. }
-            | GJoin { est_rows, .. }
-            | IndexNlJoin { est_rows, .. }
-            | Check { est_rows, .. }
-            | Aggregate { est_rows, .. }
-            | Sort { est_rows, .. }
-            | TopN { est_rows, .. }
-            | Project { est_rows, .. } => *est_rows,
-        }
+        self.estimates().0
     }
 
     /// Estimated cumulative cost of this node.
     pub fn est_cost(&self) -> f64 {
+        self.estimates().1
+    }
+
+    /// `(est_rows, est_cost)`.
+    fn estimates(&self) -> (f64, f64) {
         use PhysicalPlan::*;
         match self {
-            TableScan { est_cost, .. }
-            | IndexScan { est_cost, .. }
-            | HashJoin { est_cost, .. }
-            | MergeJoin { est_cost, .. }
-            | GJoin { est_cost, .. }
-            | IndexNlJoin { est_cost, .. }
-            | Check { est_cost, .. }
-            | Aggregate { est_cost, .. }
-            | Sort { est_cost, .. }
-            | TopN { est_cost, .. }
-            | Project { est_cost, .. } => *est_cost,
+            TableScan { est_rows, est_cost, .. }
+            | IndexScan { est_rows, est_cost, .. }
+            | HashJoin { est_rows, est_cost, .. }
+            | MergeJoin { est_rows, est_cost, .. }
+            | GJoin { est_rows, est_cost, .. }
+            | IndexNlJoin { est_rows, est_cost, .. }
+            | Check { est_rows, est_cost, .. }
+            | Aggregate { est_rows, est_cost, .. }
+            | Sort { est_rows, est_cost, .. }
+            | TopN { est_rows, est_cost, .. }
+            | Project { est_rows, est_cost, .. } => (*est_rows, *est_cost),
         }
     }
 
@@ -262,134 +259,76 @@ impl PhysicalPlan {
     /// Tables covered by this subtree, sorted.
     pub fn tables(&self) -> Vec<String> {
         use PhysicalPlan::*;
-        let mut out = match self {
-            TableScan { table, .. } | IndexScan { table, .. } => vec![table.clone()],
-            HashJoin { left, right, .. }
-            | MergeJoin { left, right, .. }
-            | GJoin { left, right, .. } => {
-                let mut v = left.tables();
-                v.extend(right.tables());
-                v
-            }
-            IndexNlJoin { outer, inner_table, .. } => {
-                let mut v = outer.tables();
-                v.push(inner_table.clone());
-                v
-            }
-            Check { input, .. }
-            | Aggregate { input, .. }
-            | Sort { input, .. }
-            | TopN { input, .. }
-            | Project { input, .. } => input.tables(),
-        };
+        let mut out: Vec<String> = self.inputs().iter().flat_map(|i| i.tables()).collect();
+        match self {
+            TableScan { table, .. } | IndexScan { table, .. } => out.push(table.clone()),
+            IndexNlJoin { inner_table, .. } => out.push(inner_table.clone()),
+            _ => {}
+        }
         out.sort();
         out
     }
 
-    /// Re-derive `(rows, cumulative_cost)` for this plan shape under a
-    /// different estimator (and cost model). The plan's stored estimates are
-    /// untouched; a fresh annotated copy is returned alongside.
-    pub fn reestimate(&self, est: &dyn CardEstimator, cm: &CostModel) -> (f64, f64) {
+    /// This node's inputs, in build order.
+    pub(crate) fn inputs(&self) -> Vec<&PhysicalPlan> {
         use PhysicalPlan::*;
         match self {
-            TableScan { table, filter, .. } => {
-                let base = est.table_rows(table);
-                let rows = match filter {
-                    Some(f) => base * est.selectivity(table, f),
-                    None => base,
-                };
-                let mut cost = cm.scan(base);
-                if filter.is_some() {
-                    cost += cm.filter(base);
-                }
-                (rows, cost)
-            }
-            IndexScan { table, range_filter, residual, .. } => {
-                let base = est.table_rows(table);
-                let matched = base * est.selectivity(table, range_filter);
-                let rows = match residual {
-                    Some(r) => matched * est.selectivity(table, r),
-                    None => matched,
-                };
-                // Clustered-ness must come from the plan-time catalog; the
-                // conservative (unclustered) assumption is used here since
-                // reestimation has no catalog. Planner-built nodes embed the
-                // distinction in est_cost; reestimate is used for *relative*
-                // comparisons across scenarios where the same assumption
-                // applies to every candidate.
-                let mut cost = cm.index_scan(base, matched, false);
-                if residual.is_some() {
-                    cost += cm.filter(matched);
-                }
-                (rows, cost)
-            }
-            HashJoin { left, right, edges, .. } => {
-                let (lr, lc) = left.reestimate(est, cm);
-                let (rr, rc) = right.reestimate(est, cm);
-                let rows = join_rows(lr, rr, edges, est);
-                (rows, lc + rc + cm.hash_join(rr, lr, rows))
-            }
-            MergeJoin { left, right, edges, sort_left, sort_right, .. } => {
-                let (lr, lc) = left.reestimate(est, cm);
-                let (rr, rc) = right.reestimate(est, cm);
-                let rows = join_rows(lr, rr, edges, est);
-                let mut cost = lc + rc + cm.merge_join(lr, rr, rows);
-                if *sort_left {
-                    cost += cm.sort(lr);
-                }
-                if *sort_right {
-                    cost += cm.sort(rr);
-                }
-                (rows, cost)
-            }
-            GJoin { left, right, edges, left_sorted, right_sorted, .. } => {
-                let (lr, lc) = left.reestimate(est, cm);
-                let (rr, rc) = right.reestimate(est, cm);
-                let rows = join_rows(lr, rr, edges, est);
-                (rows, lc + rc + cm.g_join(lr, rr, rows, *left_sorted, *right_sorted))
-            }
-            IndexNlJoin { outer, inner_table, edge, inner_residual, .. } => {
-                let (or, oc) = outer.reestimate(est, cm);
-                let inner_rows = est.table_rows(inner_table);
-                let js = est.join_selectivity(
-                    &edge.left_table,
-                    &edge.left_col,
-                    &edge.right_table,
-                    &edge.right_col,
-                );
-                let matches_total = or * inner_rows * js;
-                let rows = match inner_residual {
-                    Some(p) => matches_total * est.selectivity(inner_table, p),
-                    None => matches_total,
-                };
-                let mut cost = oc + cm.index_nl_join(or, inner_rows, matches_total, false);
-                if inner_residual.is_some() {
-                    cost += cm.filter(matches_total);
-                }
-                (rows, cost)
-            }
-            Check { input, .. } => {
-                let (r, c) = input.reestimate(est, cm);
-                (r, c + cm.materialize(r))
-            }
-            Aggregate { input, group_by, .. } => {
-                let (r, c) = input.reestimate(est, cm);
-                let groups = if group_by.is_empty() { 1.0 } else { r.sqrt().max(1.0) };
-                (groups, c + cm.hash_agg(r, groups))
-            }
-            Sort { input, .. } => {
-                let (r, c) = input.reestimate(est, cm);
-                (r, c + cm.sort(r))
-            }
-            TopN { input, n, .. } => {
-                let (r, c) = input.reestimate(est, cm);
-                ((*n as f64).min(r), c + cm.top_n(r, *n as f64))
-            }
-            Project { input, .. } => {
-                let (r, c) = input.reestimate(est, cm);
-                (r, c + cm.materialize(r))
-            }
+            TableScan { .. } | IndexScan { .. } => Vec::new(),
+            HashJoin { left, right, .. }
+            | MergeJoin { left, right, .. }
+            | GJoin { left, right, .. } => vec![left, right],
+            IndexNlJoin { outer: input, .. }
+            | Check { input, .. }
+            | Aggregate { input, .. }
+            | Sort { input, .. }
+            | TopN { input, .. }
+            | Project { input, .. } => vec![input],
         }
+    }
+
+    /// This node's inputs, in build order, to rewrite.
+    pub(crate) fn inputs_mut(&mut self) -> Vec<&mut Box<PhysicalPlan>> {
+        use PhysicalPlan::*;
+        match self {
+            TableScan { .. } | IndexScan { .. } => Vec::new(),
+            HashJoin { left, right, .. }
+            | MergeJoin { left, right, .. }
+            | GJoin { left, right, .. } => vec![left, right],
+            IndexNlJoin { outer: input, .. }
+            | Check { input, .. }
+            | Aggregate { input, .. }
+            | Sort { input, .. }
+            | TopN { input, .. }
+            | Project { input, .. } => vec![input],
+        }
+    }
+
+    /// Attach the estimates this node was priced with.
+    pub(crate) fn set_estimates(&mut self, rows: f64, cost: f64) {
+        use PhysicalPlan::*;
+        match self {
+            TableScan { est_rows, est_cost, .. }
+            | IndexScan { est_rows, est_cost, .. }
+            | HashJoin { est_rows, est_cost, .. }
+            | MergeJoin { est_rows, est_cost, .. }
+            | GJoin { est_rows, est_cost, .. }
+            | IndexNlJoin { est_rows, est_cost, .. }
+            | Check { est_rows, est_cost, .. }
+            | Aggregate { est_rows, est_cost, .. }
+            | Sort { est_rows, est_cost, .. }
+            | TopN { est_rows, est_cost, .. }
+            | Project { est_rows, est_cost, .. } => (*est_rows, *est_cost) = (rows, cost),
+        }
+    }
+
+    /// `(rows, cumulative cost)` of this plan shape under a different
+    /// estimator (and cost model), through the costing walk the planner
+    /// prices with: under the planning estimator and model it returns the
+    /// plan's own `(est_rows(), est_cost())`, bit for bit. The plan's stored
+    /// estimates are untouched.
+    pub fn reestimate(&self, est: &dyn CardEstimator, cm: &CostModel) -> (f64, f64) {
+        let (rows, amounts) = self.cost_with(&mut Estimated { est, joined: None }, cm);
+        (rows, amounts.cost(&cm.params))
     }
 
     /// Compile to executable operators, metering every node.
@@ -410,7 +349,7 @@ impl PhysicalPlan {
         signal: Option<Rc<PopSignal>>,
     ) -> Result<BuiltPlan> {
         let dict = Arc::new(StringDict::new());
-        let mut lw = Lowering { catalog, ctx, signal, dict, meters: Vec::new() };
+        let mut lw = Lowering { catalog, ctx, signal, dict, meters: Vec::new(), own_from: 0 };
         let root = self.rows(&mut lw)?;
         Ok(BuiltPlan { root, meters: lw.meters })
     }
@@ -453,6 +392,9 @@ impl PhysicalPlan {
         use PhysicalPlan::*;
         let subtree_start = lw.meters.len();
         let ctx = lw.ctx;
+        // A leaf's operators open from here; each input's lowering moves the
+        // mark past its own spans.
+        lw.own_from = ctx.tracer.len();
         let batchable = self.batchable();
         let op = match self {
             TableScan { table, filter, .. } => {
@@ -468,14 +410,8 @@ impl PhysicalPlan {
             IndexScan { table, index, prefix, lo, hi, residual, .. } => {
                 let t = lw.catalog.table(table)?;
                 let ix = lw.catalog.index(index)?;
-                let scan: BoxOp = Box::new(IndexScanOp::new(
-                    ix,
-                    t,
-                    prefix.clone(),
-                    lo.clone(),
-                    hi.clone(),
-                    ctx.clone(),
-                ));
+                let (prefix, lo, hi) = (prefix.clone(), lo.clone(), hi.clone());
+                let scan: BoxOp = Box::new(IndexScanOp::new(ix, t, prefix, lo, hi, ctx.clone()));
                 Rows(match residual {
                     Some(r) => Box::new(FilterOp::new(scan, r, ctx.clone())?),
                     None => scan,
@@ -506,28 +442,15 @@ impl PhysicalPlan {
             GJoin { left, right, edges, left_sorted, right_sorted, .. } => {
                 let (l, r) = (left.rows(lw)?, right.rows(lw)?);
                 let (lk, rk) = edge_keys(edges);
-                Rows(Box::new(GJoinOp::new(
-                    l,
-                    r,
-                    &refs(&lk),
-                    &refs(&rk),
-                    *left_sorted,
-                    *right_sorted,
-                    None,
-                    ctx.clone(),
-                )?))
+                let (lk, rk, ls, rs) = (refs(&lk), refs(&rk), *left_sorted, *right_sorted);
+                Rows(Box::new(GJoinOp::new(l, r, &lk, &rk, ls, rs, None, ctx.clone())?))
             }
             IndexNlJoin { outer, inner_table, inner_index, edge, inner_residual, .. } => {
                 let o = outer.rows(lw)?;
                 let ix = lw.catalog.index(inner_index)?;
                 let t = lw.catalog.table(inner_table)?;
-                let join: BoxOp = Box::new(IndexNlJoinOp::new(
-                    o,
-                    &edge.left_qualified(),
-                    ix,
-                    t,
-                    ctx.clone(),
-                )?);
+                let join: BoxOp =
+                    Box::new(IndexNlJoinOp::new(o, &edge.left_qualified(), ix, t, ctx.clone())?);
                 Rows(match inner_residual {
                     Some(p) => Box::new(FilterOp::new(join, p, ctx.clone())?),
                     None => join,
@@ -538,14 +461,8 @@ impl PhysicalPlan {
                 let sig = lw.signal.as_ref().ok_or_else(|| {
                     RqpError::Planning("CHECK node requires a PopSignal".into())
                 })?;
-                Rows(Box::new(CheckOp::new(
-                    i,
-                    *id,
-                    *est_rows,
-                    *validity,
-                    Rc::clone(sig),
-                    ctx.clone(),
-                )))
+                let sig = Rc::clone(sig);
+                Rows(Box::new(CheckOp::new(i, *id, *est_rows, *validity, sig, ctx.clone())))
             }
             Aggregate { input, group_by, aggs, .. } if input.batchable() => {
                 let i = input.batch(lw)?;
@@ -591,10 +508,13 @@ impl PhysicalPlan {
         let span = op.span().clone();
         span.set_detail(&label);
         span.set_est_rows(self.est_rows());
+        let ops = ctx.tracer.spans_from(lw.own_from);
+        lw.own_from = ctx.tracer.len();
         lw.meters.push(NodeMeter {
             label,
             est_rows: self.est_rows(),
             span,
+            ops,
             feedback_signature: self.feedback_signature(),
             subtree_start,
         });
@@ -616,17 +536,9 @@ impl PhysicalPlan {
                 Some(rqp_stats::FeedbackRepo::signature(table, &full))
             }
             HashJoin { edges, .. } | MergeJoin { edges, .. } | GJoin { edges, .. } => {
-                edges.first().map(|e| {
-                    format!(
-                        "join|{}.{}={}.{}",
-                        e.left_table, e.left_col, e.right_table, e.right_col
-                    )
-                })
+                edges.first().map(join_signature)
             }
-            IndexNlJoin { edge, .. } => Some(format!(
-                "join|{}.{}={}.{}",
-                edge.left_table, edge.left_col, edge.right_table, edge.right_col
-            )),
+            IndexNlJoin { edge, .. } => Some(join_signature(edge)),
             _ => None,
         }
     }
@@ -668,18 +580,15 @@ impl PhysicalPlan {
                         .unwrap_or_default()
                 )
             }
-            HashJoin { left, right, edges, .. } => {
-                writeln!(f, "{} on {}", head("HashJoin"), fmt_edges(edges))?;
-                left.fmt_tree(f, indent + 1)?;
-                right.fmt_tree(f, indent + 1)
-            }
-            MergeJoin { left, right, edges, .. } => {
-                writeln!(f, "{} on {}", head("MergeJoin"), fmt_edges(edges))?;
-                left.fmt_tree(f, indent + 1)?;
-                right.fmt_tree(f, indent + 1)
-            }
-            GJoin { left, right, edges, .. } => {
-                writeln!(f, "{} on {}", head("GJoin"), fmt_edges(edges))?;
+            HashJoin { left, right, edges, .. }
+            | MergeJoin { left, right, edges, .. }
+            | GJoin { left, right, edges, .. } => {
+                let name = match self {
+                    HashJoin { .. } => "HashJoin",
+                    MergeJoin { .. } => "MergeJoin",
+                    _ => "GJoin",
+                };
+                writeln!(f, "{} on {}", head(name), fmt_edges(edges))?;
                 left.fmt_tree(f, indent + 1)?;
                 right.fmt_tree(f, indent + 1)
             }
@@ -716,6 +625,11 @@ impl PhysicalPlan {
     }
 }
 
+/// LEO's feedback key for a join on `e`.
+fn join_signature(e: &JoinEdge) -> String {
+    format!("join|{}.{}={}.{}", e.left_table, e.left_col, e.right_table, e.right_col)
+}
+
 fn fmt_edges(edges: &[JoinEdge]) -> String {
     edges
         .iter()
@@ -733,6 +647,8 @@ struct Lowering<'a> {
     signal: Option<Rc<PopSignal>>,
     dict: Arc<StringDict>,
     meters: Vec<NodeMeter>,
+    /// Tracer position where the node being lowered opens its own operators.
+    own_from: usize,
 }
 
 /// One lowered plan node: a batch pipeline still open to a batch consumer,
@@ -791,6 +707,9 @@ pub struct NodeMeter {
     /// Telemetry span of the node's top operator: live actuals, timings,
     /// memory grants and spills.
     pub span: SpanHandle,
+    /// Spans of the node's own operators (its inputs' excluded), in build
+    /// order: where the costing walk reads a run's observed counts.
+    pub ops: Vec<SpanHandle>,
     /// LEO feedback key for this node, when applicable.
     pub feedback_signature: Option<String>,
     /// Index of the first meter belonging to this node's subtree (meters are
@@ -933,6 +852,7 @@ mod tests {
             hi: Some(Value::Int(19)),
             range_filter: col("t.k").between(10i64, 19i64),
             residual: Some(col("t.g").eq(lit(5i64))),
+            clustered: true,
             est_rows: 1.0,
             est_cost: 0.0,
         };
@@ -952,6 +872,7 @@ mod tests {
             inner_index: "ix_t_k".into(),
             edge: JoinEdge::new("u", "w", "t", "k"),
             inner_residual: None,
+            inner_clustered: true,
             est_rows: 5.0,
             est_cost: 0.0,
         };
@@ -1000,8 +921,13 @@ mod tests {
         let plan = scan("t", Some(col("t.k").lt(lit(100i64))));
         let (rows, cost) = plan.reestimate(&oracle, &cm);
         assert!((rows - 100.0).abs() < 1e-6);
-        assert!(cost > 0.0);
-        // Join reestimation.
+        // A scan's cost reads the table's rows, which the oracle knows: the
+        // run charges the estimate, bit for bit.
+        let ctx = ExecContext::unbounded();
+        plan.build(&c, &ctx, None).unwrap().run();
+        assert_eq!(cost.to_bits(), ctx.clock.now().to_bits(), "{cost} vs {}", ctx.clock.now());
+        // Join reestimation; fed the run's observed counts, the same walk
+        // returns the charged cost bit for bit.
         let j = PhysicalPlan::HashJoin {
             left: Box::new(scan("t", None)),
             right: Box::new(scan("u", None)),
@@ -1009,8 +935,31 @@ mod tests {
             est_rows: 0.0,
             est_cost: 0.0,
         };
-        let (rows, _) = j.reestimate(&oracle, &cm);
+        let (rows, cost) = j.reestimate(&oracle, &cm);
         assert!((rows - 10_000.0).abs() < 1.0, "1000×100×0.1, got {rows}");
+        let ctx = ExecContext::unbounded();
+        let mut built = j.build(&c, &ctx, None).unwrap();
+        assert_eq!(built.run().len(), 10_000);
+        let charged = ctx.clock.now();
+        assert_eq!(j.observed_cost(&built.meters, &c, &cm).to_bits(), charged.to_bits());
+        assert!((cost - charged).abs() < 1e-6, "{cost} vs {charged}");
+        // A clustered index scan is re-costed as the clustered scan it is.
+        let ix = PhysicalPlan::IndexScan {
+            table: "t".into(),
+            index: "ix_t_k".into(),
+            prefix: Vec::new(),
+            lo: Some(Value::Int(0)),
+            hi: Some(Value::Int(499)),
+            range_filter: col("t.k").between(0i64, 499i64),
+            residual: None,
+            clustered: true,
+            est_rows: 0.0,
+            est_cost: 0.0,
+        };
+        let (_, cost) = ix.reestimate(&oracle, &cm);
+        let ctx = ExecContext::unbounded();
+        assert_eq!(ix.build(&c, &ctx, None).unwrap().run().len(), 500);
+        assert!((cost - ctx.clock.now()).abs() < 1e-6, "{cost} vs {}", ctx.clock.now());
     }
 
     #[test]

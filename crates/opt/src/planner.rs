@@ -3,15 +3,16 @@
 //! A System-R style DPsize enumerator over connected table subsets, with
 //! per-table access-path selection (scan vs index range scan) and a
 //! configurable join repertoire (hash / sort-merge / index-nested-loop /
-//! g-join). Left-deep by default; bushy on request. Subset cardinalities are
-//! derived once per subset (base filtered sizes × edge selectivities) so
-//! every join algorithm is costed against the same cardinality — mirroring
-//! real optimizers, and ensuring the experiments isolate *estimation* error.
+//! g-join). Left-deep by default; bushy on request. Every candidate node is
+//! priced by the one costing walk step (`CostModel::priced`) on the
+//! estimator's counts, so every join algorithm over the same inputs is costed
+//! against the same cardinality, and [`PhysicalPlan::reestimate`] under the
+//! planning estimator returns the planner's own estimates bit for bit.
 
-use crate::cost::CostModel;
-use crate::physical::PhysicalPlan;
+use crate::cost::{CostModel, Estimated};
+use crate::physical::{join_rows, PhysicalPlan};
 use crate::query::{JoinEdge, QuerySpec};
-use rqp_common::{CmpOp, Expr, Result, RqpError, SimplePred, Value};
+use rqp_common::{Amounts, CmpOp, Expr, Result, RqpError, SimplePred, Value};
 use rqp_stats::CardEstimator;
 use rqp_storage::Catalog;
 use std::collections::HashMap;
@@ -86,10 +87,18 @@ pub fn plan(
     Planner::new(catalog, est, cfg).plan(spec)
 }
 
+/// A priced candidate: the plan and the amounts its subtree charges.
 #[derive(Clone)]
 struct Cand {
     plan: PhysicalPlan,
-    cost: f64,
+    amounts: Amounts,
+}
+
+impl Cand {
+    /// What a node over this candidate is priced from.
+    fn priced(&self) -> (f64, Amounts) {
+        (self.plan.est_rows(), self.amounts)
+    }
 }
 
 impl<'a> Planner<'a> {
@@ -102,6 +111,11 @@ impl<'a> Planner<'a> {
     /// Produce the cheapest plan for `spec`.
     pub fn plan(&self, spec: &QuerySpec) -> Result<PhysicalPlan> {
         spec.validate()?;
+        if spec.limit.is_some() && spec.order_by.is_empty() {
+            return Err(RqpError::Invalid(
+                "LIMIT without ORDER BY has no stable first rows; add an ORDER BY".into(),
+            ));
+        }
         let n = spec.tables.len();
         if n > self.cfg.max_tables {
             return Err(RqpError::Planning(format!(
@@ -112,14 +126,10 @@ impl<'a> Planner<'a> {
         if n > self.cfg.greedy_above.min(30) {
             return self.plan_greedy(spec);
         }
-        // Base filtered cardinalities and access paths.
+        // Access paths.
         let mut best: HashMap<u32, Cand> = HashMap::new();
-        let mut subset_rows: HashMap<u32, f64> = HashMap::new();
         for (i, t) in spec.tables.iter().enumerate() {
-            let cand = self.best_access_path(t, spec)?;
-            let mask = 1u32 << i;
-            subset_rows.insert(mask, cand.plan.est_rows());
-            best.insert(mask, cand);
+            best.insert(1u32 << i, self.best_access_path(t, spec)?);
         }
 
         // DPsize.
@@ -128,43 +138,33 @@ impl<'a> Planner<'a> {
                 if (s.count_ones() as usize) != size {
                     continue;
                 }
-                // Subset cardinality (same for all plans of this subset).
-                let rows_s = self.subset_cardinality(s, spec, &subset_rows);
                 let mut best_cand: Option<Cand> = None;
-                // Enumerate partitions A ∪ B = S.
-                let mut a = (s - 1) & s;
-                while a > 0 {
-                    let b = s & !a;
-                    if b != 0 {
-                        let left_deep_ok = self.cfg.bushy || b.count_ones() == 1;
-                        if left_deep_ok {
-                            if let (Some(ca), Some(cb)) = (best.get(&a), best.get(&b)) {
-                                let a_tables = tables_of(a, &spec.tables);
-                                let b_tables = tables_of(b, &spec.tables);
-                                let edges: Vec<JoinEdge> = spec
-                                    .edges_between(&a_tables, &b_tables)
-                                    .map(|e| orient_edge(e, &a_tables))
-                                    .collect();
-                                if !edges.is_empty() {
-                                    for cand in self.join_candidates(
-                                        ca, cb, &edges, rows_s, b, spec,
-                                    ) {
-                                        if best_cand
-                                            .as_ref()
-                                            .map(|bc| cand.cost < bc.cost)
-                                            .unwrap_or(true)
-                                        {
-                                            best_cand = Some(cand);
-                                        }
-                                    }
-                                }
-                            }
+                // Enumerate partitions A ∪ B = S, A and B non-empty.
+                let mut next = (s - 1) & s;
+                while next > 0 {
+                    let (a, b) = (next, s & !next);
+                    next = (next - 1) & s;
+                    let (Some(ca), Some(cb)) = (best.get(&a), best.get(&b)) else { continue };
+                    if !self.cfg.bushy && b.count_ones() != 1 {
+                        continue;
+                    }
+                    let a_tables = tables_of(a, &spec.tables);
+                    let edges: Vec<JoinEdge> = spec
+                        .edges_between(&a_tables, &tables_of(b, &spec.tables))
+                        .map(|e| orient_edge(e, &a_tables))
+                        .collect();
+                    if edges.is_empty() {
+                        continue;
+                    }
+                    let rows = join_rows(ca.plan.est_rows(), cb.plan.est_rows(), &edges, self.est);
+                    for cand in self.join_candidates(ca, cb, &edges, rows, b, spec) {
+                        let cost = cand.plan.est_cost();
+                        if best_cand.as_ref().is_none_or(|bc| cost < bc.plan.est_cost()) {
+                            best_cand = Some(cand);
                         }
                     }
-                    a = (a - 1) & s;
                 }
                 if let Some(c) = best_cand {
-                    subset_rows.insert(s, rows_s);
                     best.insert(s, c);
                 }
             }
@@ -189,7 +189,7 @@ impl<'a> Planner<'a> {
         }
         while components.len() > 1 {
             // Find the connected pair with the smallest join output.
-            let mut best: Option<(usize, usize, f64)> = None;
+            let mut best: Option<(usize, usize, f64, Vec<JoinEdge>)> = None;
             for i in 0..components.len() {
                 for j in i + 1..components.len() {
                     let edges: Vec<JoinEdge> = spec
@@ -201,39 +201,24 @@ impl<'a> Planner<'a> {
                     }
                     let (ri, rj) =
                         (components[i].1.plan.est_rows(), components[j].1.plan.est_rows());
-                    let sel: f64 = edges
-                        .iter()
-                        .map(|e| {
-                            self.est.join_selectivity(
-                                &e.left_table,
-                                &e.left_col,
-                                &e.right_table,
-                                &e.right_col,
-                            )
-                        })
-                        .product();
-                    let rows = ri * rj * sel;
-                    if best.map(|(_, _, r)| rows < r).unwrap_or(true) {
-                        best = Some((i, j, rows));
+                    let rows = join_rows(ri, rj, &edges, self.est);
+                    if best.as_ref().map(|b| rows < b.2).unwrap_or(true) {
+                        best = Some((i, j, rows, edges));
                     }
                 }
             }
-            let (i, j, rows_out) = best.ok_or_else(|| {
+            let (i, j, rows, edges) = best.ok_or_else(|| {
                 RqpError::Planning("greedy planner: join graph disconnected".into())
             })?;
             // Merge j into i with the cheapest join algorithm for the pair.
             let (tables_j, cand_j) = components.remove(j);
             let (tables_i, cand_i) = components.remove(i);
-            let edges: Vec<JoinEdge> = spec
-                .edges_between(&tables_i, &tables_j)
-                .map(|e| orient_edge(e, &tables_i))
-                .collect();
             // Reuse the DP's candidate generator; b_mask = 0 disables INL
             // (single-table detection), acceptable for the heuristic path.
-            let cands = self.join_candidates(&cand_i, &cand_j, &edges, rows_out, 0, spec);
+            let cands = self.join_candidates(&cand_i, &cand_j, &edges, rows, 0, spec);
             let joined = cands
                 .into_iter()
-                .min_by(|a, b| a.cost.total_cmp(&b.cost))
+                .min_by(|a, b| a.plan.est_cost().total_cmp(&b.plan.est_cost()))
                 .ok_or_else(|| RqpError::Planning("greedy planner: no join candidate".into()))?;
             let mut tables = tables_i;
             tables.extend(tables_j);
@@ -243,203 +228,97 @@ impl<'a> Planner<'a> {
         Ok(self.finish(cand, spec))
     }
 
-    /// Attach aggregation / ordering / limit / projection.
-    fn finish(&self, cand: Cand, spec: &QuerySpec) -> PhysicalPlan {
-        let mut plan = cand.plan;
-        let mut cost = cand.cost;
-        let mut rows = plan.est_rows();
+    /// Price `node` over its inputs' (rows, amounts) `ins` with the estimator's
+    /// counts, a join's output being `joined` rows when given.
+    fn price(&self, mut node: PhysicalPlan, ins: &[(f64, Amounts)], joined: Option<f64>) -> Cand {
+        let (rows, amounts) = self.cm.priced(&node, ins, &mut Estimated { est: self.est, joined });
+        node.set_estimates(rows, amounts.cost(&self.cm.params));
+        Cand { plan: node, amounts }
+    }
+
+    /// Attach aggregation / ordering / limit / projection, each priced over
+    /// the plan so far.
+    fn finish(&self, mut cand: Cand, spec: &QuerySpec) -> PhysicalPlan {
+        use PhysicalPlan::{Aggregate, Project, Sort, TopN};
+        let (est_rows, est_cost) = (0.0, 0.0);
         if !spec.aggs.is_empty() || !spec.group_by.is_empty() {
-            let groups = if spec.group_by.is_empty() { 1.0 } else { rows.sqrt().max(1.0) };
-            cost += self.cm.hash_agg(rows, groups);
-            rows = groups;
-            plan = PhysicalPlan::Aggregate {
-                input: Box::new(plan),
-                group_by: spec.group_by.clone(),
-                aggs: spec.aggs.clone(),
-                est_rows: rows,
-                est_cost: cost,
-            };
+            let (group_by, aggs) = (spec.group_by.clone(), spec.aggs.clone());
+            cand = self.over(cand, |input| Aggregate { input, group_by, aggs, est_rows, est_cost });
         }
         if !spec.order_by.is_empty() {
-            match spec.limit {
-                Some(k) => {
-                    cost += self.cm.top_n(rows, k as f64);
-                    rows = rows.min(k as f64);
-                    plan = PhysicalPlan::TopN {
-                        input: Box::new(plan),
-                        keys: spec.order_by.clone(),
-                        n: k,
-                        est_rows: rows,
-                        est_cost: cost,
-                    };
-                }
-                None => {
-                    cost += self.cm.sort(rows);
-                    plan = PhysicalPlan::Sort {
-                        input: Box::new(plan),
-                        keys: spec.order_by.clone(),
-                        est_rows: rows,
-                        est_cost: cost,
-                    };
-                }
-            }
-        } else if let Some(k) = spec.limit {
-            // LIMIT without ORDER BY: TopN on nothing would need keys; just
-            // truncate via TopN on the first projected/first column is wrong —
-            // emulate with TopN over no keys is unsupported, so leave the
-            // limit to the caller. (Deterministic engine: callers truncate.)
-            let _ = k;
+            let keys = spec.order_by.clone();
+            cand = self.over(cand, |input| match spec.limit {
+                Some(n) => TopN { input, keys, n, est_rows, est_cost },
+                None => Sort { input, keys, est_rows, est_cost },
+            });
         }
-        if let Some(cols) = &spec.projections {
-            cost += self.cm.materialize(rows);
-            plan = PhysicalPlan::Project {
-                input: Box::new(plan),
-                columns: cols.clone(),
-                est_rows: rows,
-                est_cost: cost,
-            };
+        if let Some(columns) = spec.projections.clone() {
+            cand = self.over(cand, |input| Project { input, columns, est_rows, est_cost });
         }
-        plan
+        cand.plan
     }
 
-    fn subset_cardinality(&self, s: u32, spec: &QuerySpec, base: &HashMap<u32, f64>) -> f64 {
-        let mut rows = 1.0;
-        for (i, _) in spec.tables.iter().enumerate() {
-            let m = 1u32 << i;
-            if s & m != 0 {
-                rows *= base.get(&m).copied().unwrap_or(1.0);
-            }
-        }
-        for e in &spec.joins {
-            let li = spec.tables.iter().position(|t| *t == e.left_table);
-            let ri = spec.tables.iter().position(|t| *t == e.right_table);
-            if let (Some(li), Some(ri)) = (li, ri) {
-                if s & (1 << li) != 0 && s & (1 << ri) != 0 {
-                    rows *= self.est.join_selectivity(
-                        &e.left_table,
-                        &e.left_col,
-                        &e.right_table,
-                        &e.right_col,
-                    );
-                }
-            }
-        }
-        rows.max(0.0)
+    /// `cand` under the node `wrap` builds over it, priced.
+    fn over(&self, cand: Cand, wrap: impl FnOnce(Box<PhysicalPlan>) -> PhysicalPlan) -> Cand {
+        let input = cand.priced();
+        self.price(wrap(Box::new(cand.plan)), &[input], None)
     }
 
+    /// Every join of `ca` and `cb` on `edges` the configuration allows, the
+    /// hash, merge and g-joins each emitting the same `rows`.
     fn join_candidates(
         &self,
         ca: &Cand,
         cb: &Cand,
         edges: &[JoinEdge],
-        rows_out: f64,
+        rows: f64,
         b_mask: u32,
         spec: &QuerySpec,
     ) -> Vec<Cand> {
+        use PhysicalPlan::{GJoin, HashJoin, IndexNlJoin, MergeJoin};
         let mut out = Vec::new();
-        let (ra, rb) = (ca.plan.est_rows(), cb.plan.est_rows());
-        let base_cost = ca.cost + cb.cost;
+        let (left, right) = (Box::new(ca.plan.clone()), Box::new(cb.plan.clone()));
+        let (both, (est_rows, est_cost)) = ([ca.priced(), cb.priced()], (0.0, 0.0));
+        let joined = Some(rows);
         let algos = self.cfg.join_algos;
         if algos.hash {
-            // Build on the smaller side (B here); the DP also sees the
-            // mirrored partition, so both orientations are explored.
-            let cost = base_cost + self.cm.hash_join(rb, ra, rows_out);
-            out.push(Cand {
-                plan: PhysicalPlan::HashJoin {
-                    left: Box::new(ca.plan.clone()),
-                    right: Box::new(cb.plan.clone()),
-                    edges: edges.to_vec(),
-                    est_rows: rows_out,
-                    est_cost: cost,
-                },
-                cost,
-            });
+            // Build on B; the DP also sees the mirrored partition, so both
+            // orientations are explored.
+            let (left, right, edges) = (left.clone(), right.clone(), edges.to_vec());
+            let node = HashJoin { left, right, edges, est_rows, est_cost };
+            out.push(self.price(node, &both, joined));
         }
         if algos.merge {
-            let cost = base_cost
-                + self.cm.sort(ra)
-                + self.cm.sort(rb)
-                + self.cm.merge_join(ra, rb, rows_out);
-            out.push(Cand {
-                plan: PhysicalPlan::MergeJoin {
-                    left: Box::new(ca.plan.clone()),
-                    right: Box::new(cb.plan.clone()),
-                    edges: edges.to_vec(),
-                    sort_left: true,
-                    sort_right: true,
-                    est_rows: rows_out,
-                    est_cost: cost,
-                },
-                cost,
-            });
+            let (left, right, edges) = (left.clone(), right.clone(), edges.to_vec());
+            let (sort_left, sort_right) = (true, true);
+            let node = MergeJoin { left, right, edges, sort_left, sort_right, est_rows, est_cost };
+            out.push(self.price(node, &both, joined));
         }
         if algos.gjoin {
-            let cost = base_cost + self.cm.g_join(ra, rb, rows_out, false, false);
-            out.push(Cand {
-                plan: PhysicalPlan::GJoin {
-                    left: Box::new(ca.plan.clone()),
-                    right: Box::new(cb.plan.clone()),
-                    edges: edges.to_vec(),
-                    left_sorted: false,
-                    right_sorted: false,
-                    est_rows: rows_out,
-                    est_cost: cost,
-                },
-                cost,
-            });
+            let (edges, left_sorted, right_sorted) = (edges.to_vec(), false, false);
+            let node = GJoin { left, right, edges, left_sorted, right_sorted, est_rows, est_cost };
+            out.push(self.price(node, &both, joined));
         }
-        if algos.inl && b_mask.count_ones() == 1 {
-            // B is a single base table: probing its index replaces B's access
-            // path entirely (cb's cost is not paid).
-            let bi = b_mask.trailing_zeros() as usize;
-            let b_table = &spec.tables[bi];
-            for e in edges {
-                if &e.right_table != b_table {
-                    continue;
-                }
+        // B a single base table, joined on one edge: probing its index
+        // replaces B's access path entirely (cb's cost is not paid). The
+        // executor enforces the probe edge only, so a second edge rules it
+        // out.
+        if algos.inl && b_mask.count_ones() == 1 && edges.len() == 1 {
+            let b_table = &spec.tables[b_mask.trailing_zeros() as usize];
+            let e = &edges[0];
+            if &e.right_table == b_table {
                 if let Some(ix) = self.catalog.index_on(b_table, &e.right_col) {
-                    let inner_rows = self.est.table_rows(b_table);
-                    let js = self.est.join_selectivity(
-                        &e.left_table,
-                        &e.left_col,
-                        &e.right_table,
-                        &e.right_col,
-                    );
-                    let matches_total = ra * inner_rows * js;
-                    let b_pred = spec.local_preds.get(b_table);
-                    let mut cost = ca.cost
-                        + self.cm.index_nl_join(
-                            ra,
-                            inner_rows,
-                            matches_total,
-                            ix.clustered(),
-                        );
-                    let mut rows = matches_total;
-                    if let Some(p) = b_pred {
-                        cost += self.cm.filter(matches_total);
-                        rows *= self.est.selectivity(b_table, p);
-                    }
-                    // Residual edges beyond the probe edge: applied by the
-                    // probe output check — approximate with edge selectivity
-                    // (the executor enforces the first edge only; extra
-                    // edges become residual filters).
-                    let residual_edges: Vec<&JoinEdge> =
-                        edges.iter().filter(|x| *x != e).collect();
-                    if !residual_edges.is_empty() {
-                        continue; // keep the executor semantics exact
-                    }
-                    out.push(Cand {
-                        plan: PhysicalPlan::IndexNlJoin {
-                            outer: Box::new(ca.plan.clone()),
-                            inner_table: b_table.clone(),
-                            inner_index: ix.name().to_owned(),
-                            edge: e.clone(),
-                            inner_residual: b_pred.cloned(),
-                            est_rows: rows,
-                            est_cost: cost,
-                        },
-                        cost,
-                    });
+                    let node = IndexNlJoin {
+                        outer: Box::new(ca.plan.clone()),
+                        inner_table: b_table.clone(),
+                        inner_index: ix.name().to_owned(),
+                        edge: e.clone(),
+                        inner_residual: spec.local_preds.get(b_table).cloned(),
+                        inner_clustered: ix.clustered(),
+                        est_rows,
+                        est_cost,
+                    };
+                    out.push(self.price(node, &[ca.priced()], None));
                 }
             }
         }
@@ -451,25 +330,14 @@ impl<'a> Planner<'a> {
     /// on the next one.
     fn best_access_path(&self, table: &str, spec: &QuerySpec) -> Result<Cand> {
         self.catalog.table(table)?;
-        let base = self.est.table_rows(table);
         let pred = spec.local_preds.get(table);
-        let rows = match pred {
-            Some(p) => base * self.est.selectivity(table, p),
-            None => base,
+        let scan = PhysicalPlan::TableScan {
+            table: table.to_owned(),
+            filter: pred.cloned(),
+            est_rows: 0.0,
+            est_cost: 0.0,
         };
-        let mut cost = self.cm.scan(base);
-        if pred.is_some() {
-            cost += self.cm.filter(base);
-        }
-        let mut best = Cand {
-            plan: PhysicalPlan::TableScan {
-                table: table.to_owned(),
-                filter: pred.cloned(),
-                est_rows: rows,
-                est_cost: cost,
-            },
-            cost,
-        };
+        let mut best = self.price(scan, &[], None);
         if !self.cfg.use_indexes {
             return Ok(best);
         }
@@ -518,33 +386,21 @@ impl<'a> Planner<'a> {
                 continue;
             }
             used.extend(range_used);
-            let range_filter = Expr::conjoin(used);
-            let matched = base * self.est.selectivity(table, &range_filter);
-            let mut c_cost = self.cm.index_scan(base, matched, ix.clustered());
-            let mut c_rows = matched;
-            let residual_expr = if residual.is_empty() {
-                None
-            } else {
-                let r = Expr::conjoin(residual);
-                c_cost += self.cm.filter(matched);
-                c_rows = matched * self.est.selectivity(table, &r);
-                Some(r)
+            let node = PhysicalPlan::IndexScan {
+                table: table.to_owned(),
+                index: ix.name().to_owned(),
+                prefix,
+                lo,
+                hi,
+                range_filter: Expr::conjoin(used),
+                residual: (!residual.is_empty()).then(|| Expr::conjoin(residual)),
+                clustered: ix.clustered(),
+                est_rows: 0.0,
+                est_cost: 0.0,
             };
-            if c_cost < best.cost {
-                best = Cand {
-                    plan: PhysicalPlan::IndexScan {
-                        table: table.to_owned(),
-                        index: ix.name().to_owned(),
-                        prefix,
-                        lo,
-                        hi,
-                        range_filter,
-                        residual: residual_expr,
-                        est_rows: c_rows,
-                        est_cost: c_cost,
-                    },
-                    cost: c_cost,
-                };
+            let cand = self.price(node, &[], None);
+            if cand.plan.est_cost() < best.plan.est_cost() {
+                best = cand;
             }
         }
         Ok(best)

@@ -101,101 +101,46 @@ fn instrument(plan: PhysicalPlan, theta: f64) -> (PhysicalPlan, HashMap<usize, C
     (out, map)
 }
 
+/// A stand-in while a node is moved out of its parent.
+fn hole() -> PhysicalPlan {
+    PhysicalPlan::TableScan { table: String::new(), filter: None, est_rows: 0.0, est_cost: 0.0 }
+}
+
 fn walk(
-    plan: PhysicalPlan,
+    mut plan: PhysicalPlan,
     theta: f64,
     feeds_join: bool,
     next_id: &mut usize,
     map: &mut HashMap<usize, CheckpointInfo>,
 ) -> PhysicalPlan {
     use PhysicalPlan::*;
-    let rebuilt = match plan {
-        HashJoin { left, right, edges, est_rows, est_cost } => HashJoin {
-            left: Box::new(walk(*left, theta, true, next_id, map)),
-            right: Box::new(walk(*right, theta, true, next_id, map)),
-            edges,
-            est_rows,
-            est_cost,
-        },
-        MergeJoin { left, right, edges, sort_left, sort_right, est_rows, est_cost } => {
-            MergeJoin {
-                left: Box::new(walk(*left, theta, true, next_id, map)),
-                right: Box::new(walk(*right, theta, true, next_id, map)),
-                edges,
-                sort_left,
-                sort_right,
-                est_rows,
-                est_cost,
-            }
+    let join =
+        matches!(plan, HashJoin { .. } | MergeJoin { .. } | GJoin { .. } | IndexNlJoin { .. });
+    if !matches!(plan, Check { .. }) {
+        for input in plan.inputs_mut() {
+            let child = std::mem::replace(&mut **input, hole());
+            **input = walk(child, theta, join, next_id, map);
         }
-        GJoin { left, right, edges, left_sorted, right_sorted, est_rows, est_cost } => GJoin {
-            left: Box::new(walk(*left, theta, true, next_id, map)),
-            right: Box::new(walk(*right, theta, true, next_id, map)),
-            edges,
-            left_sorted,
-            right_sorted,
-            est_rows,
-            est_cost,
-        },
-        IndexNlJoin { outer, inner_table, inner_index, edge, inner_residual, est_rows, est_cost } => {
-            IndexNlJoin {
-                outer: Box::new(walk(*outer, theta, true, next_id, map)),
-                inner_table,
-                inner_index,
-                edge,
-                inner_residual,
-                est_rows,
-                est_cost,
-            }
-        }
-        Aggregate { input, group_by, aggs, est_rows, est_cost } => Aggregate {
-            input: Box::new(walk(*input, theta, false, next_id, map)),
-            group_by,
-            aggs,
-            est_rows,
-            est_cost,
-        },
-        Sort { input, keys, est_rows, est_cost } => Sort {
-            input: Box::new(walk(*input, theta, false, next_id, map)),
-            keys,
-            est_rows,
-            est_cost,
-        },
-        TopN { input, keys, n, est_rows, est_cost } => TopN {
-            input: Box::new(walk(*input, theta, false, next_id, map)),
-            keys,
-            n,
-            est_rows,
-            est_cost,
-        },
-        Project { input, columns, est_rows, est_cost } => Project {
-            input: Box::new(walk(*input, theta, false, next_id, map)),
-            columns,
-            est_rows,
-            est_cost,
-        },
-        leaf => leaf,
-    };
+    }
     // Wrap if this node feeds a join and its cardinality is estimated:
     // joins always; base accesses only when filtered (unfiltered scans have
     // exact cardinalities).
     let wrap = feeds_join
-        && match &rebuilt {
-            HashJoin { .. } | MergeJoin { .. } | GJoin { .. } | IndexNlJoin { .. } => true,
+        && match &plan {
             TableScan { filter, .. } => filter.is_some(),
             IndexScan { .. } => true,
-            _ => false,
+            _ => join,
         };
     if !wrap {
-        return rebuilt;
+        return plan;
     }
     let id = *next_id;
     *next_id += 1;
-    map.insert(id, CheckpointInfo { tables: rebuilt.tables() });
-    let est_rows = rebuilt.est_rows();
-    let est_cost = rebuilt.est_cost();
+    map.insert(id, CheckpointInfo { tables: plan.tables() });
+    let est_rows = plan.est_rows();
+    let est_cost = plan.est_cost();
     PhysicalPlan::Check {
-        input: Box::new(rebuilt),
+        input: Box::new(plan),
         id,
         validity: threshold_range(est_rows, theta),
         est_rows,

@@ -8,7 +8,7 @@ use crate::session::{QueryOptions, QueryOutcome, Session};
 use crate::stats::ServiceStats;
 use crate::subs::{SubscribeOptions, Subscription, SubscriptionRegistry};
 use rqp_common::chaos::{install_quiet_panic_hook, ChaosPolicy};
-use rqp_common::{percentile, CancelToken, CostClock, EngineConfig, Result, Row, RqpError};
+use rqp_common::{percentile, rule, CancelToken, CostClock, EngineConfig, Result, Row, RqpError};
 use rqp_exec::{ExecContext, MemoryGovernor};
 use rqp_opt::run::{learn, run_plan};
 use rqp_opt::{plan, PlannerConfig, QuerySpec};
@@ -569,7 +569,7 @@ impl QueryService {
                 while attempt < chaos.scan_max_retries()
                     && chaos.scan_fault(&rec.table, rec.epoch, attempt)
                 {
-                    sub.clock.charge_random_pages(1.0);
+                    sub.clock.charge(&rule::random_pages(1.0));
                     attempt += 1;
                 }
             }

@@ -270,7 +270,7 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqp_common::CostClock;
+    use rqp_common::{rule, CostClock};
 
     #[test]
     fn registry_tracks_phases_and_instruments() {
@@ -285,7 +285,7 @@ mod tests {
         assert_eq!(snap[0].deadline_remaining, Some(100.0));
 
         let clock = CostClock::default_clock();
-        clock.charge_seq_pages(5.0);
+        clock.charge(&rule::scan(5.0, 0.0));
         let gov = MemoryGovernor::new(1_000.0);
         gov.grant(400.0);
         stats.mark_running(7, Arc::clone(&clock), Arc::clone(&gov), Tracer::new());

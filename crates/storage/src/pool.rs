@@ -26,7 +26,7 @@
 //! when a new page faults surfaces [`RqpError::PageBudgetExhausted`] — a
 //! typed, non-retryable error, never a panic from the pool itself.
 
-use rqp_common::{ChaosPolicy, Result, RqpError, SharedClock};
+use rqp_common::{rule, ChaosPolicy, Result, RqpError, SharedClock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -199,14 +199,14 @@ impl BufferPool {
             }
             debug_assert!(err.is_retryable());
             retries += 1;
-            clock.charge_random_pages(1.0);
+            clock.charge(&rule::random_pages(1.0));
             self.io_retries.fetch_add(1, Ordering::Relaxed);
         }
         // The load: a cold load is the read the scan already charged; a
         // re-fault re-reads an evicted page and charges one random page.
         let refault = !inner.ever_loaded.insert(key);
         if refault {
-            clock.charge_random_pages(1.0);
+            clock.charge(&rule::random_pages(1.0));
             self.refaults.fetch_add(1, Ordering::Relaxed);
         } else {
             self.cold_loads.fetch_add(1, Ordering::Relaxed);

@@ -61,7 +61,7 @@
 
 use rqp_common::expr::BoundExpr;
 use rqp_common::{
-    AggFunc, DataType, Field, Result, Row, RqpError, Schema, SelMask, SharedClock, Value,
+    rule, AggFunc, DataType, Field, Result, Row, RqpError, Schema, SelMask, SharedClock, Value,
 };
 use rqp_exec::AggBinding;
 use rqp_opt::QuerySpec;
@@ -1014,7 +1014,7 @@ impl ViewCircuit {
     pub fn load_initial(&mut self, catalog: &Catalog, clock: &SharedClock) -> Result<()> {
         for i in 0..self.inputs.len() {
             let table = catalog.table(&self.inputs[i].name)?;
-            clock.charge_cpu_tuples(table.nrows() as f64);
+            clock.charge(&rule::emit(table.nrows() as f64));
             let input = &self.inputs[i];
             let survivors = match &input.filter {
                 Some(filter) => table.select(&input.cols, filter),
@@ -1298,8 +1298,8 @@ struct Tally {
 
 impl Tally {
     fn charge(self, clock: &SharedClock) {
-        clock.charge_cpu_tuples(self.tuples as f64);
-        clock.charge_hash_build(self.builds as f64);
+        clock.charge(&rule::emit(self.tuples as f64));
+        clock.charge(&rule::hash_build(self.builds as f64));
     }
 }
 
@@ -2303,7 +2303,7 @@ mod tests {
     fn row_load(circuit: &mut ViewCircuit, catalog: &Catalog, clock: &SharedClock) {
         for i in 0..circuit.inputs.len() {
             let table = catalog.table(&circuit.inputs[i].name).unwrap();
-            clock.charge_cpu_tuples(table.nrows() as f64);
+            clock.charge(&rule::emit(table.nrows() as f64));
             let input = &circuit.inputs[i];
             let read =
                 |r: usize| -> Row { input.cols.iter().map(|&c| table.column(c).get(r)).collect() };
@@ -2328,10 +2328,10 @@ mod tests {
             Some(s) => {
                 let stage = &mut c.stages[s];
                 let key = IndexKey::of(&row, &stage.right_key);
-                clock.charge_hash_build(1.0);
+                clock.charge(&rule::hash_build(1.0));
                 let joined = stage.left_index.probe(&key, 1, &[], &kept);
                 update_row(&mut stage.right_index, key, &kept, 1, &mut c.footprint);
-                clock.charge_cpu_tuples(logical(&joined) as f64);
+                clock.charge(&rule::emit(logical(&joined) as f64));
                 joined
             }
             None => vec![(kept, 1)],
@@ -2344,15 +2344,15 @@ mod tests {
             for (lrow, lw) in cur {
                 let key = IndexKey::of(&lrow, &stage.left_key);
                 let stored = narrow(&lrow, &stage.left_keep);
-                clock.charge_hash_build(lw.unsigned_abs() as f64);
+                clock.charge(&rule::hash_build(lw.unsigned_abs() as f64));
                 next.extend(stage.right_index.probe(&key, lw, &stored, &[]));
                 update_row(&mut stage.left_index, key, &stored, lw, &mut c.footprint);
             }
-            clock.charge_cpu_tuples(logical(&next) as f64);
+            clock.charge(&rule::emit(logical(&next) as f64));
             cur = next;
         }
         for (row, w) in cur {
-            clock.charge_hash_build(w.unsigned_abs() as f64);
+            clock.charge(&rule::hash_build(w.unsigned_abs() as f64));
             if let Some(agg) = &mut c.agg {
                 fold_row(agg, IndexKey::of(&row, &agg.group_cols), &row, w);
                 continue;

@@ -388,7 +388,7 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::span::Tracer;
-    use rqp_common::CostClock;
+    use rqp_common::{rule, CostClock};
 
     fn sample_report() -> RunReport {
         let clock = CostClock::default_clock();
@@ -399,7 +399,7 @@ mod tests {
         let scan = tracer.open("table_scan", &clock);
         scan.set_parent(join.id());
         scan.set_detail("lineitem");
-        clock.charge_seq_rows(1000.0);
+        clock.charge(&rule::scan(clock.params().pages(1000.0), 1000.0));
         for _ in 0..1000 {
             scan.produced(&clock);
         }

@@ -540,7 +540,7 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::span::Tracer;
-    use rqp_common::CostClock;
+    use rqp_common::{rule, CostClock};
 
     /// One row per gauge metric: its key, its gauge, what the fixture report
     /// publishes for it, and the current values that must trip / must pass
@@ -578,7 +578,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let s = tracer.open("scan", &clock);
         s.set_est_rows(est);
-        clock.charge_seq_rows(cost_rows);
+        clock.charge(&rule::scan(clock.params().pages(cost_rows), cost_rows));
         for _ in 0..act {
             s.produced(&clock);
         }

@@ -50,6 +50,8 @@ pub struct SpanData {
     mem_granted: AtomicF64,
     spilled_rows: AtomicF64,
     spill_events: AtomicU64,
+    steps: AtomicU64,
+    pages: AtomicU64,
     events: Mutex<Vec<SpanEvent>>,
 }
 
@@ -179,6 +181,24 @@ impl SpanHandle {
     /// Number of spill events.
     pub fn spill_events(&self) -> u64 {
         self.0.spill_events.load(Ordering::Relaxed)
+    }
+
+    /// Record work the operator's rows do not determine: `steps` merge
+    /// comparisons, or index-join probes that hit, fetching `pages` pages.
+    /// What the optimizer's costing walk reads back as observed counts.
+    pub fn record_work(&self, steps: u64, pages: u64) {
+        self.0.steps.fetch_add(steps, Ordering::Relaxed);
+        self.0.pages.fetch_add(pages, Ordering::Relaxed);
+    }
+
+    /// Steps recorded by [`record_work`](Self::record_work).
+    pub fn steps(&self) -> u64 {
+        self.0.steps.load(Ordering::Relaxed)
+    }
+
+    /// Pages recorded by [`record_work`](Self::record_work).
+    pub fn pages(&self) -> u64 {
+        self.0.pages.load(Ordering::Relaxed)
     }
 
     /// Record an adaptive decision at the clock's current position.
@@ -316,6 +336,8 @@ impl Tracer {
             mem_granted: AtomicF64::new(0.0),
             spilled_rows: AtomicF64::new(0.0),
             spill_events: AtomicU64::new(0),
+            steps: AtomicU64::new(0),
+            pages: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
         }));
         spans.push(handle.clone());
@@ -345,7 +367,13 @@ impl Tracer {
 
     /// Live handles to every span (in open order).
     pub fn spans(&self) -> Vec<SpanHandle> {
-        self.0.spans.lock().expect("tracer lock").clone()
+        self.spans_from(0)
+    }
+
+    /// Live handles to the spans opened from the `start`-th on.
+    pub fn spans_from(&self, start: usize) -> Vec<SpanHandle> {
+        let spans = self.0.spans.lock().expect("tracer lock");
+        spans.get(start..).unwrap_or_default().to_vec()
     }
 
     /// Drop all spans collected so far (e.g. between POP rounds when only
@@ -391,26 +419,27 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rqp_common::rule;
 
     #[test]
     fn span_lifecycle() {
         let clock = CostClock::default_clock();
         let tracer = Tracer::new();
-        clock.charge_seq_pages(2.0);
+        clock.charge(&rule::scan(2.0, 0.0));
         let s = tracer.open("table_scan", &clock);
         assert_eq!(s.opened_at(), 2.0);
         assert!(s.first_row_at().is_nan());
         assert!(!s.is_closed());
-        clock.charge_seq_pages(1.0);
+        clock.charge(&rule::scan(1.0, 0.0));
         s.produced(&clock);
         s.produced(&clock);
         assert_eq!(s.rows(), 2);
         assert_eq!(s.first_row_at(), 3.0);
-        clock.charge_seq_pages(1.0);
+        clock.charge(&rule::scan(1.0, 0.0));
         s.close(&clock);
         assert_eq!(s.closed_at(), 4.0);
         // Idempotent close.
-        clock.charge_seq_pages(10.0);
+        clock.charge(&rule::scan(10.0, 0.0));
         s.close(&clock);
         assert_eq!(s.closed_at(), 4.0);
     }
@@ -455,9 +484,9 @@ mod tests {
         let clock = CostClock::default_clock();
         let tracer = Tracer::new();
         let s = tracer.open("check", &clock);
-        clock.charge_seq_pages(3.0);
+        clock.charge(&rule::scan(3.0, 0.0));
         s.record_event(&clock, "pop.violation", "cp0 actual=500 range=[10,100]");
-        clock.charge_seq_pages(2.0);
+        clock.charge(&rule::scan(2.0, 0.0));
         s.record_event(&clock, "pop.violation", "cp1 actual=7 range=[10,100]");
         let events = s.events();
         assert_eq!(events.len(), 2);
@@ -496,13 +525,13 @@ mod tests {
         let clock = CostClock::default_clock();
         let tracer = Tracer::new();
         let s = tracer.open("gather", &clock);
-        clock.charge_seq_pages(1.0);
+        clock.charge(&rule::scan(1.0, 0.0));
         s.produced_n(&clock, 0);
         assert!(s.first_row_at().is_nan(), "zero rows is not a first row");
         s.produced_n(&clock, 40);
         assert_eq!(s.rows(), 40);
         assert_eq!(s.first_row_at(), 1.0);
-        clock.charge_seq_pages(1.0);
+        clock.charge(&rule::scan(1.0, 0.0));
         s.produced_n(&clock, 2);
         assert_eq!(s.rows(), 42);
         assert_eq!(s.first_row_at(), 1.0, "first-row mark is sticky");

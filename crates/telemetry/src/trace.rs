@@ -143,7 +143,7 @@ fn render_node(node: &TraceNode, prefix: &str, last: bool, is_root: bool, out: &
 mod tests {
     use super::*;
     use crate::span::Tracer;
-    use rqp_common::CostClock;
+    use rqp_common::{rule, CostClock};
 
     fn sample_spans() -> Vec<SpanSnapshot> {
         let clock = CostClock::default_clock();
@@ -164,7 +164,7 @@ mod tests {
             scan_r.produced(&clock);
             join.produced(&clock);
         }
-        clock.charge_seq_pages(7.0);
+        clock.charge(&rule::scan(7.0, 0.0));
         scan_l.close(&clock);
         scan_r.close(&clock);
         join.close(&clock);

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use rqp_common::rng::{child_seed, seeded};
-use rqp_common::Value;
+use rqp_common::{rule, Value};
 use rqp_exec::ExecContext;
 use rqp_storage::Catalog;
 
@@ -56,16 +56,16 @@ impl OltpSimulator {
     fn point_lookup(&self, table: &str, column: &str, key: i64) -> usize {
         // Charge a B-tree descent + one random page, like IndexScanOp.
         if let Some(ix) = self.catalog.index_on(table, column) {
-            let n = ix.entries().max(2) as f64;
-            self.ctx.clock.charge_compares(n.log2());
+            self.ctx.clock.charge(&rule::descend(ix.entries() as f64));
             let rids = ix.lookup_eq(&Value::Int(key));
-            self.ctx.clock.charge_random_pages(1.0);
-            self.ctx.clock.charge_cpu_tuples(rids.len() as f64);
+            self.ctx.clock.charge(&rule::random_pages(1.0));
+            self.ctx.clock.charge(&rule::emit(rids.len() as f64));
             rids.len()
         } else if let Ok(t) = self.catalog.table(table) {
             // No index: a full scan per lookup — the workload-manager
             // experiments use this to model an unindexed disaster.
-            self.ctx.clock.charge_seq_rows(t.nrows() as f64);
+            let rows = t.nrows() as f64;
+            self.ctx.clock.charge(&rule::scan(self.ctx.clock.params().pages(rows), rows));
             t.column_by_name(column)
                 .map(|c| {
                     c.iter_values()
@@ -129,8 +129,8 @@ impl OltpSimulator {
             }
         }
         // Write cost: one page-ish of log per transaction + per-row CPU.
-        self.ctx.clock.charge_cpu_tuples(written as f64);
-        self.ctx.clock.charge_random_pages(1.0);
+        self.ctx.clock.charge(&rule::emit(written as f64));
+        self.ctx.clock.charge(&rule::random_pages(1.0));
         self.transactions += 1;
         TxnOutcome { cost: self.ctx.clock.now() - start, rows_written: written }
     }
@@ -149,7 +149,7 @@ impl OltpSimulator {
         let ord_n = self.catalog.table("orders").map(|t| t.nrows()).unwrap_or(1).max(1);
         let orderkey = self.rng.gen_range(0..ord_n as i64);
         self.point_lookup("orders", "orderkey", orderkey);
-        self.ctx.clock.charge_random_pages(1.0); // in-place update write
+        self.ctx.clock.charge(&rule::random_pages(1.0)); // in-place update write
         self.transactions += 1;
         TxnOutcome { cost: self.ctx.clock.now() - start, rows_written: 0 }
     }

@@ -11,6 +11,7 @@
 //! ```
 
 use rqp::common::rng::seeded;
+use rqp::common::rule;
 use rqp::exec::{AMergeScanOp, CrackerScanOp, ExecContext, IndexScanOp, Operator, TableScanOp};
 use rqp::metrics::ReportTable;
 use rqp::storage::{AdaptiveMergeIndex, CrackerColumn};
@@ -47,9 +48,7 @@ fn main() {
     // The "eager index" contender pays its build cost up front: we charge a
     // full sort's worth of comparisons on a dedicated clock.
     let eager_ctx = ExecContext::unbounded();
-    eager_ctx
-        .clock
-        .charge_compares(ROWS as f64 * (ROWS as f64).log2());
+    eager_ctx.clock.charge(&rule::runs(ROWS as f64));
     catalog.create_index("ix_t_k", "t", &["k"]).unwrap();
 
     let scan_ctx = ExecContext::unbounded();

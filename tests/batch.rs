@@ -31,7 +31,7 @@ use rqp::opt::{JoinEdge, PhysicalPlan};
 use rqp::server::{QueryService, ServiceConfig};
 use rqp::stats::{CardEstimator, OracleEstimator, StatsEstimator, TableStatsRegistry};
 use rqp::workload::{tpch::TpchParams, TpchDb};
-use rqp::common::CostClock;
+use rqp::common::{rule, CostClock};
 use rqp::storage::{ChangeOp, ChangeRecord};
 use rqp::stream::ViewCircuit;
 use rqp::{Catalog, DataType, Expr, QuerySpec, Row, Schema, Table, Value};
@@ -647,7 +647,7 @@ fn widened_orders() -> Arc<Table> {
 /// a parallel scan must match bit for bit.
 fn gathered(mut op: BoxOp, c: ExecContext) -> (Vec<Row>, ExecContext) {
     let rows = collect(op.as_mut());
-    c.clock.charge_cpu_tuples(rows.len() as f64);
+    c.clock.charge(&rule::emit(rows.len() as f64));
     (rows, c)
 }
 
@@ -1337,6 +1337,7 @@ fn the_planner_lowers_every_table_scan_to_the_batch_scan() {
         inner_index: "ix_o_id".into(),
         edge: JoinEdge::new("c", "id", "o", "id"),
         inner_residual: None,
+        inner_clustered: true,
         est_rows: 0.0,
         est_cost: 0.0,
     };

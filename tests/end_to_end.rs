@@ -34,6 +34,32 @@ fn tpch_queries_all_modes_agree() {
 }
 
 #[test]
+fn limit_without_order_by_is_rejected_at_plan_time() {
+    let (tpch, db) = tpch_db();
+    let spec = QuerySpec::new().table("orders").limit(5);
+    assert!(
+        matches!(db.execute(&spec), Err(rqp::common::RqpError::Invalid(_))),
+        "an unordered LIMIT has no stable first rows"
+    );
+    let ordered = db.execute(&spec.order(&["orders.orderkey"])).unwrap();
+    assert_eq!(ordered.rows.len(), 5);
+    assert!(db.execute(&tpch.q1(30)).is_ok());
+}
+
+#[test]
+fn a_limit_past_every_row_plans_in_bounded_time_and_returns_every_row() {
+    let (_, db) = tpch_db();
+    let join = QuerySpec::new()
+        .join("orders", "orderkey", "lineitem", "orderkey")
+        .order(&["lineitem.orderkey"]);
+    let all = db.execute(&join).unwrap().rows.len();
+    let start = std::time::Instant::now();
+    let limited = db.execute(&join.limit(usize::MAX)).unwrap();
+    assert_eq!(limited.rows.len(), all);
+    assert!(start.elapsed() < std::time::Duration::from_secs(30), "{:?}", start.elapsed());
+}
+
+#[test]
 fn filter_counts_match_oracle() {
     let (_, db) = tpch_db();
     let oracle = OracleEstimator::new(Rc::new(db.catalog().clone()));

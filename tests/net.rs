@@ -591,6 +591,46 @@ fn deadline_abort_crosses_the_wire_with_its_stable_code() {
 }
 
 #[test]
+fn limit_without_order_by_is_refused_with_its_stable_code_and_the_connection_survives() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (server, addr) = start(&svc);
+
+    let mut client = WireClient::connect(&addr, 0).expect("connect");
+    let failure = client
+        .run(&QuerySpec::new().table("orders").limit(5), WireQueryOptions::default())
+        .expect("wire transport")
+        .expect_err("the first five of an unordered result are no stable answer");
+    assert_eq!(failure.code, RqpError::Invalid(String::new()).wire_code());
+    assert_eq!(failure.name(), Some("Invalid"));
+    let rows = client
+        .run(&db.q1(30), WireQueryOptions::default())
+        .expect("wire transport")
+        .expect("the connection still serves");
+    assert!(!rows.rows.is_empty());
+    client.goodbye().expect("goodbye");
+    drop(server);
+}
+
+#[test]
+fn shutdown_returns_while_an_idle_client_stays_connected() {
+    let db = small_db();
+    let svc = service(&db, 2);
+    let (mut server, addr) = start(&svc);
+    // Connected and said HELLO, then idle: no query, no GOODBYE.
+    let idle = WireClient::connect(&addr, 0).expect("connect");
+    let (done, finished) = std::sync::mpsc::channel();
+    let closer = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    let waited = finished.recv_timeout(Duration::from_secs(20));
+    drop(idle);
+    assert!(waited.is_ok(), "shutdown hung on an idle connection");
+    closer.join().expect("shutdown thread");
+}
+
+#[test]
 fn cancelling_a_queued_query_over_the_wire_frees_its_slot() {
     let db = small_db();
     let svc = service(&db, 1);

@@ -15,7 +15,7 @@
 //! service and the wire layer in one place.
 
 use rqp::common::chaos::{ChaosConfig, ChaosPolicy, WorkerFault};
-use rqp::common::{CancelToken, CostClock, CostModelParams, Row, RqpError};
+use rqp::common::{rule, CancelToken, CostClock, CostModelParams, Row, RqpError};
 use rqp::exec::sort::SortOrder;
 use rqp::exec::{
     collect, pipeline, BoxOp, ExchangeOp, ExecContext, Operator, Partitioning, SortOp, TableScanOp,
@@ -82,7 +82,7 @@ fn scan_run(
     let ctx = ExecContext::with_memory(1_000.0).with_chaos(chaos);
     let rows = if workers == 0 {
         let rows = collect(&mut TableScanOp::new(t, ctx.clone()));
-        ctx.clock.charge_cpu_tuples(rows.len() as f64);
+        ctx.clock.charge(&rule::emit(rows.len() as f64));
         rows
     } else {
         let build = pipeline(|op, _| op);

@@ -855,7 +855,7 @@ fn memory_fluctuation_mid_plan_is_observed() {
 /// A randomized run report: a few estimated spans, paper-metric gauges, and
 /// an adaptive event, all drawn from the case RNG.
 fn random_report(name: &str, rng: &mut StdRng) -> rqp::telemetry::RunReport {
-    use rqp::common::CostClock;
+    use rqp::common::{rule, CostClock};
     use rqp::telemetry::{MetricsRegistry, Tracer};
     let clock = CostClock::default_clock();
     let tracer = Tracer::new();
@@ -863,7 +863,8 @@ fn random_report(name: &str, rng: &mut StdRng) -> rqp::telemetry::RunReport {
     for i in 0..rng.gen_range(1..5usize) {
         let span = tracer.open("scan", &clock);
         span.set_est_rows(rng.gen_range(1.0f64..1000.0));
-        clock.charge_seq_rows(rng.gen_range(1.0f64..50.0));
+        let rows = rng.gen_range(1.0f64..50.0);
+        clock.charge(&rule::scan(clock.params().pages(rows), rows));
         for _ in 0..rng.gen_range(1..200u64) {
             span.produced(&clock);
         }

@@ -164,7 +164,7 @@ fn inflated_span_actuals_trip_the_scoreboard_diff_gate() {
     // The regression gate behind `rqp-report diff`: take a healthy run's
     // report, inflate the observed actuals on its spans (a plant whose
     // estimates went stale), and the q-error threshold must fire.
-    use rqp::common::CostClock;
+    use rqp::common::{rule, CostClock};
     use rqp::telemetry::{MetricsRegistry, RunReport, Scoreboard, Tracer};
 
     let make_report = |actual_rows: u64| -> RunReport {
@@ -172,7 +172,8 @@ fn inflated_span_actuals_trip_the_scoreboard_diff_gate() {
         let tracer = Tracer::new();
         let span = tracer.open("scan", &clock);
         span.set_est_rows(100.0);
-        clock.charge_seq_rows(actual_rows as f64);
+        let rows = actual_rows as f64;
+        clock.charge(&rule::scan(clock.params().pages(rows), rows));
         for _ in 0..actual_rows {
             span.produced(&clock);
         }
