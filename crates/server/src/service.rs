@@ -371,6 +371,12 @@ impl QueryService {
         &self.inner.changelog
     }
 
+    /// The served catalog's current epoch.
+    #[cfg(test)]
+    pub(crate) fn served(&self) -> Arc<Catalog> {
+        Arc::clone(&self.inner.catalog.read().expect("catalog lock"))
+    }
+
     /// The live subscription registry.
     pub fn subscriptions(&self) -> &SubscriptionRegistry {
         &self.inner.subs
@@ -447,8 +453,10 @@ impl QueryService {
         // Fund what the circuit actually keeps resident.
         gov.grant(circuit.state_rows() as f64);
         inner.metrics.histogram("server.subs.load_ms").observe(load_ms);
+        let sides: String =
+            circuit.join_sides().iter().map(|side| format!(" join {side}")).collect();
         let detail = format!(
-            "s{session} prio {priority} cursor {} view {} state {} load {load_ms:.1} ms",
+            "s{session} prio {priority} cursor {} view {} state {}{sides} load {load_ms:.1} ms",
             circuit.cursor(),
             circuit.view_rows(),
             circuit.state_bytes()
@@ -574,7 +582,21 @@ impl QueryService {
                 }
             }
         }
-        let packet = circuit.apply(&recs, &sub.clock);
+        // Lock order: the circuit, then the catalog. Shared join sides read
+        // the served tables and indexes, borrowed only while the records
+        // fold in; an append waits for the read lock, so every record read
+        // above is in the epoch this borrows.
+        let catalog = inner.catalog.read().expect("catalog lock");
+        let applied = circuit.apply(&recs, &catalog, &sub.clock);
+        drop(catalog);
+        let packet = match applied {
+            Ok(packet) => packet,
+            Err(e) => {
+                drop(circuit);
+                drop(permit);
+                return teardown(e);
+            }
+        };
         sub.mirror(&circuit);
         // Renegotiate the broker grant to the maintained state's new size.
         let held = sub.gov.outstanding();

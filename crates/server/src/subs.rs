@@ -4,8 +4,9 @@
 //! A subscription is "a query that never finishes": it is registered once
 //! ([`QueryService::subscribe`](crate::QueryService::subscribe) compiles
 //! the spec into a [`ViewCircuit`] and folds in the current table contents
-//! under the catalog write lock, so the registration point is an exact
-//! changelog epoch), then advanced by *polls* that drain the shared
+//! under the catalog read lock, which excludes appends, so the
+//! registration point is an exact changelog epoch), then advanced by
+//! *polls* that drain the shared
 //! [`Changelog`](rqp_storage::Changelog) through the circuit and emit
 //! [`DeltaPacket`](rqp_stream::DeltaPacket)s. The service pieces each subscription touches:
 //!
@@ -17,7 +18,8 @@
 //!   [`MemoryBroker`](crate::MemoryBroker), funded from the circuit's
 //!   counted resident entries ([`ViewCircuit::state_rows`]: join-index
 //!   rows, groups, MIN/MAX multiset values — not the handful of rows the
-//!   view *shows*); registering a subscription shrinks running queries'
+//!   view *shows*, nor a base table whose join side the circuit reads
+//!   through the catalog's index); registering a subscription shrinks running queries'
 //!   shares exactly like admitting a query, and unsubscribing returns the
 //!   grant (the teardown suites assert `reserved() == 0`).
 //! * **Changelog retention** — the registry knows every live cursor, so
@@ -246,7 +248,7 @@ mod tests {
     use rqp_common::expr::{col, lit};
     use rqp_common::{DataType, RqpError, Schema, Value};
     use rqp_storage::{Catalog, Table};
-    use rqp_stream::canonicalize;
+    use rqp_stream::{canonicalize, ViewCircuit};
 
     fn service() -> QueryService {
         let mut c = Catalog::new();
@@ -305,6 +307,118 @@ mod tests {
         assert!(!svc.unsubscribe(id), "idempotent");
         assert_eq!(svc.subscriptions().count(), 0);
         assert_eq!(svc.reserved(), 0.0, "grant returned");
+    }
+
+    /// A service over a small indexed TPC-H catalog, paged, and the q3
+    /// view as the benchmark subscribes it.
+    fn tpch_service() -> (rqp_workload::TpchDb, QueryService, rqp_opt::QuerySpec) {
+        let params = rqp_workload::tpch::TpchParams { lineitem_rows: 2_000, ..Default::default() };
+        let db = rqp_workload::TpchDb::build(params, 7);
+        let config =
+            ServiceConfig { page_budget: Some(64), drift_threshold: 1e9, ..Default::default() };
+        let svc = QueryService::new(&db.catalog, config);
+        let mut q3 = db.q3(2, 1_250);
+        q3.order_by.clear();
+        q3.limit = None;
+        (db, svc, q3)
+    }
+
+    /// A lineitem row whose order exists, as an APPEND brings it.
+    fn lineitem(i: i64) -> Vec<Value> {
+        let f = |x: f64| Value::Float(x);
+        let int = Value::Int;
+        vec![
+            int(i % 500),
+            int(i % 66),
+            int(i % 4),
+            int(1 + i % 50),
+            f(1_000.25),
+            f(0.0),
+            int(2_000),
+            int(0),
+        ]
+    }
+
+    /// The q3 view reads `orders` and `lineitem` through the catalog's
+    /// indexes, names them so in its `sub.register` event, and holds no
+    /// handle on either between polls: after 100 APPEND + poll cycles the
+    /// served catalog is the only holder of the `lineitem` table and of
+    /// `ix_lineitem_orderkey` (the counts read 2: the catalog's handle and
+    /// the one this check takes), so an APPEND copies neither on write.
+    #[test]
+    fn shared_join_sides_hold_no_catalog_handle_between_polls() {
+        let (_db, svc, q3) = tpch_service();
+        let id = svc.subscribe(&q3, SubscribeOptions::default()).unwrap();
+        let events = svc.stats().recorder().tail(0, usize::MAX).events;
+        let register = events.iter().find(|e| e.kind == "sub.register").expect("registered");
+        let sides = " join shared ix_orders_custkey join shared ix_lineitem_orderkey load ";
+        assert!(register.detail.contains(sides), "{}", register.detail);
+        for i in 0..100 {
+            svc.append_rows("lineitem", vec![lineitem(i)]).unwrap();
+            let (_, lag) = svc.poll_subscription(id, 0).unwrap();
+            assert_eq!(lag, 0);
+        }
+        let served = svc.served();
+        assert_eq!(Arc::strong_count(&served.table("lineitem").unwrap()), 2);
+        assert_eq!(Arc::strong_count(&served.index("ix_lineitem_orderkey").unwrap()), 2);
+        assert!(svc.unsubscribe(id));
+    }
+
+    /// An index-free catalog's view keeps its own join sides, and names
+    /// how many entries each holds.
+    #[test]
+    fn owned_join_sides_name_their_entries() {
+        let params = rqp_workload::tpch::TpchParams {
+            lineitem_rows: 2_000,
+            with_indexes: false,
+            ..Default::default()
+        };
+        let db = rqp_workload::TpchDb::build(params, 7);
+        let svc = QueryService::new(&db.catalog, ServiceConfig::default());
+        let mut q3 = db.q3(2, 1_250);
+        q3.order_by.clear();
+        let id = svc.subscribe(&q3, SubscribeOptions::default()).unwrap();
+        let events = svc.stats().recorder().tail(0, usize::MAX).events;
+        let register = events.iter().find(|e| e.kind == "sub.register").expect("registered");
+        let owned: Vec<&str> = register.detail.split(" join ").skip(1).collect();
+        assert_eq!(owned.len(), 2, "{}", register.detail);
+        for side in owned {
+            let entries = side.split(' ').nth(1).and_then(|n| n.parse::<usize>().ok());
+            assert!(side.starts_with("owned ") && entries > Some(0), "{}", register.detail);
+        }
+        svc.unsubscribe(id);
+    }
+
+    /// A Delete on a table the view reads through an index breaks the
+    /// append-only invariant: the circuit refuses it, changing nothing,
+    /// and the service tears the subscription down — no registry entry,
+    /// grant or pin left.
+    #[test]
+    fn a_delete_on_a_shared_input_tears_the_subscription_down() {
+        let (db, svc, q3) = tpch_service();
+        let row = db.catalog.table("lineitem").unwrap().row(0);
+        let mut circuit = ViewCircuit::compile(&q3, &db.catalog).unwrap();
+        let clock = rqp_common::CostClock::default_clock();
+        circuit.load_initial(&db.catalog, &clock).unwrap();
+        let (view, cost) = (circuit.snapshot(), clock.now());
+        let delete = rqp_storage::ChangeRecord {
+            epoch: 0,
+            table: Arc::from("lineitem"),
+            op: rqp_storage::ChangeOp::Delete,
+            row: row.clone(),
+        };
+        let err = circuit.apply(&[delete], &db.catalog, &clock).unwrap_err();
+        assert!(matches!(err, RqpError::Invalid(_)), "{err:?}");
+        assert_eq!((circuit.snapshot(), clock.now(), circuit.cursor()), (view, cost, 0));
+
+        let id = svc.subscribe(&q3, SubscribeOptions::default()).unwrap();
+        svc.append_rows("lineitem", vec![lineitem(1)]).unwrap();
+        svc.changelog().publish_delete("lineitem", row);
+        assert!(matches!(svc.poll_subscription(id, 0), Err(RqpError::Invalid(_))));
+        assert_eq!(svc.subscriptions().count(), 0, "registry empty after the refusal");
+        assert_eq!(svc.reserved(), 0.0, "no grant outlives the subscription");
+        assert_eq!(svc.pager().expect("a paged service").pins(), 0, "no pins");
+        assert!(matches!(svc.poll_subscription(id, 0), Err(RqpError::Invalid(_))), "gone");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::histogram::{EquiDepthHistogram, Histogram};
 use rand::Rng;
 use rqp_common::{CmpOp, Expr, SimplePred, Value};
 use rqp_storage::{Catalog, ColumnData, Groups, Table};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -358,12 +359,40 @@ impl CardEstimator for StatsEstimator {
 #[derive(Debug, Clone)]
 pub struct OracleEstimator {
     catalog: Rc<Catalog>,
+    /// Join selectivities counted so far, by unordered pair of
+    /// `(table, column)`: the catalog behind an estimator never changes, and
+    /// the planner asks for one pair once per partition it costs.
+    joins: RefCell<HashMap<[(String, String); 2], f64>>,
 }
 
 impl OracleEstimator {
     /// Build over a catalog snapshot.
     pub fn new(catalog: Rc<Catalog>) -> Self {
-        OracleEstimator { catalog }
+        OracleEstimator { catalog, joins: RefCell::default() }
+    }
+
+    /// Matching row pairs of `l.lcol = r.rcol` over all pairs. Every count
+    /// and product is an integer below 2^53, so the sum is exact in any
+    /// order, and either argument order gives the same bits.
+    fn count_join(&self, (l, lcol): (&str, &str), (r, rcol): (&str, &str)) -> f64 {
+        let (Ok(lt), Ok(rt)) = (self.catalog.table(l), self.catalog.table(r)) else {
+            return 0.0;
+        };
+        let (Ok(lc), Ok(rc)) = (lt.column_by_name(lcol), rt.column_by_name(rcol)) else {
+            return 0.0;
+        };
+        if lt.nrows() == 0 || rt.nrows() == 0 {
+            return 0.0;
+        }
+        let mut counts: HashMap<Value, (f64, f64)> = HashMap::new();
+        for v in lc.iter_values() {
+            counts.entry(v).or_default().0 += 1.0;
+        }
+        for v in rc.iter_values() {
+            counts.entry(v).or_default().1 += 1.0;
+        }
+        let matches: f64 = counts.values().map(|&(a, b)| a * b).sum();
+        matches / (lt.nrows() as f64 * rt.nrows() as f64)
     }
 }
 
@@ -392,26 +421,15 @@ impl CardEstimator for OracleEstimator {
         right_table: &str,
         right_col: &str,
     ) -> f64 {
-        let (Ok(lt), Ok(rt)) = (self.catalog.table(left_table), self.catalog.table(right_table))
-        else {
-            return 0.0;
-        };
-        let (Ok(lc), Ok(rc)) = (lt.column_by_name(left_col), rt.column_by_name(right_col))
-        else {
-            return 0.0;
-        };
-        if lt.nrows() == 0 || rt.nrows() == 0 {
-            return 0.0;
+        let side = |t: &str, c: &str| (t.to_owned(), c.to_owned());
+        let mut key = [side(left_table, left_col), side(right_table, right_col)];
+        key.sort();
+        if let Some(&sel) = self.joins.borrow().get(&key) {
+            return sel;
         }
-        let mut counts: HashMap<Value, (f64, f64)> = HashMap::new();
-        for v in lc.iter_values() {
-            counts.entry(v).or_default().0 += 1.0;
-        }
-        for v in rc.iter_values() {
-            counts.entry(v).or_default().1 += 1.0;
-        }
-        let matches: f64 = counts.values().map(|&(a, b)| a * b).sum();
-        matches / (lt.nrows() as f64 * rt.nrows() as f64)
+        let sel = self.count_join((left_table, left_col), (right_table, right_col));
+        self.joins.borrow_mut().insert(key, sel);
+        sel
     }
 }
 
@@ -554,6 +572,30 @@ mod tests {
         // over 100_000 cross = 0.1… wait: t has 100 rows per grp, u has 10.
         let js = o.join_selectivity("t", "grp", "u", "grp");
         assert!((js - 0.1).abs() < 1e-9, "got {js}");
+    }
+
+    /// A memoized join selectivity reads, in either argument order, the
+    /// bits a fresh estimator counts.
+    #[test]
+    fn oracle_join_selectivity_is_memoized_bit_for_bit() {
+        let c = Rc::new(catalog());
+        let memo = OracleEstimator::new(Rc::clone(&c));
+        for _ in 0..3 {
+            for (a, b) in [
+                (("t", "grp"), ("u", "grp")),
+                (("u", "grp"), ("t", "grp")),
+                (("t", "k"), ("u", "grp")),
+            ] {
+                let fresh =
+                    OracleEstimator::new(Rc::clone(&c)).join_selectivity(a.0, a.1, b.0, b.1);
+                let swapped =
+                    OracleEstimator::new(Rc::clone(&c)).join_selectivity(b.0, b.1, a.0, a.1);
+                let got = memo.join_selectivity(a.0, a.1, b.0, b.1);
+                assert_eq!(got.to_bits(), fresh.to_bits(), "{a:?} = {b:?}");
+                assert_eq!(got.to_bits(), swapped.to_bits(), "{b:?} = {a:?}");
+            }
+        }
+        assert_eq!(memo.joins.borrow().len(), 2, "one entry per unordered pair");
     }
 
     #[test]

@@ -11,9 +11,32 @@
 //! stage. Filter inputs and a stage's own key columns are read once, on the
 //! way in, and not kept (the key lives in the index's map key).
 //!
+//! A join stage whose right input is a base table with a one-column
+//! catalog index on its join key (of the left key's declared type) keeps
+//! no index for that side at all: it *shares* the catalog's, as shared
+//! arrangements do. An indexed table only grows — `Catalog::table_mut`
+//! refuses it, and `append_rows` keeps table and index in step — so its row
+//! ids are stable, and the right input as the circuit has seen it is the
+//! table's rows below `seen`: all of them once the load has read the table,
+//! one more per Insert record folded. A left row probes `lookup_eq`, keeps
+//! the row ids below `seen` that pass the input's local filter, and reads
+//! their kept columns from the table. The index compares a probe as
+//! `Value`'s `Eq` does (a `Float(2.0)` finds `Int(2)`; NULL, NaN and 2.5
+//! find nothing), so a shared side matches what an owned one would, and its
+//! row ids for one key come out ascending, the order an owned bucket lists
+//! append-only rows in. An owned bucket holds rows that agree on every
+//! stored column as one entry of a larger weight; a shared side yields
+//! them one by one, so weights, state, packets and charges agree, and a
+//! float SUM adds such rows apart rather than as one product. The circuit
+//! holds no handle on the table or index between calls: `load_initial`
+//! and `apply` borrow the catalog they are given, and `apply` refuses —
+//! changing nothing — a Delete on a shared input or an Insert that is not
+//! the table's row `seen`. Every other right side, and every left side, is
+//! *owned*: a join index of its own.
+//!
 //! ## How a join index stores it
 //!
-//! Each side of a join stage is one `JoinIndex`: a map from key to the
+//! Each owned side of a join stage is one `JoinIndex`: a map from key to the
 //! `(first, last)` slots of its bucket, and one slot arena holding every
 //! bucket's `(narrowed row, weight)` entries — one vector per stored
 //! column, a weight and a next-slot link per slot beside them. So a stored
@@ -67,10 +90,11 @@ use rqp_exec::AggBinding;
 use rqp_opt::QuerySpec;
 use rqp_storage::changelog::{ChangeOp, ChangeRecord};
 use rqp_storage::keyed::{string_bytes, Keys, TYPED_KEYS};
-use rqp_storage::{Catalog, ColumnData, Footprint, GroupTable, IndexKey, IntSlice};
+use rqp_storage::{Catalog, ColumnData, Footprint, GroupTable, Index, IndexKey, IntSlice, Table};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// What one batch of changelog records did to the view: the rows a
 /// subscriber inserts into and retracts from its copy. Both lists are
@@ -406,6 +430,10 @@ impl Column {
         }
     }
 
+    fn len(&self) -> usize {
+        each_column!(self, c => c.len())
+    }
+
     fn capacity(&self) -> usize {
         each_column!(self, c => c.capacity())
     }
@@ -648,11 +676,45 @@ impl JoinIndex {
         }
         fp
     }
+
+    /// Live entries, walked bucket by bucket.
+    fn entries(&self) -> usize {
+        self.keys.iter().map(|(_, (first, _), _)| self.slots.chain(first).count()).sum()
+    }
+}
+
+/// The right side of a join stage (see the module docs).
+#[derive(Debug)]
+enum Right {
+    /// The stage's own index of the right input's rows.
+    Owned(JoinIndex),
+    /// The catalog's index `index` on the right table's join key; the
+    /// input as folded so far is the table's rows below `seen`.
+    Shared { index: String, seen: usize },
+}
+
+impl Right {
+    /// How many of its table's rows a shared side has seen.
+    fn seen(&self) -> Option<usize> {
+        match self {
+            Right::Owned(_) => None,
+            Right::Shared { seen, .. } => Some(*seen),
+        }
+    }
+
+    /// The side as the `sub.register` event names it.
+    fn describe(&self) -> String {
+        match self {
+            Right::Owned(ix) => format!("owned {}", ix.entries()),
+            Right::Shared { index, .. } => format!("shared {index}"),
+        }
+    }
 }
 
 /// One left-deep join stage: the accumulated intermediate (left) against
-/// the next base table (right), with an index per side. The stage's output
-/// layout is the stored left row followed by the stored right row.
+/// the next base table (right), with an index per side — the right one
+/// possibly the catalog's. The stage's output layout is the stored left
+/// row followed by the right input's kept columns.
 #[derive(Debug)]
 struct JoinStage {
     /// Key positions in the arriving left row.
@@ -663,7 +725,35 @@ struct JoinStage {
     /// are the input's `keep`).
     right_key: Vec<usize>,
     left_index: JoinIndex,
-    right_index: JoinIndex,
+    right: Right,
+}
+
+/// The catalog's table and index behind each shared right side, by stage
+/// (`None` for an owned side): held for one load or `apply`, never longer.
+type Handles = Vec<Option<(Arc<Table>, Arc<Index>)>>;
+
+/// The borrows of `handles` (see [`ViewCircuit::borrow_shared`]).
+fn lend(handles: &Handles) -> Vec<Option<Lent<'_>>> {
+    handles.iter().map(|h| h.as_ref().map(|(table, index)| Lent { table, index })).collect()
+}
+
+/// What one load or `apply` borrows of a shared right side: the table and
+/// the catalog index on its join key.
+#[derive(Clone, Copy)]
+struct Lent<'a> {
+    table: &'a Table,
+    index: &'a Index,
+}
+
+impl Lent<'_> {
+    /// Row `rid` of the table in `input`'s read layout, when it passes the
+    /// input's local filter.
+    fn passes(&self, input: &TableInput, rid: usize) -> bool {
+        input.filter.as_ref().is_none_or(|f| {
+            let row: Row = input.cols.iter().map(|&c| self.table.column(c).get(rid)).collect();
+            f.eval_bool(&row)
+        })
+    }
 }
 
 /// The aggregation stage: the group table every aggregation folds into,
@@ -779,6 +869,27 @@ fn positions_in(layout: &[usize], wanted: impl IntoIterator<Item = usize>) -> Ve
         .into_iter()
         .map(|c| layout.iter().position(|&l| l == c).expect("required column is in the layout"))
         .collect()
+}
+
+/// The catalog index a join stage reads its right input through, if it
+/// can: the join key is one column whose declared type is the left key's,
+/// and the catalog holds a one-column index on exactly that column.
+fn shared_index(
+    catalog: &Catalog,
+    right: &TableInput,
+    key: &[usize],
+    left: &[DataType],
+) -> Option<String> {
+    let ([k], [left]) = (key, left) else {
+        return None;
+    };
+    let table = catalog.table(&right.name).ok()?;
+    let col = right.cols[*k];
+    if table.column(col).data_type() != *left {
+        return None;
+    }
+    let index = catalog.index_on(&right.name, &table.schema().field(col).name)?;
+    Some(index.name().to_owned())
 }
 
 /// Bytes of one non-aggregate view row with its weight: the map entry,
@@ -942,7 +1053,13 @@ impl ViewCircuit {
             };
             stages.push(JoinStage {
                 left_index: JoinIndex::new(&left_types(&left_keys[s]), &left_types(&stored)),
-                right_index: JoinIndex::new(&right_types(&right_key), &right_types(&right.keep)),
+                right: match shared_index(catalog, right, &right_key, &left_types(&left_keys[s])) {
+                    Some(index) => Right::Shared { index, seen: 0 },
+                    None => Right::Owned(JoinIndex::new(
+                        &right_types(&right_key),
+                        &right_types(&right.keep),
+                    )),
+                },
                 left_key: positions_in(&layout, left_keys[s].iter().copied()),
                 left_keep: positions_in(&layout, stored),
                 right_key,
@@ -1010,8 +1127,12 @@ impl ViewCircuit {
     /// rows first, what they will fill is sized once for them — a slot per
     /// row, a map entry per distinct key — and only then do the survivors,
     /// in ascending row order and 1024 at a time, go through the same
-    /// `ingest` as a changelog row, read in place (see the module docs).
+    /// `ingest` as a changelog row, read in place (see the module docs). A
+    /// shared right side stores nothing: once its table is read, it has
+    /// seen every row of it.
     pub fn load_initial(&mut self, catalog: &Catalog, clock: &SharedClock) -> Result<()> {
+        let handles = self.borrow_shared(catalog)?;
+        let lent = lend(&handles);
         for i in 0..self.inputs.len() {
             let table = catalog.table(&self.inputs[i].name)?;
             clock.charge(&rule::emit(table.nrows() as f64));
@@ -1028,9 +1149,21 @@ impl ViewCircuit {
             while rows.peek().is_some() {
                 batch.clear();
                 batch.extend(rows.by_ref().take(LOAD_BATCH));
-                self.ingest(i, &cols, &batch, 1, &mut tally, None);
+                self.ingest(i, &cols, &batch, 1, &lent, &mut tally, None);
             }
             tally.charge(clock);
+            let shared = i.checked_sub(1).map(|s| (&mut self.stages[s].right, lent[s]));
+            if let Some((Right::Shared { index, seen }, Some(side))) = shared {
+                if side.index.entries() != table.nrows() {
+                    return Err(RqpError::Invalid(format!(
+                        "index '{index}' holds {} entries for the {} rows of '{}'",
+                        side.index.entries(),
+                        table.nrows(),
+                        self.inputs[i].name
+                    )));
+                }
+                *seen = table.nrows();
+            }
         }
         #[cfg(debug_assertions)]
         assert_eq!(self.footprint(), self.recount(), "running footprint drifted from a recount");
@@ -1040,12 +1173,13 @@ impl ViewCircuit {
     /// Size what input `i`'s survivors fill during the load before any of
     /// them is ingested, so that each structure is allocated once. A
     /// survivor is stored in one join index — stage 0's left side for the
-    /// first table, stage `i - 1`'s right side for the others — and its
-    /// joined rows land in one more place: stage `i`'s left side, or the
-    /// groups past the last join. Every index further on is still empty, so
-    /// nothing reaches beyond. Arenas get a slot per row they will receive
-    /// (an upper bound: duplicates share one), key maps and groups an entry
-    /// per distinct key. `cols` are the input's read-layout columns.
+    /// first table, stage `i - 1`'s right side for the others, unless that
+    /// side is shared — and its joined rows land in one more place: stage
+    /// `i`'s left side, or the groups past the last join. Every side
+    /// further on is still empty, so nothing reaches beyond. Arenas get a
+    /// slot per row they will receive (an upper bound: duplicates share
+    /// one), key maps and groups an entry per distinct key. `cols` are the
+    /// input's read-layout columns.
     fn reserve(&mut self, i: usize, cols: &[Src], survivors: &SelMask) {
         let input = &self.inputs[i];
         let own = match i.checked_sub(1) {
@@ -1053,10 +1187,12 @@ impl ViewCircuit {
             None => self.stages.first_mut().map(|s| {
                 (&mut s.left_index, s.left_key.iter().map(|&k| input.keep[k]).collect::<Vec<_>>())
             }),
-            Some(s) => {
-                let stage = &mut self.stages[s];
-                Some((&mut stage.right_index, stage.right_key.clone()))
-            }
+            Some(s) => match &mut self.stages[s] {
+                JoinStage { right: Right::Owned(index), right_key, .. } => {
+                    Some((index, right_key.clone()))
+                }
+                JoinStage { right: Right::Shared { .. }, .. } => None,
+            },
         };
         let survivors = || survivors.iter_set().map(|r| At { r, s: NIL });
         if let Some((index, key)) = own {
@@ -1099,16 +1235,29 @@ impl ViewCircuit {
     /// delta packet subscribers apply to their copies. Records for tables
     /// the spec doesn't reference are skipped (the changelog is shared
     /// catalog-wide). Every touched row charges the shared cost clock.
-    pub fn apply(&mut self, recs: &[ChangeRecord], clock: &SharedClock) -> DeltaPacket {
+    ///
+    /// `catalog` is the one the records were published from, as of at
+    /// least the last of them: a shared right side is read from it (see the
+    /// module docs), and nothing of it is kept once this returns. Errors,
+    /// folding nothing in, when a shared side cannot be read, or a record
+    /// on a shared input is a Delete or an Insert of another row than the
+    /// table's next unseen one.
+    pub fn apply(
+        &mut self,
+        recs: &[ChangeRecord],
+        catalog: &Catalog,
+        clock: &SharedClock,
+    ) -> Result<DeltaPacket> {
+        let handles = self.borrow_shared(catalog)?;
+        let lent = lend(&handles);
+        self.check_shared(recs, &lent)?;
         let mut acc = PacketAcc::default();
         let mut tally = Tally::default();
         let mut epoch = self.cursor.saturating_sub(1);
         for rec in recs {
             epoch = epoch.max(rec.epoch);
             self.cursor = self.cursor.max(rec.epoch + 1);
-            let Some(i) = self.inputs.iter().position(|t| *t.name == *rec.table) else {
-                continue;
-            };
+            let Some(i) = self.input_of(rec) else { continue };
             let w = match rec.op {
                 ChangeOp::Insert => 1,
                 ChangeOp::Delete => -1,
@@ -1118,7 +1267,13 @@ impl ViewCircuit {
             tally.tuples += 1;
             let row = narrow(&rec.row, &input.cols);
             if input.filter.as_ref().is_none_or(|f| f.eval_bool(&row)) {
-                self.ingest(i, &Src::of_row(&row), &[0], w, &mut tally, Some(&mut acc));
+                let (cols, out) = (Src::of_row(&row), Some(&mut acc));
+                self.ingest(i, &cols, &[0], w, &lent, &mut tally, out);
+            }
+            if let Some(Right::Shared { seen, .. }) =
+                i.checked_sub(1).map(|s| &mut self.stages[s].right)
+            {
+                *seen += 1;
             }
         }
         tally.charge(clock);
@@ -1143,11 +1298,59 @@ impl ViewCircuit {
         }
         #[cfg(debug_assertions)]
         assert_eq!(self.footprint(), self.recount(), "running footprint drifted from a recount");
-        DeltaPacket {
+        Ok(DeltaPacket {
             epoch,
             inserted: canonicalize(acc.inserted),
             retracted: canonicalize(acc.retracted),
+        })
+    }
+
+    /// The right side of every join stage, in join order, as the
+    /// `sub.register` event names it: `shared <index>` for a side read
+    /// through the catalog's index, `owned <entries>` for one the circuit
+    /// keeps.
+    pub fn join_sides(&self) -> Vec<String> {
+        self.stages.iter().map(|s| s.right.describe()).collect()
+    }
+
+    /// The input `rec` changes, if the view reads its table.
+    fn input_of(&self, rec: &ChangeRecord) -> Option<usize> {
+        self.inputs.iter().position(|t| *t.name == *rec.table)
+    }
+
+    /// Refuse `recs` unless every record on a shared input is an Insert of
+    /// the table's next unseen row, in row order.
+    fn check_shared(&self, recs: &[ChangeRecord], lent: &[Option<Lent>]) -> Result<()> {
+        let mut next: Vec<Option<usize>> = self.stages.iter().map(|s| s.right.seen()).collect();
+        for (rec, i) in recs.iter().filter_map(|rec| Some((rec, self.input_of(rec)?))) {
+            let Some(Some(seen)) = i.checked_sub(1).map(|s| &mut next[s]) else { continue };
+            let (input, side) = (&self.inputs[i], lent[i - 1].expect("a shared side is lent"));
+            let matches = rec.op == ChangeOp::Insert
+                && *seen < side.table.nrows()
+                && input.cols.iter().all(|&c| {
+                    rec.row.get(c).is_some_and(|v| *v == side.table.column(c).get(*seen))
+                });
+            if !matches {
+                return Err(RqpError::Invalid(format!(
+                    "epoch {}: a {:?} on '{}' is not its row {seen}, and the view reads it \
+                     through an append-only index",
+                    rec.epoch, rec.op, input.name
+                )));
+            }
+            *seen += 1;
         }
+        Ok(())
+    }
+
+    /// The catalog's table and index behind every shared right side.
+    fn borrow_shared(&self, catalog: &Catalog) -> Result<Handles> {
+        let shared = self.stages.iter().zip(&self.inputs[1..]).map(|(stage, input)| {
+            let Right::Shared { index, .. } = &stage.right else {
+                return Ok(None);
+            };
+            Ok(Some((catalog.table(&input.name)?, catalog.index(index)?)))
+        });
+        shared.collect()
     }
 
     /// The maintained view's current contents, in canonical order.
@@ -1213,8 +1416,11 @@ impl ViewCircuit {
     /// running count must equal at all times.
     #[cfg(any(test, debug_assertions))]
     fn recount(&self) -> Footprint {
-        let parts =
-            self.stages.iter().flat_map(|s| [s.left_index.recount(), s.right_index.recount()]);
+        let rights = self.stages.iter().filter_map(|s| match &s.right {
+            Right::Owned(index) => Some(index.recount()),
+            Right::Shared { .. } => None,
+        });
+        let parts = self.stages.iter().map(|s| s.left_index.recount()).chain(rights);
         let groups = self.agg.as_ref().map(|agg| agg.table.recount());
         let mut fp = parts.chain(groups).fold(Footprint::default(), |a, b| a + b);
         fp.rows += self.view.len();
@@ -1235,22 +1441,25 @@ impl ViewCircuit {
     /// either probed or merged into, never both, and each sees its rows in
     /// row order; so a batch leaves every index, group, float sum and
     /// charge as its rows ingested one at a time would.
+    #[allow(clippy::too_many_arguments)]
     fn ingest(
         &mut self,
         input_idx: usize,
         cols: &[Src<'_>],
         rows: &[usize],
         weight: i64,
+        lent: &[Option<Lent<'_>>],
         tally: &mut Tally,
         out: Option<&mut PacketAcc>,
     ) {
         let ViewCircuit { inputs, stages, agg, projection, view, footprint, .. } = self;
         let keep = &inputs[input_idx].keep;
         let kept: Vec<Src> = keep.iter().map(|&p| cols[p]).collect();
-        let mut fold = Fold { agg: agg.as_mut(), projection, view, footprint, tally, out };
+        let agg = agg.as_mut();
+        let mut fold = Fold { agg, projection, view, footprint, tally, out, inputs, lent };
         let Some(prev) = input_idx.checked_sub(1) else {
             let rows = rows.iter().map(|&r| (At { r, s: NIL }, weight)).collect();
-            return fold.push(stages, Arrivals { cols: kept, rows });
+            return fold.push(0, stages, Arrivals { cols: kept, rows });
         };
         let (done, later) = stages.split_at_mut(input_idx);
         let stage = &mut done[prev];
@@ -1268,12 +1477,16 @@ impl ViewCircuit {
             }
         }
         fold.tally.builds += rows.len() as u64;
-        for &r in rows {
-            let row = Gather { cols, positions: keep, at: At { r, s: NIL } };
-            stage.right_index.update(key(r), row, weight, fold.footprint);
+        // A shared side is the table itself: its caller counts the rows.
+        if let Right::Owned(index) = &mut stage.right {
+            for &r in rows {
+                let row = Gather { cols, positions: keep, at: At { r, s: NIL } };
+                index.update(key(r), row, weight, fold.footprint);
+            }
         }
         let slots = left.slots.columns.iter().map(Src::Slot);
         fold.push(
+            input_idx,
             later,
             Arrivals { cols: slots.chain(kept.iter().copied()).collect(), rows: joined },
         );
@@ -1304,8 +1517,9 @@ impl Tally {
 }
 
 /// What rows pushed through the join stages reach besides their indexes:
-/// the terminal stage, the running footprint, the charges owed and the
-/// packet being built (`None` during the initial load).
+/// the terminal stage, the running footprint, the charges owed, the packet
+/// being built (`None` during the initial load), and every shared right
+/// side's input and borrowed table and index.
 struct Fold<'a> {
     agg: Option<&'a mut AggStage>,
     projection: &'a Option<Vec<usize>>,
@@ -1313,43 +1527,81 @@ struct Fold<'a> {
     footprint: &'a mut Footprint,
     tally: &'a mut Tally,
     out: Option<&'a mut PacketAcc>,
+    inputs: &'a [TableInput],
+    lent: &'a [Option<Lent<'a>>],
 }
 
 impl Fold<'_> {
-    /// Push `rows` into the first of `stages`: join each against the
-    /// stage's right side and merge it into the left side, then push the
-    /// joined rows on through the rest. Past the last stage, fold them into
-    /// the terminal stage.
-    fn push(&mut self, stages: &mut [JoinStage], rows: Arrivals<'_>) {
+    /// Push `rows` into the first of `stages`, stage `s`: join each against
+    /// the stage's right side and merge it into the left side, then push
+    /// the joined rows on through the rest. Past the last stage, fold them
+    /// into the terminal stage.
+    ///
+    /// A shared right side yields, per left row, the row ids under its key
+    /// below `seen` that pass the right input's filter, ascending; their
+    /// kept columns are gathered as read, so a joined row reads its right
+    /// half at its own number, as it reads its left half.
+    fn push(&mut self, s: usize, stages: &mut [JoinStage], rows: Arrivals<'_>) {
         if rows.rows.is_empty() {
             return;
         }
         let Some((stage, later)) = stages.split_first_mut() else {
             return self.terminal(&rows);
         };
-        let right = &stage.right_index;
-        let keep = &stage.left_keep;
+        let JoinStage { left_key, left_keep: keep, left_index, right, .. } = stage;
+        let input = &self.inputs[s + 1];
+        // A shared side's kept columns, where they are read and the columns
+        // its matches are gathered into.
+        let mut shared = self.lent[s].map(|side| {
+            let columns = input.keep.iter().map(|&p| side.table.column(input.cols[p]));
+            let reads: Vec<Src> = columns.clone().map(Src::table).collect();
+            (side, reads, columns.map(|c| Column::new(c.data_type())).collect::<Vec<_>>())
+        });
         // The joined rows' left halves, gathered: a joined row reads them
-        // at its number and its right half at its right slot.
+        // at its number and its right half at its right slot — an owned
+        // side's slot, or its number again for a shared side's gathered row.
         let mut stored: Vec<Vec<Value>> = vec![Vec::new(); keep.len()];
         let mut joined = Vec::new();
         for &(at, w) in &rows.rows {
-            let key = IndexKey::with(&stage.left_key, |p| rows.cols[p].get(at));
+            let key = IndexKey::with(left_key, |p| rows.cols[p].get(at));
             self.tally.builds += w.unsigned_abs();
-            for t in right.bucket(&key) {
-                for (column, &p) in stored.iter_mut().zip(keep) {
+            let mut matched = |t: Option<u32>, jw: i64| {
+                for (column, &p) in stored.iter_mut().zip(keep.iter()) {
                     column.push(rows.cols[p].get(at));
                 }
-                let jw = right.slots.weights[t as usize] * w;
                 self.tally.tuples += jw.unsigned_abs();
-                joined.push((At { r: joined.len(), s: t }, jw));
+                let r = joined.len();
+                joined.push((At { r, s: t.unwrap_or(r as u32) }, jw));
+            };
+            match (&*right, &mut shared) {
+                (Right::Owned(index), _) => {
+                    for t in index.bucket(&key) {
+                        matched(Some(t), index.slots.weights[t as usize] * w);
+                    }
+                }
+                (Right::Shared { seen, .. }, Some((side, reads, gathered))) if *seen > 0 => {
+                    let IndexKey::One(v) = &key else { unreachable!("shared keys are one column") };
+                    let rids = side.index.lookup_eq(v).filter(|&rid| rid < *seen);
+                    for rid in rids.filter(|&rid| side.passes(input, rid)) {
+                        for (column, &src) in gathered.iter_mut().zip(reads.iter()) {
+                            column.store(column.len(), src, At { r: rid, s: NIL });
+                        }
+                        matched(None, w);
+                    }
+                }
+                (Right::Shared { .. }, _) => {}
             }
             let row = Gather { cols: &rows.cols, positions: keep, at };
-            stage.left_index.update(key, row, w, self.footprint);
+            left_index.update(key, row, w, self.footprint);
         }
         let lefts = stored.iter().map(|c| Src::Values(c));
-        let cols = lefts.chain(right.slots.columns.iter().map(Src::Slot)).collect();
-        self.push(later, Arrivals { cols, rows: joined });
+        let rights: Vec<Src> = match (&*right, &shared) {
+            (Right::Owned(index), _) => index.slots.columns.iter().map(Src::Slot).collect(),
+            (Right::Shared { .. }, Some((_, _, gathered))) => gathered.iter().map(Src::Slot).collect(),
+            (Right::Shared { .. }, None) => unreachable!("a shared side is lent"),
+        };
+        let cols = lefts.chain(rights).collect();
+        self.push(s + 1, later, Arrivals { cols, rows: joined });
     }
 
     /// Fold `rows` into the aggregate groups or the multiset view, emitting
@@ -1476,7 +1728,7 @@ mod tests {
         fn poll(&mut self) -> DeltaPacket {
             let (recs, cur) = self.log.since_up_to(self.cursor, usize::MAX);
             self.cursor = cur;
-            self.circuit.apply(&recs, &self.clock)
+            self.circuit.apply(&recs, &self.catalog, &self.clock).unwrap()
         }
 
         /// From-scratch reference: evaluate the spec naively over the
@@ -1827,7 +2079,7 @@ mod tests {
         catalog.table_mut("t").unwrap().append(vec![Value::Int(0), Value::Int(4)]);
         let (recs, _) = log.since_up_to(0, usize::MAX);
         let before = clock.now();
-        let p = circuit.apply(&recs, &clock);
+        let p = circuit.apply(&recs, &catalog, &clock).unwrap();
         assert!(clock.now() > before, "deltas charge the clock");
         assert_eq!((p.inserted.len(), p.retracted.len()), (1, 1));
         assert_eq!(
@@ -1845,6 +2097,63 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.epoch, 0, "epoch still advances past skipped records");
         assert_eq!(rig.circuit.cursor(), 1);
+    }
+
+    /// A stage whose right table carries an index on its join key reads it
+    /// through that index: an Insert record advances what it has seen,
+    /// and a record that breaks the table's append-only order — a Delete,
+    /// or an Insert of another row than the next unseen one — is refused
+    /// with nothing folded in.
+    #[test]
+    fn shared_sides_fold_appends_and_refuse_other_records() {
+        let mut c = catalog();
+        for k in 0..4 {
+            c.table_mut("t").unwrap().append(vec![Value::Int(k), Value::Int(10 * k)]);
+            c.table_mut("u").unwrap().append(vec![Value::Int(k), Value::Int(k)]);
+        }
+        c.create_index("ix_u_k", "u", &["k"]).unwrap();
+        let log = Arc::new(Changelog::new());
+        c.attach_changelog(&log);
+        let spec = QuerySpec::new()
+            .join("t", "k", "u", "k")
+            .filter("u", col("u.w").ne(lit(2i64)))
+            .project(&["t.v", "u.w"]);
+        let clock = CostClock::default_clock();
+        let mut circuit = ViewCircuit::compile(&spec, &c).unwrap();
+        circuit.load_initial(&c, &clock).unwrap();
+        assert_eq!(circuit.join_sides(), ["shared ix_u_k"]);
+        assert_eq!(circuit.state_rows(), 4 + 3, "the left side and the view, no right side");
+        assert_eq!(circuit.snapshot().len(), 3, "u.w = 2 is filtered");
+        // Appended rows: a left row meets the right rows the circuit has
+        // folded, whether they were loaded or appended before it.
+        c.append_rows("u", vec![vec![Value::Int(1), Value::Int(5)]]).unwrap();
+        c.append_rows("t", vec![vec![Value::Int(1), Value::Int(11)]]).unwrap();
+        let (recs, _) = log.since_up_to(0, usize::MAX);
+        let p = circuit.apply(&recs, &c, &clock).unwrap();
+        let pairs = |xs: &[(i64, i64)]| -> Vec<Row> {
+            xs.iter().map(|&(a, b)| vec![Value::Int(a), Value::Int(b)]).collect()
+        };
+        assert_eq!(p.inserted, pairs(&[(10, 5), (11, 1), (11, 5)]));
+        let before = (circuit.snapshot(), clock.now().to_bits(), circuit.cursor());
+        let u: Arc<str> = Arc::from("u");
+        let record = |op, row: Row| ChangeRecord { epoch: 2, table: Arc::clone(&u), op, row };
+        let wrong = [
+            record(ChangeOp::Delete, vec![Value::Int(1), Value::Int(5)]),
+            // The table has no row 5 yet.
+            record(ChangeOp::Insert, vec![Value::Int(3), Value::Int(3)]),
+        ];
+        for rec in wrong {
+            assert!(circuit.apply(&[rec], &c, &clock).is_err());
+            assert_eq!((circuit.snapshot(), clock.now().to_bits(), circuit.cursor()), before);
+        }
+        // Row 5 exists, but holds other values than the record.
+        c.append_rows("u", vec![vec![Value::Int(3), Value::Int(4)]]).unwrap();
+        let rec = record(ChangeOp::Insert, vec![Value::Int(3), Value::Int(3)]);
+        assert!(circuit.apply(&[rec], &c, &clock).is_err());
+        assert_eq!((circuit.snapshot(), clock.now().to_bits(), circuit.cursor()), before);
+        let (recs, _) = log.since_up_to(before.2, usize::MAX);
+        let p = circuit.apply(&recs, &c, &clock).unwrap();
+        assert_eq!(p.inserted, pairs(&[(30, 4)]));
     }
 
     /// The required-column rule on the q3 shape (customer ⋈ orders ⋈
@@ -1908,15 +2217,15 @@ mod tests {
             entries(ix).iter().map(|(row, _)| row.len()).collect()
         };
         assert_eq!(arities(&circuit.stages[0].left_index), vec![0]);
-        assert_eq!(arities(&circuit.stages[0].right_index), vec![1]);
+        assert_eq!(arities(owned(&circuit.stages[0].right)), vec![1]);
         assert_eq!(arities(&circuit.stages[1].left_index), vec![1]);
         // The two lineitems collapse into one entry of weight 2.
-        let lineitems = entries(&circuit.stages[1].right_index);
+        let lineitems = entries(owned(&circuit.stages[1].right));
         assert_eq!(lineitems, vec![(vec![Value::Int(250)], 2)]);
         assert_eq!(circuit.state_rows(), 4 + 1, "four index entries and one group");
         // Every key and stored column is an `Int`, so all of it is typed:
         // four slots (weight and link), three stored values, four keys.
-        for ix in circuit.stages.iter().flat_map(|s| [&s.left_index, &s.right_index]) {
+        for ix in circuit.stages.iter().flat_map(|s| [&s.left_index, owned(&s.right)]) {
             assert!(matches!(ix.keys, Keys::Int(_)), "typed keys");
             assert!(ix.slots.columns.iter().all(|c| matches!(c, Column::Int(_))), "typed values");
         }
@@ -1924,6 +2233,14 @@ mod tests {
         assert!(matches!(agg.table.keys(), Keys::Int(_)), "typed group keys");
         let group = Keys::<u32>::INT_BYTES + agg.table.slot_bytes();
         assert_eq!(circuit.state_bytes(), 4 * 12 + 3 * 8 + 4 * KeyMap::INT_BYTES + group);
+    }
+
+    /// An owned right side's index.
+    fn owned(right: &Right) -> &JoinIndex {
+        match right {
+            Right::Owned(index) => index,
+            Right::Shared { index, .. } => panic!("the side shares {index}"),
+        }
     }
 
     /// Every `(row, weight)` entry of an index, bucket by bucket.
@@ -2330,7 +2647,8 @@ mod tests {
                 let key = IndexKey::of(&row, &stage.right_key);
                 clock.charge(&rule::hash_build(1.0));
                 let joined = stage.left_index.probe(&key, 1, &[], &kept);
-                update_row(&mut stage.right_index, key, &kept, 1, &mut c.footprint);
+                let Right::Owned(right) = &mut stage.right else { panic!("an owned side") };
+                update_row(right, key, &kept, 1, &mut c.footprint);
                 clock.charge(&rule::emit(logical(&joined) as f64));
                 joined
             }
@@ -2345,7 +2663,7 @@ mod tests {
                 let key = IndexKey::of(&lrow, &stage.left_key);
                 let stored = narrow(&lrow, &stage.left_keep);
                 clock.charge(&rule::hash_build(lw.unsigned_abs() as f64));
-                next.extend(stage.right_index.probe(&key, lw, &stored, &[]));
+                next.extend(owned(&stage.right).probe(&key, lw, &stored, &[]));
                 update_row(&mut stage.left_index, key, &stored, lw, &mut c.footprint);
             }
             clock.charge(&rule::emit(logical(&next) as f64));
@@ -2380,7 +2698,7 @@ mod tests {
             clock.now().to_bits(),
             clock.breakdown(),
         );
-        for ix in c.stages.iter().flat_map(|s| [&s.left_index, &s.right_index]) {
+        for ix in c.stages.iter().flat_map(|s| [&s.left_index, owned(&s.right)]) {
             let mut buckets: Vec<String> = ix
                 .keys
                 .iter()
@@ -2613,7 +2931,7 @@ mod tests {
                 }
             }
             let (inserts, _) = log.since_up_to(0, usize::MAX);
-            replayed.apply(&inserts, &clock);
+            replayed.apply(&inserts, &empty, &clock).unwrap();
             assert_eq!(replayed.snapshot(), loaded.snapshot(), "{spec:?}");
             assert_eq!(replayed.state_rows(), loaded.state_rows(), "{spec:?}");
             assert_eq!(replayed.state_bytes(), loaded.state_bytes(), "{spec:?}");
@@ -2623,7 +2941,7 @@ mod tests {
                 }
             }
             let (retracts, _) = log.since_up_to(inserts.len() as u64, usize::MAX);
-            replayed.apply(&retracts, &clock);
+            replayed.apply(&retracts, &empty, &clock).unwrap();
             assert_eq!((replayed.state_rows(), replayed.state_bytes()), fresh, "{spec:?}");
             if spec.group_by.is_empty() && !spec.aggs.is_empty() {
                 assert_eq!(fresh.0, 1, "a global aggregate keeps its group");

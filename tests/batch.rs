@@ -477,7 +477,7 @@ fn view_after(changes: &[(ChangeOp, Row)], aggs: &[AggSpec]) -> Vec<Row> {
             row: row.clone(),
         })
         .collect();
-    view.apply(&records, &CostClock::default_clock());
+    view.apply(&records, &catalog, &CostClock::default_clock()).unwrap();
     view.snapshot()
 }
 

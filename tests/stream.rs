@@ -253,30 +253,40 @@ fn shutdown_tears_down_every_subscription() {
 }
 
 /// The benchmark's q3 view (`customer ⋈ orders ⋈ lineitem` on one-column
-/// `Int` keys, at most one stored column per side) keeps its join state in
-/// typed slot arenas under typed key maps, and its groups over a flat
-/// accumulator arena: the service's gauges read at most 30 counted bytes
-/// per state row — `Value` arenas and keys cost ≈51.5, a `Vec` per key and
-/// per stored row ≈87 — and teardown returns every byte.
+/// `Int` keys, at most one stored column per side). Over a catalog without
+/// indexes every join side is the circuit's own: typed slot arenas under
+/// typed key maps, groups over a flat accumulator arena, at most 30 counted
+/// bytes per state row — `Value` arenas and keys cost ≈51.5, a `Vec` per
+/// key and per stored row ≈87. Over the indexed catalog the service serves,
+/// the `orders` and `lineitem` sides are read through `ix_orders_custkey`
+/// and `ix_lineitem_orderkey` instead, and the view holds at most a fifth
+/// of those bytes. Teardown returns every byte either way.
 #[test]
 fn q3_view_state_stays_under_30_bytes_per_state_row() {
-    let db = TpchDb::build(TpchParams { lineitem_rows: 40_000, ..Default::default() }, 101);
-    let svc = QueryService::new(
-        &db.catalog,
-        ServiceConfig { drift_threshold: 1e9, ..ServiceConfig::default() },
-    );
-    let mut q3 = db.q3(2, 1_250);
-    q3.order_by.clear();
-    q3.limit = None;
-    let id = svc.subscribe(&q3, SubscribeOptions::default()).expect("subscribe");
-    svc.refresh_live_gauges();
-    let gauge = |name: &str| svc.metrics().gauge(name).get();
-    let (rows, bytes) = (gauge("server.subs.state_rows"), gauge("server.subs.state_bytes"));
-    assert!(rows > 10_000.0, "the view holds real join state: {rows} rows");
+    let state = |with_indexes: bool| {
+        let params = TpchParams { lineitem_rows: 40_000, with_indexes, ..Default::default() };
+        let db = TpchDb::build(params, 101);
+        let svc = QueryService::new(
+            &db.catalog,
+            ServiceConfig { drift_threshold: 1e9, ..ServiceConfig::default() },
+        );
+        let mut q3 = db.q3(2, 1_250);
+        q3.order_by.clear();
+        q3.limit = None;
+        let id = svc.subscribe(&q3, SubscribeOptions::default()).expect("subscribe");
+        svc.refresh_live_gauges();
+        let gauge = |name: &str| svc.metrics().gauge(name).get();
+        let held = (gauge("server.subs.state_rows"), gauge("server.subs.state_bytes"));
+        assert!(svc.unsubscribe(id));
+        svc.refresh_live_gauges();
+        assert_eq!((gauge("server.subs.state_rows"), gauge("server.subs.state_bytes")), (0.0, 0.0));
+        held
+    };
+    let (rows, bytes) = state(false);
+    assert!(rows > 10_000.0, "the owned view holds real join state: {rows} rows");
     assert!(bytes / rows <= 30.0, "{bytes} B over {rows} state rows = {:.1} B/row", bytes / rows);
-    assert!(svc.unsubscribe(id));
-    svc.refresh_live_gauges();
-    assert_eq!((gauge("server.subs.state_rows"), gauge("server.subs.state_bytes")), (0.0, 0.0));
+    let (_, shared) = state(true);
+    assert!(shared <= 0.2 * bytes, "shared sides: {shared} B against {bytes} B owned");
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +447,7 @@ fn churn_with_retractions_matches_cold_reruns_and_leaves_no_state() {
                 cold.analyze();
                 for (si, (circuit, copy, _)) in circuits.iter_mut().enumerate() {
                     let what = format!("case {case} {step} spec {si}");
-                    let packet = circuit.apply(&recs, &clock);
+                    let packet = circuit.apply(&recs, catalog, &clock).expect("apply");
                     replay_packet(copy, &packet, &what);
                     assert_eq!(*copy, circuit.snapshot(), "{what}: packets diverged from the view");
                     let rerun = canonicalize(cold.execute(&specs[si]).expect("cold re-run").rows);
@@ -546,12 +556,12 @@ fn null_inputs_and_group_keys_retract_like_a_cold_circuit() {
             record(epoch, ChangeOp::Insert, &row)
         };
         epoch += 1;
-        let packet = maintained.apply(&[rec], &clock);
+        let packet = maintained.apply(&[rec], &catalog, &clock).expect("apply");
         replay_packet(&mut copy, &packet, &format!("step {step}"));
         let mut cold = ViewCircuit::compile(&spec, &catalog).expect("compile");
         let survivors: Vec<ChangeRecord> =
             live.iter().enumerate().map(|(i, r)| record(i as u64, ChangeOp::Insert, r)).collect();
-        cold.apply(&survivors, &clock);
+        cold.apply(&survivors, &catalog, &clock).expect("apply");
         assert_eq!(copy, cold.snapshot(), "step {step}: packets diverged from a cold circuit");
         assert_eq!(
             maintained.state_bytes(),
@@ -560,9 +570,232 @@ fn null_inputs_and_group_keys_retract_like_a_cold_circuit() {
         );
     }
     for (i, row) in std::mem::take(&mut live).iter().enumerate() {
-        let packet = maintained.apply(&[record(epoch + i as u64, ChangeOp::Delete, row)], &clock);
+        let packet = maintained
+            .apply(&[record(epoch + i as u64, ChangeOp::Delete, row)], &catalog, &clock)
+            .expect("apply");
         replay_packet(&mut copy, &packet, "drain");
     }
     assert!(copy.is_empty(), "every group retracted");
     assert_eq!(maintained.state_bytes(), empty_bytes, "no group or multiset value lingers");
+}
+
+// ---------------------------------------------------------------------------
+// Shared join sides: a base table read through the catalog's index on its
+// join key must be interchangeable with the circuit's own copy of it.
+// ---------------------------------------------------------------------------
+
+/// The tables the q3 and q5 shapes read, `Int` columns only so that every
+/// SUM is exact whatever order its rows are added in.
+const SHARED_TABLES: [(&str, &[&str]); 4] = [
+    ("customer", &["custkey", "mktsegment"]),
+    ("orders", &["orderkey", "custkey", "orderdate"]),
+    ("lineitem", &["orderkey", "suppkey", "extendedprice", "shipdate"]),
+    ("supplier", &["suppkey", "nationkey"]),
+];
+
+/// A random row of one of [`SHARED_TABLES`]: small key domains, so joins
+/// fan out and rows that agree on every column a circuit stores turn up.
+fn shared_row(table: &str, rng: &mut StdRng) -> Row {
+    let mut int = |hi: i64| Value::Int(rng.gen_range(0..hi));
+    match table {
+        "customer" => vec![int(8), int(2)],
+        "orders" => vec![int(24), int(8), int(100)],
+        "lineitem" => vec![int(24), int(5), int(4), int(100)],
+        "supplier" => vec![int(5), int(4)],
+        other => unreachable!("no generator for {other}"),
+    }
+}
+
+/// Two copies of one seeded catalog over [`SHARED_TABLES`], each with its
+/// own changelog: the first with a one-column index on every join key the
+/// shapes probe, the second with no index at all.
+fn shared_pair(seed: u64) -> [(Catalog, Arc<Changelog>); 2] {
+    let mut rng = seeded(seed);
+    let tables: Vec<Table> = SHARED_TABLES
+        .iter()
+        .map(|&(name, cols)| {
+            let pairs: Vec<(&str, DataType)> = cols.iter().map(|&c| (c, DataType::Int)).collect();
+            let mut t = Table::new(name, Schema::from_pairs(&pairs));
+            for _ in 0..rng.gen_range(0..40) {
+                t.append(shared_row(name, &mut rng));
+            }
+            t
+        })
+        .collect();
+    [true, false].map(|indexed| {
+        let mut catalog = Catalog::new();
+        for t in &tables {
+            catalog.add_table(t.clone());
+        }
+        if indexed {
+            for (table, column) in
+                [("orders", "custkey"), ("lineitem", "orderkey"), ("supplier", "suppkey")]
+            {
+                let name = format!("ix_{table}_{column}");
+                catalog.create_index(name, table, &[column]).expect("index");
+            }
+        }
+        let log = Arc::new(Changelog::new());
+        catalog.attach_changelog(&log);
+        (catalog, log)
+    })
+}
+
+/// The q3 and q5 shapes over [`SHARED_TABLES`], ORDER BY/LIMIT stripped.
+fn shared_specs() -> Vec<QuerySpec> {
+    let shapes = tpch_shapes();
+    let mut specs = vec![shapes.q3(1, 50), shapes.q5(0, 2, 0)];
+    for s in &mut specs {
+        s.order_by.clear();
+        s.limit = None;
+    }
+    specs
+}
+
+/// One subscriber's side of a pair: a circuit, its clock and its cursor.
+struct Side {
+    circuit: ViewCircuit,
+    clock: rqp::common::SharedClock,
+    cursor: u64,
+}
+
+impl Side {
+    fn load(spec: &QuerySpec, catalog: &Catalog) -> Side {
+        let clock = CostClock::default_clock();
+        let mut circuit = ViewCircuit::compile(spec, catalog).expect("compile");
+        circuit.load_initial(catalog, &clock).expect("load");
+        Side { circuit, clock, cursor: 0 }
+    }
+
+    /// Everything two interchangeable circuits must agree on.
+    fn state(&self) -> (Vec<Row>, u64, String) {
+        let bits = self.clock.now().to_bits();
+        (self.circuit.snapshot(), bits, format!("{:?}", self.clock.breakdown()))
+    }
+}
+
+/// Whether any right side of `owned` (an index-free circuit) holds a row.
+fn right_sides_hold_rows(owned: &ViewCircuit) -> bool {
+    owned.join_sides().iter().any(|side| side != "owned 0")
+}
+
+/// The q3 and q5 shapes over two copies of one seeded catalog — indexed and
+/// index-free — under random append batches through `append_rows`, several
+/// per poll, to every joined table in random order. After the load and
+/// every poll both circuits emit the same packets, hold the same view and
+/// read the same clock bits; the view equals a cold engine run; and the
+/// indexed copy holds fewer counted bytes whenever an owned right side
+/// holds a row. The indexed copy's q3 reads its `orders` and `lineitem`
+/// sides through the catalog, its q5 `supplier` too.
+#[test]
+fn shared_join_sides_are_interchangeable_with_owned_ones() {
+    let specs = shared_specs();
+    let mut compared = 0;
+    for case in 0..6u64 {
+        let mut rng = seeded(child_seed(0x5a4e + case, "shared"));
+        let [(mut indexed, ilog), (mut owned, olog)] = shared_pair(case);
+        let mut pairs: Vec<(Side, Side)> = specs
+            .iter()
+            .map(|spec| (Side::load(spec, &indexed), Side::load(spec, &owned)))
+            .collect();
+        assert!(pairs[0].0.circuit.join_sides().iter().all(|s| s.starts_with("shared ix_")));
+        assert_eq!(pairs[1].0.circuit.join_sides()[2], "shared ix_supplier_suppkey");
+        for round in 0..12 {
+            if round > 0 {
+                for _ in 0..rng.gen_range(1..5) {
+                    let (name, _) = SHARED_TABLES[rng.gen_range(0..SHARED_TABLES.len())];
+                    let rows: Vec<Row> =
+                        (0..rng.gen_range(1..6)).map(|_| shared_row(name, &mut rng)).collect();
+                    indexed.append_rows(name, rows.clone()).expect("append");
+                    owned.append_rows(name, rows).expect("append");
+                }
+            }
+            let mut cold = Database::from_catalog(owned.clone());
+            cold.analyze();
+            for (si, (shared, copy)) in pairs.iter_mut().enumerate() {
+                let what = format!("case {case} round {round} spec {si}");
+                if round > 0 {
+                    let (recs, next) = ilog.since_up_to(shared.cursor, usize::MAX);
+                    shared.cursor = next;
+                    let a = shared.circuit.apply(&recs, &indexed, &shared.clock).expect("apply");
+                    let (recs, next) = olog.since_up_to(copy.cursor, usize::MAX);
+                    copy.cursor = next;
+                    let b = copy.circuit.apply(&recs, &owned, &copy.clock).expect("apply");
+                    assert_eq!(a, b, "{what}: packets");
+                }
+                assert_eq!(shared.state(), copy.state(), "{what}: view and clock");
+                let rerun = canonicalize(cold.execute(&specs[si]).expect("cold run").rows);
+                assert_eq!(shared.circuit.snapshot(), rerun, "{what}: view against a cold run");
+                if right_sides_hold_rows(&copy.circuit) {
+                    let (a, b) = (shared.circuit.state_bytes(), copy.circuit.state_bytes());
+                    assert!(a < b, "{what}: {a} B shared against {b} B owned");
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 100, "owned right sides held rows in only {compared} checks");
+}
+
+/// Changelog rows the engine's `Int` columns cannot hold — a NULL or
+/// `Float` `customer.custkey`, fabricated straight into the record stream
+/// among real appends — probe a shared `orders` side as they probe an owned
+/// one: `Float(2.0)` finds `Int(2)`, NULL and 2.5 find nothing. The cold
+/// side is a fresh index-free circuit fed the fabricated rows; the q5 view
+/// (no filter on `customer`) must end up other than without them.
+#[test]
+fn fabricated_null_and_float_probes_match_on_shared_and_owned_sides() {
+    let specs = shared_specs();
+    let customer: Arc<str> = Arc::from("customer");
+    let mut fabricated: Vec<ChangeRecord> = Vec::new();
+    for case in 0..4u64 {
+        let mut rng = seeded(child_seed(0xfab + case, "probes"));
+        let [(mut indexed, ilog), (mut owned, olog)] = shared_pair(100 + case);
+        fabricated.clear();
+        let mut pairs: Vec<(Side, Side)> = specs
+            .iter()
+            .map(|spec| (Side::load(spec, &indexed), Side::load(spec, &owned)))
+            .collect();
+        for round in 0..10 {
+            for name in ["orders", "lineitem", "supplier"] {
+                let rows: Vec<Row> =
+                    (0..rng.gen_range(0..4)).map(|_| shared_row(name, &mut rng)).collect();
+                indexed.append_rows(name, rows.clone()).expect("append");
+                owned.append_rows(name, rows).expect("append");
+            }
+            let (mut irecs, icur) = ilog.since_up_to(pairs[0].0.cursor, usize::MAX);
+            let (mut orecs, ocur) = olog.since_up_to(pairs[0].1.cursor, usize::MAX);
+            for _ in 0..rng.gen_range(1..4) {
+                let key = match rng.gen_range(0..4) {
+                    0 => Value::Null,
+                    1 => Value::Float(rng.gen_range(0..8) as f64 + 0.5),
+                    _ => Value::Float(rng.gen_range(0..8) as f64),
+                };
+                let at = rng.gen_range(0..=irecs.len());
+                let epoch = irecs.get(at).map_or(icur, |r| r.epoch);
+                let rec = ChangeRecord {
+                    epoch,
+                    table: Arc::clone(&customer),
+                    op: ChangeOp::Insert,
+                    row: vec![key, Value::Int(1)],
+                };
+                irecs.insert(at, rec.clone());
+                orecs.insert(at, rec.clone());
+                fabricated.push(rec);
+            }
+            for (si, (shared, copy)) in pairs.iter_mut().enumerate() {
+                let what = format!("case {case} round {round} spec {si}");
+                (shared.cursor, copy.cursor) = (icur, ocur);
+                let a = shared.circuit.apply(&irecs, &indexed, &shared.clock).expect("apply");
+                let b = copy.circuit.apply(&orecs, &owned, &copy.clock).expect("apply");
+                assert_eq!(a, b, "{what}: packets");
+                assert_eq!(shared.state(), copy.state(), "{what}: view and clock");
+                let mut cold = Side::load(&specs[si], &owned);
+                cold.circuit.apply(&fabricated, &owned, &cold.clock).expect("apply");
+                assert_eq!(shared.circuit.snapshot(), cold.circuit.snapshot(), "{what}: cold");
+            }
+        }
+        let without = Side::load(&specs[1], &owned).circuit.snapshot();
+        assert_ne!(pairs[1].0.circuit.snapshot(), without, "case {case}: no probe matched");
+    }
 }
